@@ -27,14 +27,11 @@ from .fields import (
     bump_polynomial_field,
     bump_scalar_field,
     constant_field,
-    deform,
-    deform_jacobian,
     det_expansion,
     dilation_field,
     divergence,
     filament_test_field,
     good_identity_residual,
-    invert,
     linear_field,
     polynomial_scalar_field,
     polynomial_vector_field,
@@ -72,7 +69,6 @@ from .geometry import (
 from .limits import (
     ConvergenceRecord,
     EpsilonSchedule,
-    TensorPairing,
     ac_limit_experiment,
     boundary_flux,
     constrained_poincare_check,
@@ -86,7 +82,6 @@ from .limits import (
     volume_admissibility,
 )
 from .profiles import (
-    DoubleWell,
     GLRadialProfile,
     ProfileTable,
     ansatz_field,

@@ -6,7 +6,9 @@ summary per experiment plus an aggregate ``summary.json``, and exits 0 iff
 every experiment passed its criterion (2 on malformed configs, 1 on numeric
 failure).  CSV output is byte-stable across runs for a fixed seed: quadrature
 reductions are pairwise-deterministic and random fields derive from the
-per-experiment seed sequence, not from scheduling order.
+per-experiment seed sequence, not from scheduling order.  Each experiment
+kind is declared once: the ``_kind`` decorator on its runner registers the
+kind's name with its required and optional config keys.
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
@@ -30,36 +34,7 @@ from .errors import ConfigError, EpsilonTooLarge, InnervarError
 
 SCHEMA_VERSION = 1
 CSV_COLUMNS = ("epsilon", "value", "target", "gap", "residual_1", "residual_2")
-KINDS = (
-    "identities",
-    "ac-converge",
-    "gl-converge",
-    "tensors",
-    "equipartition",
-    "volume",
-    "poincare",
-    "forms",
-    "profile",
-)
-
-_COMMON_KEYS = {"name", "kind"}
-_KIND_KEYS = {
-    "identities": {"dim", "samples", "cases", "tolerance", "fd_tolerance"},
-    "ac-converge": {"geometry", "p", "eta", "zeta", "schedule", "half_width",
-                    "tolerance_gap", "min_rate"},
-    "gl-converge": {"geometry", "eta", "zeta", "schedule", "rho_max", "n_theta",
-                    "profile_mode", "tolerance_gap", "energy_tolerance"},
-    "tensors": {"geometry", "p", "indices", "phi", "schedule", "half_width",
-                "tolerance_gap", "zero_tolerance"},
-    "equipartition": {"geometry", "p", "schedule", "profile", "half_width",
-                      "floor", "min_rate", "lower_bound"},
-    "volume": {"geometry", "fields", "tolerance_c2", "tolerance_flux"},
-    "poincare": {"geometry", "xi", "cutoff_width", "tolerance"},
-    "forms": {"geometry", "xi", "schedule", "cutoff_width", "half_width",
-              "tolerance_gap"},
-    "profile": {"p", "tolerance_constant", "tolerance_equipartition",
-                "tolerance_tanh", "export_table"},
-}
+_NAME = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 @dataclass
@@ -75,15 +50,38 @@ class ExperimentResult:
     error: str | None = None
 
 
+@dataclass(frozen=True)
+class _Kind:
+    required: frozenset
+    optional: frozenset
+    run: Callable  # (exp, rng, outdir) -> (passed, gap, rate, rows, summary)
+
+
+_KINDS: dict[str, _Kind] = {}
+
+
+def _kind(name: str, required=(), optional=()):
+    """Register an experiment runner under ``name`` with the config keys it reads."""
+
+    def register(run):
+        _KINDS[name] = _Kind(frozenset(required), frozenset(optional), run)
+        return run
+
+    return register
+
+
 # ---------------------------------------------------------------------------
 # config loading / validation
 # ---------------------------------------------------------------------------
 
 
-def _check_keys(obj: dict, allowed: set, ctx: str) -> None:
-    extra = set(obj) - allowed
+def _check_keys(obj: dict, required: set, optional: set, ctx: str) -> None:
+    extra = set(obj) - required - optional
     if extra:
         raise ConfigError(f"{ctx}: unknown keys {sorted(extra)}")
+    missing = required - set(obj)
+    if missing:
+        raise ConfigError(f"{ctx}: missing keys {sorted(missing)}")
 
 
 def load_config(path) -> dict:
@@ -100,7 +98,7 @@ def load_config(path) -> dict:
 def validate_config(raw: dict) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(raw, {"schema_version", "name", "description", "seed", "experiments"},
+    _check_keys(raw, set(), {"schema_version", "name", "description", "seed", "experiments"},
                 "config")
     if int(raw.get("schema_version", SCHEMA_VERSION)) != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {raw.get('schema_version')}")
@@ -112,39 +110,62 @@ def validate_config(raw: dict) -> dict:
         if not isinstance(exp, dict):
             raise ConfigError("each experiment must be a JSON object")
         kind = exp.get("kind")
-        if kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {kind!r}; known: {KINDS}")
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise ConfigError(f"unknown experiment kind {kind!r}; known: {sorted(_KINDS)}")
         name = exp.get("name")
-        if not isinstance(name, str) or not name:
-            raise ConfigError("each experiment needs a non-empty 'name'")
+        if not isinstance(name, str) or not _NAME.fullmatch(name):
+            raise ConfigError(f"experiment name {name!r} must match {_NAME.pattern}")
         if name in names:
             raise ConfigError(f"duplicate experiment name {name!r}")
         names.add(name)
-        _check_keys(exp, _COMMON_KEYS | _KIND_KEYS[kind], f"experiment {name!r}")
-        # eagerly validate referenced builders so bad configs fail before running
-        if "geometry" in exp:
-            geometry.shape_from_config(exp["geometry"])
-        if "eta" in exp and isinstance(exp["eta"], dict):
-            fields.vector_field_from_config(exp["eta"])
-        for key in ("phi", "xi"):
-            if key in exp and isinstance(exp[key], dict):
-                fields.scalar_field_from_config(exp[key])
+        ctx = f"experiment {name!r}"
+        _check_keys(exp, {"name", "kind"} | _KINDS[kind].required, _KINDS[kind].optional, ctx)
+        try:
+            _check_values(exp)
+        except (TypeError, ValueError, InnervarError) as exc:
+            raise ConfigError(f"{ctx}: {exc}") from exc
     return raw
+
+
+def _check_values(exp: dict) -> None:
+    """Build what an experiment references, so bad configs fail before running."""
+    dim = geometry.shape_from_config(exp["geometry"]).dim if "geometry" in exp else None
+    if "p" in exp and not float(exp["p"]) > 1.0:
+        raise ConfigError(f"p must be > 1, got {exp['p']}")
+    if "schedule" in exp:
+        _schedule(exp["schedule"], "linear_eps")
+    built = {}
+    if "eta" in exp:
+        built["eta"] = fields.vector_field_from_config(exp["eta"])
+        built["zeta"] = _zeta_from(exp, built["eta"], dim)
+    for key in ("phi", "xi"):
+        if key in exp:
+            built[key] = fields.scalar_field_from_config(exp[key])
+    for key, field in built.items():
+        if dim is not None and field.dim != dim:
+            raise ConfigError(f"{key} has dimension {field.dim} but the geometry has {dim}")
+    if "indices" in exp:
+        idx = [int(i) for i in exp["indices"]]
+        if len(idx) not in (2, 4) or not all(0 <= i < dim for i in idx):
+            raise ConfigError(f"indices must be 2 or 4 axes below {dim}, got {idx}")
 
 
 def _schedule(spec: dict, default_model: str) -> limits.EpsilonSchedule:
     if not isinstance(spec, dict):
         raise ConfigError("schedule must be an object")
-    _check_keys(spec, {"eps0", "count", "ratio", "epsilons", "model", "fit_points"},
-                "schedule")
+    _check_keys(spec, set() if "epsilons" in spec else {"eps0", "count"},
+                {"eps0", "count", "ratio", "epsilons", "model", "fit_points"}, "schedule")
     model = spec.get("model", default_model)
-    fit_points = int(spec.get("fit_points", 4))
-    if "epsilons" in spec:
-        return limits.EpsilonSchedule(list(spec["epsilons"]), model, fit_points)
-    return limits.EpsilonSchedule.geometric(
-        float(spec["eps0"]), int(spec["count"]), float(spec.get("ratio", 0.5)),
-        model, fit_points,
-    )
+    try:
+        fit_points = int(spec["fit_points"]) if "fit_points" in spec else None
+        if "epsilons" in spec:
+            return limits.EpsilonSchedule(list(spec["epsilons"]), model, fit_points)
+        return limits.EpsilonSchedule.geometric(
+            float(spec["eps0"]), int(spec["count"]), float(spec.get("ratio", 0.5)),
+            model, fit_points,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"schedule: {exc}") from exc
 
 
 def _zeta_from(exp: dict, eta: fields.VectorField, dim: int) -> fields.VectorField:
@@ -157,11 +178,26 @@ def _zeta_from(exp: dict, eta: fields.VectorField, dim: int) -> fields.VectorFie
 
 
 # ---------------------------------------------------------------------------
-# experiment runners
+# experiment runners: each returns (passed, gap, rate, rows, summary)
 # ---------------------------------------------------------------------------
 
 
-def _run_identities(exp: dict, rng: np.random.Generator) -> tuple[list, list]:
+def _from_record(rec: limits.ConvergenceRecord, passed: bool, **extra_summary):
+    return passed, rec.gap, rec.rate, rec.rows(), {**rec.summary(), **extra_summary}
+
+
+def _from_checks(checks: list[tuple[str, float, float]]):
+    """Pass flag, CSV rows and summary checks for a list of (label, residual, tolerance)."""
+    rows = [{"epsilon": float(i), "value": res, "target": 0.0, "gap": res,
+             "residual_1": tol, "residual_2": 0.0}
+            for i, (_label, res, tol) in enumerate(checks)]
+    summary = [{"label": label, "residual": res, "tolerance": tol, "pass": res <= tol}
+               for label, res, tol in checks]
+    return all(res <= tol for _label, res, tol in checks), rows, summary
+
+
+@_kind("identities", optional={"dim", "samples", "cases", "tolerance", "fd_tolerance"})
+def _run_identities(exp: dict, rng: np.random.Generator, _outdir):
     dim = int(exp.get("dim", 2))
     samples = int(exp.get("samples", 300))
     cases = int(exp.get("cases", 4))
@@ -241,227 +277,201 @@ def _run_identities(exp: dict, rng: np.random.Generator) -> tuple[list, list]:
              max(1e-6, 1e-4 * abs(rep.delta2_a)))
         )
 
-    rows = [
-        {"epsilon": float(i), "value": res, "target": 0.0, "gap": res,
-         "residual_1": tol_i, "residual_2": 0.0}
-        for i, (_label, res, tol_i) in enumerate(checks)
-    ]
-    summary = {"checks": [{"label": lbl, "residual": res, "tolerance": tol_i,
-                           "pass": res <= tol_i} for lbl, res, tol_i in checks]}
-    return rows, [summary]
+    passed, rows, summary = _from_checks(checks)
+    worst = max(res / tol_i for _label, res, tol_i in checks)
+    return passed, worst, None, rows, {"checks": summary}
 
 
-def _result_from_record(exp, rec, passed, extra_summary=None) -> ExperimentResult:
-    summary = rec.summary()
-    if extra_summary:
-        summary.update(extra_summary)
-    summary["pass"] = passed
-    return ExperimentResult(
-        name=exp["name"], kind=exp["kind"], passed=passed, gap=rec.gap,
-        rate=rec.rate, runtime=0.0, rows=rec.rows(), summary=summary,
+@_kind("ac-converge", required={"geometry", "p", "eta", "schedule"},
+       optional={"zeta", "half_width", "tolerance_gap", "min_rate"})
+def _run_ac(exp: dict, _rng, _outdir):
+    g = geometry.shape_from_config(exp["geometry"])
+    eta = fields.vector_field_from_config(exp["eta"])
+    zeta = _zeta_from(exp, eta, g.dim)
+    sched = _schedule(exp["schedule"], "linear_eps")
+    rec = limits.ac_limit_experiment(
+        g, eta, zeta, float(exp["p"]), sched,
+        half_width=exp.get("half_width"), name=exp["name"],
     )
+    tol = float(exp.get("tolerance_gap", 0.01))
+    min_rate = float(exp.get("min_rate", 0.9))
+    return _from_record(rec, rec.gap <= tol and rec.rate_at_least(min_rate))
+
+
+@_kind("gl-converge", required={"geometry", "eta", "schedule"},
+       optional={"zeta", "rho_max", "n_theta", "profile_mode", "tolerance_gap",
+                 "energy_tolerance"})
+def _run_gl(exp: dict, _rng, _outdir):
+    g = geometry.shape_from_config(exp["geometry"])
+    eta = fields.vector_field_from_config(exp["eta"])
+    zeta = _zeta_from(exp, eta, g.dim)
+    sched = _schedule(exp["schedule"], "log_inverse")
+    rec = limits.gl_limit_experiment(
+        g, eta, zeta, sched, rho_max=float(exp.get("rho_max", 0.5)),
+        n_theta=int(exp.get("n_theta", 48)),
+        profile_mode=exp.get("profile_mode", "ode"), name=exp["name"],
+    )
+    e_extr, _ = limits.extrapolate(sched.epsilons, rec.extras["energy"],
+                                   sched.model, sched.fit_points)
+    e_target = rec.meta["energy_target"]
+    e_gap = abs(e_extr - e_target) / (1.0 + abs(e_target))
+    passed = (rec.gap <= float(exp.get("tolerance_gap", 0.1))
+              and e_gap <= float(exp.get("energy_tolerance", 0.05)))
+    return _from_record(rec, passed, energy_extrapolated=e_extr, energy_gap=e_gap)
+
+
+@_kind("tensors", required={"geometry", "p", "indices", "phi", "schedule"},
+       optional={"half_width", "tolerance_gap", "zero_tolerance"})
+def _run_tensors(exp: dict, _rng, _outdir):
+    g = geometry.shape_from_config(exp["geometry"])
+    phi = fields.scalar_field_from_config(exp["phi"])
+    sched = _schedule(exp["schedule"], "linear_eps")
+    rec = limits.tensor_pairing_experiment(
+        g, float(exp["p"]), phi, exp["indices"], sched,
+        half_width=exp.get("half_width"), name=exp["name"],
+    )
+    if abs(rec.target) < 1e-12:
+        zero_tol = float(exp.get("zero_tolerance", 1e-6))
+        passed = max(abs(v) for v in rec.values) <= zero_tol
+    else:
+        passed = rec.gap <= float(exp.get("tolerance_gap", 0.02))
+    return _from_record(rec, passed)
+
+
+@_kind("equipartition", required={"geometry", "p", "schedule"},
+       optional={"profile", "half_width", "floor", "min_rate", "lower_bound"})
+def _run_equipartition(exp: dict, _rng, _outdir):
+    g = geometry.shape_from_config(exp["geometry"])
+    sched = _schedule(exp["schedule"], "linear_eps")
+    prof_spec = exp.get("profile", "optimal")
+    builder = None
+    if isinstance(prof_spec, dict):
+        _check_keys(prof_spec, {"tanh_slope"}, set(), "equipartition profile")
+        slope = float(prof_spec["tanh_slope"])
+        builder = lambda gg, e: profiles.tanh_profile_field(gg, e, slope)
+    rec = limits.equipartition_residuals(
+        g, float(exp["p"]), sched, profile=builder,
+        half_width=exp.get("half_width"), name=exp["name"],
+    )
+    floor = float(exp.get("floor", 1e-7))
+    min_rate = float(exp.get("min_rate", 0.9))
+    if "lower_bound" in exp:  # negative control: defect must persist
+        passed = min(rec.values) >= float(exp["lower_bound"])
+    else:
+        both = rec.values + rec.extras["residual_phi"]
+        small = max(both) <= floor
+        rate = limits.fitted_rate(sched.epsilons, rec.values)
+        passed = small or (rate is not None and rate >= min_rate)
+        e_rate = limits.fitted_rate(sched.epsilons, rec.extras["energy_gap"])
+        e_small = max(rec.extras["energy_gap"]) <= floor
+        passed = passed and (e_small or (e_rate is not None and e_rate >= min_rate))
+    return _from_record(rec, passed)
+
+
+@_kind("volume", required={"geometry"}, optional={"fields", "tolerance_c2", "tolerance_flux"})
+def _run_volume(exp: dict, rng: np.random.Generator, _outdir):
+    g = geometry.shape_from_config(exp["geometry"])
+    spec = exp.get("fields", {"random": 10})
+    etas = []
+    if isinstance(spec, dict) and "random" in spec:
+        _check_keys(spec, {"random"}, {"degree", "radius"}, "volume fields")
+        for _ in range(int(spec["random"])):
+            etas.append(fields.random_compact_vector_field(
+                rng, g.dim, degree=int(spec.get("degree", 2)),
+                radius=float(spec.get("radius", 1.4 * g.config.get("radius", 1.0))),
+            ))
+    else:
+        etas = [fields.vector_field_from_config(s) for s in spec]
+    tol_c2 = float(exp.get("tolerance_c2", 1e-10))
+    tol_flux = float(exp.get("tolerance_flux", 1e-8))
+    rows, details = [], []
+    for i, eta in enumerate(etas):
+        c1, c2 = limits.volume_admissibility(g, eta, fields.zeta_eta(eta))
+        flux = limits.boundary_flux(g, eta)
+        rows.append({"epsilon": float(i), "value": c2, "target": 0.0,
+                     "gap": abs(c2), "residual_1": abs(c1 - flux),
+                     "residual_2": c1})
+        details.append({"field": i, "c1": c1, "c2": c2, "flux": flux})
+    passed = all(abs(d["c2"]) <= tol_c2 and abs(d["c1"] - d["flux"]) <= tol_flux
+                 for d in details)
+    worst = max(abs(d["c2"]) for d in details) if details else 0.0
+    return passed, worst, None, rows, {"fields": details}
+
+
+@_kind("poincare", required={"geometry", "xi"}, optional={"cutoff_width", "tolerance"})
+def _run_poincare(exp: dict, _rng, _outdir):
+    g = geometry.shape_from_config(exp["geometry"])
+    xi = fields.scalar_field_from_config(exp["xi"])
+    lhs, rhs = limits.constrained_poincare_check(g, xi, exp.get("cutoff_width"))
+    tol = float(exp.get("tolerance", 1e-6))
+    gap = abs(lhs - rhs) / (1.0 + abs(rhs))
+    rows = [{"epsilon": 0.0, "value": lhs, "target": rhs, "gap": gap,
+             "residual_1": tol, "residual_2": 0.0}]
+    return gap <= tol, gap, None, rows, {"lhs": lhs, "rhs": rhs, "gap": gap}
+
+
+@_kind("forms", required={"geometry", "xi", "schedule"},
+       optional={"cutoff_width", "half_width", "tolerance_gap"})
+def _run_forms(exp: dict, _rng, _outdir):
+    g = geometry.shape_from_config(exp["geometry"])
+    xi = fields.scalar_field_from_config(exp["xi"])
+    sched = _schedule(exp["schedule"], "linear_eps")
+    rec = limits.quadratic_forms(
+        g, xi, sched, cutoff_width=exp.get("cutoff_width"),
+        half_width=exp.get("half_width"), name=exp["name"],
+    )
+    return _from_record(rec, rec.gap <= float(exp.get("tolerance_gap", 0.02)))
+
+
+@_kind("profile", required={"p"},
+       optional={"tolerance_constant", "tolerance_equipartition", "tolerance_tanh",
+                 "export_table"})
+def _run_profile(exp: dict, _rng, outdir: Path | None):
+    p = float(exp["p"])
+    prof = profiles.optimal_profile(p)
+    checks = []
+    cp_gap = abs(profiles.c_p(p) - profiles.c_p_beta_oracle(p))
+    checks.append(("constant_vs_gamma_oracle", cp_gap,
+                   float(exp.get("tolerance_constant", 1e-12))))
+    ss = np.linspace(0.0, min(prof.s_max * 0.98, 40.0), 400)
+    h = 1e-6
+    dq_fd = (prof.q(ss + h) - prof.q(ss - h)) / (2 * h)
+    equi = float(np.max(np.abs(np.abs(dq_fd) ** p - (1 - prof.q(ss) ** 2) ** 2)))
+    checks.append(("pointwise_equipartition_fd", equi,
+                   float(exp.get("tolerance_equipartition", 1e-8))))
+    checks.append(("origin_values", abs(prof.q(0.0)) + abs(prof.dq(0.0) - 1.0), 1e-12))
+    if p == 2.0:
+        sg = np.linspace(-8.0, 8.0, 801)
+        dev = float(np.max(np.abs(prof.q(sg) - np.tanh(sg))))
+        checks.append(("closed_form_deviation", dev,
+                       float(exp.get("tolerance_tanh", 1e-9))))
+    if outdir is not None and exp.get("export_table", True):
+        prof.to_csv(outdir / f"{exp['name']}_table.csv")
+    passed, rows, summary = _from_checks(checks)
+    return (passed, max(res for _label, res, _tol in checks), None, rows,
+            {"s_max": prof.s_max, "s_core": prof.s_core, "checks": summary})
 
 
 def run_experiment(exp: dict, seed: int, index: int, outdir: Path | None = None) -> ExperimentResult:
     rng = np.random.default_rng([seed, index])
     start = time.perf_counter()
-    kind = exp["kind"]
     try:
-        if kind == "identities":
-            rows, summaries = _run_identities(exp, rng)
-            passed = all(c["pass"] for c in summaries[0]["checks"])
-            worst = max(c["residual"] / c["tolerance"] for c in summaries[0]["checks"])
-            result = ExperimentResult(
-                name=exp["name"], kind=kind, passed=passed, gap=worst, rate=None,
-                runtime=0.0, rows=rows, summary={"pass": passed, **summaries[0]},
-            )
-
-        elif kind == "ac-converge":
-            g = geometry.shape_from_config(exp["geometry"])
-            eta = fields.vector_field_from_config(exp["eta"])
-            zeta = _zeta_from(exp, eta, g.dim)
-            sched = _schedule(exp["schedule"], "linear_eps")
-            rec = limits.ac_limit_experiment(
-                g, eta, zeta, float(exp["p"]), sched,
-                half_width=exp.get("half_width"), name=exp["name"],
-            )
-            tol = float(exp.get("tolerance_gap", 0.01))
-            min_rate = float(exp.get("min_rate", 0.9))
-            passed = rec.gap <= tol and rec.rate_at_least(min_rate)
-            result = _result_from_record(exp, rec, passed)
-
-        elif kind == "gl-converge":
-            g = geometry.shape_from_config(exp["geometry"])
-            eta = fields.vector_field_from_config(exp["eta"])
-            zeta = _zeta_from(exp, eta, g.dim)
-            sched = _schedule(exp["schedule"], "log_inverse")
-            rec = limits.gl_limit_experiment(
-                g, eta, zeta, sched, rho_max=float(exp.get("rho_max", 0.5)),
-                n_theta=int(exp.get("n_theta", 48)),
-                profile_mode=exp.get("profile_mode", "ode"), name=exp["name"],
-            )
-            e_extr, _ = limits.extrapolate(sched.epsilons, rec.extras["energy"],
-                                           sched.model, sched.fit_points)
-            e_target = rec.meta["energy_target"]
-            e_gap = abs(e_extr - e_target) / (1.0 + abs(e_target))
-            passed = (rec.gap <= float(exp.get("tolerance_gap", 0.1))
-                      and e_gap <= float(exp.get("energy_tolerance", 0.05)))
-            result = _result_from_record(
-                exp, rec, passed,
-                {"energy_extrapolated": e_extr, "energy_gap": e_gap},
-            )
-
-        elif kind == "tensors":
-            g = geometry.shape_from_config(exp["geometry"])
-            phi = fields.scalar_field_from_config(exp["phi"])
-            sched = _schedule(exp["schedule"], "linear_eps")
-            rec = limits.tensor_pairing_experiment(
-                g, float(exp["p"]), phi, exp["indices"], sched,
-                half_width=exp.get("half_width"), name=exp["name"],
-            )
-            if abs(rec.target) < 1e-12:
-                zero_tol = float(exp.get("zero_tolerance", 1e-6))
-                passed = max(abs(v) for v in rec.values) <= zero_tol
-            else:
-                passed = rec.gap <= float(exp.get("tolerance_gap", 0.02))
-            result = _result_from_record(exp, rec, passed)
-
-        elif kind == "equipartition":
-            g = geometry.shape_from_config(exp["geometry"])
-            sched = _schedule(exp["schedule"], "linear_eps")
-            prof_spec = exp.get("profile", "optimal")
-            builder = None
-            if isinstance(prof_spec, dict):
-                _check_keys(prof_spec, {"tanh_slope"}, "equipartition profile")
-                slope = float(prof_spec["tanh_slope"])
-                builder = lambda gg, e: profiles.tanh_profile_field(gg, e, slope)
-            rec = limits.equipartition_residuals(
-                g, float(exp["p"]), sched, profile=builder,
-                half_width=exp.get("half_width"), name=exp["name"],
-            )
-            floor = float(exp.get("floor", 1e-7))
-            min_rate = float(exp.get("min_rate", 0.9))
-            if "lower_bound" in exp:  # negative control: defect must persist
-                passed = min(rec.values) >= float(exp["lower_bound"])
-            else:
-                both = rec.values + rec.extras["residual_phi"]
-                small = max(both) <= floor
-                rate = limits.fitted_rate(sched.epsilons, rec.values)
-                passed = small or (rate is not None and rate >= min_rate)
-                e_rate = limits.fitted_rate(sched.epsilons, rec.extras["energy_gap"])
-                e_small = max(rec.extras["energy_gap"]) <= floor
-                passed = passed and (e_small or (e_rate is not None and e_rate >= min_rate))
-            result = _result_from_record(exp, rec, passed)
-
-        elif kind == "volume":
-            g = geometry.shape_from_config(exp["geometry"])
-            spec = exp.get("fields", {"random": 10})
-            etas = []
-            if isinstance(spec, dict) and "random" in spec:
-                _check_keys(spec, {"random", "degree", "radius"}, "volume fields")
-                for _ in range(int(spec["random"])):
-                    etas.append(fields.random_compact_vector_field(
-                        rng, g.dim, degree=int(spec.get("degree", 2)),
-                        radius=float(spec.get("radius", 1.4 * g.config.get("radius", 1.0))),
-                    ))
-            else:
-                etas = [fields.vector_field_from_config(s) for s in spec]
-            tol_c2 = float(exp.get("tolerance_c2", 1e-10))
-            tol_flux = float(exp.get("tolerance_flux", 1e-8))
-            rows, details = [], []
-            for i, eta in enumerate(etas):
-                c1, c2 = limits.volume_admissibility(g, eta, fields.zeta_eta(eta))
-                flux = limits.boundary_flux(g, eta)
-                rows.append({"epsilon": float(i), "value": c2, "target": 0.0,
-                             "gap": abs(c2), "residual_1": abs(c1 - flux),
-                             "residual_2": c1})
-                details.append({"field": i, "c1": c1, "c2": c2, "flux": flux})
-            passed = all(abs(d["c2"]) <= tol_c2 and abs(d["c1"] - d["flux"]) <= tol_flux
-                         for d in details)
-            worst = max(abs(d["c2"]) for d in details) if details else 0.0
-            result = ExperimentResult(
-                name=exp["name"], kind=kind, passed=passed, gap=worst, rate=None,
-                runtime=0.0, rows=rows, summary={"pass": passed, "fields": details},
-            )
-
-        elif kind == "poincare":
-            g = geometry.shape_from_config(exp["geometry"])
-            xi = fields.scalar_field_from_config(exp["xi"])
-            lhs, rhs = limits.constrained_poincare_check(
-                g, xi, exp.get("cutoff_width"))
-            tol = float(exp.get("tolerance", 1e-6))
-            gap = abs(lhs - rhs) / (1.0 + abs(rhs))
-            passed = gap <= tol
-            rows = [{"epsilon": 0.0, "value": lhs, "target": rhs, "gap": gap,
-                     "residual_1": tol, "residual_2": 0.0}]
-            result = ExperimentResult(
-                name=exp["name"], kind=kind, passed=passed, gap=gap, rate=None,
-                runtime=0.0, rows=rows,
-                summary={"pass": passed, "lhs": lhs, "rhs": rhs, "gap": gap},
-            )
-
-        elif kind == "forms":
-            g = geometry.shape_from_config(exp["geometry"])
-            xi = fields.scalar_field_from_config(exp["xi"])
-            sched = _schedule(exp["schedule"], "linear_eps")
-            rec = limits.quadratic_forms(
-                g, xi, sched, cutoff_width=exp.get("cutoff_width"),
-                half_width=exp.get("half_width"), name=exp["name"],
-            )
-            passed = rec.gap <= float(exp.get("tolerance_gap", 0.02))
-            result = _result_from_record(exp, rec, passed)
-
-        elif kind == "profile":
-            p = float(exp["p"])
-            prof = profiles.optimal_profile(p)
-            checks = []
-            cp_gap = abs(profiles.c_p(p) - profiles.c_p_beta_oracle(p))
-            checks.append(("constant_vs_gamma_oracle", cp_gap,
-                           float(exp.get("tolerance_constant", 1e-12))))
-            ss = np.linspace(0.0, min(prof.s_max * 0.98, 40.0), 400)
-            h = 1e-6
-            dq_fd = (prof.q(ss + h) - prof.q(ss - h)) / (2 * h)
-            equi = float(np.max(np.abs(np.abs(dq_fd) ** p - (1 - prof.q(ss) ** 2) ** 2)))
-            checks.append(("pointwise_equipartition_fd", equi,
-                           float(exp.get("tolerance_equipartition", 1e-8))))
-            checks.append(("origin_values", abs(prof.q(0.0)) + abs(prof.dq(0.0) - 1.0), 1e-12))
-            if p == 2.0:
-                sg = np.linspace(-8.0, 8.0, 801)
-                dev = float(np.max(np.abs(prof.q(sg) - np.tanh(sg))))
-                checks.append(("closed_form_deviation", dev,
-                               float(exp.get("tolerance_tanh", 1e-9))))
-            rows = [{"epsilon": float(i), "value": res, "target": 0.0, "gap": res,
-                     "residual_1": tol_i, "residual_2": 0.0}
-                    for i, (_lbl, res, tol_i) in enumerate(checks)]
-            passed = all(res <= tol_i for _lbl, res, tol_i in checks)
-            if outdir is not None and exp.get("export_table", True):
-                prof.to_csv(outdir / f"{exp['name']}_table.csv")
-            result = ExperimentResult(
-                name=exp["name"], kind=kind, passed=passed,
-                gap=max(res for _l, res, _t in checks), rate=None, runtime=0.0,
-                rows=rows,
-                summary={"pass": passed, "s_max": prof.s_max, "s_core": prof.s_core,
-                         "checks": [{"label": l, "residual": r, "tolerance": t,
-                                     "pass": r <= t} for l, r, t in checks]},
-            )
-
-        else:  # pragma: no cover - guarded by validate_config
-            raise ConfigError(f"unknown kind {kind!r}")
-
+        passed, gap, rate, rows, summary = _KINDS[exp["kind"]].run(exp, rng, outdir)
     except ConfigError:
         raise
     except EpsilonTooLarge as exc:
         # schedule/geometry mismatch is a configuration problem, not a numeric one
         raise ConfigError(f"experiment {exp['name']!r}: {exc}") from exc
     except InnervarError as exc:
-        result = ExperimentResult(
-            name=exp["name"], kind=kind, passed=False, gap=float("nan"), rate=None,
+        return ExperimentResult(
+            name=exp["name"], kind=exp["kind"], passed=False, gap=float("nan"), rate=None,
             runtime=time.perf_counter() - start, rows=[],
             summary={"pass": False, "error": str(exc)}, error=str(exc),
         )
-        return result
-    result.runtime = time.perf_counter() - start
-    return result
+    return ExperimentResult(
+        name=exp["name"], kind=exp["kind"], passed=passed, gap=gap, rate=rate,
+        runtime=time.perf_counter() - start, rows=rows, summary={**summary, "pass": passed},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonInvertible
+from .errors import ConfigError, DimensionMismatch, NonInvertible
 from .jets import Jet, jet_cos, jet_exp, jet_polynomial, jet_sin
 
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -39,6 +39,71 @@ def _fd_steps(x: np.ndarray) -> np.ndarray:
     return _FD_STEP * np.maximum(1.0, np.max(np.abs(x), axis=1))
 
 
+def _fd_derivatives(xb: np.ndarray, values, order: int = 1, first=None) -> np.ndarray:
+    """Central-difference fallback for a batched map of the points ``xb`` (M, N).
+
+    ``order=1`` differences ``values`` once and appends one derivative axis.
+    ``order=2`` appends two axes, symmetrized: it differences the analytic
+    first derivative ``first`` when one is given (O(h^2) with tiny constants)
+    and takes second differences of ``values`` otherwise.
+    """
+    m, n = xb.shape
+    h = _fd_steps(xb)
+
+    def shift(j):
+        dx = np.zeros((m, n))
+        dx[:, j] = h
+        return dx
+
+    def per_point(a, like):  # broadcast a per-point divisor over the components
+        return a.reshape((m,) + (1,) * (like.ndim - 1))
+
+    if order == 1 or first is not None:
+        f = values if order == 1 else first
+        out = None
+        for j in range(n):
+            dx = shift(j)
+            diff = f(xb + dx) - f(xb - dx)
+            if out is None:
+                out = np.empty(diff.shape + (n,))
+            out[..., j] = diff / per_point(2.0 * h, diff)
+        if order == 1:
+            return out
+    else:
+        f0 = values(xb)
+        out = np.empty(f0.shape + (n, n))
+        for i in range(n):
+            dxi = shift(i)
+            out[..., i, i] = (values(xb + dxi) - 2.0 * f0 + values(xb - dxi)) / per_point(
+                h * h, f0)
+            for j in range(i + 1, n):
+                dxj = shift(j)
+                cross = (
+                    values(xb + dxi + dxj)
+                    - values(xb + dxi - dxj)
+                    - values(xb - dxi + dxj)
+                    + values(xb - dxi - dxj)
+                ) / per_point(4.0 * h * h, f0)
+                out[..., i, j] = cross
+                out[..., j, i] = cross
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def _jet_callbacks(jet_fn, stacked: bool):
+    """Value, first- and second-derivative callbacks of a jet function.
+
+    With ``stacked`` the function returns a list of component jets, whose
+    parts are stacked along axis 1; otherwise it returns a single jet.
+    """
+
+    def part(attr):
+        if stacked:
+            return lambda xb: np.stack([getattr(j, attr) for j in jet_fn(xb)], axis=1)
+        return lambda xb: getattr(jet_fn(xb), attr)
+
+    return part("val"), part("grad"), part("hess")
+
+
 class ScalarField:
     """Smooth map R^N -> R^state_dim with derivatives up to second order."""
 
@@ -54,59 +119,20 @@ class ScalarField:
     # batched internals: values (M, d), gradients (M, d, N), hessians (M, d, N, N)
 
     def _values(self, xb: np.ndarray) -> np.ndarray:
-        v = np.asarray(self._fn(xb), dtype=float)
-        if self.state_dim == 1:
-            return v.reshape(xb.shape[0], 1)
-        return v.reshape(xb.shape[0], self.state_dim)
+        return np.asarray(self._fn(xb), dtype=float).reshape(xb.shape[0], self.state_dim)
 
     def _gradients(self, xb: np.ndarray) -> np.ndarray:
         m, n = xb.shape
         if self._grad is not None:
-            g = np.asarray(self._grad(xb), dtype=float)
-            return g.reshape(m, self.state_dim, n)
-        h = _fd_steps(xb)
-        out = np.empty((m, self.state_dim, n))
-        for j in range(n):
-            dx = np.zeros((m, n))
-            dx[:, j] = h
-            out[:, :, j] = (self._values(xb + dx) - self._values(xb - dx)) / (2.0 * h)[:, None]
-        return out
+            return np.asarray(self._grad(xb), dtype=float).reshape(m, self.state_dim, n)
+        return _fd_derivatives(xb, self._values)
 
     def _hessians(self, xb: np.ndarray) -> np.ndarray:
         m, n = xb.shape
         if self._hess is not None:
-            hh = np.asarray(self._hess(xb), dtype=float)
-            return hh.reshape(m, self.state_dim, n, n)
-        h = _fd_steps(xb)
-        out = np.empty((m, self.state_dim, n, n))
-        if self._grad is not None:
-            # differentiate the analytic gradient: O(h^2) with tiny constants
-            for j in range(n):
-                dx = np.zeros((m, n))
-                dx[:, j] = h
-                out[:, :, :, j] = (self._gradients(xb + dx) - self._gradients(xb - dx)) / (
-                    2.0 * h
-                )[:, None, None]
-        else:
-            f0 = self._values(xb)
-            for i in range(n):
-                dxi = np.zeros((m, n))
-                dxi[:, i] = h
-                out[:, :, i, i] = (self._values(xb + dxi) - 2.0 * f0 + self._values(xb - dxi)) / (
-                    h * h
-                )[:, None]
-                for j in range(i + 1, n):
-                    dxj = np.zeros((m, n))
-                    dxj[:, j] = h
-                    cross = (
-                        self._values(xb + dxi + dxj)
-                        - self._values(xb + dxi - dxj)
-                        - self._values(xb - dxi + dxj)
-                        + self._values(xb - dxi - dxj)
-                    ) / (4.0 * h * h)[:, None]
-                    out[:, :, i, j] = cross
-                    out[:, :, j, i] = cross
-        return 0.5 * (out + np.swapaxes(out, 2, 3))
+            return np.asarray(self._hess(xb), dtype=float).reshape(m, self.state_dim, n, n)
+        return _fd_derivatives(xb, self._values, 2,
+                               self._gradients if self._grad is not None else None)
 
     # public API accepts single points or batches
 
@@ -134,25 +160,7 @@ class ScalarField:
     @staticmethod
     def from_jet(dim, jet_fn, state_dim=1, support=None, label=""):
         """Build a field from a function x(batch) -> Jet or list of Jets."""
-
-        def fn(xb):
-            out = jet_fn(xb)
-            if state_dim == 1:
-                return out.val
-            return np.stack([j.val for j in out], axis=1)
-
-        def grad(xb):
-            out = jet_fn(xb)
-            if state_dim == 1:
-                return out.grad
-            return np.stack([j.grad for j in out], axis=1)
-
-        def hess(xb):
-            out = jet_fn(xb)
-            if state_dim == 1:
-                return out.hess
-            return np.stack([j.hess for j in out], axis=1)
-
+        fn, grad, hess = _jet_callbacks(jet_fn, state_dim != 1)
         return ScalarField(dim, fn, grad, hess, state_dim=state_dim, support=support, label=label)
 
 
@@ -176,47 +184,14 @@ class VectorField:
         m, n = xb.shape
         if self._jac is not None:
             return np.asarray(self._jac(xb), dtype=float).reshape(m, n, n)
-        h = _fd_steps(xb)
-        out = np.empty((m, n, n))
-        for j in range(n):
-            dx = np.zeros((m, n))
-            dx[:, j] = h
-            out[:, :, j] = (self._values(xb + dx) - self._values(xb - dx)) / (2.0 * h)[:, None]
-        return out
+        return _fd_derivatives(xb, self._values)
 
     def _seconds(self, xb):
         m, n = xb.shape
-        if self._second is not None:
-            s = np.asarray(self._second(xb), dtype=float).reshape(m, n, n, n)
-        else:
-            s = np.empty((m, n, n, n))
-            h = _fd_steps(xb)
-            if self._jac is not None:
-                for k in range(n):
-                    dx = np.zeros((m, n))
-                    dx[:, k] = h
-                    s[:, :, :, k] = (self._jacobians(xb + dx) - self._jacobians(xb - dx)) / (
-                        2.0 * h
-                    )[:, None, None]
-            else:
-                f0 = self._values(xb)
-                for i in range(n):
-                    dxi = np.zeros((m, n))
-                    dxi[:, i] = h
-                    s[:, :, i, i] = (self._values(xb + dxi) - 2.0 * f0 + self._values(xb - dxi)) / (
-                        h * h
-                    )[:, None]
-                    for j in range(i + 1, n):
-                        dxj = np.zeros((m, n))
-                        dxj[:, j] = h
-                        cross = (
-                            self._values(xb + dxi + dxj)
-                            - self._values(xb + dxi - dxj)
-                            - self._values(xb - dxi + dxj)
-                            + self._values(xb - dxi - dxj)
-                        ) / (4.0 * h * h)[:, None]
-                        s[:, :, i, j] = cross
-                        s[:, :, j, i] = cross
+        if self._second is None:
+            return _fd_derivatives(xb, self._values, 2,
+                                   self._jacobians if self._jac is not None else None)
+        s = np.asarray(self._second(xb), dtype=float).reshape(m, n, n, n)
         # symmetry in the last two indices enforced by averaging
         return 0.5 * (s + np.swapaxes(s, 2, 3))
 
@@ -267,16 +242,7 @@ class VectorField:
     @staticmethod
     def from_jets(dim, jets_fn, compactly_supported=False, support=None, label=""):
         """Build from x(batch) -> list of N component Jets."""
-
-        def fn(xb):
-            return np.stack([j.val for j in jets_fn(xb)], axis=1)
-
-        def jac(xb):
-            return np.stack([j.grad for j in jets_fn(xb)], axis=1)
-
-        def second(xb):
-            return np.stack([j.hess for j in jets_fn(xb)], axis=1)
-
+        fn, jac, second = _jet_callbacks(jets_fn, True)
         return VectorField(dim, fn, jac, second, compactly_supported=compactly_supported,
                            support=support, label=label)
 
@@ -613,18 +579,6 @@ class DeformationMap:
         return x[0] if single else x
 
 
-def deform(dmap: DeformationMap, x):
-    return dmap.apply(x)
-
-
-def deform_jacobian(dmap: DeformationMap, x):
-    return dmap.jacobian(x)
-
-
-def invert(dmap: DeformationMap, y):
-    return dmap.invert(y)
-
-
 # ---------------------------------------------------------------------------
 # seeded random fields (identity suites) and JSON descriptors
 # ---------------------------------------------------------------------------
@@ -714,17 +668,14 @@ def filament_test_field(preset: str, amplitude: float = 1.0, frequency: int = 1,
 
 
 def _req(spec: dict, key: str):
-    from .errors import ConfigError
-
+    """``spec[key]``, or a ConfigError naming the descriptor type and the missing key."""
     if key not in spec:
-        raise ConfigError(f"field builder {spec.get('type')!r} needs key {key!r}")
+        raise ConfigError(f"{spec.get('type')!r} descriptor needs key {key!r}")
     return spec[key]
 
 
 def vector_field_from_config(spec: dict) -> VectorField:
     """Build a vector field from a JSON-style descriptor (see configs/)."""
-    from .errors import ConfigError
-
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("field descriptor must be a dict with a 'type' key")
     kind = spec["type"]
@@ -775,8 +726,6 @@ def vector_field_from_config(spec: dict) -> VectorField:
 
 
 def scalar_field_from_config(spec: dict) -> ScalarField:
-    from .errors import ConfigError
-
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("field descriptor must be a dict with a 'type' key")
     kind = spec["type"]

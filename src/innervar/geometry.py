@@ -1,8 +1,11 @@
 """Parametrized interfaces, surface quadrature, and surface functionals.
 
-Supported shapes (all with analytic frames, curvatures and signed distance):
+Supported shapes (all with analytic frames, curvatures and distance jets):
 flat periodic patch in R^2/R^3, circle in R^2, sphere in R^3, straight
-filament segment in R^3 (periodic), circular filament in R^3.
+filament segment in R^3 (periodic), circular filament in R^3.  Each shape is
+a small subclass of ``Hypersurface`` or ``Filament``; the functions
+``circle``, ``sphere``, ``flat_patch``, ``straight_filament`` and
+``circular_filament`` build them.
 
 Quadrature is product Gauss-Legendre in non-periodic chart directions and
 uniform (trapezoidal) in periodic ones; the sphere uses a latitude-longitude
@@ -12,13 +15,11 @@ deterministic pairwise summation.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DimensionMismatch, TubeTooNarrow, UnsupportedBoundary
-from .fields import ScalarField, VectorField
+from .errors import ConfigError, DimensionMismatch, TubeTooNarrow, UnsupportedBoundary
+from .fields import ScalarField, VectorField, _req
 from .jets import Jet, jet_exp, jet_norm
 from .sums import pairwise_dot
 
@@ -57,29 +58,12 @@ class _Interface:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
-    def dump_quadrature_csv(self, path) -> None:
-        """Debug dump: node coordinates, weight, frame data, curvatures."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            coords = [f"x{i+1}" for i in range(self.dim)]
-            if self.codim == 1:
-                frame = [f"n{i+1}" for i in range(self.dim)]
-            else:
-                frame = [f"p{i+1}" for i in range(self.dim)] + [f"q{i+1}" for i in range(self.dim)]
-            kappas = [f"kappa{i+1}" for i in range(self.tangents.shape[1])]
-            writer.writerow(coords + ["weight"] + frame + kappas)
-            for k in range(self.n_nodes):
-                row = list(self.nodes[k]) + [self.weights[k]]
-                if self.codim == 1:
-                    row += list(self.normals[k])
-                else:
-                    row += list(self.frame_p[k]) + list(self.frame_q[k])
-                row += list(self.curvatures[k])
-                writer.writerow([format(v, ".17g") for v in row])
-
 
 class Hypersurface(_Interface):
-    """Codimension-one interface with outward unit normal."""
+    """Codimension-one interface with outward unit normal.
+
+    Subclasses provide ``distance_jet(xb)``, the jet of the signed distance.
+    """
 
     codim = 1
 
@@ -89,22 +73,41 @@ class Hypersurface(_Interface):
                          focal_width, config)
         self.normals = normals
 
-    # shape-specific callables are attached by the constructors below
-    def signed_distance(self, x):
-        raise NotImplementedError
 
-    def closest_point(self, x):
-        raise NotImplementedError
+class RoundSurface(Hypersurface):
+    """Circle in R^2 or sphere in R^3 around ``center``."""
 
-    def normal_at(self, x):
-        raise NotImplementedError
+    def __init__(self, center, radius, nodes, weights, normals, tangents, measure, config):
+        dim = center.shape[0]
+        super().__init__(dim, nodes, weights, normals, tangents,
+                         np.full((nodes.shape[0], dim - 1), 1.0 / radius), True, measure,
+                         radius, config)
+        self.center = center
+        self.radius = radius
 
     def distance_jet(self, xb) -> Jet:
-        raise NotImplementedError
+        return jet_norm(xb - self.center) - self.radius
+
+
+class FlatPatch(Hypersurface):
+    """Flat interface {x_axis = offset}."""
+
+    def __init__(self, *args, axis, offset):
+        super().__init__(*args)
+        self.axis = axis
+        self.offset = offset
+
+    def distance_jet(self, xb) -> Jet:
+        return Jet.coordinate(xb, self.axis) - self.offset
 
 
 class Filament(_Interface):
-    """Codimension-two interface (curve in R^3) with orthonormal normal pair."""
+    """Codimension-two interface (curve in R^3) with orthonormal normal pair.
+
+    Subclasses provide ``transverse_jets(xb)``, the jets of the two signed
+    transverse coordinates in the (p, q) frame, and ``tube_jacobian(a, b)``,
+    the volume element of the normal exponential map at offsets (a, b).
+    """
 
     codim = 2
 
@@ -115,18 +118,36 @@ class Filament(_Interface):
         self.frame_p = frame_p
         self.frame_q = frame_q
 
-    @property
-    def normal_complex(self) -> np.ndarray:
-        """Complexified normal p + iq at the quadrature nodes."""
-        return self.frame_p + 1j * self.frame_q
+
+class StraightFilament(Filament):
+    """Straight filament along e1, with normal frame (e2, e3)."""
 
     def transverse_jets(self, xb) -> tuple[Jet, Jet]:
-        """Jets of the two signed transverse coordinates in the (p, q) frame."""
-        raise NotImplementedError
+        return Jet.coordinate(xb, 1), Jet.coordinate(xb, 2)
 
-    def tube_jacobian(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Volume element of the normal exponential map at offsets (a, b)."""
-        raise NotImplementedError
+    def tube_jacobian(self, a, b):
+        return np.ones_like(a)
+
+
+class CircularFilament(Filament):
+    """Circle of ``radius`` in the x1-x2 plane, with normal frame (radial, e3)."""
+
+    def __init__(self, *args, radius):
+        super().__init__(*args)
+        self.radius = radius
+
+    def transverse_jets(self, xb) -> tuple[Jet, Jet]:
+        r_xy = jet_norm(xb[:, :2])
+        # embed the 2-d jet into ambient R^3 derivatives
+        m = xb.shape[0]
+        grad = np.zeros((m, 3))
+        grad[:, :2] = r_xy.grad
+        hess = np.zeros((m, 3, 3))
+        hess[:, :2, :2] = r_xy.hess
+        return Jet(r_xy.val - self.radius, grad, hess), Jet.coordinate(xb, 2)
+
+    def tube_jacobian(self, a, b):
+        return 1.0 + a / self.radius
 
 
 # ---------------------------------------------------------------------------
@@ -142,37 +163,8 @@ def circle(radius: float, center=(0.0, 0.0), n_nodes: int = 256) -> Hypersurface
     nodes = c + r * np.stack([ct, st], axis=1)
     normals = np.stack([ct, st], axis=1)
     tangents = np.stack([-st, ct], axis=1)[:, None, :]
-    curvatures = np.full((n_nodes, 1), 1.0 / r)
-    g = Hypersurface(2, nodes, r * w, normals, tangents, curvatures, True,
-                     2.0 * np.pi * r, r,
-                     {"type": "circle", "radius": r, "center": list(c), "nodes": n_nodes})
-
-    def signed_distance(x):
-        xb = np.atleast_2d(np.asarray(x, dtype=float))
-        d = np.linalg.norm(xb - c, axis=1) - r
-        return d if np.ndim(x) == 2 else float(d[0])
-
-    def closest_point(x):
-        xb = np.atleast_2d(np.asarray(x, dtype=float))
-        dx = xb - c
-        out = c + r * dx / np.linalg.norm(dx, axis=1)[:, None]
-        return out if np.ndim(x) == 2 else out[0]
-
-    def normal_at(x):
-        xb = np.atleast_2d(np.asarray(x, dtype=float))
-        dx = xb - c
-        out = dx / np.linalg.norm(dx, axis=1)[:, None]
-        return out if np.ndim(x) == 2 else out[0]
-
-    def distance_jet(xb):
-        shifted = xb - c
-        return jet_norm(shifted) - r
-
-    g.signed_distance = signed_distance
-    g.closest_point = closest_point
-    g.normal_at = normal_at
-    g.distance_jet = distance_jet
-    return g
+    return RoundSurface(c, r, nodes, r * w, normals, tangents, 2.0 * np.pi * r,
+                        {"type": "circle", "radius": r, "center": list(c), "nodes": n_nodes})
 
 
 def sphere(radius: float, center=(0.0, 0.0, 0.0), n_polar: int = 32,
@@ -193,38 +185,9 @@ def sphere(radius: float, center=(0.0, 0.0, 0.0), n_polar: int = 32,
     tau_phi = np.stack([-np.sin(phi_f), np.cos(phi_f), np.zeros_like(phi_f)], axis=1)
     tau_theta = np.stack([mu_f * np.cos(phi_f), mu_f * np.sin(phi_f), -sin_t], axis=1)
     tangents = np.stack([tau_theta, tau_phi], axis=1)
-    m = nodes.shape[0]
-    curvatures = np.full((m, 2), 1.0 / r)
-    g = Hypersurface(3, nodes, r * r * w_g, normals, tangents, curvatures, True,
-                     4.0 * np.pi * r * r, r,
-                     {"type": "sphere", "radius": r, "center": list(c),
-                      "n_polar": n_polar, "n_azimuth": n_azimuth})
-
-    def signed_distance(x):
-        xb = np.atleast_2d(np.asarray(x, dtype=float))
-        d = np.linalg.norm(xb - c, axis=1) - r
-        return d if np.ndim(x) == 2 else float(d[0])
-
-    def closest_point(x):
-        xb = np.atleast_2d(np.asarray(x, dtype=float))
-        dx = xb - c
-        out = c + r * dx / np.linalg.norm(dx, axis=1)[:, None]
-        return out if np.ndim(x) == 2 else out[0]
-
-    def normal_at(x):
-        xb = np.atleast_2d(np.asarray(x, dtype=float))
-        dx = xb - c
-        out = dx / np.linalg.norm(dx, axis=1)[:, None]
-        return out if np.ndim(x) == 2 else out[0]
-
-    def distance_jet(xb):
-        return jet_norm(xb - c) - r
-
-    g.signed_distance = signed_distance
-    g.closest_point = closest_point
-    g.normal_at = normal_at
-    g.distance_jet = distance_jet
-    return g
+    return RoundSurface(c, r, nodes, r * r * w_g, normals, tangents, 4.0 * np.pi * r * r,
+                        {"type": "sphere", "radius": r, "center": list(c),
+                         "n_polar": n_polar, "n_azimuth": n_azimuth})
 
 
 def flat_patch(dim: int, axis: int = 0, offset: float = 0.0, extents=None,
@@ -267,35 +230,11 @@ def flat_patch(dim: int, axis: int = 0, offset: float = 0.0, extents=None,
         tangents[:, k, ca] = 1.0
     curvatures = np.zeros((m, dim - 1))
     measure = float(np.prod([hi - lo for lo, hi in extents]))
-    g = Hypersurface(dim, nodes, w, normals, tangents, curvatures, bool(periodic),
-                     measure, np.inf,
+    return FlatPatch(dim, nodes, w, normals, tangents, curvatures, bool(periodic), measure,
+                     np.inf,
                      {"type": "flat_patch", "dim": dim, "axis": axis, "offset": offset,
-                      "extents": [list(e) for e in extents], "n_per_axis": n_per_axis})
-
-    def signed_distance(x):
-        xb = np.atleast_2d(np.asarray(x, dtype=float))
-        d = xb[:, axis] - offset
-        return d if np.ndim(x) == 2 else float(d[0])
-
-    def closest_point(x):
-        xb = np.atleast_2d(np.asarray(x, dtype=float)).copy()
-        xb[:, axis] = offset
-        return xb if np.ndim(x) == 2 else xb[0]
-
-    def normal_at(x):
-        xb = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.zeros_like(xb)
-        out[:, axis] = 1.0
-        return out if np.ndim(x) == 2 else out[0]
-
-    def distance_jet(xb):
-        return Jet.coordinate(xb, axis) - offset
-
-    g.signed_distance = signed_distance
-    g.closest_point = closest_point
-    g.normal_at = normal_at
-    g.distance_jet = distance_jet
-    return g
+                      "extents": [list(e) for e in extents], "n_per_axis": n_per_axis},
+                     axis=axis, offset=offset)
 
 
 def straight_filament(length: float = 1.0, n_nodes: int = 24) -> Filament:
@@ -314,24 +253,8 @@ def straight_filament(length: float = 1.0, n_nodes: int = 24) -> Filament:
     q = np.zeros((n_nodes, 3))
     q[:, 2] = 1.0
     curvatures = np.zeros((n_nodes, 1))
-    g = Filament(3, nodes, w, p, q, tangents, curvatures, True, ell, np.inf,
-                 {"type": "straight_filament", "length": ell, "nodes": n_nodes})
-
-    def transverse_jets(xb):
-        return Jet.coordinate(xb, 1), Jet.coordinate(xb, 2)
-
-    def tube_jacobian(a, b):
-        return np.ones_like(a)
-
-    def distance(x):
-        xb = np.atleast_2d(np.asarray(x, dtype=float))
-        d = np.hypot(xb[:, 1], xb[:, 2])
-        return d if np.ndim(x) == 2 else float(d[0])
-
-    g.transverse_jets = transverse_jets
-    g.tube_jacobian = tube_jacobian
-    g.distance = distance
-    return g
+    return StraightFilament(3, nodes, w, p, q, tangents, curvatures, True, ell, np.inf,
+                            {"type": "straight_filament", "length": ell, "nodes": n_nodes})
 
 
 def circular_filament(radius: float, n_nodes: int = 128) -> Filament:
@@ -349,38 +272,13 @@ def circular_filament(radius: float, n_nodes: int = 128) -> Filament:
     q = np.zeros((n_nodes, 3))
     q[:, 2] = 1.0
     curvatures = np.full((n_nodes, 1), 1.0 / r)
-    g = Filament(3, nodes, r * w, p, q, tangents, curvatures, True, 2.0 * np.pi * r, r,
-                 {"type": "circular_filament", "radius": r, "nodes": n_nodes})
-
-    def transverse_jets(xb):
-        r_xy = jet_norm(xb[:, :2])
-        # embed the 2-d jet into ambient R^3 derivatives
-        m = xb.shape[0]
-        grad = np.zeros((m, 3))
-        grad[:, :2] = r_xy.grad
-        hess = np.zeros((m, 3, 3))
-        hess[:, :2, :2] = r_xy.hess
-        a = Jet(r_xy.val - r, grad, hess)
-        b = Jet.coordinate(xb, 2)
-        return a, b
-
-    def tube_jacobian(a, b):
-        return 1.0 + a / r
-
-    def distance(x):
-        xb = np.atleast_2d(np.asarray(x, dtype=float))
-        d = np.hypot(np.hypot(xb[:, 0], xb[:, 1]) - r, xb[:, 2])
-        return d if np.ndim(x) == 2 else float(d[0])
-
-    g.transverse_jets = transverse_jets
-    g.tube_jacobian = tube_jacobian
-    g.distance = distance
-    return g
+    return CircularFilament(3, nodes, r * w, p, q, tangents, curvatures, True,
+                            2.0 * np.pi * r, r,
+                            {"type": "circular_filament", "radius": r, "nodes": n_nodes},
+                            radius=r)
 
 
 def shape_from_config(spec: dict):
-    from .errors import ConfigError
-
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("shape descriptor must be a dict with a 'type' key")
     kind = spec["type"]
@@ -397,18 +295,18 @@ def shape_from_config(spec: dict):
     if extra:
         raise ConfigError(f"unknown keys for shape {kind!r}: {sorted(extra)}")
     if kind == "circle":
-        return circle(float(spec["radius"]), spec.get("center", (0.0, 0.0)),
+        return circle(float(_req(spec, "radius")), spec.get("center", (0.0, 0.0)),
                       int(spec.get("nodes", 256)))
     if kind == "sphere":
-        return sphere(float(spec["radius"]), spec.get("center", (0.0, 0.0, 0.0)),
+        return sphere(float(_req(spec, "radius")), spec.get("center", (0.0, 0.0, 0.0)),
                       int(spec.get("n_polar", 32)), int(spec.get("n_azimuth", 64)))
     if kind == "flat_patch":
-        return flat_patch(int(spec["dim"]), int(spec.get("axis", 0)),
+        return flat_patch(int(_req(spec, "dim")), int(spec.get("axis", 0)),
                           float(spec.get("offset", 0.0)), spec.get("extents"),
                           int(spec.get("n_per_axis", 48)))
     if kind == "straight_filament":
         return straight_filament(float(spec.get("length", 1.0)), int(spec.get("nodes", 24)))
-    return circular_filament(float(spec["radius"]), int(spec.get("nodes", 128)))
+    return circular_filament(float(_req(spec, "radius")), int(spec.get("nodes", 128)))
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +504,6 @@ def normal_extension(g: Hypersurface, xi, cutoff_width: float) -> VectorField:
         ambient = xi
     else:
         raise DimensionMismatch("xi must be a SurfaceFunction or ScalarField")
-    kind = g.config["type"]
     s0, s1 = (0.5 * w) ** 2, w * w
 
     def compose_ambient(pj: list[Jet]) -> Jet:
@@ -624,9 +521,8 @@ def normal_extension(g: Hypersurface, xi, cutoff_width: float) -> VectorField:
         )
         return Jet(val, grad, hess)
 
-    if kind in ("circle", "sphere"):
-        center = np.asarray(g.config["center"], dtype=float)
-        radius = float(g.config["radius"])
+    if isinstance(g, RoundSurface):
+        center, radius = g.center, g.radius
 
         def jets_fn(xb):
             shifted = xb - center
@@ -641,9 +537,8 @@ def normal_extension(g: Hypersurface, xi, cutoff_width: float) -> VectorField:
             amp = xi_at * chi
             return [amp * hats[i] for i in range(g.dim)]
 
-    elif kind == "flat_patch":
-        axis = int(g.config["axis"])
-        offset = float(g.config["offset"])
+    elif isinstance(g, FlatPatch):
+        axis, offset = g.axis, float(g.offset)
 
         def jets_fn(xb):
             coords = Jet.variables(xb)
@@ -656,7 +551,7 @@ def normal_extension(g: Hypersurface, xi, cutoff_width: float) -> VectorField:
             return [amp if i == axis else zero for i in range(g.dim)]
 
     else:
-        raise DimensionMismatch(f"normal_extension not available for shape {kind!r}")
+        raise DimensionMismatch(f"normal_extension not available for shape {g.config['type']!r}")
 
     return VectorField.from_jets(g.dim, jets_fn, compactly_supported=False,
                                  label=f"normal_ext[{getattr(xi, 'label', '')}]")
@@ -669,31 +564,27 @@ def normal_extension(g: Hypersurface, xi, cutoff_width: float) -> VectorField:
 
 def enclosed_region_quadrature(g: Hypersurface, n_radial: int = 48):
     """Nodes/weights over the region enclosed by a circle or a sphere."""
-    kind = g.config["type"]
-    center = np.asarray(g.config["center"], dtype=float)
-    radius = float(g.config["radius"])
-    r, wr = gauss_rule(0.0, radius, n_radial)
-    if kind == "circle":
+    if not isinstance(g, RoundSurface):
+        raise DimensionMismatch(f"no enclosed region rule for shape {g.config['type']!r}")
+    center = g.center
+    r, wr = gauss_rule(0.0, g.radius, n_radial)
+    if g.dim == 2:
         theta, wt = uniform_rule(0.0, 2.0 * np.pi, max(64, g.n_nodes // 2))
         rr, tt = np.meshgrid(r, theta, indexing="ij")
         ww = np.outer(wr * r, wt).ravel()
         nodes = center + np.stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()], axis=1)
         return nodes, ww
-    if kind == "sphere":
-        n_pol = int(g.config.get("n_polar", 32))
-        n_az = int(g.config.get("n_azimuth", 64))
-        mu, wmu = leggauss(n_pol)
-        phi, wphi = uniform_rule(0.0, 2.0 * np.pi, n_az)
-        rr, mm, pp = np.meshgrid(r, mu, phi, indexing="ij")
-        ww = np.einsum("i,j,k->ijk", wr * r * r, wmu, wphi).ravel()
-        sin_t = np.sqrt(1.0 - mm.ravel() ** 2)
-        nodes = center + np.stack(
-            [
-                rr.ravel() * sin_t * np.cos(pp.ravel()),
-                rr.ravel() * sin_t * np.sin(pp.ravel()),
-                rr.ravel() * mm.ravel(),
-            ],
-            axis=1,
-        )
-        return nodes, ww
-    raise DimensionMismatch(f"no enclosed region rule for shape {kind!r}")
+    mu, wmu = leggauss(g.config["n_polar"])
+    phi, wphi = uniform_rule(0.0, 2.0 * np.pi, g.config["n_azimuth"])
+    rr, mm, pp = np.meshgrid(r, mu, phi, indexing="ij")
+    ww = np.einsum("i,j,k->ijk", wr * r * r, wmu, wphi).ravel()
+    sin_t = np.sqrt(1.0 - mm.ravel() ** 2)
+    nodes = center + np.stack(
+        [
+            rr.ravel() * sin_t * np.cos(pp.ravel()),
+            rr.ravel() * sin_t * np.sin(pp.ravel()),
+            rr.ravel() * mm.ravel(),
+        ],
+        axis=1,
+    )
+    return nodes, ww

@@ -67,7 +67,7 @@ class EpsilonSchedule:
 
     epsilons: list[float]
     model: str = "linear_eps"  # or "log_inverse"
-    fit_points: int = 4
+    fit_points: int | None = None  # None: the last min(4, len(epsilons)) widths
 
     def __post_init__(self):
         eps = [float(e) for e in self.epsilons]
@@ -75,11 +75,17 @@ class EpsilonSchedule:
             raise ValueError("schedule must be strictly decreasing")
         if self.model not in ("linear_eps", "log_inverse"):
             raise ValueError(f"unknown extrapolation model {self.model!r}")
+        if self.fit_points is None:
+            self.fit_points = min(4, len(eps))
+        if not 2 <= self.fit_points <= len(eps):
+            # the extrapolation fits two parameters, so fewer points would be underdetermined
+            raise ValueError(f"fit_points must be between 2 and the number of widths "
+                             f"({len(eps)}), got {self.fit_points}")
         self.epsilons = eps
 
     @staticmethod
     def geometric(eps0: float, count: int, ratio: float = 0.5, model: str = "linear_eps",
-                  fit_points: int = 4) -> "EpsilonSchedule":
+                  fit_points: int | None = None) -> "EpsilonSchedule":
         return EpsilonSchedule([eps0 * ratio**k for k in range(count)], model, fit_points)
 
 
@@ -176,21 +182,6 @@ class ConvergenceRecord:
             "rate": self.rate,
             "meta": self.meta,
         }
-
-
-@dataclass
-class TensorPairing:
-    """Pairing of a gradient tensor against a test function, per interface width."""
-
-    indices: tuple[int, ...]
-    epsilons: list[float]
-    values: list[float]
-    target: float
-    phi: object = None
-
-    def __post_init__(self):
-        if len(self.indices) not in (2, 4):
-            raise DimensionMismatch("tensor pairings take 2 or 4 indices")
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +302,8 @@ def tensor_pairing_experiment(g, p: float, phi: ScalarField, indices,
     target: c_p int_Gamma prod_k n_{i_k} phi.
     """
     idx = tuple(int(i) for i in indices)
+    if len(idx) not in (2, 4):
+        raise DimensionMismatch("tensor pairings take 2 or 4 indices")
     prof = _profile(p)
     cp = c_p(p)
     hw = default_half_width(g) if half_width is None else half_width
@@ -318,7 +311,7 @@ def tensor_pairing_experiment(g, p: float, phi: ScalarField, indices,
     for i in idx:
         n_prod = n_prod * g.normals[:, i]
     target = cp * pairwise_dot(g.weights, n_prod * phi.eval(g.nodes))
-    pairing = TensorPairing(idx, sched.epsilons, [], target, phi)  # validates the index count
+    values = []
     for eps in sched.epsilons:
         u = ansatz_field(g, eps, prof)
         quad = _ac_tube(g, prof, eps, hw)
@@ -327,18 +320,16 @@ def tensor_pairing_experiment(g, p: float, phi: ScalarField, indices,
         dens = eps ** (p - 1.0) * gnorm2 ** ((p - len(idx)) / 2.0)
         for i in idx:
             dens = dens * grad[:, i]
-        pairing.values.append(pairwise_dot(quad.weights, dens * phi.eval(quad.nodes)))
-    rec = ConvergenceRecord(
+        values.append(pairwise_dot(quad.weights, dens * phi.eval(quad.nodes)))
+    return ConvergenceRecord(
         name=name or f"tensor[{idx},p={p:g}]",
         epsilons=sched.epsilons,
-        values=list(pairing.values),
+        values=values,
         target=target,
         model=sched.model,
         fit_points=sched.fit_points,
         meta={"indices": list(idx), "p": p, "c_p": cp},
     )
-    rec.pairing = pairing
-    return rec
 
 
 # ---------------------------------------------------------------------------

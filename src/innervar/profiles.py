@@ -26,18 +26,6 @@ from .geometry import Filament, Hypersurface, gauss_rule
 from .jets import Jet, jet_sqrt
 
 
-class DoubleWell:
-    """Potential W with minima at +-1; default W(u) = (1 - u^2)^2."""
-
-    def __init__(self, w=None, dw=None, ddw=None):
-        if w is None:
-            self.w = lambda u: (1.0 - u**2) ** 2
-            self.dw = lambda u: -4.0 * u * (1.0 - u**2)
-            self.ddw = lambda u: 12.0 * u**2 - 4.0
-        else:
-            self.w, self.dw, self.ddw = w, dw, ddw
-
-
 def c_p(p: float) -> float:
     """Surface tension constant: integral of W(s)^((p-1)/p) over [-1, 1].
 

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 
 from innervar.cli import CSV_COLUMNS, builtin_configs, main, validate_config
 
@@ -186,3 +187,53 @@ def test_csv_row_format(tmp_path):
     assert len(lines) == 7  # header + 6 schedule points
     first = lines[1].split(",")
     assert float(first[0]) == 0.1
+
+
+_SPHERE = {"type": "sphere", "radius": 1.0, "n_polar": 8, "n_azimuth": 16}
+_TENSORS = {
+    "name": "x", "kind": "tensors", "geometry": _SPHERE, "p": 2.0, "indices": [0, 0],
+    "phi": {"type": "radial_bump", "center": [0.0, 0.0, 0.0], "radius": 1.8},
+    "schedule": {"eps0": 0.04, "count": 4},
+}
+
+
+def _variant(drop=(), **changes):
+    exp = {k: v for k, v in _TENSORS.items() if k not in drop}
+    exp.update(changes)
+    return exp
+
+
+_MALFORMED = [
+    ("missing_p", _variant(drop=["p"])),
+    ("schedule_without_eps0", _variant(schedule={"count": 4})),
+    ("sphere_without_radius", _variant(geometry={"type": "sphere"})),
+    ("flat_patch_without_dim", _variant(geometry={"type": "flat_patch"})),
+    ("increasing_epsilons", _variant(schedule={"epsilons": [0.1, 0.2]})),
+    ("unknown_model", _variant(schedule={"eps0": 0.04, "count": 4, "model": "cubic"})),
+    ("p_not_above_one", _variant(p=1.0)),
+    ("one_fit_point", _variant(schedule={"eps0": 0.04, "count": 4, "fit_points": 1})),
+    ("more_fit_points_than_widths",
+     _variant(schedule={"eps0": 0.04, "count": 3, "fit_points": 4})),
+    ("single_width", _variant(schedule={"epsilons": [0.04]})),
+    ("name_with_path", _variant(name="../escape")),
+    ("eta_of_wrong_dimension", {
+        "name": "x", "kind": "ac-converge", "geometry": _SPHERE, "p": 2.0,
+        "eta": {"type": "rotation", "rate": 1.0}, "schedule": {"eps0": 0.04, "count": 4},
+    }),
+    ("three_indices", _variant(indices=[0, 0, 1])),
+    ("index_beyond_dimension", _variant(indices=[0, 3])),
+]
+
+
+@pytest.mark.parametrize("exp", [exp for _, exp in _MALFORMED],
+                         ids=[case for case, _ in _MALFORMED])
+def test_malformed_config_exits_2(tmp_path, capsys, exp):
+    cfg = _write(tmp_path, {"schema_version": 1, "experiments": [exp]})
+    out = tmp_path / "work" / "out"
+    rc = main(["run", cfg, "--out", str(out)])  # an escaping exception would fail here
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error" in err and "Traceback" not in err
+    strays = [p for p in tmp_path.rglob("*")
+              if p.is_file() and str(p) != cfg and out not in p.parents]
+    assert strays == []

@@ -42,8 +42,6 @@ def test_filament_frames():
         assert np.max(np.abs(np.einsum("mi,mi->m", g.frame_p, g.frame_q))) <= 1e-12
         assert np.max(np.abs(np.einsum("mi,mi->m", g.frame_p, g.frame_p) - 1)) <= 1e-12
         assert np.max(np.abs(np.einsum("mki,mi->mk", g.tangents, g.frame_p))) <= 1e-12
-        nc = g.normal_complex
-        assert nc.shape == (g.n_nodes, 3) and nc.dtype == complex
 
 
 def test_curvature_closed_forms():
@@ -351,28 +349,81 @@ def test_normal_extension_tube_too_narrow():
 
 
 # ---------------------------------------------------------------------------
-# shape configs and dumps
+# shape configs
 # ---------------------------------------------------------------------------
 
 
-def test_shape_from_config_and_dump(tmp_path):
+def test_shape_from_config_rejects_bad_descriptors():
     g = G.shape_from_config({"type": "sphere", "radius": 1.0, "n_polar": 8, "n_azimuth": 16})
-    path = tmp_path / "nodes.csv"
-    g.dump_quadrature_csv(path)
-    header = path.read_text().splitlines()[0].split(",")
-    assert header[:4] == ["x1", "x2", "x3", "weight"]
-    assert "kappa1" in header
+    assert g.dim == 3 and g.n_nodes == 8 * 16
     from innervar.errors import ConfigError
 
     with pytest.raises(ConfigError):
         G.shape_from_config({"type": "sphere", "radius": 1.0, "bogus": 2})
+    with pytest.raises(ConfigError, match="radius"):
+        G.shape_from_config({"type": "sphere"})
 
 
-def test_signed_distance_and_closest_point():
-    g = G.sphere(1.0, n_polar=8, n_azimuth=16)
-    x = np.array([0.0, 0.0, 1.7])
-    assert g.signed_distance(x) == pytest.approx(0.7)
-    np.testing.assert_allclose(g.closest_point(x), [0.0, 0.0, 1.0], atol=1e-14)
-    np.testing.assert_allclose(g.normal_at(x), [0.0, 0.0, 1.0], atol=1e-14)
-    fil = G.circular_filament(0.8, 16)
-    assert fil.distance(np.array([0.8, 0.0, 0.3])) == pytest.approx(0.3)
+# ---------------------------------------------------------------------------
+# distance and transverse jets against finite differences
+# ---------------------------------------------------------------------------
+
+
+def _fd_jacobian(fn, x, h=1e-5):
+    """Central differences of a batched map fn: (M, N) -> (M, ...), derivative axis last."""
+    cols = []
+    for j in range(x.shape[1]):
+        dx = np.zeros_like(x)
+        dx[:, j] = h
+        cols.append((fn(x + dx) - fn(x - dx)) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
+def _check_jet_against_fd(jet_fn, x):
+    jet = jet_fn(x)
+    grad_fd = _fd_jacobian(lambda y: jet_fn(y).val, x)
+    hess_fd = _fd_jacobian(lambda y: jet_fn(y).grad, x)
+    np.testing.assert_allclose(jet.grad, grad_fd, atol=1e-8)
+    np.testing.assert_allclose(jet.hess, hess_fd, atol=1e-7)
+    return jet
+
+
+@pytest.mark.parametrize("g, distance", [
+    (G.circle(0.7, center=(0.2, -0.1), n_nodes=32),
+     lambda x: np.linalg.norm(x - [0.2, -0.1], axis=1) - 0.7),
+    (G.sphere(1.3, center=(0.1, 0.0, -0.2), n_polar=6, n_azimuth=12),
+     lambda x: np.linalg.norm(x - [0.1, 0.0, -0.2], axis=1) - 1.3),
+    (G.flat_patch(3, axis=1, offset=0.25, n_per_axis=4), lambda x: x[:, 1] - 0.25),
+], ids=["circle", "sphere", "flat_patch"])
+def test_distance_jet_matches_fd_oracle(g, distance):
+    rng = np.random.default_rng(5)
+    off = g.nodes + rng.uniform(-0.3, 0.3, size=(1, 1)) * g.normals \
+        + rng.uniform(-0.05, 0.05, size=g.nodes.shape)
+    jet = _check_jet_against_fd(g.distance_jet, off)
+    np.testing.assert_allclose(jet.val, distance(off), atol=1e-14)
+    on = g.distance_jet(g.nodes)
+    np.testing.assert_allclose(on.val, 0.0, atol=1e-14)
+    np.testing.assert_allclose(on.grad, g.normals, atol=1e-14)  # the normal on Gamma
+
+
+@pytest.mark.parametrize("g, chart", [
+    # chart: (s, a, b) -> point at arc length s and transverse offsets (a, b)
+    (G.straight_filament(1.0, 8), lambda s, a, b: np.stack([s, a, b], axis=1)),
+    (G.circular_filament(0.8, 16),
+     lambda s, a, b: np.stack([(0.8 + a) * np.cos(s / 0.8), (0.8 + a) * np.sin(s / 0.8), b],
+                              axis=1)),
+], ids=["straight_filament", "circular_filament"])
+def test_transverse_jets_and_tube_jacobian_match_fd_oracle(g, chart):
+    rng = np.random.default_rng(6)
+    sab = np.stack([rng.uniform(0.0, 1.0, 40), rng.uniform(-0.3, 0.3, 40),
+                    rng.uniform(-0.3, 0.3, 40)], axis=1)
+    x = chart(*sab.T)
+    a_jet, b_jet = g.transverse_jets(x)
+    np.testing.assert_allclose(a_jet.val, sab[:, 1], atol=1e-14)
+    np.testing.assert_allclose(b_jet.val, sab[:, 2], atol=1e-14)
+    _check_jet_against_fd(lambda y: g.transverse_jets(y)[0], x)
+    _check_jet_against_fd(lambda y: g.transverse_jets(y)[1], x)
+    # volume element of the chart, by finite differences of the chart itself
+    jac_fd = np.linalg.det(_fd_jacobian(lambda t: chart(*t.T), sab))
+    np.testing.assert_allclose(g.tube_jacobian(sab[:, 1], sab[:, 2]), np.abs(jac_fd),
+                               atol=1e-9)

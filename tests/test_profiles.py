@@ -29,13 +29,6 @@ def test_constant_monotone_toward_p1():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_double_well_defaults():
-    w = P.DoubleWell()
-    assert w.w(1.0) == 0.0 and w.w(-1.0) == 0.0
-    assert w.dw(1.0) == 0.0 and w.dw(-1.0) == 0.0
-    assert all(w.w(u) > 0 for u in (-0.9, 0.0, 0.5))
-
-
 def test_profile_p2_is_closed_form():
     prof = P.optimal_profile(2.0)
     s = np.linspace(-8.0, 8.0, 1601)
