@@ -8,7 +8,9 @@ failure).  CSV output is byte-stable across runs for a fixed seed: quadrature
 reductions are pairwise-deterministic and random fields derive from the
 per-experiment seed sequence, not from scheduling order.  Each experiment
 kind is declared once: the ``_kind`` decorator on its runner registers the
-kind's name with its required and optional config keys.
+kind's name with its required config keys, its optional keys and the type
+each must convert to, the codimension of the geometry it runs on, and any
+check that needs the built geometry and fields.
 """
 
 from __future__ import annotations
@@ -53,21 +55,32 @@ class ExperimentResult:
 @dataclass(frozen=True)
 class _Kind:
     required: frozenset
-    optional: frozenset
+    optional: dict  # key -> the conversion its value must pass, or None if its builder checks it
+    codim: int | None  # codimension of the geometry, for kinds that take one
+    check: Callable | None  # (geometry, built fields) -> None; raises on a bad combination
     run: Callable  # (exp, rng, outdir) -> (passed, gap, rate, rows, summary)
 
 
 _KINDS: dict[str, _Kind] = {}
 
 
-def _kind(name: str, required=(), optional=()):
-    """Register an experiment runner under ``name`` with the config keys it reads."""
+def _kind(name: str, required=(), optional=None, codim=None, check=None):
+    """Register an experiment runner under ``name`` with the config it reads."""
 
     def register(run):
-        _KINDS[name] = _Kind(frozenset(required), frozenset(optional), run)
+        _KINDS[name] = _Kind(frozenset(required), dict(optional or {}), codim, check, run)
         return run
 
     return register
+
+
+def _one_of(*choices):
+    def convert(value):
+        if value not in choices:
+            raise ValueError(f"{value!r} is not one of {list(choices)}")
+        return value
+
+    return convert
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +132,28 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError(f"duplicate experiment name {name!r}")
         names.add(name)
         ctx = f"experiment {name!r}"
-        _check_keys(exp, {"name", "kind"} | _KINDS[kind].required, _KINDS[kind].optional, ctx)
+        spec = _KINDS[kind]
+        _check_keys(exp, {"name", "kind"} | spec.required, set(spec.optional), ctx)
         try:
-            _check_values(exp)
+            _check_values(exp, spec)
         except (TypeError, ValueError, InnervarError) as exc:
             raise ConfigError(f"{ctx}: {exc}") from exc
     return raw
 
 
-def _check_values(exp: dict) -> None:
+def _check_values(exp: dict, spec: _Kind) -> None:
     """Build what an experiment references, so bad configs fail before running."""
-    dim = geometry.shape_from_config(exp["geometry"]).dim if "geometry" in exp else None
+    for key, convert in spec.optional.items():
+        if key in exp and convert is not None:
+            try:
+                convert(exp[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+    g = geometry.shape_from_config(exp["geometry"]) if "geometry" in exp else None
+    dim = None if g is None else g.dim
+    if g is not None and spec.codim is not None and g.codim != spec.codim:
+        raise ConfigError(f"{exp['kind']} needs a geometry of codimension {spec.codim}, "
+                          f"{g.config['type']} has codimension {g.codim}")
     if "p" in exp and not float(exp["p"]) > 1.0:
         raise ConfigError(f"p must be > 1, got {exp['p']}")
     if "schedule" in exp:
@@ -148,6 +172,8 @@ def _check_values(exp: dict) -> None:
         idx = [int(i) for i in exp["indices"]]
         if len(idx) not in (2, 4) or not all(0 <= i < dim for i in idx):
             raise ConfigError(f"indices must be 2 or 4 axes below {dim}, got {idx}")
+    if spec.check is not None:
+        spec.check(g, built)
 
 
 def _schedule(spec: dict, default_model: str) -> limits.EpsilonSchedule:
@@ -196,7 +222,8 @@ def _from_checks(checks: list[tuple[str, float, float]]):
     return all(res <= tol for _label, res, tol in checks), rows, summary
 
 
-@_kind("identities", optional={"dim", "samples", "cases", "tolerance", "fd_tolerance"})
+@_kind("identities", optional={"dim": int, "samples": int, "cases": int, "tolerance": float,
+                                "fd_tolerance": float})
 def _run_identities(exp: dict, rng: np.random.Generator, _outdir):
     dim = int(exp.get("dim", 2))
     samples = int(exp.get("samples", 300))
@@ -282,8 +309,8 @@ def _run_identities(exp: dict, rng: np.random.Generator, _outdir):
     return passed, worst, None, rows, {"checks": summary}
 
 
-@_kind("ac-converge", required={"geometry", "p", "eta", "schedule"},
-       optional={"zeta", "half_width", "tolerance_gap", "min_rate"})
+@_kind("ac-converge", required={"geometry", "p", "eta", "schedule"}, codim=1,
+       optional={"zeta": None, "half_width": float, "tolerance_gap": float, "min_rate": float})
 def _run_ac(exp: dict, _rng, _outdir):
     g = geometry.shape_from_config(exp["geometry"])
     eta = fields.vector_field_from_config(exp["eta"])
@@ -298,9 +325,10 @@ def _run_ac(exp: dict, _rng, _outdir):
     return _from_record(rec, rec.gap <= tol and rec.rate_at_least(min_rate))
 
 
-@_kind("gl-converge", required={"geometry", "eta", "schedule"},
-       optional={"zeta", "rho_max", "n_theta", "profile_mode", "tolerance_gap",
-                 "energy_tolerance"})
+@_kind("gl-converge", required={"geometry", "eta", "schedule"}, codim=2,
+       optional={"zeta": None, "rho_max": float, "n_theta": int,
+                 "profile_mode": _one_of("ode", "surrogate"), "tolerance_gap": float,
+                 "energy_tolerance": float})
 def _run_gl(exp: dict, _rng, _outdir):
     g = geometry.shape_from_config(exp["geometry"])
     eta = fields.vector_field_from_config(exp["eta"])
@@ -320,8 +348,8 @@ def _run_gl(exp: dict, _rng, _outdir):
     return _from_record(rec, passed, energy_extrapolated=e_extr, energy_gap=e_gap)
 
 
-@_kind("tensors", required={"geometry", "p", "indices", "phi", "schedule"},
-       optional={"half_width", "tolerance_gap", "zero_tolerance"})
+@_kind("tensors", required={"geometry", "p", "indices", "phi", "schedule"}, codim=1,
+       optional={"half_width": float, "tolerance_gap": float, "zero_tolerance": float})
 def _run_tensors(exp: dict, _rng, _outdir):
     g = geometry.shape_from_config(exp["geometry"])
     phi = fields.scalar_field_from_config(exp["phi"])
@@ -338,8 +366,9 @@ def _run_tensors(exp: dict, _rng, _outdir):
     return _from_record(rec, passed)
 
 
-@_kind("equipartition", required={"geometry", "p", "schedule"},
-       optional={"profile", "half_width", "floor", "min_rate", "lower_bound"})
+@_kind("equipartition", required={"geometry", "p", "schedule"}, codim=1,
+       optional={"profile": None, "half_width": float, "floor": float, "min_rate": float,
+                 "lower_bound": float})
 def _run_equipartition(exp: dict, _rng, _outdir):
     g = geometry.shape_from_config(exp["geometry"])
     sched = _schedule(exp["schedule"], "linear_eps")
@@ -368,7 +397,8 @@ def _run_equipartition(exp: dict, _rng, _outdir):
     return _from_record(rec, passed)
 
 
-@_kind("volume", required={"geometry"}, optional={"fields", "tolerance_c2", "tolerance_flux"})
+@_kind("volume", required={"geometry"}, codim=1,
+       optional={"fields": None, "tolerance_c2": float, "tolerance_flux": float})
 def _run_volume(exp: dict, rng: np.random.Generator, _outdir):
     g = geometry.shape_from_config(exp["geometry"])
     spec = exp.get("fields", {"random": 10})
@@ -398,7 +428,9 @@ def _run_volume(exp: dict, rng: np.random.Generator, _outdir):
     return passed, worst, None, rows, {"fields": details}
 
 
-@_kind("poincare", required={"geometry", "xi"}, optional={"cutoff_width", "tolerance"})
+@_kind("poincare", required={"geometry", "xi"}, codim=1,
+       optional={"cutoff_width": float, "tolerance": float},
+       check=lambda g, built: limits.require_zero_mean(g, built["xi"]))
 def _run_poincare(exp: dict, _rng, _outdir):
     g = geometry.shape_from_config(exp["geometry"])
     xi = fields.scalar_field_from_config(exp["xi"])
@@ -410,8 +442,8 @@ def _run_poincare(exp: dict, _rng, _outdir):
     return gap <= tol, gap, None, rows, {"lhs": lhs, "rhs": rhs, "gap": gap}
 
 
-@_kind("forms", required={"geometry", "xi", "schedule"},
-       optional={"cutoff_width", "half_width", "tolerance_gap"})
+@_kind("forms", required={"geometry", "xi", "schedule"}, codim=1,
+       optional={"cutoff_width": float, "half_width": float, "tolerance_gap": float})
 def _run_forms(exp: dict, _rng, _outdir):
     g = geometry.shape_from_config(exp["geometry"])
     xi = fields.scalar_field_from_config(exp["xi"])
@@ -424,8 +456,8 @@ def _run_forms(exp: dict, _rng, _outdir):
 
 
 @_kind("profile", required={"p"},
-       optional={"tolerance_constant", "tolerance_equipartition", "tolerance_tanh",
-                 "export_table"})
+       optional={"tolerance_constant": float, "tolerance_equipartition": float,
+                 "tolerance_tanh": float, "export_table": None})
 def _run_profile(exp: dict, _rng, outdir: Path | None):
     p = float(exp["p"])
     prof = profiles.optimal_profile(p)

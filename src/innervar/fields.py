@@ -8,10 +8,14 @@ Conventions used throughout the package:
 * scalar fields may carry ``state_dim = 2`` (complex order parameters stored
   as two real components), in which case gradients have shape ``(2, N)``.
 
-Fields built through the constructors in this module carry analytic
-derivative callbacks (assembled with :mod:`innervar.jets`); fields built from
+Every field is evaluated through one method, ``evaluate(xb, order)``: one
+call returns the values and, up to ``order``, the derivatives at a batch of
+points, computing nothing beyond that order.  Fields built through the
+constructors in this module evaluate a jet function once per call (assembled
+with :mod:`innervar.jets`, truncated to the order asked for); fields built from
 bare callables fall back to central finite differences with step
 ``eps_machine**(1/3) * max(1, |x|)``, which keeps every operation total.
+Fields hold no evaluated state between calls.
 """
 
 from __future__ import annotations
@@ -89,50 +93,112 @@ def _fd_derivatives(xb: np.ndarray, values, order: int = 1, first=None) -> np.nd
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
-def _jet_callbacks(jet_fn, stacked: bool):
-    """Value, first- and second-derivative callbacks of a jet function.
+def _jet_evaluator(jet_fn, stacked: bool):
+    """Evaluator over a jet function ``jet_fn(xb, order)``, called once per evaluation.
 
     With ``stacked`` the function returns a list of component jets, whose
-    parts are stacked along axis 1; otherwise it returns a single jet.
+    parts are stacked along axis 1; otherwise it returns a single jet.  A
+    values-only request (order 0) builds first-order jets.
     """
 
-    def part(attr):
+    def evaluate(xb, order):
+        jets = jet_fn(xb, max(order, 1))
+        attrs = ("val", "grad", "hess")[: order + 1]
         if stacked:
-            return lambda xb: np.stack([getattr(j, attr) for j in jet_fn(xb)], axis=1)
-        return lambda xb: getattr(jet_fn(xb), attr)
+            return [np.stack([getattr(j, a) for j in jets], axis=1) for a in attrs]
+        return [getattr(jets, a) for a in attrs]
 
-    return part("val"), part("grad"), part("hess")
+    return evaluate
 
 
-class ScalarField:
-    """Smooth map R^N -> R^state_dim with derivatives up to second order."""
+def _callable_evaluator(fn, first, second):
+    """Evaluator over plain callables of a batch; exact to the order returned with it."""
+    if second is not None and first is None:
+        raise ValueError("a second-derivative callback needs a first-derivative callback")
+    parts = [c for c in (fn, first, second) if c is not None]
+    return (lambda xb, order: [c(xb) for c in parts[: order + 1]]), len(parts) - 1
 
-    def __init__(self, dim, fn, grad=None, hess=None, state_dim=1, support=None, label=""):
+
+class _Field:
+    """The one evaluation path shared by scalar and vector fields.
+
+    A field is an evaluator ``(xb, order) -> [values, first, second][:order + 1]``
+    that is exact up to order ``exact``; central differences of the exact parts
+    supply any higher derivative that is asked for.  Nothing evaluated is kept
+    on the field: each ``evaluate`` call builds its arrays and hands them over.
+    """
+
+    _symmetrize_second = False  # average analytic second derivatives over their last two axes
+
+    def __init__(self, dim, comps, evaluator, exact, support, label):
         self.dim = int(dim)
-        self.state_dim = int(state_dim)
-        self._fn = fn
-        self._grad = grad
-        self._hess = hess
+        self._comps = int(comps)
+        self._evaluator = evaluator
+        self._exact = int(exact)
         self.support_hint = support
         self.label = label
 
-    # batched internals: values (M, d), gradients (M, d, N), hessians (M, d, N, N)
+    @classmethod
+    def from_evaluator(cls, dim, evaluator, exact, **kwargs):
+        """Build a field from ``evaluator(xb, order)``, exact up to order ``exact``.
+
+        ``kwargs`` are the class constructor's keywords (``label``, ...).
+        """
+        field = cls(dim, None, **kwargs)  # no callables: the evaluator replaces them
+        field._evaluator, field._exact = evaluator, int(exact)
+        return field
+
+    def evaluate(self, xb: np.ndarray, order: int) -> tuple:
+        """Values, then first (order >= 1) and second (order 2) derivatives at ``xb`` (M, N).
+
+        Shapes are (M, C), (M, C, N) and (M, C, N, N), with C the number of
+        components; the tuple holds ``order + 1`` arrays.
+        """
+        exact = min(order, self._exact)
+        parts = self._exact_parts(xb, exact)
+        if order > exact:
+            values = lambda y: self._exact_parts(y, 0)[0]
+            if exact == 0:
+                parts.append(_fd_derivatives(xb, values))
+            if order == 2:
+                first = (lambda y: self._exact_parts(y, 1)[1]) if self._exact >= 1 else None
+                parts.append(_fd_derivatives(xb, values, 2, first))
+        return tuple(parts)
+
+    def _exact_parts(self, xb, order):
+        m, n = xb.shape
+        parts = [np.asarray(a, dtype=float).reshape((m, self._comps) + (n,) * k)
+                 for k, a in enumerate(self._evaluator(xb, order)[: order + 1])]
+        if order == 2 and self._symmetrize_second:
+            parts[2] = 0.5 * (parts[2] + np.swapaxes(parts[2], 2, 3))
+        return parts
+
+
+class ScalarField(_Field):
+    """Smooth map R^N -> R^state_dim with derivatives up to second order.
+
+    Built from plain callables of a batch (``grad``/``hess`` optional, finite
+    differences otherwise), from a jet function (:meth:`from_jet`) or from an
+    evaluator (:meth:`from_evaluator`).
+    """
+
+    def __init__(self, dim, fn, grad=None, hess=None, state_dim=1, support=None, label=""):
+        super().__init__(dim, state_dim, *_callable_evaluator(fn, grad, hess), support, label)
+
+    @property
+    def state_dim(self) -> int:
+        return self._comps
+
+    # batched views: values (M, d), gradients (M, d, N), hessians (M, d, N, N)
 
     def _values(self, xb: np.ndarray) -> np.ndarray:
-        return np.asarray(self._fn(xb), dtype=float).reshape(xb.shape[0], self.state_dim)
+        return self.evaluate(xb, 0)[0]
 
     def _gradients(self, xb: np.ndarray) -> np.ndarray:
-        m, n = xb.shape
-        if self._grad is not None:
-            return np.asarray(self._grad(xb), dtype=float).reshape(m, self.state_dim, n)
-        return _fd_derivatives(xb, self._values)
+        return self.evaluate(xb, 1)[1]
 
     def _hessians(self, xb: np.ndarray) -> np.ndarray:
-        m, n = xb.shape
-        if self._hess is not None:
-            return np.asarray(self._hess(xb), dtype=float).reshape(m, self.state_dim, n, n)
-        return _fd_derivatives(xb, self._values, 2,
-                               self._gradients if self._grad is not None else None)
+        return self.evaluate(xb, 2)[2]
 
     # public API accepts single points or batches
 
@@ -159,41 +225,29 @@ class ScalarField:
 
     @staticmethod
     def from_jet(dim, jet_fn, state_dim=1, support=None, label=""):
-        """Build a field from a function x(batch) -> Jet or list of Jets."""
-        fn, grad, hess = _jet_callbacks(jet_fn, state_dim != 1)
-        return ScalarField(dim, fn, grad, hess, state_dim=state_dim, support=support, label=label)
+        """Build a field from a function (batch, order) -> Jet or list of Jets."""
+        return ScalarField.from_evaluator(dim, _jet_evaluator(jet_fn, state_dim != 1), 2,
+                                          state_dim=state_dim, support=support, label=label)
 
 
-class VectorField:
+class VectorField(_Field):
     """Smooth map R^N -> R^N with Jacobian and second derivatives."""
+
+    _symmetrize_second = True
 
     def __init__(self, dim, fn, jacobian=None, second=None, compactly_supported=False,
                  support=None, label=""):
-        self.dim = int(dim)
-        self._fn = fn
-        self._jac = jacobian
-        self._second = second
+        super().__init__(dim, dim, *_callable_evaluator(fn, jacobian, second), support, label)
         self.compactly_supported = bool(compactly_supported)
-        self.support_hint = support
-        self.label = label
 
     def _values(self, xb):
-        return np.asarray(self._fn(xb), dtype=float).reshape(xb.shape[0], self.dim)
+        return self.evaluate(xb, 0)[0]
 
     def _jacobians(self, xb):
-        m, n = xb.shape
-        if self._jac is not None:
-            return np.asarray(self._jac(xb), dtype=float).reshape(m, n, n)
-        return _fd_derivatives(xb, self._values)
+        return self.evaluate(xb, 1)[1]
 
     def _seconds(self, xb):
-        m, n = xb.shape
-        if self._second is None:
-            return _fd_derivatives(xb, self._values, 2,
-                                   self._jacobians if self._jac is not None else None)
-        s = np.asarray(self._second(xb), dtype=float).reshape(m, n, n, n)
-        # symmetry in the last two indices enforced by averaging
-        return 0.5 * (s + np.swapaxes(s, 2, 3))
+        return self.evaluate(xb, 2)[2]
 
     def eval(self, x):
         xb, single = _as_batch(x, self.dim)
@@ -205,33 +259,26 @@ class VectorField:
         j = self._jacobians(xb)
         return j[0] if single else j
 
-    def second_derivatives(self, x):
-        xb, single = _as_batch(x, self.dim)
-        s = self._seconds(xb)
-        return s[0] if single else s
-
     # small field algebra, enough for eta + h*phi style combinations
 
     def __add__(self, other: "VectorField") -> "VectorField":
         if self.dim != other.dim:
             raise DimensionMismatch("cannot add fields of different dimension")
         a, b = self, other
-        return VectorField(
+        return VectorField.from_evaluator(
             self.dim,
-            lambda xb: a._values(xb) + b._values(xb),
-            lambda xb: a._jacobians(xb) + b._jacobians(xb),
-            lambda xb: a._seconds(xb) + b._seconds(xb),
+            lambda xb, order: [x + y for x, y in zip(a.evaluate(xb, order), b.evaluate(xb, order))],
+            2,
             compactly_supported=a.compactly_supported and b.compactly_supported,
             label=f"({a.label}+{b.label})",
         )
 
     def __mul__(self, c: float) -> "VectorField":
         c = float(c)
-        return VectorField(
+        return VectorField.from_evaluator(
             self.dim,
-            lambda xb: c * self._values(xb),
-            lambda xb: c * self._jacobians(xb),
-            lambda xb: c * self._seconds(xb),
+            lambda xb, order: [c * x for x in self.evaluate(xb, order)],
+            2,
             compactly_supported=self.compactly_supported,
             support=self.support_hint,
             label=f"{c}*{self.label}",
@@ -241,10 +288,10 @@ class VectorField:
 
     @staticmethod
     def from_jets(dim, jets_fn, compactly_supported=False, support=None, label=""):
-        """Build from x(batch) -> list of N component Jets."""
-        fn, jac, second = _jet_callbacks(jets_fn, True)
-        return VectorField(dim, fn, jac, second, compactly_supported=compactly_supported,
-                           support=support, label=label)
+        """Build from (batch, order) -> list of N component Jets."""
+        return VectorField.from_evaluator(dim, _jet_evaluator(jets_fn, True), 2,
+                                          compactly_supported=compactly_supported,
+                                          support=support, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +344,8 @@ def rotation_field(omega) -> VectorField:
 def polynomial_scalar_field(dim, terms, label="poly") -> ScalarField:
     """Scalar field sum_k c_k prod x_i^e_i from a coefficient table."""
     terms = [(float(c), tuple(int(e) for e in p)) for c, p in terms]
-    return ScalarField.from_jet(dim, lambda xb: jet_polynomial(xb, terms), label=label)
+    return ScalarField.from_jet(dim, lambda xb, order: jet_polynomial(xb, terms, order),
+                                label=label)
 
 
 def polynomial_vector_field(dim, components, label="poly") -> VectorField:
@@ -306,7 +354,7 @@ def polynomial_vector_field(dim, components, label="poly") -> VectorField:
     if len(comps) != dim:
         raise DimensionMismatch("need one component table per coordinate")
     return VectorField.from_jets(
-        dim, lambda xb: [jet_polynomial(xb, comp) for comp in comps], label=label
+        dim, lambda xb, order: [jet_polynomial(xb, comp, order) for comp in comps], label=label
     )
 
 
@@ -314,11 +362,11 @@ def trig_scalar_field(dim, terms, label="trig") -> ScalarField:
     """Scalar field sum_k a_k * sin/cos(k . x + phase), analytic derivatives."""
     parsed = [(float(a), np.asarray(k, dtype=float), float(ph), kind) for a, k, ph, kind in terms]
 
-    def build(xb):
-        coords = Jet.variables(xb)
-        total = Jet.constant(0.0, xb)
+    def build(xb, order):
+        coords = Jet.variables(xb, order)
+        total = Jet.constant(0.0, xb, order)
         for amp, kvec, phase, kind in parsed:
-            arg = Jet.constant(phase, xb)
+            arg = Jet.constant(phase, xb, order)
             for i, ki in enumerate(kvec):
                 if ki != 0.0:
                     arg = arg + coords[i] * ki
@@ -329,8 +377,9 @@ def trig_scalar_field(dim, terms, label="trig") -> ScalarField:
     return ScalarField.from_jet(dim, build, label=label)
 
 
-def _bump_jet(xb: np.ndarray, center: np.ndarray, radius: float, order: int = 8) -> Jet:
-    """Radial bump (1 - s^2)^order, s = |x-c|/r, zero outside; as a jet.
+def _bump_jet(xb: np.ndarray, center: np.ndarray, radius: float, order: int = 8,
+              jet_order: int = 2) -> Jet:
+    """Radial bump (1 - s^2)^order, s = |x-c|/r, zero outside; as a jet of ``jet_order``.
 
     A polynomial bump (C^{order-1} at the support edge) keeps Gauss quadrature
     of bump-weighted integrands accurate to ~n^{-order+1}, which the identity
@@ -338,30 +387,22 @@ def _bump_jet(xb: np.ndarray, center: np.ndarray, radius: float, order: int = 8)
     sub-geometric.  ``order=None`` selects the classical C-infinity shape
     exp(1 - 1/(1 - s^2)) instead.
     """
-    m, n = xb.shape
-    coords = Jet.variables(xb)
-    s2 = Jet.constant(0.0, xb)
+    n = xb.shape[1]
+    coords = Jet.variables(xb, jet_order)
+    s2 = Jet.constant(0.0, xb, jet_order)
     for i in range(n):
         d = coords[i] - center[i]
         s2 = s2 + d * d * (1.0 / radius**2)
-    out = Jet(np.zeros(m), np.zeros((m, n)), np.zeros((m, n, n)))
+    out = Jet.constant(0.0, xb, jet_order)
     if order is None:
         s2_cut = 1.0 - 1.0 / 700.0  # exp(1 - 1/(1-t)) underflows past this
         inside = s2.val < s2_cut
         if np.any(inside):
-            sub = Jet(s2.val[inside], s2.grad[inside], s2.hess[inside])
-            g = jet_exp(1.0 - (1.0 - sub).reciprocal())
-            out.val[inside] = g.val
-            out.grad[inside] = g.grad
-            out.hess[inside] = g.hess
+            out.put(inside, jet_exp(1.0 - (1.0 - s2.masked(inside)).reciprocal()))
         return out
     inside = s2.val < 1.0
     if np.any(inside):
-        sub = Jet(s2.val[inside], s2.grad[inside], s2.hess[inside])
-        g = (1.0 - sub) ** int(order)
-        out.val[inside] = g.val
-        out.grad[inside] = g.grad
-        out.hess[inside] = g.hess
+        out.put(inside, (1.0 - s2.masked(inside)) ** int(order))
     return out
 
 
@@ -372,7 +413,7 @@ def bump_scalar_field(center, radius, amplitude=1.0, order=8) -> ScalarField:
     box = np.stack([c - radius, c + radius], axis=0)
     return ScalarField.from_jet(
         n,
-        lambda xb: _bump_jet(xb, c, float(radius), order) * float(amplitude),
+        lambda xb, jet_order: _bump_jet(xb, c, float(radius), order, jet_order) * float(amplitude),
         support=box,
         label="radial_bump",
     )
@@ -385,9 +426,9 @@ def bump_polynomial_field(dim, components, center, radius, order=8,
     comps = [[(float(cc), tuple(int(e) for e in p)) for cc, p in comp] for comp in components]
     box = np.stack([c - radius, c + radius], axis=0)
 
-    def build(xb):
-        bump = _bump_jet(xb, c, float(radius), order)
-        return [jet_polynomial(xb, comp) * bump for comp in comps]
+    def build(xb, jet_order):
+        bump = _bump_jet(xb, c, float(radius), order, jet_order)
+        return [jet_polynomial(xb, comp, jet_order) * bump for comp in comps]
 
     return VectorField.from_jets(dim, build, compactly_supported=True, support=box, label=label)
 
@@ -409,33 +450,30 @@ def zeta_eta(eta: VectorField) -> VectorField:
 
     Pairing this with velocity eta makes the quadratic deformation preserve
     enclosed volume to second order.  The Jacobian is exact; it consumes
-    eta's second derivatives.
+    eta's second derivatives, so eta is evaluated one order higher.
     """
 
-    def fn(xb):
-        v = eta._values(xb)
-        j = eta._jacobians(xb)
+    def evaluator(xb, order):
+        parts = eta.evaluate(xb, order + 1)
+        v, j = parts[0], parts[1]
         div = np.trace(j, axis1=1, axis2=2)
-        return -div[:, None] * v + np.einsum("mij,mj->mi", j, v)
-
-    def jac(xb):
-        v = eta._values(xb)
-        j = eta._jacobians(xb)
-        s = eta._seconds(xb)
-        div = np.trace(j, axis1=1, axis2=2)
+        val = -div[:, None] * v + np.einsum("mij,mj->mi", j, v)
+        if order == 0:
+            return [val]
+        s = parts[2]
         ddiv = np.einsum("mjjk->mk", s)  # gradient of div eta
-        out = (
+        jac = (
             -np.einsum("mk,mi->mik", ddiv, v)
             - div[:, None, None] * j
             + np.einsum("mijk,mj->mik", s, v)
             + np.einsum("mij,mjk->mik", j, j)
         )
-        return out
+        return [val, jac]
 
-    return VectorField(
+    return VectorField.from_evaluator(
         eta.dim,
-        fn,
-        jac,
+        evaluator,
+        1,
         compactly_supported=eta.compactly_supported,
         support=eta.support_hint,
         label=f"zeta[{eta.label}]",
@@ -451,17 +489,15 @@ def x0_field(u: ScalarField, eta: VectorField, zeta: VectorField) -> ScalarField
     if u.dim != eta.dim or u.dim != zeta.dim:
         raise DimensionMismatch("field dimensions disagree")
 
-    def fn(xb):
-        hu = u._hessians(xb)  # (M, d, N, N)
-        gu = u._gradients(xb)  # (M, d, N)
-        ev = eta._values(xb)
-        jv = eta._jacobians(xb)
-        zv = zeta._values(xb)
+    def evaluator(xb, _order):
+        _, gu, hu = u.evaluate(xb, 2)  # (M, d, N), (M, d, N, N)
+        ev, jv = eta.evaluate(xb, 1)
+        (zv,) = zeta.evaluate(xb, 0)
         drift = 2.0 * np.einsum("mij,mj->mi", jv, ev) - zv
         val = np.einsum("mdij,mi,mj->md", hu, ev, ev) + np.einsum("mdi,mi->md", gu, drift)
-        return val if u.state_dim > 1 else val[:, 0]
+        return [val]
 
-    return ScalarField(u.dim, fn, state_dim=u.state_dim, label="X0")
+    return ScalarField.from_evaluator(u.dim, evaluator, 0, state_dim=u.state_dim, label="X0")
 
 
 def det_expansion(eta: VectorField, zeta: VectorField, x):
@@ -490,9 +526,7 @@ def good_identity_residual(eta: VectorField, x):
     analytic fields, <=1e-7 for finite-difference fallbacks.
     """
     xb, single = _as_batch(x, eta.dim)
-    v = eta._values(xb)
-    j = eta._jacobians(xb)
-    s = eta._seconds(xb)
+    v, j, s = eta.evaluate(xb, 2)
     div = np.trace(j, axis1=1, axis2=2)
     lhs = div**2 - np.einsum("mij,mji->m", j, j)
     ddiv = np.einsum("mjjk->mk", s)
@@ -618,20 +652,15 @@ def random_polynomial_scalar_field(rng, dim, degree=3, scale=1.0) -> ScalarField
     return polynomial_scalar_field(dim, _random_terms(rng, dim, degree, scale), label="random_poly")
 
 
-def _cylindrical_bump_jet(xb, radius, order):
+def _cylindrical_bump_jet(xb, radius, order, jet_order):
     """Bump (1 - rho^2/r^2)^order in the transverse radius rho = |(x2, x3)|."""
-    m = xb.shape[0]
-    x2 = Jet.coordinate(xb, 1)
-    x3 = Jet.coordinate(xb, 2)
+    x2 = Jet.coordinate(xb, 1, jet_order)
+    x3 = Jet.coordinate(xb, 2, jet_order)
     s2 = (x2 * x2 + x3 * x3) * (1.0 / radius**2)
-    out = Jet(np.zeros(m), np.zeros((m, 3)), np.zeros((m, 3, 3)))
+    out = Jet.constant(0.0, xb, jet_order)
     inside = s2.val < 1.0
     if np.any(inside):
-        sub = Jet(s2.val[inside], s2.grad[inside], s2.hess[inside])
-        g = (1.0 - sub) ** int(order)
-        out.val[inside] = g.val
-        out.grad[inside] = g.grad
-        out.hess[inside] = g.hess
+        out.put(inside, (1.0 - s2.masked(inside)) ** int(order))
     return out
 
 
@@ -649,13 +678,13 @@ def filament_test_field(preset: str, amplitude: float = 1.0, frequency: int = 1,
     """
     amp = float(amplitude)
 
-    def build(xb):
-        chi = _cylindrical_bump_jet(xb, float(radius), order)
-        zero = Jet.constant(0.0, xb)
-        x2 = Jet.coordinate(xb, 1)
-        x3 = Jet.coordinate(xb, 2)
+    def build(xb, jet_order):
+        chi = _cylindrical_bump_jet(xb, float(radius), order, jet_order)
+        zero = Jet.constant(0.0, xb, jet_order)
+        x2 = Jet.coordinate(xb, 1, jet_order)
+        x3 = Jet.coordinate(xb, 2, jet_order)
         if preset == "bend":
-            wave = jet_sin(Jet.coordinate(xb, 0) * (2.0 * np.pi * int(frequency))) * amp
+            wave = jet_sin(Jet.coordinate(xb, 0, jet_order) * (2.0 * np.pi * int(frequency))) * amp
             return [zero, wave * chi, zero]
         if preset == "antiholomorphic":
             return [zero, x2 * chi * amp, x3 * chi * (-amp)]

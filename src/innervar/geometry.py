@@ -62,7 +62,8 @@ class _Interface:
 class Hypersurface(_Interface):
     """Codimension-one interface with outward unit normal.
 
-    Subclasses provide ``distance_jet(xb)``, the jet of the signed distance.
+    Subclasses provide ``distance_jet(xb, order)``, the jet of the signed
+    distance truncated to ``order``.
     """
 
     codim = 1
@@ -85,8 +86,8 @@ class RoundSurface(Hypersurface):
         self.center = center
         self.radius = radius
 
-    def distance_jet(self, xb) -> Jet:
-        return jet_norm(xb - self.center) - self.radius
+    def distance_jet(self, xb, order=2) -> Jet:
+        return jet_norm(xb - self.center, order) - self.radius
 
 
 class FlatPatch(Hypersurface):
@@ -97,15 +98,15 @@ class FlatPatch(Hypersurface):
         self.axis = axis
         self.offset = offset
 
-    def distance_jet(self, xb) -> Jet:
-        return Jet.coordinate(xb, self.axis) - self.offset
+    def distance_jet(self, xb, order=2) -> Jet:
+        return Jet.coordinate(xb, self.axis, order) - self.offset
 
 
 class Filament(_Interface):
     """Codimension-two interface (curve in R^3) with orthonormal normal pair.
 
-    Subclasses provide ``transverse_jets(xb)``, the jets of the two signed
-    transverse coordinates in the (p, q) frame, and ``tube_jacobian(a, b)``,
+    Subclasses provide ``transverse_jets(xb, order)``, the jets of the two
+    signed transverse coordinates in the (p, q) frame, and ``tube_jacobian(a, b)``,
     the volume element of the normal exponential map at offsets (a, b).
     """
 
@@ -122,8 +123,8 @@ class Filament(_Interface):
 class StraightFilament(Filament):
     """Straight filament along e1, with normal frame (e2, e3)."""
 
-    def transverse_jets(self, xb) -> tuple[Jet, Jet]:
-        return Jet.coordinate(xb, 1), Jet.coordinate(xb, 2)
+    def transverse_jets(self, xb, order=2) -> tuple[Jet, Jet]:
+        return Jet.coordinate(xb, 1, order), Jet.coordinate(xb, 2, order)
 
     def tube_jacobian(self, a, b):
         return np.ones_like(a)
@@ -136,15 +137,17 @@ class CircularFilament(Filament):
         super().__init__(*args)
         self.radius = radius
 
-    def transverse_jets(self, xb) -> tuple[Jet, Jet]:
-        r_xy = jet_norm(xb[:, :2])
+    def transverse_jets(self, xb, order=2) -> tuple[Jet, Jet]:
+        r_xy = jet_norm(xb[:, :2], order)
         # embed the 2-d jet into ambient R^3 derivatives
         m = xb.shape[0]
         grad = np.zeros((m, 3))
         grad[:, :2] = r_xy.grad
-        hess = np.zeros((m, 3, 3))
-        hess[:, :2, :2] = r_xy.hess
-        return Jet(r_xy.val - self.radius, grad, hess), Jet.coordinate(xb, 2)
+        hess = None
+        if order == 2:
+            hess = np.zeros((m, 3, 3))
+            hess[:, :2, :2] = r_xy.hess
+        return Jet(r_xy.val - self.radius, grad, hess), Jet.coordinate(xb, 2, order)
 
     def tube_jacobian(self, a, b):
         return 1.0 + a / self.radius
@@ -466,21 +469,17 @@ def _smooth_step_jet(s: Jet, s0: float, s1: float) -> Jet:
     The masks are placed where exp(-1/t) already underflows, so the clipped
     pieces are exactly the double-precision values of the smooth function.
     """
-    m = s.val.shape[0]
-    n = s.grad.shape[1]
+    m, n = s.grad.shape
     margin = (s1 - s0) / 700.0
-    out = Jet(np.zeros(m), np.zeros((m, n)), np.zeros((m, n, n)))
+    out = Jet(np.zeros(m), np.zeros((m, n)), None if s.hess is None else np.zeros((m, n, n)))
     ones = s.val <= s0 + margin
     out.val[ones] = 1.0
     mid = (s.val > s0 + margin) & (s.val < s1 - margin)
     if np.any(mid):
-        sub = Jet(s.val[mid], s.grad[mid], s.hess[mid])
+        sub = s.masked(mid)
         g1 = jet_exp(-((s1 - sub).reciprocal()))
         g2 = jet_exp(-((sub - s0).reciprocal()))
-        res = g1 * (g1 + g2).reciprocal()
-        out.val[mid] = res.val
-        out.grad[mid] = res.grad
-        out.hess[mid] = res.hess
+        out.put(mid, g1 * (g1 + g2).reciprocal())
     return out
 
 
@@ -506,33 +505,34 @@ def normal_extension(g: Hypersurface, xi, cutoff_width: float) -> VectorField:
         raise DimensionMismatch("xi must be a SurfaceFunction or ScalarField")
     s0, s1 = (0.5 * w) ** 2, w * w
 
-    def compose_ambient(pj: list[Jet]) -> Jet:
+    def compose_ambient(pj: list[Jet], order: int) -> Jet:
         pts = np.stack([j.val for j in pj], axis=1)
-        v = ambient._values(pts)[:, 0]
-        gr = ambient._gradients(pts)[:, 0]
-        hs = ambient._hessians(pts)[:, 0]
+        parts = ambient.evaluate(pts, order)  # xi at the projected points, once
+        v, gr = parts[0][:, 0], parts[1][:, 0]
         jp = np.stack([j.grad for j in pj], axis=1)  # (M, N, N)
-        hp = np.stack([j.hess for j in pj], axis=1)
-        val = v
         grad = np.einsum("mk,mki->mi", gr, jp)
+        if order == 1:
+            return Jet(v, grad, None)
+        hs = parts[2][:, 0]
+        hp = np.stack([j.hess for j in pj], axis=1)
         hess = (
             np.einsum("mkl,mki,mlj->mij", hs, jp, jp)
             + np.einsum("mk,mkij->mij", gr, hp)
         )
-        return Jet(val, grad, hess)
+        return Jet(v, grad, hess)
 
     if isinstance(g, RoundSurface):
         center, radius = g.center, g.radius
 
-        def jets_fn(xb):
+        def jets_fn(xb, order):
             shifted = xb - center
-            r = jet_norm(shifted)
+            r = jet_norm(shifted, order)
             d = r - radius
             inv_r = r.reciprocal()
-            coords = Jet.variables(xb)
+            coords = Jet.variables(xb, order)
             hats = [(coords[i] - center[i]) * inv_r for i in range(g.dim)]
             proj = [hats[i] * radius + center[i] for i in range(g.dim)]
-            xi_at = compose_ambient(proj)
+            xi_at = compose_ambient(proj, order)
             chi = _smooth_step_jet(d * d, s0, s1)
             amp = xi_at * chi
             return [amp * hats[i] for i in range(g.dim)]
@@ -540,14 +540,15 @@ def normal_extension(g: Hypersurface, xi, cutoff_width: float) -> VectorField:
     elif isinstance(g, FlatPatch):
         axis, offset = g.axis, float(g.offset)
 
-        def jets_fn(xb):
-            coords = Jet.variables(xb)
+        def jets_fn(xb, order):
+            coords = Jet.variables(xb, order)
             d = coords[axis] - offset
-            proj = [Jet.constant(offset, xb) if i == axis else coords[i] for i in range(g.dim)]
-            xi_at = compose_ambient(proj)
+            proj = [Jet.constant(offset, xb, order) if i == axis else coords[i]
+                    for i in range(g.dim)]
+            xi_at = compose_ambient(proj, order)
             chi = _smooth_step_jet(d * d, s0, s1)
             amp = xi_at * chi
-            zero = Jet.constant(0.0, xb)
+            zero = Jet.constant(0.0, xb, order)
             return [amp if i == axis else zero for i in range(g.dim)]
 
     else:

@@ -270,8 +270,7 @@ def equipartition_residuals(g, p: float, sched: EpsilonSchedule, profile=None,
         else:
             u = profile(g, eps)  # custom builder, e.g. a wrong-profile control
         quad = _ac_tube(g, base_prof, eps, hw)
-        zs = u._values(quad.nodes)
-        grads = u._gradients(quad.nodes)
+        zs, grads = u.evaluate(quad.nodes, 1)
         z = zs[:, 0]
         gnorm = np.linalg.norm(grads[:, 0], axis=1)
         a_p = eps ** (p - 1.0) * gnorm**p
@@ -315,7 +314,7 @@ def tensor_pairing_experiment(g, p: float, phi: ScalarField, indices,
     for eps in sched.epsilons:
         u = ansatz_field(g, eps, prof)
         quad = _ac_tube(g, prof, eps, hw)
-        grad = u._gradients(quad.nodes)[:, 0]
+        grad = u.evaluate(quad.nodes, 1)[1][:, 0]
         gnorm2 = np.einsum("mi,mi->m", grad, grad) + 1e-300
         dens = eps ** (p - 1.0) * gnorm2 ** ((p - len(idx)) / 2.0)
         for i in idx:
@@ -408,6 +407,17 @@ def boundary_flux(g, eta: VectorField) -> float:
     return pairwise_dot(g.weights, vals)
 
 
+def require_zero_mean(g, xi) -> None:
+    """Raise ValueError unless xi (a field or a SurfaceFunction) has zero mean on g."""
+    if isinstance(xi, ScalarField):
+        xi = geo.SurfaceFunction(g, xi)
+    vals = xi.values()
+    mean = pairwise_dot(g.weights, vals)
+    scale = pairwise_dot(g.weights, np.abs(vals)) + 1e-30
+    if abs(mean) > 1e-10 * max(1.0, scale):
+        raise ValueError(f"xi must have zero interface mean (got {mean:g})")
+
+
 def constrained_poincare_check(g, xi, cutoff_width: float | None = None) -> tuple[float, float]:
     """Volume-preserving second variation vs the stability form of xi.
 
@@ -417,10 +427,7 @@ def constrained_poincare_check(g, xi, cutoff_width: float | None = None) -> tupl
     """
     if isinstance(xi, ScalarField):
         xi = geo.SurfaceFunction(g, xi)
-    mean = pairwise_dot(g.weights, xi.values())
-    scale = pairwise_dot(g.weights, np.abs(xi.values())) + 1e-30
-    if abs(mean) > 1e-10 * max(1.0, scale):
-        raise ValueError(f"xi must have zero interface mean (got {mean:g})")
+    require_zero_mean(g, xi)
     w = 0.9 * g.focal_width if cutoff_width is None else float(cutoff_width)
     eta = geo.normal_extension(g, xi, w)
     lhs = geo.area_second_inner_variation(g, eta, zeta_eta(eta))
@@ -441,7 +448,7 @@ def perturbed_field(u_eps: ScalarField, eta: VectorField, phi_ref: VectorField,
         raise DegenerateReference(
             f"reference field has vanishing interface flux ({flux:.3e})"
         )
-    grad = u_eps._gradients(quad.nodes)[:, 0]
+    grad = u_eps.evaluate(quad.nodes, 1)[1][:, 0]
 
     def t_of(v: VectorField) -> float:
         vals = np.einsum("mi,mi->m", v.eval(quad.nodes), grad)

@@ -23,7 +23,7 @@ from scipy.special import betainc, betaln, roots_jacobi
 from .errors import EpsilonTooLarge, StiffTail
 from .fields import ScalarField
 from .geometry import Filament, Hypersurface, gauss_rule
-from .jets import Jet, jet_sqrt
+from .jets import jet_sqrt
 
 
 def c_p(p: float) -> float:
@@ -56,7 +56,8 @@ class ProfileTable:
 
     q comes from the dense output of the profile ODE; q' is evaluated through
     the flow relation W(q)^(1/p) and q'' through its derivative, so the
-    pointwise equi-partition |q'|^p = W(q) is exact wherever q is exact.
+    pointwise equi-partition |q'|^p = W(q) is exact wherever q is exact, and
+    :meth:`derivatives` gets all three from a single lookup of q.
     """
 
     def __init__(self, p, sol, s_max, tail_tol=1e-9):
@@ -83,15 +84,18 @@ class ProfileTable:
             out[inside] = np.sign(s_arr[inside]) * vals
         return out if np.ndim(s) else float(out[0])
 
-    def dq(self, s):
-        qv = self.q(s)
-        base = np.clip(1.0 - np.asarray(qv) ** 2, 0.0, None)
-        return base ** (2.0 / self.p)
-
-    def ddq(self, s):
+    def derivatives(self, s, order=2):
+        """(q, q', q'') at s from one lookup of q; q'' is None when ``order`` is 1."""
         qv = np.asarray(self.q(s))
         base = np.clip(1.0 - qv**2, 0.0, None)
-        return -(4.0 * qv / self.p) * base ** (4.0 / self.p - 1.0)
+        ddq = -(4.0 * qv / self.p) * base ** (4.0 / self.p - 1.0) if order == 2 else None
+        return qv, base ** (2.0 / self.p), ddq
+
+    def dq(self, s):
+        return self.derivatives(s, 1)[1]
+
+    def ddq(self, s):
+        return self.derivatives(s)[2]
 
     # -- tail bookkeeping -------------------------------------------------
 
@@ -134,8 +138,7 @@ class ProfileTable:
 
     def energy_density(self, s):
         """1-D energy density |q'|^p/p + W(q)/q_conj (equals W(q) on the profile)."""
-        qv = np.asarray(self.q(s))
-        dqv = np.asarray(self.dq(s))
+        qv, dqv, _ = self.derivatives(s, 1)
         q_conj = self.p / (self.p - 1.0)
         return np.abs(dqv) ** self.p / self.p + (1.0 - qv**2) ** 2 / q_conj
 
@@ -227,9 +230,9 @@ def ansatz_field(g: Hypersurface, eps: float, prof: ProfileTable) -> ScalarField
             f"{0.9 * g.focal_width / s_trans:.3g}"
         )
 
-    def jet_fn(xb):
-        s = g.distance_jet(xb) * (1.0 / eps)
-        return s.compose(prof.q, prof.dq, prof.ddq)
+    def jet_fn(xb, order):
+        s = g.distance_jet(xb, order) * (1.0 / eps)
+        return s.compose(prof.derivatives)
 
     return ScalarField.from_jet(g.dim, jet_fn, label=f"ansatz[p={prof.p:g},eps={eps:g}]")
 
@@ -238,9 +241,12 @@ def profile_field(g: Hypersurface, eps: float, q, dq, ddq, label="profile") -> S
     """Compose an arbitrary 1-D profile with the signed distance of the shape."""
     eps = float(eps)
 
-    def jet_fn(xb):
-        s = g.distance_jet(xb) * (1.0 / eps)
-        return s.compose(q, dq, ddq)
+    def derivatives(v, order):
+        return q(v), dq(v), ddq(v) if order == 2 else None
+
+    def jet_fn(xb, order):
+        s = g.distance_jet(xb, order) * (1.0 / eps)
+        return s.compose(derivatives)
 
     return ScalarField.from_jet(g.dim, jet_fn, label=f"{label}[eps={eps:g}]")
 
@@ -263,16 +269,28 @@ def tanh_profile_field(g: Hypersurface, eps: float, slope: float = 2.0) -> Scala
 
 
 class GLRadialProfile:
-    """Radial modulus profile of a degree-one vortex: f(0)=0, f -> 1."""
+    """Radial modulus profile of a degree-one vortex: f(0)=0, f -> 1.
 
-    def __init__(self, f, df, ddf, r_max, mode, slope0):
+    ``ddf_from(r, f(r), f'(r))`` gives f''(r) from values already looked up,
+    so :meth:`derivatives` looks f and f' up once each.
+    """
+
+    def __init__(self, f, df, ddf_from, r_max, mode, slope0):
         self.f = f
         self.df = df
-        self.ddf = ddf
+        self._ddf_from = ddf_from
         self.r_max = float(r_max)
         self.mode = mode
         self.slope0 = float(slope0)
         self.r_core = 10.0  # 1 - f <= ~5e-3 beyond this; sets the tube constraint
+
+    def ddf(self, r):
+        return self._ddf_from(r, self.f(r), self.df(r))
+
+    def derivatives(self, r, order=2):
+        """(f, f', f'') at r; f'' is None when ``order`` is 1."""
+        fv, dv = self.f(r), self.df(r)
+        return fv, dv, self._ddf_from(r, fv, dv) if order == 2 else None
 
 
 def gl_radial_profile(mode: str = "ode", r_max: float = 16.0) -> GLRadialProfile:
@@ -284,8 +302,8 @@ def gl_radial_profile(mode: str = "ode", r_max: float = 16.0) -> GLRadialProfile
     if mode == "surrogate":
         f = lambda r: r / np.sqrt(r**2 + 2.0)
         df = lambda r: 2.0 / (r**2 + 2.0) ** 1.5
-        ddf = lambda r: -6.0 * r / (r**2 + 2.0) ** 2.5
-        return GLRadialProfile(f, df, ddf, np.inf, "surrogate", 1.0 / np.sqrt(2.0))
+        ddf_from = lambda r, _f, _df: -6.0 * r / (r**2 + 2.0) ** 2.5
+        return GLRadialProfile(f, df, ddf_from, np.inf, "surrogate", 1.0 / np.sqrt(2.0))
 
     r0 = 1e-8
 
@@ -333,15 +351,14 @@ def gl_radial_profile(mode: str = "ode", r_max: float = 16.0) -> GLRadialProfile
         out[tail] = 1.0 / r[tail] ** 3
         return out
 
-    def ddf(r):
+    def ddf_from(r, fv, dv):
         r = np.asarray(r, dtype=float)
-        fv, dv = f(r), df(r)
         out = -dv / r + fv / r**2 - fv * (1.0 - fv**2)
         tail = r >= r_max
         out[tail] = -3.0 / r[tail] ** 4
         return out
 
-    return GLRadialProfile(f, df, ddf, r_max, "ode", alpha)
+    return GLRadialProfile(f, df, ddf_from, r_max, "ode", alpha)
 
 
 def gl_vortex_field(g: Filament, eps: float, prof: GLRadialProfile) -> ScalarField:
@@ -357,8 +374,8 @@ def gl_vortex_field(g: Filament, eps: float, prof: GLRadialProfile) -> ScalarFie
             f"{g.focal_width:g}"
         )
 
-    def jets_fn(xb):
-        a, b = g.transverse_jets(xb)
+    def jets_fn(xb, order):
+        a, b = g.transverse_jets(xb, order)
         rho2 = a * a + b * b
         on_axis = rho2.val < 1e-24
         if np.any(on_axis):
@@ -366,21 +383,18 @@ def gl_vortex_field(g: Filament, eps: float, prof: GLRadialProfile) -> ScalarFie
             re = a * (prof.slope0 / eps)
             im = b * (prof.slope0 / eps)
             off = ~on_axis
-            rho = jet_sqrt(Jet(rho2.val[off], rho2.grad[off], rho2.hess[off]))
-            f_at = (rho * (1.0 / eps)).compose(prof.f, prof.df, prof.ddf)
+            rho = jet_sqrt(rho2.masked(off))
+            f_at = (rho * (1.0 / eps)).compose(prof.derivatives)
             gfac = f_at * rho.reciprocal()
-            a_off = Jet(a.val[off], a.grad[off], a.hess[off])
-            b_off = Jet(b.val[off], b.grad[off], b.hess[off])
-            out_re, out_im = gfac * a_off, gfac * b_off
-            re.val[off], re.grad[off], re.hess[off] = out_re.val, out_re.grad, out_re.hess
-            im.val[off], im.grad[off], im.hess[off] = out_im.val, out_im.grad, out_im.hess
-            re.val[on_axis] = 0.0
-            im.val[on_axis] = 0.0
-            re.hess[on_axis] = 0.0
-            im.hess[on_axis] = 0.0
+            re.put(off, gfac * a.masked(off))
+            im.put(off, gfac * b.masked(off))
+            for part in (re, im):
+                part.val[on_axis] = 0.0
+                if part.hess is not None:
+                    part.hess[on_axis] = 0.0
             return [re, im]
         rho = jet_sqrt(rho2)
-        f_at = (rho * (1.0 / eps)).compose(prof.f, prof.df, prof.ddf)
+        f_at = (rho * (1.0 / eps)).compose(prof.derivatives)
         gfac = f_at * rho.reciprocal()
         return [gfac * a, gfac * b]
 

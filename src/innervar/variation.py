@@ -275,43 +275,33 @@ def _check_state(fn_state, u):
         )
 
 
-def _state_at(u: ScalarField, xb):
-    return u._values(xb), u._gradients(xb)
-
-
 def composite_test_function(u: ScalarField, eta: VectorField) -> ScalarField:
     """phi = -grad u . eta with analytic gradient (consumes u's Hessian)."""
 
-    def fn(xb):
-        gu = u._gradients(xb)
-        ev = eta._values(xb)
-        val = -np.einsum("mdj,mj->md", gu, ev)
-        return val if u.state_dim > 1 else val[:, 0]
+    def evaluator(xb, order):
+        pu = u.evaluate(xb, order + 1)
+        pe = eta.evaluate(xb, order)
+        val = -np.einsum("mdj,mj->md", pu[1], pe[0])
+        if order == 0:
+            return [val]
+        grad = -(np.einsum("mdji,mj->mdi", pu[2], pe[0]) + np.einsum("mdj,mji->mdi", pu[1], pe[1]))
+        return [val, grad]
 
-    def grad(xb):
-        hu = u._hessians(xb)
-        gu = u._gradients(xb)
-        ev = eta._values(xb)
-        je = eta._jacobians(xb)
-        out = -(np.einsum("mdji,mj->mdi", hu, ev) + np.einsum("mdj,mji->mdi", gu, je))
-        return out if u.state_dim > 1 else out[:, 0]
-
-    return ScalarField(u.dim, fn, grad, state_dim=u.state_dim,
-                       label=f"-grad({u.label}).({eta.label})")
+    return ScalarField.from_evaluator(u.dim, evaluator, 1, state_dim=u.state_dim,
+                                      label=f"-grad({u.label}).({eta.label})")
 
 
 def energy(f: Integrand, u: ScalarField, quad: BulkQuadrature) -> float:
     _check_state(f.state_dim, u)
-    z, p = _state_at(u, quad.nodes)
+    z, p = u.evaluate(quad.nodes, 1)
     return pairwise_dot(quad.weights, f.f(z, p))
 
 
 def first_variation(f: Integrand, u: ScalarField, phi: ScalarField, quad: BulkQuadrature) -> float:
     _check_state(f.state_dim, u)
     _check_state(f.state_dim, phi)
-    z, p = _state_at(u, quad.nodes)
-    pv = phi._values(quad.nodes)
-    pg = phi._gradients(quad.nodes)
+    z, p = u.evaluate(quad.nodes, 1)
+    pv, pg = phi.evaluate(quad.nodes, 1)
     dens = np.einsum("md,md->m", f.f_z(z, p), pv) + np.einsum(
         "mdi,mdi->m", f.f_p(z, p), pg
     )
@@ -320,9 +310,8 @@ def first_variation(f: Integrand, u: ScalarField, phi: ScalarField, quad: BulkQu
 
 def second_variation(f: Integrand, u: ScalarField, phi: ScalarField, quad: BulkQuadrature) -> float:
     _check_state(f.state_dim, u)
-    z, p = _state_at(u, quad.nodes)
-    pv = phi._values(quad.nodes)
-    pg = phi._gradients(quad.nodes)
+    z, p = u.evaluate(quad.nodes, 1)
+    pv, pg = phi.evaluate(quad.nodes, 1)
     dens = (
         np.einsum("mab,ma,mb->m", f.f_zz(z, p), pv, pv)
         + 2.0 * np.einsum("mabi,ma,mbi->m", f.f_zp(z, p), pv, pg)
@@ -335,8 +324,8 @@ def first_inner_variation(f: Integrand, u: ScalarField, eta: VectorField,
                           quad: BulkQuadrature) -> float:
     """int F div eta - F_P : (grad u . grad eta); independent of zeta."""
     _check_state(f.state_dim, u)
-    z, p = _state_at(u, quad.nodes)
-    je = eta._jacobians(quad.nodes)
+    z, p = u.evaluate(quad.nodes, 1)
+    _, je = eta.evaluate(quad.nodes, 1)
     div_e = np.einsum("mii->m", je)
     p_je = np.einsum("mdj,mji->mdi", p, je)
     dens = f.f(z, p) * div_e - np.einsum("mdi,mdi->m", f.f_p(z, p), p_je)
@@ -346,10 +335,10 @@ def first_inner_variation(f: Integrand, u: ScalarField, eta: VectorField,
 def second_inner_variation(f: Integrand, u: ScalarField, eta: VectorField,
                            zeta: VectorField, quad: BulkQuadrature) -> float:
     _check_state(f.state_dim, u)
-    z, p = _state_at(u, quad.nodes)
     xb = quad.nodes
-    je = eta._jacobians(xb)
-    jz = zeta._jacobians(xb)
+    z, p = u.evaluate(xb, 1)
+    _, je = eta.evaluate(xb, 1)
+    _, jz = zeta.evaluate(xb, 1)
     div_e = np.einsum("mii->m", je)
     div_z = np.einsum("mii->m", jz)
     x_fac = div_z + div_e**2 - np.einsum("mij,mji->m", je, je)
@@ -378,9 +367,9 @@ def inner_variation_oracle(f: Integrand, u: ScalarField, eta: VectorField,
     """
     _check_state(f.state_dim, u)
     xb = quad.nodes
-    z, p = _state_at(u, xb)
-    je = eta._jacobians(xb)
-    jz = zeta._jacobians(xb)
+    z, p = u.evaluate(xb, 1)
+    _, je = eta.evaluate(xb, 1)
+    _, jz = zeta.evaluate(xb, 1)
     if h is None:
         scale = max(float(np.max(np.abs(je))), float(np.max(np.abs(jz))))
         h = 1e-3 / (1.0 + scale)

@@ -222,6 +222,16 @@ _MALFORMED = [
     }),
     ("three_indices", _variant(indices=[0, 0, 1])),
     ("index_beyond_dimension", _variant(indices=[0, 3])),
+    ("xi_with_nonzero_mean", {
+        "name": "x", "kind": "poincare", "geometry": _SPHERE,
+        "xi": {"type": "polynomial", "dim": 3, "terms": [[1.0, [0, 0, 0]]]},
+    }),
+    ("filament_kind_on_a_sphere", {
+        "name": "x", "kind": "gl-converge", "geometry": _SPHERE,
+        "eta": {"type": "filament_preset", "preset": "bend"},
+        "schedule": {"eps0": 0.04, "count": 4},
+    }),
+    ("optional_key_of_wrong_type", {"name": "x", "kind": "identities", "samples": "many"}),
 ]
 
 

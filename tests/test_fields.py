@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from innervar import fields as F
+from innervar import geometry as G
+from innervar import limits as L
+from innervar import profiles as P
+from innervar import variation as V
 from innervar.errors import ConfigError, DimensionMismatch, NonInvertible
+from innervar.jets import Jet, jet_exp, jet_polynomial, jet_sin, jet_sqrt
 
 
 def fd_divergence(v, x, h=1e-5):
@@ -295,3 +302,219 @@ def test_dimension_mismatch_raises():
     u = F.polynomial_scalar_field(2, [(1.0, (1, 0))])
     with pytest.raises(DimensionMismatch):
         u.eval(np.array([1.0, 2.0, 3.0]))
+
+
+# ---------------------------------------------------------------------------
+# truncated jets and the one evaluation path
+# ---------------------------------------------------------------------------
+
+
+def _tanh_derivatives(v, order):
+    t = np.tanh(v)
+    return t, 1.0 - t * t, -2.0 * t * (1.0 - t * t) if order == 2 else None
+
+
+# each op maps a jet with bounded values to one with bounded values
+_OPS = {
+    "mul": lambda a, xs, xb, k: a * xs[k],
+    "add": lambda a, xs, xb, k: a + xs[k] * 0.5,
+    "div": lambda a, xs, xb, k: a / (xs[k] * xs[k] + 2.0),
+    "recip": lambda a, xs, xb, k: (a * a + 1.0).reciprocal(),
+    "pow": lambda a, xs, xb, k: (a * a + 1.0) ** 1.5,
+    "sqrt": lambda a, xs, xb, k: jet_sqrt(a * a + 0.5),
+    "exp": lambda a, xs, xb, k: jet_exp(-(a * a)),
+    "sin": lambda a, xs, xb, k: jet_sin(a * 2.0),
+    "lift": lambda a, xs, xb, k: a.compose(_tanh_derivatives),
+    "bump": lambda a, xs, xb, k: a * F._bump_jet(xb, np.full(xb.shape[1], 0.1), 1.6, 8, a.order),
+}
+
+
+def _jet_parts(jet_fn):
+    """(val, grad) of an order-1 jet, (val, grad, hess) of an order-2 jet."""
+
+    def parts(xb, order):
+        jet = jet_fn(xb, order)
+        return (jet.val, jet.grad) if jet.hess is None else (jet.val, jet.grad, jet.hess)
+
+    return parts
+
+
+def _check_orders(parts, x, h=1e-5):
+    """Order 1 is a bit-identical prefix of order 2, and order 2 matches central differences."""
+    full, low = parts(x, 2), parts(x, 1)
+    assert len(full) == 3 and len(low) == 2
+    for a, b in zip(low, full):
+        np.testing.assert_array_equal(a, b)
+    scale = 1.0 + np.max(np.abs(full[1])) + np.max(np.abs(full[2]))
+    for j in range(x.shape[1]):
+        dx = np.zeros_like(x)
+        dx[:, j] = h
+        hi, lo = parts(x + dx, 2), parts(x - dx, 2)
+        np.testing.assert_allclose(full[1][..., j], (hi[0] - lo[0]) / (2 * h), atol=1e-6 * scale)
+        np.testing.assert_allclose(full[2][..., j], (hi[1] - lo[1]) / (2 * h), atol=1e-6 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(program=st.lists(st.sampled_from(sorted(_OPS)), min_size=1, max_size=6),
+       dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**16))
+def test_random_jet_compositions_truncate_exactly_and_match_fd(program, dim, seed):
+    def jet_fn(xb, order):
+        xs = Jet.variables(xb, order)
+        a = xs[0] + 0.3
+        for i, op in enumerate(program):
+            a = _OPS[op](a, xs, xb, i % dim)
+        return a
+
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(7, dim))
+    _check_orders(_jet_parts(jet_fn), x)
+
+
+@settings(max_examples=20, deadline=None)
+@given(shape=st.sampled_from(["sphere", "flat"]), seed=st.integers(0, 2**16))
+def test_normal_extension_truncates_exactly_and_matches_fd(shape, seed):
+    rng = np.random.default_rng(seed)
+    if shape == "sphere":
+        g = G.sphere(1.0, n_polar=6, n_azimuth=12)
+        x = rng.normal(size=(7, 3))
+        x *= rng.uniform(0.7, 1.3, size=(7, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+    else:
+        g = G.flat_patch(2, axis=0, n_per_axis=8)
+        x = np.stack([rng.uniform(-0.4, 0.4, 7), rng.uniform(-1.0, 1.0, 7)], axis=1)
+    xi = F.random_polynomial_scalar_field(rng, g.dim, degree=2)
+    _check_orders(G.normal_extension(g, xi, 0.5).evaluate, x, h=1e-6)
+
+
+_BUILTIN_FIELDS = {
+    "polynomial": lambda rng: F.random_polynomial_scalar_field(rng, 3),
+    "trig": lambda rng: F.trig_scalar_field(2, [(0.7, [1.0, 2.0], 0.3, "sin"),
+                                                (0.2, [0.0, 1.5], 0.0, "cos")]),
+    "radial_bump": lambda rng: F.bump_scalar_field([0.1, 0.0], 1.2),
+    "exp_bump": lambda rng: F.bump_scalar_field([0.1, 0.0], 1.2, order=None),
+    "bump_polynomial": lambda rng: F.random_compact_vector_field(rng, 3, radius=1.6),
+    "filament_bend": lambda rng: F.filament_test_field("bend", radius=1.5),
+    "ansatz_sphere": lambda rng: P.ansatz_field(G.sphere(1.0, n_polar=6, n_azimuth=12), 0.05,
+                                                P.optimal_profile(1.5)),
+    "ansatz_flat": lambda rng: P.ansatz_field(G.flat_patch(2), 0.1, P.optimal_profile(2.0)),
+    "tanh_profile": lambda rng: P.tanh_profile_field(G.circle(1.0, n_nodes=16), 0.1),
+    "vortex_straight": lambda rng: P.gl_vortex_field(G.straight_filament(), 0.05,
+                                                     P.gl_radial_profile("ode")),
+    "vortex_circular": lambda rng: P.gl_vortex_field(G.circular_filament(1.0), 0.05,
+                                                     P.gl_radial_profile("surrogate")),
+    "normal_extension": lambda rng: G.normal_extension(
+        G.sphere(1.0, n_polar=6, n_azimuth=12), F.random_polynomial_scalar_field(rng, 3), 0.5),
+    "zeta_eta": lambda rng: F.zeta_eta(F.random_compact_vector_field(rng, 3, radius=1.6)),
+    "composite": lambda rng: V.composite_test_function(
+        P.ansatz_field(G.sphere(1.0, n_polar=6, n_azimuth=12), 0.05, P.optimal_profile(2.0)),
+        F.random_compact_vector_field(rng, 3, radius=1.6)),
+    "sum": lambda rng: F.random_compact_vector_field(rng, 3) + 0.5 * F.dilation_field(3, 0.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTIN_FIELDS))
+def test_lower_orders_are_bit_identical_prefixes(name):
+    rng = np.random.default_rng(31)
+    field = _BUILTIN_FIELDS[name](rng)
+    x = rng.uniform(-1.0, 1.0, size=(40, field.dim))
+    x[:2] = 0.0
+    x[:2, 0] = (0.5, 1.0)  # on the straight and the circular vortex axes
+    full = field.evaluate(x, 2)
+    for order in (0, 1):
+        part = field.evaluate(x, order)
+        assert len(part) == order + 1
+        for a, b in zip(part, full):
+            np.testing.assert_array_equal(a, b)
+
+
+def _counting(calls, name, jet_fn):
+    def counted(xb, order):
+        calls.append((name, order))
+        return jet_fn(xb, order)
+
+    return counted
+
+
+def _counted_fields(calls, dim=2):
+    """u, phi, eta, zeta whose jet functions record (name, order) on each call."""
+    rng = np.random.default_rng(8)
+    terms = F._random_terms(rng, dim, 3, 1.0)
+    u = F.ScalarField.from_jet(dim, _counting(
+        calls, "u", lambda xb, order: jet_polynomial(xb, terms, order)))
+    phi = F.ScalarField.from_jet(dim, _counting(
+        calls, "phi", lambda xb, order: F._bump_jet(xb, np.zeros(dim), 0.9, 8, order)))
+
+    def bumped(comps):
+        return lambda xb, order: [jet_polynomial(xb, c, order)
+                                  * F._bump_jet(xb, np.zeros(dim), 0.9, 8, order) for c in comps]
+
+    eta, zeta = (F.VectorField.from_jets(dim, _counting(
+        calls, name, bumped([F._random_terms(rng, dim, 2, 1.0) for _ in range(dim)])))
+        for name in ("eta", "zeta"))
+    return u, phi, eta, zeta
+
+
+def test_each_kernel_evaluates_each_field_once_at_order_one():
+    calls = []
+    u, phi, eta, zeta = _counted_fields(calls)
+    quad = V.tensor_grid([[-1.0, 1.0]] * 2, 8)
+    f = V.integrand_p_allen_cahn(0.7, 2.0)
+    state = [(obj, dict(vars(obj))) for obj in (u, phi, eta, zeta)]
+    kernels = [
+        (lambda: V.energy(f, u, quad), ["u"]),
+        (lambda: V.first_variation(f, u, phi, quad), ["u", "phi"]),
+        (lambda: V.second_variation(f, u, phi, quad), ["u", "phi"]),
+        (lambda: V.first_inner_variation(f, u, eta, quad), ["u", "eta"]),
+        (lambda: V.second_inner_variation(f, u, eta, zeta, quad), ["u", "eta", "zeta"]),
+        (lambda: V.inner_variation_oracle(f, u, eta, zeta, quad), ["u", "eta", "zeta"]),
+        (lambda: F.det_expansion(eta, zeta, quad.nodes), ["eta", "zeta"]),
+        (lambda: (eta + 0.5 * zeta).evaluate(quad.nodes, 1), ["eta", "zeta"]),
+        (lambda: L.perturbed_field(u, eta, F.dilation_field(2, 1.0), G.circle(0.5, n_nodes=32),
+                                   quad), ["u", "eta"]),
+    ]
+    for run, names in kernels:
+        calls.clear()
+        run()
+        assert sorted(calls) == sorted((name, 1) for name in names)
+    for obj, attrs in state:  # nothing evaluated stays on a field
+        assert vars(obj) == attrs
+
+
+def test_derived_fields_evaluate_each_parent_once_one_order_higher():
+    calls = []
+    u, _phi, eta, zeta = _counted_fields(calls)
+    x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(9, 2))
+    cases = [
+        (V.composite_test_function(u, eta), 1, [("u", 2), ("eta", 1)]),
+        (F.zeta_eta(eta), 1, [("eta", 2)]),
+        (F.zeta_eta(eta), 0, [("eta", 1)]),
+        (F.x0_field(u, eta, zeta), 0, [("u", 2), ("eta", 1), ("zeta", 1)]),
+    ]
+    for field, order, expected in cases:
+        calls.clear()
+        field.evaluate(x, order)
+        assert sorted(calls) == sorted(expected)
+
+
+def test_sweeps_evaluate_the_ansatz_once_per_width_at_order_one():
+    calls = []
+    g = G.sphere(1.0, n_polar=6, n_azimuth=12)
+    g.distance_jet = _counting(calls, "u", g.distance_jet)  # one call per ansatz evaluation
+    sched = L.EpsilonSchedule([0.1, 0.08])
+    L.equipartition_residuals(g, 2.0, sched)
+    assert calls == [("u", 1)] * 2
+    calls.clear()
+    L.tensor_pairing_experiment(g, 2.0, F.bump_scalar_field([0.0, 0.0, 0.0], 1.8), [0, 0], sched)
+    assert calls == [("u", 1)] * 2
+
+
+def test_normal_extension_evaluates_xi_once_at_the_jet_order():
+    calls = []
+    g = G.sphere(1.0, n_polar=6, n_azimuth=12)
+    terms = F._random_terms(np.random.default_rng(2), 3, 2, 1.0)
+    xi = F.ScalarField.from_jet(3, _counting(
+        calls, "xi", lambda xb, order: jet_polynomial(xb, terms, order)))
+    ext = G.normal_extension(g, xi, 0.5)
+    x = 1.1 * g.nodes[:5]
+    for order in (1, 2):
+        calls.clear()
+        ext.evaluate(x, order)
+        assert calls == [("xi", order)]
