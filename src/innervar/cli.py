@@ -398,7 +398,8 @@ def _run_equipartition(exp: dict, _rng, _outdir):
 
 
 @_kind("volume", required={"geometry"}, codim=1,
-       optional={"fields": None, "tolerance_c2": float, "tolerance_flux": float})
+       optional={"fields": None, "tolerance_c2": float, "tolerance_flux": float},
+       check=lambda g, _built: geometry.require_enclosed_region(g))
 def _run_volume(exp: dict, rng: np.random.Generator, _outdir):
     g = geometry.shape_from_config(exp["geometry"])
     spec = exp.get("fields", {"random": 10})

@@ -15,6 +15,8 @@ deterministic pairwise summation.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -24,9 +26,17 @@ from .jets import Jet, jet_exp, jet_norm
 from .sums import pairwise_dot
 
 
+@lru_cache(maxsize=None)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on [-1, 1], computed once per n and read-only."""
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_rule(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [lo, hi]."""
-    x, w = leggauss(n)
+    x, w = _leggauss(n)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 
@@ -563,10 +573,15 @@ def normal_extension(g: Hypersurface, xi, cutoff_width: float) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
-def enclosed_region_quadrature(g: Hypersurface, n_radial: int = 48):
-    """Nodes/weights over the region enclosed by a circle or a sphere."""
+def require_enclosed_region(g: Hypersurface) -> None:
+    """Raise unless :func:`enclosed_region_quadrature` has a rule for the region ``g`` bounds."""
     if not isinstance(g, RoundSurface):
         raise DimensionMismatch(f"no enclosed region rule for shape {g.config['type']!r}")
+
+
+def enclosed_region_quadrature(g: Hypersurface, n_radial: int = 48):
+    """Nodes/weights over the region enclosed by a circle or a sphere."""
+    require_enclosed_region(g)
     center = g.center
     r, wr = gauss_rule(0.0, g.radius, n_radial)
     if g.dim == 2:

@@ -8,6 +8,7 @@ closed-form surface target computed by quadrature on the interface itself.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,19 +42,23 @@ from .variation import (
 
 _PROFILES: dict[float, ProfileTable] = {}
 _GL_PROFILE: dict[str, GLRadialProfile] = {}
+# held across check-and-fill, so experiments on the CLI thread pool solve each profile once
+_PROFILE_LOCK = threading.Lock()
 
 
 def _profile(p: float) -> ProfileTable:
     key = round(float(p), 12)
-    if key not in _PROFILES:
-        _PROFILES[key] = optimal_profile(key)
-    return _PROFILES[key]
+    with _PROFILE_LOCK:
+        if key not in _PROFILES:
+            _PROFILES[key] = optimal_profile(key)
+        return _PROFILES[key]
 
 
 def _vortex_profile(mode: str = "ode") -> GLRadialProfile:
-    if mode not in _GL_PROFILE:
-        _GL_PROFILE[mode] = gl_radial_profile(mode)
-    return _GL_PROFILE[mode]
+    with _PROFILE_LOCK:
+        if mode not in _GL_PROFILE:
+            _GL_PROFILE[mode] = gl_radial_profile(mode)
+        return _GL_PROFILE[mode]
 
 
 # ---------------------------------------------------------------------------

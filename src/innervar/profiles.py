@@ -17,6 +17,7 @@ import csv
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 from scipy.special import betainc, betaln, roots_jacobi
 
@@ -51,6 +52,44 @@ def c_p_beta_oracle(p: float) -> float:
     return float(2.0 ** (2.0 * a + 1.0) * np.exp(betaln(a + 1.0, a + 1.0)))
 
 
+class _DenseTable:
+    """The dense output of a DOP853 solve, evaluated as whole arrays.
+
+    scipy's ``OdeSolution.__call__`` argsorts its input, calls one interpolant
+    per segment and stacks the pieces.  Here the interpolants are stacked once;
+    each point picks its segment with the same ``searchsorted`` and clamp, and
+    scipy's Horner loop runs on the gathered coefficients with the same
+    elementwise operations in the same order, so the values are bit for bit
+    those of ``sol(t)[j]``.  Components never mix, so only component ``j`` is
+    computed.
+    """
+
+    def __init__(self, sol):
+        parts = sol.interpolants
+        if not (sol.ascending and sol.side == "left" and parts
+                and all(type(f) is Dop853DenseOutput for f in parts)):
+            raise TypeError("expected the dense output of an ascending DOP853 solve")
+        self.ts = sol.ts
+        self.t_old = np.array([f.t_old for f in parts])
+        self.h = np.array([f.h for f in parts])
+        self.F = np.stack([f.F.T for f in parts], axis=2)  # (n_y, 7, segments)
+        self.y_old = np.stack([f.y_old for f in parts], axis=1)  # (n_y, segments)
+
+    def __call__(self, t, j):
+        t = np.asarray(t, dtype=float)
+        seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.h) - 1)
+        x = (t - self.t_old[seg]) / self.h[seg]
+        y = np.zeros(x.shape)
+        for i, f in enumerate(self.F[j][::-1]):
+            y += f[seg]
+            if i % 2 == 0:
+                y *= x
+            else:
+                y *= 1 - x
+        y += self.y_old[j][seg]
+        return y
+
+
 class ProfileTable:
     """Tabulated optimal profile q(s) with consistent derivatives.
 
@@ -62,7 +101,7 @@ class ProfileTable:
 
     def __init__(self, p, sol, s_max, tail_tol=1e-9):
         self.p = float(p)
-        self._sol = sol
+        self._table = _DenseTable(sol.sol)
         self.s_max = float(s_max)
         self.tail_tol = float(tail_tol)
         self.s_grid = np.asarray(sol.t, dtype=float)
@@ -70,6 +109,7 @@ class ProfileTable:
         self.dq_grid = (1.0 - self.q_grid**2) ** (2.0 / self.p)
         self._alpha = 2.0 * (self.p - 1.0) / self.p
         self._cp = c_p(self.p)
+        self._constants: dict[tuple[str, float], float] = {}
         self.s_core = self._core_radius(1e-10 * self._cp)
 
     # -- evaluation -----------------------------------------------------
@@ -80,7 +120,7 @@ class ProfileTable:
         inside = np.abs(s_arr) < self.s_max
         if np.any(inside):
             si = np.clip(np.abs(s_arr[inside]), 0.0, self.s_max)
-            vals = np.clip(self._sol.sol(si)[0], -1.0, 1.0)
+            vals = np.clip(self._table(si, 0), -1.0, 1.0)
             out[inside] = np.sign(s_arr[inside]) * vals
         return out if np.ndim(s) else float(out[0])
 
@@ -108,12 +148,23 @@ class ProfileTable:
         return float(self._cp * (1.0 - betainc(a + 1.0, a + 1.0, 0.5 * (z + 1.0))))
 
     def _core_radius(self, tol: float) -> float:
+        """Smallest s whose tail energy is at most ``tol``, to bisection accuracy."""
+        return self._constant(("core", tol), lambda: self._bisect(
+            lambda s: self.tail_energy(s) > tol, self.s_max))
+
+    def s_transition(self, delta: float = 1e-3) -> float:
+        """Smallest s with 1 - q(s) <= delta (width of the transition zone)."""
+        return self._constant(("transition", delta), lambda: self._bisect(
+            lambda s: 1.0 - self.q(s) > delta, self.s_max * (1.0 - 1e-12)))
+
+    def _bisect(self, above, probe: float) -> float:
+        """Bisect [0, s_max] for where ``above`` turns false; s_max if it holds at ``probe``."""
         lo, hi = 0.0, self.s_max
-        if self.tail_energy(hi) > tol:
+        if above(probe):
             return hi
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if self.tail_energy(mid) > tol:
+            if above(mid):
                 lo = mid
             else:
                 hi = mid
@@ -121,20 +172,14 @@ class ProfileTable:
                 break
         return hi
 
-    def s_transition(self, delta: float = 1e-3) -> float:
-        """Smallest s with 1 - q(s) <= delta (width of the transition zone)."""
-        if 1.0 - self.q(self.s_max * (1.0 - 1e-12)) > delta:
-            return self.s_max
-        lo, hi = 0.0, self.s_max
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if 1.0 - self.q(mid) > delta:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-9 * max(1.0, hi):
-                break
-        return hi
+    def _constant(self, key, compute) -> float:
+        """A constant of this table, computed on first use: the table never changes.
+
+        Threads that race on a first use at worst compute the same float twice.
+        """
+        if key not in self._constants:
+            self._constants[key] = compute()
+        return self._constants[key]
 
     def energy_density(self, s):
         """1-D energy density |q'|^p/p + W(q)/q_conj (equals W(q) on the profile)."""
@@ -326,6 +371,7 @@ def gl_radial_profile(mode: str = "ode", r_max: float = 16.0) -> GLRadialProfile
     alpha = brentq(shoot, 0.4, 0.8, xtol=1e-12)
     sol = solve_ivp(rhs, (r0, r_max), [alpha * r0, alpha], method="DOP853",
                     rtol=1e-11, atol=1e-13, dense_output=True)
+    table = _DenseTable(sol.sol)
 
     def f(r):
         r = np.asarray(r, dtype=float)
@@ -335,7 +381,7 @@ def gl_radial_profile(mode: str = "ode", r_max: float = 16.0) -> GLRadialProfile
         tail = r >= r_max
         out[inner] = alpha * r[inner]
         if np.any(core):
-            out[core] = sol.sol(r[core])[0]
+            out[core] = table(r[core], 0)
         out[tail] = 1.0 - 0.5 / r[tail] ** 2
         return out
 
@@ -347,7 +393,7 @@ def gl_radial_profile(mode: str = "ode", r_max: float = 16.0) -> GLRadialProfile
         tail = r >= r_max
         out[inner] = alpha
         if np.any(core):
-            out[core] = sol.sol(r[core])[1]
+            out[core] = table(r[core], 1)
         out[tail] = 1.0 / r[tail] ** 3
         return out
 

@@ -232,6 +232,9 @@ _MALFORMED = [
         "schedule": {"eps0": 0.04, "count": 4},
     }),
     ("optional_key_of_wrong_type", {"name": "x", "kind": "identities", "samples": "many"}),
+    ("volume_without_enclosed_region", {
+        "name": "x", "kind": "volume", "geometry": {"type": "flat_patch", "dim": 2},
+    }),
 ]
 
 

@@ -1,5 +1,9 @@
 """Interface-width sweeps, extrapolation, and the volume-constraint machinery."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -371,3 +375,36 @@ def test_quadratic_forms_zero_mode():
     assert rec.target == 0.0
     assert max(abs(v) for v in rec.values) <= 1e-12
     assert max(abs(v) for v in rec.extras["raw_form"]) <= 1e-12
+
+
+def test_concurrent_first_use_solves_the_vortex_profile_once(monkeypatch):
+    solves = []
+    threads = 4  # more than the cores of a small host
+    all_in = threading.Barrier(threads, timeout=10)
+
+    def counting_solve(mode):
+        solves.append(mode)
+        time.sleep(0.2)  # a real solve takes longer; the other threads reach the cache meanwhile
+        return P.gl_radial_profile("surrogate")
+
+    monkeypatch.setattr(L, "_GL_PROFILE", {})
+    monkeypatch.setattr(L, "gl_radial_profile", counting_solve)
+    got = []
+
+    def first_use():
+        all_in.wait()
+        got.append(L._vortex_profile("ode"))
+
+    workers = [threading.Thread(target=first_use) for _ in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=10)
+            assert not w.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert solves == ["ode"]
+    assert len(got) == threads and all(prof is got[0] for prof in got)

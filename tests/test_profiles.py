@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
-from scipy.special import gamma
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
+from scipy.special import beta, betaincinv, gamma, hyp2f1
 
 from innervar import geometry as G
 from innervar import profiles as P
@@ -176,3 +179,125 @@ def test_custom_profile_field():
     g = G.flat_patch(2)
     u = P.tanh_profile_field(g, 0.1, 2.0)
     assert u.eval(np.array([0.05, 0.0])) == pytest.approx(np.tanh(2 * 0.5), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised DOP853 table against scipy's dense output
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def dense_solutions():
+    """(label, profile, OdeSolution) for every table that ``_DenseTable`` serves."""
+    seen = []
+
+    def recording(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        if kwargs.get("dense_output"):
+            seen.append(sol.sol)
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(P, "solve_ivp", recording)
+        built = [(f"p={p:g}", P.optimal_profile(p)) for p in (1.25, 1.5, 2.0, 3.0)]
+        built.append(("gl-ode", P.gl_radial_profile("ode")))
+    assert len(seen) == len(built)
+    return [(label, prof, sol) for (label, prof), sol in zip(built, seen)]
+
+
+def _assert_table_matches(sol, t):
+    table = P._DenseTable(sol)
+    expected = sol(t)
+    for j in range(expected.shape[0]):
+        got = table(t, j)
+        assert got.shape == expected[j].shape
+        assert np.array_equal(got, expected[j])
+
+
+def test_dense_table_is_bit_identical_to_scipy(dense_solutions):
+    rng = np.random.default_rng(7)
+    for _label, _prof, sol in dense_solutions:
+        knots = sol.ts
+        end = knots[-1]
+        inside = rng.uniform(knots[0], end, 500)
+        for t in (knots, knots[::-1], np.array([0.0]), np.array([end, 1.5 * end, 3.0 * end]),
+                  inside, rng.permutation(np.concatenate([inside[:50], inside[:50], knots[:20]])),
+                  np.repeat(knots[3:6], 4)):
+            _assert_table_matches(sol, t)
+        for t in (0.0, knots[7], 0.5 * (knots[7] + knots[8]), 2.0 * end):
+            _assert_table_matches(sol, t)  # scalar input takes scipy's single-point path
+
+
+def test_profile_lookups_read_the_dense_table(dense_solutions):
+    for label, prof, sol in dense_solutions:
+        if label == "gl-ode":
+            r = np.linspace(0.01, prof.r_max, 301)[:-1]
+            assert np.array_equal(prof.f(r), sol(r)[0])
+            assert np.array_equal(prof.df(r), sol(r)[1])
+        else:
+            s = np.linspace(0.0, prof.s_max, 301)[:-1]
+            assert np.array_equal(prof.q(s), np.clip(sol(s)[0], -1.0, 1.0))
+            assert np.array_equal(prof.q(-s), -np.clip(sol(s)[0], -1.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.integers(0, 4),
+       fractions=st.lists(st.floats(-0.1, 1.2, allow_nan=False), min_size=1, max_size=40))
+def test_dense_table_property_random_points(dense_solutions, case, fractions):
+    sol = dense_solutions[case][2]
+    _assert_table_matches(sol, sol.ts[-1] * np.array(fractions))
+
+
+def test_dense_table_rejects_other_layouts():
+    sol = solve_ivp(lambda _t, y: -y, (0.0, 1.0), [1.0], method="RK45", dense_output=True)
+    with pytest.raises(TypeError):
+        P._DenseTable(sol.sol)
+    sol = solve_ivp(lambda _t, y: -y, (1.0, 0.0), [1.0], method="DOP853", dense_output=True)
+    with pytest.raises(TypeError):
+        P._DenseTable(sol.sol)
+
+
+# ---------------------------------------------------------------------------
+# closed forms of the profile at every p
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 2.5, 3.0])
+def test_profile_matches_hypergeometric_and_beta_closed_forms(p):
+    # s(q) = int_0^q (1 - t^2)^(-2/p) dt = q 2F1(1/2, 2/p; 3/2; q^2) for every p; for p > 2
+    # the integral stays finite at q = 1 and inverts through the regularized incomplete beta
+    prof = P.optimal_profile(p)
+    s = np.linspace(0.0, prof.s_transition(), 2001)
+    q = prof.q(s)
+    assert np.max(np.abs(q * hyp2f1(0.5, 2.0 / p, 1.5, q * q) - s)) <= 1e-8
+    if p > 2.0:
+        b = 1.0 - 2.0 / p
+        scale = 4.0 ** (b - 1.0) * beta(b, b)
+        q_exact = 2.0 * betaincinv(b, b, 0.5 * (s / scale + 1.0)) - 1.0
+        assert np.max(np.abs(q - q_exact)) <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# table constants are found once per table
+# ---------------------------------------------------------------------------
+
+
+def test_table_constants_are_found_once_per_table():
+    g = G.flat_patch(2, n_per_axis=8)
+    prof = P.optimal_profile(1.5)
+    calls = []
+    lookup = prof.q
+    prof.q = lambda s: calls.append(np.size(s)) or lookup(s)
+    P.ansatz_field(g, 0.05, prof)
+    P.transverse_rule(prof, 0.05, 1.0)
+    assert len(calls) > 1  # the first width bisects for the transition zone
+    calls.clear()
+    P.ansatz_field(g, 0.025, prof)
+    d, w = P.transverse_rule(prof, 0.025, 1.0)
+    assert calls == []  # no bisection at a later width
+    s_trans, s_core = prof.s_transition(1e-3), prof._core_radius(1e-10 * prof._cp)
+    assert prof.s_transition(1e-2) < s_trans  # distinct arguments get their own entries
+    prof._constants.clear()
+    assert prof.s_transition(1e-3) == s_trans and prof._core_radius(1e-10 * prof._cp) == s_core
+    assert calls  # the fresh values came from a new bisection
+    assert np.array_equal((d, w), P.transverse_rule(prof, 0.025, 1.0))
