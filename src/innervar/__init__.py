@@ -15,7 +15,6 @@ from .errors import (
     EpsilonTooLarge,
     InnervarError,
     NonInvertible,
-    NumericalFailure,
     StiffTail,
     TubeTooNarrow,
     UnsupportedBoundary,

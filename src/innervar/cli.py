@@ -9,8 +9,11 @@ reductions are pairwise-deterministic and random fields derive from the
 per-experiment seed sequence, not from scheduling order.  Each experiment
 kind is declared once: the ``_kind`` decorator on its runner registers the
 kind's name with its required config keys, its optional keys and the type
-each must convert to, the codimension of the geometry it runs on, and any
-check that needs the built geometry and fields.
+each must convert to (or that ``_build`` builds them), the codimension of
+the geometry it runs on, its default extrapolation model, and any check
+that needs the built objects.  ``_build`` is the only code that turns an
+experiment's config into geometry, fields and a schedule: validation calls
+it, and each run calls it once more and hands the result to the runner.
 """
 
 from __future__ import annotations
@@ -55,20 +58,24 @@ class ExperimentResult:
 @dataclass(frozen=True)
 class _Kind:
     required: frozenset
-    optional: dict  # key -> the conversion its value must pass, or None if its builder checks it
+    optional: dict  # key -> the conversion its value must pass
+    builds: frozenset  # optional keys that _build turns into objects
     codim: int | None  # codimension of the geometry, for kinds that take one
-    check: Callable | None  # (geometry, built fields) -> None; raises on a bad combination
-    run: Callable  # (exp, rng, outdir) -> (passed, gap, rate, rows, summary)
+    model: str  # extrapolation model of a schedule that names none
+    check: Callable | None  # (built) -> None; raises on a bad combination
+    run: Callable  # (exp, built, rng, outdir) -> (passed, gap, rate, rows, summary)
 
 
 _KINDS: dict[str, _Kind] = {}
 
 
-def _kind(name: str, required=(), optional=None, codim=None, check=None):
+def _kind(name: str, required=(), optional=None, builds=(), codim=None, model="linear_eps",
+          check=None):
     """Register an experiment runner under ``name`` with the config it reads."""
 
     def register(run):
-        _KINDS[name] = _Kind(frozenset(required), dict(optional or {}), codim, check, run)
+        _KINDS[name] = _Kind(frozenset(required), dict(optional or {}), frozenset(builds), codim,
+                             model, check, run)
         return run
 
     return register
@@ -81,6 +88,12 @@ def _one_of(*choices):
         return value
 
     return convert
+
+
+def _boolean(value):
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -133,47 +146,59 @@ def validate_config(raw: dict) -> dict:
         names.add(name)
         ctx = f"experiment {name!r}"
         spec = _KINDS[kind]
-        _check_keys(exp, {"name", "kind"} | spec.required, set(spec.optional), ctx)
+        _check_keys(exp, {"name", "kind"} | spec.required, set(spec.optional) | spec.builds, ctx)
         try:
-            _check_values(exp, spec)
+            _build(exp, spec)
         except (TypeError, ValueError, InnervarError) as exc:
             raise ConfigError(f"{ctx}: {exc}") from exc
     return raw
 
 
-def _check_values(exp: dict, spec: _Kind) -> None:
-    """Build what an experiment references, so bad configs fail before running."""
+def _build(exp: dict, spec: _Kind) -> dict:
+    """Turn an experiment's config into the objects its runner uses.
+
+    The one place that parses an experiment: validation calls it so that a
+    bad config fails before anything runs, and each run calls it once more.
+    """
     for key, convert in spec.optional.items():
-        if key in exp and convert is not None:
+        if key in exp:
             try:
                 convert(exp[key])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
-    g = geometry.shape_from_config(exp["geometry"]) if "geometry" in exp else None
-    dim = None if g is None else g.dim
-    if g is not None and spec.codim is not None and g.codim != spec.codim:
-        raise ConfigError(f"{exp['kind']} needs a geometry of codimension {spec.codim}, "
-                          f"{g.config['type']} has codimension {g.codim}")
+    built = {}
+    dim = None
+    if "geometry" in exp:
+        g = built["geometry"] = geometry.shape_from_config(exp["geometry"])
+        if spec.codim is not None and g.codim != spec.codim:
+            raise ConfigError(f"{exp['kind']} needs a geometry of codimension {spec.codim}, "
+                              f"{g.config['type']} has codimension {g.codim}")
+        dim = g.dim
     if "p" in exp and not float(exp["p"]) > 1.0:
         raise ConfigError(f"p must be > 1, got {exp['p']}")
     if "schedule" in exp:
-        _schedule(exp["schedule"], "linear_eps")
-    built = {}
+        built["schedule"] = _schedule(exp["schedule"], spec.model)
     if "eta" in exp:
         built["eta"] = fields.vector_field_from_config(exp["eta"])
-        built["zeta"] = _zeta_from(exp, built["eta"], dim)
+    if "zeta" in spec.builds:
+        built["zeta"] = _zeta_from(exp.get("zeta", "zero"), built["eta"], dim)
     for key in ("phi", "xi"):
         if key in exp:
             built[key] = fields.scalar_field_from_config(exp[key])
-    for key, field in built.items():
-        if dim is not None and field.dim != dim:
-            raise ConfigError(f"{key} has dimension {field.dim} but the geometry has {dim}")
+    for key in ("eta", "zeta", "phi", "xi"):
+        if key in built and dim is not None and built[key].dim != dim:
+            raise ConfigError(f"{key} has dimension {built[key].dim} but the geometry has {dim}")
     if "indices" in exp:
         idx = [int(i) for i in exp["indices"]]
         if len(idx) not in (2, 4) or not all(0 <= i < dim for i in idx):
             raise ConfigError(f"indices must be 2 or 4 axes below {dim}, got {idx}")
+    if "profile" in spec.builds:
+        built["profile"] = _equipartition_profile(exp.get("profile", "optimal"))
+    if "fields" in spec.builds:
+        built["fields"] = _volume_fields(exp.get("fields", {"random": 10}), built["geometry"])
     if spec.check is not None:
-        spec.check(g, built)
+        spec.check(built)
+    return built
 
 
 def _schedule(spec: dict, default_model: str) -> limits.EpsilonSchedule:
@@ -194,13 +219,42 @@ def _schedule(spec: dict, default_model: str) -> limits.EpsilonSchedule:
         raise ConfigError(f"schedule: {exc}") from exc
 
 
-def _zeta_from(exp: dict, eta: fields.VectorField, dim: int) -> fields.VectorField:
-    spec = exp.get("zeta", "zero")
+def _zeta_from(spec, eta: fields.VectorField, dim: int) -> fields.VectorField:
     if spec == "zero":
         return fields.constant_field(np.zeros(dim))
     if spec == "zeta_eta":
         return fields.zeta_eta(eta)
     return fields.vector_field_from_config(spec)
+
+
+def _equipartition_profile(spec) -> Callable | None:
+    """None for the optimal profile, else a (surface, eps) -> field builder for a tanh control."""
+    if spec == "optimal":
+        return None
+    if not isinstance(spec, dict):
+        raise ConfigError(f"profile must be 'optimal' or {{'tanh_slope': s}}, got {spec!r}")
+    _check_keys(spec, {"tanh_slope"}, set(), "equipartition profile")
+    slope = float(spec["tanh_slope"])
+    return lambda g, eps: profiles.tanh_profile_field(g, eps, slope)
+
+
+def _volume_fields(spec, g) -> Callable:
+    """``draw(rng) -> list of VectorField``; random fields are drawn when the experiment runs."""
+    if isinstance(spec, dict):
+        _check_keys(spec, {"random"}, {"degree", "radius"}, "volume fields")
+        count, degree = int(spec["random"]), int(spec.get("degree", 2))
+        radius = float(spec.get("radius", 1.4 * g.config.get("radius", 1.0)))
+        return lambda rng: [fields.random_compact_vector_field(rng, g.dim, degree=degree,
+                                                                radius=radius)
+                            for _ in range(count)]
+    if not isinstance(spec, list):
+        raise ConfigError(f"fields must be {{'random': count}} or a list of field descriptors, "
+                          f"got {spec!r}")
+    etas = [fields.vector_field_from_config(s) for s in spec]
+    for eta in etas:
+        if eta.dim != g.dim:
+            raise ConfigError(f"fields has dimension {eta.dim} but the geometry has {g.dim}")
+    return lambda _rng: etas
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +278,7 @@ def _from_checks(checks: list[tuple[str, float, float]]):
 
 @_kind("identities", optional={"dim": int, "samples": int, "cases": int, "tolerance": float,
                                 "fd_tolerance": float})
-def _run_identities(exp: dict, rng: np.random.Generator, _outdir):
+def _run_identities(exp: dict, _built, rng: np.random.Generator, _outdir):
     dim = int(exp.get("dim", 2))
     samples = int(exp.get("samples", 300))
     cases = int(exp.get("cases", 4))
@@ -309,15 +363,11 @@ def _run_identities(exp: dict, rng: np.random.Generator, _outdir):
     return passed, worst, None, rows, {"checks": summary}
 
 
-@_kind("ac-converge", required={"geometry", "p", "eta", "schedule"}, codim=1,
-       optional={"zeta": None, "half_width": float, "tolerance_gap": float, "min_rate": float})
-def _run_ac(exp: dict, _rng, _outdir):
-    g = geometry.shape_from_config(exp["geometry"])
-    eta = fields.vector_field_from_config(exp["eta"])
-    zeta = _zeta_from(exp, eta, g.dim)
-    sched = _schedule(exp["schedule"], "linear_eps")
+@_kind("ac-converge", required={"geometry", "p", "eta", "schedule"}, codim=1, builds={"zeta"},
+       optional={"half_width": float, "tolerance_gap": float, "min_rate": float})
+def _run_ac(exp: dict, built: dict, _rng, _outdir):
     rec = limits.ac_limit_experiment(
-        g, eta, zeta, float(exp["p"]), sched,
+        built["geometry"], built["eta"], built["zeta"], float(exp["p"]), built["schedule"],
         half_width=exp.get("half_width"), name=exp["name"],
     )
     tol = float(exp.get("tolerance_gap", 0.01))
@@ -325,18 +375,15 @@ def _run_ac(exp: dict, _rng, _outdir):
     return _from_record(rec, rec.gap <= tol and rec.rate_at_least(min_rate))
 
 
-@_kind("gl-converge", required={"geometry", "eta", "schedule"}, codim=2,
-       optional={"zeta": None, "rho_max": float, "n_theta": int,
-                 "profile_mode": _one_of("ode", "surrogate"), "tolerance_gap": float,
-                 "energy_tolerance": float})
-def _run_gl(exp: dict, _rng, _outdir):
-    g = geometry.shape_from_config(exp["geometry"])
-    eta = fields.vector_field_from_config(exp["eta"])
-    zeta = _zeta_from(exp, eta, g.dim)
-    sched = _schedule(exp["schedule"], "log_inverse")
+@_kind("gl-converge", required={"geometry", "eta", "schedule"}, codim=2, builds={"zeta"},
+       model="log_inverse",
+       optional={"rho_max": float, "n_theta": int, "profile_mode": _one_of("ode", "surrogate"),
+                 "tolerance_gap": float, "energy_tolerance": float})
+def _run_gl(exp: dict, built: dict, _rng, _outdir):
+    sched = built["schedule"]
     rec = limits.gl_limit_experiment(
-        g, eta, zeta, sched, rho_max=float(exp.get("rho_max", 0.5)),
-        n_theta=int(exp.get("n_theta", 48)),
+        built["geometry"], built["eta"], built["zeta"], sched,
+        rho_max=float(exp.get("rho_max", 0.5)), n_theta=int(exp.get("n_theta", 48)),
         profile_mode=exp.get("profile_mode", "ode"), name=exp["name"],
     )
     e_extr, _ = limits.extrapolate(sched.epsilons, rec.extras["energy"],
@@ -350,12 +397,9 @@ def _run_gl(exp: dict, _rng, _outdir):
 
 @_kind("tensors", required={"geometry", "p", "indices", "phi", "schedule"}, codim=1,
        optional={"half_width": float, "tolerance_gap": float, "zero_tolerance": float})
-def _run_tensors(exp: dict, _rng, _outdir):
-    g = geometry.shape_from_config(exp["geometry"])
-    phi = fields.scalar_field_from_config(exp["phi"])
-    sched = _schedule(exp["schedule"], "linear_eps")
+def _run_tensors(exp: dict, built: dict, _rng, _outdir):
     rec = limits.tensor_pairing_experiment(
-        g, float(exp["p"]), phi, exp["indices"], sched,
+        built["geometry"], float(exp["p"]), built["phi"], exp["indices"], built["schedule"],
         half_width=exp.get("half_width"), name=exp["name"],
     )
     if abs(rec.target) < 1e-12:
@@ -366,20 +410,11 @@ def _run_tensors(exp: dict, _rng, _outdir):
     return _from_record(rec, passed)
 
 
-@_kind("equipartition", required={"geometry", "p", "schedule"}, codim=1,
-       optional={"profile": None, "half_width": float, "floor": float, "min_rate": float,
-                 "lower_bound": float})
-def _run_equipartition(exp: dict, _rng, _outdir):
-    g = geometry.shape_from_config(exp["geometry"])
-    sched = _schedule(exp["schedule"], "linear_eps")
-    prof_spec = exp.get("profile", "optimal")
-    builder = None
-    if isinstance(prof_spec, dict):
-        _check_keys(prof_spec, {"tanh_slope"}, set(), "equipartition profile")
-        slope = float(prof_spec["tanh_slope"])
-        builder = lambda gg, e: profiles.tanh_profile_field(gg, e, slope)
+@_kind("equipartition", required={"geometry", "p", "schedule"}, codim=1, builds={"profile"},
+       optional={"half_width": float, "floor": float, "min_rate": float, "lower_bound": float})
+def _run_equipartition(exp: dict, built: dict, _rng, _outdir):
     rec = limits.equipartition_residuals(
-        g, float(exp["p"]), sched, profile=builder,
+        built["geometry"], float(exp["p"]), built["schedule"], profile=built["profile"],
         half_width=exp.get("half_width"), name=exp["name"],
     )
     floor = float(exp.get("floor", 1e-7))
@@ -389,34 +424,22 @@ def _run_equipartition(exp: dict, _rng, _outdir):
     else:
         both = rec.values + rec.extras["residual_phi"]
         small = max(both) <= floor
-        rate = limits.fitted_rate(sched.epsilons, rec.values)
-        passed = small or (rate is not None and rate >= min_rate)
-        e_rate = limits.fitted_rate(sched.epsilons, rec.extras["energy_gap"])
+        passed = small or (rec.rate is not None and rec.rate >= min_rate)
+        e_rate = limits.fitted_rate(rec.epsilons, rec.extras["energy_gap"])
         e_small = max(rec.extras["energy_gap"]) <= floor
         passed = passed and (e_small or (e_rate is not None and e_rate >= min_rate))
     return _from_record(rec, passed)
 
 
-@_kind("volume", required={"geometry"}, codim=1,
-       optional={"fields": None, "tolerance_c2": float, "tolerance_flux": float},
-       check=lambda g, _built: geometry.require_enclosed_region(g))
-def _run_volume(exp: dict, rng: np.random.Generator, _outdir):
-    g = geometry.shape_from_config(exp["geometry"])
-    spec = exp.get("fields", {"random": 10})
-    etas = []
-    if isinstance(spec, dict) and "random" in spec:
-        _check_keys(spec, {"random"}, {"degree", "radius"}, "volume fields")
-        for _ in range(int(spec["random"])):
-            etas.append(fields.random_compact_vector_field(
-                rng, g.dim, degree=int(spec.get("degree", 2)),
-                radius=float(spec.get("radius", 1.4 * g.config.get("radius", 1.0))),
-            ))
-    else:
-        etas = [fields.vector_field_from_config(s) for s in spec]
+@_kind("volume", required={"geometry"}, codim=1, builds={"fields"},
+       optional={"tolerance_c2": float, "tolerance_flux": float},
+       check=lambda built: geometry.require_enclosed_region(built["geometry"]))
+def _run_volume(exp: dict, built: dict, rng: np.random.Generator, _outdir):
+    g = built["geometry"]
     tol_c2 = float(exp.get("tolerance_c2", 1e-10))
     tol_flux = float(exp.get("tolerance_flux", 1e-8))
     rows, details = [], []
-    for i, eta in enumerate(etas):
+    for i, eta in enumerate(built["fields"](rng)):
         c1, c2 = limits.volume_admissibility(g, eta, fields.zeta_eta(eta))
         flux = limits.boundary_flux(g, eta)
         rows.append({"epsilon": float(i), "value": c2, "target": 0.0,
@@ -431,11 +454,10 @@ def _run_volume(exp: dict, rng: np.random.Generator, _outdir):
 
 @_kind("poincare", required={"geometry", "xi"}, codim=1,
        optional={"cutoff_width": float, "tolerance": float},
-       check=lambda g, built: limits.require_zero_mean(g, built["xi"]))
-def _run_poincare(exp: dict, _rng, _outdir):
-    g = geometry.shape_from_config(exp["geometry"])
-    xi = fields.scalar_field_from_config(exp["xi"])
-    lhs, rhs = limits.constrained_poincare_check(g, xi, exp.get("cutoff_width"))
+       check=lambda built: limits.require_zero_mean(built["geometry"], built["xi"]))
+def _run_poincare(exp: dict, built: dict, _rng, _outdir):
+    lhs, rhs = limits.constrained_poincare_check(built["geometry"], built["xi"],
+                                                 exp.get("cutoff_width"))
     tol = float(exp.get("tolerance", 1e-6))
     gap = abs(lhs - rhs) / (1.0 + abs(rhs))
     rows = [{"epsilon": 0.0, "value": lhs, "target": rhs, "gap": gap,
@@ -445,12 +467,9 @@ def _run_poincare(exp: dict, _rng, _outdir):
 
 @_kind("forms", required={"geometry", "xi", "schedule"}, codim=1,
        optional={"cutoff_width": float, "half_width": float, "tolerance_gap": float})
-def _run_forms(exp: dict, _rng, _outdir):
-    g = geometry.shape_from_config(exp["geometry"])
-    xi = fields.scalar_field_from_config(exp["xi"])
-    sched = _schedule(exp["schedule"], "linear_eps")
+def _run_forms(exp: dict, built: dict, _rng, _outdir):
     rec = limits.quadratic_forms(
-        g, xi, sched, cutoff_width=exp.get("cutoff_width"),
+        built["geometry"], built["xi"], built["schedule"], cutoff_width=exp.get("cutoff_width"),
         half_width=exp.get("half_width"), name=exp["name"],
     )
     return _from_record(rec, rec.gap <= float(exp.get("tolerance_gap", 0.02)))
@@ -458,8 +477,8 @@ def _run_forms(exp: dict, _rng, _outdir):
 
 @_kind("profile", required={"p"},
        optional={"tolerance_constant": float, "tolerance_equipartition": float,
-                 "tolerance_tanh": float, "export_table": None})
-def _run_profile(exp: dict, _rng, outdir: Path | None):
+                 "tolerance_tanh": float, "export_table": _boolean})
+def _run_profile(exp: dict, _built, _rng, outdir: Path | None):
     p = float(exp["p"])
     prof = profiles.optimal_profile(p)
     checks = []
@@ -487,9 +506,10 @@ def _run_profile(exp: dict, _rng, outdir: Path | None):
 
 def run_experiment(exp: dict, seed: int, index: int, outdir: Path | None = None) -> ExperimentResult:
     rng = np.random.default_rng([seed, index])
+    kind = _KINDS[exp["kind"]]
     start = time.perf_counter()
     try:
-        passed, gap, rate, rows, summary = _KINDS[exp["kind"]].run(exp, rng, outdir)
+        passed, gap, rate, rows, summary = kind.run(exp, _build(exp, kind), rng, outdir)
     except ConfigError:
         raise
     except EpsilonTooLarge as exc:

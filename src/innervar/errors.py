@@ -35,7 +35,3 @@ class DegenerateReference(InnervarError):
 
 class ConfigError(InnervarError):
     """Experiment configuration is malformed or references unknown builders."""
-
-
-class NumericalFailure(InnervarError):
-    """An experiment ran but failed its numerical pass criterion."""

@@ -130,12 +130,11 @@ class _Field:
 
     _symmetrize_second = False  # average analytic second derivatives over their last two axes
 
-    def __init__(self, dim, comps, evaluator, exact, support, label):
+    def __init__(self, dim, comps, evaluator, exact, label):
         self.dim = int(dim)
         self._comps = int(comps)
         self._evaluator = evaluator
         self._exact = int(exact)
-        self.support_hint = support
         self.label = label
 
     @classmethod
@@ -182,8 +181,8 @@ class ScalarField(_Field):
     evaluator (:meth:`from_evaluator`).
     """
 
-    def __init__(self, dim, fn, grad=None, hess=None, state_dim=1, support=None, label=""):
-        super().__init__(dim, state_dim, *_callable_evaluator(fn, grad, hess), support, label)
+    def __init__(self, dim, fn, grad=None, hess=None, state_dim=1, label=""):
+        super().__init__(dim, state_dim, *_callable_evaluator(fn, grad, hess), label)
 
     @property
     def state_dim(self) -> int:
@@ -224,10 +223,10 @@ class ScalarField(_Field):
         return hh[0] if single else hh
 
     @staticmethod
-    def from_jet(dim, jet_fn, state_dim=1, support=None, label=""):
+    def from_jet(dim, jet_fn, state_dim=1, label=""):
         """Build a field from a function (batch, order) -> Jet or list of Jets."""
         return ScalarField.from_evaluator(dim, _jet_evaluator(jet_fn, state_dim != 1), 2,
-                                          state_dim=state_dim, support=support, label=label)
+                                          state_dim=state_dim, label=label)
 
 
 class VectorField(_Field):
@@ -235,10 +234,8 @@ class VectorField(_Field):
 
     _symmetrize_second = True
 
-    def __init__(self, dim, fn, jacobian=None, second=None, compactly_supported=False,
-                 support=None, label=""):
-        super().__init__(dim, dim, *_callable_evaluator(fn, jacobian, second), support, label)
-        self.compactly_supported = bool(compactly_supported)
+    def __init__(self, dim, fn, jacobian=None, second=None, label=""):
+        super().__init__(dim, dim, *_callable_evaluator(fn, jacobian, second), label)
 
     def _values(self, xb):
         return self.evaluate(xb, 0)[0]
@@ -269,7 +266,6 @@ class VectorField(_Field):
             self.dim,
             lambda xb, order: [x + y for x, y in zip(a.evaluate(xb, order), b.evaluate(xb, order))],
             2,
-            compactly_supported=a.compactly_supported and b.compactly_supported,
             label=f"({a.label}+{b.label})",
         )
 
@@ -279,19 +275,15 @@ class VectorField(_Field):
             self.dim,
             lambda xb, order: [c * x for x in self.evaluate(xb, order)],
             2,
-            compactly_supported=self.compactly_supported,
-            support=self.support_hint,
             label=f"{c}*{self.label}",
         )
 
     __rmul__ = __mul__
 
     @staticmethod
-    def from_jets(dim, jets_fn, compactly_supported=False, support=None, label=""):
+    def from_jets(dim, jets_fn, label=""):
         """Build from (batch, order) -> list of N component Jets."""
-        return VectorField.from_evaluator(dim, _jet_evaluator(jets_fn, True), 2,
-                                          compactly_supported=compactly_supported,
-                                          support=support, label=label)
+        return VectorField.from_evaluator(dim, _jet_evaluator(jets_fn, True), 2, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +401,9 @@ def _bump_jet(xb: np.ndarray, center: np.ndarray, radius: float, order: int = 8,
 def bump_scalar_field(center, radius, amplitude=1.0, order=8) -> ScalarField:
     """Radial bump supported on |x - center| < radius (polynomial by default)."""
     c = np.asarray(center, dtype=float)
-    n = c.shape[0]
-    box = np.stack([c - radius, c + radius], axis=0)
     return ScalarField.from_jet(
-        n,
+        c.shape[0],
         lambda xb, jet_order: _bump_jet(xb, c, float(radius), order, jet_order) * float(amplitude),
-        support=box,
         label="radial_bump",
     )
 
@@ -424,13 +413,12 @@ def bump_polynomial_field(dim, components, center, radius, order=8,
     """Compactly supported field: polynomial components times a radial bump."""
     c = np.asarray(center, dtype=float)
     comps = [[(float(cc), tuple(int(e) for e in p)) for cc, p in comp] for comp in components]
-    box = np.stack([c - radius, c + radius], axis=0)
 
     def build(xb, jet_order):
         bump = _bump_jet(xb, c, float(radius), order, jet_order)
         return [jet_polynomial(xb, comp, jet_order) * bump for comp in comps]
 
-    return VectorField.from_jets(dim, build, compactly_supported=True, support=box, label=label)
+    return VectorField.from_jets(dim, build, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +462,6 @@ def zeta_eta(eta: VectorField) -> VectorField:
         eta.dim,
         evaluator,
         1,
-        compactly_supported=eta.compactly_supported,
-        support=eta.support_hint,
         label=f"zeta[{eta.label}]",
     )
 
@@ -692,8 +678,7 @@ def filament_test_field(preset: str, amplitude: float = 1.0, frequency: int = 1,
             return [zero, x2 * chi * amp, x3 * chi * amp]
         raise ValueError(f"unknown filament field preset {preset!r}")
 
-    return VectorField.from_jets(3, build, compactly_supported=True,
-                                 label=f"filament_{preset}")
+    return VectorField.from_jets(3, build, label=f"filament_{preset}")
 
 
 def _req(spec: dict, key: str):

@@ -564,8 +564,7 @@ def normal_extension(g: Hypersurface, xi, cutoff_width: float) -> VectorField:
     else:
         raise DimensionMismatch(f"normal_extension not available for shape {g.config['type']!r}")
 
-    return VectorField.from_jets(g.dim, jets_fn, compactly_supported=False,
-                                 label=f"normal_ext[{getattr(xi, 'label', '')}]")
+    return VectorField.from_jets(g.dim, jets_fn, label=f"normal_ext[{getattr(xi, 'label', '')}]")
 
 
 # ---------------------------------------------------------------------------

@@ -148,9 +148,6 @@ class ConvergenceRecord:
     def gap(self) -> float:
         return abs(self.extrapolated - self.target) / (1.0 + abs(self.target))
 
-    def value_gaps(self) -> list[float]:
-        return [abs(v - self.target) / (1.0 + abs(self.target)) for v in self.values]
-
     def rate_at_least(self, min_rate: float, floor: float = 1e-9) -> bool:
         """Rate bound, vacuous when the sweep sits at/below the resolution floor."""
         if self.rate is None:
@@ -196,9 +193,10 @@ class ConvergenceRecord:
 
 def _ac_tube(g, prof: ProfileTable, eps: float, half_width: float | None,
              nodes_per_panel: int = 12) -> BulkQuadrature:
-    cap = 0.9 * g.focal_width
-    if half_width is not None:
-        cap = min(cap, float(half_width))
+    if half_width is None:
+        cap = default_half_width(g)
+    else:
+        cap = min(0.9 * g.focal_width, float(half_width))
     d, w = transverse_rule(prof, eps, cap, nodes_per_panel)
     return tube_rule(g, d, w)
 
@@ -228,11 +226,10 @@ def ac_limit_experiment(g, eta: VectorField, zeta: VectorField, p: float,
     disc = geo.ac_discrepancy(g, eta)
     cp = c_p(p)
     target = cp * (sv_surface + (p - 1.0) * disc)
-    hw = default_half_width(g) if half_width is None else half_width
     values, energies = [], []
     for eps in sched.epsilons:
         u = ansatz_field(g, eps, prof)
-        quad = _ac_tube(g, prof, eps, hw)
+        quad = _ac_tube(g, prof, eps, half_width)
         f = integrand_p_allen_cahn(eps, p)
         values.append(second_inner_variation(f, u, eta, zeta, quad))
         energies.append(energy(f, u, quad))
@@ -267,14 +264,13 @@ def equipartition_residuals(g, p: float, sched: EpsilonSchedule, profile=None,
     """
     base_prof = profile if isinstance(profile, ProfileTable) else _profile(p)
     cp = c_p(p)
-    hw = default_half_width(g) if half_width is None else half_width
     res_ab, res_phi, e_gap = [], [], []
     for eps in sched.epsilons:
         if profile is None or isinstance(profile, ProfileTable):
             u = ansatz_field(g, eps, base_prof)
         else:
             u = profile(g, eps)  # custom builder, e.g. a wrong-profile control
-        quad = _ac_tube(g, base_prof, eps, hw)
+        quad = _ac_tube(g, base_prof, eps, half_width)
         zs, grads = u.evaluate(quad.nodes, 1)
         z = zs[:, 0]
         gnorm = np.linalg.norm(grads[:, 0], axis=1)
@@ -310,7 +306,6 @@ def tensor_pairing_experiment(g, p: float, phi: ScalarField, indices,
         raise DimensionMismatch("tensor pairings take 2 or 4 indices")
     prof = _profile(p)
     cp = c_p(p)
-    hw = default_half_width(g) if half_width is None else half_width
     n_prod = np.ones(g.n_nodes)
     for i in idx:
         n_prod = n_prod * g.normals[:, i]
@@ -318,7 +313,7 @@ def tensor_pairing_experiment(g, p: float, phi: ScalarField, indices,
     values = []
     for eps in sched.epsilons:
         u = ansatz_field(g, eps, prof)
-        quad = _ac_tube(g, prof, eps, hw)
+        quad = _ac_tube(g, prof, eps, half_width)
         grad = u.evaluate(quad.nodes, 1)[1][:, 0]
         gnorm2 = np.einsum("mi,mi->m", grad, grad) + 1e-300
         dens = eps ** (p - 1.0) * gnorm2 ** ((p - len(idx)) / 2.0)
@@ -488,11 +483,10 @@ def quadratic_forms(g, xi, sched: EpsilonSchedule, cutoff_width: float | None = 
     v_ext = geo.normal_extension(g, xi, w)
     zeta_v = zeta_eta(v_ext)
     target = c_p(2.0) * geo.quadratic_form_limit(g, xi)
-    hw = default_half_width(g) if half_width is None else half_width
     raw, lagrange, corrected = [], [], []
     for eps in sched.epsilons:
         u = ansatz_field(g, eps, prof)
-        quad = _ac_tube(g, prof, eps, hw)
+        quad = _ac_tube(g, prof, eps, half_width)
         f = integrand_p_allen_cahn(eps, p)
         phi = composite_test_function(u, v_ext)
         q_raw = second_variation(f, u, phi, quad)

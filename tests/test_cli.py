@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from innervar import cli, fields, geometry
 from innervar.cli import CSV_COLUMNS, builtin_configs, main, validate_config
 
 
@@ -143,7 +144,13 @@ def test_run_deterministic_bytes(tmp_path):
     assert b1 == b2
 
 
+def _catalog_experiment(name):
+    return next(exp for _, cfg in builtin_configs() for exp in cfg["experiments"]
+                if exp["name"] == name)
+
+
 def test_run_jobs_parallel_matches_serial(tmp_path):
+    sphere = {"type": "sphere", "radius": 1.0, "n_polar": 12, "n_azimuth": 24}
     cfg = {
         "schema_version": 1,
         "seed": 3,
@@ -151,14 +158,41 @@ def test_run_jobs_parallel_matches_serial(tmp_path):
             {"name": "p2", "kind": "profile", "p": 2.0},
             {"name": "p3", "kind": "profile", "p": 3.0},
             {"name": "ident", "kind": "identities", "dim": 2, "samples": 100, "cases": 2},
+            {**_catalog_experiment("tensors_flat_normal"), "name": "tens"},
+            {"name": "vol", "kind": "volume", "geometry": sphere, "fields": {"random": 3}},
         ],
     }
     path = _write(tmp_path, cfg)
     out1, out2 = tmp_path / "serial", tmp_path / "par"
     assert main(["run", path, "--out", str(out1), "--jobs", "1"]) == 0
     assert main(["run", path, "--out", str(out2), "--jobs", "3"]) == 0
-    for name in ("p2", "p3", "ident"):
+    for name in ("p2", "p3", "ident", "tens", "vol"):
         assert (out1 / f"{name}.csv").read_bytes() == (out2 / f"{name}.csv").read_bytes()
+    assert len((out1 / "vol.csv").read_text().splitlines()) == 4  # header + 3 drawn fields
+
+
+def test_each_descriptor_is_parsed_once_per_run(monkeypatch):
+    parsed = []
+
+    def counting(fn):
+        def count(spec, *args):
+            parsed.append(json.dumps(spec, sort_keys=True))
+            return fn(spec, *args)
+
+        return count
+
+    monkeypatch.setattr(geometry, "shape_from_config", counting(geometry.shape_from_config))
+    for name in ("vector_field_from_config", "scalar_field_from_config"):
+        monkeypatch.setattr(fields, name, counting(getattr(fields, name)))
+    monkeypatch.setattr(cli, "_schedule", counting(cli._schedule))
+    for name in ("ac_flat_p2", "tensors_flat_normal", "volume_ball"):
+        exp = _catalog_experiment(name)
+        parsed.clear()
+        assert cli.run_experiment(exp, 1234, 0).passed
+        descriptors = [json.dumps(exp[key], sort_keys=True)
+                       for key in ("geometry", "schedule", "eta", "zeta", "phi", "xi")
+                       if isinstance(exp.get(key), dict)]
+        assert sorted(parsed) == sorted(descriptors), name
 
 
 def test_jobs_env_fallback(tmp_path, monkeypatch):
@@ -235,6 +269,20 @@ _MALFORMED = [
     ("volume_without_enclosed_region", {
         "name": "x", "kind": "volume", "geometry": {"type": "flat_patch", "dim": 2},
     }),
+    ("volume_fields_a_number", {"name": "x", "kind": "volume", "geometry": _SPHERE, "fields": 5}),
+    ("volume_random_count_not_a_number", {
+        "name": "x", "kind": "volume", "geometry": _SPHERE, "fields": {"random": "many"},
+    }),
+    ("unknown_equipartition_profile", {
+        "name": "x", "kind": "equipartition", "geometry": _SPHERE, "p": 2.0,
+        "schedule": {"eps0": 0.04, "count": 4}, "profile": "bogus",
+    }),
+    ("tanh_slope_not_a_number", {
+        "name": "x", "kind": "equipartition", "geometry": _SPHERE, "p": 2.0,
+        "schedule": {"eps0": 0.04, "count": 4}, "profile": {"tanh_slope": "x"},
+    }),
+    ("export_table_not_a_boolean", {"name": "x", "kind": "profile", "p": 2.0,
+                                    "export_table": "no"}),
 ]
 
 

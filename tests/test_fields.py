@@ -259,12 +259,15 @@ def test_analytic_hessian_symmetry():
 
 def test_compact_support_vanishes_outside_hint():
     rng = np.random.default_rng(19)
-    eta = F.random_compact_vector_field(rng, 2, radius=0.6)
-    assert eta.compactly_supported
-    lo, hi = eta.support_hint
-    outside = np.array([[hi[0] + 0.1, 0.0], [0.0, lo[1] - 0.2], [2.0, 2.0]])
+    center, radius = np.array([0.2, -0.1]), 0.6
+    eta = F.random_compact_vector_field(rng, 2, center=center, radius=radius)
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=40)
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    outside = center + dirs * radius * rng.uniform(1.001, 3.0, size=(40, 1))
     np.testing.assert_allclose(eta.eval(outside), 0.0, atol=0.0)
     np.testing.assert_allclose(eta.jacobian(outside), 0.0, atol=0.0)
+    inside = center + dirs * radius * rng.uniform(0.0, 0.9, size=(40, 1))
+    assert np.all(np.any(eta.eval(inside) != 0.0, axis=1))
 
 
 def test_vector_field_algebra():
@@ -282,8 +285,7 @@ def test_field_config_round_trip():
         "radius": 0.8,
         "components": [[[0.4, [0, 0]], [0.8, [1, 0]]], [[0.2, [0, 1]]]],
     }
-    v = F.vector_field_from_config(spec)
-    assert v.compactly_supported
+    F.vector_field_from_config(spec)
     with pytest.raises(ConfigError):
         F.vector_field_from_config({**spec, "bogus": 1})
     with pytest.raises(ConfigError):
