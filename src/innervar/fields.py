@@ -15,15 +15,18 @@ constructors in this module evaluate a jet function once per call (assembled
 with :mod:`innervar.jets`, truncated to the order asked for); fields built from
 bare callables fall back to central finite differences with step
 ``eps_machine**(1/3) * max(1, |x|)``, which keeps every operation total.
-Fields hold no evaluated state between calls.
+Fields hold no evaluated state between calls; :func:`pinned` returns a copy
+of a field that holds one evaluation, for a sweep that reads it many times.
 """
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, NonInvertible
-from .jets import Jet, jet_cos, jet_exp, jet_polynomial, jet_sin
+from .jets import Jet, jet_cos, jet_exp, jet_polynomial, jet_sin, point_major
 
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -96,17 +99,14 @@ def _fd_derivatives(xb: np.ndarray, values, order: int = 1, first=None) -> np.nd
 def _jet_evaluator(jet_fn, stacked: bool):
     """Evaluator over a jet function ``jet_fn(xb, order)``, called once per evaluation.
 
-    With ``stacked`` the function returns a list of component jets, whose
-    parts are stacked along axis 1; otherwise it returns a single jet.  A
-    values-only request (order 0) builds first-order jets.
+    With ``stacked`` the function returns a list of component jets; otherwise
+    it returns a single jet.  A values-only request (order 0) builds
+    first-order jets.
     """
 
     def evaluate(xb, order):
         jets = jet_fn(xb, max(order, 1))
-        attrs = ("val", "grad", "hess")[: order + 1]
-        if stacked:
-            return [np.stack([getattr(j, a) for j in jets], axis=1) for a in attrs]
-        return [getattr(jets, a) for a in attrs]
+        return point_major(jets if stacked else [jets], order)
 
     return evaluate
 
@@ -171,6 +171,21 @@ class _Field:
         if order == 2 and self._symmetrize_second:
             parts[2] = 0.5 * (parts[2] + np.swapaxes(parts[2], 2, 3))
         return parts
+
+
+def pinned(field: _Field, xb: np.ndarray, order: int) -> _Field:
+    """``field``, with one evaluation at the node set ``xb`` (up to ``order``) held.
+
+    Returns a shallow copy whose ``evaluate(y, k)`` hands out the held parts
+    when ``y is xb`` and ``k <= order``, and asks ``field`` otherwise.  Fields
+    derived from the copy (``zeta_eta``, ``composite_test_function``, ...)
+    reuse the held parts through it.  ``field`` itself is untouched, so a
+    sweep pins per node set and drops the copy with it.
+    """
+    parts = field.evaluate(xb, order)
+    view = copy.copy(field)
+    view.evaluate = lambda y, k: parts[: k + 1] if y is xb and k <= order else field.evaluate(y, k)
+    return view
 
 
 class ScalarField(_Field):

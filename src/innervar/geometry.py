@@ -151,12 +151,12 @@ class CircularFilament(Filament):
         r_xy = jet_norm(xb[:, :2], order)
         # embed the 2-d jet into ambient R^3 derivatives
         m = xb.shape[0]
-        grad = np.zeros((m, 3))
-        grad[:, :2] = r_xy.grad
+        grad = np.zeros((3, m))
+        grad[:2] = r_xy.grad
         hess = None
         if order == 2:
-            hess = np.zeros((m, 3, 3))
-            hess[:, :2, :2] = r_xy.hess
+            hess = np.zeros((3, 3, m))
+            hess[:2, :2] = r_xy.hess
         return Jet(r_xy.val - self.radius, grad, hess), Jet.coordinate(xb, 2, order)
 
     def tube_jacobian(self, a, b):
@@ -479,9 +479,9 @@ def _smooth_step_jet(s: Jet, s0: float, s1: float) -> Jet:
     The masks are placed where exp(-1/t) already underflows, so the clipped
     pieces are exactly the double-precision values of the smooth function.
     """
-    m, n = s.grad.shape
+    n, m = s.grad.shape
     margin = (s1 - s0) / 700.0
-    out = Jet(np.zeros(m), np.zeros((m, n)), None if s.hess is None else np.zeros((m, n, n)))
+    out = Jet(np.zeros(m), np.zeros((n, m)), None if s.hess is None else np.zeros((n, n, m)))
     ones = s.val <= s0 + margin
     out.val[ones] = 1.0
     mid = (s.val > s0 + margin) & (s.val < s1 - margin)
@@ -516,20 +516,28 @@ def normal_extension(g: Hypersurface, xi, cutoff_width: float) -> VectorField:
     s0, s1 = (0.5 * w) ** 2, w * w
 
     def compose_ambient(pj: list[Jet], order: int) -> Jet:
+        """xi at the projection with components ``pj``, by the chain rule on its jets.
+
+        The sums over the projection components run from zero in the order
+        k = 0, 1, ..., as numpy's einsum sums them, so the parts are bit for
+        bit those of contracting the point-major arrays.
+        """
         pts = np.stack([j.val for j in pj], axis=1)
         parts = ambient.evaluate(pts, order)  # xi at the projected points, once
         v, gr = parts[0][:, 0], parts[1][:, 0]
-        jp = np.stack([j.grad for j in pj], axis=1)  # (M, N, N)
-        grad = np.einsum("mk,mki->mi", gr, jp)
+        n, m = pj[0].grad.shape
+        grad = np.zeros((n, m))
+        for k, jk in enumerate(pj):
+            grad += gr[:, k] * jk.grad
         if order == 1:
             return Jet(v, grad, None)
         hs = parts[2][:, 0]
-        hp = np.stack([j.hess for j in pj], axis=1)
-        hess = (
-            np.einsum("mkl,mki,mlj->mij", hs, jp, jp)
-            + np.einsum("mk,mkij->mij", gr, hp)
-        )
-        return Jet(v, grad, hess)
+        curv, lin = np.zeros((n, n, m)), np.zeros((n, n, m))
+        for k, jk in enumerate(pj):
+            for l, jl in enumerate(pj):
+                curv += (hs[:, k, l] * jk.grad)[:, None] * jl.grad[None, :]
+            lin += gr[:, k] * jk.hess
+        return Jet(v, grad, curv + lin)
 
     if isinstance(g, RoundSurface):
         center, radius = g.center, g.radius

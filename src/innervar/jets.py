@@ -6,6 +6,12 @@ derivatives exactly (chain/product rule), which is how the built-in field
 constructors (bumps, profile compositions, normal extensions, vortex fields)
 obtain analytic first and second derivatives without symbolic algebra.
 
+Jets are stored component-major: ``val`` is (M,), ``grad`` is (N, M) and
+``hess`` is (N, N, M), so every product and chain rule works on contiguous
+length-M rows, and a per-point factor of shape (M,) broadcasts against them
+directly.  Field evaluations keep the point-major shapes (M, C, N[, N]);
+:func:`point_major` stacks component jets into them at that boundary.
+
 A jet with ``hess=None`` is a first-order jet: every operation then skips its
 Hessian work, and computes values and gradients exactly as at second order,
 so truncation never changes a value or gradient bit.  An operation on jets
@@ -38,15 +44,15 @@ class Jet:
     def coordinate(x: np.ndarray, i: int, order: int = 2) -> "Jet":
         """Jet of the coordinate function x_i on a batch x of shape (M, N)."""
         m, n = x.shape
-        grad = np.zeros((m, n))
-        grad[:, i] = 1.0
-        return Jet(x[:, i].copy(), grad, np.zeros((m, n, n)) if order == 2 else None)
+        grad = np.zeros((n, m))
+        grad[i] = 1.0
+        return Jet(x[:, i].copy(), grad, np.zeros((n, n, m)) if order == 2 else None)
 
     @staticmethod
     def constant(c: float, x: np.ndarray, order: int = 2) -> "Jet":
         m, n = x.shape
-        return Jet(np.full(m, float(c)), np.zeros((m, n)),
-                   np.zeros((m, n, n)) if order == 2 else None)
+        return Jet(np.full(m, float(c)), np.zeros((n, m)),
+                   np.zeros((n, n, m)) if order == 2 else None)
 
     @staticmethod
     def variables(x: np.ndarray, order: int = 2) -> list["Jet"]:
@@ -54,14 +60,15 @@ class Jet:
 
     def masked(self, mask: np.ndarray) -> "Jet":
         """The jet restricted to the points selected by ``mask``."""
-        return Jet(self.val[mask], self.grad[mask], None if self.hess is None else self.hess[mask])
+        return Jet(self.val[mask], self.grad[:, mask],
+                   None if self.hess is None else self.hess[:, :, mask])
 
     def put(self, mask: np.ndarray, other: "Jet") -> None:
         """Overwrite the points selected by ``mask`` with ``other`` (in place)."""
         self.val[mask] = other.val
-        self.grad[mask] = other.grad
+        self.grad[:, mask] = other.grad
         if self.hess is not None:
-            self.hess[mask] = other.hess
+            self.hess[:, :, mask] = other.hess
 
     # ---- arithmetic ----------------------------------------------------
 
@@ -85,16 +92,11 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             val = self.val * other.val
-            grad = self.val[:, None] * other.grad + other.val[:, None] * self.grad
+            grad = self.val * other.grad + other.val * self.grad
             if self.hess is None or other.hess is None:
                 return Jet(val, grad, None)
-            cross = self.grad[:, :, None] * other.grad[:, None, :]
-            hess = (
-                self.val[:, None, None] * other.hess
-                + other.val[:, None, None] * self.hess
-                + cross
-                + np.swapaxes(cross, 1, 2)
-            )
+            cross = self.grad[:, None] * other.grad[None, :]
+            hess = self.val * other.hess + other.val * self.hess + cross + np.swapaxes(cross, 0, 1)
             return Jet(val, grad, hess)
         c = float(other)
         return Jet(self.val * c, self.grad * c, None if self.hess is None else self.hess * c)
@@ -126,12 +128,10 @@ class Jet:
 
         ``g2`` is read only for a second-order jet and may be None otherwise.
         """
-        grad = g1[:, None] * self.grad
+        grad = g1 * self.grad
         if self.hess is None:
             return Jet(np.asarray(g0, dtype=float), grad, None)
-        hess = g1[:, None, None] * self.hess + g2[:, None, None] * (
-            self.grad[:, :, None] * self.grad[:, None, :]
-        )
+        hess = g1 * self.hess + g2 * (self.grad[:, None] * self.grad[None, :])
         return Jet(np.asarray(g0, dtype=float), grad, hess)
 
     def compose(self, derivatives) -> "Jet":
@@ -140,6 +140,22 @@ class Jet:
         g0, g1, g2 = derivatives(self.val, self.order)
         return self.lift(np.asarray(g0, dtype=float), np.asarray(g1, dtype=float),
                          None if g2 is None else np.asarray(g2, dtype=float))
+
+
+def point_major(jets: list[Jet], order: int) -> list[np.ndarray]:
+    """The parts of component jets up to ``order``, stacked point-major.
+
+    Returns contiguous arrays of shapes (M, C), (M, C, N) and (M, C, N, N)
+    for C = ``len(jets)``: the layout field evaluations hand out.
+    """
+    parts = []
+    for attr in ("val", "grad", "hess")[: order + 1]:
+        first = getattr(jets[0], attr)
+        out = np.empty(first.shape[-1:] + (len(jets),) + first.shape[:-1])
+        for c, jet in enumerate(jets):
+            out[:, c] = np.moveaxis(getattr(jet, attr), -1, 0)
+        parts.append(out)
+    return parts
 
 
 def jet_sqrt(a: Jet) -> Jet:
@@ -163,12 +179,31 @@ def jet_cos(a: Jet) -> Jet:
 
 
 def jet_norm(x: np.ndarray, order: int = 2) -> Jet:
-    """Jet of |x| on a batch (M, N); points at the origin are the caller's problem."""
-    coords = Jet.variables(x, order)
-    sq = coords[0] * coords[0]
-    for c in coords[1:]:
-        sq = sq + c * c
-    return jet_sqrt(sq)
+    """Jet of |x| on a batch (M, N); points at the origin are the caller's problem.
+
+    The jet of |x|^2 is assembled from the columns x_i with the operations
+    that summing the squares of coordinate jets performs, so for finite x it
+    is bit for bit that sum: gradient row k adds up x_k + x_k and the signed
+    zeros x_i * 0.0 + x_i * 0.0 of the other squares, and the Hessian is
+    exactly 2 I.
+    """
+    m, n = x.shape
+    cols = [x[:, i] for i in range(n)]
+    val = cols[0] * cols[0]
+    for c in cols[1:]:
+        val = val + c * c
+    zeros = [c * 0.0 + c * 0.0 for c in cols]
+    grad = np.empty((n, m))
+    for k in range(n):
+        row = cols[0] + cols[0] if k == 0 else zeros[0]
+        for i in range(1, n):
+            row = row + (cols[i] + cols[i] if i == k else zeros[i])
+        grad[k] = row
+    hess = None
+    if order == 2:
+        hess = np.zeros((n, n, m))
+        hess[range(n), range(n)] = 2.0
+    return jet_sqrt(Jet(val, grad, hess))
 
 
 def jet_polynomial(x: np.ndarray, terms: list[tuple[float, tuple[int, ...]]],
@@ -176,32 +211,37 @@ def jet_polynomial(x: np.ndarray, terms: list[tuple[float, tuple[int, ...]]],
     """Jet of sum_k c_k * prod_i x_i^(e_ki) with analytic derivatives.
 
     Derivatives are assembled directly from the monomial exponents instead of
-    chained jet products, so high-degree terms stay exact.
+    chained jet products, so high-degree terms stay exact.  Each power
+    ``x_i ** e`` is computed once per call and shared by every monomial,
+    derivative and factor that uses it; factors ``x_i ** 0`` are skipped,
+    since multiplying by exactly 1.0 changes no bit.
     """
     m, n = x.shape
     val = np.zeros(m)
-    grad = np.zeros((m, n))
-    hess = np.zeros((m, n, n)) if order == 2 else None
+    grad = np.zeros((n, m))
+    hess = np.zeros((n, n, m)) if order == 2 else None
+    powers_of: dict[tuple[int, int], np.ndarray] = {}
 
-    def _pow(col: np.ndarray, e: int) -> np.ndarray:
-        if e < 0:
-            return np.zeros_like(col)
-        return col**e
+    def _pow(i: int, e: int) -> np.ndarray:
+        if (i, e) not in powers_of:
+            powers_of[i, e] = x[:, i] ** e
+        return powers_of[i, e]
+
+    def _product(c: float, exps) -> np.ndarray:
+        out = None
+        for i, e in enumerate(exps):
+            if e:
+                out = c * _pow(i, e) if out is None else out * _pow(i, e)
+        return np.full(m, float(c)) if out is None else out
 
     for coef, powers in terms:
         if len(powers) != n:
             raise ValueError("monomial exponent tuple does not match dimension")
-        base = coef * np.ones(m)
-        for i, e in enumerate(powers):
-            base = base * _pow(x[:, i], e)
-        val += base
+        val += _product(coef, powers)
         for i, ei in enumerate(powers):
             if ei == 0:
                 continue
-            gterm = coef * ei * np.ones(m)
-            for j, ej in enumerate(powers):
-                gterm = gterm * _pow(x[:, j], ej - 1 if j == i else ej)
-            grad[:, i] += gterm
+            grad[i] += _product(coef * ei, [e - (k == i) for k, e in enumerate(powers)])
         if hess is None:
             continue
         for i, ei in enumerate(powers):
@@ -209,19 +249,12 @@ def jet_polynomial(x: np.ndarray, terms: list[tuple[float, tuple[int, ...]]],
                 if i == j:
                     if ei < 2:
                         continue
-                    hterm = coef * ei * (ei - 1) * np.ones(m)
-                    for k, ek in enumerate(powers):
-                        hterm = hterm * _pow(x[:, k], ek - 2 if k == i else ek)
+                    hterm = _product(coef * ei * (ei - 1),
+                                     [e - 2 * (k == i) for k, e in enumerate(powers)])
                 else:
                     if ei == 0 or ej == 0:
                         continue
-                    hterm = coef * ei * ej * np.ones(m)
-                    for k, ek in enumerate(powers):
-                        e = ek
-                        if k == i:
-                            e -= 1
-                        if k == j:
-                            e -= 1
-                        hterm = hterm * _pow(x[:, k], e)
-                hess[:, i, j] += hterm
+                    hterm = _product(coef * ei * ej,
+                                     [e - (k == i) - (k == j) for k, e in enumerate(powers)])
+                hess[i, j] += hterm
     return Jet(val, grad, hess)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geometry as geo
 from .errors import DegenerateReference, DimensionMismatch
-from .fields import ScalarField, VectorField, zeta_eta
+from .fields import ScalarField, VectorField, pinned, zeta_eta
 from .profiles import (
     GLRadialProfile,
     ProfileTable,
@@ -230,6 +230,7 @@ def ac_limit_experiment(g, eta: VectorField, zeta: VectorField, p: float,
     for eps in sched.epsilons:
         u = ansatz_field(g, eps, prof)
         quad = _ac_tube(g, prof, eps, half_width)
+        u = pinned(u, quad.nodes, 1)
         f = integrand_p_allen_cahn(eps, p)
         values.append(second_inner_variation(f, u, eta, zeta, quad))
         energies.append(energy(f, u, quad))
@@ -357,6 +358,7 @@ def gl_limit_experiment(g, eta: VectorField, zeta: VectorField, sched: EpsilonSc
         u = gl_vortex_field(g, eps, prof)
         rho, wr = vortex_radial_rule(eps, rho_max)
         quad = filament_tube_rule(g, rho, wr, n_theta)
+        u = pinned(u, quad.nodes, 1)
         f = integrand_ginzburg_landau(eps)
         values.append(second_inner_variation(f, u, eta, zeta, quad))
         energies.append(energy(f, u, quad))
@@ -383,15 +385,20 @@ def gl_limit_experiment(g, eta: VectorField, zeta: VectorField, sched: EpsilonSc
 # ---------------------------------------------------------------------------
 
 
-def volume_admissibility(g, eta: VectorField, zeta: VectorField,
+def volume_admissibility(g, eta: VectorField, zeta: VectorField | None = None,
                          n_radial: int = 48) -> tuple[float, float]:
     """First and second t-derivatives of the enclosed volume along the deformation.
 
     c1 = int_E div eta; c2 = int_E [div zeta + (div eta)^2 - trace((grad eta)^2)].
     With zeta = zeta_eta(eta) the integrand of c2 cancels pointwise, so the
     family preserves volume to second order for any velocity field.
+    ``zeta=None`` selects that acceleration, built on one order-2 evaluation
+    of eta.
     """
     nodes, weights = geo.enclosed_region_quadrature(g, n_radial)
+    if zeta is None:
+        eta = pinned(eta, nodes, 2)
+        zeta = zeta_eta(eta)
     je = eta.jacobian(nodes)
     jz = zeta.jacobian(nodes)
     div_e = np.einsum("mii->m", je)
@@ -461,6 +468,22 @@ def perturbed_field(u_eps: ScalarField, eta: VectorField, phi_ref: VectorField,
     return eta + h * phi_ref, h
 
 
+def _forms_at_width(g, v_ext: VectorField, eps: float, prof: ProfileTable,
+                    half_width: float | None) -> tuple[float, float]:
+    """Q_eps(-grad u . V) and the second inner variation along (V, zeta^V) at one width.
+
+    u and V are evaluated once each, at order 2, on the tube nodes; zeta^V,
+    evaluated once, reads V's held parts.  The held parts die with the width.
+    """
+    u = ansatz_field(g, eps, prof)
+    quad = _ac_tube(g, prof, eps, half_width)
+    u = pinned(u, quad.nodes, 2)
+    v = pinned(v_ext, quad.nodes, 2)
+    f = integrand_p_allen_cahn(eps, 2.0)
+    q_raw = second_variation(f, u, composite_test_function(u, v), quad)
+    return q_raw, second_inner_variation(f, u, v, zeta_eta(v), quad)
+
+
 def quadratic_forms(g, xi, sched: EpsilonSchedule, cutoff_width: float | None = None,
                     half_width: float | None = None,
                     name: str | None = None) -> ConvergenceRecord:
@@ -481,16 +504,10 @@ def quadratic_forms(g, xi, sched: EpsilonSchedule, cutoff_width: float | None = 
         xi = geo.SurfaceFunction(g, xi)
     w = 0.9 * g.focal_width if cutoff_width is None else float(cutoff_width)
     v_ext = geo.normal_extension(g, xi, w)
-    zeta_v = zeta_eta(v_ext)
     target = c_p(2.0) * geo.quadratic_form_limit(g, xi)
     raw, lagrange, corrected = [], [], []
     for eps in sched.epsilons:
-        u = ansatz_field(g, eps, prof)
-        quad = _ac_tube(g, prof, eps, half_width)
-        f = integrand_p_allen_cahn(eps, p)
-        phi = composite_test_function(u, v_ext)
-        q_raw = second_variation(f, u, phi, quad)
-        d2_inner = second_inner_variation(f, u, v_ext, zeta_v, quad)
+        q_raw, d2_inner = _forms_at_width(g, v_ext, eps, prof, half_width)
         raw.append(q_raw)
         lagrange.append(d2_inner - q_raw)
         corrected.append(d2_inner)

@@ -263,8 +263,12 @@ def ansatz_field(g: Hypersurface, eps: float, prof: ProfileTable) -> ScalarField
 
     The admissibility check keys on the transition zone (where q is farther
     than 1e-3 from its limits) fitting inside the focal tube; quadrature rules
-    cap themselves at the focal width, and for the slowly saturating p < 2
-    profiles the energy beyond the tube is below the shipped tolerances.
+    cap themselves at the focal width.  For the slowly saturating p < 2
+    profiles the energy beyond the tube is not always below the shipped
+    tolerances: on a flat patch (tube cap 1) at eps = 0.1 the rule stops at
+    s = 10, and for p below about 1.73 the tail beyond it carries more than
+    the 1e-7 equipartition floor (2.6e-7 at p = 1.708, see
+    ``ProfileTable.tail_energy``).
     """
     eps = float(eps)
     s_trans = prof.s_transition(1e-3)
@@ -437,7 +441,7 @@ def gl_vortex_field(g: Filament, eps: float, prof: GLRadialProfile) -> ScalarFie
             for part in (re, im):
                 part.val[on_axis] = 0.0
                 if part.hess is not None:
-                    part.hess[on_axis] = 0.0
+                    part.hess[:, :, on_axis] = 0.0
             return [re, im]
         rho = jet_sqrt(rho2)
         f_at = (rho * (1.0 / eps)).compose(prof.derivatives)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NonInvertible
-from .fields import ScalarField, VectorField, x0_field
+from .fields import ScalarField, VectorField, pinned, x0_field
 from .geometry import gauss_rule
 from .sums import pairwise_dot
 
@@ -433,7 +433,15 @@ class VariationReport:
 
 def variation_report(f: Integrand, u: ScalarField, eta: VectorField,
                      zeta: VectorField, quad: BulkQuadrature, label="") -> VariationReport:
-    phi = composite_test_function(u, eta)
+    """Every variation on ``quad``, each field evaluated once on its nodes.
+
+    u is held at order 2 (phi and X0 read its Hessian), eta, zeta and
+    phi = -grad u . eta at order 1.
+    """
+    xb = quad.nodes
+    u = pinned(u, xb, 2)
+    eta, zeta = pinned(eta, xb, 1), pinned(zeta, xb, 1)
+    phi = pinned(composite_test_function(u, eta), xb, 1)
     x0 = x0_field(u, eta, zeta)
     val = energy(f, u, quad)
     da = first_variation(f, u, phi, quad)

@@ -273,6 +273,13 @@ _MALFORMED = [
     ("volume_random_count_not_a_number", {
         "name": "x", "kind": "volume", "geometry": _SPHERE, "fields": {"random": "many"},
     }),
+    ("volume_random_count_zero", {
+        "name": "x", "kind": "volume", "geometry": _SPHERE, "fields": {"random": 0},
+    }),
+    ("volume_random_count_negative", {
+        "name": "x", "kind": "volume", "geometry": _SPHERE, "fields": {"random": -3},
+    }),
+    ("volume_fields_empty_list", {"name": "x", "kind": "volume", "geometry": _SPHERE, "fields": []}),
     ("unknown_equipartition_profile", {
         "name": "x", "kind": "equipartition", "geometry": _SPHERE, "p": 2.0,
         "schedule": {"eps0": 0.04, "count": 4}, "profile": "bogus",

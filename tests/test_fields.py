@@ -12,7 +12,7 @@ from innervar import limits as L
 from innervar import profiles as P
 from innervar import variation as V
 from innervar.errors import ConfigError, DimensionMismatch, NonInvertible
-from innervar.jets import Jet, jet_exp, jet_polynomial, jet_sin, jet_sqrt
+from innervar.jets import Jet, jet_exp, jet_norm, jet_polynomial, jet_sin, jet_sqrt
 
 
 def fd_divergence(v, x, h=1e-5):
@@ -316,27 +316,30 @@ def _tanh_derivatives(v, order):
     return t, 1.0 - t * t, -2.0 * t * (1.0 - t * t) if order == 2 else None
 
 
-# each op maps a jet with bounded values to one with bounded values
+# each op maps a jet with bounded values and derivatives to one with bounded
+# values and derivatives, so chains of up to six ops stay within the reach of
+# the h = 1e-5 central differences in _check_orders
 _OPS = {
     "mul": lambda a, xs, xb, k: a * xs[k],
     "add": lambda a, xs, xb, k: a + xs[k] * 0.5,
     "div": lambda a, xs, xb, k: a / (xs[k] * xs[k] + 2.0),
     "recip": lambda a, xs, xb, k: (a * a + 1.0).reciprocal(),
-    "pow": lambda a, xs, xb, k: (a * a + 1.0) ** 1.5,
+    "pow": lambda a, xs, xb, k: (jet_sin(a) * jet_sin(a) + 1.0) ** 1.5,
     "sqrt": lambda a, xs, xb, k: jet_sqrt(a * a + 0.5),
     "exp": lambda a, xs, xb, k: jet_exp(-(a * a)),
-    "sin": lambda a, xs, xb, k: jet_sin(a * 2.0),
+    "sin": lambda a, xs, xb, k: jet_sin(a * 1.5),
     "lift": lambda a, xs, xb, k: a.compose(_tanh_derivatives),
     "bump": lambda a, xs, xb, k: a * F._bump_jet(xb, np.full(xb.shape[1], 0.1), 1.6, 8, a.order),
 }
 
 
 def _jet_parts(jet_fn):
-    """(val, grad) of an order-1 jet, (val, grad, hess) of an order-2 jet."""
+    """(val, grad) of an order-1 jet, (val, grad, hess) of an order-2 jet, point-major."""
 
     def parts(xb, order):
         jet = jet_fn(xb, order)
-        return (jet.val, jet.grad) if jet.hess is None else (jet.val, jet.grad, jet.hess)
+        grad = jet.grad.T
+        return (jet.val, grad) if jet.hess is None else (jet.val, grad, jet.hess.transpose(2, 0, 1))
 
     return parts
 
@@ -369,6 +372,59 @@ def test_random_jet_compositions_truncate_exactly_and_match_fd(program, dim, see
 
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(7, dim))
     _check_orders(_jet_parts(jet_fn), x)
+
+
+def _monomial_reference(x, terms):
+    """sum_k c_k prod_i x_i^e_ki and its derivatives, one factor at a time, point-major."""
+    m, n = x.shape
+    val, grad, hess = np.zeros(m), np.zeros((m, n)), np.zeros((m, n, n))
+
+    def term(coef, exps):
+        out = coef * np.ones(m)
+        for i, e in enumerate(exps):
+            out = out * x[:, i] ** e
+        return out
+
+    for coef, e in terms:
+        val += term(coef, e)
+        for i in range(n):
+            if e[i] >= 1:
+                grad[:, i] += term(coef * e[i], [ek - (k == i) for k, ek in enumerate(e)])
+            for j in range(n):
+                if i == j and e[i] >= 2:
+                    hess[:, i, i] += term(coef * e[i] * (e[i] - 1),
+                                          [ek - 2 * (k == i) for k, ek in enumerate(e)])
+                elif i != j and e[i] >= 1 and e[j] >= 1:
+                    hess[:, i, j] += term(coef * e[i] * e[j],
+                                          [ek - (k == i) - (k == j) for k, ek in enumerate(e)])
+    return val, grad, hess
+
+
+@pytest.mark.parametrize("dim, degree", [(1, 5), (2, 3), (3, 3)])
+def test_jet_polynomial_matches_the_factor_by_factor_reference_bit_for_bit(dim, degree):
+    rng = np.random.default_rng(dim + degree)
+    terms = F._random_terms(rng, dim, degree, 1.0) + [(2, (0,) * dim)]
+    x = rng.uniform(-1.5, 1.5, size=(50, dim))
+    x[0] = 0.0
+    parts = _jet_parts(lambda xb, order: jet_polynomial(xb, terms, order))(x, 2)
+    for got, want in zip(parts, _monomial_reference(x, terms)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_jet_norm_matches_the_sum_of_squared_coordinate_jets_bit_for_bit(dim):
+    x = np.random.default_rng(dim).uniform(-1.0, 1.0, size=(40, dim))
+    x[:4, 0] = 0.0
+    x[1:4, 0] = -0.0  # signed zeros: gradient rows keep the chain's zero signs
+    x[2, 1:] = -0.5
+    for order in (1, 2):
+        coords = Jet.variables(x, order)
+        sq = coords[0] * coords[0]
+        for c in coords[1:]:
+            sq = sq + c * c
+        got, want = jet_norm(x, order), jet_sqrt(sq)
+        for part in ("val", "grad", "hess")[:order + 1]:
+            assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -427,29 +483,33 @@ def test_lower_orders_are_bit_identical_prefixes(name):
             np.testing.assert_array_equal(a, b)
 
 
-def _counting(calls, name, jet_fn):
+def _counting(calls, name, jet_fn, nodes=None):
+    """jet_fn, recording (name, order) in ``calls`` and the node array in ``nodes`` per call."""
+
     def counted(xb, order):
         calls.append((name, order))
+        if nodes is not None:
+            nodes.append(xb)
         return jet_fn(xb, order)
 
     return counted
 
 
-def _counted_fields(calls, dim=2):
+def _counted_fields(calls, dim=2, nodes=None):
     """u, phi, eta, zeta whose jet functions record (name, order) on each call."""
     rng = np.random.default_rng(8)
     terms = F._random_terms(rng, dim, 3, 1.0)
     u = F.ScalarField.from_jet(dim, _counting(
-        calls, "u", lambda xb, order: jet_polynomial(xb, terms, order)))
+        calls, "u", lambda xb, order: jet_polynomial(xb, terms, order), nodes))
     phi = F.ScalarField.from_jet(dim, _counting(
-        calls, "phi", lambda xb, order: F._bump_jet(xb, np.zeros(dim), 0.9, 8, order)))
+        calls, "phi", lambda xb, order: F._bump_jet(xb, np.zeros(dim), 0.9, 8, order), nodes))
 
     def bumped(comps):
         return lambda xb, order: [jet_polynomial(xb, c, order)
                                   * F._bump_jet(xb, np.zeros(dim), 0.9, 8, order) for c in comps]
 
     eta, zeta = (F.VectorField.from_jets(dim, _counting(
-        calls, name, bumped([F._random_terms(rng, dim, 2, 1.0) for _ in range(dim)])))
+        calls, name, bumped([F._random_terms(rng, dim, 2, 1.0) for _ in range(dim)]), nodes))
         for name in ("eta", "zeta"))
     return u, phi, eta, zeta
 
@@ -496,16 +556,77 @@ def test_derived_fields_evaluate_each_parent_once_one_order_higher():
         assert sorted(calls) == sorted(expected)
 
 
-def test_sweeps_evaluate_the_ansatz_once_per_width_at_order_one():
-    calls = []
+def _recording_tubes(monkeypatch):
+    """The tube rules the sweeps build, in order."""
+    tubes, build = [], L._ac_tube
+
+    def recorded(*args, **kwargs):
+        tubes.append(build(*args, **kwargs))
+        return tubes[-1]
+
+    monkeypatch.setattr(L, "_ac_tube", recorded)
+    return tubes
+
+
+def test_forms_sweep_evaluates_u_and_v_once_per_width_on_the_tube_nodes(monkeypatch):
+    calls, nodes = [], []
     g = G.sphere(1.0, n_polar=6, n_azimuth=12)
-    g.distance_jet = _counting(calls, "u", g.distance_jet)  # one call per ansatz evaluation
+    g.distance_jet = _counting(calls, "u", g.distance_jet, nodes)
+    tubes = _recording_tubes(monkeypatch)
+    extend = G.normal_extension
+
+    def counted_extension(*args):
+        v_ext = extend(*args)
+        v_ext._evaluator = _counting(calls, "V", v_ext._evaluator, nodes)
+        return v_ext
+
+    monkeypatch.setattr(L.geo, "normal_extension", counted_extension)
+    xi = F.polynomial_scalar_field(3, [(1.0, (0, 0, 1))])
+    L.quadratic_forms(g, xi, L.EpsilonSchedule([0.1, 0.08]))
+    assert calls == [("u", 2), ("V", 2)] * 2
+    assert all(x is quad.nodes for x, quad in zip(nodes, [t for t in tubes for _ in "uV"]))
+
+
+def test_sweeps_evaluate_the_ansatz_once_per_width_at_order_one(monkeypatch):
+    calls, nodes = [], []
+    g = G.sphere(1.0, n_polar=6, n_azimuth=12)
+    g.distance_jet = _counting(calls, "u", g.distance_jet, nodes)  # one call per ansatz evaluation
+    tubes = _recording_tubes(monkeypatch)
     sched = L.EpsilonSchedule([0.1, 0.08])
-    L.equipartition_residuals(g, 2.0, sched)
-    assert calls == [("u", 1)] * 2
+    phi = F.bump_scalar_field([0.0, 0.0, 0.0], 1.8)
+    eta = F.random_compact_vector_field(np.random.default_rng(3), 3, radius=1.4)
+    for sweep in (lambda: L.equipartition_residuals(g, 2.0, sched),
+                  lambda: L.tensor_pairing_experiment(g, 2.0, phi, [0, 0], sched),
+                  lambda: L.ac_limit_experiment(g, eta, F.zeta_eta(eta), 2.0, sched)):
+        del calls[:], nodes[:], tubes[:]
+        sweep()
+        assert calls == [("u", 1)] * 2
+        assert all(x is quad.nodes for x, quad in zip(nodes, tubes))
     calls.clear()
-    L.tensor_pairing_experiment(g, 2.0, F.bump_scalar_field([0.0, 0.0, 0.0], 1.8), [0, 0], sched)
+    fil = G.straight_filament(1.0, 8)
+    fil.transverse_jets = _counting(calls, "u", fil.transverse_jets)
+    bend = F.filament_test_field("bend")
+    L.gl_limit_experiment(fil, bend, F.zeta_eta(bend), L.EpsilonSchedule([0.04, 0.03]),
+                          rho_max=0.4, n_theta=8, profile_mode="surrogate")
     assert calls == [("u", 1)] * 2
+
+
+def test_variation_report_evaluates_each_field_once_on_the_quadrature_nodes():
+    calls, nodes = [], []
+    u, _phi, eta, zeta = _counted_fields(calls, nodes=nodes)
+    quad = V.tensor_grid([[-1.0, 1.0]] * 2, 8)
+    V.variation_report(V.integrand_p_allen_cahn(0.7, 2.0), u, eta, zeta, quad)
+    on_nodes = [call for call, x in zip(calls, nodes) if x is quad.nodes]
+    assert sorted(on_nodes) == [("eta", 1), ("u", 2), ("zeta", 1)]  # X0's FD stencils aside
+
+
+def test_volume_admissibility_evaluates_eta_once_at_order_two():
+    calls = []
+    _u, _phi, eta, _zeta = _counted_fields(calls)
+    disk = G.circle(0.8, n_nodes=32)
+    c1, c2 = L.volume_admissibility(disk, eta)
+    assert calls == [("eta", 2)]
+    assert (c1, c2) == L.volume_admissibility(disk, eta, F.zeta_eta(eta))  # bit for bit
 
 
 def test_normal_extension_evaluates_xi_once_at_the_jet_order():

@@ -380,11 +380,12 @@ def _fd_jacobian(fn, x, h=1e-5):
 
 
 def _check_jet_against_fd(jet_fn, x):
+    """Jets are component-major, grad (N, M) and hess (N, N, M); derivative axis last here."""
     jet = jet_fn(x)
     grad_fd = _fd_jacobian(lambda y: jet_fn(y).val, x)
-    hess_fd = _fd_jacobian(lambda y: jet_fn(y).grad, x)
-    np.testing.assert_allclose(jet.grad, grad_fd, atol=1e-8)
-    np.testing.assert_allclose(jet.hess, hess_fd, atol=1e-7)
+    hess_fd = _fd_jacobian(lambda y: jet_fn(y).grad.T, x)
+    np.testing.assert_allclose(jet.grad.T, grad_fd, atol=1e-8)
+    np.testing.assert_allclose(jet.hess.transpose(2, 0, 1), hess_fd, atol=1e-7)
     return jet
 
 
@@ -403,7 +404,7 @@ def test_distance_jet_matches_fd_oracle(g, distance):
     np.testing.assert_allclose(jet.val, distance(off), atol=1e-14)
     on = g.distance_jet(g.nodes)
     np.testing.assert_allclose(on.val, 0.0, atol=1e-14)
-    np.testing.assert_allclose(on.grad, g.normals, atol=1e-14)  # the normal on Gamma
+    np.testing.assert_allclose(on.grad.T, g.normals, atol=1e-14)  # the normal on Gamma
 
 
 @pytest.mark.parametrize("g, chart", [
