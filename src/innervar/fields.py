@@ -166,7 +166,7 @@ class _Field:
 
     def _exact_parts(self, xb, order):
         m, n = xb.shape
-        parts = [np.asarray(a, dtype=float).reshape((m, self._comps) + (n,) * k)
+        parts = [np.ascontiguousarray(a, dtype=float).reshape((m, self._comps) + (n,) * k)
                  for k, a in enumerate(self._evaluator(xb, order)[: order + 1])]
         if order == 2 and self._symmetrize_second:
             parts[2] = 0.5 * (parts[2] + np.swapaxes(parts[2], 2, 3))

@@ -137,6 +137,7 @@ class ConvergenceRecord:
     fit_points: int = 4
     extras: dict[str, list[float]] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+    csv_residuals: tuple[str, ...] = ()  # the extras written as residual_1 and residual_2
 
     def __post_init__(self):
         self.extrapolated, self.fit_slope = extrapolate(
@@ -158,15 +159,15 @@ class ConvergenceRecord:
 
     def rows(self) -> list[dict]:
         out = []
-        extra_keys = sorted(self.extras)
+        named = [self.extras[k] for k in self.csv_residuals]
         for i, (e, v) in enumerate(zip(self.epsilons, self.values)):
             row = {
                 "epsilon": e,
                 "value": v,
                 "target": self.target,
                 "gap": abs(v - self.target) / (1.0 + abs(self.target)),
-                "residual_1": self.extras[extra_keys[0]][i] if len(extra_keys) > 0 else 0.0,
-                "residual_2": self.extras[extra_keys[1]][i] if len(extra_keys) > 1 else 0.0,
+                "residual_1": named[0][i] if len(named) > 0 else 0.0,
+                "residual_2": named[1][i] if len(named) > 1 else 0.0,
             }
             out.append(row)
         return out
@@ -242,6 +243,7 @@ def ac_limit_experiment(g, eta: VectorField, zeta: VectorField, p: float,
         model=sched.model,
         fit_points=sched.fit_points,
         extras={"energy": energies},
+        csv_residuals=("energy",),
         meta={
             "p": p,
             "c_p": cp,
@@ -291,6 +293,7 @@ def equipartition_residuals(g, p: float, sched: EpsilonSchedule, profile=None,
         fit_points=sched.fit_points,
         extras={"residual_phi": res_phi, "energy_gap": e_gap},
         meta={"p": p, "c_p": cp, "area": g.measure},
+        csv_residuals=("energy_gap", "residual_phi"),
     )
 
 
@@ -370,6 +373,7 @@ def gl_limit_experiment(g, eta: VectorField, zeta: VectorField, sched: EpsilonSc
         model=sched.model,
         fit_points=sched.fit_points,
         extras={"energy": energies},
+        csv_residuals=("energy",),
         meta={
             "surface_second_variation": sv_surface,
             "discrepancy_real": disc_real,
@@ -520,4 +524,5 @@ def quadratic_forms(g, xi, sched: EpsilonSchedule, cutoff_width: float | None = 
         fit_points=sched.fit_points,
         extras={"lagrange_term": lagrange, "raw_form": raw},
         meta={"surface_form": target / c_p(2.0), "c_2": c_p(2.0)},
+        csv_residuals=("lagrange_term", "raw_form"),
     )

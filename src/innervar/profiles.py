@@ -9,6 +9,10 @@ whose energies converge to c_p times the interface measure.
 For p < 2 the profile approaches +-1 only algebraically; the tables extend
 far enough that 1 - |q(S_max)| <= 1e-9, while quadrature uses the much
 smaller energy-resolved core radius (tail energy below 1e-10 c_p).
+
+The profile ODE and the Ginzburg-Landau shooting problem are integrated by
+:mod:`innervar.ode`, which repeats scipy's DOP853 ``solve_ivp`` and ``brentq``
+bit for bit; from scipy this module needs only ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -16,15 +20,13 @@ from __future__ import annotations
 import csv
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.integrate._ivp.rk import Dop853DenseOutput
-from scipy.optimize import brentq
 from scipy.special import betainc, betaln, roots_jacobi
 
 from .errors import EpsilonTooLarge, StiffTail
 from .fields import ScalarField
 from .geometry import Filament, Hypersurface, gauss_rule
 from .jets import jet_sqrt
+from .ode import brentq, dop853
 
 
 def c_p(p: float) -> float:
@@ -53,27 +55,23 @@ def c_p_beta_oracle(p: float) -> float:
 
 
 class _DenseTable:
-    """The dense output of a DOP853 solve, evaluated as whole arrays.
+    """The dense output of an ascending :func:`ode.dop853` solve, evaluated as whole arrays.
 
     scipy's ``OdeSolution.__call__`` argsorts its input, calls one interpolant
-    per segment and stacks the pieces.  Here the interpolants are stacked once;
+    per segment and stacks the pieces.  Here the interpolants come stacked;
     each point picks its segment with the same ``searchsorted`` and clamp, and
     scipy's Horner loop runs on the gathered coefficients with the same
     elementwise operations in the same order, so the values are bit for bit
-    those of ``sol(t)[j]``.  Components never mix, so only component ``j`` is
-    computed.
+    those of scipy's ``sol(t)[j]``.  Components never mix, so only component
+    ``j`` is computed.
     """
 
     def __init__(self, sol):
-        parts = sol.interpolants
-        if not (sol.ascending and sol.side == "left" and parts
-                and all(type(f) is Dop853DenseOutput for f in parts)):
-            raise TypeError("expected the dense output of an ascending DOP853 solve")
-        self.ts = sol.ts
-        self.t_old = np.array([f.t_old for f in parts])
-        self.h = np.array([f.h for f in parts])
-        self.F = np.stack([f.F.T for f in parts], axis=2)  # (n_y, 7, segments)
-        self.y_old = np.stack([f.y_old for f in parts], axis=1)  # (n_y, segments)
+        self.ts = sol.t
+        self.t_old = sol.t_old
+        self.h = sol.h
+        self.F = sol.F  # (n_y, 7, segments)
+        self.y_old = sol.y_old  # (n_y, segments)
 
     def __call__(self, t, j):
         t = np.asarray(t, dtype=float)
@@ -101,7 +99,7 @@ class ProfileTable:
 
     def __init__(self, p, sol, s_max, tail_tol=1e-9):
         self.p = float(p)
-        self._table = _DenseTable(sol.sol)
+        self._table = _DenseTable(sol)
         self.s_max = float(s_max)
         self.tail_tol = float(tail_tol)
         self.s_grid = np.asarray(sol.t, dtype=float)
@@ -208,23 +206,12 @@ def optimal_profile(p: float, tail_tol: float = 1e-9) -> ProfileTable:
     def reached(_s, y):
         return y[0] - target
 
-    reached.terminal = True
-    reached.direction = 1.0
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, 1e7),
-        [0.0],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-        dense_output=True,
-        events=reached,
-    )
+    sol = dop853(rhs, (0.0, 1e7), [0.0], rtol=1e-12, atol=1e-14,
+                 event=reached, direction=1.0, dense_output=True)
     if sol.status < 0:
         raise StiffTail(f"profile ODE failed for p={p}: {sol.message}")
-    if sol.t_events[0].size:
-        s_max = float(sol.t_events[0][0])
+    if sol.t_events.size:
+        s_max = float(sol.t_events[0])
     else:
         s_max = float(sol.t[-1])
         if 1.0 - sol.y[0][-1] > 1e-8:
@@ -363,19 +350,17 @@ def gl_radial_profile(mode: str = "ode", r_max: float = 16.0) -> GLRadialProfile
     def blowup(_r, y):
         return y[0] - 2.0
 
-    blowup.terminal = True
-
     def shoot(alpha):
-        sol = solve_ivp(rhs, (r0, r_max), [alpha * r0, alpha], method="DOP853",
-                        rtol=1e-11, atol=1e-13, events=blowup)
-        if sol.t_events[0].size:
+        sol = dop853(rhs, (r0, r_max), [alpha * r0, alpha], rtol=1e-11, atol=1e-13,
+                     event=blowup)
+        if sol.t_events.size:
             return 1.0  # overshoot diverges upward
         return sol.y[0][-1] - (1.0 - 0.5 / r_max**2)
 
     alpha = brentq(shoot, 0.4, 0.8, xtol=1e-12)
-    sol = solve_ivp(rhs, (r0, r_max), [alpha * r0, alpha], method="DOP853",
-                    rtol=1e-11, atol=1e-13, dense_output=True)
-    table = _DenseTable(sol.sol)
+    sol = dop853(rhs, (r0, r_max), [alpha * r0, alpha], rtol=1e-11, atol=1e-13,
+                 dense_output=True)
+    table = _DenseTable(sol)
 
     def f(r):
         r = np.asarray(r, dtype=float)

@@ -1,6 +1,10 @@
 """CLI surface: configs, exit codes, catalog, determinism, file formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -305,3 +309,23 @@ def test_malformed_config_exits_2(tmp_path, capsys, exp):
     strays = [p for p in tmp_path.rglob("*")
               if p.is_file() and str(p) != cfg and out not in p.parents]
     assert strays == []
+
+
+def test_a_run_imports_neither_scipy_integrate_nor_optimize(tmp_path):
+    # the profile ODEs and the GL shooting run on innervar.ode, so a run that solves a
+    # profile needs scipy.special (and scipy.linalg for expm) only
+    script = (
+        "import json, sys\n"
+        "from innervar import cli\n"
+        f"rc = cli.main(['run', 'ac_flat_p2', '--seed', '1234', '--out', {str(tmp_path)!r}])\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules\n"
+        "                             if m.split('.')[:2] in (['scipy', 'integrate'],\n"
+        "                                                     ['scipy', 'optimize']))]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    rc, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert rc == 0
+    assert loaded == []

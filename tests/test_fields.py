@@ -641,3 +641,36 @@ def test_normal_extension_evaluates_xi_once_at_the_jet_order():
         calls.clear()
         ext.evaluate(x, order)
         assert calls == [("xi", order)]
+
+
+def test_strided_callable_parts_give_the_contiguous_kernel_values():
+    # numpy's einsum may sum in another order on strided inputs; a gradient callable
+    # that hands out a transposed view must not move a kernel value by one bit
+    rng = np.random.default_rng(3)
+    k = np.arange(1.0, 4.0)
+    sym = rng.normal(size=(3, 3))
+    sym = sym + sym.T
+
+    def fn(xb):
+        return np.sin(xb @ k) + 0.5 * np.einsum("mi,ij,mj->m", xb, sym, xb)
+
+    def grad_rows(xb):  # (N, M): one row per coordinate
+        return k[:, None] * np.cos(xb @ k)[None, :] + sym @ xb.T
+
+    def hess(xb):
+        return -np.sin(xb @ k)[:, None, None] * np.outer(k, k)[None] + sym[None]
+
+    u_view = F.ScalarField(3, fn, lambda xb: grad_rows(xb).T, hess)
+    u_flat = F.ScalarField(3, fn, lambda xb: np.ascontiguousarray(grad_rows(xb).T), hess)
+    eta = F.VectorField(3, lambda x: np.stack([np.sin(x[:, 1]), x[:, 0] * x[:, 2],
+                                               np.cos(x[:, 0])], axis=1))
+    zeta = F.zeta_eta(eta)
+    xb = rng.normal(size=(900, 3))
+    quad = V.BulkQuadrature(xb, np.full(len(xb), 1.0 / len(xb)))
+    f = V.integrand_dirichlet(1)
+    assert np.array_equal(F.x0_field(u_view, eta, zeta).evaluate(xb, 0)[0],
+                          F.x0_field(u_flat, eta, zeta).evaluate(xb, 0)[0])
+    assert V.sv_relation_residual(f, u_view, eta, zeta, quad) == \
+        V.sv_relation_residual(f, u_flat, eta, zeta, quad)
+    assert V.variation_report(f, u_view, eta, zeta, quad) == \
+        V.variation_report(f, u_flat, eta, zeta, quad)

@@ -77,6 +77,15 @@ def test_record_gap_definition():
     assert set(rows[0]) == {"epsilon", "value", "target", "gap", "residual_1", "residual_2"}
 
 
+def test_record_rows_write_the_residuals_they_name(flat):
+    rec = L.equipartition_residuals(flat, 2.0, L.EpsilonSchedule.geometric(0.1, 3))
+    rows = rec.rows()
+    assert [r["residual_1"] for r in rows] == rec.extras["energy_gap"]
+    assert [r["residual_2"] for r in rows] == rec.extras["residual_phi"]
+    rec.extras["a_new_key"] = [9.0] * len(rec.epsilons)  # sorts before both
+    assert rec.rows() == rows
+
+
 # ---------------------------------------------------------------------------
 # scalar family
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq as scipy_brentq
 from scipy.special import beta, betaincinv, gamma, hyp2f1
 
 from innervar import geometry as G
+from innervar import ode
 from innervar import profiles as P
 from innervar import variation as V
 from innervar.errors import EpsilonTooLarge, StiffTail
@@ -182,31 +184,98 @@ def test_custom_profile_field():
 
 
 # ---------------------------------------------------------------------------
-# the vectorised DOP853 table against scipy's dense output
+# the in-package DOP853 solves and their table against scipy's solve_ivp
 # ---------------------------------------------------------------------------
 
 
+def _scipy_solve(fun, t_span, y0, rtol, atol, event=None, direction=0.0, dense_output=False):
+    """scipy's ``solve_ivp`` on the arguments of an ``ode.dop853`` call."""
+    events = None
+    if event is not None:
+        def events(t, y):
+            return event(t, y)
+
+        events.terminal = True
+        events.direction = direction
+    return solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
+                     dense_output=dense_output, events=events)
+
+
 @pytest.fixture(scope="module")
-def dense_solutions():
-    """(label, profile, OdeSolution) for every table that ``_DenseTable`` serves."""
-    seen = []
+def recorded_solves():
+    """(profiles by label, [(label, args, kwargs, our solve, scipy's solve)]) for every
+    ``ode.dop853`` call behind the optimal profiles and the GL profile."""
+    calls = []
 
     def recording(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        if kwargs.get("dense_output"):
-            seen.append(sol.sol)
+        sol = ode.dop853(*args, **kwargs)
+        calls.append((args, kwargs, sol))
         return sol
 
+    recipes = {f"p={p:g}": (P.optimal_profile, p) for p in (1.25, 1.5, 1.708, 2.0, 3.0)}
+    recipes["gl-ode"] = (P.gl_radial_profile, "ode")
+    profiles, solves = {}, []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(P, "solve_ivp", recording)
-        built = [(f"p={p:g}", P.optimal_profile(p)) for p in (1.25, 1.5, 2.0, 3.0)]
-        built.append(("gl-ode", P.gl_radial_profile("ode")))
-    assert len(seen) == len(built)
-    return [(label, prof, sol) for (label, prof), sol in zip(built, seen)]
+        mp.setattr(P, "dop853", recording)
+        for label, (build, arg) in recipes.items():
+            profiles[label] = build(arg)
+            solves += [(label, args, kwargs, sol, _scipy_solve(*args, **kwargs))
+                       for args, kwargs, sol in calls]
+            calls.clear()
+    return profiles, solves
 
 
-def _assert_table_matches(sol, t):
-    table = P._DenseTable(sol)
+@pytest.fixture(scope="module")
+def dense_solutions(recorded_solves):
+    """(label, profile, our solve, scipy's OdeSolution) for every table ``_DenseTable`` serves."""
+    profiles, solves = recorded_solves
+    dense = [(label, profiles[label], ours, ref.sol)
+             for label, _args, kwargs, ours, ref in solves if kwargs.get("dense_output")]
+    assert [d[0] for d in dense] == list(profiles)  # one table per profile
+    return dense
+
+
+def test_dop853_is_bit_identical_to_solve_ivp(recorded_solves):
+    _profiles, solves = recorded_solves
+    for label, _args, kwargs, ours, ref in solves:
+        assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y), label
+        assert (ours.status, ours.message, ours.nfev) == (ref.status, ref.message, ref.nfev)
+        if kwargs.get("event") is not None:
+            assert np.array_equal(ours.t_events, ref.t_events[0])
+        if kwargs.get("dense_output"):
+            parts = ref.sol.interpolants
+            assert np.array_equal(ours.t, ref.sol.ts)
+            assert np.array_equal(ours.t_old, [f.t_old for f in parts])
+            assert np.array_equal(ours.h, [f.h for f in parts])
+            assert np.array_equal(ours.F, np.stack([f.F.T for f in parts], axis=2))
+            assert np.array_equal(ours.y_old, np.stack([f.y_old for f in parts], axis=1))
+    # every profile solve stops at its terminal event; the GL shooting brackets its
+    # slope, so some shots overshoot into the blowup event and some reach r_max
+    assert all(ours.status == 1 for label, *_, ours, _ref in solves if label != "gl-ode")
+    shots = [ours for label, _args, kwargs, ours, _ref in solves
+             if label == "gl-ode" and not kwargs.get("dense_output")]
+    assert len(shots) >= 5
+    assert {sol.status for sol in shots} == {0, 1}
+
+
+def test_gl_shooting_lands_on_scipys_slope(recorded_solves):
+    # each shot's residual comes from its t_events and y, compared bit for bit above;
+    # scipy's brentq over scipy's solves must then pick the same slope
+    profiles, solves = recorded_solves
+    _label, (fun, (r0, r_max), _y0), kwargs, _ours, _ref = next(
+        s for s in solves if s[0] == "gl-ode")
+
+    def shoot(alpha):
+        sol = _scipy_solve(fun, (r0, r_max), [alpha * r0, alpha], **kwargs)
+        if sol.t_events[0].size:
+            return 1.0
+        return sol.y[0][-1] - (1.0 - 0.5 / r_max**2)
+
+    assert scipy_brentq(shoot, 0.4, 0.8, xtol=1e-12) == profiles["gl-ode"].slope0
+
+
+def _assert_table_matches(ours, sol, t):
+    table = P._DenseTable(ours)
     expected = sol(t)
     for j in range(expected.shape[0]):
         got = table(t, j)
@@ -216,20 +285,20 @@ def _assert_table_matches(sol, t):
 
 def test_dense_table_is_bit_identical_to_scipy(dense_solutions):
     rng = np.random.default_rng(7)
-    for _label, _prof, sol in dense_solutions:
+    for _label, _prof, ours, sol in dense_solutions:
         knots = sol.ts
         end = knots[-1]
         inside = rng.uniform(knots[0], end, 500)
         for t in (knots, knots[::-1], np.array([0.0]), np.array([end, 1.5 * end, 3.0 * end]),
                   inside, rng.permutation(np.concatenate([inside[:50], inside[:50], knots[:20]])),
                   np.repeat(knots[3:6], 4)):
-            _assert_table_matches(sol, t)
+            _assert_table_matches(ours, sol, t)
         for t in (0.0, knots[7], 0.5 * (knots[7] + knots[8]), 2.0 * end):
-            _assert_table_matches(sol, t)  # scalar input takes scipy's single-point path
+            _assert_table_matches(ours, sol, t)  # scalar input takes scipy's single-point path
 
 
 def test_profile_lookups_read_the_dense_table(dense_solutions):
-    for label, prof, sol in dense_solutions:
+    for label, prof, _ours, sol in dense_solutions:
         if label == "gl-ode":
             r = np.linspace(0.01, prof.r_max, 301)[:-1]
             assert np.array_equal(prof.f(r), sol(r)[0])
@@ -241,20 +310,11 @@ def test_profile_lookups_read_the_dense_table(dense_solutions):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=st.integers(0, 4),
+@given(case=st.integers(0, 5),
        fractions=st.lists(st.floats(-0.1, 1.2, allow_nan=False), min_size=1, max_size=40))
 def test_dense_table_property_random_points(dense_solutions, case, fractions):
-    sol = dense_solutions[case][2]
-    _assert_table_matches(sol, sol.ts[-1] * np.array(fractions))
-
-
-def test_dense_table_rejects_other_layouts():
-    sol = solve_ivp(lambda _t, y: -y, (0.0, 1.0), [1.0], method="RK45", dense_output=True)
-    with pytest.raises(TypeError):
-        P._DenseTable(sol.sol)
-    sol = solve_ivp(lambda _t, y: -y, (1.0, 0.0), [1.0], method="DOP853", dense_output=True)
-    with pytest.raises(TypeError):
-        P._DenseTable(sol.sol)
+    _label, _prof, ours, sol = dense_solutions[case]
+    _assert_table_matches(ours, sol, sol.ts[-1] * np.array(fractions))
 
 
 # ---------------------------------------------------------------------------
