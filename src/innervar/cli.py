@@ -8,12 +8,12 @@ failure).  CSV output is byte-stable across runs for a fixed seed: quadrature
 reductions are pairwise-deterministic and random fields derive from the
 per-experiment seed sequence, not from scheduling order.  Each experiment
 kind is declared once: the ``_kind`` decorator on its runner registers the
-kind's name with its required config keys, its optional keys and the type
-each must convert to (or that ``_build`` builds them), the codimension of
-the geometry it runs on, its default extrapolation model, and any check
-that needs the built objects.  ``_build`` is the only code that turns an
-experiment's config into geometry, fields and a schedule: validation calls
-it, and each run calls it once more and hands the result to the runner.
+kind's name with its config keys (each with its converter and default, see
+:mod:`innervar.config`), the codimension of the geometry it runs on, and any
+check that needs the built objects.  ``_build`` is the only code that reads
+an experiment's config: validation calls it, and each run calls it once more
+and hands the converted options, geometry, fields and schedule included, to
+the runner.
 """
 
 from __future__ import annotations
@@ -32,14 +32,17 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import fields, geometry, limits, profiles, variation
+from .config import (REQUIRED, as_is, boolean, checked, count, exponent, natural, one_of,
+                     parse, positive)
 from .errors import ConfigError, EpsilonTooLarge, InnervarError
 
 SCHEMA_VERSION = 1
 CSV_COLUMNS = ("epsilon", "value", "target", "gap", "residual_1", "residual_2")
-_NAME = re.compile(r"[A-Za-z0-9_.-]+")
+_NAME = re.compile(r"[A-Za-z0-9_.-]+")  # so that no experiment writes outside --out
+_NAME_KEY = (checked(as_is, lambda n: isinstance(n, str) and _NAME.fullmatch(n),
+                     f"a name matching {_NAME.pattern}"), REQUIRED)
 
 
 @dataclass
@@ -57,57 +60,35 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class _Kind:
-    required: frozenset
-    optional: dict  # key -> the conversion its value must pass
-    builds: frozenset  # optional keys that _build turns into objects
+    keys: dict  # key -> (convert, default), see innervar.config
     codim: int | None  # codimension of the geometry, for kinds that take one
-    model: str  # extrapolation model of a schedule that names none
-    check: Callable | None  # (built) -> None; raises on a bad combination
-    run: Callable  # (exp, built, rng, outdir) -> (passed, gap, rate, rows, summary)
+    check: Callable | None  # (opts) -> None; raises on a bad combination
+    run: Callable  # (opts, rng, outdir) -> (passed, gap, rate, rows, summary)
 
 
 _KINDS: dict[str, _Kind] = {}
 
 
-def _kind(name: str, required=(), optional=None, builds=(), codim=None, model="linear_eps",
-          check=None):
-    """Register an experiment runner under ``name`` with the config it reads."""
+def _kind(name: str, keys: dict, codim=None, check=None):
+    """Register an experiment runner under ``name`` with the config keys it reads."""
 
     def register(run):
-        _KINDS[name] = _Kind(frozenset(required), dict(optional or {}), frozenset(builds), codim,
-                             model, check, run)
+        _KINDS[name] = _Kind({"name": _NAME_KEY, "kind": (str, REQUIRED), **keys}, codim, check,
+                             run)
         return run
 
     return register
-
-
-def _one_of(*choices):
-    def convert(value):
-        if value not in choices:
-            raise ValueError(f"{value!r} is not one of {list(choices)}")
-        return value
-
-    return convert
-
-
-def _boolean(value):
-    if not isinstance(value, bool):
-        raise ValueError(f"{value!r} is not true or false")
-    return value
 
 
 # ---------------------------------------------------------------------------
 # config loading / validation
 # ---------------------------------------------------------------------------
 
-
-def _check_keys(obj: dict, required: set, optional: set, ctx: str) -> None:
-    extra = set(obj) - required - optional
-    if extra:
-        raise ConfigError(f"{ctx}: unknown keys {sorted(extra)}")
-    missing = required - set(obj)
-    if missing:
-        raise ConfigError(f"{ctx}: missing keys {sorted(missing)}")
+_SEED = (natural, 0)
+_CONFIG_KEYS = {"schema_version": (one_of(SCHEMA_VERSION), SCHEMA_VERSION),
+                "name": (as_is, None), "description": (as_is, None), "seed": _SEED,
+                "experiments": (checked(as_is, lambda e: isinstance(e, list) and len(e) > 0,
+                                        "a non-empty list"), REQUIRED)}
 
 
 def load_config(path) -> dict:
@@ -122,141 +103,107 @@ def load_config(path) -> dict:
 
 
 def validate_config(raw: dict) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    _check_keys(raw, set(), {"schema_version", "name", "description", "seed", "experiments"},
-                "config")
-    if int(raw.get("schema_version", SCHEMA_VERSION)) != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {raw.get('schema_version')}")
-    exps = raw.get("experiments")
-    if not isinstance(exps, list) or not exps:
-        raise ConfigError("config needs a non-empty 'experiments' list")
+    """The config with its top-level keys converted; each experiment is built once to check it."""
+    config = parse(raw, _CONFIG_KEYS, "config")
     names = set()
-    for exp in exps:
+    for exp in config["experiments"]:
         if not isinstance(exp, dict):
             raise ConfigError("each experiment must be a JSON object")
         kind = exp.get("kind")
         if not isinstance(kind, str) or kind not in _KINDS:
             raise ConfigError(f"unknown experiment kind {kind!r}; known: {sorted(_KINDS)}")
-        name = exp.get("name")
-        if not isinstance(name, str) or not _NAME.fullmatch(name):
-            raise ConfigError(f"experiment name {name!r} must match {_NAME.pattern}")
+        name = _build(exp, _KINDS[kind])["name"]
         if name in names:
             raise ConfigError(f"duplicate experiment name {name!r}")
         names.add(name)
-        ctx = f"experiment {name!r}"
-        spec = _KINDS[kind]
-        _check_keys(exp, {"name", "kind"} | spec.required, set(spec.optional) | spec.builds, ctx)
-        try:
-            _build(exp, spec)
-        except (TypeError, ValueError, InnervarError) as exc:
-            raise ConfigError(f"{ctx}: {exc}") from exc
-    return raw
+    return config
 
 
-def _build(exp: dict, spec: _Kind) -> dict:
-    """Turn an experiment's config into the objects its runner uses.
+def _build(exp: dict, kind: _Kind) -> dict:
+    """The experiment's options: every key of its kind, converted, with objects built.
 
-    The one place that parses an experiment: validation calls it so that a
-    bad config fails before anything runs, and each run calls it once more.
+    The one place that reads an experiment's config: validation calls it so
+    that a bad config fails before anything runs, and each run calls it once
+    more and hands the options to the runner.
     """
-    for key, convert in spec.optional.items():
-        if key in exp:
-            try:
-                convert(exp[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{key}: {exc}") from exc
-    built = {}
-    dim = None
-    if "geometry" in exp:
-        g = built["geometry"] = geometry.shape_from_config(exp["geometry"])
-        if spec.codim is not None and g.codim != spec.codim:
-            raise ConfigError(f"{exp['kind']} needs a geometry of codimension {spec.codim}, "
-                              f"{g.config['type']} has codimension {g.codim}")
-        dim = g.dim
-    if "p" in exp and not float(exp["p"]) > 1.0:
-        raise ConfigError(f"p must be > 1, got {exp['p']}")
-    if "schedule" in exp:
-        built["schedule"] = _schedule(exp["schedule"], spec.model)
-    if "eta" in exp:
-        built["eta"] = fields.vector_field_from_config(exp["eta"])
-    if "zeta" in spec.builds:
-        built["zeta"] = _zeta_from(exp.get("zeta", "zero"), built["eta"], dim)
-    for key in ("phi", "xi"):
-        if key in exp:
-            built[key] = fields.scalar_field_from_config(exp[key])
-    for key in ("eta", "zeta", "phi", "xi"):
-        if key in built and dim is not None and built[key].dim != dim:
-            raise ConfigError(f"{key} has dimension {built[key].dim} but the geometry has {dim}")
-    if "indices" in exp:
-        idx = [int(i) for i in exp["indices"]]
-        if len(idx) not in (2, 4) or not all(0 <= i < dim for i in idx):
-            raise ConfigError(f"indices must be 2 or 4 axes below {dim}, got {idx}")
-    if "profile" in spec.builds:
-        built["profile"] = _equipartition_profile(exp.get("profile", "optimal"))
-    if "fields" in spec.builds:
-        built["fields"] = _volume_fields(exp.get("fields", {"random": 10}), built["geometry"])
-    if spec.check is not None:
-        spec.check(built)
-    return built
-
-
-def _schedule(spec: dict, default_model: str) -> limits.EpsilonSchedule:
-    if not isinstance(spec, dict):
-        raise ConfigError("schedule must be an object")
-    _check_keys(spec, set() if "epsilons" in spec else {"eps0", "count"},
-                {"eps0", "count", "ratio", "epsilons", "model", "fit_points"}, "schedule")
-    model = spec.get("model", default_model)
+    what = f"experiment {exp.get('name')!r}"
+    opts = parse(exp, kind.keys, what)
     try:
-        fit_points = int(spec["fit_points"]) if "fit_points" in spec else None
-        if "epsilons" in spec:
-            return limits.EpsilonSchedule(list(spec["epsilons"]), model, fit_points)
-        return limits.EpsilonSchedule.geometric(
-            float(spec["eps0"]), int(spec["count"]), float(spec.get("ratio", 0.5)),
-            model, fit_points,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
+        g = opts.get("geometry")
+        if kind.codim is not None and g.codim != kind.codim:
+            raise ConfigError(f"{opts['kind']} needs a geometry of codimension {kind.codim}, "
+                              f"{g.config['type']} has codimension {g.codim}")
+        if opts.get("zeta") == "zero":
+            opts["zeta"] = fields.constant_field(np.zeros(g.dim))
+        elif opts.get("zeta") == "zeta_eta":
+            opts["zeta"] = fields.zeta_eta(opts["eta"])
+        built = [(key, opts[key]) for key in ("eta", "zeta", "phi", "xi") if key in opts]
+        if isinstance(opts.get("fields"), list):  # listed volume fields; random ones come later
+            built += [("fields", eta) for eta in opts["fields"]]
+        for key, field in built:
+            if field.dim != g.dim:
+                raise ConfigError(f"{key} has dimension {field.dim} but the geometry has {g.dim}")
+        if kind.check is not None:
+            kind.check(opts)
+    except (TypeError, ValueError, InnervarError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+    return opts
 
 
-def _zeta_from(spec, eta: fields.VectorField, dim: int) -> fields.VectorField:
-    if spec == "zero":
-        return fields.constant_field(np.zeros(dim))
-    if spec == "zeta_eta":
-        return fields.zeta_eta(eta)
-    return fields.vector_field_from_config(spec)
+_SCHEDULE_KEYS = {"eps0": (positive, None), "count": (count, None), "ratio": (positive, 0.5),
+                  "epsilons": (lambda eps: [positive(e) for e in eps], None),
+                  "model": (str, None), "fit_points": (int, None)}
+
+
+def _schedule(spec: dict, default_model: str = "linear_eps") -> limits.EpsilonSchedule:
+    """The widths ``epsilons``, or ``count`` widths ``eps0 * ratio**k``."""
+    opts = parse(spec, _SCHEDULE_KEYS, "schedule")
+    model = opts["model"] or default_model
+    if opts["epsilons"] is not None:
+        return limits.EpsilonSchedule(opts["epsilons"], model, opts["fit_points"])
+    if opts["eps0"] is None or opts["count"] is None:
+        raise ConfigError("schedule needs 'epsilons', or 'eps0' and 'count'")
+    return limits.EpsilonSchedule.geometric(opts["eps0"], opts["count"], opts["ratio"], model,
+                                            opts["fit_points"])
 
 
 def _equipartition_profile(spec) -> Callable | None:
     """None for the optimal profile, else a (surface, eps) -> field builder for a tanh control."""
     if spec == "optimal":
         return None
-    if not isinstance(spec, dict):
-        raise ConfigError(f"profile must be 'optimal' or {{'tanh_slope': s}}, got {spec!r}")
-    _check_keys(spec, {"tanh_slope"}, set(), "equipartition profile")
-    slope = float(spec["tanh_slope"])
+    slope = parse(spec, {"tanh_slope": (float, REQUIRED)}, "profile")["tanh_slope"]
     return lambda g, eps: profiles.tanh_profile_field(g, eps, slope)
 
 
-def _volume_fields(spec, g) -> Callable:
-    """``draw(rng) -> list of VectorField``; random fields are drawn when the experiment runs."""
+_RANDOM_FIELDS = {"random": (count, REQUIRED), "degree": (natural, 2), "radius": (positive, None)}
+
+
+def _volume_fields(spec) -> list | dict:
+    """The listed fields, or the options of the random fields drawn when the experiment runs."""
     if isinstance(spec, dict):
-        _check_keys(spec, {"random"}, {"degree", "radius"}, "volume fields")
-        count, degree = int(spec["random"]), int(spec.get("degree", 2))
-        if count < 1:
-            raise ConfigError(f"fields: 'random' must be at least 1, got {count}")
-        radius = float(spec.get("radius", 1.4 * g.config.get("radius", 1.0)))
-        return lambda rng: [fields.random_compact_vector_field(rng, g.dim, degree=degree,
-                                                                radius=radius)
-                            for _ in range(count)]
+        return parse(spec, _RANDOM_FIELDS, "volume fields")
     if not isinstance(spec, list) or not spec:
         raise ConfigError(f"fields must be {{'random': count}} or a non-empty list of field "
                           f"descriptors, got {spec!r}")
-    etas = [fields.vector_field_from_config(s) for s in spec]
-    for eta in etas:
-        if eta.dim != g.dim:
-            raise ConfigError(f"fields has dimension {eta.dim} but the geometry has {g.dim}")
-    return lambda _rng: etas
+    return [fields.vector_field_from_config(s) for s in spec]
+
+
+def _check_indices(opts: dict) -> None:
+    idx, dim = opts["indices"], opts["geometry"].dim
+    if len(idx) not in (2, 4) or not all(0 <= i < dim for i in idx):
+        raise ConfigError(f"indices must be 2 or 4 axes below {dim}, got {idx}")
+
+
+# Keys several kinds share.  Descriptors are parsed through the module attribute
+# looked up at each call, so a wrapped parser sees every call.
+_GEOMETRY = (lambda spec: geometry.shape_from_config(spec), REQUIRED)
+_ETA = (lambda spec: fields.vector_field_from_config(spec), REQUIRED)
+_ZETA = (lambda spec: spec if spec in ("zero", "zeta_eta") else
+         fields.vector_field_from_config(spec), "zero")
+_SCALAR = (lambda spec: fields.scalar_field_from_config(spec), REQUIRED)
+_P = (exponent, REQUIRED)
+_SCHEDULE = (lambda spec: _schedule(spec), REQUIRED)
+_WIDTH = (positive, None)  # None: the experiment's automatic width
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +225,14 @@ def _from_checks(checks: list[tuple[str, float, float]]):
     return all(res <= tol for _label, res, tol in checks), rows, summary
 
 
-@_kind("identities", optional={"dim": int, "samples": int, "cases": int, "tolerance": float,
-                                "fd_tolerance": float})
-def _run_identities(exp: dict, _built, rng: np.random.Generator, _outdir):
-    dim = int(exp.get("dim", 2))
-    samples = int(exp.get("samples", 300))
-    cases = int(exp.get("cases", 4))
-    tol = float(exp.get("tolerance", 1e-9))
-    tol_fd = float(exp.get("fd_tolerance", 1e-7))
+@_kind("identities", {"dim": (count, 2), "samples": (count, 300), "cases": (count, 4),
+                      "tolerance": (float, 1e-9), "fd_tolerance": (float, 1e-7)})
+def _run_identities(opts: dict, rng: np.random.Generator, _outdir):
+    dim, tol, tol_fd = opts["dim"], opts["tolerance"], opts["fd_tolerance"]
     checks: list[tuple[str, float, float]] = []
-    pts = rng.uniform(-1.0, 1.0, size=(samples, dim))
+    pts = rng.uniform(-1.0, 1.0, size=(opts["samples"], dim))
 
-    for k in range(cases):
+    for k in range(opts["cases"]):
         eta = fields.random_polynomial_vector_field(rng, dim, degree=3)
         res = float(np.max(np.abs(fields.good_identity_residual(eta, pts))))
         checks.append((f"divergence_identity_poly_{k}", res, tol))
@@ -317,6 +260,8 @@ def _run_identities(exp: dict, _built, rng: np.random.Generator, _outdir):
     checks.append(("determinant_expansion_fd", max(abs(c1 - c1_fd), abs(c2 - c2_fd)), 1e-6))
 
     if dim == 3:
+        from scipy.linalg import expm  # only this check needs scipy.linalg
+
         omega = rng.uniform(-1.0, 1.0, size=3)
         rot = fields.rotation_field(omega)
         mat = rot.jacobian(np.zeros(3))
@@ -365,64 +310,66 @@ def _run_identities(exp: dict, _built, rng: np.random.Generator, _outdir):
     return passed, worst, None, rows, {"checks": summary}
 
 
-@_kind("ac-converge", required={"geometry", "p", "eta", "schedule"}, codim=1, builds={"zeta"},
-       optional={"half_width": float, "tolerance_gap": float, "min_rate": float})
-def _run_ac(exp: dict, built: dict, _rng, _outdir):
+@_kind("ac-converge", {"geometry": _GEOMETRY, "p": _P, "eta": _ETA, "zeta": _ZETA,
+                       "schedule": _SCHEDULE, "half_width": _WIDTH,
+                       "tolerance_gap": (float, 0.01), "min_rate": (float, 0.9)}, codim=1)
+def _run_ac(opts: dict, _rng, _outdir):
     rec = limits.ac_limit_experiment(
-        built["geometry"], built["eta"], built["zeta"], float(exp["p"]), built["schedule"],
-        half_width=exp.get("half_width"), name=exp["name"],
+        opts["geometry"], opts["eta"], opts["zeta"], opts["p"], opts["schedule"],
+        half_width=opts["half_width"], name=opts["name"],
     )
-    tol = float(exp.get("tolerance_gap", 0.01))
-    min_rate = float(exp.get("min_rate", 0.9))
-    return _from_record(rec, rec.gap <= tol and rec.rate_at_least(min_rate))
+    return _from_record(rec, rec.gap <= opts["tolerance_gap"]
+                        and rec.rate_at_least(opts["min_rate"]))
 
 
-@_kind("gl-converge", required={"geometry", "eta", "schedule"}, codim=2, builds={"zeta"},
-       model="log_inverse",
-       optional={"rho_max": float, "n_theta": int, "profile_mode": _one_of("ode", "surrogate"),
-                 "tolerance_gap": float, "energy_tolerance": float})
-def _run_gl(exp: dict, built: dict, _rng, _outdir):
-    sched = built["schedule"]
+@_kind("gl-converge", {"geometry": _GEOMETRY, "eta": _ETA, "zeta": _ZETA,
+                       "schedule": (lambda spec: _schedule(spec, "log_inverse"), REQUIRED),
+                       "rho_max": (positive, 0.5), "n_theta": (count, 48),
+                       "profile_mode": (one_of("ode", "surrogate"), "ode"),
+                       "tolerance_gap": (float, 0.1), "energy_tolerance": (float, 0.05)}, codim=2)
+def _run_gl(opts: dict, _rng, _outdir):
+    sched = opts["schedule"]
     rec = limits.gl_limit_experiment(
-        built["geometry"], built["eta"], built["zeta"], sched,
-        rho_max=float(exp.get("rho_max", 0.5)), n_theta=int(exp.get("n_theta", 48)),
-        profile_mode=exp.get("profile_mode", "ode"), name=exp["name"],
+        opts["geometry"], opts["eta"], opts["zeta"], sched, rho_max=opts["rho_max"],
+        n_theta=opts["n_theta"], profile_mode=opts["profile_mode"], name=opts["name"],
     )
     e_extr, _ = limits.extrapolate(sched.epsilons, rec.extras["energy"],
                                    sched.model, sched.fit_points)
     e_target = rec.meta["energy_target"]
     e_gap = abs(e_extr - e_target) / (1.0 + abs(e_target))
-    passed = (rec.gap <= float(exp.get("tolerance_gap", 0.1))
-              and e_gap <= float(exp.get("energy_tolerance", 0.05)))
+    passed = rec.gap <= opts["tolerance_gap"] and e_gap <= opts["energy_tolerance"]
     return _from_record(rec, passed, energy_extrapolated=e_extr, energy_gap=e_gap)
 
 
-@_kind("tensors", required={"geometry", "p", "indices", "phi", "schedule"}, codim=1,
-       optional={"half_width": float, "tolerance_gap": float, "zero_tolerance": float})
-def _run_tensors(exp: dict, built: dict, _rng, _outdir):
+@_kind("tensors", {"geometry": _GEOMETRY, "p": _P,
+                   "indices": (lambda idx: [int(i) for i in idx], REQUIRED), "phi": _SCALAR,
+                   "schedule": _SCHEDULE, "half_width": _WIDTH,
+                   "tolerance_gap": (float, 0.02), "zero_tolerance": (float, 1e-6)},
+       codim=1, check=_check_indices)
+def _run_tensors(opts: dict, _rng, _outdir):
     rec = limits.tensor_pairing_experiment(
-        built["geometry"], float(exp["p"]), built["phi"], exp["indices"], built["schedule"],
-        half_width=exp.get("half_width"), name=exp["name"],
+        opts["geometry"], opts["p"], opts["phi"], opts["indices"], opts["schedule"],
+        half_width=opts["half_width"], name=opts["name"],
     )
     if abs(rec.target) < 1e-12:
-        zero_tol = float(exp.get("zero_tolerance", 1e-6))
-        passed = max(abs(v) for v in rec.values) <= zero_tol
+        passed = max(abs(v) for v in rec.values) <= opts["zero_tolerance"]
     else:
-        passed = rec.gap <= float(exp.get("tolerance_gap", 0.02))
+        passed = rec.gap <= opts["tolerance_gap"]
     return _from_record(rec, passed)
 
 
-@_kind("equipartition", required={"geometry", "p", "schedule"}, codim=1, builds={"profile"},
-       optional={"half_width": float, "floor": float, "min_rate": float, "lower_bound": float})
-def _run_equipartition(exp: dict, built: dict, _rng, _outdir):
+@_kind("equipartition", {"geometry": _GEOMETRY, "p": _P, "schedule": _SCHEDULE,
+                         "profile": (_equipartition_profile, "optimal"), "half_width": _WIDTH,
+                         "floor": (float, 1e-7), "min_rate": (float, 0.9),
+                         "lower_bound": (float, None)}, codim=1)
+def _run_equipartition(opts: dict, _rng, _outdir):
     rec = limits.equipartition_residuals(
-        built["geometry"], float(exp["p"]), built["schedule"], profile=built["profile"],
-        half_width=exp.get("half_width"), name=exp["name"],
+        opts["geometry"], opts["p"], opts["schedule"], profile=opts["profile"],
+        half_width=opts["half_width"], name=opts["name"],
     )
-    floor = float(exp.get("floor", 1e-7))
-    min_rate = float(exp.get("min_rate", 0.9))
-    if "lower_bound" in exp:  # negative control: defect must persist
-        passed = min(rec.values) >= float(exp["lower_bound"])
+    floor, min_rate = opts["floor"], opts["min_rate"]
+    if opts["lower_bound"] is not None:  # negative control: defect must persist
+        passed = min(rec.values) >= opts["lower_bound"]
     else:
         both = rec.values + rec.extras["residual_phi"]
         small = max(both) <= floor
@@ -433,15 +380,19 @@ def _run_equipartition(exp: dict, built: dict, _rng, _outdir):
     return _from_record(rec, passed)
 
 
-@_kind("volume", required={"geometry"}, codim=1, builds={"fields"},
-       optional={"tolerance_c2": float, "tolerance_flux": float},
-       check=lambda built: geometry.require_enclosed_region(built["geometry"]))
-def _run_volume(exp: dict, built: dict, rng: np.random.Generator, _outdir):
-    g = built["geometry"]
-    tol_c2 = float(exp.get("tolerance_c2", 1e-10))
-    tol_flux = float(exp.get("tolerance_flux", 1e-8))
+@_kind("volume", {"geometry": _GEOMETRY, "fields": (_volume_fields, {"random": 10}),
+                  "tolerance_c2": (float, 1e-10), "tolerance_flux": (float, 1e-8)},
+       codim=1, check=lambda opts: geometry.require_enclosed_region(opts["geometry"]))
+def _run_volume(opts: dict, rng: np.random.Generator, _outdir):
+    g, etas = opts["geometry"], opts["fields"]
+    tol_c2, tol_flux = opts["tolerance_c2"], opts["tolerance_flux"]
+    if isinstance(etas, dict):  # drawn here, from the experiment's own seed
+        radius = 1.4 * g.config.get("radius", 1.0) if etas["radius"] is None else etas["radius"]
+        etas = [fields.random_compact_vector_field(rng, g.dim, degree=etas["degree"],
+                                                   radius=radius)
+                for _ in range(etas["random"])]
     rows, details = [], []
-    for i, eta in enumerate(built["fields"](rng)):
+    for i, eta in enumerate(etas):
         c1, c2 = limits.volume_admissibility(g, eta)
         flux = limits.boundary_flux(g, eta)
         rows.append({"epsilon": float(i), "value": c2, "target": 0.0,
@@ -454,53 +405,51 @@ def _run_volume(exp: dict, built: dict, rng: np.random.Generator, _outdir):
     return passed, worst, None, rows, {"fields": details}
 
 
-@_kind("poincare", required={"geometry", "xi"}, codim=1,
-       optional={"cutoff_width": float, "tolerance": float},
-       check=lambda built: limits.require_zero_mean(built["geometry"], built["xi"]))
-def _run_poincare(exp: dict, built: dict, _rng, _outdir):
-    lhs, rhs = limits.constrained_poincare_check(built["geometry"], built["xi"],
-                                                 exp.get("cutoff_width"))
-    tol = float(exp.get("tolerance", 1e-6))
+@_kind("poincare", {"geometry": _GEOMETRY, "xi": _SCALAR, "cutoff_width": _WIDTH,
+                    "tolerance": (float, 1e-6)},
+       codim=1, check=lambda opts: limits.require_zero_mean(opts["geometry"], opts["xi"]))
+def _run_poincare(opts: dict, _rng, _outdir):
+    lhs, rhs = limits.constrained_poincare_check(opts["geometry"], opts["xi"],
+                                                 opts["cutoff_width"])
+    tol = opts["tolerance"]
     gap = abs(lhs - rhs) / (1.0 + abs(rhs))
     rows = [{"epsilon": 0.0, "value": lhs, "target": rhs, "gap": gap,
              "residual_1": tol, "residual_2": 0.0}]
     return gap <= tol, gap, None, rows, {"lhs": lhs, "rhs": rhs, "gap": gap}
 
 
-@_kind("forms", required={"geometry", "xi", "schedule"}, codim=1,
-       optional={"cutoff_width": float, "half_width": float, "tolerance_gap": float})
-def _run_forms(exp: dict, built: dict, _rng, _outdir):
+@_kind("forms", {"geometry": _GEOMETRY, "xi": _SCALAR, "schedule": _SCHEDULE,
+                 "cutoff_width": _WIDTH, "half_width": _WIDTH, "tolerance_gap": (float, 0.02)},
+       codim=1)
+def _run_forms(opts: dict, _rng, _outdir):
     rec = limits.quadratic_forms(
-        built["geometry"], built["xi"], built["schedule"], cutoff_width=exp.get("cutoff_width"),
-        half_width=exp.get("half_width"), name=exp["name"],
+        opts["geometry"], opts["xi"], opts["schedule"], cutoff_width=opts["cutoff_width"],
+        half_width=opts["half_width"], name=opts["name"],
     )
-    return _from_record(rec, rec.gap <= float(exp.get("tolerance_gap", 0.02)))
+    return _from_record(rec, rec.gap <= opts["tolerance_gap"])
 
 
-@_kind("profile", required={"p"},
-       optional={"tolerance_constant": float, "tolerance_equipartition": float,
-                 "tolerance_tanh": float, "export_table": _boolean})
-def _run_profile(exp: dict, _built, _rng, outdir: Path | None):
-    p = float(exp["p"])
+@_kind("profile", {"p": _P, "tolerance_constant": (float, 1e-12),
+                   "tolerance_equipartition": (float, 1e-8), "tolerance_tanh": (float, 1e-9),
+                   "export_table": (boolean, True)})
+def _run_profile(opts: dict, _rng, outdir: Path | None):
+    p = opts["p"]
     prof = profiles.optimal_profile(p)
     checks = []
     cp_gap = abs(profiles.c_p(p) - profiles.c_p_beta_oracle(p))
-    checks.append(("constant_vs_gamma_oracle", cp_gap,
-                   float(exp.get("tolerance_constant", 1e-12))))
+    checks.append(("constant_vs_gamma_oracle", cp_gap, opts["tolerance_constant"]))
     ss = np.linspace(0.0, min(prof.s_max * 0.98, 40.0), 400)
     h = 1e-6
     dq_fd = (prof.q(ss + h) - prof.q(ss - h)) / (2 * h)
     equi = float(np.max(np.abs(np.abs(dq_fd) ** p - (1 - prof.q(ss) ** 2) ** 2)))
-    checks.append(("pointwise_equipartition_fd", equi,
-                   float(exp.get("tolerance_equipartition", 1e-8))))
+    checks.append(("pointwise_equipartition_fd", equi, opts["tolerance_equipartition"]))
     checks.append(("origin_values", abs(prof.q(0.0)) + abs(prof.dq(0.0) - 1.0), 1e-12))
     if p == 2.0:
         sg = np.linspace(-8.0, 8.0, 801)
         dev = float(np.max(np.abs(prof.q(sg) - np.tanh(sg))))
-        checks.append(("closed_form_deviation", dev,
-                       float(exp.get("tolerance_tanh", 1e-9))))
-    if outdir is not None and exp.get("export_table", True):
-        prof.to_csv(outdir / f"{exp['name']}_table.csv")
+        checks.append(("closed_form_deviation", dev, opts["tolerance_tanh"]))
+    if outdir is not None and opts["export_table"]:
+        prof.to_csv(outdir / f"{opts['name']}_table.csv")
     passed, rows, summary = _from_checks(checks)
     return (passed, max(res for _label, res, _tol in checks), None, rows,
             {"s_max": prof.s_max, "s_core": prof.s_core, "checks": summary})
@@ -511,7 +460,7 @@ def run_experiment(exp: dict, seed: int, index: int, outdir: Path | None = None)
     kind = _KINDS[exp["kind"]]
     start = time.perf_counter()
     try:
-        passed, gap, rate, rows, summary = kind.run(exp, _build(exp, kind), rng, outdir)
+        passed, gap, rate, rows, summary = kind.run(_build(exp, kind), rng, outdir)
     except ConfigError:
         raise
     except EpsilonTooLarge as exc:
@@ -600,10 +549,11 @@ def _resolve_config(arg: str) -> dict:
 def cmd_run(args) -> int:
     try:
         config = _resolve_config(args.config)
+        seed = config["seed"] if args.seed is None else parse(
+            {"seed": args.seed}, {"seed": _SEED}, "--seed")["seed"]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     jobs = args.jobs
     if jobs is None:
         jobs = int(os.environ.get("INNERVAR_JOBS", "1"))
@@ -628,7 +578,7 @@ def cmd_run(args) -> int:
     all_pass = True
     summary = {
         "schema_version": SCHEMA_VERSION,
-        "name": config.get("name", args.config),
+        "name": args.config if config["name"] is None else config["name"],
         "seed": seed,
         "experiments": [],
     }

@@ -25,7 +25,8 @@ import copy
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, NonInvertible
+from .config import REQUIRED, as_is, build, count, exponent, natural, positive
+from .errors import DimensionMismatch, NonInvertible
 from .jets import Jet, jet_cos, jet_exp, jet_polynomial, jet_sin, point_major
 
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
@@ -677,6 +678,8 @@ def filament_test_field(preset: str, amplitude: float = 1.0, frequency: int = 1,
       * ``dilation``        A (0, x2, x3): transverse dilation, holomorphic, no
                             discrepancy and no length change.
     """
+    if preset not in ("bend", "antiholomorphic", "dilation"):
+        raise ValueError(f"unknown filament field preset {preset!r}")
     amp = float(amplitude)
 
     def build(xb, jet_order):
@@ -687,99 +690,59 @@ def filament_test_field(preset: str, amplitude: float = 1.0, frequency: int = 1,
         if preset == "bend":
             wave = jet_sin(Jet.coordinate(xb, 0, jet_order) * (2.0 * np.pi * int(frequency))) * amp
             return [zero, wave * chi, zero]
-        if preset == "antiholomorphic":
-            return [zero, x2 * chi * amp, x3 * chi * (-amp)]
-        if preset == "dilation":
-            return [zero, x2 * chi * amp, x3 * chi * amp]
-        raise ValueError(f"unknown filament field preset {preset!r}")
+        return [zero, x2 * chi * amp, x3 * chi * (-amp if preset == "antiholomorphic" else amp)]
 
     return VectorField.from_jets(3, build, label=f"filament_{preset}")
 
 
-def _req(spec: dict, key: str):
-    """``spec[key]``, or a ConfigError naming the descriptor type and the missing key."""
-    if key not in spec:
-        raise ConfigError(f"{spec.get('type')!r} descriptor needs key {key!r}")
-    return spec[key]
+def _seeded_compact_field(dim, degree, scale, center, radius, seed) -> VectorField:
+    return random_compact_vector_field(np.random.default_rng(seed), dim, degree, scale, center,
+                                       radius)
+
+
+_VECTOR_FIELDS = {
+    "linear": (linear_field, {"matrix": (as_is, REQUIRED), "offset": (as_is, None)}),
+    "rotation": (lambda omega, rate: rotation_field(rate if omega is None else omega),
+                 {"omega": (as_is, None), "rate": (float, 1.0)}),
+    "constant": (constant_field, {"vector": (as_is, REQUIRED)}),
+    "polynomial": (polynomial_vector_field, {"dim": (count, REQUIRED),
+                                             "components": (as_is, REQUIRED)}),
+    "bump_polynomial": (bump_polynomial_field, {
+        "dim": (count, REQUIRED), "components": (as_is, REQUIRED), "center": (as_is, REQUIRED),
+        "radius": (positive, REQUIRED), "order": (count, 8)}),
+    "random_bump_polynomial": (_seeded_compact_field, {
+        "dim": (count, REQUIRED), "degree": (natural, 2), "scale": (float, 1.0),
+        "center": (as_is, None), "radius": (positive, 0.8), "seed": (natural, 0)}),
+    "filament_preset": (filament_test_field, {
+        "preset": (str, REQUIRED), "amplitude": (float, 1.0), "frequency": (int, 1),
+        "radius": (positive, 0.45), "order": (count, 8)}),
+}
 
 
 def vector_field_from_config(spec: dict) -> VectorField:
-    """Build a vector field from a JSON-style descriptor (see configs/)."""
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError("field descriptor must be a dict with a 'type' key")
-    kind = spec["type"]
-    known = {
-        "linear": {"type", "matrix", "offset"},
-        "rotation": {"type", "omega", "rate"},
-        "constant": {"type", "vector"},
-        "polynomial": {"type", "dim", "components"},
-        "bump_polynomial": {"type", "dim", "components", "center", "radius", "order"},
-        "random_bump_polynomial": {"type", "dim", "degree", "scale", "center", "radius", "seed"},
-        "filament_preset": {"type", "preset", "amplitude", "frequency", "radius", "order"},
-    }
-    if kind not in known:
-        raise ConfigError(f"unknown vector field builder: {kind!r}")
-    extra = set(spec) - known[kind]
-    if extra:
-        raise ConfigError(f"unknown keys for field builder {kind!r}: {sorted(extra)}")
-    if kind == "linear":
-        return linear_field(_req(spec, "matrix"), spec.get("offset"))
-    if kind == "rotation":
-        if "omega" in spec:
-            return rotation_field(spec["omega"])
-        return rotation_field(float(spec.get("rate", 1.0)))
-    if kind == "constant":
-        return constant_field(_req(spec, "vector"))
-    if kind == "polynomial":
-        return polynomial_vector_field(int(_req(spec, "dim")), _req(spec, "components"))
-    if kind == "bump_polynomial":
-        return bump_polynomial_field(
-            int(_req(spec, "dim")), _req(spec, "components"), _req(spec, "center"), float(_req(spec, "radius")),
-            order=int(spec.get("order", 8)),
-        )
-    if kind == "filament_preset":
-        return filament_test_field(
-            _req(spec, "preset"), float(spec.get("amplitude", 1.0)),
-            int(spec.get("frequency", 1)), float(spec.get("radius", 0.45)),
-            int(spec.get("order", 8)),
-        )
-    rng = np.random.default_rng(int(spec.get("seed", 0)))
-    return random_compact_vector_field(
-        rng,
-        int(_req(spec, "dim")),
-        degree=int(spec.get("degree", 2)),
-        scale=float(spec.get("scale", 1.0)),
-        center=spec.get("center"),
-        radius=float(spec.get("radius", 0.8)),
-    )
+    """Build a vector field from a JSON-style descriptor; ``_VECTOR_FIELDS`` declares the keys."""
+    return build(spec, _VECTOR_FIELDS, "vector field")
+
+
+def _profile_composed(shape, p, epsilon) -> ScalarField:
+    """The ansatz q(d/epsilon) of the optimal profile at p around a shape descriptor."""
+    from .geometry import shape_from_config
+    from .profiles import ansatz_field, optimal_profile
+
+    return ansatz_field(shape_from_config(shape), epsilon, optimal_profile(p))
+
+
+_SCALAR_FIELDS = {
+    "polynomial": (polynomial_scalar_field, {"dim": (count, REQUIRED), "terms": (as_is, REQUIRED)}),
+    "radial_bump": (bump_scalar_field, {
+        "center": (as_is, REQUIRED), "radius": (positive, REQUIRED), "amplitude": (float, 1.0),
+        "order": (lambda order: None if order is None else count(order), 8)}),  # None: C-infinity
+    "trig": (trig_scalar_field, {"dim": (count, REQUIRED), "terms": (as_is, REQUIRED)}),
+    "profile_composed": (_profile_composed, {"shape": (as_is, REQUIRED), "p": (exponent, REQUIRED),
+                                             "epsilon": (positive, REQUIRED)}),
+}
 
 
 def scalar_field_from_config(spec: dict) -> ScalarField:
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError("field descriptor must be a dict with a 'type' key")
-    kind = spec["type"]
-    known = {
-        "polynomial": {"type", "dim", "terms"},
-        "radial_bump": {"type", "center", "radius", "amplitude", "order"},
-        "trig": {"type", "dim", "terms"},
-        "profile_composed": {"type", "shape", "p", "epsilon"},
-    }
-    if kind not in known:
-        raise ConfigError(f"unknown scalar field builder: {kind!r}")
-    extra = set(spec) - known[kind]
-    if extra:
-        raise ConfigError(f"unknown keys for field builder {kind!r}: {sorted(extra)}")
-    if kind == "polynomial":
-        return polynomial_scalar_field(int(_req(spec, "dim")), _req(spec, "terms"))
-    if kind == "radial_bump":
-        return bump_scalar_field(_req(spec, "center"), float(_req(spec, "radius")),
-                                 float(spec.get("amplitude", 1.0)),
-                                 order=spec.get("order", 8))
-    if kind == "profile_composed":
-        from .geometry import shape_from_config
-        from .profiles import ansatz_field, optimal_profile
-
-        shape = shape_from_config(_req(spec, "shape"))
-        prof = optimal_profile(float(_req(spec, "p")))
-        return ansatz_field(shape, float(_req(spec, "epsilon")), prof)
-    return trig_scalar_field(int(_req(spec, "dim")), _req(spec, "terms"))
+    """Build a scalar field from a JSON-style descriptor; ``_SCALAR_FIELDS`` declares the keys."""
+    return build(spec, _SCALAR_FIELDS, "scalar field")

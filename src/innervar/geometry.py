@@ -20,8 +20,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigError, DimensionMismatch, TubeTooNarrow, UnsupportedBoundary
-from .fields import ScalarField, VectorField, _req
+from .config import REQUIRED, as_is, build, count, positive
+from .errors import DimensionMismatch, TubeTooNarrow, UnsupportedBoundary
+from .fields import ScalarField, VectorField
 from .jets import Jet, jet_exp, jet_norm
 from .sums import pairwise_dot
 
@@ -39,6 +40,15 @@ def gauss_rule(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = _leggauss(n)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
+
+
+def doubling_rule(first: float, end: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss panels on [0, first], then on intervals doubling their right edge up to end."""
+    edges = [0.0, first]
+    while edges[-1] < end:
+        edges.append(min(2.0 * edges[-1], end))
+    nodes, weights = zip(*(gauss_rule(lo, hi, n) for lo, hi in zip(edges[:-1], edges[1:])))
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def uniform_rule(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -215,6 +225,8 @@ def flat_patch(dim: int, axis: int = 0, offset: float = 0.0, extents=None,
     """
     dim = int(dim)
     axis = int(axis)
+    if not 0 <= axis < dim:
+        raise DimensionMismatch(f"flat_patch axis {axis} is not an axis of R^{dim}")
     chart_axes = [i for i in range(dim) if i != axis]
     if extents is None:
         extents = [[-1.0, 1.0] for _ in chart_axes]
@@ -291,35 +303,22 @@ def circular_filament(radius: float, n_nodes: int = 128) -> Filament:
                             radius=r)
 
 
+_SHAPES = {
+    "circle": (circle, {"radius": (positive, REQUIRED), "center": (as_is, (0.0, 0.0)),
+                        "nodes": (count, 256)}),
+    "sphere": (sphere, {"radius": (positive, REQUIRED), "center": (as_is, (0.0, 0.0, 0.0)),
+                        "n_polar": (count, 32), "n_azimuth": (count, 64)}),
+    "flat_patch": (flat_patch, {"dim": (int, REQUIRED), "axis": (int, 0), "offset": (float, 0.0),
+                                "extents": (as_is, None), "n_per_axis": (count, 48)}),
+    "straight_filament": (straight_filament, {"length": (positive, 1.0), "nodes": (count, 24)}),
+    "circular_filament": (circular_filament, {"radius": (positive, REQUIRED),
+                                              "nodes": (count, 128)}),
+}
+
+
 def shape_from_config(spec: dict):
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError("shape descriptor must be a dict with a 'type' key")
-    kind = spec["type"]
-    known = {
-        "circle": {"type", "radius", "center", "nodes"},
-        "sphere": {"type", "radius", "center", "n_polar", "n_azimuth"},
-        "flat_patch": {"type", "dim", "axis", "offset", "extents", "n_per_axis"},
-        "straight_filament": {"type", "length", "nodes"},
-        "circular_filament": {"type", "radius", "nodes"},
-    }
-    if kind not in known:
-        raise ConfigError(f"unknown shape: {kind!r}")
-    extra = set(spec) - known[kind]
-    if extra:
-        raise ConfigError(f"unknown keys for shape {kind!r}: {sorted(extra)}")
-    if kind == "circle":
-        return circle(float(_req(spec, "radius")), spec.get("center", (0.0, 0.0)),
-                      int(spec.get("nodes", 256)))
-    if kind == "sphere":
-        return sphere(float(_req(spec, "radius")), spec.get("center", (0.0, 0.0, 0.0)),
-                      int(spec.get("n_polar", 32)), int(spec.get("n_azimuth", 64)))
-    if kind == "flat_patch":
-        return flat_patch(int(_req(spec, "dim")), int(spec.get("axis", 0)),
-                          float(spec.get("offset", 0.0)), spec.get("extents"),
-                          int(spec.get("n_per_axis", 48)))
-    if kind == "straight_filament":
-        return straight_filament(float(spec.get("length", 1.0)), int(spec.get("nodes", 24)))
-    return circular_filament(float(_req(spec, "radius")), int(spec.get("nodes", 128)))
+    """Build a shape from a JSON-style descriptor; ``_SHAPES`` declares each type's keys."""
+    return build(spec, _SHAPES, "shape")
 
 
 # ---------------------------------------------------------------------------

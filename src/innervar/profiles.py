@@ -24,7 +24,7 @@ from scipy.special import betainc, betaln, roots_jacobi
 
 from .errors import EpsilonTooLarge, StiffTail
 from .fields import ScalarField
-from .geometry import Filament, Hypersurface, gauss_rule
+from .geometry import Filament, Hypersurface, doubling_rule
 from .jets import jet_sqrt
 from .ode import brentq, dop853
 
@@ -230,16 +230,7 @@ def transverse_rule(prof: ProfileTable, eps: float, half_width: float,
     reached; mirrored to negative offsets.  Returns physical nodes/weights.
     """
     s_end = min(prof._core_radius(tail_tol * prof._cp), half_width / eps)
-    edges = [0.0, 1.0]
-    while edges[-1] < s_end:
-        edges.append(min(2.0 * edges[-1], s_end))
-    s_nodes, s_weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        xs, ws = gauss_rule(lo, hi, nodes_per_panel)
-        s_nodes.append(xs)
-        s_weights.append(ws)
-    s_nodes = np.concatenate(s_nodes)
-    s_weights = np.concatenate(s_weights)
+    s_nodes, s_weights = doubling_rule(1.0, s_end, nodes_per_panel)
     d = eps * np.concatenate([-s_nodes[::-1], s_nodes])
     w = eps * np.concatenate([s_weights[::-1], s_weights])
     return d, w

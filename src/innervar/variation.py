@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonInvertible
 from .fields import ScalarField, VectorField, pinned, x0_field
-from .geometry import gauss_rule
+from .geometry import doubling_rule, gauss_rule
 from .sums import pairwise_dot
 
 
@@ -135,15 +135,7 @@ def filament_tube_rule(filament, rho_nodes, rho_weights, n_theta: int = 32) -> B
 
 def vortex_radial_rule(eps: float, rho_max: float, nodes_per_panel: int = 10):
     """Radial rule resolving an eps-core: panels double from 2*eps to rho_max."""
-    edges = [0.0, min(2.0 * eps, rho_max)]
-    while edges[-1] < rho_max:
-        edges.append(min(2.0 * edges[-1], rho_max))
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = gauss_rule(lo, hi, nodes_per_panel)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    return doubling_rule(min(2.0 * eps, rho_max), rho_max, nodes_per_panel)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from innervar import cli, fields, geometry
@@ -235,6 +236,22 @@ _TENSORS = {
 }
 
 
+_GL = {
+    "name": "x", "kind": "gl-converge", "geometry": {"type": "straight_filament", "nodes": 8},
+    "eta": {"type": "filament_preset", "preset": "bend"}, "schedule": {"eps0": 0.04, "count": 4},
+}
+_AC = {
+    "name": "x", "kind": "ac-converge", "geometry": {"type": "flat_patch", "dim": 2}, "p": 2.0,
+    "eta": {"type": "bump_polynomial", "dim": 2, "components": [[[1.0, [0, 0]]], []],
+            "center": [0.0, 0.0], "radius": 0.8},
+    "schedule": {"eps0": 0.04, "count": 4},
+}
+_POINCARE = {
+    "name": "x", "kind": "poincare", "geometry": _SPHERE,
+    "xi": {"type": "polynomial", "dim": 3, "terms": [[1.0, [0, 0, 1]]]},
+}
+
+
 def _variant(drop=(), **changes):
     exp = {k: v for k, v in _TENSORS.items() if k not in drop}
     exp.update(changes)
@@ -294,6 +311,28 @@ _MALFORMED = [
     }),
     ("export_table_not_a_boolean", {"name": "x", "kind": "profile", "p": 2.0,
                                     "export_table": "no"}),
+    # range rules: counts are at least 1, widths, radii, eps and cutoffs positive and finite,
+    # p finite, and a filament preset one of the known ones
+    ("identities_samples_zero", {"name": "x", "kind": "identities", "samples": 0}),
+    ("identities_samples_negative", {"name": "x", "kind": "identities", "samples": -1}),
+    ("identities_dim_zero", {"name": "x", "kind": "identities", "dim": 0}),
+    ("gl_n_theta_zero", {**_GL, "n_theta": 0}),
+    ("gl_rho_max_zero", {**_GL, "rho_max": 0.0}),
+    ("gl_rho_max_negative", {**_GL, "rho_max": -1.0}),
+    ("filament_preset_unknown", {**_GL, "eta": {"type": "filament_preset", "preset": "bogus"}}),
+    ("epsilons_with_nan", _variant(schedule={"epsilons": [0.04, float("nan")]})),
+    ("p_infinite", _variant(p=float("inf"))),
+    ("radial_bump_order_not_a_number", _variant(phi={**_TENSORS["phi"], "order": "eight"})),
+    ("ac_half_width_zero", {**_AC, "half_width": 0.0}),
+    ("ac_half_width_negative", {**_AC, "half_width": -0.5}),
+    ("poincare_cutoff_width_zero", {**_POINCARE, "cutoff_width": 0.0}),
+    ("poincare_cutoff_width_negative", {**_POINCARE, "cutoff_width": -1.0}),
+    ("flat_patch_axis_beyond_dimension",
+     {**_AC, "geometry": {"type": "flat_patch", "dim": 2, "axis": 2}}),
+    ("volume_sphere_negative_radius", {
+        "name": "x", "kind": "volume", "geometry": {**_SPHERE, "radius": -1.0},
+        "fields": {"random": 2},
+    }),
 ]
 
 
@@ -311,21 +350,52 @@ def test_malformed_config_exits_2(tmp_path, capsys, exp):
     assert strays == []
 
 
+_TOP_LEVEL_MALFORMED = [
+    ("seed_not_a_number", {"seed": "abc"}, []),
+    ("seed_negative", {"seed": -1}, []),
+    ("schema_version_not_a_number", {"schema_version": "one"}, []),
+    ("seed_negative_on_the_command_line", {}, ["--seed", "-1"]),
+]
+
+
+@pytest.mark.parametrize("top,argv", [(top, argv) for _, top, argv in _TOP_LEVEL_MALFORMED],
+                         ids=[case for case, _, _ in _TOP_LEVEL_MALFORMED])
+def test_malformed_top_level_exits_2(tmp_path, capsys, top, argv):
+    cfg = _write(tmp_path, {"schema_version": 1, **top,
+                            "experiments": [{"name": "x", "kind": "profile", "p": 2.0}]})
+    rc = main(["run", cfg, "--out", str(tmp_path / "out"), *argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config error" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_radial_bump_order_null_is_the_smooth_bump():
+    validate_config({"experiments": [_variant(phi={**_TENSORS["phi"], "order": None})]})
+    spec = {"type": "radial_bump", "center": [0.0, 0.0], "radius": 1.0, "order": None}
+    x = np.array([[0.3, 0.4]])
+    assert fields.scalar_field_from_config(spec).eval(x) == np.exp(1.0 - 1.0 / (1.0 - 0.25))
+
+
 def test_a_run_imports_neither_scipy_integrate_nor_optimize(tmp_path):
-    # the profile ODEs and the GL shooting run on innervar.ode, so a run that solves a
-    # profile needs scipy.special (and scipy.linalg for expm) only
+    # the profile ODEs and the GL shooting run on innervar.ode, and only the 3-D identities
+    # check asks for scipy.linalg (expm), so importing the CLI loads none of the three.  A
+    # run that computes c_p still loads scipy.linalg: scipy.special.roots_jacobi imports it.
     script = (
         "import json, sys\n"
+        "def loaded(*subs):\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[:2] in\n"
+        "                  [['scipy', sub] for sub in subs])\n"
         "from innervar import cli\n"
+        "at_import = loaded('integrate', 'optimize', 'linalg')\n"
         f"rc = cli.main(['run', 'ac_flat_p2', '--seed', '1234', '--out', {str(tmp_path)!r}])\n"
-        "print(json.dumps([rc, sorted(m for m in sys.modules\n"
-        "                             if m.split('.')[:2] in (['scipy', 'integrate'],\n"
-        "                                                     ['scipy', 'optimize']))]))\n"
+        "print(json.dumps([rc, at_import, loaded('integrate', 'optimize')]))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
-    rc, loaded = json.loads(done.stdout.splitlines()[-1])
+    rc, at_import, after_run = json.loads(done.stdout.splitlines()[-1])
     assert rc == 0
-    assert loaded == []
+    assert at_import == []
+    assert after_run == []
