@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import REQUIRED, as_is, build, count, exponent, natural, positive
 from .errors import DimensionMismatch, NonInvertible
-from .jets import Jet, jet_cos, jet_exp, jet_polynomial, jet_sin, point_major
+from .jets import Jet, jet_cos, jet_exp, jet_polynomial, jet_sin, point_major, point_matmul
 
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -469,8 +469,8 @@ def zeta_eta(eta: VectorField) -> VectorField:
         jac = (
             -np.einsum("mk,mi->mik", ddiv, v)
             - div[:, None, None] * j
-            + np.einsum("mijk,mj->mik", s, v)
-            + np.einsum("mij,mjk->mik", j, j)
+            + point_matmul(v[:, None, None], s)[:, :, 0]
+            + point_matmul(j, j)
         )
         return [val, jac]
 

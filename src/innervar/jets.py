@@ -158,6 +158,34 @@ def point_major(jets: list[Jet], order: int) -> list[np.ndarray]:
     return parts
 
 
+_BLOCK = 4096  # points per point_matmul block: its rows stay in cache, its temporaries small
+
+
+def point_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The per-point matrix product a[m] @ b[m], bit for bit ``np.einsum``'s.
+
+    ``a`` is (M, ..., I, J) and ``b`` is (M, ..., J, K), with the axes between
+    M and the matrix axes broadcast against each other; the result is a
+    C-contiguous (M, ..., I, K) array.  Each contraction runs on contiguous
+    length-M component rows and adds the j terms into zeros in the order
+    j = 0, 1, ..., as einsum sums them when the output stride is non-zero,
+    so ``np.einsum("mdj,mji->mdi", p, je)`` equals ``point_matmul(p, je)``
+    and ``np.einsum("mijk,mj->mik", s, v)`` equals
+    ``point_matmul(v[:, None, None], s)[:, :, 0]``.  The result is contiguous
+    because einsum reductions of a strided view may sum in another order.
+    """
+    lead = np.broadcast_shapes(a.shape[1:-2], b.shape[1:-2])
+    out = np.empty(a.shape[:1] + lead + (a.shape[-2], b.shape[-1]))
+    for s in range(0, len(out), _BLOCK):
+        ar = np.moveaxis(a[s:s + _BLOCK], 0, -1).copy()
+        br = np.moveaxis(b[s:s + _BLOCK], 0, -1).copy()
+        rows = np.zeros(lead + (ar.shape[-3], br.shape[-2], ar.shape[-1]))
+        for j in range(ar.shape[-2]):
+            rows += ar[..., :, j, None, :] * br[..., None, j, :, :]
+        out[s:s + _BLOCK] = np.moveaxis(rows, -1, 0)
+    return out
+
+
 def jet_sqrt(a: Jet) -> Jet:
     r = np.sqrt(a.val)
     return a.lift(r, 0.5 / r, None if a.hess is None else -0.25 / (r * a.val))

@@ -10,9 +10,12 @@ For p < 2 the profile approaches +-1 only algebraically; the tables extend
 far enough that 1 - |q(S_max)| <= 1e-9, while quadrature uses the much
 smaller energy-resolved core radius (tail energy below 1e-10 c_p).
 
-The profile ODE and the Ginzburg-Landau shooting problem are integrated by
+The profile ODE and the Ginzburg-Landau vortex ODE are integrated by
 :mod:`innervar.ode`, which repeats scipy's DOP853 ``solve_ivp`` and ``brentq``
-bit for bit; from scipy this module needs only ``scipy.special``.
+bit for bit; from scipy this module needs only ``scipy.special``.  The GL
+shooting slope is shipped with the final bracket of its brentq search and
+certified by two solves on each build (:func:`gl_radial_profile`); the search
+itself runs only in the tests.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ import csv
 import numpy as np
 from scipy.special import betainc, betaln, roots_jacobi
 
-from .errors import EpsilonTooLarge, StiffTail
+from .errors import EpsilonTooLarge, InnervarError, StiffTail
 from .fields import ScalarField
 from .geometry import Filament, Hypersurface, doubling_rule
 from .jets import jet_sqrt
-from .ode import brentq, dop853
+from .ode import dop853
 
 
 def c_p(p: float) -> float:
@@ -320,8 +323,51 @@ class GLRadialProfile:
         return fv, dv, self._ddf_from(r, fv, dv) if order == 2 else None
 
 
-def gl_radial_profile(mode: str = "ode", r_max: float = 16.0) -> GLRadialProfile:
-    """Degree-one vortex profile, by shooting on f'(0) or the algebraic surrogate.
+_GL_R0, _GL_R_MAX = 1e-8, 16.0
+_GL_XTOL, _GL_RTOL = 1e-12, 4 * np.finfo(float).eps  # brentq's stopping width for the slope
+# The bracket brentq(gl_shot, 0.4, 0.8, xtol=_GL_XTOL) ends on, slope first: it
+# returns the slope, whose shot misses by +1.35e-5; the other end misses by -2.61e-5.
+_GL_BRACKET = (float.fromhex("0x1.2a97d0482c93cp-1"), float.fromhex("0x1.2a97d0482b7a2p-1"))
+
+
+def _gl_rhs(r, y):
+    f, fp = y
+    return [fp, -fp / r + f / r**2 - f * (1.0 - f**2)]
+
+
+def _gl_blowup(_r, y):
+    return y[0] - 2.0
+
+
+def _gl_solve(alpha, dense_output=False):
+    """The shot f(r0) = alpha r0, f'(r0) = alpha to r_max, stopped where f reaches 2."""
+    return dop853(_gl_rhs, (_GL_R0, _GL_R_MAX), [alpha * _GL_R0, alpha], rtol=1e-11,
+                  atol=1e-13, event=_gl_blowup, dense_output=dense_output)
+
+
+def _gl_miss(sol) -> float:
+    """How far a shot lands above the far field 1 - 1/(2 r_max^2); 1 if it blew up."""
+    if sol.t_events.size:
+        return 1.0  # overshoot diverges upward
+    return sol.y[0][-1] - (1.0 - 0.5 / _GL_R_MAX**2)
+
+
+def gl_shot(alpha: float) -> float:
+    """The shooting residual of the slope f'(0) = alpha; its root is the GL slope."""
+    return _gl_miss(_gl_solve(alpha))
+
+
+def gl_radial_profile(mode: str = "ode") -> GLRadialProfile:
+    """Degree-one vortex profile, from the shipped shooting slope or the algebraic surrogate.
+
+    The "ode" profile integrates f'' = -f'/r + f/r^2 - f(1 - f^2) from f'(0) =
+    alpha, the slope at which :func:`innervar.ode.brentq` over :func:`gl_shot` on
+    [0.4, 0.8] stops; the slope has no input, so it ships with the other end
+    of brentq's final bracket.  Each build certifies the pair with two shots:
+    the slope's shot (the table's own dense solve) reaches r_max without
+    blowing up, the two misses differ in sign, and the ends lie closer than
+    brentq's stopping width, so brentq would stop on this bracket again.  A
+    failed certificate raises :class:`InnervarError`.
 
     The surrogate r/sqrt(r^2+2) shares the boundary behavior and the leading
     log-energy; limit experiments only depend on the vortex degree.
@@ -332,25 +378,19 @@ def gl_radial_profile(mode: str = "ode", r_max: float = 16.0) -> GLRadialProfile
         ddf_from = lambda r, _f, _df: -6.0 * r / (r**2 + 2.0) ** 2.5
         return GLRadialProfile(f, df, ddf_from, np.inf, "surrogate", 1.0 / np.sqrt(2.0))
 
-    r0 = 1e-8
-
-    def rhs(r, y):
-        f, fp = y
-        return [fp, -fp / r + f / r**2 - f * (1.0 - f**2)]
-
-    def blowup(_r, y):
-        return y[0] - 2.0
-
-    def shoot(alpha):
-        sol = dop853(rhs, (r0, r_max), [alpha * r0, alpha], rtol=1e-11, atol=1e-13,
-                     event=blowup)
-        if sol.t_events.size:
-            return 1.0  # overshoot diverges upward
-        return sol.y[0][-1] - (1.0 - 0.5 / r_max**2)
-
-    alpha = brentq(shoot, 0.4, 0.8, xtol=1e-12)
-    sol = dop853(rhs, (r0, r_max), [alpha * r0, alpha], rtol=1e-11, atol=1e-13,
-                 dense_output=True)
+    r0, r_max = _GL_R0, _GL_R_MAX
+    alpha, other = _GL_BRACKET
+    sol = _gl_solve(alpha, dense_output=True)
+    if sol.status != 0:
+        raise InnervarError(f"the GL shot with slope {alpha!r} stops before r = {r_max:g}: "
+                            f"{sol.message}")
+    miss, other_miss = _gl_miss(sol), gl_shot(other)
+    if (miss < 0) == (other_miss < 0):
+        raise InnervarError(f"the GL slopes {alpha!r} and {other!r} miss by {miss:.3g} and "
+                            f"{other_miss:.3g}, which bracket no root")
+    if not abs(other - alpha) < _GL_XTOL + _GL_RTOL * abs(alpha):
+        raise InnervarError(f"the GL bracket [{min(alpha, other)!r}, {max(alpha, other)!r}] "
+                            "is wider than brentq's stopping width")
     table = _DenseTable(sol)
 
     def f(r):

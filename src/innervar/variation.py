@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonInvertible
 from .fields import ScalarField, VectorField, pinned, x0_field
 from .geometry import doubling_rule, gauss_rule
+from .jets import point_matmul
 from .sums import pairwise_dot
 
 
@@ -276,7 +277,7 @@ def composite_test_function(u: ScalarField, eta: VectorField) -> ScalarField:
         val = -np.einsum("mdj,mj->md", pu[1], pe[0])
         if order == 0:
             return [val]
-        grad = -(np.einsum("mdji,mj->mdi", pu[2], pe[0]) + np.einsum("mdj,mji->mdi", pu[1], pe[1]))
+        grad = -(point_matmul(pe[0][:, None, None], pu[2])[:, :, 0] + point_matmul(pu[1], pe[1]))
         return [val, grad]
 
     return ScalarField.from_evaluator(u.dim, evaluator, 1, state_dim=u.state_dim,
@@ -319,7 +320,7 @@ def first_inner_variation(f: Integrand, u: ScalarField, eta: VectorField,
     z, p = u.evaluate(quad.nodes, 1)
     _, je = eta.evaluate(quad.nodes, 1)
     div_e = np.einsum("mii->m", je)
-    p_je = np.einsum("mdj,mji->mdi", p, je)
+    p_je = point_matmul(p, je)
     dens = f.f(z, p) * div_e - np.einsum("mdi,mdi->m", f.f_p(z, p), p_je)
     return pairwise_dot(quad.weights, dens)
 
@@ -334,9 +335,9 @@ def second_inner_variation(f: Integrand, u: ScalarField, eta: VectorField,
     div_e = np.einsum("mii->m", je)
     div_z = np.einsum("mii->m", jz)
     x_fac = div_z + div_e**2 - np.einsum("mij,mji->m", je, je)
-    p_je = np.einsum("mdj,mji->mdi", p, je)
-    p_jz = np.einsum("mdj,mji->mdi", p, jz)
-    p_je2 = np.einsum("mdj,mji->mdi", p_je, je)
+    p_je = point_matmul(p, je)
+    p_jz = point_matmul(p, jz)
+    p_je2 = point_matmul(p_je, je)
     y_fac = 0.5 * p_jz - p_je2
     fp = f.f_p(z, p)
     dens = (

@@ -351,23 +351,30 @@ def test_malformed_config_exits_2(tmp_path, capsys, exp):
 
 
 _TOP_LEVEL_MALFORMED = [
-    ("seed_not_a_number", {"seed": "abc"}, []),
-    ("seed_negative", {"seed": -1}, []),
-    ("schema_version_not_a_number", {"schema_version": "one"}, []),
-    ("seed_negative_on_the_command_line", {}, ["--seed", "-1"]),
+    ("seed_not_a_number", {"seed": "abc"}, [], {}),
+    ("seed_negative", {"seed": -1}, [], {}),
+    ("schema_version_not_a_number", {"schema_version": "one"}, [], {}),
+    ("seed_negative_on_the_command_line", {}, ["--seed", "-1"], {}),
+    ("jobs_environment_not_a_number", {}, [], {"INNERVAR_JOBS": "abc"}),
+    ("jobs_environment_fraction", {}, [], {"INNERVAR_JOBS": "1.5"}),
+    ("jobs_environment_empty", {}, [], {"INNERVAR_JOBS": ""}),
 ]
 
 
-@pytest.mark.parametrize("top,argv", [(top, argv) for _, top, argv in _TOP_LEVEL_MALFORMED],
-                         ids=[case for case, _, _ in _TOP_LEVEL_MALFORMED])
-def test_malformed_top_level_exits_2(tmp_path, capsys, top, argv):
+@pytest.mark.parametrize("top,argv,env",
+                         [(top, argv, env) for _, top, argv, env in _TOP_LEVEL_MALFORMED],
+                         ids=[case for case, *_ in _TOP_LEVEL_MALFORMED])
+def test_malformed_top_level_exits_2(tmp_path, capsys, monkeypatch, top, argv, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
     cfg = _write(tmp_path, {"schema_version": 1, **top,
                             "experiments": [{"name": "x", "kind": "profile", "p": 2.0}]})
     rc = main(["run", cfg, "--out", str(tmp_path / "out"), *argv])
     err = capsys.readouterr().err
     assert rc == 2
     assert "config error" in err and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    assert all(f"{key}: " in err for key in env)
+    assert not (tmp_path / "out").exists()  # rejected before any experiment or pool starts
 
 
 def test_radial_bump_order_null_is_the_smooth_bump():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -12,7 +12,8 @@ from innervar import limits as L
 from innervar import profiles as P
 from innervar import variation as V
 from innervar.errors import ConfigError, DimensionMismatch, NonInvertible
-from innervar.jets import Jet, jet_exp, jet_norm, jet_polynomial, jet_sin, jet_sqrt
+from innervar.jets import (Jet, jet_exp, jet_norm, jet_polynomial, jet_sin, jet_sqrt,
+                           point_matmul)
 
 
 def fd_divergence(v, x, h=1e-5):
@@ -425,6 +426,36 @@ def test_jet_norm_matches_the_sum_of_squared_coordinate_jets_bit_for_bit(dim):
         got, want = jet_norm(x, order), jet_sqrt(sq)
         for part in ("val", "grad", "hess")[:order + 1]:
             assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+
+# each matrix-product einsum point_matmul replaces: (operand shapes for M, D, N, the call)
+_CONTRACTIONS = {
+    "mdj,mji->mdi": (lambda m, d, n: [(m, d, n), (m, n, n)], point_matmul),
+    "mij,mjk->mik": (lambda m, d, n: [(m, n, n), (m, n, n)], point_matmul),
+    "mijk,mj->mik": (lambda m, d, n: [(m, n, n, n), (m, n)],
+                     lambda s, v: point_matmul(v[:, None, None], s)[:, :, 0]),
+    "mdji,mj->mdi": (lambda m, d, n: [(m, d, n, n), (m, n)],
+                     lambda h, v: point_matmul(v[:, None, None], h)[:, :, 0]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(sorted(_CONTRACTIONS)), m=st.integers(1, 5000),
+       d=st.sampled_from([1, 2]), n=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+@example(spec="mdj,mji->mdi", m=4097, d=2, n=3, seed=0)  # one point past a block
+@example(spec="mijk,mj->mik", m=5000, d=1, n=3, seed=1)
+def test_point_matmul_is_the_einsum_it_replaces_bit_for_bit(spec, m, d, n, seed):
+    shapes, contract = _CONTRACTIONS[spec]
+    rng = np.random.default_rng(seed)
+    # signed zeros too: einsum adds the j terms into zeros, so an all-zero sum is +0
+    ops = [np.where(rng.random(shape) < 0.1, -0.0, rng.standard_normal(shape))
+           for shape in shapes(m, d, n)]
+    want, got = np.einsum(spec, *ops), contract(*ops)
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+    assert got.flags.c_contiguous
+    # the reductions downstream of a contraction sum in the same order on either result
+    q = rng.standard_normal(want.shape)
+    assert np.einsum("mdi,mdi->m", got, q).tobytes() == np.einsum("mdi,mdi->m", want, q).tobytes()
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,5 +1,7 @@
 """Transition profiles, surface-tension constants, and ansatz fields."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,12 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq as scipy_brentq
 from scipy.special import beta, betaincinv, gamma, hyp2f1
 
+from innervar import cli, ode
 from innervar import geometry as G
-from innervar import ode
+from innervar import limits as L
 from innervar import profiles as P
 from innervar import variation as V
-from innervar.errors import EpsilonTooLarge, StiffTail
+from innervar.errors import EpsilonTooLarge, InnervarError, StiffTail
 
 
 def test_constant_known_values():
@@ -132,6 +135,31 @@ def test_gl_profile_ode_properties():
     assert 1.0 - prof.f(np.array([25.0]))[0] <= 1e-3
 
 
+_SLOPE, _OTHER_END = P._GL_BRACKET
+_BAD_BRACKETS = [
+    ("same_sign_ends", (_SLOPE, 2.0 * _SLOPE - _OTHER_END), "bracket no root"),
+    ("ends_1e-9_apart", (_SLOPE, _SLOPE - 1e-9), "wider than brentq's stopping width"),
+    ("slope_overshoots_into_the_blowup", (0.8, 0.8 - 1e-13), "stops before r = 16"),
+]
+
+
+@pytest.mark.parametrize("bracket,reason", [(b, r) for _, b, r in _BAD_BRACKETS],
+                         ids=[case for case, *_ in _BAD_BRACKETS])
+def test_gl_slope_certificate_rejects_a_bad_bracket(tmp_path, capsys, monkeypatch,
+                                                     bracket, reason):
+    monkeypatch.setattr(P, "_GL_BRACKET", bracket)
+    with pytest.raises(InnervarError, match=reason):
+        P.gl_radial_profile("ode")
+    # a gl-converge run solves its own profile, fails its experiments and says why
+    monkeypatch.setattr(L, "_GL_PROFILE", {})
+    cfg = tmp_path / "gl.json"
+    cfg.write_text(json.dumps(dict(cli.builtin_configs())["gl_straight"]))
+    rc = cli.main(["run", str(cfg), "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert "Traceback" not in out + err and out.count(reason) == 2
+
+
 def test_gl_profile_surrogate():
     prof = P.gl_radial_profile("surrogate")
     r = np.linspace(0.0, 30.0, 200)
@@ -203,8 +231,9 @@ def _scipy_solve(fun, t_span, y0, rtol, atol, event=None, direction=0.0, dense_o
 
 @pytest.fixture(scope="module")
 def recorded_solves():
-    """(profiles by label, [(label, args, kwargs, our solve, scipy's solve)]) for every
-    ``ode.dop853`` call behind the optimal profiles and the GL profile."""
+    """(profiles by label, [(label, args, kwargs, our solve, scipy's solve)], searched slope)
+    for every ``ode.dop853`` call behind the optimal profiles and the GL profile, and behind
+    the full GL shooting search, whose shots are labelled "gl-ode" too."""
     calls = []
 
     def recording(*args, **kwargs):
@@ -212,8 +241,16 @@ def recorded_solves():
         calls.append((args, kwargs, sol))
         return sol
 
+    searched = []
+
+    def gl_profile_and_search(mode):
+        # the build shoots twice; the search whose final bracket it ships shoots many times
+        prof = P.gl_radial_profile(mode)
+        searched.append(ode.brentq(P.gl_shot, 0.4, 0.8, xtol=1e-12))
+        return prof
+
     recipes = {f"p={p:g}": (P.optimal_profile, p) for p in (1.25, 1.5, 1.708, 2.0, 3.0)}
-    recipes["gl-ode"] = (P.gl_radial_profile, "ode")
+    recipes["gl-ode"] = (gl_profile_and_search, "ode")
     profiles, solves = {}, []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(P, "dop853", recording)
@@ -222,13 +259,13 @@ def recorded_solves():
             solves += [(label, args, kwargs, sol, _scipy_solve(*args, **kwargs))
                        for args, kwargs, sol in calls]
             calls.clear()
-    return profiles, solves
+    return profiles, solves, searched[0]
 
 
 @pytest.fixture(scope="module")
 def dense_solutions(recorded_solves):
     """(label, profile, our solve, scipy's OdeSolution) for every table ``_DenseTable`` serves."""
-    profiles, solves = recorded_solves
+    profiles, solves, _slope = recorded_solves
     dense = [(label, profiles[label], ours, ref.sol)
              for label, _args, kwargs, ours, ref in solves if kwargs.get("dense_output")]
     assert [d[0] for d in dense] == list(profiles)  # one table per profile
@@ -236,7 +273,7 @@ def dense_solutions(recorded_solves):
 
 
 def test_dop853_is_bit_identical_to_solve_ivp(recorded_solves):
-    _profiles, solves = recorded_solves
+    _profiles, solves, _slope = recorded_solves
     for label, _args, kwargs, ours, ref in solves:
         assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y), label
         assert (ours.status, ours.message, ours.nfev) == (ref.status, ref.message, ref.nfev)
@@ -249,8 +286,8 @@ def test_dop853_is_bit_identical_to_solve_ivp(recorded_solves):
             assert np.array_equal(ours.h, [f.h for f in parts])
             assert np.array_equal(ours.F, np.stack([f.F.T for f in parts], axis=2))
             assert np.array_equal(ours.y_old, np.stack([f.y_old for f in parts], axis=1))
-    # every profile solve stops at its terminal event; the GL shooting brackets its
-    # slope, so some shots overshoot into the blowup event and some reach r_max
+    # every profile solve stops at its terminal event; the GL shooting search brackets
+    # its slope, so some shots overshoot into the blowup event and some reach r_max
     assert all(ours.status == 1 for label, *_, ours, _ref in solves if label != "gl-ode")
     shots = [ours for label, _args, kwargs, ours, _ref in solves
              if label == "gl-ode" and not kwargs.get("dense_output")]
@@ -260,10 +297,11 @@ def test_dop853_is_bit_identical_to_solve_ivp(recorded_solves):
 
 def test_gl_shooting_lands_on_scipys_slope(recorded_solves):
     # each shot's residual comes from its t_events and y, compared bit for bit above;
-    # scipy's brentq over scipy's solves must then pick the same slope
-    profiles, solves = recorded_solves
+    # scipy's brentq over scipy's solves must then pick the slope the profile ships,
+    # and so must ode.brentq over the module's shooting function
+    profiles, solves, slope = recorded_solves
     _label, (fun, (r0, r_max), _y0), kwargs, _ours, _ref = next(
-        s for s in solves if s[0] == "gl-ode")
+        s for s in solves if s[0] == "gl-ode" and not s[2].get("dense_output"))
 
     def shoot(alpha):
         sol = _scipy_solve(fun, (r0, r_max), [alpha * r0, alpha], **kwargs)
@@ -272,6 +310,7 @@ def test_gl_shooting_lands_on_scipys_slope(recorded_solves):
         return sol.y[0][-1] - (1.0 - 0.5 / r_max**2)
 
     assert scipy_brentq(shoot, 0.4, 0.8, xtol=1e-12) == profiles["gl-ode"].slope0
+    assert slope == profiles["gl-ode"].slope0 == P._GL_BRACKET[0]
 
 
 def _assert_table_matches(ours, sol, t):
