@@ -85,7 +85,8 @@ def _kind(name: str, keys: dict, codim=None, check=None):
 # ---------------------------------------------------------------------------
 
 _SEED = (natural, 0)
-_ENVIRONMENT_KEYS = {"INNERVAR_JOBS": (int, 1)}  # the fallback for --jobs
+_JOBS = (count, 1)
+_ENVIRONMENT_KEYS = {"INNERVAR_JOBS": _JOBS}  # the fallback for --jobs
 _CONFIG_KEYS = {"schema_version": (one_of(SCHEMA_VERSION), SCHEMA_VERSION),
                 "name": (as_is, None), "description": (as_is, None), "seed": _SEED,
                 "experiments": (checked(as_is, lambda e: isinstance(e, list) and len(e) > 0,
@@ -552,14 +553,14 @@ def cmd_run(args) -> int:
         config = _resolve_config(args.config)
         seed = config["seed"] if args.seed is None else parse(
             {"seed": args.seed}, {"seed": _SEED}, "--seed")["seed"]
-        jobs = args.jobs
-        if jobs is None:
+        if args.jobs is None:
             env = {key: os.environ[key] for key in _ENVIRONMENT_KEYS if key in os.environ}
             jobs = parse(env, _ENVIRONMENT_KEYS, "environment")["INNERVAR_JOBS"]
+        else:
+            jobs = parse({"jobs": args.jobs}, {"jobs": _JOBS}, "--jobs")["jobs"]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    jobs = max(1, jobs)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     experiments = config["experiments"]

@@ -458,20 +458,16 @@ def zeta_eta(eta: VectorField) -> VectorField:
     """
 
     def evaluator(xb, order):
-        parts = eta.evaluate(xb, order + 1)
-        v, j = parts[0], parts[1]
+        v, j, *second = eta.evaluate(xb, order + 1)
         div = np.trace(j, axis1=1, axis2=2)
         val = -div[:, None] * v + np.einsum("mij,mj->mi", j, v)
         if order == 0:
             return [val]
-        s = parts[2]
+        s = second.pop()
         ddiv = np.einsum("mjjk->mk", s)  # gradient of div eta
-        jac = (
-            -np.einsum("mk,mi->mik", ddiv, v)
-            - div[:, None, None] * j
-            + point_matmul(v[:, None, None], s)[:, :, 0]
-            + point_matmul(j, j)
-        )
+        s_v = point_matmul(v[:, None, None], s)[:, :, 0]
+        del s  # eta's second derivatives die here, before the Jacobian's terms are built
+        jac = -np.einsum("mk,mi->mik", ddiv, v) - div[:, None, None] * j + s_v + point_matmul(j, j)
         return [val, jac]
 
     return VectorField.from_evaluator(
@@ -659,10 +655,13 @@ def _cylindrical_bump_jet(xb, radius, order, jet_order):
     x2 = Jet.coordinate(xb, 1, jet_order)
     x3 = Jet.coordinate(xb, 2, jet_order)
     s2 = (x2 * x2 + x3 * x3) * (1.0 / radius**2)
+    del x2, x3
     out = Jet.constant(0.0, xb, jet_order)
     inside = s2.val < 1.0
     if np.any(inside):
-        out.put(inside, (1.0 - s2.masked(inside)) ** int(order))
+        base = 1.0 - s2.masked(inside)
+        del s2
+        out.put(inside, base ** int(order))
     return out
 
 
@@ -685,12 +684,12 @@ def filament_test_field(preset: str, amplitude: float = 1.0, frequency: int = 1,
     def build(xb, jet_order):
         chi = _cylindrical_bump_jet(xb, float(radius), order, jet_order)
         zero = Jet.constant(0.0, xb, jet_order)
-        x2 = Jet.coordinate(xb, 1, jet_order)
-        x3 = Jet.coordinate(xb, 2, jet_order)
         if preset == "bend":
             wave = jet_sin(Jet.coordinate(xb, 0, jet_order) * (2.0 * np.pi * int(frequency))) * amp
             return [zero, wave * chi, zero]
-        return [zero, x2 * chi * amp, x3 * chi * (-amp if preset == "antiholomorphic" else amp)]
+        sign = -amp if preset == "antiholomorphic" else amp
+        return [zero, Jet.coordinate(xb, 1, jet_order) * chi * amp,
+                Jet.coordinate(xb, 2, jet_order) * chi * sign]
 
     return VectorField.from_jets(3, build, label=f"filament_{preset}")
 

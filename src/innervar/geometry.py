@@ -521,8 +521,8 @@ def normal_extension(g: Hypersurface, xi, cutoff_width: float) -> VectorField:
         k = 0, 1, ..., as numpy's einsum sums them, so the parts are bit for
         bit those of contracting the point-major arrays.
         """
-        pts = np.stack([j.val for j in pj], axis=1)
-        parts = ambient.evaluate(pts, order)  # xi at the projected points, once
+        # xi at the projected points, once
+        parts = ambient.evaluate(np.stack([j.val for j in pj], axis=1), order)
         v, gr = parts[0][:, 0], parts[1][:, 0]
         n, m = pj[0].grad.shape
         grad = np.zeros((n, m))
@@ -531,40 +531,46 @@ def normal_extension(g: Hypersurface, xi, cutoff_width: float) -> VectorField:
         if order == 1:
             return Jet(v, grad, None)
         hs = parts[2][:, 0]
-        curv, lin = np.zeros((n, n, m)), np.zeros((n, n, m))
+        del parts
+        curv = np.zeros((n, n, m))
         for k, jk in enumerate(pj):
             for l, jl in enumerate(pj):
                 curv += (hs[:, k, l] * jk.grad)[:, None] * jl.grad[None, :]
+        del hs
+        lin = np.zeros((n, n, m))
+        for k, jk in enumerate(pj):
             lin += gr[:, k] * jk.hess
-        return Jet(v, grad, curv + lin)
+        curv += lin
+        return Jet(v, grad, curv)
 
     if isinstance(g, RoundSurface):
         center, radius = g.center, g.radius
 
         def jets_fn(xb, order):
-            shifted = xb - center
-            r = jet_norm(shifted, order)
+            r = jet_norm(xb - center, order)
             d = r - radius
-            inv_r = r.reciprocal()
-            coords = Jet.variables(xb, order)
-            hats = [(coords[i] - center[i]) * inv_r for i in range(g.dim)]
-            proj = [hats[i] * radius + center[i] for i in range(g.dim)]
-            xi_at = compose_ambient(proj, order)
             chi = _smooth_step_jet(d * d, s0, s1)
-            amp = xi_at * chi
-            return [amp * hats[i] for i in range(g.dim)]
+            inv_r = r.reciprocal()
+            del r, d
+            hats = [(Jet.coordinate(xb, i, order) - center[i]) * inv_r for i in range(g.dim)]
+            del inv_r
+            # the projection is built inline, so it dies when compose_ambient returns
+            amp = compose_ambient([h * radius + center[i] for i, h in enumerate(hats)],
+                                  order) * chi
+            del chi
+            return [amp * h for h in hats]
 
     elif isinstance(g, FlatPatch):
         axis, offset = g.axis, float(g.offset)
 
         def jets_fn(xb, order):
-            coords = Jet.variables(xb, order)
-            d = coords[axis] - offset
-            proj = [Jet.constant(offset, xb, order) if i == axis else coords[i]
-                    for i in range(g.dim)]
-            xi_at = compose_ambient(proj, order)
+            d = Jet.coordinate(xb, axis, order) - offset
             chi = _smooth_step_jet(d * d, s0, s1)
-            amp = xi_at * chi
+            del d
+            amp = compose_ambient([Jet.constant(offset, xb, order) if i == axis
+                                   else Jet.coordinate(xb, i, order) for i in range(g.dim)],
+                                  order) * chi
+            del chi
             zero = Jet.constant(0.0, xb, order)
             return [amp if i == axis else zero for i in range(g.dim)]
 

@@ -478,11 +478,13 @@ def _forms_at_width(g, v_ext: VectorField, eps: float, prof: ProfileTable,
 
     u and V are evaluated once each, at order 2, on the tube nodes; zeta^V,
     evaluated once, reads V's held parts.  The held parts die with the width.
+    V is evaluated first: its jets are the largest working set of the width,
+    and nothing else is held while they are built.
     """
     u = ansatz_field(g, eps, prof)
     quad = _ac_tube(g, prof, eps, half_width)
-    u = pinned(u, quad.nodes, 2)
     v = pinned(v_ext, quad.nodes, 2)
+    u = pinned(u, quad.nodes, 2)
     f = integrand_p_allen_cahn(eps, 2.0)
     q_raw = second_variation(f, u, composite_test_function(u, v), quad)
     return q_raw, second_inner_variation(f, u, v, zeta_eta(v), quad)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 
 import numpy as np
-from scipy.special import betainc, betaln, roots_jacobi
+from scipy.special import betainc, betaln, eval_gegenbauer, gamma
 
 from .errors import EpsilonTooLarge, InnervarError, StiffTail
 from .fields import ScalarField
@@ -35,10 +35,12 @@ from .ode import dop853
 def c_p(p: float) -> float:
     """Surface tension constant: integral of W(s)^((p-1)/p) over [-1, 1].
 
-    Computed with a Gauss rule matched to the integrand: the sum of
-    Gauss-Jacobi weights for the weight (1-s)^a (1+s)^a is the exact zeroth
-    moment, so the value is correct to machine precision for every p >= 1
-    (plain Legendre quadrature loses accuracy at the algebraic endpoints).
+    Computed with a Gauss rule matched to the integrand: the sum of the
+    24-point Gauss-Jacobi weights for the weight (1-s)^a (1+s)^a is the exact
+    zeroth moment, so the value is correct to machine precision for every
+    p >= 1 (plain Legendre quadrature loses accuracy at the algebraic
+    endpoints).  The weights are those of ``scipy.special.roots_jacobi(24, a,
+    a)``, bit for bit (see :func:`_gegenbauer_weights`).
     """
     p = float(p)
     if p < 1.0:
@@ -46,8 +48,40 @@ def c_p(p: float) -> float:
     a = 2.0 * (p - 1.0) / p
     if a == 0.0:
         return 2.0
-    _, w = roots_jacobi(24, a, a)
-    return float(np.sum(w))
+    return float(np.sum(_gegenbauer_weights(24, a + 0.5)))
+
+
+def _gegenbauer_weights(n: int, alpha: float) -> np.ndarray:
+    """Gauss-Gegenbauer weights, step for step scipy's ``roots_gegenbauer(n, alpha)``.
+
+    ``roots_jacobi(n, a, a)`` is ``roots_gegenbauer(n, a + 0.5)``.  Like scipy,
+    this takes the nodes as the eigenvalues of the Golub-Welsch tridiagonal
+    matrix (zero diagonal), improves them by one Newton step on the Gegenbauer
+    polynomial, and forms the weights from log-normalised derivative values,
+    symmetrised and rescaled to the zeroth moment mu0.  Only the eigenvalues
+    come from another routine: numpy's ``eigvalsh`` on the dense matrix
+    instead of ``scipy.linalg.eigvals_banded``, so that a run loads no
+    ``scipy.linalg``; ``tests/test_profiles.py`` checks that c_p stays bit for
+    bit scipy's.  Adapted from scipy's ``_orthogonal.py`` (Copyright (c)
+    2001-2002 Enthought, Inc. and 2003 onwards SciPy Developers, BSD 3-Clause
+    license).
+    """
+    mu0 = (np.sqrt(np.pi) * gamma(alpha + 0.5)) / gamma(alpha + 1)
+    k = np.arange(1, n, dtype="d")
+    off = np.sqrt(k * (k + 2 * alpha - 1) / (4 * (k + alpha) * (k + alpha - 1)))
+    x = np.linalg.eigvalsh(np.diag(off, -1))
+    y = eval_gegenbauer(n, alpha, x)
+    dy = (-n * x * y + (n + 2 * alpha - 1) * eval_gegenbauer(n - 1, alpha, x)) / (1 - x**2)
+    x -= y / dy
+    fm = eval_gegenbauer(n - 1, alpha, x)
+    log_fm = np.log(np.abs(fm))
+    log_dy = np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w = (w + w[::-1]) / 2
+    w *= mu0 / w.sum()
+    return w
 
 
 def c_p_beta_oracle(p: float) -> float:
@@ -460,8 +494,9 @@ def gl_vortex_field(g: Filament, eps: float, prof: GLRadialProfile) -> ScalarFie
                     part.hess[:, :, on_axis] = 0.0
             return [re, im]
         rho = jet_sqrt(rho2)
-        f_at = (rho * (1.0 / eps)).compose(prof.derivatives)
-        gfac = f_at * rho.reciprocal()
+        del rho2
+        gfac = (rho * (1.0 / eps)).compose(prof.derivatives) * rho.reciprocal()
+        del rho
         return [gfac * a, gfac * b]
 
     return ScalarField.from_jet(g.dim, jets_fn, state_dim=2,

@@ -272,13 +272,13 @@ def composite_test_function(u: ScalarField, eta: VectorField) -> ScalarField:
     """phi = -grad u . eta with analytic gradient (consumes u's Hessian)."""
 
     def evaluator(xb, order):
-        pu = u.evaluate(xb, order + 1)
-        pe = eta.evaluate(xb, order)
-        val = -np.einsum("mdj,mj->md", pu[1], pe[0])
+        _, gu, *hu = u.evaluate(xb, order + 1)
+        ev, *je = eta.evaluate(xb, order)
+        val = -np.einsum("mdj,mj->md", gu, ev)
         if order == 0:
             return [val]
-        grad = -(point_matmul(pe[0][:, None, None], pu[2])[:, :, 0] + point_matmul(pu[1], pe[1]))
-        return [val, grad]
+        hu_eta = point_matmul(ev[:, None, None], hu.pop())[:, :, 0]  # u's Hessian dies here
+        return [val, -(hu_eta + point_matmul(gu, je[0]))]
 
     return ScalarField.from_evaluator(u.dim, evaluator, 1, state_dim=u.state_dim,
                                       label=f"-grad({u.label}).({eta.label})")
@@ -305,11 +305,9 @@ def second_variation(f: Integrand, u: ScalarField, phi: ScalarField, quad: BulkQ
     _check_state(f.state_dim, u)
     z, p = u.evaluate(quad.nodes, 1)
     pv, pg = phi.evaluate(quad.nodes, 1)
-    dens = (
-        np.einsum("mab,ma,mb->m", f.f_zz(z, p), pv, pv)
-        + 2.0 * np.einsum("mabi,ma,mbi->m", f.f_zp(z, p), pv, pg)
-        + f.pp_bilinear(z, p, pg, pg)
-    )
+    dens = np.einsum("mab,ma,mb->m", f.f_zz(z, p), pv, pv)
+    dens += 2.0 * np.einsum("mabi,ma,mbi->m", f.f_zp(z, p), pv, pg)
+    dens += f.pp_bilinear(z, p, pg, pg)
     return pairwise_dot(quad.weights, dens)
 
 
@@ -321,7 +319,9 @@ def first_inner_variation(f: Integrand, u: ScalarField, eta: VectorField,
     _, je = eta.evaluate(quad.nodes, 1)
     div_e = np.einsum("mii->m", je)
     p_je = point_matmul(p, je)
-    dens = f.f(z, p) * div_e - np.einsum("mdi,mdi->m", f.f_p(z, p), p_je)
+    del je
+    dens = f.f(z, p) * div_e
+    dens -= np.einsum("mdi,mdi->m", f.f_p(z, p), p_je)
     return pairwise_dot(quad.weights, dens)
 
 
@@ -329,23 +329,24 @@ def second_inner_variation(f: Integrand, u: ScalarField, eta: VectorField,
                            zeta: VectorField, quad: BulkQuadrature) -> float:
     _check_state(f.state_dim, u)
     xb = quad.nodes
-    z, p = u.evaluate(xb, 1)
-    _, je = eta.evaluate(xb, 1)
+    # zeta first: unpinned, it is the largest evaluation (eta at order 2), so nothing else
+    # is held while it runs; each Jacobian dies once its products are formed
     _, jz = zeta.evaluate(xb, 1)
-    div_e = np.einsum("mii->m", je)
     div_z = np.einsum("mii->m", jz)
+    z, p = u.evaluate(xb, 1)
+    p_jz = point_matmul(p, jz)
+    del jz
+    _, je = eta.evaluate(xb, 1)
+    div_e = np.einsum("mii->m", je)
     x_fac = div_z + div_e**2 - np.einsum("mij,mji->m", je, je)
     p_je = point_matmul(p, je)
-    p_jz = point_matmul(p, jz)
-    p_je2 = point_matmul(p_je, je)
-    y_fac = 0.5 * p_jz - p_je2
+    y_fac = 0.5 * p_jz - point_matmul(p_je, je)
+    del je, p_jz
     fp = f.f_p(z, p)
-    dens = (
-        f.f(z, p) * x_fac
-        - 2.0 * np.einsum("mdi,mdi->m", fp, p_je) * div_e
-        - 2.0 * np.einsum("mdi,mdi->m", fp, y_fac)
-        + f.pp_bilinear(z, p, p_je, p_je)
-    )
+    dens = f.f(z, p) * x_fac
+    dens -= 2.0 * np.einsum("mdi,mdi->m", fp, p_je) * div_e
+    dens -= 2.0 * np.einsum("mdi,mdi->m", fp, y_fac)
+    dens += f.pp_bilinear(z, p, p_je, p_je)
     return pairwise_dot(quad.weights, dens)
 
 

@@ -358,6 +358,9 @@ _TOP_LEVEL_MALFORMED = [
     ("jobs_environment_not_a_number", {}, [], {"INNERVAR_JOBS": "abc"}),
     ("jobs_environment_fraction", {}, [], {"INNERVAR_JOBS": "1.5"}),
     ("jobs_environment_empty", {}, [], {"INNERVAR_JOBS": ""}),
+    ("jobs_zero_on_the_command_line", {}, ["--jobs", "0"], {}),
+    ("jobs_negative_on_the_command_line", {}, ["--jobs", "-3"], {}),
+    ("jobs_environment_negative", {}, [], {"INNERVAR_JOBS": "-3"}),
 ]
 
 
@@ -385,9 +388,10 @@ def test_radial_bump_order_null_is_the_smooth_bump():
 
 
 def test_a_run_imports_neither_scipy_integrate_nor_optimize(tmp_path):
-    # the profile ODEs and the GL shooting run on innervar.ode, and only the 3-D identities
-    # check asks for scipy.linalg (expm), so importing the CLI loads none of the three.  A
-    # run that computes c_p still loads scipy.linalg: scipy.special.roots_jacobi imports it.
+    # the profile ODEs and the GL shooting run on innervar.ode, c_p's Gauss-Jacobi weights
+    # take their eigenvalues from numpy, and only the 3-D identities check asks for
+    # scipy.linalg (expm), so neither importing the CLI nor a run that computes c_p loads
+    # any of the three.
     script = (
         "import json, sys\n"
         "def loaded(*subs):\n"
@@ -396,7 +400,7 @@ def test_a_run_imports_neither_scipy_integrate_nor_optimize(tmp_path):
         "from innervar import cli\n"
         "at_import = loaded('integrate', 'optimize', 'linalg')\n"
         f"rc = cli.main(['run', 'ac_flat_p2', '--seed', '1234', '--out', {str(tmp_path)!r}])\n"
-        "print(json.dumps([rc, at_import, loaded('integrate', 'optimize')]))\n"
+        "print(json.dumps([rc, at_import, loaded('integrate', 'optimize', 'linalg')]))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

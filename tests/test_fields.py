@@ -614,8 +614,8 @@ def test_forms_sweep_evaluates_u_and_v_once_per_width_on_the_tube_nodes(monkeypa
     monkeypatch.setattr(L.geo, "normal_extension", counted_extension)
     xi = F.polynomial_scalar_field(3, [(1.0, (0, 0, 1))])
     L.quadratic_forms(g, xi, L.EpsilonSchedule([0.1, 0.08]))
-    assert calls == [("u", 2), ("V", 2)] * 2
-    assert all(x is quad.nodes for x, quad in zip(nodes, [t for t in tubes for _ in "uV"]))
+    assert calls == [("V", 2), ("u", 2)] * 2  # V first: its jets are the width's largest
+    assert all(x is quad.nodes for x, quad in zip(nodes, [t for t in tubes for _ in "Vu"]))
 
 
 def test_sweeps_evaluate_the_ansatz_once_per_width_at_order_one(monkeypatch):

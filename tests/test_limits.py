@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,3 +418,46 @@ def test_concurrent_first_use_solves_the_vortex_profile_once(monkeypatch):
         sys.setswitchinterval(interval)
     assert solves == ["ode"]
     assert len(got) == threads and all(prof is got[0] for prof in got)
+
+
+# ---------------------------------------------------------------------------
+# working set of one width
+# ---------------------------------------------------------------------------
+
+
+def _peak_bytes_per_node(run, nodes):
+    """tracemalloc's peak during ``run()``, numpy's buffers included, per quadrature node."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / len(nodes)
+
+
+def test_normal_extension_frees_each_jet_at_its_last_use():
+    # V = xi o pi chi n at order 2 on a forms sweep's halved-grid sphere tube: the result is
+    # 312 B per node, and holding every intermediate jet until the end peaked at 2041 B
+    g = G.sphere(1.0, n_polar=8, n_azimuth=16)
+    xi = F.polynomial_scalar_field(3, [(1.0, (2, 0, 0)), (-1.0, (0, 2, 0))])
+    v_ext = G.normal_extension(g, xi, 0.9 * g.focal_width)
+    nodes = L._ac_tube(g, L._profile(2.0), 0.0025, None).nodes
+    assert _peak_bytes_per_node(lambda: v_ext.evaluate(nodes, 2), nodes) < 1100
+
+
+def test_second_inner_variation_frees_each_part_at_its_last_use():
+    # one gl-converge width with eta unpinned, so zeta evaluates eta at order 2 inside the
+    # kernel: evaluating zeta first and dropping each Jacobian after its products keeps the
+    # peak below 720 B per node (867 B when every part lived to the end of the kernel)
+    g = G.straight_filament(1.0, 8)
+    eta = F.filament_test_field("antiholomorphic")
+    eps = 0.05 * 0.5**9
+    rho, wr = V.vortex_radial_rule(eps, 0.5)
+    quad = V.filament_tube_rule(g, rho, wr, 12)
+    u = F.pinned(P.gl_vortex_field(g, eps, L._vortex_profile("ode")), quad.nodes, 1)
+    f = V.integrand_ginzburg_landau(eps)
+    zeta = F.zeta_eta(eta)
+    run = lambda: V.second_inner_variation(f, u, eta, zeta, quad)  # noqa: E731
+    assert _peak_bytes_per_node(run, quad.nodes) < 720

@@ -1,6 +1,8 @@
 """Transition profiles, surface-tension constants, and ansatz fields."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq as scipy_brentq
-from scipy.special import beta, betaincinv, gamma, hyp2f1
+from scipy.special import beta, betaincinv, gamma, hyp2f1, roots_jacobi
 
 from innervar import cli, ode
 from innervar import geometry as G
@@ -29,6 +31,35 @@ def test_constant_matches_gamma_oracle():
     assert P.c_p(3.0) == pytest.approx(oracle, abs=1e-10)
     for p in (1.25, 1.5, 2.7, 4.0):
         assert P.c_p(p) == pytest.approx(P.c_p_beta_oracle(p), rel=1e-12)
+
+
+def _roots_jacobi_c_p(p):
+    a = 2.0 * (p - 1.0) / p
+    return float(np.sum(roots_jacobi(24, a, a)[1]))
+
+
+def _flat_sweep_p_values(seed):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads_p_values", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.flat_p_values(seed)
+
+
+def test_constant_is_bit_for_bit_roots_jacobi():
+    # c_p feeds the CSV targets, so its in-package Gauss-Jacobi weights must sum exactly as
+    # scipy's do: the catalog's p values, the equipartition near-miss range and the p
+    # values the benchmark's flat sweep draws at its default and held-out seeds
+    ps = [1.25, 1.5, 2.0, 3.0, 1.708, 1.731,
+          *_flat_sweep_p_values(1234), *_flat_sweep_p_values(4321)]
+    for p in ps:
+        assert P.c_p(p) == _roots_jacobi_c_p(p), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.floats(1.0, 8.0, exclude_min=True))
+def test_constant_is_bit_for_bit_roots_jacobi_for_any_p(p):
+    assert P.c_p(p) == _roots_jacobi_c_p(p)
 
 
 def test_constant_monotone_toward_p1():
