@@ -37,6 +37,7 @@ from .fields import (
     random_compact_vector_field,
     random_polynomial_scalar_field,
     random_polynomial_vector_field,
+    rotation_exp,
     rotation_field,
     scalar_field_from_config,
     trig_scalar_field,

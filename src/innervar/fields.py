@@ -349,6 +349,20 @@ def rotation_field(omega) -> VectorField:
     return linear_field(mat)
 
 
+def rotation_exp(mat) -> np.ndarray:
+    """exp(K) of a 3x3 skew matrix K, by Rodrigues' formula.
+
+    K x = omega x x and theta = |omega| give exp(K) = I + (sin theta/theta) K +
+    ((1 - cos theta)/theta^2) K^2, with 1 - cos theta taken as 2 sin^2(theta/2).
+    """
+    k = np.asarray(mat, dtype=float)
+    theta = float(np.hypot(np.hypot(k[2, 1], k[0, 2]), k[1, 0]))
+    if theta == 0.0:
+        return np.eye(3)
+    half = np.sin(0.5 * theta) / theta
+    return np.eye(3) + (np.sin(theta) / theta) * k + (2.0 * half * half) * (k @ k)
+
+
 def polynomial_scalar_field(dim, terms, label="poly") -> ScalarField:
     """Scalar field sum_k c_k prod x_i^e_i from a coefficient table."""
     terms = [(float(c), tuple(int(e) for e in p)) for c, p in terms]

@@ -122,7 +122,11 @@ def fitted_rate(epsilons, values, noise_floor: float = 1e-12):
         rates.append(np.log(d1 / d2) / np.log(eps[k] / eps[k + 1]))
     if not rates:
         return None
-    return float(np.median(rates))
+    # np.median, bit for bit, without its NaN check, which would load numpy.ma mid-run
+    rates = np.sort(rates)
+    mid = len(rates) // 2
+    median = rates[mid] if len(rates) % 2 else (rates[mid - 1] + rates[mid]) / 2
+    return float(np.nan if np.isnan(rates[-1]) else median)
 
 
 @dataclass

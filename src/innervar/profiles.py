@@ -12,7 +12,9 @@ smaller energy-resolved core radius (tail energy below 1e-10 c_p).
 
 The profile ODE and the Ginzburg-Landau vortex ODE are integrated by
 :mod:`innervar.ode`, which repeats scipy's DOP853 ``solve_ivp`` and ``brentq``
-bit for bit; from scipy this module needs only ``scipy.special``.  The GL
+bit for bit.  c_p (a Gamma ratio) and the profile's tail energy (a series
+without cancellation) are evaluated on ``math``, so the module needs numpy
+alone; scipy serves only the tests.  The GL
 shooting slope is shipped with the final bracket of its brentq search and
 certified by two solves on each build (:func:`gl_radial_profile`); the search
 itself runs only in the tests.
@@ -21,9 +23,9 @@ itself runs only in the tests.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
-from scipy.special import betainc, betaln, eval_gegenbauer, gamma
 
 from .errors import EpsilonTooLarge, InnervarError, StiffTail
 from .fields import ScalarField
@@ -35,12 +37,9 @@ from .ode import dop853
 def c_p(p: float) -> float:
     """Surface tension constant: integral of W(s)^((p-1)/p) over [-1, 1].
 
-    Computed with a Gauss rule matched to the integrand: the sum of the
-    24-point Gauss-Jacobi weights for the weight (1-s)^a (1+s)^a is the exact
-    zeroth moment, so the value is correct to machine precision for every
-    p >= 1 (plain Legendre quadrature loses accuracy at the algebraic
-    endpoints).  The weights are those of ``scipy.special.roots_jacobi(24, a,
-    a)``, bit for bit (see :func:`_gegenbauer_weights`).
+    With a = 2(p-1)/p this is int_{-1}^1 (1-s^2)^a ds = B(1/2, a+1) =
+    sqrt(pi) Gamma(a+1) / Gamma(a+3/2), here on ``math.gamma``: within a few
+    ulp of the exact value for every p >= 1.
     """
     p = float(p)
     if p < 1.0:
@@ -48,47 +47,18 @@ def c_p(p: float) -> float:
     a = 2.0 * (p - 1.0) / p
     if a == 0.0:
         return 2.0
-    return float(np.sum(_gegenbauer_weights(24, a + 0.5)))
-
-
-def _gegenbauer_weights(n: int, alpha: float) -> np.ndarray:
-    """Gauss-Gegenbauer weights, step for step scipy's ``roots_gegenbauer(n, alpha)``.
-
-    ``roots_jacobi(n, a, a)`` is ``roots_gegenbauer(n, a + 0.5)``.  Like scipy,
-    this takes the nodes as the eigenvalues of the Golub-Welsch tridiagonal
-    matrix (zero diagonal), improves them by one Newton step on the Gegenbauer
-    polynomial, and forms the weights from log-normalised derivative values,
-    symmetrised and rescaled to the zeroth moment mu0.  Only the eigenvalues
-    come from another routine: numpy's ``eigvalsh`` on the dense matrix
-    instead of ``scipy.linalg.eigvals_banded``, so that a run loads no
-    ``scipy.linalg``; ``tests/test_profiles.py`` checks that c_p stays bit for
-    bit scipy's.  Adapted from scipy's ``_orthogonal.py`` (Copyright (c)
-    2001-2002 Enthought, Inc. and 2003 onwards SciPy Developers, BSD 3-Clause
-    license).
-    """
-    mu0 = (np.sqrt(np.pi) * gamma(alpha + 0.5)) / gamma(alpha + 1)
-    k = np.arange(1, n, dtype="d")
-    off = np.sqrt(k * (k + 2 * alpha - 1) / (4 * (k + alpha) * (k + alpha - 1)))
-    x = np.linalg.eigvalsh(np.diag(off, -1))
-    y = eval_gegenbauer(n, alpha, x)
-    dy = (-n * x * y + (n + 2 * alpha - 1) * eval_gegenbauer(n - 1, alpha, x)) / (1 - x**2)
-    x -= y / dy
-    fm = eval_gegenbauer(n - 1, alpha, x)
-    log_fm = np.log(np.abs(fm))
-    log_dy = np.log(np.abs(dy))
-    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
-    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
-    w = 1.0 / (fm * dy)
-    w = (w + w[::-1]) / 2
-    w *= mu0 / w.sum()
-    return w
+    return math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
 
 
 def c_p_beta_oracle(p: float) -> float:
-    """Independent Gamma-function evaluation of the same constant."""
+    """The same constant as 2^(2a+1) B(a+1, a+1), on log-Gammas.
+
+    Independent of :func:`c_p`'s Gamma ratio; Legendre's duplication formula
+    is what makes the two equal.
+    """
     a = 2.0 * (p - 1.0) / p
-    # int_{-1}^1 (1-s^2)^a ds = 2^(2a+1) B(a+1, a+1)
-    return float(2.0 ** (2.0 * a + 1.0) * np.exp(betaln(a + 1.0, a + 1.0)))
+    log_beta = 2.0 * math.lgamma(a + 1.0) - math.lgamma(2.0 * a + 2.0)
+    return 2.0 ** (2.0 * a + 1.0) * math.exp(log_beta)
 
 
 class _DenseTable:
@@ -175,12 +145,27 @@ class ProfileTable:
     # -- tail bookkeeping -------------------------------------------------
 
     def tail_energy(self, s: float) -> float:
-        """Energy of the profile beyond |s|, int_s^inf |q'|^p, in closed form."""
-        z = abs(self.q(float(s)))
+        """Energy of the profile beyond |s|, int_s^inf |q'|^p = int_{|q(s)|}^1 (1-t^2)^a dt.
+
+        With y = 1 - |q(s)| the integral is the series
+        2^a y^(a+1) sum_k C(a, k) (-y/2)^k / (a+k+1), whose terms shrink at
+        least as fast as 2^-k behind a dominant first term, so nothing
+        cancels however small y is (``1 - I_x(a+1, a+1)`` near x = 1 would
+        lose about six digits at the core radius).
+        """
+        y = 1.0 - abs(self.q(float(s)))
         a = self._alpha
         if a == 0.0:
-            return 1.0 - z
-        return float(self._cp * (1.0 - betainc(a + 1.0, a + 1.0, 0.5 * (z + 1.0))))
+            return y
+        total, coef, k = 0.0, 1.0, 0
+        while True:
+            term = coef / (a + k + 1.0)
+            total += term
+            if abs(term) <= 1e-17 * total:
+                break
+            coef *= (a - k) / (k + 1.0) * (-0.5 * y)
+            k += 1
+        return 2.0 ** a * y ** (a + 1.0) * total
 
     def _core_radius(self, tol: float) -> float:
         """Smallest s whose tail energy is at most ``tol``, to bisection accuracy."""

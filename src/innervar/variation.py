@@ -4,8 +4,9 @@ Closed forms implemented here, for state dimension 1 or 2 (complex order
 parameters stored componentwise, with the real inner product):
 
 * first variation        dA(u, phi)   = int F_z phi + F_P : grad phi
-* second variation       d2A(u, phi)  = int F_zz phi^2 + 2 F_zP phi grad phi
-                                              + F_PP(grad phi, grad phi)
+* second variation       d2A(u, phi)  = int F_zz phi^2 + F_PP(grad phi, grad phi)
+  (every density here splits as G(P) + H(z), so the mixed term 2 F_zP phi grad phi
+  is zero and not formed)
 * first inner variation  deltaA       = int F div eta - F_P : (grad u . grad eta)
 * second inner variation delta2A      = int F X - 2 (F_P, grad u . grad eta) div eta
                                               - 2 (F_P, Y) + F_PP(. , .)
@@ -32,20 +33,19 @@ from .sums import pairwise_dot
 
 
 class Integrand:
-    """Bulk density F(z, P) with all first/second partials, batched callbacks.
+    """Bulk density F(z, P) = G(P) + H(z) with its partials, batched callbacks.
 
     ``F_PP_dot(z, P, Q)`` applies the second P-derivative as a linear map to a
     direction Q of shape (M, d, N); the bilinear form is recovered by
     contracting against another direction, and is symmetric in the two slots.
     """
 
-    def __init__(self, state_dim, f, f_z, f_p, f_zz, f_zp, f_pp_dot, label=""):
+    def __init__(self, state_dim, f, f_z, f_p, f_zz, f_pp_dot, label=""):
         self.state_dim = int(state_dim)
         self.f = f
         self.f_z = f_z
         self.f_p = f_p
         self.f_zz = f_zz
-        self.f_zp = f_zp
         self.f_pp_dot = f_pp_dot
         self.label = label
 
@@ -160,14 +160,10 @@ def integrand_dirichlet(state_dim: int = 1) -> Integrand:
         m, d = z.shape
         return np.zeros((m, d, d))
 
-    def f_zp(z, p):
-        m, d = z.shape
-        return np.zeros((m, d, d, p.shape[2]))
-
     def f_pp_dot(z, p, q):
         return q.copy()
 
-    return Integrand(state_dim, f, f_z, f_p, f_zz, f_zp, f_pp_dot, "dirichlet")
+    return Integrand(state_dim, f, f_z, f_p, f_zz, f_pp_dot, "dirichlet")
 
 
 def integrand_p_allen_cahn(eps: float, p: float, reg: float = 1e-12) -> Integrand:
@@ -204,10 +200,6 @@ def integrand_p_allen_cahn(eps: float, p: float, reg: float = 1e-12) -> Integran
         out[:, 0, 0] = cw * (12.0 * z[:, 0] ** 2 - 4.0)
         return out
 
-    def f_zp(z, pm):
-        m, d = z.shape
-        return np.zeros((m, d, d, pm.shape[2]))
-
     def f_pp_dot(z, pm, q):
         m2 = _m2(pm)
         fac = ee * m2 ** ((pw - 2.0) / 2.0)
@@ -219,7 +211,7 @@ def integrand_p_allen_cahn(eps: float, p: float, reg: float = 1e-12) -> Integran
             out = out + (fac4 * dot)[:, None, None] * pm
         return out
 
-    return Integrand(1, f, f_z, f_p, f_zz, f_zp, f_pp_dot, f"p_allen_cahn[p={pw:g},eps={eps:g}]")
+    return Integrand(1, f, f_z, f_p, f_zz, f_pp_dot, f"p_allen_cahn[p={pw:g},eps={eps:g}]")
 
 
 def integrand_ginzburg_landau(eps: float) -> Integrand:
@@ -246,14 +238,10 @@ def integrand_ginzburg_landau(eps: float) -> Integrand:
             -(1.0 - z2)[:, None, None] * eye + 2.0 * z[:, :, None] * z[:, None, :]
         ) / (eps * eps * el)
 
-    def f_zp(z, pm):
-        m, d = z.shape
-        return np.zeros((m, d, d, pm.shape[2]))
-
     def f_pp_dot(z, pm, q):
         return q / el
 
-    return Integrand(2, f, f_z, f_p, f_zz, f_zp, f_pp_dot, f"ginzburg_landau[eps={eps:g}]")
+    return Integrand(2, f, f_z, f_p, f_zz, f_pp_dot, f"ginzburg_landau[eps={eps:g}]")
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +294,6 @@ def second_variation(f: Integrand, u: ScalarField, phi: ScalarField, quad: BulkQ
     z, p = u.evaluate(quad.nodes, 1)
     pv, pg = phi.evaluate(quad.nodes, 1)
     dens = np.einsum("mab,ma,mb->m", f.f_zz(z, p), pv, pv)
-    dens += 2.0 * np.einsum("mabi,ma,mbi->m", f.f_zp(z, p), pv, pg)
     dens += f.pp_bilinear(z, p, pg, pg)
     return pairwise_dot(quad.weights, dens)
 

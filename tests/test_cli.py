@@ -388,25 +388,43 @@ def test_radial_bump_order_null_is_the_smooth_bump():
 
 
 def test_a_run_imports_neither_scipy_integrate_nor_optimize(tmp_path):
-    # the profile ODEs and the GL shooting run on innervar.ode, c_p's Gauss-Jacobi weights
-    # take their eigenvalues from numpy, and only the 3-D identities check asks for
-    # scipy.linalg (expm), so neither importing the CLI nor a run that computes c_p loads
-    # any of the three.
+    # a run needs numpy alone: the profile ODEs run on innervar.ode, c_p, the profile tail
+    # and the rotation oracle are closed forms, so neither importing the CLI nor one small
+    # experiment of every kind loads any scipy module.  numpy loads some submodules
+    # lazily: the CLI imports numpy.random itself, and the rate fit avoids np.median,
+    # whose NaN check reads numpy.ma, so that no numpy module is first loaded inside a
+    # timed experiment either.
+    exps = [
+        {"name": "prof", "kind": "profile", "p": 1.5},
+        {"name": "ident", "kind": "identities", "dim": 3, "samples": 50, "cases": 1},
+        {**_AC, "name": "ac"}, {**_GL, "name": "gl"}, {**_TENSORS, "name": "tens"},
+        {"name": "equi", "kind": "equipartition", "geometry": _SPHERE, "p": 2.0,
+         "schedule": {"eps0": 0.04, "count": 3}},
+        {"name": "vol", "kind": "volume", "geometry": _SPHERE, "fields": {"random": 2}},
+        {**_POINCARE, "name": "poin"},
+        {"name": "forms", "kind": "forms", "geometry": _SPHERE, "xi": _POINCARE["xi"],
+         "schedule": {"eps0": 0.08, "count": 3}},
+    ]
+    assert {exp["kind"] for exp in exps} == set(cli._KINDS)
+    path = _write(tmp_path, {"schema_version": 1, "experiments": exps})
     script = (
         "import json, sys\n"
-        "def loaded(*subs):\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[:2] in\n"
-        "                  [['scipy', sub] for sub in subs])\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "from innervar import cli\n"
-        "at_import = loaded('integrate', 'optimize', 'linalg')\n"
-        f"rc = cli.main(['run', 'ac_flat_p2', '--seed', '1234', '--out', {str(tmp_path)!r}])\n"
-        "print(json.dumps([rc, at_import, loaded('integrate', 'optimize', 'linalg')]))\n"
+        "at_import = scipy_modules()\n"
+        f"cli.validate_config(json.load(open({path!r})))\n"
+        "validated = set(sys.modules)\n"
+        f"rc = cli.main(['run', {path!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "late = sorted(m for m in set(sys.modules) - validated if m.split('.')[0] == 'numpy')\n"
+        "print(json.dumps([rc, at_import, scipy_modules(), late]))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
-    rc, at_import, after_run = json.loads(done.stdout.splitlines()[-1])
+    rc, at_import, after_run, late_numpy = json.loads(done.stdout.splitlines()[-1])
     assert rc == 0
     assert at_import == []
     assert after_run == []
+    assert late_numpy == []

@@ -241,6 +241,16 @@ def test_rotation_deformation_matches_group_to_third_order():
     assert max(ratios) <= 2.0 * min(ratios) + 1e-12
 
 
+@settings(max_examples=100, deadline=None)
+@given(omega=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), t=st.floats(0.0, 1.0))
+@example(omega=[0.0, 0.0, 0.0], t=1.0)
+def test_rotation_exp_matches_expm(omega, t):
+    # angles up to sqrt(3); beyond a few radians expm's own scaling and squaring errs
+    # by about 1e-14 (4e-14 at angle 4), while 20000 draws here stayed within 4.5e-16
+    mat = t * F.rotation_field(omega).jacobian(np.zeros(3))
+    assert np.max(np.abs(F.rotation_exp(mat) - expm(mat))) <= 4e-15
+
+
 def test_scalar_field_fd_fallback_accuracy():
     raw = F.ScalarField(2, lambda xb: np.sin(xb[:, 0]) * np.cos(2 * xb[:, 1]))
     x = np.array([0.3, 0.7])
