@@ -61,9 +61,9 @@ print(f"  5-point stencil of t -> A(u o Phi_t^{{-1}}): d1 diff {abs(lhs-d1_fd):.
 
 print("\n== the rank-four structure appears only away from p = 2 ==")
 f3 = integrand_p_allen_cahn(0.5, 3.0)
-z = rng.uniform(-0.5, 0.5, size=(1, 1))
-pmat = rng.uniform(-1, 1, size=(1, 1, 2))
-q1 = rng.uniform(-1, 1, size=(1, 1, 2))
+z = rng.uniform(-0.5, 0.5, size=(1, 1))  # component-major batches of one point: (d, M)
+pmat = rng.uniform(-1, 1, size=(1, 2, 1))  # (d, N, M)
+q1 = rng.uniform(-1, 1, size=(1, 2, 1))
 f2 = integrand_p_allen_cahn(0.5, 2.0)
 iso = f2.f_pp_dot(z, pmat, q1) / 0.5  # p = 2: exactly the identity map
 print(f"  p=2: F_PP(Q)/eps - Q = {np.max(np.abs(iso - q1)):.1e}")

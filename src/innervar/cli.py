@@ -35,8 +35,8 @@ import numpy as np
 from numpy.random import default_rng  # numpy loads numpy.random lazily; load it at import
 
 from . import fields, geometry, limits, profiles, variation
-from .config import (REQUIRED, as_is, boolean, checked, count, exponent, natural, one_of,
-                     parse, positive)
+from .config import (REQUIRED, as_is, boolean, checked, count, exponent, finite, integer,
+                     natural, one_of, parse, positive)
 from .errors import ConfigError, EpsilonTooLarge, InnervarError
 
 SCHEMA_VERSION = 1
@@ -155,7 +155,7 @@ def _build(exp: dict, kind: _Kind) -> dict:
 
 _SCHEDULE_KEYS = {"eps0": (positive, None), "count": (count, None), "ratio": (positive, 0.5),
                   "epsilons": (lambda eps: [positive(e) for e in eps], None),
-                  "model": (str, None), "fit_points": (int, None)}
+                  "model": (str, None), "fit_points": (integer, None)}
 
 
 def _schedule(spec: dict, default_model: str = "linear_eps") -> limits.EpsilonSchedule:
@@ -229,7 +229,7 @@ def _from_checks(checks: list[tuple[str, float, float]]):
 
 
 @_kind("identities", {"dim": (count, 2), "samples": (count, 300), "cases": (count, 4),
-                      "tolerance": (float, 1e-9), "fd_tolerance": (float, 1e-7)})
+                      "tolerance": (positive, 1e-9), "fd_tolerance": (positive, 1e-7)})
 def _run_identities(opts: dict, rng: np.random.Generator, _outdir):
     dim, tol, tol_fd = opts["dim"], opts["tolerance"], opts["fd_tolerance"]
     checks: list[tuple[str, float, float]] = []
@@ -313,7 +313,7 @@ def _run_identities(opts: dict, rng: np.random.Generator, _outdir):
 
 @_kind("ac-converge", {"geometry": _GEOMETRY, "p": _P, "eta": _ETA, "zeta": _ZETA,
                        "schedule": _SCHEDULE, "half_width": _WIDTH,
-                       "tolerance_gap": (float, 0.01), "min_rate": (float, 0.9)}, codim=1)
+                       "tolerance_gap": (positive, 0.01), "min_rate": (finite, 0.9)}, codim=1)
 def _run_ac(opts: dict, _rng, _outdir):
     rec = limits.ac_limit_experiment(
         opts["geometry"], opts["eta"], opts["zeta"], opts["p"], opts["schedule"],
@@ -327,15 +327,14 @@ def _run_ac(opts: dict, _rng, _outdir):
                        "schedule": (lambda spec: _schedule(spec, "log_inverse"), REQUIRED),
                        "rho_max": (positive, 0.5), "n_theta": (count, 48),
                        "profile_mode": (one_of("ode", "surrogate"), "ode"),
-                       "tolerance_gap": (float, 0.1), "energy_tolerance": (float, 0.05)}, codim=2)
+                       "tolerance_gap": (positive, 0.1), "energy_tolerance": (positive, 0.05)},
+       codim=2)
 def _run_gl(opts: dict, _rng, _outdir):
-    sched = opts["schedule"]
     rec = limits.gl_limit_experiment(
-        opts["geometry"], opts["eta"], opts["zeta"], sched, rho_max=opts["rho_max"],
+        opts["geometry"], opts["eta"], opts["zeta"], opts["schedule"], rho_max=opts["rho_max"],
         n_theta=opts["n_theta"], profile_mode=opts["profile_mode"], name=opts["name"],
     )
-    e_extr, _ = limits.extrapolate(sched.epsilons, rec.extras["energy"],
-                                   sched.model, sched.fit_points)
+    e_extr, _ = rec.extrapolate(rec.extras["energy"])
     e_target = rec.meta["energy_target"]
     e_gap = abs(e_extr - e_target) / (1.0 + abs(e_target))
     passed = rec.gap <= opts["tolerance_gap"] and e_gap <= opts["energy_tolerance"]
@@ -343,9 +342,9 @@ def _run_gl(opts: dict, _rng, _outdir):
 
 
 @_kind("tensors", {"geometry": _GEOMETRY, "p": _P,
-                   "indices": (lambda idx: [int(i) for i in idx], REQUIRED), "phi": _SCALAR,
+                   "indices": (lambda idx: [integer(i) for i in idx], REQUIRED), "phi": _SCALAR,
                    "schedule": _SCHEDULE, "half_width": _WIDTH,
-                   "tolerance_gap": (float, 0.02), "zero_tolerance": (float, 1e-6)},
+                   "tolerance_gap": (positive, 0.02), "zero_tolerance": (positive, 1e-6)},
        codim=1, check=_check_indices)
 def _run_tensors(opts: dict, _rng, _outdir):
     rec = limits.tensor_pairing_experiment(
@@ -361,8 +360,8 @@ def _run_tensors(opts: dict, _rng, _outdir):
 
 @_kind("equipartition", {"geometry": _GEOMETRY, "p": _P, "schedule": _SCHEDULE,
                          "profile": (_equipartition_profile, "optimal"), "half_width": _WIDTH,
-                         "floor": (float, 1e-7), "min_rate": (float, 0.9),
-                         "lower_bound": (float, None)}, codim=1)
+                         "floor": (positive, 1e-7), "min_rate": (finite, 0.9),
+                         "lower_bound": (finite, None)}, codim=1)
 def _run_equipartition(opts: dict, _rng, _outdir):
     rec = limits.equipartition_residuals(
         opts["geometry"], opts["p"], opts["schedule"], profile=opts["profile"],
@@ -382,7 +381,7 @@ def _run_equipartition(opts: dict, _rng, _outdir):
 
 
 @_kind("volume", {"geometry": _GEOMETRY, "fields": (_volume_fields, {"random": 10}),
-                  "tolerance_c2": (float, 1e-10), "tolerance_flux": (float, 1e-8)},
+                  "tolerance_c2": (positive, 1e-10), "tolerance_flux": (positive, 1e-8)},
        codim=1, check=lambda opts: geometry.require_enclosed_region(opts["geometry"]))
 def _run_volume(opts: dict, rng: np.random.Generator, _outdir):
     g, etas = opts["geometry"], opts["fields"]
@@ -407,7 +406,7 @@ def _run_volume(opts: dict, rng: np.random.Generator, _outdir):
 
 
 @_kind("poincare", {"geometry": _GEOMETRY, "xi": _SCALAR, "cutoff_width": _WIDTH,
-                    "tolerance": (float, 1e-6)},
+                    "tolerance": (positive, 1e-6)},
        codim=1, check=lambda opts: limits.require_zero_mean(opts["geometry"], opts["xi"]))
 def _run_poincare(opts: dict, _rng, _outdir):
     lhs, rhs = limits.constrained_poincare_check(opts["geometry"], opts["xi"],
@@ -420,7 +419,7 @@ def _run_poincare(opts: dict, _rng, _outdir):
 
 
 @_kind("forms", {"geometry": _GEOMETRY, "xi": _SCALAR, "schedule": _SCHEDULE,
-                 "cutoff_width": _WIDTH, "half_width": _WIDTH, "tolerance_gap": (float, 0.02)},
+                 "cutoff_width": _WIDTH, "half_width": _WIDTH, "tolerance_gap": (positive, 0.02)},
        codim=1)
 def _run_forms(opts: dict, _rng, _outdir):
     rec = limits.quadratic_forms(
@@ -430,8 +429,8 @@ def _run_forms(opts: dict, _rng, _outdir):
     return _from_record(rec, rec.gap <= opts["tolerance_gap"])
 
 
-@_kind("profile", {"p": _P, "tolerance_constant": (float, 1e-12),
-                   "tolerance_equipartition": (float, 1e-8), "tolerance_tanh": (float, 1e-9),
+@_kind("profile", {"p": _P, "tolerance_constant": (positive, 1e-12),
+                   "tolerance_equipartition": (positive, 1e-8), "tolerance_tanh": (positive, 1e-9),
                    "export_table": (boolean, True)})
 def _run_profile(opts: dict, _rng, outdir: Path | None):
     p = opts["p"]

@@ -72,8 +72,19 @@ def checked(convert, holds, rule: str):
     return check
 
 
-count = checked(int, lambda n: n >= 1, "a count of at least 1")
-natural = checked(int, lambda n: n >= 0, "a non-negative integer")
+def integer(value) -> int:
+    """A whole number, or a decimal string of one (as the environment gives it); a fraction
+    or a boolean raises instead of being truncated."""
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+count = checked(integer, lambda n: n >= 1, "a count of at least 1")
+natural = checked(integer, lambda n: n >= 0, "a non-negative integer")
+finite = checked(float, math.isfinite, "a finite number")
 positive = checked(float, lambda x: 0.0 < x < math.inf, "positive and finite")
 exponent = checked(float, lambda p: 1.0 < p < math.inf, "a finite p above 1")
 boolean = checked(as_is, lambda v: isinstance(v, bool), "true or false")

@@ -10,13 +10,16 @@ Conventions used throughout the package:
 
 Every field is evaluated through one method, ``evaluate(xb, order)``: one
 call returns the values and, up to ``order``, the derivatives at a batch of
-points, computing nothing beyond that order.  Fields built through the
-constructors in this module evaluate a jet function once per call (assembled
-with :mod:`innervar.jets`, truncated to the order asked for); fields built from
-bare callables fall back to central finite differences with step
-``eps_machine**(1/3) * max(1, |x|)``, which keeps every operation total.
-Fields hold no evaluated state between calls; :func:`pinned` returns a copy
-of a field that holds one evaluation, for a sweep that reads it many times.
+points ``xb`` (M, N), computing nothing beyond that order, component-major
+as jets are: (C, M), (C, N, M) and (C, N, N, M) for C components.  Fields
+built through the constructors in this module evaluate a jet function once
+per call (assembled with :mod:`innervar.jets`, truncated to the order asked
+for); fields built from bare point-major callables fall back to central
+finite differences with step ``eps_machine**(1/3) * max(1, |x|)``, which
+keeps every operation total.  ``eval``, ``gradient``, ``hessian`` and
+``jacobian`` hand out point-major arrays (M, C, ...).  Fields hold no
+evaluated state between calls; :func:`pinned` returns a copy of a field that
+holds one evaluation, for a sweep that reads it many times.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ import copy
 
 import numpy as np
 
-from .config import REQUIRED, as_is, build, count, exponent, natural, positive
+from .config import REQUIRED, as_is, build, count, exponent, integer, natural, positive
 from .errors import DimensionMismatch, NonInvertible
-from .jets import Jet, jet_cos, jet_exp, jet_polynomial, jet_sin, point_major, point_matmul
+from .jets import Jet, jet_cos, jet_exp, jet_polynomial, jet_sin
 
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -50,10 +53,11 @@ def _fd_steps(x: np.ndarray) -> np.ndarray:
 def _fd_derivatives(xb: np.ndarray, values, order: int = 1, first=None) -> np.ndarray:
     """Central-difference fallback for a batched map of the points ``xb`` (M, N).
 
-    ``order=1`` differences ``values`` once and appends one derivative axis.
-    ``order=2`` appends two axes, symmetrized: it differences the analytic
-    first derivative ``first`` when one is given (O(h^2) with tiny constants)
-    and takes second differences of ``values`` otherwise.
+    ``values`` returns component-major parts (..., M).  ``order=1`` differences
+    it once and inserts one derivative axis before the point axis.  ``order=2``
+    inserts two, symmetrized: it differences the analytic first derivative
+    ``first`` when one is given (O(h^2) with tiny constants) and takes second
+    differences of ``values`` otherwise.
     """
     m, n = xb.shape
     h = _fd_steps(xb)
@@ -63,9 +67,6 @@ def _fd_derivatives(xb: np.ndarray, values, order: int = 1, first=None) -> np.nd
         dx[:, j] = h
         return dx
 
-    def per_point(a, like):  # broadcast a per-point divisor over the components
-        return a.reshape((m,) + (1,) * (like.ndim - 1))
-
     if order == 1 or first is not None:
         f = values if order == 1 else first
         out = None
@@ -73,17 +74,16 @@ def _fd_derivatives(xb: np.ndarray, values, order: int = 1, first=None) -> np.nd
             dx = shift(j)
             diff = f(xb + dx) - f(xb - dx)
             if out is None:
-                out = np.empty(diff.shape + (n,))
-            out[..., j] = diff / per_point(2.0 * h, diff)
+                out = np.empty(diff.shape[:-1] + (n, m))
+            out[..., j, :] = diff / (2.0 * h)
         if order == 1:
             return out
     else:
         f0 = values(xb)
-        out = np.empty(f0.shape + (n, n))
+        out = np.empty(f0.shape[:-1] + (n, n, m))
         for i in range(n):
             dxi = shift(i)
-            out[..., i, i] = (values(xb + dxi) - 2.0 * f0 + values(xb - dxi)) / per_point(
-                h * h, f0)
+            out[..., i, i, :] = (values(xb + dxi) - 2.0 * f0 + values(xb - dxi)) / (h * h)
             for j in range(i + 1, n):
                 dxj = shift(j)
                 cross = (
@@ -91,33 +91,53 @@ def _fd_derivatives(xb: np.ndarray, values, order: int = 1, first=None) -> np.nd
                     - values(xb + dxi - dxj)
                     - values(xb - dxi + dxj)
                     + values(xb - dxi - dxj)
-                ) / per_point(4.0 * h * h, f0)
-                out[..., i, j] = cross
-                out[..., j, i] = cross
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+                ) / (4.0 * h * h)
+                out[..., i, j, :] = cross
+                out[..., j, i, :] = cross
+    return 0.5 * (out + np.swapaxes(out, -2, -3))
 
 
 def _jet_evaluator(jet_fn, stacked: bool):
     """Evaluator over a jet function ``jet_fn(xb, order)``, called once per evaluation.
 
-    With ``stacked`` the function returns a list of component jets; otherwise
-    it returns a single jet.  A values-only request (order 0) builds
-    first-order jets.
+    With ``stacked`` the function returns a list of component jets, whose
+    parts are stacked; otherwise it returns a single jet, whose parts are
+    handed out as views.  A values-only request (order 0) builds first-order
+    jets.
     """
 
     def evaluate(xb, order):
         jets = jet_fn(xb, max(order, 1))
-        return point_major(jets if stacked else [jets], order)
+        parts = ("val", "grad", "hess")[: order + 1]
+        if not stacked:
+            return [getattr(jets, part)[None] for part in parts]
+        return [np.stack([getattr(jet, part) for jet in jets]) for part in parts]
 
     return evaluate
 
 
-def _callable_evaluator(fn, first, second):
-    """Evaluator over plain callables of a batch; exact to the order returned with it."""
+def _points_first(part: np.ndarray) -> np.ndarray:
+    """A component-major part (..., M) as a C-contiguous point-major array (M, ...)."""
+    return np.ascontiguousarray(np.moveaxis(part, -1, 0))
+
+
+def _callable_evaluator(comps, fn, first, second):
+    """Evaluator over plain callables of a batch; exact to the order returned with it.
+
+    The callables return point-major (M, C, ...) arrays, C absent for one
+    component; each becomes a contiguous component-major part.
+    """
     if second is not None and first is None:
         raise ValueError("a second-derivative callback needs a first-derivative callback")
     parts = [c for c in (fn, first, second) if c is not None]
-    return (lambda xb, order: [c(xb) for c in parts[: order + 1]]), len(parts) - 1
+
+    def evaluate(xb, order):
+        m, n = xb.shape
+        return [np.ascontiguousarray(np.moveaxis(
+            np.asarray(c(xb), dtype=float).reshape((m, comps) + (n,) * k), 0, -1))
+            for k, c in enumerate(parts[: order + 1])]
+
+    return evaluate, len(parts) - 1
 
 
 class _Field:
@@ -142,7 +162,9 @@ class _Field:
     def from_evaluator(cls, dim, evaluator, exact, **kwargs):
         """Build a field from ``evaluator(xb, order)``, exact up to order ``exact``.
 
-        ``kwargs`` are the class constructor's keywords (``label``, ...).
+        The evaluator returns contiguous component-major parts, as ``evaluate``
+        hands them out; ``kwargs`` are the class constructor's keywords
+        (``label``, ...).
         """
         field = cls(dim, None, **kwargs)  # no callables: the evaluator replaces them
         field._evaluator, field._exact = evaluator, int(exact)
@@ -151,7 +173,7 @@ class _Field:
     def evaluate(self, xb: np.ndarray, order: int) -> tuple:
         """Values, then first (order >= 1) and second (order 2) derivatives at ``xb`` (M, N).
 
-        Shapes are (M, C), (M, C, N) and (M, C, N, N), with C the number of
+        Shapes are (C, M), (C, N, M) and (C, N, N, M), with C the number of
         components; the tuple holds ``order + 1`` arrays.
         """
         exact = min(order, self._exact)
@@ -166,11 +188,9 @@ class _Field:
         return tuple(parts)
 
     def _exact_parts(self, xb, order):
-        m, n = xb.shape
-        parts = [np.ascontiguousarray(a, dtype=float).reshape((m, self._comps) + (n,) * k)
-                 for k, a in enumerate(self._evaluator(xb, order)[: order + 1])]
+        parts = list(self._evaluator(xb, order)[: order + 1])
         if order == 2 and self._symmetrize_second:
-            parts[2] = 0.5 * (parts[2] + np.swapaxes(parts[2], 2, 3))
+            parts[2] = 0.5 * (parts[2] + np.swapaxes(parts[2], 1, 2))
         return parts
 
 
@@ -198,22 +218,22 @@ class ScalarField(_Field):
     """
 
     def __init__(self, dim, fn, grad=None, hess=None, state_dim=1, label=""):
-        super().__init__(dim, state_dim, *_callable_evaluator(fn, grad, hess), label)
+        super().__init__(dim, state_dim, *_callable_evaluator(state_dim, fn, grad, hess), label)
 
     @property
     def state_dim(self) -> int:
         return self._comps
 
-    # batched views: values (M, d), gradients (M, d, N), hessians (M, d, N, N)
+    # point-major views: values (M, d), gradients (M, d, N), hessians (M, d, N, N)
 
     def _values(self, xb: np.ndarray) -> np.ndarray:
-        return self.evaluate(xb, 0)[0]
+        return _points_first(self.evaluate(xb, 0)[0])
 
     def _gradients(self, xb: np.ndarray) -> np.ndarray:
-        return self.evaluate(xb, 1)[1]
+        return _points_first(self.evaluate(xb, 1)[1])
 
     def _hessians(self, xb: np.ndarray) -> np.ndarray:
-        return self.evaluate(xb, 2)[2]
+        return _points_first(self.evaluate(xb, 2)[2])
 
     # public API accepts single points or batches
 
@@ -251,16 +271,16 @@ class VectorField(_Field):
     _symmetrize_second = True
 
     def __init__(self, dim, fn, jacobian=None, second=None, label=""):
-        super().__init__(dim, dim, *_callable_evaluator(fn, jacobian, second), label)
+        super().__init__(dim, dim, *_callable_evaluator(dim, fn, jacobian, second), label)
 
     def _values(self, xb):
-        return self.evaluate(xb, 0)[0]
+        return _points_first(self.evaluate(xb, 0)[0])
 
     def _jacobians(self, xb):
-        return self.evaluate(xb, 1)[1]
+        return _points_first(self.evaluate(xb, 1)[1])
 
     def _seconds(self, xb):
-        return self.evaluate(xb, 2)[2]
+        return _points_first(self.evaluate(xb, 2)[2])
 
     def eval(self, x):
         xb, single = _as_batch(x, self.dim)
@@ -473,15 +493,15 @@ def zeta_eta(eta: VectorField) -> VectorField:
 
     def evaluator(xb, order):
         v, j, *second = eta.evaluate(xb, order + 1)
-        div = np.trace(j, axis1=1, axis2=2)
-        val = -div[:, None] * v + np.einsum("mij,mj->mi", j, v)
+        div = np.einsum("iim->m", j)
+        val = -div * v + np.einsum("ijm,jm->im", j, v)
         if order == 0:
             return [val]
         s = second.pop()
-        ddiv = np.einsum("mjjk->mk", s)  # gradient of div eta
-        s_v = point_matmul(v[:, None, None], s)[:, :, 0]
+        ddiv = np.einsum("jjkm->km", s)  # gradient of div eta
+        s_v = np.einsum("ijkm,jm->ikm", s, v)
         del s  # eta's second derivatives die here, before the Jacobian's terms are built
-        jac = -np.einsum("mk,mi->mik", ddiv, v) - div[:, None, None] * j + s_v + point_matmul(j, j)
+        jac = -np.einsum("km,im->ikm", ddiv, v) - div * j + s_v + np.einsum("ijm,jkm->ikm", j, j)
         return [val, jac]
 
     return VectorField.from_evaluator(
@@ -502,11 +522,11 @@ def x0_field(u: ScalarField, eta: VectorField, zeta: VectorField) -> ScalarField
         raise DimensionMismatch("field dimensions disagree")
 
     def evaluator(xb, _order):
-        _, gu, hu = u.evaluate(xb, 2)  # (M, d, N), (M, d, N, N)
+        _, gu, hu = u.evaluate(xb, 2)  # (d, N, M), (d, N, N, M)
         ev, jv = eta.evaluate(xb, 1)
         (zv,) = zeta.evaluate(xb, 0)
-        drift = 2.0 * np.einsum("mij,mj->mi", jv, ev) - zv
-        val = np.einsum("mdij,mi,mj->md", hu, ev, ev) + np.einsum("mdi,mi->md", gu, drift)
+        drift = 2.0 * np.einsum("ijm,jm->im", jv, ev) - zv
+        val = np.einsum("dijm,im,jm->dm", hu, ev, ev) + np.einsum("dim,im->dm", gu, drift)
         return [val]
 
     return ScalarField.from_evaluator(u.dim, evaluator, 0, state_dim=u.state_dim, label="X0")
@@ -539,13 +559,13 @@ def good_identity_residual(eta: VectorField, x):
     """
     xb, single = _as_batch(x, eta.dim)
     v, j, s = eta.evaluate(xb, 2)
-    div = np.trace(j, axis1=1, axis2=2)
-    lhs = div**2 - np.einsum("mij,mji->m", j, j)
-    ddiv = np.einsum("mjjk->mk", s)
+    div = np.einsum("iim->m", j)
+    lhs = div**2 - np.einsum("ijm,jim->m", j, j)
+    ddiv = np.einsum("jjkm->km", s)
     # div{(div eta) eta} = grad(div eta).eta + (div eta)^2
-    t1 = np.einsum("mk,mk->m", ddiv, v) + div**2
+    t1 = np.einsum("km,km->m", ddiv, v) + div**2
     # div{(eta.grad) eta} = sum_i d_i [ J_ij eta^j ] = S[i,j,i] eta^j + J_ij J_ji
-    t2 = np.einsum("miji,mj->m", s, v) + np.einsum("mij,mji->m", j, j)
+    t2 = np.einsum("ijim,jm->m", s, v) + np.einsum("ijm,jim->m", j, j)
     res = lhs - (t1 - t2)
     return float(res[0]) if single else res
 
@@ -727,7 +747,7 @@ _VECTOR_FIELDS = {
         "dim": (count, REQUIRED), "degree": (natural, 2), "scale": (float, 1.0),
         "center": (as_is, None), "radius": (positive, 0.8), "seed": (natural, 0)}),
     "filament_preset": (filament_test_field, {
-        "preset": (str, REQUIRED), "amplitude": (float, 1.0), "frequency": (int, 1),
+        "preset": (str, REQUIRED), "amplitude": (float, 1.0), "frequency": (integer, 1),
         "radius": (positive, 0.45), "order": (count, 8)}),
 }
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .config import REQUIRED, as_is, build, count, positive
+from .config import REQUIRED, as_is, build, count, integer, positive
 from .errors import DimensionMismatch, TubeTooNarrow, UnsupportedBoundary
 from .fields import ScalarField, VectorField
 from .jets import Jet, jet_exp, jet_norm
@@ -308,8 +308,9 @@ _SHAPES = {
                         "nodes": (count, 256)}),
     "sphere": (sphere, {"radius": (positive, REQUIRED), "center": (as_is, (0.0, 0.0, 0.0)),
                         "n_polar": (count, 32), "n_azimuth": (count, 64)}),
-    "flat_patch": (flat_patch, {"dim": (int, REQUIRED), "axis": (int, 0), "offset": (float, 0.0),
-                                "extents": (as_is, None), "n_per_axis": (count, 48)}),
+    "flat_patch": (flat_patch, {"dim": (integer, REQUIRED), "axis": (integer, 0),
+                                "offset": (float, 0.0), "extents": (as_is, None),
+                                "n_per_axis": (count, 48)}),
     "straight_filament": (straight_filament, {"length": (positive, 1.0), "nodes": (count, 24)}),
     "circular_filament": (circular_filament, {"radius": (positive, REQUIRED),
                                               "nodes": (count, 128)}),
@@ -515,32 +516,19 @@ def normal_extension(g: Hypersurface, xi, cutoff_width: float) -> VectorField:
     s0, s1 = (0.5 * w) ** 2, w * w
 
     def compose_ambient(pj: list[Jet], order: int) -> Jet:
-        """xi at the projection with components ``pj``, by the chain rule on its jets.
-
-        The sums over the projection components run from zero in the order
-        k = 0, 1, ..., as numpy's einsum sums them, so the parts are bit for
-        bit those of contracting the point-major arrays.
-        """
+        """xi at the projection with components ``pj``, by the chain rule on its jets."""
         # xi at the projected points, once
         parts = ambient.evaluate(np.stack([j.val for j in pj], axis=1), order)
-        v, gr = parts[0][:, 0], parts[1][:, 0]
-        n, m = pj[0].grad.shape
-        grad = np.zeros((n, m))
-        for k, jk in enumerate(pj):
-            grad += gr[:, k] * jk.grad
+        v, gr = parts[0][0], parts[1][0]
+        pg = np.stack([j.grad for j in pj])
+        grad = np.einsum("km,knm->nm", gr, pg)
         if order == 1:
             return Jet(v, grad, None)
-        hs = parts[2][:, 0]
+        hs = parts[2][0]
         del parts
-        curv = np.zeros((n, n, m))
-        for k, jk in enumerate(pj):
-            for l, jl in enumerate(pj):
-                curv += (hs[:, k, l] * jk.grad)[:, None] * jl.grad[None, :]
-        del hs
-        lin = np.zeros((n, n, m))
-        for k, jk in enumerate(pj):
-            lin += gr[:, k] * jk.hess
-        curv += lin
+        curv = np.einsum("klm,knm,lom->nom", hs, pg, pg)
+        del hs, pg
+        curv += sum(gr[k] * jk.hess for k, jk in enumerate(pj))
         return Jet(v, grad, curv)
 
     if isinstance(g, RoundSurface):

@@ -9,8 +9,9 @@ obtain analytic first and second derivatives without symbolic algebra.
 Jets are stored component-major: ``val`` is (M,), ``grad`` is (N, M) and
 ``hess`` is (N, N, M), so every product and chain rule works on contiguous
 length-M rows, and a per-point factor of shape (M,) broadcasts against them
-directly.  Field evaluations keep the point-major shapes (M, C, N[, N]);
-:func:`point_major` stacks component jets into them at that boundary.
+directly.  Field evaluations stack C component jets into the same layout,
+(C, M), (C, N, M) and (C, N, N, M), and the kernels contract those parts
+over the trailing point axis.
 
 A jet with ``hess=None`` is a first-order jet: every operation then skips its
 Hessian work, and computes values and gradients exactly as at second order,
@@ -140,50 +141,6 @@ class Jet:
         g0, g1, g2 = derivatives(self.val, self.order)
         return self.lift(np.asarray(g0, dtype=float), np.asarray(g1, dtype=float),
                          None if g2 is None else np.asarray(g2, dtype=float))
-
-
-def point_major(jets: list[Jet], order: int) -> list[np.ndarray]:
-    """The parts of component jets up to ``order``, stacked point-major.
-
-    Returns contiguous arrays of shapes (M, C), (M, C, N) and (M, C, N, N)
-    for C = ``len(jets)``: the layout field evaluations hand out.
-    """
-    parts = []
-    for attr in ("val", "grad", "hess")[: order + 1]:
-        first = getattr(jets[0], attr)
-        out = np.empty(first.shape[-1:] + (len(jets),) + first.shape[:-1])
-        for c, jet in enumerate(jets):
-            out[:, c] = np.moveaxis(getattr(jet, attr), -1, 0)
-        parts.append(out)
-    return parts
-
-
-_BLOCK = 4096  # points per point_matmul block: its rows stay in cache, its temporaries small
-
-
-def point_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The per-point matrix product a[m] @ b[m], bit for bit ``np.einsum``'s.
-
-    ``a`` is (M, ..., I, J) and ``b`` is (M, ..., J, K), with the axes between
-    M and the matrix axes broadcast against each other; the result is a
-    C-contiguous (M, ..., I, K) array.  Each contraction runs on contiguous
-    length-M component rows and adds the j terms into zeros in the order
-    j = 0, 1, ..., as einsum sums them when the output stride is non-zero,
-    so ``np.einsum("mdj,mji->mdi", p, je)`` equals ``point_matmul(p, je)``
-    and ``np.einsum("mijk,mj->mik", s, v)`` equals
-    ``point_matmul(v[:, None, None], s)[:, :, 0]``.  The result is contiguous
-    because einsum reductions of a strided view may sum in another order.
-    """
-    lead = np.broadcast_shapes(a.shape[1:-2], b.shape[1:-2])
-    out = np.empty(a.shape[:1] + lead + (a.shape[-2], b.shape[-1]))
-    for s in range(0, len(out), _BLOCK):
-        ar = np.moveaxis(a[s:s + _BLOCK], 0, -1).copy()
-        br = np.moveaxis(b[s:s + _BLOCK], 0, -1).copy()
-        rows = np.zeros(lead + (ar.shape[-3], br.shape[-2], ar.shape[-1]))
-        for j in range(ar.shape[-2]):
-            rows += ar[..., :, j, None, :] * br[..., None, j, :, :]
-        out[s:s + _BLOCK] = np.moveaxis(rows, -1, 0)
-    return out
 
 
 def jet_sqrt(a: Jet) -> Jet:

@@ -131,23 +131,27 @@ def fitted_rate(epsilons, values, noise_floor: float = 1e-12):
 
 @dataclass
 class ConvergenceRecord:
-    """One sweep: measured values, extrapolated limit, fitted rate, target, gap."""
+    """One sweep over a schedule: measured values, extrapolated limit, fitted rate, target, gap."""
 
     name: str
-    epsilons: list[float]
+    schedule: EpsilonSchedule
     values: list[float]
     target: float
-    model: str = "linear_eps"
-    fit_points: int = 4
     extras: dict[str, list[float]] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
     csv_residuals: tuple[str, ...] = ()  # the extras written as residual_1 and residual_2
 
     def __post_init__(self):
-        self.extrapolated, self.fit_slope = extrapolate(
-            self.epsilons, self.values, self.model, self.fit_points
-        )
+        self.extrapolated, self.fit_slope = self.extrapolate(self.values)
         self.rate = fitted_rate(self.epsilons, self.values)
+
+    @property
+    def epsilons(self) -> list[float]:
+        return self.schedule.epsilons
+
+    def extrapolate(self, values) -> tuple[float, float]:
+        """(limit, slope) of ``values`` per width, fitted as the schedule's model prescribes."""
+        return extrapolate(self.epsilons, values, self.schedule.model, self.schedule.fit_points)
 
     @property
     def gap(self) -> float:
@@ -179,7 +183,7 @@ class ConvergenceRecord:
     def summary(self) -> dict:
         return {
             "name": self.name,
-            "model": self.model,
+            "model": self.schedule.model,
             "epsilons": list(self.epsilons),
             "values": list(self.values),
             "extras": {k: list(v) for k, v in self.extras.items()},
@@ -241,11 +245,9 @@ def ac_limit_experiment(g, eta: VectorField, zeta: VectorField, p: float,
         energies.append(energy(f, u, quad))
     rec = ConvergenceRecord(
         name=name or f"ac_limit[p={p:g}]",
-        epsilons=sched.epsilons,
+        schedule=sched,
         values=values,
         target=target,
-        model=sched.model,
-        fit_points=sched.fit_points,
         extras={"energy": energies},
         csv_residuals=("energy",),
         meta={
@@ -279,8 +281,8 @@ def equipartition_residuals(g, p: float, sched: EpsilonSchedule, profile=None,
             u = profile(g, eps)  # custom builder, e.g. a wrong-profile control
         quad = _ac_tube(g, base_prof, eps, half_width)
         zs, grads = u.evaluate(quad.nodes, 1)
-        z = zs[:, 0]
-        gnorm = np.linalg.norm(grads[:, 0], axis=1)
+        z = zs[0]
+        gnorm = np.sqrt(np.einsum("im,im->m", grads[0], grads[0]))
         a_p = eps ** (p - 1.0) * gnorm**p
         b_q = (1.0 - z**2) ** 2 / eps
         phi_grad = np.abs(1.0 - z**2) ** (2.0 * (p - 1.0) / p) * gnorm
@@ -290,11 +292,9 @@ def equipartition_residuals(g, p: float, sched: EpsilonSchedule, profile=None,
         e_gap.append(abs(pairwise_dot(quad.weights, f.f(zs, grads)) - cp * g.measure))
     return ConvergenceRecord(
         name=name or f"equipartition[p={p:g}]",
-        epsilons=sched.epsilons,
+        schedule=sched,
         values=res_ab,
         target=0.0,
-        model=sched.model,
-        fit_points=sched.fit_points,
         extras={"residual_phi": res_phi, "energy_gap": e_gap},
         meta={"p": p, "c_p": cp, "area": g.measure},
         csv_residuals=("energy_gap", "residual_phi"),
@@ -322,19 +322,17 @@ def tensor_pairing_experiment(g, p: float, phi: ScalarField, indices,
     for eps in sched.epsilons:
         u = ansatz_field(g, eps, prof)
         quad = _ac_tube(g, prof, eps, half_width)
-        grad = u.evaluate(quad.nodes, 1)[1][:, 0]
-        gnorm2 = np.einsum("mi,mi->m", grad, grad) + 1e-300
+        grad = u.evaluate(quad.nodes, 1)[1][0]
+        gnorm2 = np.einsum("im,im->m", grad, grad) + 1e-300
         dens = eps ** (p - 1.0) * gnorm2 ** ((p - len(idx)) / 2.0)
         for i in idx:
-            dens = dens * grad[:, i]
+            dens = dens * grad[i]
         values.append(pairwise_dot(quad.weights, dens * phi.eval(quad.nodes)))
     return ConvergenceRecord(
         name=name or f"tensor[{idx},p={p:g}]",
-        epsilons=sched.epsilons,
+        schedule=sched,
         values=values,
         target=target,
-        model=sched.model,
-        fit_points=sched.fit_points,
         meta={"indices": list(idx), "p": p, "c_p": cp},
     )
 
@@ -371,11 +369,9 @@ def gl_limit_experiment(g, eta: VectorField, zeta: VectorField, sched: EpsilonSc
         energies.append(energy(f, u, quad))
     return ConvergenceRecord(
         name=name or "gl_limit",
-        epsilons=sched.epsilons,
+        schedule=sched,
         values=values,
         target=target,
-        model=sched.model,
-        fit_points=sched.fit_points,
         extras={"energy": energies},
         csv_residuals=("energy",),
         meta={
@@ -407,12 +403,12 @@ def volume_admissibility(g, eta: VectorField, zeta: VectorField | None = None,
     if zeta is None:
         eta = pinned(eta, nodes, 2)
         zeta = zeta_eta(eta)
-    je = eta.jacobian(nodes)
-    jz = zeta.jacobian(nodes)
-    div_e = np.einsum("mii->m", je)
-    div_z = np.einsum("mii->m", jz)
+    _, je = eta.evaluate(nodes, 1)
+    _, jz = zeta.evaluate(nodes, 1)
+    div_e = np.einsum("iim->m", je)
+    div_z = np.einsum("iim->m", jz)
     c1 = pairwise_dot(weights, div_e)
-    c2 = pairwise_dot(weights, div_z + div_e**2 - np.einsum("mij,mji->m", je, je))
+    c2 = pairwise_dot(weights, div_z + div_e**2 - np.einsum("ijm,jim->m", je, je))
     return c1, c2
 
 
@@ -463,10 +459,10 @@ def perturbed_field(u_eps: ScalarField, eta: VectorField, phi_ref: VectorField,
         raise DegenerateReference(
             f"reference field has vanishing interface flux ({flux:.3e})"
         )
-    grad = u_eps.evaluate(quad.nodes, 1)[1][:, 0]
+    grad = u_eps.evaluate(quad.nodes, 1)[1][0]
 
     def t_of(v: VectorField) -> float:
-        vals = np.einsum("mi,mi->m", v.eval(quad.nodes), grad)
+        vals = np.einsum("im,im->m", v.evaluate(quad.nodes, 0)[0], grad)
         return pairwise_dot(quad.weights, vals)
 
     denom = t_of(phi_ref)
@@ -523,11 +519,9 @@ def quadratic_forms(g, xi, sched: EpsilonSchedule, cutoff_width: float | None = 
         corrected.append(d2_inner)
     return ConvergenceRecord(
         name=name or "quadratic_forms",
-        epsilons=sched.epsilons,
+        schedule=sched,
         values=corrected,
         target=target,
-        model=sched.model,
-        fit_points=sched.fit_points,
         extras={"lagrange_term": lagrange, "raw_form": raw},
         meta={"surface_form": target / c_p(2.0), "c_2": c_p(2.0)},
         csv_residuals=("lagrange_term", "raw_form"),

@@ -14,9 +14,13 @@ parameters stored componentwise, with the real inner product):
        Y = 1/2 grad u . grad zeta - grad u . (grad eta)^2,
   where (grad u . M)_ai = sum_j u^a_j M_ji.
 
-The finite-difference oracle evaluates t -> A(u o Phi_t^{-1}) without
-inverting the map, through grad Phi_t^{-1}(Phi_t(x)) = [grad Phi_t(x)]^{-1},
-and applies 5-point stencils at t = 0.
+The kernels read the fields' component-major parts (:mod:`innervar.fields`)
+and contract them with ``np.einsum`` over the trailing point axis, so every
+sum over a component or derivative index adds its terms into zeros in index
+order (for batches of at least two points).  The finite-difference oracle
+evaluates t -> A(u o Phi_t^{-1}) without inverting the map, through
+grad Phi_t^{-1}(Phi_t(x)) = [grad Phi_t(x)]^{-1}, and applies 5-point
+stencils at t = 0.
 """
 
 from __future__ import annotations
@@ -28,16 +32,17 @@ import numpy as np
 from .errors import DimensionMismatch, NonInvertible
 from .fields import ScalarField, VectorField, pinned, x0_field
 from .geometry import doubling_rule, gauss_rule
-from .jets import point_matmul
 from .sums import pairwise_dot
 
 
 class Integrand:
     """Bulk density F(z, P) = G(P) + H(z) with its partials, batched callbacks.
 
-    ``F_PP_dot(z, P, Q)`` applies the second P-derivative as a linear map to a
-    direction Q of shape (M, d, N); the bilinear form is recovered by
-    contracting against another direction, and is symmetric in the two slots.
+    The callbacks take component-major batches: z is (d, M) and P is
+    (d, N, M).  ``F_PP_dot(z, P, Q)`` applies the second P-derivative as a
+    linear map to a direction Q of shape (d, N, M); the bilinear form is
+    recovered by contracting against another direction, and is symmetric in
+    the two slots.
     """
 
     def __init__(self, state_dim, f, f_z, f_p, f_zz, f_pp_dot, label=""):
@@ -50,7 +55,7 @@ class Integrand:
         self.label = label
 
     def pp_bilinear(self, z, p, q1, q2):
-        return np.einsum("mdi,mdi->m", q1, self.f_pp_dot(z, p, q2))
+        return np.einsum("dim,dim->m", q1, self.f_pp_dot(z, p, q2))
 
 
 @dataclass
@@ -148,7 +153,7 @@ def integrand_dirichlet(state_dim: int = 1) -> Integrand:
     """F = |P|^2 / 2."""
 
     def f(z, p):
-        return 0.5 * np.einsum("mdi,mdi->m", p, p)
+        return 0.5 * np.einsum("dim,dim->m", p, p)
 
     def f_z(z, p):
         return np.zeros(z.shape)
@@ -157,8 +162,8 @@ def integrand_dirichlet(state_dim: int = 1) -> Integrand:
         return p.copy()
 
     def f_zz(z, p):
-        m, d = z.shape
-        return np.zeros((m, d, d))
+        d, m = z.shape
+        return np.zeros((d, d, m))
 
     def f_pp_dot(z, p, q):
         return q.copy()
@@ -180,35 +185,33 @@ def integrand_p_allen_cahn(eps: float, p: float, reg: float = 1e-12) -> Integran
     cw = (pw - 1.0) / (pw * eps)
 
     def _m2(pmat):
-        return np.einsum("mdi,mdi->m", pmat, pmat) + reg * reg
+        return np.einsum("dim,dim->m", pmat, pmat) + reg * reg
 
     def f(z, pm):
-        return ee * _m2(pm) ** (pw / 2.0) / pw + cw * (1.0 - z[:, 0] ** 2) ** 2
+        return ee * _m2(pm) ** (pw / 2.0) / pw + cw * (1.0 - z[0] ** 2) ** 2
 
     def f_z(z, pm):
         out = np.zeros_like(z)
-        out[:, 0] = cw * (-4.0) * z[:, 0] * (1.0 - z[:, 0] ** 2)
+        out[0] = cw * (-4.0) * z[0] * (1.0 - z[0] ** 2)
         return out
 
     def f_p(z, pm):
-        fac = ee * _m2(pm) ** ((pw - 2.0) / 2.0)
-        return fac[:, None, None] * pm
+        return ee * _m2(pm) ** ((pw - 2.0) / 2.0) * pm
 
     def f_zz(z, pm):
-        m, d = z.shape
-        out = np.zeros((m, d, d))
-        out[:, 0, 0] = cw * (12.0 * z[:, 0] ** 2 - 4.0)
+        d, m = z.shape
+        out = np.zeros((d, d, m))
+        out[0, 0] = cw * (12.0 * z[0] ** 2 - 4.0)
         return out
 
     def f_pp_dot(z, pm, q):
         m2 = _m2(pm)
-        fac = ee * m2 ** ((pw - 2.0) / 2.0)
-        out = fac[:, None, None] * q
+        out = ee * m2 ** ((pw - 2.0) / 2.0) * q
         if pw != 2.0:
-            dot = np.einsum("mdi,mdi->m", pm, q)
+            dot = np.einsum("dim,dim->m", pm, q)
             fac4 = ee * (pw - 2.0) * m2 ** ((pw - 4.0) / 2.0)
             fac4 = np.where(m2 > 1e-18, fac4, 0.0)  # skip degenerate-gradient nodes
-            out = out + (fac4 * dot)[:, None, None] * pm
+            out = out + fac4 * dot * pm
         return out
 
     return Integrand(1, f, f_z, f_p, f_zz, f_pp_dot, f"p_allen_cahn[p={pw:g},eps={eps:g}]")
@@ -220,23 +223,21 @@ def integrand_ginzburg_landau(eps: float) -> Integrand:
     el = abs(np.log(eps))
 
     def f(z, pm):
-        z2 = np.einsum("md,md->m", z, z)
-        return (0.5 * np.einsum("mdi,mdi->m", pm, pm) + (1.0 - z2) ** 2 / (4.0 * eps * eps)) / el
+        z2 = np.einsum("dm,dm->m", z, z)
+        return (0.5 * np.einsum("dim,dim->m", pm, pm) + (1.0 - z2) ** 2 / (4.0 * eps * eps)) / el
 
     def f_z(z, pm):
-        z2 = np.einsum("md,md->m", z, z)
-        return (-(1.0 - z2) / (eps * eps))[:, None] * z / el
+        z2 = np.einsum("dm,dm->m", z, z)
+        return -(1.0 - z2) / (eps * eps) * z / el
 
     def f_p(z, pm):
         return pm / el
 
     def f_zz(z, pm):
-        m, d = z.shape
-        z2 = np.einsum("md,md->m", z, z)
-        eye = np.eye(d)[None, :, :]
-        return (
-            -(1.0 - z2)[:, None, None] * eye + 2.0 * z[:, :, None] * z[:, None, :]
-        ) / (eps * eps * el)
+        d, m = z.shape
+        z2 = np.einsum("dm,dm->m", z, z)
+        eye = np.eye(d)[:, :, None]
+        return (-(1.0 - z2) * eye + 2.0 * z[:, None] * z[None, :]) / (eps * eps * el)
 
     def f_pp_dot(z, pm, q):
         return q / el
@@ -262,11 +263,11 @@ def composite_test_function(u: ScalarField, eta: VectorField) -> ScalarField:
     def evaluator(xb, order):
         _, gu, *hu = u.evaluate(xb, order + 1)
         ev, *je = eta.evaluate(xb, order)
-        val = -np.einsum("mdj,mj->md", gu, ev)
+        val = -np.einsum("djm,jm->dm", gu, ev)
         if order == 0:
             return [val]
-        hu_eta = point_matmul(ev[:, None, None], hu.pop())[:, :, 0]  # u's Hessian dies here
-        return [val, -(hu_eta + point_matmul(gu, je[0]))]
+        hu_eta = np.einsum("djim,jm->dim", hu.pop(), ev)  # u's Hessian dies here
+        return [val, -(hu_eta + np.einsum("djm,jim->dim", gu, je[0]))]
 
     return ScalarField.from_evaluator(u.dim, evaluator, 1, state_dim=u.state_dim,
                                       label=f"-grad({u.label}).({eta.label})")
@@ -283,9 +284,7 @@ def first_variation(f: Integrand, u: ScalarField, phi: ScalarField, quad: BulkQu
     _check_state(f.state_dim, phi)
     z, p = u.evaluate(quad.nodes, 1)
     pv, pg = phi.evaluate(quad.nodes, 1)
-    dens = np.einsum("md,md->m", f.f_z(z, p), pv) + np.einsum(
-        "mdi,mdi->m", f.f_p(z, p), pg
-    )
+    dens = np.einsum("dm,dm->m", f.f_z(z, p), pv) + np.einsum("dim,dim->m", f.f_p(z, p), pg)
     return pairwise_dot(quad.weights, dens)
 
 
@@ -293,7 +292,7 @@ def second_variation(f: Integrand, u: ScalarField, phi: ScalarField, quad: BulkQ
     _check_state(f.state_dim, u)
     z, p = u.evaluate(quad.nodes, 1)
     pv, pg = phi.evaluate(quad.nodes, 1)
-    dens = np.einsum("mab,ma,mb->m", f.f_zz(z, p), pv, pv)
+    dens = np.einsum("abm,am,bm->m", f.f_zz(z, p), pv, pv)
     dens += f.pp_bilinear(z, p, pg, pg)
     return pairwise_dot(quad.weights, dens)
 
@@ -304,11 +303,11 @@ def first_inner_variation(f: Integrand, u: ScalarField, eta: VectorField,
     _check_state(f.state_dim, u)
     z, p = u.evaluate(quad.nodes, 1)
     _, je = eta.evaluate(quad.nodes, 1)
-    div_e = np.einsum("mii->m", je)
-    p_je = point_matmul(p, je)
+    div_e = np.einsum("iim->m", je)
+    p_je = np.einsum("djm,jim->dim", p, je)
     del je
     dens = f.f(z, p) * div_e
-    dens -= np.einsum("mdi,mdi->m", f.f_p(z, p), p_je)
+    dens -= np.einsum("dim,dim->m", f.f_p(z, p), p_je)
     return pairwise_dot(quad.weights, dens)
 
 
@@ -319,20 +318,20 @@ def second_inner_variation(f: Integrand, u: ScalarField, eta: VectorField,
     # zeta first: unpinned, it is the largest evaluation (eta at order 2), so nothing else
     # is held while it runs; each Jacobian dies once its products are formed
     _, jz = zeta.evaluate(xb, 1)
-    div_z = np.einsum("mii->m", jz)
+    div_z = np.einsum("iim->m", jz)
     z, p = u.evaluate(xb, 1)
-    p_jz = point_matmul(p, jz)
+    p_jz = np.einsum("djm,jim->dim", p, jz)
     del jz
     _, je = eta.evaluate(xb, 1)
-    div_e = np.einsum("mii->m", je)
-    x_fac = div_z + div_e**2 - np.einsum("mij,mji->m", je, je)
-    p_je = point_matmul(p, je)
-    y_fac = 0.5 * p_jz - point_matmul(p_je, je)
+    div_e = np.einsum("iim->m", je)
+    x_fac = div_z + div_e**2 - np.einsum("ijm,jim->m", je, je)
+    p_je = np.einsum("djm,jim->dim", p, je)
+    y_fac = 0.5 * p_jz - np.einsum("djm,jim->dim", p_je, je)
     del je, p_jz
     fp = f.f_p(z, p)
     dens = f.f(z, p) * x_fac
-    dens -= 2.0 * np.einsum("mdi,mdi->m", fp, p_je) * div_e
-    dens -= 2.0 * np.einsum("mdi,mdi->m", fp, y_fac)
+    dens -= 2.0 * np.einsum("dim,dim->m", fp, p_je) * div_e
+    dens -= 2.0 * np.einsum("dim,dim->m", fp, y_fac)
     dens += f.pp_bilinear(z, p, p_je, p_je)
     return pairwise_dot(quad.weights, dens)
 
@@ -354,15 +353,15 @@ def inner_variation_oracle(f: Integrand, u: ScalarField, eta: VectorField,
     if h is None:
         scale = max(float(np.max(np.abs(je))), float(np.max(np.abs(jz))))
         h = 1e-3 / (1.0 + scale)
-    eye = np.eye(quad.dim)[None, :, :]
+    eye = np.eye(quad.dim)[:, :, None]
 
     def a_of_t(t: float) -> float:
-        mat = eye + t * je + 0.5 * t * t * jz
+        mat = np.moveaxis(eye + t * je + 0.5 * t * t * jz, -1, 0)  # (M, N, N) for linalg
         det = np.linalg.det(mat)
         if np.any(det <= 0.0):
             raise NonInvertible("deformation Jacobian lost positivity at oracle stencil")
-        minv = np.linalg.inv(mat)
-        pt = np.einsum("mdj,mji->mdi", p, minv)
+        minv = np.ascontiguousarray(np.moveaxis(np.linalg.inv(mat), 0, -1))
+        pt = np.einsum("djm,jim->dim", p, minv)
         return pairwise_dot(quad.weights, f.f(z, pt) * np.abs(det))
 
     a_m2, a_m1, a_0, a_p1, a_p2 = (a_of_t(t) for t in (-2 * h, -h, 0.0, h, 2 * h))

@@ -333,6 +333,46 @@ _MALFORMED = [
         "name": "x", "kind": "volume", "geometry": {**_SPHERE, "radius": -1.0},
         "fields": {"random": 2},
     }),
+    # tolerances are positive and finite, rate bounds finite: an infinite tolerance or a
+    # rate bound of -inf would pass every run, and a negative or NaN one fail every run
+    ("ac_tolerance_gap_infinite", {**_AC, "tolerance_gap": float("inf")}),
+    ("ac_min_rate_minus_infinity", {**_AC, "min_rate": float("-inf")}),
+    ("identities_tolerance_negative", {"name": "x", "kind": "identities", "tolerance": -1.0}),
+    ("identities_fd_tolerance_nan", {"name": "x", "kind": "identities",
+                                     "fd_tolerance": float("nan")}),
+    ("gl_energy_tolerance_zero", {**_GL, "energy_tolerance": 0.0}),
+    ("tensors_zero_tolerance_negative", _variant(zero_tolerance=-1e-6)),
+    ("equipartition_floor_nan", {
+        "name": "x", "kind": "equipartition", "geometry": _SPHERE, "p": 2.0,
+        "schedule": {"eps0": 0.04, "count": 4}, "floor": float("nan"),
+    }),
+    ("equipartition_lower_bound_infinite", {
+        "name": "x", "kind": "equipartition", "geometry": _SPHERE, "p": 2.0,
+        "schedule": {"eps0": 0.04, "count": 4}, "lower_bound": float("-inf"),
+    }),
+    ("volume_tolerance_c2_infinite", {
+        "name": "x", "kind": "volume", "geometry": _SPHERE, "fields": {"random": 2},
+        "tolerance_c2": float("inf"),
+    }),
+    ("poincare_tolerance_negative", {**_POINCARE, "tolerance": -1e-6}),
+    ("profile_tolerance_tanh_nan", {"name": "x", "kind": "profile", "p": 2.0,
+                                    "tolerance_tanh": float("nan")}),
+    # integer keys take whole numbers: a fraction or a boolean is not silently truncated
+    ("schedule_count_fraction", _variant(schedule={"eps0": 0.04, "count": 3.7})),
+    ("schedule_fit_points_fraction", _variant(schedule={"eps0": 0.04, "count": 4,
+                                                        "fit_points": 2.5})),
+    ("identities_samples_boolean", {"name": "x", "kind": "identities", "samples": True}),
+    ("indices_fraction", _variant(indices=[0, 0.5])),
+    ("filament_frequency_fraction", {**_GL, "eta": {"type": "filament_preset", "preset": "bend",
+                                                    "frequency": 1.5}}),
+    ("flat_patch_n_per_axis_fraction",
+     {**_AC, "geometry": {"type": "flat_patch", "dim": 2, "n_per_axis": 16.9}}),
+    ("flat_patch_dim_fraction", {**_AC, "geometry": {"type": "flat_patch", "dim": 2.5}}),
+    ("flat_patch_axis_boolean", {**_AC, "geometry": {"type": "flat_patch", "dim": 2,
+                                                     "axis": True}}),
+    ("volume_random_count_fraction", {
+        "name": "x", "kind": "volume", "geometry": _SPHERE, "fields": {"random": 2.5},
+    }),
 ]
 
 
@@ -361,6 +401,8 @@ _TOP_LEVEL_MALFORMED = [
     ("jobs_zero_on_the_command_line", {}, ["--jobs", "0"], {}),
     ("jobs_negative_on_the_command_line", {}, ["--jobs", "-3"], {}),
     ("jobs_environment_negative", {}, [], {"INNERVAR_JOBS": "-3"}),
+    ("seed_fraction", {"seed": 1.5}, [], {}),
+    ("seed_boolean", {"seed": True}, [], {}),
 ]
 
 

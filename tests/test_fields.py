@@ -1,5 +1,7 @@
 """Field algebra, deformation maps, and the pointwise divergence identities."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,8 +14,7 @@ from innervar import limits as L
 from innervar import profiles as P
 from innervar import variation as V
 from innervar.errors import ConfigError, DimensionMismatch, NonInvertible
-from innervar.jets import (Jet, jet_exp, jet_norm, jet_polynomial, jet_sin, jet_sqrt,
-                           point_matmul)
+from innervar.jets import Jet, jet_exp, jet_norm, jet_polynomial, jet_sin, jet_sqrt
 
 
 def fd_divergence(v, x, h=1e-5):
@@ -345,18 +346,20 @@ _OPS = {
 
 
 def _jet_parts(jet_fn):
-    """(val, grad) of an order-1 jet, (val, grad, hess) of an order-2 jet, point-major."""
+    """(val, grad) of an order-1 jet, (val, grad, hess) of an order-2 jet."""
 
     def parts(xb, order):
         jet = jet_fn(xb, order)
-        grad = jet.grad.T
-        return (jet.val, grad) if jet.hess is None else (jet.val, grad, jet.hess.transpose(2, 0, 1))
+        return (jet.val, jet.grad) if jet.hess is None else (jet.val, jet.grad, jet.hess)
 
     return parts
 
 
 def _check_orders(parts, x, h=1e-5):
-    """Order 1 is a bit-identical prefix of order 2, and order 2 matches central differences."""
+    """Order 1 is a bit-identical prefix of order 2, and order 2 matches central differences.
+
+    ``parts`` are component-major: each derivative axis sits before the point axis.
+    """
     full, low = parts(x, 2), parts(x, 1)
     assert len(full) == 3 and len(low) == 2
     for a, b in zip(low, full):
@@ -366,8 +369,10 @@ def _check_orders(parts, x, h=1e-5):
         dx = np.zeros_like(x)
         dx[:, j] = h
         hi, lo = parts(x + dx, 2), parts(x - dx, 2)
-        np.testing.assert_allclose(full[1][..., j], (hi[0] - lo[0]) / (2 * h), atol=1e-6 * scale)
-        np.testing.assert_allclose(full[2][..., j], (hi[1] - lo[1]) / (2 * h), atol=1e-6 * scale)
+        np.testing.assert_allclose(full[1][..., j, :], (hi[0] - lo[0]) / (2 * h),
+                                   atol=1e-6 * scale)
+        np.testing.assert_allclose(full[2][..., j, :], (hi[1] - lo[1]) / (2 * h),
+                                   atol=1e-6 * scale)
 
 
 @settings(max_examples=60, deadline=None)
@@ -419,7 +424,7 @@ def test_jet_polynomial_matches_the_factor_by_factor_reference_bit_for_bit(dim, 
     x[0] = 0.0
     parts = _jet_parts(lambda xb, order: jet_polynomial(xb, terms, order))(x, 2)
     for got, want in zip(parts, _monomial_reference(x, terms)):
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == np.moveaxis(want, 0, -1).tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -438,34 +443,73 @@ def test_jet_norm_matches_the_sum_of_squared_coordinate_jets_bit_for_bit(dim):
             assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
 
 
-# each matrix-product einsum point_matmul replaces: (operand shapes for M, D, N, the call)
+def _left_to_right(spec, *ops):
+    """``np.einsum(spec, *ops)`` as an explicit loop over the summed labels.
+
+    The summed labels run in the order they first appear, the last fastest;
+    each term is the product of the operands' slices taken left to right, and
+    the terms are added into zeros in loop order.
+    """
+    ins, out = spec.split("->")
+    ins = ins.split(",")
+    sizes = {c: k for labels, op in zip(ins, ops) for c, k in zip(labels, op.shape)}
+    summed = [c for c in dict.fromkeys("".join(ins)) if c not in out]
+    res = np.zeros(tuple(sizes[c] for c in out))
+    for idx in itertools.product(*(range(sizes[c]) for c in summed)):
+        fixed = dict(zip(summed, idx))
+        term = None
+        for labels, op in zip(ins, ops):
+            a = op[tuple(fixed.get(c, slice(None)) for c in labels)]
+            rest = [c for c in labels if c not in fixed]
+            a = a.transpose(sorted(range(len(rest)), key=lambda i: out.index(rest[i])))
+            a = a.reshape([sizes[c] if c in rest else 1 for c in out])
+            term = a if term is None else term * a
+        res += term
+    return res
+
+
+# every contraction of the kernels, the integrands and the derived fields, with the
+# operand shapes in D (state components) and N (dimension); M is appended to each
 _CONTRACTIONS = {
-    "mdj,mji->mdi": (lambda m, d, n: [(m, d, n), (m, n, n)], point_matmul),
-    "mij,mjk->mik": (lambda m, d, n: [(m, n, n), (m, n, n)], point_matmul),
-    "mijk,mj->mik": (lambda m, d, n: [(m, n, n, n), (m, n)],
-                     lambda s, v: point_matmul(v[:, None, None], s)[:, :, 0]),
-    "mdji,mj->mdi": (lambda m, d, n: [(m, d, n, n), (m, n)],
-                     lambda h, v: point_matmul(v[:, None, None], h)[:, :, 0]),
+    "djm,jim->dim": "DN,NN",  # grad u . grad eta, grad u . (grad eta)^2
+    "ijm,jkm->ikm": "NN,NN",  # (grad eta)^2 in zeta_eta
+    "ijkm,jm->ikm": "NNN,N",  # D^2 eta . eta in zeta_eta
+    "djim,jm->dim": "DNN,N",  # D^2 u . eta in composite_test_function
+    "ijm,jm->im": "NN,N",  # mat-vecs of zeta_eta and x0_field
+    "djm,jm->dm": "DN,N",
+    "dim,im->dm": "DN,N",
+    "dim,dim->m": "DN,DN",  # reductions
+    "dm,dm->m": "D,D",
+    "km,km->m": "N,N",
+    "ijm,jim->m": "NN,NN",
+    "iim->m": "NN",
+    "jjkm->km": "NNN",
+    "ijim,jm->m": "NNN,N",
+    "abm,am,bm->m": "DD,D,D",
+    "dijm,im,jm->dm": "DNN,N,N",
+    "km,knm->nm": "N,NN",  # the chain rule of normal_extension
+    "klm,knm,lom->nom": "NN,NN,NN",
+    "km,im->ikm": "N,N",
 }
 
 
-@settings(max_examples=60, deadline=None)
-@given(spec=st.sampled_from(sorted(_CONTRACTIONS)), m=st.integers(1, 5000),
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(sorted(_CONTRACTIONS)), m=st.integers(2, 9000),
        d=st.sampled_from([1, 2]), n=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
-@example(spec="mdj,mji->mdi", m=4097, d=2, n=3, seed=0)  # one point past a block
-@example(spec="mijk,mj->mik", m=5000, d=1, n=3, seed=1)
-def test_point_matmul_is_the_einsum_it_replaces_bit_for_bit(spec, m, d, n, seed):
-    shapes, contract = _CONTRACTIONS[spec]
+@example(spec="djm,jim->dim", m=4097, d=2, n=3, seed=0)
+@example(spec="dim,dim->m", m=8193, d=2, n=3, seed=1)  # one point past einsum's buffer
+@example(spec="klm,knm,lom->nom", m=8193, d=1, n=3, seed=2)
+def test_component_major_contractions_sum_left_to_right_bit_for_bit(spec, m, d, n, seed):
+    # With the point axis last and contiguous, einsum adds each point's terms into zeros in
+    # index order; a length-1 point axis is dropped by numpy's iterator, which then sums the
+    # short axes in its own (SIMD) order, so M starts at 2.  Signed zeros too: a sum of
+    # zeros added into +0 is +0.
     rng = np.random.default_rng(seed)
-    # signed zeros too: einsum adds the j terms into zeros, so an all-zero sum is +0
     ops = [np.where(rng.random(shape) < 0.1, -0.0, rng.standard_normal(shape))
-           for shape in shapes(m, d, n)]
-    want, got = np.einsum(spec, *ops), contract(*ops)
-    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
-    assert got.flags.c_contiguous
-    # the reductions downstream of a contraction sum in the same order on either result
-    q = rng.standard_normal(want.shape)
-    assert np.einsum("mdi,mdi->m", got, q).tobytes() == np.einsum("mdi,mdi->m", want, q).tobytes()
+           for shape in (tuple({"D": d, "N": n}[c] for c in labels) + (m,)
+                         for labels in _CONTRACTIONS[spec].split(","))]
+    want, got = _left_to_right(spec, *ops), np.einsum(spec, *ops)
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=20, deadline=None)

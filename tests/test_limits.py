@@ -72,7 +72,8 @@ def test_fitted_rate_recovers_power():
 
 
 def test_record_gap_definition():
-    rec = L.ConvergenceRecord("r", [0.1, 0.05, 0.025, 0.0125], [1.0, 1.0, 1.0, 1.0], 2.0)
+    rec = L.ConvergenceRecord("r", L.EpsilonSchedule([0.1, 0.05, 0.025, 0.0125]),
+                              [1.0, 1.0, 1.0, 1.0], 2.0)
     assert rec.gap == pytest.approx(abs(rec.extrapolated - 2.0) / 3.0)
     rows = rec.rows()
     assert set(rows[0]) == {"epsilon", "value", "target", "gap", "residual_1", "residual_2"}

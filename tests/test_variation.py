@@ -249,12 +249,12 @@ def test_second_inner_variation_zero_velocity(box2):
     f = V.integrand_dirichlet()
     d2 = V.second_inner_variation(f, u, zero, zeta, box2)
 
-    def direct(x):
-        z, p = u._values(x), u._gradients(x)
-        jz = zeta.jacobian(x)
-        divz = np.einsum("mii->m", jz)
-        pjz = np.einsum("mdj,mji->mdi", p, jz)
-        return f.f(z, p) * divz - np.einsum("mdi,mdi->m", f.f_p(z, p), pjz)
+    def direct(x):  # component-major parts, as the integrand takes them
+        z, p = u.evaluate(x, 1)
+        _, jz = zeta.evaluate(x, 1)
+        divz = np.einsum("iim->m", jz)
+        pjz = np.einsum("djm,jim->dim", p, jz)
+        return f.f(z, p) * divz - np.einsum("dim,dim->m", f.f_p(z, p), pjz)
 
     assert d2 == pytest.approx(box2.integrate(direct), rel=1e-12)
     _, d2_fd = V.inner_variation_oracle(f, u, zero, zeta, box2)
@@ -371,34 +371,35 @@ def test_oracle_zero_fields(box2):
 
 
 def _check_partials(f, d, n, rng, tol=1e-6):
+    # component-major batches, as the kernels pass them: z (d, M), P (d, N, M)
     m = 100
-    z = rng.uniform(-0.9, 0.9, size=(m, d))
-    p = rng.uniform(-1.0, 1.0, size=(m, d, n))
+    z = rng.uniform(-0.9, 0.9, size=(d, m))
+    p = rng.uniform(-1.0, 1.0, size=(d, n, m))
     h = 1e-5
     # F_z
     for a in range(d):
-        dz = np.zeros((m, d))
-        dz[:, a] = h
+        dz = np.zeros((d, m))
+        dz[a] = h
         fd = (f.f(z + dz, p) - f.f(z - dz, p)) / (2 * h)
-        assert np.max(np.abs(f.f_z(z, p)[:, a] - fd)) <= tol
+        assert np.max(np.abs(f.f_z(z, p)[a] - fd)) <= tol
     # F_P
     fp = f.f_p(z, p)
     for a in range(d):
         for i in range(n):
-            dp = np.zeros((m, d, n))
-            dp[:, a, i] = h
+            dp = np.zeros((d, n, m))
+            dp[a, i] = h
             fd = (f.f(z, p + dp) - f.f(z, p - dp)) / (2 * h)
-            assert np.max(np.abs(fp[:, a, i] - fd)) <= tol
+            assert np.max(np.abs(fp[a, i] - fd)) <= tol
     # F_zz
     fzz = f.f_zz(z, p)
     for a in range(d):
-        dz = np.zeros((m, d))
-        dz[:, a] = h
+        dz = np.zeros((d, m))
+        dz[a] = h
         fd = (f.f_z(z + dz, p) - f.f_z(z - dz, p)) / (2 * h)
-        assert np.max(np.abs(fzz[:, :, a] - fd)) <= tol
+        assert np.max(np.abs(fzz[:, a] - fd)) <= tol
     # F_PP as a directional map, plus symmetry of the bilinear form
-    q1 = rng.uniform(-1, 1, size=(m, d, n))
-    q2 = rng.uniform(-1, 1, size=(m, d, n))
+    q1 = rng.uniform(-1, 1, size=(d, n, m))
+    q2 = rng.uniform(-1, 1, size=(d, n, m))
     fd = (f.f_p(z, p + h * q1) - f.f_p(z, p - h * q1)) / (2 * h)
     assert np.max(np.abs(f.f_pp_dot(z, p, q1) - fd)) <= tol
     b12 = f.pp_bilinear(z, p, q1, q2)
@@ -419,16 +420,16 @@ def test_phase_field_p2_has_no_rank_four_term():
     # at p = 2 the second P-derivative acts as eps times the identity
     f = V.integrand_p_allen_cahn(0.42, 2.0)
     rng = np.random.default_rng(22)
-    z = rng.uniform(-1, 1, size=(10, 1))
-    p = rng.uniform(-1, 1, size=(10, 1, 2))
-    q = rng.uniform(-1, 1, size=(10, 1, 2))
+    z = rng.uniform(-1, 1, size=(1, 10))
+    p = rng.uniform(-1, 1, size=(1, 2, 10))
+    q = rng.uniform(-1, 1, size=(1, 2, 10))
     np.testing.assert_allclose(f.f_pp_dot(z, p, q), 0.42 * q, rtol=1e-12)
 
 
 def test_gl_reductions():
     f = V.integrand_ginzburg_landau(0.2)
-    z = np.array([[0.6, 0.8]])  # |z| = 1
-    p = np.zeros((1, 2, 3))
+    z = np.array([[0.6], [0.8]])  # |z| = 1 at one point
+    p = np.zeros((2, 3, 1))
     assert f.f(z, p)[0] == pytest.approx(0.0, abs=1e-15)
     np.testing.assert_allclose(f.f_z(z, p), 0.0, atol=1e-15)
 
