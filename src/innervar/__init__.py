@@ -48,7 +48,6 @@ from .fields import (
 from .geometry import (
     Filament,
     Hypersurface,
-    SurfaceFunction,
     ac_discrepancy,
     area_second_inner_variation,
     circle,

@@ -597,22 +597,6 @@ class DeformationMap:
         d = np.linalg.det(self.jacobian(xb))
         return float(d[0]) if single else d
 
-    def t_bound(self, sample_points) -> float:
-        """Conservative |t| bound keeping det(grad Phi_t) > 0 on the samples.
-
-        Uses the Frobenius norms of the derivative fields: the Jacobian stays
-        within unit distance of I as long as t a + (t^2/2) b < 1/2.
-        """
-        xb, _ = _as_batch(np.atleast_2d(sample_points), self.dim)
-        a = float(np.max(np.linalg.norm(self.velocity._jacobians(xb), axis=(1, 2))))
-        b = float(np.max(np.linalg.norm(self.acceleration._jacobians(xb), axis=(1, 2))))
-        if a == 0.0 and b == 0.0:
-            return np.inf
-        # solve t a + t^2 b / 2 = 1/2
-        if b == 0.0:
-            return 0.5 / a
-        return float((-a + np.sqrt(a * a + b)) / b)
-
     def invert(self, y, tol: float = 1e-13, max_iter: int = 50):
         """Newton inversion of Phi_t with exact Jacobian and 1/2 damping."""
         yb, single = _as_batch(y, self.dim)

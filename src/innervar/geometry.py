@@ -323,42 +323,11 @@ def shape_from_config(spec: dict):
 
 
 # ---------------------------------------------------------------------------
-# surface functions
-# ---------------------------------------------------------------------------
-
-
-class SurfaceFunction:
-    """Function on Gamma, realized as the restriction of an ambient field."""
-
-    def __init__(self, surface, ambient: ScalarField, label=""):
-        if ambient.state_dim != 1:
-            raise DimensionMismatch("surface functions are real scalar valued")
-        self.surface = surface
-        self.ambient = ambient
-        self.label = label
-
-    def values(self) -> np.ndarray:
-        return self.ambient.eval(self.surface.nodes)
-
-    def surface_gradient(self) -> np.ndarray:
-        """Tangential gradient at the quadrature nodes (ambient gradient projected)."""
-        g = self.ambient.gradient(self.surface.nodes)
-        if self.surface.codim == 1:
-            n = self.surface.normals
-            return g - np.einsum("mi,mi->m", g, n)[:, None] * n
-        p, q = self.surface.frame_p, self.surface.frame_q
-        g = g - np.einsum("mi,mi->m", g, p)[:, None] * p
-        return g - np.einsum("mi,mi->m", g, q)[:, None] * q
-
-
-# ---------------------------------------------------------------------------
 # surface functionals
 # ---------------------------------------------------------------------------
 
 
 def _node_values(g, f) -> np.ndarray:
-    if isinstance(f, SurfaceFunction):
-        return f.values()
     if isinstance(f, ScalarField):
         return f.eval(g.nodes)
     if callable(f):
@@ -448,26 +417,33 @@ def gl_discrepancy(g: Filament, eta: VectorField) -> tuple[float, float]:
     return pairwise_dot(g.weights, real_density), pairwise_dot(g.weights, dbar_density)
 
 
-def jacobi_form(g: Hypersurface, xi) -> float:
+def _real(xi: ScalarField) -> ScalarField:
+    """xi itself, once checked to be real valued (a function on the interface)."""
+    if xi.state_dim != 1:
+        raise DimensionMismatch("xi must be a real scalar field")
+    return xi
+
+
+def jacobi_form(g: Hypersurface, xi: ScalarField) -> float:
     """Stability form J(xi) = int_G (|grad_G xi|^2 - |A_G|^2 xi^2).
 
-    Only closed interfaces are supported; the boundary contribution that
-    would appear for interfaces meeting the container wall is out of scope.
+    grad_G xi is xi's ambient gradient projected onto the tangent plane.  Only
+    closed interfaces are supported; the boundary contribution that would
+    appear for interfaces meeting the container wall is out of scope.
     """
     if g.codim != 1:
         raise DimensionMismatch("jacobi_form is defined on hypersurfaces")
     if not g.closed:
         raise UnsupportedBoundary("jacobi_form requires a closed interface")
-    if isinstance(xi, ScalarField):
-        xi = SurfaceFunction(g, xi)
-    vals = xi.values()
-    grad = xi.surface_gradient()
+    vals = _real(xi).eval(g.nodes)
+    grad = xi.gradient(g.nodes)
+    grad = grad - np.einsum("mi,mi->m", grad, g.normals)[:, None] * g.normals
     a2 = np.einsum("mk,mk->m", g.curvatures, g.curvatures)
     density = np.einsum("mi,mi->m", grad, grad) - a2 * vals**2
     return pairwise_dot(g.weights, density)
 
 
-def quadratic_form_limit(g: Hypersurface, xi) -> float:
+def quadratic_form_limit(g: Hypersurface, xi: ScalarField) -> float:
     """Limit quadratic form of the rescaled phase-field Hessians (same as jacobi_form
     on closed interfaces)."""
     return jacobi_form(g, xi)
@@ -493,7 +469,7 @@ def _smooth_step_jet(s: Jet, s0: float, s1: float) -> Jet:
     return out
 
 
-def normal_extension(g: Hypersurface, xi, cutoff_width: float) -> VectorField:
+def normal_extension(g: Hypersurface, xi: ScalarField, cutoff_width: float) -> VectorField:
     """Extend xi * n off Gamma, constant along normal lines, with a smooth cutoff.
 
     The resulting field satisfies (n, n . grad eta) = 0 on Gamma because both
@@ -507,12 +483,7 @@ def normal_extension(g: Hypersurface, xi, cutoff_width: float) -> VectorField:
         raise TubeTooNarrow(
             f"cutoff width {w:g} exceeds the focal distance {g.focal_width:g}"
         )
-    if isinstance(xi, SurfaceFunction):
-        ambient = xi.ambient
-    elif isinstance(xi, ScalarField):
-        ambient = xi
-    else:
-        raise DimensionMismatch("xi must be a SurfaceFunction or ScalarField")
+    ambient = _real(xi)
     s0, s1 = (0.5 * w) ** 2, w * w
 
     def compose_ambient(pj: list[Jet], order: int) -> Jet:

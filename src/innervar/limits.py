@@ -418,11 +418,9 @@ def boundary_flux(g, eta: VectorField) -> float:
     return pairwise_dot(g.weights, vals)
 
 
-def require_zero_mean(g, xi) -> None:
-    """Raise ValueError unless xi (a field or a SurfaceFunction) has zero mean on g."""
-    if isinstance(xi, ScalarField):
-        xi = geo.SurfaceFunction(g, xi)
-    vals = xi.values()
+def require_zero_mean(g, xi: ScalarField) -> None:
+    """Raise ValueError unless the real field xi has zero mean on g."""
+    vals = xi.eval(g.nodes)
     mean = pairwise_dot(g.weights, vals)
     scale = pairwise_dot(g.weights, np.abs(vals)) + 1e-30
     if abs(mean) > 1e-10 * max(1.0, scale):
@@ -436,8 +434,6 @@ def constrained_poincare_check(g, xi, cutoff_width: float | None = None) -> tupl
     extension of xi with the volume-compensating acceleration; rhs: the
     stability form J(xi).  Requires mean-zero xi on a closed interface.
     """
-    if isinstance(xi, ScalarField):
-        xi = geo.SurfaceFunction(g, xi)
     require_zero_mean(g, xi)
     w = 0.9 * g.focal_width if cutoff_width is None else float(cutoff_width)
     eta = geo.normal_extension(g, xi, w)
@@ -506,8 +502,6 @@ def quadratic_forms(g, xi, sched: EpsilonSchedule, cutoff_width: float | None = 
     """
     p = 2.0
     prof = _profile(p)
-    if isinstance(xi, ScalarField):
-        xi = geo.SurfaceFunction(g, xi)
     w = 0.9 * g.focal_width if cutoff_width is None else float(cutoff_width)
     v_ext = geo.normal_extension(g, xi, w)
     target = c_p(2.0) * geo.quadratic_form_limit(g, xi)

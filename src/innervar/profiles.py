@@ -201,12 +201,6 @@ class ProfileTable:
             self._constants[key] = compute()
         return self._constants[key]
 
-    def energy_density(self, s):
-        """1-D energy density |q'|^p/p + W(q)/q_conj (equals W(q) on the profile)."""
-        qv, dqv, _ = self.derivatives(s, 1)
-        q_conj = self.p / (self.p - 1.0)
-        return np.abs(dqv) ** self.p / self.p + (1.0 - qv**2) ** 2 / q_conj
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")

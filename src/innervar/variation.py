@@ -5,8 +5,9 @@ parameters stored componentwise, with the real inner product):
 
 * first variation        dA(u, phi)   = int F_z phi + F_P : grad phi
 * second variation       d2A(u, phi)  = int F_zz phi^2 + F_PP(grad phi, grad phi)
-  (every density here splits as G(P) + H(z), so the mixed term 2 F_zP phi grad phi
-  is zero and not formed)
+  (every density here is radial, F = G(|P|^2) + H(|z|^2), so the mixed term
+  2 F_zP phi grad phi is zero and not formed; :class:`Integrand` derives the
+  partials from the factors of G and H)
 * first inner variation  deltaA       = int F div eta - F_P : (grad u . grad eta)
 * second inner variation delta2A      = int F X - 2 (F_P, grad u . grad eta) div eta
                                               - 2 (F_P, Y) + F_PP(. , .)
@@ -36,26 +37,69 @@ from .sums import pairwise_dot
 
 
 class Integrand:
-    """Bulk density F(z, P) = G(P) + H(z) with its partials, batched callbacks.
+    """Radial bulk density F(z, P) = G(|P|^2) + H(|z|^2) and all its partials.
 
-    The callbacks take component-major batches: z is (d, M) and P is
-    (d, N, M).  ``F_PP_dot(z, P, Q)`` applies the second P-derivative as a
-    linear map to a direction Q of shape (d, N, M); the bilinear form is
-    recovered by contracting against another direction, and is symmetric in
-    the two slots.
+    ``g(m2, k)`` returns G, 2G' or 4G'' at m2 = |P|^2 for k = 0, 1, 2, and
+    ``h(z2, k)`` the same factors of H at z2 = |z|^2; a factor that is
+    identically zero is None.  Each partial asks only for the factors it reads:
+
+        F_z = 2H' z,  F_P = 2G' P,  F_zz = 2H' I + 4H'' z (x) z,
+        F_PP . Q = 2G' Q + 4G'' (P . Q) P,
+
+    whose last, rank-four term is skipped where 4G'' is None (p = 2 and
+    Ginzburg-Landau).  Batches are component-major, z (d, M) and P, Q
+    (d, N, M); any other layout raises DimensionMismatch.
     """
 
-    def __init__(self, state_dim, f, f_z, f_p, f_zz, f_pp_dot, label=""):
-        self.state_dim = int(state_dim)
-        self.f = f
-        self.f_z = f_z
-        self.f_p = f_p
-        self.f_zz = f_zz
-        self.f_pp_dot = f_pp_dot
-        self.label = label
+    def __init__(self, state_dim, g, h, label=""):
+        self.state_dim, self.g, self.h, self.label = int(state_dim), g, h, label
+
+    def _layout(self, z, *ps):
+        d, m = self.state_dim, z.shape[-1]  # P fixes N for every Q
+        if z.shape != (d, m) or any(q.shape != (d, *ps[0].shape[1:2], m) for q in ps):
+            raise DimensionMismatch(f"integrand {self.label} with d = {d} takes z (d, M) and "
+                                    f"P (d, N, M), not {z.shape} and {ps[-1].shape}")
+
+    def f(self, z, p):
+        self._layout(z, p)
+        terms = [t for t in (self.g(_squares(p), 0), self.h(_squares(z), 0)) if t is not None]
+        return sum(terms[1:], terms[0])
+
+    def f_z(self, z, p):
+        self._layout(z, p)
+        return _scaled(self.h(_squares(z), 1), z)
+
+    def f_p(self, z, p):
+        self._layout(z, p)
+        return _scaled(self.g(_squares(p), 1), p)
+
+    def f_zz(self, z, p):
+        self._layout(z, p)
+        z2, d = _squares(z), self.state_dim
+        h1, h2 = self.h(z2, 1), self.h(z2, 2)
+        out = np.zeros((d, d, z.shape[1])) if h2 is None else h2 * z[:, None] * z[None, :]
+        if h1 is not None:
+            out[range(d), range(d)] += h1
+        return out
+
+    def f_pp_dot(self, z, p, q):
+        self._layout(z, p, q)
+        m2 = _squares(p)
+        out, g2 = _scaled(self.g(m2, 1), q), self.g(m2, 2)
+        return out if g2 is None else out + g2 * np.einsum("dim,dim->m", p, q) * p
 
     def pp_bilinear(self, z, p, q1, q2):
+        self._layout(z, p, q1)
         return np.einsum("dim,dim->m", q1, self.f_pp_dot(z, p, q2))
+
+
+def _squares(a):
+    """|a|^2 at each point of a component-major batch, z (d, M) or P (d, N, M)."""
+    return np.einsum("dm,dm->m", a, a) if a.ndim == 2 else np.einsum("dim,dim->m", a, a)
+
+
+def _scaled(factor, a):
+    return np.zeros(a.shape) if factor is None else factor * a
 
 
 @dataclass
@@ -152,23 +196,12 @@ def vortex_radial_rule(eps: float, rho_max: float, nodes_per_panel: int = 10):
 def integrand_dirichlet(state_dim: int = 1) -> Integrand:
     """F = |P|^2 / 2."""
 
-    def f(z, p):
-        return 0.5 * np.einsum("dim,dim->m", p, p)
+    def g(m2, k):
+        if k == 0:
+            return 0.5 * m2
+        return 1.0 if k == 1 else None
 
-    def f_z(z, p):
-        return np.zeros(z.shape)
-
-    def f_p(z, p):
-        return p.copy()
-
-    def f_zz(z, p):
-        d, m = z.shape
-        return np.zeros((d, d, m))
-
-    def f_pp_dot(z, p, q):
-        return q.copy()
-
-    return Integrand(state_dim, f, f_z, f_p, f_zz, f_pp_dot, "dirichlet")
+    return Integrand(state_dim, g, lambda z2, k: None, "dirichlet")
 
 
 def integrand_p_allen_cahn(eps: float, p: float, reg: float = 1e-12) -> Integrand:
@@ -184,65 +217,42 @@ def integrand_p_allen_cahn(eps: float, p: float, reg: float = 1e-12) -> Integran
     ee = eps ** (pw - 1.0)
     cw = (pw - 1.0) / (pw * eps)
 
-    def _m2(pmat):
-        return np.einsum("dim,dim->m", pmat, pmat) + reg * reg
+    def g(m2, k):
+        x = m2 + reg * reg
+        if k == 0:
+            return ee * x ** (pw / 2.0) / pw
+        if k == 1:
+            return ee * x ** ((pw - 2.0) / 2.0)
+        if pw == 2.0:
+            return None
+        fac4 = ee * (pw - 2.0) * x ** ((pw - 4.0) / 2.0)
+        return np.where(x > 1e-18, fac4, 0.0)  # skip degenerate-gradient nodes
 
-    def f(z, pm):
-        return ee * _m2(pm) ** (pw / 2.0) / pw + cw * (1.0 - z[0] ** 2) ** 2
+    def h(z2, k):
+        if k == 0:
+            return cw * (1.0 - z2) ** 2
+        return -4.0 * cw * (1.0 - z2) if k == 1 else 8.0 * cw
 
-    def f_z(z, pm):
-        out = np.zeros_like(z)
-        out[0] = cw * (-4.0) * z[0] * (1.0 - z[0] ** 2)
-        return out
-
-    def f_p(z, pm):
-        return ee * _m2(pm) ** ((pw - 2.0) / 2.0) * pm
-
-    def f_zz(z, pm):
-        d, m = z.shape
-        out = np.zeros((d, d, m))
-        out[0, 0] = cw * (12.0 * z[0] ** 2 - 4.0)
-        return out
-
-    def f_pp_dot(z, pm, q):
-        m2 = _m2(pm)
-        out = ee * m2 ** ((pw - 2.0) / 2.0) * q
-        if pw != 2.0:
-            dot = np.einsum("dim,dim->m", pm, q)
-            fac4 = ee * (pw - 2.0) * m2 ** ((pw - 4.0) / 2.0)
-            fac4 = np.where(m2 > 1e-18, fac4, 0.0)  # skip degenerate-gradient nodes
-            out = out + fac4 * dot * pm
-        return out
-
-    return Integrand(1, f, f_z, f_p, f_zz, f_pp_dot, f"p_allen_cahn[p={pw:g},eps={eps:g}]")
+    return Integrand(1, g, h, f"p_allen_cahn[p={pw:g},eps={eps:g}]")
 
 
 def integrand_ginzburg_landau(eps: float) -> Integrand:
     """F = (|P|^2/2 + (1-|z|^2)^2/(4 eps^2)) / |log eps|, complex state as R^2."""
     eps = float(eps)
     el = abs(np.log(eps))
+    c = 1.0 / (eps * eps * el)
 
-    def f(z, pm):
-        z2 = np.einsum("dm,dm->m", z, z)
-        return (0.5 * np.einsum("dim,dim->m", pm, pm) + (1.0 - z2) ** 2 / (4.0 * eps * eps)) / el
+    def g(m2, k):
+        if k == 0:
+            return 0.5 * m2 / el
+        return 1.0 / el if k == 1 else None
 
-    def f_z(z, pm):
-        z2 = np.einsum("dm,dm->m", z, z)
-        return -(1.0 - z2) / (eps * eps) * z / el
+    def h(z2, k):
+        if k == 0:
+            return 0.25 * c * (1.0 - z2) ** 2
+        return -c * (1.0 - z2) if k == 1 else 2.0 * c
 
-    def f_p(z, pm):
-        return pm / el
-
-    def f_zz(z, pm):
-        d, m = z.shape
-        z2 = np.einsum("dm,dm->m", z, z)
-        eye = np.eye(d)[:, :, None]
-        return (-(1.0 - z2) * eye + 2.0 * z[:, None] * z[None, :]) / (eps * eps * el)
-
-    def f_pp_dot(z, pm, q):
-        return q / el
-
-    return Integrand(2, f, f_z, f_p, f_zz, f_pp_dot, f"ginzburg_landau[eps={eps:g}]")
+    return Integrand(2, g, h, f"ginzburg_landau[eps={eps:g}]")
 
 
 # ---------------------------------------------------------------------------
@@ -395,20 +405,6 @@ class VariationReport:
     oracle_delta2: float
     fv_bridge_residual: float
     sv_relation_residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "value": self.value,
-            "dA": self.d_a,
-            "d2A": self.d2_a,
-            "deltaA": self.delta_a,
-            "delta2A": self.delta2_a,
-            "oracle_deltaA": self.oracle_delta,
-            "oracle_delta2A": self.oracle_delta2,
-            "fv_bridge_residual": self.fv_bridge_residual,
-            "sv_relation_residual": self.sv_relation_residual,
-        }
 
 
 def variation_report(f: Integrand, u: ScalarField, eta: VectorField,

@@ -217,16 +217,6 @@ def test_newton_inversion_failure_signals():
         dm.invert(np.array([[0.9, 0.9], [0.1, -0.8], [-0.7, 0.5]]))
 
 
-def test_t_bound_keeps_det_positive():
-    rng = np.random.default_rng(21)
-    eta = F.random_polynomial_vector_field(rng, 2, degree=3)
-    zeta = F.random_polynomial_vector_field(rng, 2, degree=2)
-    pts = rng.uniform(-1, 1, size=(50, 2))
-    tb = F.DeformationMap(eta, zeta, 0.0).t_bound(pts)
-    dm = F.DeformationMap(eta, zeta, 0.9 * tb)
-    assert np.all(dm.det(pts) > 0.0)
-
-
 def test_rotation_deformation_matches_group_to_third_order():
     omega = np.array([0.2, -0.5, 0.7])
     rot = F.rotation_field(omega)

@@ -127,7 +127,8 @@ def test_profile_energy_identity():
     for p in (1.25, 2.0, 3.0):
         prof = P.optimal_profile(p)
         d, w = P.transverse_rule(prof, 1.0, np.inf, tail_tol=1e-12)
-        val = float(np.sum(w * prof.energy_density(d)))
+        q, dq, _ = prof.derivatives(d, 1)
+        val = float(np.sum(w * (np.abs(dq) ** p / p + (1.0 - q**2) ** 2 / (p / (p - 1.0)))))
         assert val == pytest.approx(P.c_p(p), abs=1e-8)
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from innervar import fields as F
 from innervar import geometry as G
@@ -426,6 +428,88 @@ def test_phase_field_p2_has_no_rank_four_term():
     np.testing.assert_allclose(f.f_pp_dot(z, p, q), 0.42 * q, rtol=1e-12)
 
 
+def test_integrand_rejects_other_layouts():
+    # point-major batches of 10 points, (M, d) and (M, d, N), broadcast in the contractions,
+    # so only the layout check stops them from returning a wrong F_PP.Q
+    f = V.integrand_p_allen_cahn(0.42, 2.0)
+    rng = np.random.default_rng(22)
+    z, p, q = (rng.uniform(-1, 1, size=shape) for shape in ((10, 1), (10, 1, 2), (10, 1, 2)))
+    calls = (lambda: f.f(z, p), lambda: f.f_z(z, p), lambda: f.f_p(z, p), lambda: f.f_zz(z, p),
+             lambda: f.f_pp_dot(z, p, q), lambda: f.pp_bilinear(z, p, q, q))
+    for call in calls:
+        with pytest.raises(DimensionMismatch):
+            call()
+    z, p = z.T, np.moveaxis(p, 0, -1)  # component-major (1, 10) and (1, 2, 10)
+    assert f.f_pp_dot(z, p, p).shape == (1, 2, 10)
+    for args in ((z[:, :9], p, p), (z, p, p[:, :, :9]), (z, p, p[:, :1]), (z, p[0], p[0])):
+        with pytest.raises(DimensionMismatch):
+            f.f_pp_dot(*args)
+    with pytest.raises(DimensionMismatch):  # a real state handed to the complex density
+        V.integrand_ginzburg_landau(0.2).f(z, p)
+
+
+def _batch(rng, shape):
+    """Uniform entries with about one in five replaced by a zero of either sign."""
+    a = rng.uniform(-1.5, 1.5, size=shape)
+    return np.where(rng.random(shape) < 0.2, rng.choice([0.0, -0.0], size=shape), a)
+
+
+def _within(got, want, scale, rel=1e-15):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rel * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pw=st.one_of(st.just(2.0), st.floats(1.0, 4.0, exclude_min=True)),
+       eps=st.floats(0.01, 1.0), m=st.integers(2, 5000), n=st.sampled_from([1, 2, 3]),
+       seed=st.integers(0, 2**32 - 1))
+@example(pw=2.0, eps=0.42, m=2, n=2, seed=0)
+@example(pw=1.0000001, eps=0.05, m=5000, n=3, seed=1)
+def test_radial_partials_match_the_written_out_densities(pw, eps, m, n, seed):
+    rng = np.random.default_rng(seed)
+    reg = 1e-12
+    # p-Allen-Cahn, d = 1: F, F_P and F_PP.Q byte for byte against the closed forms written here
+    z, p, q = _batch(rng, (1, m)), _batch(rng, (1, n, m)), _batch(rng, (1, n, m))
+    f = V.integrand_p_allen_cahn(eps, pw, reg)
+    ee, cw = eps ** (pw - 1.0), (pw - 1.0) / (pw * eps)
+    m2 = np.einsum("dim,dim->m", p, p) + reg * reg
+    want_f = ee * m2 ** (pw / 2.0) / pw + cw * (1.0 - z[0] ** 2) ** 2
+    want_pp = ee * m2 ** ((pw - 2.0) / 2.0) * q
+    if pw != 2.0:
+        fac4 = np.where(m2 > 1e-18, ee * (pw - 2.0) * m2 ** ((pw - 4.0) / 2.0), 0.0)
+        want_pp = want_pp + fac4 * np.einsum("dim,dim->m", p, q) * p
+    else:  # no rank-four term: F_PP.Q = 2G' Q = eps Q exactly
+        assert f.f_pp_dot(z, p, q).tobytes() == (eps * q).tobytes()
+    assert f.f(z, p).tobytes() == want_f.tobytes()
+    assert f.f_p(z, p).tobytes() == (ee * m2 ** ((pw - 2.0) / 2.0) * p).tobytes()
+    assert f.f_pp_dot(z, p, q).tobytes() == want_pp.tobytes()
+    w = 1.0 - z[0] ** 2
+    _within(f.f_z(z, p), (cw * (-4.0) * z[0] * w)[None], np.abs(4.0 * cw * z * w))
+    _within(f.f_zz(z, p), (cw * (12.0 * z[0] ** 2 - 4.0))[None, None],
+            cw * (12.0 * z[None] ** 2 + 4.0))
+    # Ginzburg-Landau, d = 2, and the Dirichlet density
+    z, p, q = _batch(rng, (2, m)), _batch(rng, (2, n, m)), _batch(rng, (2, n, m))
+    f = V.integrand_ginzburg_landau(eps)
+    el = abs(np.log(eps))
+    w = 1.0 - np.einsum("dm,dm->m", z, z)
+    m2 = np.einsum("dim,dim->m", p, p)
+    want_f = (0.5 * m2 + w ** 2 / (4.0 * eps * eps)) / el
+    _within(f.f(z, p), want_f, want_f)
+    _within(f.f_z(z, p), -w / (eps * eps) * z / el, np.abs(w * z) / (eps * eps * el))
+    _within(f.f_p(z, p), p / el, np.abs(p) / el)
+    zz = z[:, None] * z[None, :]
+    eye = np.eye(2)[:, :, None]
+    _within(f.f_zz(z, p), (-w * eye + 2.0 * zz) / (eps * eps * el),
+            (np.abs(w) * eye + 2.0 * np.abs(zz)) / (eps * eps * el))
+    assert f.f_pp_dot(z, p, q).tobytes() == ((1.0 / el) * q).tobytes()
+    f = V.integrand_dirichlet(2)
+    assert f.f(z, p).tobytes() == (0.5 * m2).tobytes()
+    assert not np.any(f.f_z(z, p)) and f.f_z(z, p).shape == z.shape
+    assert not np.any(f.f_zz(z, p)) and f.f_zz(z, p).shape == (2, 2, m)
+    assert f.f_p(z, p).tobytes() == p.tobytes()
+    assert f.f_pp_dot(z, p, q).tobytes() == q.tobytes()
+
+
 def test_gl_reductions():
     f = V.integrand_ginzburg_landau(0.2)
     z = np.array([[0.6], [0.8]])  # |z| = 1 at one point
@@ -454,8 +538,7 @@ def test_variation_report_roundtrip(box2):
     eta = F.random_compact_vector_field(rng, 2, degree=2, radius=0.8)
     zeta = F.random_compact_vector_field(rng, 2, degree=2, radius=0.8)
     rep = V.variation_report(V.integrand_dirichlet(), u, eta, zeta, box2, label="case")
-    d = rep.to_dict()
-    assert d["label"] == "case"
-    assert abs(d["fv_bridge_residual"]) <= 1e-8
-    assert abs(d["sv_relation_residual"]) <= 1e-6 * (1 + abs(d["delta2A"]))
-    assert abs(d["deltaA"] - d["oracle_deltaA"]) <= max(1e-8, 1e-4 * abs(d["deltaA"]))
+    assert rep.label == "case"
+    assert abs(rep.fv_bridge_residual) <= 1e-8
+    assert abs(rep.sv_relation_residual) <= 1e-6 * (1 + abs(rep.delta2_a))
+    assert abs(rep.delta_a - rep.oracle_delta) <= max(1e-8, 1e-4 * abs(rep.delta_a))
