@@ -22,7 +22,7 @@ print("\n== profiles across p ==")
 print(f"  {'p':>5} {'table radius':>14} {'energy core':>12} {'transition zone':>16}")
 for p in (1.25, 1.5, 2.0, 3.0):
     prof = optimal_profile(p)
-    print(f"  {p:>5} {prof.s_max:>14.4g} {prof.s_core:>12.4g} {prof.s_transition(1e-3):>16.4g}")
+    print(f"  {p:>5} {prof.s_max:>14.4g} {prof.s_core:>12.4g} {prof.s_transition:>16.4g}")
 print("  (energy core: tail energy below 1e-10 c_p; for p < 2 the field tail is")
 print("   power-law but the energy it carries dies quickly)")
 
@@ -43,12 +43,8 @@ for p in (1.5, 2.0, 3.0):
     print(f"  p={p}: max residual (finite-difference derivative) {res:.2e}")
 
 print("\n== vortex modulus profile ==")
-glp = gl_radial_profile("ode")
+glp = gl_radial_profile()
 print(f"  core slope f'(0) = {glp.slope0:.6f} (shooting against the 1 - 1/(2 r^2) tail)")
 r = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
 print("  r:    ", "  ".join(f"{v:5.1f}" for v in r))
 print("  f(r): ", "  ".join(f"{v:5.3f}" for v in glp.f(r)))
-sur = gl_radial_profile("surrogate")
-print(f"  algebraic surrogate r/sqrt(r^2+2) deviates by at most "
-      f"{np.max(np.abs(glp.f(r) - sur.f(r))):.3f} on these radii; the limit "
-      f"experiments only see the vortex degree")

@@ -326,13 +326,12 @@ def _run_ac(opts: dict, _rng, _outdir):
 @_kind("gl-converge", {"geometry": _GEOMETRY, "eta": _ETA, "zeta": _ZETA,
                        "schedule": (lambda spec: _schedule(spec, "log_inverse"), REQUIRED),
                        "rho_max": (positive, 0.5), "n_theta": (count, 48),
-                       "profile_mode": (one_of("ode", "surrogate"), "ode"),
                        "tolerance_gap": (positive, 0.1), "energy_tolerance": (positive, 0.05)},
        codim=2)
 def _run_gl(opts: dict, _rng, _outdir):
     rec = limits.gl_limit_experiment(
         opts["geometry"], opts["eta"], opts["zeta"], opts["schedule"], rho_max=opts["rho_max"],
-        n_theta=opts["n_theta"], profile_mode=opts["profile_mode"], name=opts["name"],
+        n_theta=opts["n_theta"], name=opts["name"],
     )
     e_extr, _ = rec.extrapolate(rec.extras["energy"])
     e_target = rec.meta["energy_target"]
@@ -434,7 +433,7 @@ def _run_forms(opts: dict, _rng, _outdir):
                    "export_table": (boolean, True)})
 def _run_profile(opts: dict, _rng, outdir: Path | None):
     p = opts["p"]
-    prof = profiles.optimal_profile(p)
+    prof = limits._profile(p)
     checks = []
     cp_gap = abs(profiles.c_p(p) - profiles.c_p_beta_oracle(p))
     checks.append(("constant_vs_gamma_oracle", cp_gap, opts["tolerance_constant"]))

@@ -28,7 +28,7 @@ import copy
 
 import numpy as np
 
-from .config import REQUIRED, as_is, build, count, exponent, integer, natural, positive
+from .config import REQUIRED, as_is, build, count, integer, natural, positive
 from .errors import DimensionMismatch, NonInvertible
 from .jets import Jet, jet_cos, jet_exp, jet_polynomial, jet_sin
 
@@ -741,22 +741,12 @@ def vector_field_from_config(spec: dict) -> VectorField:
     return build(spec, _VECTOR_FIELDS, "vector field")
 
 
-def _profile_composed(shape, p, epsilon) -> ScalarField:
-    """The ansatz q(d/epsilon) of the optimal profile at p around a shape descriptor."""
-    from .geometry import shape_from_config
-    from .profiles import ansatz_field, optimal_profile
-
-    return ansatz_field(shape_from_config(shape), epsilon, optimal_profile(p))
-
-
 _SCALAR_FIELDS = {
     "polynomial": (polynomial_scalar_field, {"dim": (count, REQUIRED), "terms": (as_is, REQUIRED)}),
     "radial_bump": (bump_scalar_field, {
         "center": (as_is, REQUIRED), "radius": (positive, REQUIRED), "amplitude": (float, 1.0),
         "order": (lambda order: None if order is None else count(order), 8)}),  # None: C-infinity
     "trig": (trig_scalar_field, {"dim": (count, REQUIRED), "terms": (as_is, REQUIRED)}),
-    "profile_composed": (_profile_composed, {"shape": (as_is, REQUIRED), "p": (exponent, REQUIRED),
-                                             "epsilon": (positive, REQUIRED)}),
 }
 
 

@@ -40,25 +40,18 @@ from .variation import (
     vortex_radial_rule,
 )
 
-_PROFILES: dict[float, ProfileTable] = {}
-_GL_PROFILE: dict[str, GLRadialProfile] = {}
+_PROFILES: dict[float | str, ProfileTable | GLRadialProfile] = {}
 # held across check-and-fill, so experiments on the CLI thread pool solve each profile once
 _PROFILE_LOCK = threading.Lock()
 
 
-def _profile(p: float) -> ProfileTable:
-    key = round(float(p), 12)
+def _profile(p: float | str) -> ProfileTable | GLRadialProfile:
+    """The optimal profile at exponent p, or the vortex profile for p = "gl", solved once."""
+    key = p if p == "gl" else round(float(p), 12)
     with _PROFILE_LOCK:
         if key not in _PROFILES:
-            _PROFILES[key] = optimal_profile(key)
+            _PROFILES[key] = gl_radial_profile() if key == "gl" else optimal_profile(key)
         return _PROFILES[key]
-
-
-def _vortex_profile(mode: str = "ode") -> GLRadialProfile:
-    with _PROFILE_LOCK:
-        if mode not in _GL_PROFILE:
-            _GL_PROFILE[mode] = gl_radial_profile(mode)
-        return _GL_PROFILE[mode]
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +73,9 @@ class EpsilonSchedule:
             raise ValueError("schedule must be strictly decreasing")
         if self.model not in ("linear_eps", "log_inverse"):
             raise ValueError(f"unknown extrapolation model {self.model!r}")
+        if self.model == "log_inverse" and any(e >= 1.0 for e in eps):
+            # 1/|log eps| is infinite at eps = 1 and no longer shrinks with eps above it
+            raise ValueError(f"a log_inverse schedule needs widths below 1, got {max(eps):g}")
         if self.fit_points is None:
             self.fit_points = min(4, len(eps))
         if not 2 <= self.fit_points <= len(eps):
@@ -200,13 +196,12 @@ class ConvergenceRecord:
 # ---------------------------------------------------------------------------
 
 
-def _ac_tube(g, prof: ProfileTable, eps: float, half_width: float | None,
-             nodes_per_panel: int = 12) -> BulkQuadrature:
+def _ac_tube(g, prof: ProfileTable, eps: float, half_width: float | None) -> BulkQuadrature:
     if half_width is None:
         cap = default_half_width(g)
     else:
         cap = min(0.9 * g.focal_width, float(half_width))
-    d, w = transverse_rule(prof, eps, cap, nodes_per_panel)
+    d, w = transverse_rule(prof, eps, cap)
     return tube_rule(g, d, w)
 
 
@@ -268,18 +263,16 @@ def equipartition_residuals(g, p: float, sched: EpsilonSchedule, profile=None,
 
     values: int |eps^(p-1)|grad u|^p - W(u)/eps|; extras carry the second
     residual int |eps^(p-1)|grad u|^p - |grad Phi(u)|| (Phi the primitive of
-    W^((p-1)/p)) and the energy gap |E - c_p area|.  ``profile`` accepts a
-    ProfileTable or a builder ``(surface, eps) -> field`` for control cases.
+    W^((p-1)/p)) and the energy gap |E - c_p area|.  ``profile``, if given,
+    is a builder ``(surface, eps) -> field`` for control cases; the tube is
+    always that of the optimal profile.
     """
-    base_prof = profile if isinstance(profile, ProfileTable) else _profile(p)
+    prof = _profile(p)
     cp = c_p(p)
     res_ab, res_phi, e_gap = [], [], []
     for eps in sched.epsilons:
-        if profile is None or isinstance(profile, ProfileTable):
-            u = ansatz_field(g, eps, base_prof)
-        else:
-            u = profile(g, eps)  # custom builder, e.g. a wrong-profile control
-        quad = _ac_tube(g, base_prof, eps, half_width)
+        u = ansatz_field(g, eps, prof) if profile is None else profile(g, eps)
+        quad = _ac_tube(g, prof, eps, half_width)
         zs, grads = u.evaluate(quad.nodes, 1)
         z = zs[0]
         gnorm = np.sqrt(np.einsum("im,im->m", grads[0], grads[0]))
@@ -344,7 +337,7 @@ def tensor_pairing_experiment(g, p: float, phi: ScalarField, indices,
 
 def gl_limit_experiment(g, eta: VectorField, zeta: VectorField, sched: EpsilonSchedule,
                         rho_max: float = 0.5, n_theta: int = 48,
-                        profile_mode: str = "ode", name: str | None = None) -> ConvergenceRecord:
+                        name: str | None = None) -> ConvergenceRecord:
     """Sweep of the second inner variation of the vortex energy on a filament.
 
     Target: pi * (second inner variation of the filament length plus the
@@ -354,7 +347,7 @@ def gl_limit_experiment(g, eta: VectorField, zeta: VectorField, sched: EpsilonSc
     """
     if g.codim != 2:
         raise DimensionMismatch("gl_limit_experiment needs a filament")
-    prof = _vortex_profile(profile_mode)
+    prof = _profile("gl")
     sv_surface = geo.area_second_inner_variation(g, eta, zeta)
     disc_real, disc_dbar = geo.gl_discrepancy(g, eta)
     target = np.pi * (sv_surface + disc_real)

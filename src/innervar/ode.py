@@ -8,7 +8,9 @@ views, the three extra stages of the dense output, a terminal event located by
 :func:`brentq` on the interpolant of the step that crosses it, and
 ``solve_ivp``'s rule for when a step is appended.  So ``t``, ``y``, the event
 time, the evaluation count and every dense-output segment are bit for bit those
-of scipy.  :func:`brentq` is a line-by-line port of scipy's C ``brentq``.
+of scipy, and :class:`DenseOutput` evaluates the segments as scipy's
+``OdeSolution`` does.  :func:`brentq` is a line-by-line port of scipy's C
+``brentq``.
 
 The tableau below copies scipy's ``dop853_coefficients`` literals verbatim (the
 method is from Hairer, Norsett & Wanner, *Solving Ordinary Differential
@@ -297,6 +299,41 @@ def _interpolate(t_old, h, F, y_old, t):
             y *= 1 - x
     y += y_old
     return y
+
+
+class DenseOutput:
+    """The dense output of an ascending :func:`dop853` solve, evaluated as whole arrays.
+
+    scipy's ``OdeSolution.__call__`` argsorts its input, calls one interpolant
+    per segment and stacks the pieces.  Here the interpolants come stacked;
+    each point picks its segment with the same ``searchsorted`` and clamp, and
+    :func:`_interpolate`'s Horner loop runs on the gathered coefficients with
+    the same elementwise operations in the same order, so the values are bit
+    for bit those of scipy's ``sol(t)[j]``.  Components never mix, so only
+    component ``j`` is computed, and each coefficient row is gathered as the
+    loop reaches it (gathering all seven at once is slower on large inputs).
+    """
+
+    def __init__(self, sol: Solution):
+        self.ts = sol.t
+        self.t_old = sol.t_old
+        self.h = sol.h
+        self.F = sol.F
+        self.y_old = sol.y_old
+
+    def __call__(self, t, j):
+        t = np.asarray(t, dtype=float)
+        seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.h) - 1)
+        x = (t - self.t_old[seg]) / self.h[seg]
+        y = np.zeros(x.shape)
+        for i, f in enumerate(self.F[j][::-1]):
+            y += f[seg]
+            if i % 2 == 0:
+                y *= x
+            else:
+                y *= 1 - x
+        y += self.y_old[j][seg]
+        return y
 
 
 def dop853(fun, t_span, y0, rtol, atol, event=None, direction=0.0, dense_output=False):

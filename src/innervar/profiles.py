@@ -8,16 +8,18 @@ whose energies converge to c_p times the interface measure.
 
 For p < 2 the profile approaches +-1 only algebraically; the tables extend
 far enough that 1 - |q(S_max)| <= 1e-9, while quadrature uses the much
-smaller energy-resolved core radius (tail energy below 1e-10 c_p).
+smaller energy-resolved core radius (tail energy below 1e-10 c_p).  A table
+finds that radius and the transition zone's half-width once, when it is built.
 
 The profile ODE and the Ginzburg-Landau vortex ODE are integrated by
 :mod:`innervar.ode`, which repeats scipy's DOP853 ``solve_ivp`` and ``brentq``
-bit for bit.  c_p (a Gamma ratio) and the profile's tail energy (a series
-without cancellation) are evaluated on ``math``, so the module needs numpy
-alone; scipy serves only the tests.  The GL
-shooting slope is shipped with the final bracket of its brentq search and
-certified by two solves on each build (:func:`gl_radial_profile`); the search
-itself runs only in the tests.
+bit for bit and evaluates the dense output both profiles look up.  c_p (a
+Gamma ratio) and the profile's tail energy (a series without cancellation)
+are evaluated on ``math``, so the module needs numpy alone; scipy serves only
+the tests.  The vortex profile is the one shooting solution: its slope is
+shipped with the final bracket of its brentq search and certified by two
+solves on each build (:func:`gl_radial_profile`); the search itself runs only
+in the tests.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import EpsilonTooLarge, InnervarError, StiffTail
 from .fields import ScalarField
 from .geometry import Filament, Hypersurface, doubling_rule
 from .jets import jet_sqrt
-from .ode import dop853
+from .ode import DenseOutput, dop853
 
 
 def c_p(p: float) -> float:
@@ -61,40 +63,6 @@ def c_p_beta_oracle(p: float) -> float:
     return 2.0 ** (2.0 * a + 1.0) * math.exp(log_beta)
 
 
-class _DenseTable:
-    """The dense output of an ascending :func:`ode.dop853` solve, evaluated as whole arrays.
-
-    scipy's ``OdeSolution.__call__`` argsorts its input, calls one interpolant
-    per segment and stacks the pieces.  Here the interpolants come stacked;
-    each point picks its segment with the same ``searchsorted`` and clamp, and
-    scipy's Horner loop runs on the gathered coefficients with the same
-    elementwise operations in the same order, so the values are bit for bit
-    those of scipy's ``sol(t)[j]``.  Components never mix, so only component
-    ``j`` is computed.
-    """
-
-    def __init__(self, sol):
-        self.ts = sol.t
-        self.t_old = sol.t_old
-        self.h = sol.h
-        self.F = sol.F  # (n_y, 7, segments)
-        self.y_old = sol.y_old  # (n_y, segments)
-
-    def __call__(self, t, j):
-        t = np.asarray(t, dtype=float)
-        seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.h) - 1)
-        x = (t - self.t_old[seg]) / self.h[seg]
-        y = np.zeros(x.shape)
-        for i, f in enumerate(self.F[j][::-1]):
-            y += f[seg]
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
-        y += self.y_old[j][seg]
-        return y
-
-
 class ProfileTable:
     """Tabulated optimal profile q(s) with consistent derivatives.
 
@@ -102,20 +70,24 @@ class ProfileTable:
     the flow relation W(q)^(1/p) and q'' through its derivative, so the
     pointwise equi-partition |q'|^p = W(q) is exact wherever q is exact, and
     :meth:`derivatives` gets all three from a single lookup of q.
+
+    ``s_core`` is the smallest s whose tail energy is at most 1e-10 c_p and
+    ``s_transition`` the smallest s with 1 - q(s) <= 1e-3 (the half-width of
+    the transition zone), both to bisection accuracy.
     """
 
-    def __init__(self, p, sol, s_max, tail_tol=1e-9):
+    def __init__(self, p, sol, s_max):
         self.p = float(p)
-        self._table = _DenseTable(sol)
+        self._table = DenseOutput(sol)
         self.s_max = float(s_max)
-        self.tail_tol = float(tail_tol)
         self.s_grid = np.asarray(sol.t, dtype=float)
         self.q_grid = np.asarray(sol.y[0], dtype=float)
         self.dq_grid = (1.0 - self.q_grid**2) ** (2.0 / self.p)
         self._alpha = 2.0 * (self.p - 1.0) / self.p
-        self._cp = c_p(self.p)
-        self._constants: dict[tuple[str, float], float] = {}
-        self.s_core = self._core_radius(1e-10 * self._cp)
+        core_tol = 1e-10 * c_p(self.p)
+        self.s_core = self._bisect(lambda s: self.tail_energy(s) > core_tol, self.s_max)
+        self.s_transition = self._bisect(lambda s: 1.0 - self.q(s) > 1e-3,
+                                         self.s_max * (1.0 - 1e-12))
 
     # -- evaluation -----------------------------------------------------
 
@@ -167,16 +139,6 @@ class ProfileTable:
             k += 1
         return 2.0 ** a * y ** (a + 1.0) * total
 
-    def _core_radius(self, tol: float) -> float:
-        """Smallest s whose tail energy is at most ``tol``, to bisection accuracy."""
-        return self._constant(("core", tol), lambda: self._bisect(
-            lambda s: self.tail_energy(s) > tol, self.s_max))
-
-    def s_transition(self, delta: float = 1e-3) -> float:
-        """Smallest s with 1 - q(s) <= delta (width of the transition zone)."""
-        return self._constant(("transition", delta), lambda: self._bisect(
-            lambda s: 1.0 - self.q(s) > delta, self.s_max * (1.0 - 1e-12)))
-
     def _bisect(self, above, probe: float) -> float:
         """Bisect [0, s_max] for where ``above`` turns false; s_max if it holds at ``probe``."""
         lo, hi = 0.0, self.s_max
@@ -192,15 +154,6 @@ class ProfileTable:
                 break
         return hi
 
-    def _constant(self, key, compute) -> float:
-        """A constant of this table, computed on first use: the table never changes.
-
-        Threads that race on a first use at worst compute the same float twice.
-        """
-        if key not in self._constants:
-            self._constants[key] = compute()
-        return self._constants[key]
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -209,12 +162,12 @@ class ProfileTable:
                 writer.writerow([format(v, ".17g") for v in (s, qv, dqv)])
 
 
-def optimal_profile(p: float, tail_tol: float = 1e-9) -> ProfileTable:
-    """Solve q' = (1 - q^2)^(2/p), q(0) = 0, up to |q| = 1 - tail_tol."""
+def optimal_profile(p: float) -> ProfileTable:
+    """Solve q' = (1 - q^2)^(2/p), q(0) = 0, up to |q| = 1 - 1e-9."""
     p = float(p)
     if p <= 1.0:
         raise ValueError("optimal_profile needs p > 1")
-    target = 1.0 - tail_tol
+    target = 1.0 - 1e-9
 
     def rhs(_s, y):
         return [(max(1.0 - y[0] ** 2, 0.0)) ** (2.0 / p)]
@@ -234,19 +187,19 @@ def optimal_profile(p: float, tail_tol: float = 1e-9) -> ProfileTable:
             raise StiffTail(
                 f"profile for p={p} stalled at q={sol.y[0][-1]:.12f} (s={s_max:g})"
             )
-    return ProfileTable(p, sol, s_max, tail_tol)
+    return ProfileTable(p, sol, s_max)
 
 
-def transverse_rule(prof: ProfileTable, eps: float, half_width: float,
-                    nodes_per_panel: int = 12, tail_tol: float = 1e-10):
+def transverse_rule(prof: ProfileTable, eps: float, half_width: float):
     """Profile-resolved 1-D rule in the signed-distance variable.
 
-    Panels double away from the interface in the stretched variable s = d/eps
-    until either the profile's energy-resolved core or the geometric cap is
-    reached; mirrored to negative offsets.  Returns physical nodes/weights.
+    Panels of 12 nodes double away from the interface in the stretched
+    variable s = d/eps until either the profile's energy-resolved core or the
+    geometric cap is reached; mirrored to negative offsets.  Returns physical
+    nodes/weights.
     """
-    s_end = min(prof._core_radius(tail_tol * prof._cp), half_width / eps)
-    s_nodes, s_weights = doubling_rule(1.0, s_end, nodes_per_panel)
+    s_end = min(prof.s_core, half_width / eps)
+    s_nodes, s_weights = doubling_rule(1.0, s_end, 12)
     d = eps * np.concatenate([-s_nodes[::-1], s_nodes])
     w = eps * np.concatenate([s_weights[::-1], s_weights])
     return d, w
@@ -265,7 +218,7 @@ def ansatz_field(g: Hypersurface, eps: float, prof: ProfileTable) -> ScalarField
     ``ProfileTable.tail_energy``).
     """
     eps = float(eps)
-    s_trans = prof.s_transition(1e-3)
+    s_trans = prof.s_transition
     if eps * s_trans > 0.9 * g.focal_width:
         raise EpsilonTooLarge(
             f"eps={eps:g} puts the transition zone (s={s_trans:.3g}) outside the "
@@ -311,36 +264,62 @@ def tanh_profile_field(g: Hypersurface, eps: float, slope: float = 2.0) -> Scala
 # ---------------------------------------------------------------------------
 
 
-class GLRadialProfile:
-    """Radial modulus profile of a degree-one vortex: f(0)=0, f -> 1.
-
-    ``ddf_from(r, f(r), f'(r))`` gives f''(r) from values already looked up,
-    so :meth:`derivatives` looks f and f' up once each.
-    """
-
-    def __init__(self, f, df, ddf_from, r_max, mode, slope0):
-        self.f = f
-        self.df = df
-        self._ddf_from = ddf_from
-        self.r_max = float(r_max)
-        self.mode = mode
-        self.slope0 = float(slope0)
-        self.r_core = 10.0  # 1 - f <= ~5e-3 beyond this; sets the tube constraint
-
-    def ddf(self, r):
-        return self._ddf_from(r, self.f(r), self.df(r))
-
-    def derivatives(self, r, order=2):
-        """(f, f', f'') at r; f'' is None when ``order`` is 1."""
-        fv, dv = self.f(r), self.df(r)
-        return fv, dv, self._ddf_from(r, fv, dv) if order == 2 else None
-
-
 _GL_R0, _GL_R_MAX = 1e-8, 16.0
 _GL_XTOL, _GL_RTOL = 1e-12, 4 * np.finfo(float).eps  # brentq's stopping width for the slope
 # The bracket brentq(gl_shot, 0.4, 0.8, xtol=_GL_XTOL) ends on, slope first: it
 # returns the slope, whose shot misses by +1.35e-5; the other end misses by -2.61e-5.
 _GL_BRACKET = (float.fromhex("0x1.2a97d0482c93cp-1"), float.fromhex("0x1.2a97d0482b7a2p-1"))
+
+
+class GLRadialProfile:
+    """Radial modulus profile of a degree-one vortex: f(0) = 0, f -> 1.
+
+    Every lookup is piecewise in r: the near field f = slope0 r on r <= r0,
+    the dense output of the shooting solve on r0 < r < r_max, and the far
+    field f = 1 - 1/(2 r^2) on r >= r_max.  :meth:`derivatives` looks f and
+    f' up once each and takes f'' from the ODE, or from the near or far field.
+    """
+
+    r_max = _GL_R_MAX
+    r_core = 10.0  # 1 - f <= ~5e-3 beyond this; sets the tube constraint
+
+    def __init__(self, table: DenseOutput, slope0: float):
+        self._table = table
+        self.slope0 = float(slope0)
+
+    def _lookup(self, r, j, near, far):
+        """near(r) on the near field, component j of the table between, far(r) on the far field."""
+        r = np.asarray(r, dtype=float)
+        out = np.empty_like(r)
+        inner, tail = r <= _GL_R0, r >= _GL_R_MAX
+        mid = ~(inner | tail)
+        out[inner] = near(r[inner])
+        if np.any(mid):
+            out[mid] = self._table(r[mid], j)
+        out[tail] = far(r[tail])
+        return out
+
+    def f(self, r):
+        return self._lookup(r, 0, lambda x: self.slope0 * x, lambda x: 1.0 - 0.5 / x**2)
+
+    def df(self, r):
+        return self._lookup(r, 1, lambda _x: self.slope0, lambda x: 1.0 / x**3)
+
+    def ddf(self, r):
+        return self.derivatives(r)[2]
+
+    def derivatives(self, r, order=2):
+        """(f, f', f'') at r; f'' is None when ``order`` is 1."""
+        fv, dv = self.f(r), self.df(r)
+        if order == 1:
+            return fv, dv, None
+        r = np.asarray(r, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 lies in the near field
+            ddf = -dv / r + fv / r**2 - fv * (1.0 - fv**2)
+        ddf[r <= _GL_R0] = 0.0
+        tail = r >= _GL_R_MAX
+        ddf[tail] = -3.0 / r[tail] ** 4
+        return fv, dv, ddf
 
 
 def _gl_rhs(r, y):
@@ -370,32 +349,22 @@ def gl_shot(alpha: float) -> float:
     return _gl_miss(_gl_solve(alpha))
 
 
-def gl_radial_profile(mode: str = "ode") -> GLRadialProfile:
-    """Degree-one vortex profile, from the shipped shooting slope or the algebraic surrogate.
+def gl_radial_profile() -> GLRadialProfile:
+    """Degree-one vortex profile from the shipped shooting slope.
 
-    The "ode" profile integrates f'' = -f'/r + f/r^2 - f(1 - f^2) from f'(0) =
-    alpha, the slope at which :func:`innervar.ode.brentq` over :func:`gl_shot` on
+    It integrates f'' = -f'/r + f/r^2 - f(1 - f^2) from f'(0) = alpha, the
+    slope at which :func:`innervar.ode.brentq` over :func:`gl_shot` on
     [0.4, 0.8] stops; the slope has no input, so it ships with the other end
     of brentq's final bracket.  Each build certifies the pair with two shots:
     the slope's shot (the table's own dense solve) reaches r_max without
     blowing up, the two misses differ in sign, and the ends lie closer than
     brentq's stopping width, so brentq would stop on this bracket again.  A
     failed certificate raises :class:`InnervarError`.
-
-    The surrogate r/sqrt(r^2+2) shares the boundary behavior and the leading
-    log-energy; limit experiments only depend on the vortex degree.
     """
-    if mode == "surrogate":
-        f = lambda r: r / np.sqrt(r**2 + 2.0)
-        df = lambda r: 2.0 / (r**2 + 2.0) ** 1.5
-        ddf_from = lambda r, _f, _df: -6.0 * r / (r**2 + 2.0) ** 2.5
-        return GLRadialProfile(f, df, ddf_from, np.inf, "surrogate", 1.0 / np.sqrt(2.0))
-
-    r0, r_max = _GL_R0, _GL_R_MAX
     alpha, other = _GL_BRACKET
     sol = _gl_solve(alpha, dense_output=True)
     if sol.status != 0:
-        raise InnervarError(f"the GL shot with slope {alpha!r} stops before r = {r_max:g}: "
+        raise InnervarError(f"the GL shot with slope {alpha!r} stops before r = {_GL_R_MAX:g}: "
                             f"{sol.message}")
     miss, other_miss = _gl_miss(sol), gl_shot(other)
     if (miss < 0) == (other_miss < 0):
@@ -404,40 +373,7 @@ def gl_radial_profile(mode: str = "ode") -> GLRadialProfile:
     if not abs(other - alpha) < _GL_XTOL + _GL_RTOL * abs(alpha):
         raise InnervarError(f"the GL bracket [{min(alpha, other)!r}, {max(alpha, other)!r}] "
                             "is wider than brentq's stopping width")
-    table = _DenseTable(sol)
-
-    def f(r):
-        r = np.asarray(r, dtype=float)
-        out = np.empty_like(r)
-        inner = r <= r0
-        core = (r > r0) & (r < r_max)
-        tail = r >= r_max
-        out[inner] = alpha * r[inner]
-        if np.any(core):
-            out[core] = table(r[core], 0)
-        out[tail] = 1.0 - 0.5 / r[tail] ** 2
-        return out
-
-    def df(r):
-        r = np.asarray(r, dtype=float)
-        out = np.empty_like(r)
-        inner = r <= r0
-        core = (r > r0) & (r < r_max)
-        tail = r >= r_max
-        out[inner] = alpha
-        if np.any(core):
-            out[core] = table(r[core], 1)
-        out[tail] = 1.0 / r[tail] ** 3
-        return out
-
-    def ddf_from(r, fv, dv):
-        r = np.asarray(r, dtype=float)
-        out = -dv / r + fv / r**2 - fv * (1.0 - fv**2)
-        tail = r >= r_max
-        out[tail] = -3.0 / r[tail] ** 4
-        return out
-
-    return GLRadialProfile(f, df, ddf_from, r_max, "ode", alpha)
+    return GLRadialProfile(DenseOutput(sol), alpha)
 
 
 def gl_vortex_field(g: Filament, eps: float, prof: GLRadialProfile) -> ScalarField:

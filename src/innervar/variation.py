@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonInvertible
+from .errors import DimensionMismatch, EpsilonTooLarge, NonInvertible
 from .fields import ScalarField, VectorField, pinned, x0_field
 from .geometry import doubling_rule, gauss_rule
 from .sums import pairwise_dot
@@ -237,8 +237,11 @@ def integrand_p_allen_cahn(eps: float, p: float, reg: float = 1e-12) -> Integran
 
 
 def integrand_ginzburg_landau(eps: float) -> Integrand:
-    """F = (|P|^2/2 + (1-|z|^2)^2/(4 eps^2)) / |log eps|, complex state as R^2."""
+    """F = (|P|^2/2 + (1-|z|^2)^2/(4 eps^2)) / |log eps|, complex state as R^2; eps < 1."""
     eps = float(eps)
+    if not eps < 1.0:
+        raise EpsilonTooLarge(f"the Ginzburg-Landau energy divides by |log eps|, so eps must be "
+                              f"below 1, got {eps:g}")
     el = abs(np.log(eps))
     c = 1.0 / (eps * eps * el)
 

@@ -320,6 +320,10 @@ _MALFORMED = [
     ("gl_rho_max_zero", {**_GL, "rho_max": 0.0}),
     ("gl_rho_max_negative", {**_GL, "rho_max": -1.0}),
     ("filament_preset_unknown", {**_GL, "eta": {"type": "filament_preset", "preset": "bogus"}}),
+    # the GL energy divides by |log eps|, which is 0 at eps = 1
+    ("gl_log_inverse_width_one", {**_GL, "schedule": {"epsilons": [1.0, 0.5, 0.25]}}),
+    ("gl_linear_width_one", {**_GL, "schedule": {"epsilons": [1.0, 0.5, 0.25],
+                                                 "model": "linear_eps"}}),
     ("epsilons_with_nan", _variant(schedule={"epsilons": [0.04, float("nan")]})),
     ("p_infinite", _variant(p=float("inf"))),
     ("radial_bump_order_not_a_number", _variant(phi={**_TENSORS["phi"], "order": "eight"})),

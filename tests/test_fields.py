@@ -530,9 +530,9 @@ _BUILTIN_FIELDS = {
     "ansatz_flat": lambda rng: P.ansatz_field(G.flat_patch(2), 0.1, P.optimal_profile(2.0)),
     "tanh_profile": lambda rng: P.tanh_profile_field(G.circle(1.0, n_nodes=16), 0.1),
     "vortex_straight": lambda rng: P.gl_vortex_field(G.straight_filament(), 0.05,
-                                                     P.gl_radial_profile("ode")),
+                                                     P.gl_radial_profile()),
     "vortex_circular": lambda rng: P.gl_vortex_field(G.circular_filament(1.0), 0.05,
-                                                     P.gl_radial_profile("surrogate")),
+                                                     P.gl_radial_profile()),
     "normal_extension": lambda rng: G.normal_extension(
         G.sphere(1.0, n_polar=6, n_azimuth=12), F.random_polynomial_scalar_field(rng, 3), 0.5),
     "zeta_eta": lambda rng: F.zeta_eta(F.random_compact_vector_field(rng, 3, radius=1.6)),
@@ -682,7 +682,7 @@ def test_sweeps_evaluate_the_ansatz_once_per_width_at_order_one(monkeypatch):
     fil.transverse_jets = _counting(calls, "u", fil.transverse_jets)
     bend = F.filament_test_field("bend")
     L.gl_limit_experiment(fil, bend, F.zeta_eta(bend), L.EpsilonSchedule([0.04, 0.03]),
-                          rho_max=0.4, n_theta=8, profile_mode="surrogate")
+                          rho_max=0.4, n_theta=8)
     assert calls == [("u", 1)] * 2
 
 

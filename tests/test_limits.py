@@ -393,18 +393,18 @@ def test_concurrent_first_use_solves_the_vortex_profile_once(monkeypatch):
     threads = 4  # more than the cores of a small host
     all_in = threading.Barrier(threads, timeout=10)
 
-    def counting_solve(mode):
-        solves.append(mode)
+    def counting_solve():
+        solves.append("gl")
         time.sleep(0.2)  # a real solve takes longer; the other threads reach the cache meanwhile
-        return P.gl_radial_profile("surrogate")
+        return P.gl_radial_profile()
 
-    monkeypatch.setattr(L, "_GL_PROFILE", {})
+    monkeypatch.setattr(L, "_PROFILES", {})
     monkeypatch.setattr(L, "gl_radial_profile", counting_solve)
     got = []
 
     def first_use():
         all_in.wait()
-        got.append(L._vortex_profile("ode"))
+        got.append(L._profile("gl"))
 
     workers = [threading.Thread(target=first_use) for _ in range(threads)]
     interval = sys.getswitchinterval()
@@ -417,7 +417,7 @@ def test_concurrent_first_use_solves_the_vortex_profile_once(monkeypatch):
             assert not w.is_alive()
     finally:
         sys.setswitchinterval(interval)
-    assert solves == ["ode"]
+    assert solves == ["gl"]
     assert len(got) == threads and all(prof is got[0] for prof in got)
 
 
@@ -457,7 +457,7 @@ def test_second_inner_variation_frees_each_part_at_its_last_use():
     eps = 0.05 * 0.5**9
     rho, wr = V.vortex_radial_rule(eps, 0.5)
     quad = V.filament_tube_rule(g, rho, wr, 12)
-    u = F.pinned(P.gl_vortex_field(g, eps, L._vortex_profile("ode")), quad.nodes, 1)
+    u = F.pinned(P.gl_vortex_field(g, eps, L._profile("gl")), quad.nodes, 1)
     f = V.integrand_ginzburg_landau(eps)
     zeta = F.zeta_eta(eta)
     run = lambda: V.second_inner_variation(f, u, eta, zeta, quad)  # noqa: E731

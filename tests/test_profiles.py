@@ -1,5 +1,6 @@
 """Transition profiles, surface-tension constants, and ansatz fields."""
 
+import functools
 import importlib.util
 import json
 from pathlib import Path
@@ -126,7 +127,7 @@ def test_profile_energy_identity():
     # int |q'|^p/p + W(q)/q_conj ds = c_p
     for p in (1.25, 2.0, 3.0):
         prof = P.optimal_profile(p)
-        d, w = P.transverse_rule(prof, 1.0, np.inf, tail_tol=1e-12)
+        d, w = P.transverse_rule(prof, 1.0, np.inf)
         q, dq, _ = prof.derivatives(d, 1)
         val = float(np.sum(w * (np.abs(dq) ** p / p + (1.0 - q**2) ** 2 / (p / (p - 1.0)))))
         assert val == pytest.approx(P.c_p(p), abs=1e-8)
@@ -179,8 +180,7 @@ def test_ansatz_epsilon_too_large():
 
 
 def test_gl_profile_ode_properties():
-    prof = P.gl_radial_profile("ode")
-    assert prof.mode == "ode"
+    prof = P.gl_radial_profile()
     assert 0.55 <= prof.slope0 <= 0.61
     r = np.linspace(0.0, 25.0, 400)
     f = prof.f(r)
@@ -204,9 +204,9 @@ def test_gl_slope_certificate_rejects_a_bad_bracket(tmp_path, capsys, monkeypatc
                                                      bracket, reason):
     monkeypatch.setattr(P, "_GL_BRACKET", bracket)
     with pytest.raises(InnervarError, match=reason):
-        P.gl_radial_profile("ode")
+        P.gl_radial_profile()
     # a gl-converge run solves its own profile, fails its experiments and says why
-    monkeypatch.setattr(L, "_GL_PROFILE", {})
+    monkeypatch.setattr(L, "_PROFILES", {})
     cfg = tmp_path / "gl.json"
     cfg.write_text(json.dumps(dict(cli.builtin_configs())["gl_straight"]))
     rc = cli.main(["run", str(cfg), "--out", str(tmp_path / "out")])
@@ -215,22 +215,31 @@ def test_gl_slope_certificate_rejects_a_bad_bracket(tmp_path, capsys, monkeypatc
     assert "Traceback" not in out + err and out.count(reason) == 2
 
 
-def test_gl_profile_surrogate():
-    prof = P.gl_radial_profile("surrogate")
-    r = np.linspace(0.0, 30.0, 200)
-    f = prof.f(r)
-    assert f[0] == 0.0 and np.all(np.diff(f) > 0) and f[-1] < 1.0
-    # derivative callbacks consistent with FD
+def test_gl_profile_derivatives_match_finite_differences():
+    prof = P.gl_radial_profile()
     h = 1e-6
-    mid = np.array([1.7])
-    assert prof.df(mid)[0] == pytest.approx(
-        (prof.f(mid + h)[0] - prof.f(mid - h)[0]) / (2 * h), abs=1e-8
-    )
+    for r in (0.3, 1.7, 9.0, 20.0):  # near the axis, the core, the tail and the far field
+        mid = np.array([r])
+        assert prof.df(mid)[0] == pytest.approx(
+            (prof.f(mid + h)[0] - prof.f(mid - h)[0]) / (2 * h), abs=1e-8)
+        assert prof.ddf(mid)[0] == pytest.approx(
+            (prof.df(mid + h)[0] - prof.df(mid - h)[0]) / (2 * h), abs=1e-7)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gl_profile_is_its_near_field_on_the_axis():
+    # on r <= r0 the profile is f = slope0 r, so f'' = 0 there, with no warning at r = 0
+    prof = P.gl_radial_profile()
+    r = np.array([0.0, 0.5 * P._GL_R0, P._GL_R0])
+    f, df, ddf = prof.derivatives(r)
+    assert np.array_equal(f, prof.slope0 * r)
+    assert np.array_equal(df, np.full(3, prof.slope0))
+    assert np.array_equal(ddf, np.zeros(3)) and np.array_equal(prof.ddf(r), ddf)
 
 
 def test_vortex_field_values_and_gradient():
     fil = G.straight_filament(1.0, 8)
-    prof = P.gl_radial_profile("ode")
+    prof = P.gl_radial_profile()
     eps = 0.1
     u = P.gl_vortex_field(fil, eps, prof)
     # zero on the filament
@@ -252,7 +261,7 @@ def test_vortex_field_values_and_gradient():
 
 def test_vortex_field_on_circular_filament():
     fil = G.circular_filament(0.8, 32)
-    prof = P.gl_radial_profile("surrogate")
+    prof = P.gl_radial_profile()
     u = P.gl_vortex_field(fil, 0.05, prof)
     np.testing.assert_allclose(u.eval(fil.nodes), 0.0, atol=1e-12)
     x = np.array([0.8 + 0.03, 0.0, 0.04])
@@ -298,19 +307,20 @@ def recorded_solves():
 
     searched = []
 
-    def gl_profile_and_search(mode):
+    def gl_profile_and_search():
         # the build shoots twice; the search whose final bracket it ships shoots many times
-        prof = P.gl_radial_profile(mode)
+        prof = P.gl_radial_profile()
         searched.append(ode.brentq(P.gl_shot, 0.4, 0.8, xtol=1e-12))
         return prof
 
-    recipes = {f"p={p:g}": (P.optimal_profile, p) for p in (1.25, 1.5, 1.708, 2.0, 3.0)}
-    recipes["gl-ode"] = (gl_profile_and_search, "ode")
+    recipes = {f"p={p:g}": functools.partial(P.optimal_profile, p)
+               for p in (1.25, 1.5, 1.708, 2.0, 3.0)}
+    recipes["gl-ode"] = gl_profile_and_search
     profiles, solves = {}, []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(P, "dop853", recording)
-        for label, (build, arg) in recipes.items():
-            profiles[label] = build(arg)
+        for label, build in recipes.items():
+            profiles[label] = build()
             solves += [(label, args, kwargs, sol, _scipy_solve(*args, **kwargs))
                        for args, kwargs, sol in calls]
             calls.clear()
@@ -319,7 +329,7 @@ def recorded_solves():
 
 @pytest.fixture(scope="module")
 def dense_solutions(recorded_solves):
-    """(label, profile, our solve, scipy's OdeSolution) for every table ``_DenseTable`` serves."""
+    """(label, profile, our solve, scipy's OdeSolution) for every table ``ode.DenseOutput`` serves."""
     profiles, solves, _slope = recorded_solves
     dense = [(label, profiles[label], ours, ref.sol)
              for label, _args, kwargs, ours, ref in solves if kwargs.get("dense_output")]
@@ -369,7 +379,7 @@ def test_gl_shooting_lands_on_scipys_slope(recorded_solves):
 
 
 def _assert_table_matches(ours, sol, t):
-    table = P._DenseTable(ours)
+    table = ode.DenseOutput(ours)
     expected = sol(t)
     for j in range(expected.shape[0]):
         got = table(t, j)
@@ -421,7 +431,7 @@ def test_profile_matches_hypergeometric_and_beta_closed_forms(p):
     # s(q) = int_0^q (1 - t^2)^(-2/p) dt = q 2F1(1/2, 2/p; 3/2; q^2) for every p; for p > 2
     # the integral stays finite at q = 1 and inverts through the regularized incomplete beta
     prof = P.optimal_profile(p)
-    s = np.linspace(0.0, prof.s_transition(), 2001)
+    s = np.linspace(0.0, prof.s_transition, 2001)
     q = prof.q(s)
     assert np.max(np.abs(q * hyp2f1(0.5, 2.0 / p, 1.5, q * q) - s)) <= 1e-8
     if p > 2.0:
@@ -439,19 +449,16 @@ def test_profile_matches_hypergeometric_and_beta_closed_forms(p):
 def test_table_constants_are_found_once_per_table():
     g = G.flat_patch(2, n_per_axis=8)
     prof = P.optimal_profile(1.5)
+    # both radii are found at build, each where its condition starts to hold
+    assert {"s_core", "s_transition"} <= set(vars(prof))
+    tol = 1e-10 * P.c_p(1.5)
+    core, trans = prof.s_core, prof.s_transition
+    assert prof.tail_energy(core) <= tol < prof.tail_energy(core * (1.0 - 1e-6))
+    assert 1.0 - prof.q(trans) <= 1e-3 < 1.0 - prof.q(trans * (1.0 - 1e-6))
     calls = []
     lookup = prof.q
     prof.q = lambda s: calls.append(np.size(s)) or lookup(s)
-    P.ansatz_field(g, 0.05, prof)
-    P.transverse_rule(prof, 0.05, 1.0)
-    assert len(calls) > 1  # the first width bisects for the transition zone
-    calls.clear()
-    P.ansatz_field(g, 0.025, prof)
-    d, w = P.transverse_rule(prof, 0.025, 1.0)
-    assert calls == []  # no bisection at a later width
-    s_trans, s_core = prof.s_transition(1e-3), prof._core_radius(1e-10 * prof._cp)
-    assert prof.s_transition(1e-2) < s_trans  # distinct arguments get their own entries
-    prof._constants.clear()
-    assert prof.s_transition(1e-3) == s_trans and prof._core_radius(1e-10 * prof._cp) == s_core
-    assert calls  # the fresh values came from a new bisection
-    assert np.array_equal((d, w), P.transverse_rule(prof, 0.025, 1.0))
+    for eps in (0.05, 0.025):
+        P.ansatz_field(g, eps, prof)
+        P.transverse_rule(prof, eps, 1.0)
+    assert calls == []  # no width looks the profile up to place its rule

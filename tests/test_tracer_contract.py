@@ -46,7 +46,7 @@ def test_traced_instance_closures_and_counters_exist():
               geometry.circular_filament(1.0, n_nodes=8)]
     for shape in shapes:
         assert any(callable(getattr(shape, a, None)) for a in TRACER._SHAPE_CLOSURES)
-    prof = profiles.gl_radial_profile("surrogate")
+    prof = profiles.gl_radial_profile()
     for attr in TRACER._GL_CLOSURES:
         assert callable(getattr(prof, attr))
     assert callable(innervar.fields._fd_steps)

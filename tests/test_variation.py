@@ -9,7 +9,7 @@ from innervar import fields as F
 from innervar import geometry as G
 from innervar import profiles as P
 from innervar import variation as V
-from innervar.errors import DimensionMismatch
+from innervar.errors import DimensionMismatch, EpsilonTooLarge
 
 
 def state2_field(px, py):
@@ -465,6 +465,7 @@ def _within(got, want, scale, rel=1e-15):
        seed=st.integers(0, 2**32 - 1))
 @example(pw=2.0, eps=0.42, m=2, n=2, seed=0)
 @example(pw=1.0000001, eps=0.05, m=5000, n=3, seed=1)
+@example(pw=2.0, eps=1.0, m=2, n=1, seed=0)
 def test_radial_partials_match_the_written_out_densities(pw, eps, m, n, seed):
     rng = np.random.default_rng(seed)
     reg = 1e-12
@@ -487,12 +488,22 @@ def test_radial_partials_match_the_written_out_densities(pw, eps, m, n, seed):
     _within(f.f_z(z, p), (cw * (-4.0) * z[0] * w)[None], np.abs(4.0 * cw * z * w))
     _within(f.f_zz(z, p), (cw * (12.0 * z[0] ** 2 - 4.0))[None, None],
             cw * (12.0 * z[None] ** 2 + 4.0))
-    # Ginzburg-Landau, d = 2, and the Dirichlet density
+    # the Dirichlet density and Ginzburg-Landau, d = 2
     z, p, q = _batch(rng, (2, m)), _batch(rng, (2, n, m)), _batch(rng, (2, n, m))
+    m2 = np.einsum("dim,dim->m", p, p)
+    f = V.integrand_dirichlet(2)
+    assert f.f(z, p).tobytes() == (0.5 * m2).tobytes()
+    assert not np.any(f.f_z(z, p)) and f.f_z(z, p).shape == z.shape
+    assert not np.any(f.f_zz(z, p)) and f.f_zz(z, p).shape == (2, 2, m)
+    assert f.f_p(z, p).tobytes() == p.tobytes()
+    assert f.f_pp_dot(z, p, q).tobytes() == q.tobytes()
+    if eps == 1.0:  # |log eps| = 0: the GL energy is undefined there
+        with pytest.raises(EpsilonTooLarge):
+            V.integrand_ginzburg_landau(eps)
+        return
     f = V.integrand_ginzburg_landau(eps)
     el = abs(np.log(eps))
     w = 1.0 - np.einsum("dm,dm->m", z, z)
-    m2 = np.einsum("dim,dim->m", p, p)
     want_f = (0.5 * m2 + w ** 2 / (4.0 * eps * eps)) / el
     _within(f.f(z, p), want_f, want_f)
     _within(f.f_z(z, p), -w / (eps * eps) * z / el, np.abs(w * z) / (eps * eps * el))
@@ -502,12 +513,6 @@ def test_radial_partials_match_the_written_out_densities(pw, eps, m, n, seed):
     _within(f.f_zz(z, p), (-w * eye + 2.0 * zz) / (eps * eps * el),
             (np.abs(w) * eye + 2.0 * np.abs(zz)) / (eps * eps * el))
     assert f.f_pp_dot(z, p, q).tobytes() == ((1.0 / el) * q).tobytes()
-    f = V.integrand_dirichlet(2)
-    assert f.f(z, p).tobytes() == (0.5 * m2).tobytes()
-    assert not np.any(f.f_z(z, p)) and f.f_z(z, p).shape == z.shape
-    assert not np.any(f.f_zz(z, p)) and f.f_zz(z, p).shape == (2, 2, m)
-    assert f.f_p(z, p).tobytes() == p.tobytes()
-    assert f.f_pp_dot(z, p, q).tobytes() == q.tobytes()
 
 
 def test_gl_reductions():
