@@ -373,9 +373,14 @@ def _run_equipartition(opts: dict, _rng, _outdir):
         both = rec.values + rec.extras["residual_phi"]
         small = max(both) <= floor
         passed = small or (rec.rate is not None and rec.rate >= min_rate)
-        e_rate = limits.fitted_rate(rec.epsilons, rec.extras["energy_gap"])
-        e_small = max(rec.extras["energy_gap"]) <= floor
-        passed = passed and (e_small or (e_rate is not None and e_rate >= min_rate))
+        gaps = rec.extras["energy_gap"]
+        if np.any(opts["geometry"].curvatures):  # the gap is a curvature term, decaying as eps^2
+            e_rate = limits.fitted_rate(rec.epsilons, gaps)
+            e_ok = max(gaps) <= floor or (e_rate is not None and e_rate >= min_rate)
+        else:  # flat: the gap is the tube's truncation of the profile, known in closed form
+            e_ok = all(abs(gap - cut) <= floor
+                       for gap, cut in zip(gaps, rec.extras["truncated_energy"]))
+        passed = passed and e_ok
     return _from_record(rec, passed)
 
 
@@ -386,7 +391,7 @@ def _run_volume(opts: dict, rng: np.random.Generator, _outdir):
     g, etas = opts["geometry"], opts["fields"]
     tol_c2, tol_flux = opts["tolerance_c2"], opts["tolerance_flux"]
     if isinstance(etas, dict):  # drawn here, from the experiment's own seed
-        radius = 1.4 * g.config.get("radius", 1.0) if etas["radius"] is None else etas["radius"]
+        radius = 1.4 * g.radius if etas["radius"] is None else etas["radius"]
         etas = [fields.random_compact_vector_field(rng, g.dim, degree=etas["degree"],
                                                    radius=radius)
                 for _ in range(etas["random"])]

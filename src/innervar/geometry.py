@@ -5,12 +5,17 @@ flat periodic patch in R^2/R^3, circle in R^2, sphere in R^3, straight
 filament segment in R^3 (periodic), circular filament in R^3.  Each shape is
 a small subclass of ``Hypersurface`` or ``Filament``; the functions
 ``circle``, ``sphere``, ``flat_patch``, ``straight_filament`` and
-``circular_filament`` build them.
+``circular_filament`` build them.  A shape owns the geometric decisions about
+itself: its tube widths (``tube_limit``, 0.9 focal widths, and
+``default_half_width``, the tube limit or 1 on flat shapes), its distance
+jets and, on a hypersurface, ``normal_coordinates``, the jets of (signed
+distance, foot point, unit normal) that normal extensions are built from.
 
 Quadrature is product Gauss-Legendre in non-periodic chart directions and
 uniform (trapezoidal) in periodic ones; the sphere uses a latitude-longitude
-Gauss grid whose nodes avoid the poles.  All reductions run through the
-deterministic pairwise summation.
+Gauss grid whose nodes avoid the poles.  :func:`product_rule` builds every
+tensor-product grid.  All reductions run through the deterministic pairwise
+summation.
 """
 
 from __future__ import annotations
@@ -57,6 +62,15 @@ def uniform_rule(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lo + h * (np.arange(n) + 0.5), np.full(n, h)
 
 
+def product_rule(rules) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor product of 1-D (nodes, weights) rules: nodes (M, k), weights (M,), first axis slowest."""
+    grids = np.meshgrid(*[x for x, _ in rules], indexing="ij")
+    w = rules[0][1]
+    for _, wk in rules[1:]:
+        w = np.multiply.outer(w, wk)
+    return np.stack([g.ravel() for g in grids], axis=1), w.ravel()
+
+
 class _Interface:
     """Shared storage for parametrized interfaces of any codimension."""
 
@@ -78,12 +92,23 @@ class _Interface:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
+    @property
+    def tube_limit(self) -> float:
+        """Widest tube around the interface that rules and fields may use (inf when flat)."""
+        return 0.9 * self.focal_width
+
+    @property
+    def default_half_width(self) -> float:
+        """Tube and cutoff width when none is given: the tube limit, or 1 on flat shapes."""
+        return self.tube_limit if np.isfinite(self.tube_limit) else 1.0
+
 
 class Hypersurface(_Interface):
     """Codimension-one interface with outward unit normal.
 
     Subclasses provide ``distance_jet(xb, order)``, the jet of the signed
-    distance truncated to ``order``.
+    distance truncated to ``order``, and ``normal_coordinates(xb, order)``,
+    the jets of (signed distance, foot point, unit normal).
     """
 
     codim = 1
@@ -109,6 +134,14 @@ class RoundSurface(Hypersurface):
     def distance_jet(self, xb, order=2) -> Jet:
         return jet_norm(xb - self.center, order) - self.radius
 
+    def normal_coordinates(self, xb, order=2) -> tuple[Jet, list[Jet], list[Jet]]:
+        r = jet_norm(xb - self.center, order)
+        d, inv_r = r - self.radius, r.reciprocal()
+        del r
+        hats = [(Jet.coordinate(xb, i, order) - c) * inv_r for i, c in enumerate(self.center)]
+        del inv_r
+        return d, [h * self.radius + c for h, c in zip(hats, self.center)], hats
+
 
 class FlatPatch(Hypersurface):
     """Flat interface {x_axis = offset}."""
@@ -120,6 +153,12 @@ class FlatPatch(Hypersurface):
 
     def distance_jet(self, xb, order=2) -> Jet:
         return Jet.coordinate(xb, self.axis, order) - self.offset
+
+    def normal_coordinates(self, xb, order=2) -> tuple[Jet, list[Jet], list[Jet]]:
+        foot = [Jet.constant(self.offset, xb, order) if i == self.axis
+                else Jet.coordinate(xb, i, order) for i in range(self.dim)]
+        normal = [Jet.constant(float(i == self.axis), xb, order) for i in range(self.dim)]
+        return self.distance_jet(xb, order), foot, normal
 
 
 class Filament(_Interface):
@@ -194,11 +233,9 @@ def sphere(radius: float, center=(0.0, 0.0, 0.0), n_polar: int = 32,
            n_azimuth: int = 64) -> Hypersurface:
     r = float(radius)
     c = np.asarray(center, dtype=float)
-    mu, wmu = leggauss(n_polar)  # mu = cos(polar angle), nodes avoid the poles
-    phi, wphi = uniform_rule(0.0, 2.0 * np.pi, n_azimuth)
-    mu_g, phi_g = np.meshgrid(mu, phi, indexing="ij")
-    w_g = np.outer(wmu, wphi).ravel()
-    mu_f, phi_f = mu_g.ravel(), phi_g.ravel()
+    # mu = cos(polar angle): Gauss nodes, which avoid the poles
+    chart, w_g = product_rule([_leggauss(n_polar), uniform_rule(0.0, 2.0 * np.pi, n_azimuth)])
+    mu_f, phi_f = chart.T
     sin_t = np.sqrt(1.0 - mu_f**2)
     nx = sin_t * np.cos(phi_f)
     ny = sin_t * np.sin(phi_f)
@@ -231,28 +268,18 @@ def flat_patch(dim: int, axis: int = 0, offset: float = 0.0, extents=None,
     if extents is None:
         extents = [[-1.0, 1.0] for _ in chart_axes]
     extents = [tuple(map(float, e)) for e in extents]
-    rules = [gauss_rule(lo, hi, n_per_axis) for lo, hi in extents]
-    if dim == 2:
-        y, wy = rules[0]
-        chart = y[:, None]
-        w = wy
-    elif dim == 3:
-        (y1, w1), (y2, w2) = rules
-        a, b = np.meshgrid(y1, y2, indexing="ij")
-        chart = np.stack([a.ravel(), b.ravel()], axis=1)
-        w = np.outer(w1, w2).ravel()
-    else:
-        raise DimensionMismatch("flat_patch supports ambient dimension 2 or 3")
+    if dim not in (2, 3) or len(extents) != dim - 1:
+        raise DimensionMismatch("flat_patch supports ambient dimension 2 or 3, with one extent "
+                                "per chart axis")
+    chart, w = product_rule([gauss_rule(lo, hi, n_per_axis) for lo, hi in extents])
     m = chart.shape[0]
     nodes = np.empty((m, dim))
     nodes[:, axis] = offset
-    for k, ca in enumerate(chart_axes):
-        nodes[:, ca] = chart[:, k]
+    nodes[:, chart_axes] = chart
     normals = np.zeros((m, dim))
     normals[:, axis] = 1.0
     tangents = np.zeros((m, dim - 1, dim))
-    for k, ca in enumerate(chart_axes):
-        tangents[:, k, ca] = 1.0
+    tangents[:, range(dim - 1), chart_axes] = 1.0
     curvatures = np.zeros((m, dim - 1))
     measure = float(np.prod([hi - lo for lo, hi in extents]))
     return FlatPatch(dim, nodes, w, normals, tangents, curvatures, bool(periodic), measure,
@@ -502,39 +529,12 @@ def normal_extension(g: Hypersurface, xi: ScalarField, cutoff_width: float) -> V
         curv += sum(gr[k] * jk.hess for k, jk in enumerate(pj))
         return Jet(v, grad, curv)
 
-    if isinstance(g, RoundSurface):
-        center, radius = g.center, g.radius
-
-        def jets_fn(xb, order):
-            r = jet_norm(xb - center, order)
-            d = r - radius
-            chi = _smooth_step_jet(d * d, s0, s1)
-            inv_r = r.reciprocal()
-            del r, d
-            hats = [(Jet.coordinate(xb, i, order) - center[i]) * inv_r for i in range(g.dim)]
-            del inv_r
-            # the projection is built inline, so it dies when compose_ambient returns
-            amp = compose_ambient([h * radius + center[i] for i, h in enumerate(hats)],
-                                  order) * chi
-            del chi
-            return [amp * h for h in hats]
-
-    elif isinstance(g, FlatPatch):
-        axis, offset = g.axis, float(g.offset)
-
-        def jets_fn(xb, order):
-            d = Jet.coordinate(xb, axis, order) - offset
-            chi = _smooth_step_jet(d * d, s0, s1)
-            del d
-            amp = compose_ambient([Jet.constant(offset, xb, order) if i == axis
-                                   else Jet.coordinate(xb, i, order) for i in range(g.dim)],
-                                  order) * chi
-            del chi
-            zero = Jet.constant(0.0, xb, order)
-            return [amp if i == axis else zero for i in range(g.dim)]
-
-    else:
-        raise DimensionMismatch(f"normal_extension not available for shape {g.config['type']!r}")
+    def jets_fn(xb, order):
+        d, foot, normal = g.normal_coordinates(xb, order)
+        amp = compose_ambient(foot, order)
+        del foot  # the foot point's jets die before the cutoff's are built
+        amp = amp * _smooth_step_jet(d * d, s0, s1)
+        return [amp * n for n in normal]
 
     return VectorField.from_jets(g.dim, jets_fn, label=f"normal_ext[{getattr(xi, 'label', '')}]")
 
@@ -553,25 +553,15 @@ def require_enclosed_region(g: Hypersurface) -> None:
 def enclosed_region_quadrature(g: Hypersurface, n_radial: int = 48):
     """Nodes/weights over the region enclosed by a circle or a sphere."""
     require_enclosed_region(g)
-    center = g.center
     r, wr = gauss_rule(0.0, g.radius, n_radial)
     if g.dim == 2:
-        theta, wt = uniform_rule(0.0, 2.0 * np.pi, max(64, g.n_nodes // 2))
-        rr, tt = np.meshgrid(r, theta, indexing="ij")
-        ww = np.outer(wr * r, wt).ravel()
-        nodes = center + np.stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()], axis=1)
-        return nodes, ww
-    mu, wmu = leggauss(g.config["n_polar"])
-    phi, wphi = uniform_rule(0.0, 2.0 * np.pi, g.config["n_azimuth"])
-    rr, mm, pp = np.meshgrid(r, mu, phi, indexing="ij")
-    ww = np.einsum("i,j,k->ijk", wr * r * r, wmu, wphi).ravel()
-    sin_t = np.sqrt(1.0 - mm.ravel() ** 2)
-    nodes = center + np.stack(
-        [
-            rr.ravel() * sin_t * np.cos(pp.ravel()),
-            rr.ravel() * sin_t * np.sin(pp.ravel()),
-            rr.ravel() * mm.ravel(),
-        ],
-        axis=1,
-    )
-    return nodes, ww
+        chart, ww = product_rule(
+            [(r, wr * r), uniform_rule(0.0, 2.0 * np.pi, max(64, g.n_nodes // 2))])
+        rr, tt = chart.T
+        return g.center + np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=1), ww
+    chart, ww = product_rule([(r, wr * r * r), _leggauss(g.config["n_polar"]),
+                              uniform_rule(0.0, 2.0 * np.pi, g.config["n_azimuth"])])
+    rr, mm, pp = chart.T
+    sin_t = np.sqrt(1.0 - mm**2)
+    return g.center + np.stack([rr * sin_t * np.cos(pp), rr * sin_t * np.sin(pp), rr * mm],
+                               axis=1), ww

@@ -197,19 +197,11 @@ class ConvergenceRecord:
 
 
 def _ac_tube(g, prof: ProfileTable, eps: float, half_width: float | None) -> BulkQuadrature:
-    if half_width is None:
-        cap = default_half_width(g)
-    else:
-        cap = min(0.9 * g.focal_width, float(half_width))
-    d, w = transverse_rule(prof, eps, cap)
-    return tube_rule(g, d, w)
-
-
-def default_half_width(g) -> float:
-    """Transverse extent of the computational slab around the interface."""
-    if np.isfinite(g.focal_width):
-        return 0.9 * g.focal_width
-    return 1.0  # flat shapes: the shipped domains extend one unit off the patch
+    """The profile-resolved tube at one width; its meta records where the rule stops, in d/eps."""
+    cap = g.default_half_width if half_width is None else min(g.tube_limit, float(half_width))
+    quad = tube_rule(g, *transverse_rule(prof, eps, cap))
+    quad.meta["s_end"] = prof.rule_end(eps, cap)
+    return quad
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +255,15 @@ def equipartition_residuals(g, p: float, sched: EpsilonSchedule, profile=None,
 
     values: int |eps^(p-1)|grad u|^p - W(u)/eps|; extras carry the second
     residual int |eps^(p-1)|grad u|^p - |grad Phi(u)|| (Phi the primitive of
-    W^((p-1)/p)) and the energy gap |E - c_p area|.  ``profile``, if given,
-    is a builder ``(surface, eps) -> field`` for control cases; the tube is
-    always that of the optimal profile.
+    W^((p-1)/p)), the energy gap |E - c_p area|, and the optimal profile's
+    energy beyond the tube, 2 area tail_energy(s_end), which is the whole gap
+    on a flat interface.  ``profile``, if given, is a builder
+    ``(surface, eps) -> field`` for control cases; the tube is always that of
+    the optimal profile.
     """
     prof = _profile(p)
     cp = c_p(p)
-    res_ab, res_phi, e_gap = [], [], []
+    res_ab, res_phi, e_gap, truncated = [], [], [], []
     for eps in sched.epsilons:
         u = ansatz_field(g, eps, prof) if profile is None else profile(g, eps)
         quad = _ac_tube(g, prof, eps, half_width)
@@ -283,12 +277,13 @@ def equipartition_residuals(g, p: float, sched: EpsilonSchedule, profile=None,
         res_phi.append(pairwise_dot(quad.weights, np.abs(a_p - phi_grad)))
         f = integrand_p_allen_cahn(eps, p)
         e_gap.append(abs(pairwise_dot(quad.weights, f.f(zs, grads)) - cp * g.measure))
+        truncated.append(2.0 * g.measure * prof.tail_energy(quad.meta["s_end"]))
     return ConvergenceRecord(
         name=name or f"equipartition[p={p:g}]",
         schedule=sched,
         values=res_ab,
         target=0.0,
-        extras={"residual_phi": res_phi, "energy_gap": e_gap},
+        extras={"residual_phi": res_phi, "energy_gap": e_gap, "truncated_energy": truncated},
         meta={"p": p, "c_p": cp, "area": g.measure},
         csv_residuals=("energy_gap", "residual_phi"),
     )
@@ -428,7 +423,7 @@ def constrained_poincare_check(g, xi, cutoff_width: float | None = None) -> tupl
     stability form J(xi).  Requires mean-zero xi on a closed interface.
     """
     require_zero_mean(g, xi)
-    w = 0.9 * g.focal_width if cutoff_width is None else float(cutoff_width)
+    w = g.default_half_width if cutoff_width is None else float(cutoff_width)
     eta = geo.normal_extension(g, xi, w)
     lhs = geo.area_second_inner_variation(g, eta, zeta_eta(eta))
     rhs = geo.jacobi_form(g, xi)
@@ -495,7 +490,7 @@ def quadratic_forms(g, xi, sched: EpsilonSchedule, cutoff_width: float | None = 
     """
     p = 2.0
     prof = _profile(p)
-    w = 0.9 * g.focal_width if cutoff_width is None else float(cutoff_width)
+    w = g.default_half_width if cutoff_width is None else float(cutoff_width)
     v_ext = geo.normal_extension(g, xi, w)
     target = c_p(2.0) * geo.quadratic_form_limit(g, xi)
     raw, lagrange, corrected = [], [], []

@@ -116,6 +116,10 @@ class ProfileTable:
 
     # -- tail bookkeeping -------------------------------------------------
 
+    def rule_end(self, eps: float, half_width: float) -> float:
+        """Where the width-eps transverse rule capped at ``half_width`` stops, in s = d/eps."""
+        return min(self.s_core, half_width / eps)
+
     def tail_energy(self, s: float) -> float:
         """Energy of the profile beyond |s|, int_s^inf |q'|^p = int_{|q(s)|}^1 (1-t^2)^a dt.
 
@@ -198,8 +202,7 @@ def transverse_rule(prof: ProfileTable, eps: float, half_width: float):
     geometric cap is reached; mirrored to negative offsets.  Returns physical
     nodes/weights.
     """
-    s_end = min(prof.s_core, half_width / eps)
-    s_nodes, s_weights = doubling_rule(1.0, s_end, 12)
+    s_nodes, s_weights = doubling_rule(1.0, prof.rule_end(eps, half_width), 12)
     d = eps * np.concatenate([-s_nodes[::-1], s_nodes])
     w = eps * np.concatenate([s_weights[::-1], s_weights])
     return d, w
@@ -209,54 +212,42 @@ def ansatz_field(g: Hypersurface, eps: float, prof: ProfileTable) -> ScalarField
     """Interface ansatz u(x) = q(d(x)/eps), clamped to +-1 outside the table.
 
     The admissibility check keys on the transition zone (where q is farther
-    than 1e-3 from its limits) fitting inside the focal tube; quadrature rules
-    cap themselves at the focal width.  For the slowly saturating p < 2
-    profiles the energy beyond the tube is not always below the shipped
-    tolerances: on a flat patch (tube cap 1) at eps = 0.1 the rule stops at
-    s = 10, and for p below about 1.73 the tail beyond it carries more than
-    the 1e-7 equipartition floor (2.6e-7 at p = 1.708, see
-    ``ProfileTable.tail_energy``).
+    than 1e-3 from its limits) fitting inside the shape's ``tube_limit``,
+    where quadrature rules cap themselves too.  A capped rule can cut off
+    more of a slowly saturating p < 2 profile than the shipped tolerances (on
+    a flat patch at eps = 0.1 the rule stops at s = 10, beyond which p = 1.708
+    carries 2.6e-7); the cut is exactly ``tail_energy(rule_end(eps, cap))``.
     """
     eps = float(eps)
     s_trans = prof.s_transition
-    if eps * s_trans > 0.9 * g.focal_width:
+    if eps * s_trans > g.tube_limit:
         raise EpsilonTooLarge(
             f"eps={eps:g} puts the transition zone (s={s_trans:.3g}) outside the "
-            f"tube of width {g.focal_width:g}; need eps <= "
-            f"{0.9 * g.focal_width / s_trans:.3g}"
+            f"tube of width {g.focal_width:g}; need eps <= {g.tube_limit / s_trans:.3g}"
         )
-
-    def jet_fn(xb, order):
-        s = g.distance_jet(xb, order) * (1.0 / eps)
-        return s.compose(prof.derivatives)
-
-    return ScalarField.from_jet(g.dim, jet_fn, label=f"ansatz[p={prof.p:g},eps={eps:g}]")
+    return profile_field(g, eps, prof.derivatives, f"ansatz[p={prof.p:g},eps={eps:g}]")
 
 
-def profile_field(g: Hypersurface, eps: float, q, dq, ddq, label="profile") -> ScalarField:
-    """Compose an arbitrary 1-D profile with the signed distance of the shape."""
+def profile_field(g: Hypersurface, eps: float, derivatives, label: str) -> ScalarField:
+    """u(x) = q(d(x)/eps) for the 1-D profile whose ``derivatives(s, order)`` gives (q, q', q'')."""
     eps = float(eps)
-
-    def derivatives(v, order):
-        return q(v), dq(v), ddq(v) if order == 2 else None
 
     def jet_fn(xb, order):
         s = g.distance_jet(xb, order) * (1.0 / eps)
         return s.compose(derivatives)
 
-    return ScalarField.from_jet(g.dim, jet_fn, label=f"{label}[eps={eps:g}]")
+    return ScalarField.from_jet(g.dim, jet_fn, label=label)
 
 
 def tanh_profile_field(g: Hypersurface, eps: float, slope: float = 2.0) -> ScalarField:
     """Deliberately mistuned profile tanh(slope*s): an equi-partition negative control."""
     a = float(slope)
-    return profile_field(
-        g, eps,
-        lambda s: np.tanh(a * s),
-        lambda s: a / np.cosh(a * s) ** 2,
-        lambda s: -2.0 * a * a * np.tanh(a * s) / np.cosh(a * s) ** 2,
-        label=f"tanh{a:g}",
-    )
+
+    def derivatives(s, order):
+        t, c2 = np.tanh(a * s), np.cosh(a * s) ** 2
+        return t, a / c2, -2.0 * a * a * t / c2 if order == 2 else None
+
+    return profile_field(g, eps, derivatives, f"tanh{a:g}[eps={float(eps):g}]")
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +374,7 @@ def gl_vortex_field(g: Filament, eps: float, prof: GLRadialProfile) -> ScalarFie
     transverse coordinate jets of the filament.
     """
     eps = float(eps)
-    if eps * prof.r_core > 0.9 * g.focal_width:
+    if eps * prof.r_core > g.tube_limit:
         raise EpsilonTooLarge(
             f"eps={eps:g} puts the vortex core outside the tube of width "
             f"{g.focal_width:g}"

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EpsilonTooLarge, NonInvertible
 from .fields import ScalarField, VectorField, pinned, x0_field
-from .geometry import doubling_rule, gauss_rule
+from .geometry import doubling_rule, gauss_rule, product_rule
 from .sums import pairwise_dot
 
 
@@ -125,13 +125,8 @@ class BulkQuadrature:
 def tensor_grid(box, n_per_axis: int) -> BulkQuadrature:
     """Product Gauss-Legendre rule over a box [[lo, hi], ...]."""
     box = [tuple(map(float, b)) for b in box]
-    rules = [gauss_rule(lo, hi, n_per_axis) for lo, hi in box]
-    grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
-    w = rules[0][1]
-    for r in rules[1:]:
-        w = np.multiply.outer(w, r[1])
-    return BulkQuadrature(nodes, w.ravel(), "tensor_grid", {"box": box, "n": n_per_axis})
+    nodes, w = product_rule([gauss_rule(lo, hi, n_per_axis) for lo, hi in box])
+    return BulkQuadrature(nodes, w, "tensor_grid", {"box": box, "n": n_per_axis})
 
 
 def tube_rule(surface, d_nodes, d_weights) -> BulkQuadrature:

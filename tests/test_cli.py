@@ -426,6 +426,53 @@ def test_malformed_top_level_exits_2(tmp_path, capsys, monkeypatch, top, argv, e
     assert not (tmp_path / "out").exists()  # rejected before any experiment or pool starts
 
 
+_FLAT32 = {"type": "flat_patch", "dim": 2, "n_per_axis": 32}
+_EQUI_FLAT = {"name": "x", "kind": "equipartition", "geometry": _FLAT32,
+              "schedule": {"eps0": 0.1, "count": 6}}
+
+
+def _truncation_misses(result):
+    extras = result.summary["extras"]
+    return [abs(gap - cut) for gap, cut in zip(extras["energy_gap"], extras["truncated_energy"])]
+
+
+def test_flat_equipartition_gap_is_the_tube_truncation():
+    # at p = 1.708 the unit cap stops the eps = 0.1 rule at s = 10, where the profile still
+    # carries 2.6e-7, above the 1e-7 floor; the later widths sit on a plateau, so no rate
+    # fits.  The gap is the profile's energy beyond the rule, to rounding.
+    result = cli.run_experiment({**_EQUI_FLAT, "p": 1.708}, 1234, 0)
+    assert result.passed
+    assert max(result.summary["extras"]["energy_gap"]) > 1e-7
+    assert max(_truncation_misses(result)) < 1e-11
+
+
+def test_mistuned_profiles_fail_the_equipartition_checks():
+    # tanh(2 s) at p != 2 on a flat patch misses the optimal profile's truncation by 0.54
+    flat = cli.run_experiment({**_EQUI_FLAT, "p": 1.708, "profile": {"tanh_slope": 2.0}},
+                              1234, 0)
+    assert not flat.passed
+    assert min(_truncation_misses(flat)) > 0.5
+    # the sphere's lower_bound control still sees its defect: every residual stays above 1
+    control = cli.run_experiment(_catalog_experiment("equipartition_sphere_mistuned"), 1234, 0)
+    assert control.passed and min(control.summary["values"]) >= 1.0
+
+
+def test_flat_patch_normal_extensions_default_to_a_unit_cutoff(tmp_path):
+    # with no cutoff_width the cutoff is the patch's default half width 1; an infinite one
+    # would extend xi by the zero field, so lhs and every form would read 0
+    sine = {"type": "trig", "dim": 2, "terms": [[1.0, [0.0, np.pi], 0.0, "sin"]]}
+    cfg = {"schema_version": 1, "experiments": [
+        {"name": "poin", "kind": "poincare", "geometry": _FLAT32, "xi": sine},
+        {"name": "forms", "kind": "forms", "geometry": _FLAT32, "xi": sine,
+         "schedule": {"eps0": 0.04, "count": 3}},
+    ]}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
+    poin = json.loads((tmp_path / "o" / "poin.json").read_text())
+    assert poin["lhs"] == pytest.approx(np.pi**2, rel=1e-12)  # J(xi) = int pi^2 cos^2(pi y)
+    forms = json.loads((tmp_path / "o" / "forms.json").read_text())
+    assert forms["gap"] < 1e-8
+
+
 def test_radial_bump_order_null_is_the_smooth_bump():
     validate_config({"experiments": [_variant(phi={**_TENSORS["phi"], "order": None})]})
     spec = {"type": "radial_bump", "center": [0.0, 0.0], "radius": 1.0, "order": None}

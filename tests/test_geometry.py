@@ -301,6 +301,66 @@ def test_jacobi_form_nonnegative_on_mean_zero_harmonics():
         assert G.jacobi_form(g, combined) >= -1e-8
 
 
+def test_product_rule_puts_the_first_axis_slowest():
+    nodes, w = G.product_rule([(np.array([0.0, 1.0]), np.array([1.0, 2.0])),
+                               (np.array([5.0, 6.0, 7.0]), np.array([1.0, 10.0, 100.0]))])
+    assert nodes.tolist() == [[0, 5], [0, 6], [0, 7], [1, 5], [1, 6], [1, 7]]
+    assert w.tolist() == [1, 10, 100, 2, 20, 200]
+
+
+def test_flat_patch_needs_one_extent_per_chart_axis():
+    from innervar.errors import DimensionMismatch
+
+    for dim, extents in ((2, [[-1.0, 1.0]] * 2), (3, [[-1.0, 1.0]]), (4, None)):
+        with pytest.raises(DimensionMismatch):
+            G.flat_patch(dim, extents=extents)
+
+
+def test_tube_widths_belong_to_the_shape():
+    # 0.9 focal widths bound every tube; where that is infinite the default is one unit
+    curved = (G.sphere(2.0, n_polar=4, n_azimuth=8), G.circle(0.5, n_nodes=8),
+              G.circular_filament(0.5, n_nodes=8))
+    for g in curved:
+        assert g.tube_limit == g.default_half_width == 0.9 * g.focal_width
+    for g in (G.flat_patch(2, n_per_axis=4), G.flat_patch(3, n_per_axis=4),
+              G.straight_filament(n_nodes=4)):
+        assert g.tube_limit == np.inf and g.default_half_width == 1.0
+
+
+@pytest.mark.parametrize("g", [
+    G.circle(1.3, center=(0.2, -0.1), n_nodes=8),
+    G.sphere(0.8, center=(0.1, 0.0, -0.2), n_polar=4, n_azimuth=8),
+    G.flat_patch(2, axis=1, offset=0.3, n_per_axis=4),
+    G.flat_patch(3, axis=2, offset=-0.2, n_per_axis=4),
+], ids=["circle", "sphere", "flat2", "flat3"])
+def test_normal_coordinates_are_distance_foot_and_normal(g):
+    rng = np.random.default_rng(5)
+    x = (g.nodes[rng.integers(0, g.n_nodes, 12)]
+         + rng.uniform(-0.3, 0.3, 12)[:, None] * g.normals[0])
+    x += rng.normal(scale=0.05, size=x.shape)
+
+    def values(xb):
+        d, foot, normal = g.normal_coordinates(xb, 2)
+        return d, np.stack([j.val for j in foot], axis=1), np.stack([j.val for j in normal], 1)
+
+    d, foot, normal = values(x)
+    np.testing.assert_allclose(d.val, g.distance_jet(x, 2).val, atol=1e-14)
+    np.testing.assert_allclose(np.linalg.norm(normal, axis=1), 1.0, atol=1e-14)
+    np.testing.assert_allclose(foot + d.val[:, None] * normal, x, atol=1e-14)
+    np.testing.assert_allclose(g.distance_jet(foot, 2).val, 0.0, atol=1e-14)
+    # first and second derivatives of each jet against central differences of the one before
+    jets = g.normal_coordinates(x, 2)
+    flat = [jets[0]] + jets[1] + jets[2]
+    h = 1e-5
+    for k in range(g.dim):
+        step = np.zeros(g.dim)
+        step[k] = h
+        up, dn = g.normal_coordinates(x + step, 2), g.normal_coordinates(x - step, 2)
+        for j, ju, jd in zip(flat, [up[0]] + up[1] + up[2], [dn[0]] + dn[1] + dn[2]):
+            np.testing.assert_allclose(j.grad[k], (ju.val - jd.val) / (2 * h), atol=1e-8)
+            np.testing.assert_allclose(j.hess[k], (ju.grad - jd.grad) / (2 * h), atol=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # normal extension
 # ---------------------------------------------------------------------------
