@@ -3,17 +3,21 @@
 Consumers are tests and scripts.  ``innervar run config.json`` executes every
 experiment in the config (possibly concurrently), writes one CSV and one JSON
 summary per experiment plus an aggregate ``summary.json``, and exits 0 iff
-every experiment passed its criterion (2 on malformed configs, 1 on numeric
-failure).  CSV output is byte-stable across runs for a fixed seed: quadrature
-reductions are pairwise-deterministic and random fields derive from the
-per-experiment seed sequence, not from scheduling order.  Each experiment
-kind is declared once: the ``_kind`` decorator on its runner registers the
-kind's name with its config keys (each with its converter and default, see
-:mod:`innervar.config`), the codimension of the geometry it runs on, and any
-check that needs the built objects.  ``_build`` is the only code that reads
-an experiment's config: validation calls it, and each run calls it once more
-and hands the converted options, geometry, fields and schedule included, to
-the runner.
+every experiment passed (2 on malformed configs, 1 on numeric failure).
+Every runner states its verdict as a list of :class:`Check` items, each a
+value and its bound; :func:`run_experiment` alone decides pass (every check
+holds), computes each margin and writes the list into ``<name>.json``, and
+``summary.json`` names each experiment's worst check.  The JSON is strict:
+non-finite floats are written as null.  CSV output is byte-stable across
+runs for a fixed seed: quadrature reductions are pairwise-deterministic and
+random fields derive from the per-experiment seed sequence, not from
+scheduling order.  Each experiment kind is declared once: the ``_kind``
+decorator on its runner registers the kind's name with its config keys (each
+with its converter and default, see :mod:`innervar.config`), the codimension
+of the geometry it runs on, and any check that needs the built objects.
+``_build`` is the only code that reads an experiment's config: validation
+calls it, and each run calls it once more and hands the converted options,
+geometry, fields and schedule included, to the runner.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -46,16 +51,36 @@ _NAME_KEY = (checked(as_is, lambda n: isinstance(n, str) and _NAME.fullmatch(n),
                      f"a name matching {_NAME.pattern}"), REQUIRED)
 
 
+@dataclass(frozen=True)
+class Check:
+    """One item of a verdict: ``value <= bound``, or ``value >= bound`` when ``at_least``."""
+
+    label: str
+    value: float
+    bound: float
+    at_least: bool = False
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.value >= self.bound if self.at_least else self.value <= self.bound)
+
+    @property
+    def margin(self) -> float:
+        """value/bound, or bound/value when at_least: at most 1 on a pass (0 or inf if no ratio)."""
+        num, den = (self.bound, self.value) if self.at_least else (self.value, self.bound)
+        if num >= 0 and den > 0:
+            return num / den
+        return 0.0 if self.passed else math.inf
+
+
 @dataclass
 class ExperimentResult:
     name: str
     kind: str
     passed: bool
-    gap: float
-    rate: float | None
     runtime: float
     rows: list[dict]
-    summary: dict
+    summary: dict  # written as <name>.json, with the verdict's "checks"
     error: str | None = None
 
 
@@ -64,7 +89,7 @@ class _Kind:
     keys: dict  # key -> (convert, default), see innervar.config
     codim: int | None  # codimension of the geometry, for kinds that take one
     check: Callable | None  # (opts) -> None; raises on a bad combination
-    run: Callable  # (opts, rng, outdir) -> (passed, gap, rate, rows, summary)
+    run: Callable  # (opts, rng, outdir) -> (checks, rows, summary)
 
 
 _KINDS: dict[str, _Kind] = {}
@@ -210,47 +235,37 @@ _WIDTH = (positive, None)  # None: the experiment's automatic width
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each returns (passed, gap, rate, rows, summary)
+# experiment runners: each returns (checks, rows, summary)
 # ---------------------------------------------------------------------------
 
 
-def _from_record(rec: limits.ConvergenceRecord, passed: bool, **extra_summary):
-    return passed, rec.gap, rec.rate, rec.rows(), {**rec.summary(), **extra_summary}
-
-
-def _from_checks(checks: list[tuple[str, float, float]]):
-    """Pass flag, CSV rows and summary checks for a list of (label, residual, tolerance)."""
-    rows = [{"epsilon": float(i), "value": res, "target": 0.0, "gap": res,
-             "residual_1": tol, "residual_2": 0.0}
-            for i, (_label, res, tol) in enumerate(checks)]
-    summary = [{"label": label, "residual": res, "tolerance": tol, "pass": res <= tol}
-               for label, res, tol in checks]
-    return all(res <= tol for _label, res, tol in checks), rows, summary
+def _check_rows(checks: list[Check]) -> list[dict]:
+    """One CSV row per check: its value as value and gap, its bound as residual_1."""
+    return [{"epsilon": float(i), "value": c.value, "target": 0.0, "gap": c.value,
+             "residual_1": c.bound, "residual_2": 0.0} for i, c in enumerate(checks)]
 
 
 @_kind("identities", {"dim": (count, 2), "samples": (count, 300), "cases": (count, 4),
                       "tolerance": (positive, 1e-9), "fd_tolerance": (positive, 1e-7)})
 def _run_identities(opts: dict, rng: np.random.Generator, _outdir):
     dim, tol, tol_fd = opts["dim"], opts["tolerance"], opts["fd_tolerance"]
-    checks: list[tuple[str, float, float]] = []
+    checks: list[Check] = []
     pts = rng.uniform(-1.0, 1.0, size=(opts["samples"], dim))
 
     for k in range(opts["cases"]):
         eta = fields.random_polynomial_vector_field(rng, dim, degree=3)
         res = float(np.max(np.abs(fields.good_identity_residual(eta, pts))))
-        checks.append((f"divergence_identity_poly_{k}", res, tol))
+        checks.append(Check(f"divergence_identity_poly_{k}", res, tol))
 
     freqs = rng.uniform(0.5, 1.5, size=(dim, dim))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=dim)
 
     def trig_fn(xb):
-        return np.stack(
-            [np.sin(xb @ freqs[i] + phases[i]) for i in range(dim)], axis=1
-        )
+        return np.stack([np.sin(xb @ freqs[i] + phases[i]) for i in range(dim)], axis=1)
 
     eta_trig = fields.VectorField(dim, trig_fn)  # FD derivative fallback on purpose
     res = float(np.max(np.abs(fields.good_identity_residual(eta_trig, pts[:50]))))
-    checks.append(("divergence_identity_trig_fd", res, tol_fd))
+    checks.append(Check("divergence_identity_trig_fd", res, tol_fd))
 
     eta_r = fields.random_polynomial_vector_field(rng, dim, degree=3)
     zeta_r = fields.random_polynomial_vector_field(rng, dim, degree=2)
@@ -260,7 +275,7 @@ def _run_identities(opts: dict, rng: np.random.Generator, _outdir):
     c1_fd = (dets[0] - 8 * dets[1] + 8 * dets[3] - dets[4]) / (12 * h)
     c2_fd = (-dets[0] + 16 * dets[1] - 30 * dets[2] + 16 * dets[3] - dets[4]) / (12 * h * h)
     _, c1, c2 = fields.det_expansion(eta_r, zeta_r, x0)
-    checks.append(("determinant_expansion_fd", max(abs(c1 - c1_fd), abs(c2 - c2_fd)), 1e-6))
+    checks.append(Check("determinant_expansion_fd", max(abs(c1 - c1_fd), abs(c2 - c2_fd)), 1e-6))
 
     if dim == 3:
         omega = rng.uniform(-1.0, 1.0, size=3)
@@ -273,20 +288,18 @@ def _run_identities(opts: dict, rng: np.random.Generator, _outdir):
             exact = pts[:20] @ fields.rotation_exp(t * mat).T
             err = float(np.max(np.linalg.norm(dm.apply(pts[:20]) - exact, axis=1)))
             worst = max(worst, err / t**3)
-        checks.append(("rotation_group_third_order", worst * 0.05**3, 1e-4))
+        checks.append(Check("rotation_group_third_order", worst * 0.05**3, 1e-4))
 
         fil = geometry.straight_filament(1.0, 16)
         eta_f = fields.random_polynomial_vector_field(rng, 3, degree=3)
         dr, db = geometry.gl_discrepancy_densities(fil, eta_f)
-        checks.append(("transverse_dbar_identity", float(np.max(np.abs(dr - db))), 1e-10))
+        checks.append(Check("transverse_dbar_identity", float(np.max(np.abs(dr - db))), 1e-10))
 
     dmap = fields.DeformationMap(eta_r, zeta_r, 0.01)
     y = rng.uniform(-0.4, 0.4, size=(20, dim))
     xinv = dmap.invert(y)
-    checks.append(
-        ("newton_inversion_roundtrip",
-         float(np.max(np.linalg.norm(dmap.apply(xinv) - y, axis=1))), 1e-12)
-    )
+    checks.append(Check("newton_inversion_roundtrip",
+                        float(np.max(np.linalg.norm(dmap.apply(xinv) - y, axis=1))), 1e-12))
 
     quad = variation.tensor_grid([[-1.0, 1.0]] * dim, 40 if dim == 2 else 24)
     for k, f in enumerate((variation.integrand_dirichlet(),
@@ -295,20 +308,13 @@ def _run_identities(opts: dict, rng: np.random.Generator, _outdir):
         eta_c = fields.random_compact_vector_field(rng, dim, degree=2, radius=0.85)
         zeta_c = fields.random_compact_vector_field(rng, dim, degree=2, radius=0.85)
         rep = variation.variation_report(f, u, eta_c, zeta_c, quad)
-        checks.append((f"first_variation_bridge_{k}", abs(rep.fv_bridge_residual), 1e-8))
-        checks.append(
-            (f"variation_bridge_{k}", abs(rep.sv_relation_residual),
-             1e-6 * (1.0 + abs(rep.delta2_a)))
-        )
-        checks.append(
-            (f"oracle_agreement_{k}",
-             abs(rep.delta2_a - rep.oracle_delta2),
-             max(1e-6, 1e-4 * abs(rep.delta2_a)))
-        )
+        checks.append(Check(f"first_variation_bridge_{k}", abs(rep.fv_bridge_residual), 1e-8))
+        checks.append(Check(f"variation_bridge_{k}", abs(rep.sv_relation_residual),
+                            1e-6 * (1.0 + abs(rep.delta2_a))))
+        checks.append(Check(f"oracle_agreement_{k}", abs(rep.delta2_a - rep.oracle_delta2),
+                            max(1e-6, 1e-4 * abs(rep.delta2_a))))
 
-    passed, rows, summary = _from_checks(checks)
-    worst = max(res / tol_i for _label, res, tol_i in checks)
-    return passed, worst, None, rows, {"checks": summary}
+    return checks, _check_rows(checks), {}
 
 
 @_kind("ac-converge", {"geometry": _GEOMETRY, "p": _P, "eta": _ETA, "zeta": _ZETA,
@@ -319,8 +325,10 @@ def _run_ac(opts: dict, _rng, _outdir):
         opts["geometry"], opts["eta"], opts["zeta"], opts["p"], opts["schedule"],
         half_width=opts["half_width"], name=opts["name"],
     )
-    return _from_record(rec, rec.gap <= opts["tolerance_gap"]
-                        and rec.rate_at_least(opts["min_rate"]))
+    checks = [Check("gap", rec.gap, opts["tolerance_gap"])]
+    if rec.rate_binds():
+        checks.append(Check("rate", rec.rate, opts["min_rate"], at_least=True))
+    return checks, rec.rows(), rec.summary()
 
 
 @_kind("gl-converge", {"geometry": _GEOMETRY, "eta": _ETA, "zeta": _ZETA,
@@ -336,8 +344,10 @@ def _run_gl(opts: dict, _rng, _outdir):
     e_extr, _ = rec.extrapolate(rec.extras["energy"])
     e_target = rec.meta["energy_target"]
     e_gap = abs(e_extr - e_target) / (1.0 + abs(e_target))
-    passed = rec.gap <= opts["tolerance_gap"] and e_gap <= opts["energy_tolerance"]
-    return _from_record(rec, passed, energy_extrapolated=e_extr, energy_gap=e_gap)
+    checks = [Check("gap", rec.gap, opts["tolerance_gap"]),
+              Check("energy_gap", e_gap, opts["energy_tolerance"])]
+    return checks, rec.rows(), {**rec.summary(), "energy_extrapolated": e_extr,
+                                "energy_gap": e_gap}
 
 
 @_kind("tensors", {"geometry": _GEOMETRY, "p": _P,
@@ -351,37 +361,29 @@ def _run_tensors(opts: dict, _rng, _outdir):
         half_width=opts["half_width"], name=opts["name"],
     )
     if abs(rec.target) < 1e-12:
-        passed = max(abs(v) for v in rec.values) <= opts["zero_tolerance"]
+        check = Check("max_abs_value", float(np.max(np.abs(rec.values))), opts["zero_tolerance"])
     else:
-        passed = rec.gap <= opts["tolerance_gap"]
-    return _from_record(rec, passed)
+        check = Check("gap", rec.gap, opts["tolerance_gap"])
+    return [check], rec.rows(), rec.summary()
 
 
 @_kind("equipartition", {"geometry": _GEOMETRY, "p": _P, "schedule": _SCHEDULE,
                          "profile": (_equipartition_profile, "optimal"), "half_width": _WIDTH,
-                         "floor": (positive, 1e-7), "min_rate": (finite, 0.9),
-                         "lower_bound": (finite, None)}, codim=1)
+                         "floor": (positive, 1e-7), "lower_bound": (finite, None)}, codim=1)
 def _run_equipartition(opts: dict, _rng, _outdir):
     rec = limits.equipartition_residuals(
         opts["geometry"], opts["p"], opts["schedule"], profile=opts["profile"],
         half_width=opts["half_width"], name=opts["name"],
     )
-    floor, min_rate = opts["floor"], opts["min_rate"]
-    if opts["lower_bound"] is not None:  # negative control: defect must persist
-        passed = min(rec.values) >= opts["lower_bound"]
-    else:
-        both = rec.values + rec.extras["residual_phi"]
-        small = max(both) <= floor
-        passed = small or (rec.rate is not None and rec.rate >= min_rate)
-        gaps = rec.extras["energy_gap"]
-        if np.any(opts["geometry"].curvatures):  # the gap is a curvature term, decaying as eps^2
-            e_rate = limits.fitted_rate(rec.epsilons, gaps)
-            e_ok = max(gaps) <= floor or (e_rate is not None and e_rate >= min_rate)
-        else:  # flat: the gap is the tube's truncation of the profile, known in closed form
-            e_ok = all(abs(gap - cut) <= floor
-                       for gap, cut in zip(gaps, rec.extras["truncated_energy"]))
-        passed = passed and e_ok
-    return _from_record(rec, passed)
+    if opts["lower_bound"] is not None:  # negative control: the defect must persist
+        checks = [Check("min_residual", float(np.min(rec.values)), opts["lower_bound"], True)]
+    else:  # both residuals vanish, and the energy gap is the one predicted in closed form
+        extras = rec.extras
+        misses = np.abs(np.subtract(extras["energy_gap"], np.abs(extras["predicted_gap"])))
+        checks = [Check("max_residual", float(np.max(rec.values + extras["residual_phi"])),
+                        opts["floor"]),
+                  Check("max_energy_miss", float(np.max(misses)), opts["floor"])]
+    return checks, rec.rows(), rec.summary()
 
 
 @_kind("volume", {"geometry": _GEOMETRY, "fields": (_volume_fields, {"random": 10}),
@@ -389,7 +391,6 @@ def _run_equipartition(opts: dict, _rng, _outdir):
        codim=1, check=lambda opts: geometry.require_enclosed_region(opts["geometry"]))
 def _run_volume(opts: dict, rng: np.random.Generator, _outdir):
     g, etas = opts["geometry"], opts["fields"]
-    tol_c2, tol_flux = opts["tolerance_c2"], opts["tolerance_flux"]
     if isinstance(etas, dict):  # drawn here, from the experiment's own seed
         radius = 1.4 * g.radius if etas["radius"] is None else etas["radius"]
         etas = [fields.random_compact_vector_field(rng, g.dim, degree=etas["degree"],
@@ -403,10 +404,10 @@ def _run_volume(opts: dict, rng: np.random.Generator, _outdir):
                      "gap": abs(c2), "residual_1": abs(c1 - flux),
                      "residual_2": c1})
         details.append({"field": i, "c1": c1, "c2": c2, "flux": flux})
-    passed = all(abs(d["c2"]) <= tol_c2 and abs(d["c1"] - d["flux"]) <= tol_flux
-                 for d in details)
-    worst = max(abs(d["c2"]) for d in details)  # the config has at least one field
-    return passed, worst, None, rows, {"fields": details}
+    checks = [Check("max_abs_c2", float(np.max([r["gap"] for r in rows])), opts["tolerance_c2"]),
+              Check("max_flux_mismatch", float(np.max([r["residual_1"] for r in rows])),
+                    opts["tolerance_flux"])]
+    return checks, rows, {"fields": details}
 
 
 @_kind("poincare", {"geometry": _GEOMETRY, "xi": _SCALAR, "cutoff_width": _WIDTH,
@@ -419,7 +420,7 @@ def _run_poincare(opts: dict, _rng, _outdir):
     gap = abs(lhs - rhs) / (1.0 + abs(rhs))
     rows = [{"epsilon": 0.0, "value": lhs, "target": rhs, "gap": gap,
              "residual_1": tol, "residual_2": 0.0}]
-    return gap <= tol, gap, None, rows, {"lhs": lhs, "rhs": rhs, "gap": gap}
+    return [Check("gap", gap, tol)], rows, {"lhs": lhs, "rhs": rhs, "gap": gap}
 
 
 @_kind("forms", {"geometry": _GEOMETRY, "xi": _SCALAR, "schedule": _SCHEDULE,
@@ -430,7 +431,7 @@ def _run_forms(opts: dict, _rng, _outdir):
         opts["geometry"], opts["xi"], opts["schedule"], cutoff_width=opts["cutoff_width"],
         half_width=opts["half_width"], name=opts["name"],
     )
-    return _from_record(rec, rec.gap <= opts["tolerance_gap"])
+    return [Check("gap", rec.gap, opts["tolerance_gap"])], rec.rows(), rec.summary()
 
 
 @_kind("profile", {"p": _P, "tolerance_constant": (positive, 1e-12),
@@ -439,47 +440,43 @@ def _run_forms(opts: dict, _rng, _outdir):
 def _run_profile(opts: dict, _rng, outdir: Path | None):
     p = opts["p"]
     prof = limits._profile(p)
-    checks = []
     cp_gap = abs(profiles.c_p(p) - profiles.c_p_beta_oracle(p))
-    checks.append(("constant_vs_gamma_oracle", cp_gap, opts["tolerance_constant"]))
+    checks = [Check("constant_vs_gamma_oracle", cp_gap, opts["tolerance_constant"])]
     ss = np.linspace(0.0, min(prof.s_max * 0.98, 40.0), 400)
     h = 1e-6
     dq_fd = (prof.q(ss + h) - prof.q(ss - h)) / (2 * h)
     equi = float(np.max(np.abs(np.abs(dq_fd) ** p - (1 - prof.q(ss) ** 2) ** 2)))
-    checks.append(("pointwise_equipartition_fd", equi, opts["tolerance_equipartition"]))
-    checks.append(("origin_values", abs(prof.q(0.0)) + abs(prof.dq(0.0) - 1.0), 1e-12))
+    checks.append(Check("pointwise_equipartition_fd", equi, opts["tolerance_equipartition"]))
+    checks.append(Check("origin_values", abs(prof.q(0.0)) + abs(prof.dq(0.0) - 1.0), 1e-12))
     if p == 2.0:
         sg = np.linspace(-8.0, 8.0, 801)
         dev = float(np.max(np.abs(prof.q(sg) - np.tanh(sg))))
-        checks.append(("closed_form_deviation", dev, opts["tolerance_tanh"]))
+        checks.append(Check("closed_form_deviation", dev, opts["tolerance_tanh"]))
     if outdir is not None and opts["export_table"]:
         prof.to_csv(outdir / f"{opts['name']}_table.csv")
-    passed, rows, summary = _from_checks(checks)
-    return (passed, max(res for _label, res, _tol in checks), None, rows,
-            {"s_max": prof.s_max, "s_core": prof.s_core, "checks": summary})
+    return checks, _check_rows(checks), {"s_max": prof.s_max, "s_core": prof.s_core}
 
 
 def run_experiment(exp: dict, seed: int, index: int, outdir: Path | None = None) -> ExperimentResult:
     rng = default_rng([seed, index])
     kind = _KINDS[exp["kind"]]
     start = time.perf_counter()
+    error = None
     try:
-        passed, gap, rate, rows, summary = kind.run(_build(exp, kind), rng, outdir)
+        checks, rows, summary = kind.run(_build(exp, kind), rng, outdir)
     except ConfigError:
         raise
     except EpsilonTooLarge as exc:
         # schedule/geometry mismatch is a configuration problem, not a numeric one
         raise ConfigError(f"experiment {exp['name']!r}: {exc}") from exc
     except InnervarError as exc:
-        return ExperimentResult(
-            name=exp["name"], kind=exp["kind"], passed=False, gap=float("nan"), rate=None,
-            runtime=time.perf_counter() - start, rows=[],
-            summary={"pass": False, "error": str(exc)}, error=str(exc),
-        )
-    return ExperimentResult(
-        name=exp["name"], kind=exp["kind"], passed=passed, gap=gap, rate=rate,
-        runtime=time.perf_counter() - start, rows=rows, summary={**summary, "pass": passed},
-    )
+        error = str(exc)
+        checks, rows, summary = [], [], {"error": error}
+    entries = [{"label": c.label, "value": c.value, "bound": c.bound, "at_least": c.at_least,
+                "margin": c.margin, "pass": c.passed} for c in checks]
+    passed = bool(checks) and all(c.passed for c in checks)  # the one verdict rule
+    return ExperimentResult(exp["name"], exp["kind"], passed, time.perf_counter() - start, rows,
+                            {**summary, "checks": entries, "pass": passed}, error)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +507,8 @@ def _jsonify(obj):
         return bool(obj)
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):  # strict JSON: a non-finite float is null
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
     return obj
@@ -520,7 +517,7 @@ def _jsonify(obj):
 def _write_json(path: Path, obj) -> None:
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(_jsonify(obj), fh, indent=2, sort_keys=True)
+        json.dump(_jsonify(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     os.replace(tmp, path)
 
@@ -590,21 +587,15 @@ def cmd_run(args) -> int:
     for res in results:
         _write_csv(outdir / f"{res.name}.csv", res.rows)
         _write_json(outdir / f"{res.name}.json", res.summary)
-        status = "PASS" if res.passed else "FAIL"
-        rate_txt = "-" if res.rate is None else f"{res.rate:.2f}"
-        print(f"{res.name}: {status} (gap={res.gap:.3g}, rate={rate_txt}, {res.runtime:.1f}s)")
+        worst = max(res.summary["checks"], key=lambda c: c["margin"], default=None)
+        verdict = "no checks" if worst is None else f"{worst['label']} margin {worst['margin']:.3g}"
+        print(f"{res.name}: {'PASS' if res.passed else 'FAIL'} ({verdict}, {res.runtime:.1f}s)")
         if res.error:
             print(f"  error: {res.error}")
         all_pass &= res.passed
-        summary["experiments"].append({
-            "name": res.name,
-            "kind": res.kind,
-            "pass": res.passed,
-            "gap": res.gap,
-            "rate": res.rate,
-            "runtime_s": round(res.runtime, 3),
-            "error": res.error,
-        })
+        summary["experiments"].append({"name": res.name, "kind": res.kind, "pass": res.passed,
+                                       "worst_check": worst, "runtime_s": round(res.runtime, 3),
+                                       "error": res.error})
     summary["all_pass"] = all_pass
     _write_json(outdir / "summary.json", summary)
     if not all_pass:

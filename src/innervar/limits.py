@@ -153,13 +153,10 @@ class ConvergenceRecord:
     def gap(self) -> float:
         return abs(self.extrapolated - self.target) / (1.0 + abs(self.target))
 
-    def rate_at_least(self, min_rate: float, floor: float = 1e-9) -> bool:
-        """Rate bound, vacuous when the sweep sits at/below the resolution floor."""
-        if self.rate is None:
-            return True
-        if max(abs(v - self.extrapolated) for v in self.values) <= floor * (1.0 + abs(self.target)):
-            return True
-        return self.rate >= min_rate
+    def rate_binds(self, floor: float = 1e-9) -> bool:
+        """Whether a rate bound binds: a rate was fitted and the sweep sits above the floor."""
+        spread = max(abs(v - self.extrapolated) for v in self.values)
+        return self.rate is not None and not spread <= floor * (1.0 + abs(self.target))
 
     def rows(self) -> list[dict]:
         out = []
@@ -255,15 +252,19 @@ def equipartition_residuals(g, p: float, sched: EpsilonSchedule, profile=None,
 
     values: int |eps^(p-1)|grad u|^p - W(u)/eps|; extras carry the second
     residual int |eps^(p-1)|grad u|^p - |grad Phi(u)|| (Phi the primitive of
-    W^((p-1)/p)), the energy gap |E - c_p area|, and the optimal profile's
-    energy beyond the tube, 2 area tail_energy(s_end), which is the whole gap
-    on a flat interface.  ``profile``, if given, is a builder
-    ``(surface, eps) -> field`` for control cases; the tube is always that of
-    the optimal profile.
+    W^((p-1)/p)), the energy gap |E - c_p area|, and ``predicted_gap``, E -
+    c_p area for the optimal profile: eps^2 (int_Gamma sigma_2(kappa))
+    m2(s_end) - 2 area tail_energy(s_end), where the rule stops at s_end and
+    sigma_2, 0 on flat shapes and circles, is the d^2 coefficient of the
+    volume element prod(1 + d kappa_i), whose odd part the rule cancels.
+    ``profile``, if given, is a builder ``(surface, eps) -> field`` for
+    control cases; the tube is always that of the optimal profile.
     """
     prof = _profile(p)
     cp = c_p(p)
-    res_ab, res_phi, e_gap, truncated = [], [], [], []
+    k = g.curvatures
+    sigma2 = pairwise_dot(g.weights, 0.5 * (np.sum(k, axis=1) ** 2 - np.sum(k * k, axis=1)))
+    res_ab, res_phi, e_gap, predicted = [], [], [], []
     for eps in sched.epsilons:
         u = ansatz_field(g, eps, prof) if profile is None else profile(g, eps)
         quad = _ac_tube(g, prof, eps, half_width)
@@ -277,13 +278,15 @@ def equipartition_residuals(g, p: float, sched: EpsilonSchedule, profile=None,
         res_phi.append(pairwise_dot(quad.weights, np.abs(a_p - phi_grad)))
         f = integrand_p_allen_cahn(eps, p)
         e_gap.append(abs(pairwise_dot(quad.weights, f.f(zs, grads)) - cp * g.measure))
-        truncated.append(2.0 * g.measure * prof.tail_energy(quad.meta["s_end"]))
+        s_end = quad.meta["s_end"]
+        predicted.append(eps**2 * sigma2 * prof.second_moment(s_end)
+                         - 2.0 * g.measure * prof.tail_energy(s_end))
     return ConvergenceRecord(
         name=name or f"equipartition[p={p:g}]",
         schedule=sched,
         values=res_ab,
         target=0.0,
-        extras={"residual_phi": res_phi, "energy_gap": e_gap, "truncated_energy": truncated},
+        extras={"residual_phi": res_phi, "energy_gap": e_gap, "predicted_gap": predicted},
         meta={"p": p, "c_p": cp, "area": g.measure},
         csv_residuals=("energy_gap", "residual_phi"),
     )

@@ -143,6 +143,11 @@ class ProfileTable:
             k += 1
         return 2.0 ** a * y ** (a + 1.0) * total
 
+    def second_moment(self, s: float) -> float:
+        """m2(s) = int_{-s}^s t^2 W(q(t)) dt, on the panels of the transverse rule ending at s."""
+        t, w = doubling_rule(1.0, s, 12)
+        return 2.0 * float(np.dot(w, t**2 * (1.0 - self.q(t) ** 2) ** 2))
+
     def _bisect(self, above, probe: float) -> float:
         """Bisect [0, s_max] for where ``above`` turns false; s_max if it holds at ``probe``."""
         lo, hi = 0.0, self.s_max

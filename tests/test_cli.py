@@ -1,6 +1,7 @@
 """CLI surface: configs, exit codes, catalog, determinism, file formats."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from innervar import cli, fields, geometry
-from innervar.cli import CSV_COLUMNS, builtin_configs, main, validate_config
+from innervar import cli, fields, geometry, limits
+from innervar.cli import CSV_COLUMNS, Check, builtin_configs, main, validate_config
+from innervar.errors import DegenerateReference
 
 
 def _write(tmp_path, obj, name="cfg.json"):
@@ -350,6 +352,11 @@ _MALFORMED = [
         "name": "x", "kind": "equipartition", "geometry": _SPHERE, "p": 2.0,
         "schedule": {"eps0": 0.04, "count": 4}, "floor": float("nan"),
     }),
+    # the equipartition criterion has no rate escape, so it takes no rate bound
+    ("equipartition_min_rate", {
+        "name": "x", "kind": "equipartition", "geometry": _SPHERE, "p": 2.0,
+        "schedule": {"eps0": 0.04, "count": 4}, "min_rate": 0.9,
+    }),
     ("equipartition_lower_bound_infinite", {
         "name": "x", "kind": "equipartition", "geometry": _SPHERE, "p": 2.0,
         "schedule": {"eps0": 0.04, "count": 4}, "lower_bound": float("-inf"),
@@ -433,7 +440,7 @@ _EQUI_FLAT = {"name": "x", "kind": "equipartition", "geometry": _FLAT32,
 
 def _truncation_misses(result):
     extras = result.summary["extras"]
-    return [abs(gap - cut) for gap, cut in zip(extras["energy_gap"], extras["truncated_energy"])]
+    return [abs(gap - abs(cut)) for gap, cut in zip(extras["energy_gap"], extras["predicted_gap"])]
 
 
 def test_flat_equipartition_gap_is_the_tube_truncation():
@@ -455,6 +462,84 @@ def test_mistuned_profiles_fail_the_equipartition_checks():
     # the sphere's lower_bound control still sees its defect: every residual stays above 1
     control = cli.run_experiment(_catalog_experiment("equipartition_sphere_mistuned"), 1234, 0)
     assert control.passed and min(control.summary["values"]) >= 1.0
+
+
+def test_circle_equipartition_passes_the_optimal_profile(tmp_path):
+    # the eps = 0.08 rule stops at s = 11.25, inside the p = 1.708 core, and the later widths
+    # sit on a plateau of 1.8e-9 that no rate fits; the closed-form prediction is the gap
+    exp = {"name": "circle", "kind": "equipartition", "p": 1.708,
+           "geometry": {"type": "circle", "radius": 1.0, "nodes": 256},
+           "schedule": {"eps0": 0.08, "count": 6}}
+    out = tmp_path / "o"
+    assert main(["run", _write(tmp_path, {"experiments": [exp]}), "--out", str(out)]) == 0
+    gaps = json.loads((out / "circle.json").read_text())["extras"]["energy_gap"]
+    assert gaps[0] > 1e-7  # above the floor, so a small-gap test alone would fail it
+
+
+def test_mistuned_sphere_profile_fails_without_its_lower_bound(tmp_path):
+    # residuals near 8 pi and energy gaps near 4.19 converge at rate 2 to their own limits;
+    # with no rate escape both checks fail
+    exp = _catalog_experiment("equipartition_sphere_mistuned")
+    exp = {key: value for key, value in exp.items() if key != "lower_bound"}
+    out = tmp_path / "o"
+    assert main(["run", _write(tmp_path, {"experiments": [exp]}), "--out", str(out)]) == 1
+    checks = json.loads((out / f"{exp['name']}.json").read_text())["checks"]
+    assert [c["label"] for c in checks] == ["max_residual", "max_energy_miss"]
+    assert not any(c["pass"] for c in checks)
+
+
+def test_checks_decide_by_comparison_not_by_margin():
+    negative = Check("rate", -0.5, 0.9, at_least=True)  # bound/value would read -1.8
+    zero = Check("rate", 0.0, 0.9, at_least=True)  # and here would divide by zero
+    nan = Check("gap", float("nan"), 1e-7)
+    for check in (negative, zero, nan):
+        assert not check.passed and check.margin == math.inf
+    assert Check("gap", 2e-8, 1e-7).passed and Check("gap", 2e-8, 1e-7).margin == 0.2
+    assert not Check("gap", 3e-7, 1e-7).passed
+    control = Check("min_residual", 25.0, 1.0, at_least=True)
+    assert control.passed and control.margin == 0.04
+    assert Check("min_residual", 0.0, -1.0, at_least=True).margin == 0.0
+
+
+def _margin(check):
+    return math.inf if check["margin"] is None else check["margin"]  # inf is written as null
+
+
+def test_every_catalog_verdict_is_the_and_of_its_checks(tmp_path, capsys):
+    for name, _cfg in builtin_configs():
+        out = tmp_path / name
+        assert main(["run", name, "--out", str(out), "--seed", "1234", "--jobs", "2"]) == 0
+        stdout = capsys.readouterr().out
+        for entry in json.loads((out / "summary.json").read_text())["experiments"]:
+            assert set(entry) == {"name", "kind", "pass", "worst_check", "runtime_s", "error"}
+            checks = json.loads((out / f"{entry['name']}.json").read_text())["checks"]
+            assert checks, entry["name"]
+            for c in checks:
+                held = c["value"] >= c["bound"] if c["at_least"] else c["value"] <= c["bound"]
+                assert c["pass"] is held, (entry["name"], c)
+            assert entry["pass"] is all(c["pass"] for c in checks)
+            worst = entry["worst_check"]
+            assert worst in checks and _margin(worst) == max(map(_margin, checks))
+            assert f"{entry['name']}: PASS ({worst['label']} margin " in stdout
+
+
+def test_summaries_are_strict_json(tmp_path, monkeypatch):
+    def degenerate(*_args, **_kwargs):
+        raise DegenerateReference("reference field has vanishing interface flux")
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    monkeypatch.setattr(limits, "ac_limit_experiment", degenerate)
+    monkeypatch.setattr(limits, "constrained_poincare_check", lambda *_args: (float("nan"), 1.0))
+    cfg = {"experiments": [_AC, {**_POINCARE, "name": "nan"}]}
+    out = tmp_path / "o"
+    assert main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    errored, nan = summary["experiments"]
+    assert errored["error"] and errored["worst_check"] is None and errored["pass"] is False
+    assert nan["worst_check"]["value"] is None and nan["worst_check"]["margin"] is None
+    assert json.loads((out / "nan.json").read_text(), parse_constant=reject)["lhs"] is None
 
 
 def test_flat_patch_normal_extensions_default_to_a_unit_cutoff(tmp_path):

@@ -3,6 +3,7 @@
 import functools
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -439,6 +440,43 @@ def test_profile_matches_hypergeometric_and_beta_closed_forms(p):
         scale = 4.0 ** (b - 1.0) * beta(b, b)
         q_exact = 2.0 * betaincinv(b, b, 0.5 * (s / scale + 1.0)) - 1.0
         assert np.max(np.abs(q - q_exact)) <= 1e-11
+
+
+def test_second_moment_matches_its_closed_form_at_p2():
+    # int t^2 sech^4 t dt over the line is (pi^2 - 6)/9; the core radius cuts a tail of 1e-8
+    prof = P.optimal_profile(2.0)
+    exact = (np.pi**2 - 6.0) / 9.0
+    assert abs(prof.second_moment(prof.s_max) - exact) <= 1e-12
+    assert abs(prof.second_moment(prof.s_core) - exact) <= 1e-7
+
+
+def _s_of_q(q: float, p: float) -> float:
+    """s(q) = q 2F1(1/2, 2/p; 3/2; q^2), summed until the terms stop counting."""
+    x, b = q * q, 2.0 / p
+    term, total, n = 1.0, 1.0, 0
+    while abs(term) > 1e-17 * total:
+        term *= (0.5 + n) * (b + n) / ((1.5 + n) * (n + 1.0)) * x
+        total += term
+        n += 1
+    return q * total
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.floats(1.0, 8.0, exclude_min=True))
+def test_profile_inverts_the_hypergeometric_series_for_any_p(p):
+    # q' = (1 - q^2)^(2/p) inverts to s(q) = int_0^q (1 - t^2)^(-2/p) dt, a series on math
+    try:
+        prof = P.optimal_profile(p)
+    except StiffTail:  # below p of about 1.028 the table cannot reach 1 - 1e-9 by s = 1e7
+        assert p < 1.05
+        return
+    qs = np.linspace(-0.9, 0.9, 37)
+    s = np.array([_s_of_q(float(q), p) for q in qs])
+    assert np.max(np.abs(prof.q(s) - qs)) <= 1e-10  # 5.1e-11 at worst over 400 p in [1.03, 8]
+    if p > 2.0:  # the profile reaches 1 at s* = B(1/2, 1 - 2/p)/2, beyond the table's end
+        a = 1.0 - 2.0 / p
+        s_star = 0.5 * math.exp(math.lgamma(0.5) + math.lgamma(a) - math.lgamma(0.5 + a))
+        assert prof.s_max <= s_star
 
 
 # ---------------------------------------------------------------------------
