@@ -40,8 +40,8 @@ import numpy as np
 from numpy.random import default_rng  # numpy loads numpy.random lazily; load it at import
 
 from . import fields, geometry, limits, profiles, variation
-from .config import (REQUIRED, as_is, boolean, checked, count, exponent, finite, integer,
-                     natural, one_of, parse, positive)
+from .config import (REQUIRED, as_is, boolean, checked, count, finite, integer, natural,
+                     one_of, parse, positive)
 from .errors import ConfigError, EpsilonTooLarge, InnervarError
 
 SCHEMA_VERSION = 1
@@ -229,7 +229,9 @@ _ETA = (lambda spec: fields.vector_field_from_config(spec), REQUIRED)
 _ZETA = (lambda spec: spec if spec in ("zero", "zeta_eta") else
          fields.vector_field_from_config(spec), "zero")
 _SCALAR = (lambda spec: fields.scalar_field_from_config(spec), REQUIRED)
-_P = (exponent, REQUIRED)
+_P = (checked(float, lambda p: profiles.P_MIN <= p < math.inf,
+              f"a finite p of at least {profiles.P_MIN:g}, the least p whose profile table "
+              "builds"), REQUIRED)
 _SCHEDULE = (lambda spec: _schedule(spec), REQUIRED)
 _WIDTH = (positive, None)  # None: the experiment's automatic width
 

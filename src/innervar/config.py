@@ -86,7 +86,6 @@ count = checked(integer, lambda n: n >= 1, "a count of at least 1")
 natural = checked(integer, lambda n: n >= 0, "a non-negative integer")
 finite = checked(float, math.isfinite, "a finite number")
 positive = checked(float, lambda x: 0.0 < x < math.inf, "positive and finite")
-exponent = checked(float, lambda p: 1.0 < p < math.inf, "a finite p above 1")
 boolean = checked(as_is, lambda v: isinstance(v, bool), "true or false")
 
 

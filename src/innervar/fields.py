@@ -435,17 +435,16 @@ def _bump_jet(xb: np.ndarray, center: np.ndarray, radius: float, order: int = 8,
     for i in range(n):
         d = coords[i] - center[i]
         s2 = s2 + d * d * (1.0 / radius**2)
-    out = Jet.constant(0.0, xb, jet_order)
     if order is None:
         s2_cut = 1.0 - 1.0 / 700.0  # exp(1 - 1/(1-t)) underflows past this
         inside = s2.val < s2_cut
-        if np.any(inside):
-            out.put(inside, jet_exp(1.0 - (1.0 - s2.masked(inside)).reciprocal()))
-        return out
+        if not np.any(inside):
+            return Jet.constant(0.0, xb, jet_order)
+        return Jet.where(inside, jet_exp(1.0 - (1.0 - s2.masked(inside)).reciprocal()), 0.0)
     inside = s2.val < 1.0
-    if np.any(inside):
-        out.put(inside, (1.0 - s2.masked(inside)) ** int(order))
-    return out
+    if not np.any(inside):
+        return Jet.constant(0.0, xb, jet_order)
+    return Jet.where(inside, (1.0 - s2.masked(inside)) ** int(order), 0.0)
 
 
 def bump_scalar_field(center, radius, amplitude=1.0, order=8) -> ScalarField:
@@ -674,13 +673,12 @@ def _cylindrical_bump_jet(xb, radius, order, jet_order):
     x3 = Jet.coordinate(xb, 2, jet_order)
     s2 = (x2 * x2 + x3 * x3) * (1.0 / radius**2)
     del x2, x3
-    out = Jet.constant(0.0, xb, jet_order)
     inside = s2.val < 1.0
-    if np.any(inside):
-        base = 1.0 - s2.masked(inside)
-        del s2
-        out.put(inside, base ** int(order))
-    return out
+    if not np.any(inside):
+        return Jet.constant(0.0, xb, jet_order)
+    base = 1.0 - s2.masked(inside)
+    del s2
+    return Jet.where(inside, base ** int(order), 0.0)
 
 
 def filament_test_field(preset: str, amplitude: float = 1.0, frequency: int = 1,

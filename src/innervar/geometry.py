@@ -484,16 +484,15 @@ def _smooth_step_jet(s: Jet, s0: float, s1: float) -> Jet:
     """
     n, m = s.grad.shape
     margin = (s1 - s0) / 700.0
-    out = Jet(np.zeros(m), np.zeros((n, m)), None if s.hess is None else np.zeros((n, n, m)))
     ones = s.val <= s0 + margin
-    out.val[ones] = 1.0
     mid = (s.val > s0 + margin) & (s.val < s1 - margin)
-    if np.any(mid):
-        sub = s.masked(mid)
-        g1 = jet_exp(-((s1 - sub).reciprocal()))
-        g2 = jet_exp(-((sub - s0).reciprocal()))
-        out.put(mid, g1 * (g1 + g2).reciprocal())
-    return out
+    if not np.any(mid):  # only the flat pieces, 1 and 0
+        return Jet(ones.astype(float), np.zeros((n, m)),
+                   None if s.hess is None else np.zeros((n, n, m)))
+    sub = s.masked(mid)
+    g1 = jet_exp(-((s1 - sub).reciprocal()))
+    g2 = jet_exp(-((sub - s0).reciprocal()))
+    return Jet.where(mid, g1 * (g1 + g2).reciprocal(), ones)
 
 
 def normal_extension(g: Hypersurface, xi: ScalarField, cutoff_width: float) -> VectorField:

@@ -18,6 +18,13 @@ Hessian work, and computes values and gradients exactly as at second order,
 so truncation never changes a value or gradient bit.  An operation on jets
 of different orders returns a jet of the lower order.
 
+Every operation allocates only the arrays it returns, plus at most one
+(N, M) scratch row: a Hessian product is added row by row into its output,
+never through (N, N, M) temporaries, so large batches do not fault in fresh
+pages for each intermediate.  Jets are never written after construction
+(:meth:`Jet.where` builds a piecewise jet), so a scalar shift ``jet + c``
+shares its operand's ``grad`` and ``hess`` arrays instead of copying them.
+
 This is an internal utility for the package's fixed expression set, not a
 general autodiff facility.
 """
@@ -64,12 +71,26 @@ class Jet:
         return Jet(self.val[mask], self.grad[:, mask],
                    None if self.hess is None else self.hess[:, :, mask])
 
-    def put(self, mask: np.ndarray, other: "Jet") -> None:
-        """Overwrite the points selected by ``mask`` with ``other`` (in place)."""
-        self.val[mask] = other.val
-        self.grad[:, mask] = other.grad
-        if self.hess is not None:
-            self.hess[:, :, mask] = other.hess
+    @staticmethod
+    def where(mask: np.ndarray, inside: "Jet", outside) -> "Jet":
+        """The jet equal to ``inside`` at the points ``mask`` selects and to ``outside`` elsewhere.
+
+        ``inside`` holds the selected points only.  ``outside`` is a jet on
+        all points, or a value per point (a scalar or an (M,) array) with zero
+        derivatives.  The result has the order of ``inside``.
+        """
+        if isinstance(outside, Jet):
+            val, grad = outside.val.copy(), outside.grad.copy()
+            hess = None if inside.hess is None else outside.hess.copy()
+        else:
+            n, m = inside.grad.shape[0], mask.shape[0]
+            val, grad = np.full(m, outside, dtype=float), np.zeros((n, m))
+            hess = None if inside.hess is None else np.zeros((n, n, m))
+        val[mask] = inside.val
+        grad[:, mask] = inside.grad
+        if hess is not None:
+            hess[:, :, mask] = inside.hess
+        return Jet(val, grad, hess)
 
     # ---- arithmetic ----------------------------------------------------
 
@@ -77,7 +98,7 @@ class Jet:
         if isinstance(other, Jet):
             hess = None if self.hess is None or other.hess is None else self.hess + other.hess
             return Jet(self.val + other.val, self.grad + other.grad, hess)
-        return Jet(self.val + other, self.grad.copy(), None if self.hess is None else self.hess.copy())
+        return Jet(self.val + other, self.grad, self.hess)
 
     __radd__ = __add__
 
@@ -85,19 +106,32 @@ class Jet:
         return Jet(-self.val, -self.grad, None if self.hess is None else -self.hess)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -np.asarray(other, dtype=float))
+        # a - b is a + (-b) bit for bit, without the negated operand
+        if isinstance(other, Jet):
+            hess = None if self.hess is None or other.hess is None else self.hess - other.hess
+            return Jet(self.val - other.val, self.grad - other.grad, hess)
+        return Jet(self.val - other, self.grad, self.hess)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return Jet(other - self.val, -self.grad, None if self.hess is None else -self.hess)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
             val = self.val * other.val
-            grad = self.val * other.grad + other.val * self.grad
+            grad = self.val * other.grad
+            row = other.val * self.grad  # the one scratch row
+            grad += row
             if self.hess is None or other.hess is None:
                 return Jet(val, grad, None)
-            cross = self.grad[:, None] * other.grad[None, :]
-            hess = self.val * other.hess + other.val * self.hess + cross + np.swapaxes(cross, 0, 1)
+            # (a h_b + b h_a + g_a g_b^T + g_b g_a^T), summed in that order, one row at a time
+            hess = self.val * other.hess
+            for i, out in enumerate(hess):
+                np.multiply(other.val, self.hess[i], out=row)
+                out += row
+                np.multiply(self.grad[i], other.grad, out=row)
+                out += row
+                np.multiply(other.grad[i], self.grad, out=row)
+                out += row
             return Jet(val, grad, hess)
         c = float(other)
         return Jet(self.val * c, self.grad * c, None if self.hess is None else self.hess * c)
@@ -132,7 +166,13 @@ class Jet:
         grad = g1 * self.grad
         if self.hess is None:
             return Jet(np.asarray(g0, dtype=float), grad, None)
-        hess = g1 * self.hess + g2 * (self.grad[:, None] * self.grad[None, :])
+        # g1 h + g2 g g^T, one row at a time
+        hess = g1 * self.hess
+        row = np.empty_like(grad)
+        for i, out in enumerate(hess):
+            np.multiply(self.grad[i], self.grad, out=row)
+            row *= g2
+            out += row
         return Jet(np.asarray(g0, dtype=float), grad, hess)
 
     def compose(self, derivatives) -> "Jet":

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import EpsilonTooLarge, InnervarError, StiffTail
 from .fields import ScalarField
 from .geometry import Filament, Hypersurface, doubling_rule
-from .jets import jet_sqrt
+from .jets import Jet, jet_sqrt
 from .ode import DenseOutput, dop853
 
 
@@ -171,8 +171,13 @@ class ProfileTable:
                 writer.writerow([format(v, ".17g") for v in (s, qv, dqv)])
 
 
+# The least p whose table builds: below p of about 1.028 the profile is still
+# more than 1e-8 short of 1 at s = 1e7, where optimal_profile stops.
+P_MIN = 1.03
+
+
 def optimal_profile(p: float) -> ProfileTable:
-    """Solve q' = (1 - q^2)^(2/p), q(0) = 0, up to |q| = 1 - 1e-9."""
+    """Solve q' = (1 - q^2)^(2/p), q(0) = 0, up to |q| = 1 - 1e-9 (for p >= P_MIN)."""
     p = float(p)
     if p <= 1.0:
         raise ValueError("optimal_profile needs p > 1")
@@ -391,19 +396,14 @@ def gl_vortex_field(g: Filament, eps: float, prof: GLRadialProfile) -> ScalarFie
         on_axis = rho2.val < 1e-24
         if np.any(on_axis):
             # u ~ slope0 (a + ib)/eps near the core; value 0, curvature 0 there
-            re = a * (prof.slope0 / eps)
-            im = b * (prof.slope0 / eps)
             off = ~on_axis
             rho = jet_sqrt(rho2.masked(off))
             f_at = (rho * (1.0 / eps)).compose(prof.derivatives)
             gfac = f_at * rho.reciprocal()
-            re.put(off, gfac * a.masked(off))
-            im.put(off, gfac * b.masked(off))
-            for part in (re, im):
-                part.val[on_axis] = 0.0
-                if part.hess is not None:
-                    part.hess[:, :, on_axis] = 0.0
-            return [re, im]
+            zeros = np.zeros(xb.shape[0])
+            core = [Jet(zeros, c.grad * (prof.slope0 / eps),
+                        None if c.hess is None else np.zeros(c.hess.shape)) for c in (a, b)]
+            return [Jet.where(off, gfac * c.masked(off), k) for c, k in zip((a, b), core)]
         rho = jet_sqrt(rho2)
         del rho2
         gfac = (rho * (1.0 / eps)).compose(prof.derivatives) * rho.reciprocal()

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from innervar import cli, fields, geometry, limits
+from innervar import cli, fields, geometry, limits, profiles
 from innervar.cli import CSV_COLUMNS, Check, builtin_configs, main, validate_config
-from innervar.errors import DegenerateReference
+from innervar.errors import DegenerateReference, StiffTail
 
 
 def _write(tmp_path, obj, name="cfg.json"):
@@ -268,6 +268,7 @@ _MALFORMED = [
     ("increasing_epsilons", _variant(schedule={"epsilons": [0.1, 0.2]})),
     ("unknown_model", _variant(schedule={"eps0": 0.04, "count": 4, "model": "cubic"})),
     ("p_not_above_one", _variant(p=1.0)),
+    ("p_below_the_profile_table_floor", {"name": "x", "kind": "profile", "p": 1.01}),
     ("one_fit_point", _variant(schedule={"eps0": 0.04, "count": 4, "fit_points": 1})),
     ("more_fit_points_than_widths",
      _variant(schedule={"eps0": 0.04, "count": 3, "fit_points": 4})),
@@ -399,6 +400,18 @@ def test_malformed_config_exits_2(tmp_path, capsys, exp):
     strays = [p for p in tmp_path.rglob("*")
               if p.is_file() and str(p) != cfg and out not in p.parents]
     assert strays == []
+
+
+def test_p_below_the_profile_table_floor_names_the_floor(tmp_path, capsys):
+    # the table cannot be built below p of about 1.028; such a p used to load and then
+    # exit 1 as a numeric failure of the run
+    with pytest.raises(StiffTail):
+        profiles.optimal_profile(1.01)
+    profiles.optimal_profile(profiles.P_MIN)
+    exp = {"name": "x", "kind": "profile", "p": 1.01}
+    cfg = _write(tmp_path, {"schema_version": 1, "experiments": [exp]})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"at least {profiles.P_MIN:g}" in capsys.readouterr().err
 
 
 _TOP_LEVEL_MALFORMED = [

@@ -14,7 +14,7 @@ from innervar import limits as L
 from innervar import profiles as P
 from innervar import variation as V
 from innervar.errors import ConfigError, DimensionMismatch, NonInvertible
-from innervar.jets import Jet, jet_exp, jet_norm, jet_polynomial, jet_sin, jet_sqrt
+from innervar.jets import Jet, jet_cos, jet_exp, jet_norm, jet_polynomial, jet_sin, jet_sqrt
 
 
 def fd_divergence(v, x, h=1e-5):
@@ -431,6 +431,161 @@ def test_jet_norm_matches_the_sum_of_squared_coordinate_jets_bit_for_bit(dim):
         got, want = jet_norm(x, order), jet_sqrt(sq)
         for part in ("val", "grad", "hess")[:order + 1]:
             assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+
+# The broadcast formulas jets used before they were summed row by row: the reference the
+# row-wise products must reproduce bit for bit (the same terms, added in the same order).
+def _broadcast_mul(a, b):
+    val, grad = a.val * b.val, a.val * b.grad + b.val * a.grad
+    if a.hess is None or b.hess is None:
+        return val, grad, None
+    cross = a.grad[:, None] * b.grad[None, :]
+    return val, grad, a.val * b.hess + b.val * a.hess + cross + np.swapaxes(cross, 0, 1)
+
+
+def _broadcast_lift(a, g0, g1, g2):
+    grad = g1 * a.grad
+    if a.hess is None:
+        return g0, grad, None
+    return g0, grad, g1 * a.hess + g2 * (a.grad[:, None] * a.grad[None, :])
+
+
+def _broadcast_add(a, b):
+    hess = None if a.hess is None or b.hess is None else a.hess + b.hess
+    return a.val + b.val, a.grad + b.grad, hess
+
+
+def _broadcast_neg(a):
+    return -a.val, -a.grad, None if a.hess is None else -a.hess
+
+
+# the (g, g', g'') each lifted function composes with, written as the functions write them
+_LIFTED = {
+    "sqrt": (jet_sqrt, lambda v: (np.sqrt(v), 0.5 / np.sqrt(v), -0.25 / (np.sqrt(v) * v))),
+    "exp": (jet_exp, lambda v: (np.exp(v),) * 3),
+    "sin": (jet_sin, lambda v: (np.sin(v), np.cos(v), -np.sin(v))),
+    "cos": (jet_cos, lambda v: (np.cos(v), -np.sin(v), -np.cos(v))),
+    "reciprocal": (Jet.reciprocal, lambda v: (1.0 / v, -(1.0 / v) * (1.0 / v),
+                                              2.0 * (1.0 / v) * (1.0 / v) * (1.0 / v))),
+    "pow": (lambda a: a**2.5, lambda v: (v**2.5, 2.5 * v**1.5, 2.5 * 1.5 * v**0.5)),
+}
+
+
+def _random_jet(rng, n, m, order):
+    """Values in [0.5, 2] (every lifted function is defined there); signed zeros in the
+    derivatives, so a sum that drops or flips a zero term shows in its bytes."""
+    grad = rng.standard_normal((n, m))
+    grad[:, ::5] = 0.0
+    grad[:, 1::7] = -0.0
+    hess = None
+    if order == 2:
+        hess = rng.standard_normal((n, n, m))  # not symmetric: a transposed term shows
+        hess[..., ::6] = -0.0
+    return Jet(rng.uniform(0.5, 2.0, m), grad, hess)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([1, 2, 3]), m=st.integers(1, 5000), orders=st.sampled_from(
+    [(1, 1), (2, 2), (1, 2), (2, 1)]), c=st.floats(-3.0, 3.0), seed=st.integers(0, 2**16))
+@example(n=3, m=1, orders=(2, 2), c=0.0, seed=0)
+@example(n=1, m=1, orders=(1, 2), c=-0.0, seed=1)
+def test_jet_arithmetic_matches_the_broadcast_formulas_bit_for_bit(n, m, orders, c, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (_random_jet(rng, n, m, order) for order in orders)
+    cases = {
+        "a*b": (a * b, _broadcast_mul(a, b)),
+        "b*a": (b * a, _broadcast_mul(b, a)),
+        "a+b": (a + b, _broadcast_add(a, b)),
+        "a-b": (a - b, _broadcast_add(a, Jet(*_broadcast_neg(b)))),
+        "-a": (-a, _broadcast_neg(a)),
+        "a+c": (a + c, (a.val + c, a.grad, a.hess)),
+        "c+a": (c + a, (a.val + c, a.grad, a.hess)),
+        "a-c": (a - c, (a.val + -np.asarray(c, dtype=float), a.grad, a.hess)),
+        "c-a": (c - a, (-a.val + c,) + _broadcast_neg(a)[1:]),
+        "a*c": (a * c, (a.val * c, a.grad * c, None if a.hess is None else a.hess * c)),
+        "a/b": (a / b, _broadcast_mul(
+            a, Jet(*_broadcast_lift(b, *_LIFTED["reciprocal"][1](b.val))))),
+    }
+    for name, (fn, derivatives) in _LIFTED.items():
+        cases[name] = (fn(a), _broadcast_lift(a, *derivatives(a.val)))
+    g = [rng.standard_normal(m) for _ in range(3)]
+    cases["lift"] = (a.lift(*g), _broadcast_lift(a, *g))
+    for name, (got, want) in cases.items():
+        assert (got.hess is None) == (want[2] is None), name
+        for part, ref in zip((got.val, got.grad, got.hess), want):
+            if ref is not None:
+                assert part.shape == ref.shape and part.tobytes() == ref.tobytes(), name
+
+
+def _recording_constructor(created):
+    """A ``Jet.__init__`` that records each jet with a copy of its arrays' bytes."""
+    init = Jet.__init__
+
+    def recording(jet, val, grad, hess):
+        init(jet, val, grad, hess)
+        created.append((jet, [None if x is None else x.tobytes() for x in (val, grad, hess)]))
+
+    return init, recording
+
+
+def _assert_never_written(created):
+    for jet, born in created:
+        now = [None if x is None else x.tobytes() for x in (jet.val, jet.grad, jet.hess)]
+        assert now == born
+
+
+@settings(max_examples=40, deadline=None)
+@given(program=st.lists(st.sampled_from(sorted(_OPS)), min_size=1, max_size=6),
+       dim=st.sampled_from([2, 3]), order=st.sampled_from([1, 2]), seed=st.integers(0, 2**16))
+def test_jets_are_never_written_after_construction(program, dim, order, seed):
+    assert not hasattr(Jet, "put")
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(9, dim))
+    x_bytes = x.tobytes()
+    created = []
+    init, Jet.__init__ = _recording_constructor(created)
+    try:
+        xs = Jet.variables(x, order)
+        a = xs[0] + 0.3
+        for i, op in enumerate(program):
+            a = _OPS[op](a, xs, x, i % dim)
+    finally:
+        Jet.__init__ = init
+    assert x.tobytes() == x_bytes
+    _assert_never_written(created)
+
+
+def test_piecewise_jets_are_built_not_written():
+    # the bumps, the cutoff's smooth step and the vortex core are piecewise jets: each is
+    # built by Jet.where, and no jet they pass through is written after construction
+    g = G.straight_filament(1.0, 4)
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, size=(40, 3))
+    x[:3, 1:] = 0.0  # on the filament's axis: the vortex core branch
+    vortex = P.gl_vortex_field(g, 0.05, L._profile("gl"))
+    extension = G.normal_extension(G.sphere(1.0, n_polar=4, n_azimuth=8),
+                                   F.polynomial_scalar_field(3, [(1.0, (1, 0, 0))]), 0.9)
+    y = x * np.array([1.0, 2.0, 2.0])  # reach past the cutoff's flat pieces too
+    near = x / np.linalg.norm(x, axis=1, keepdims=True) * 1.01  # the cutoff's flat top only
+    created = []
+    init, Jet.__init__ = _recording_constructor(created)
+    try:
+        for order in (1, 2):
+            F._bump_jet(x, np.zeros(3), 0.9, 8, order)
+            F._bump_jet(x, np.zeros(3), 0.9, None, order)
+            F._cylindrical_bump_jet(x, 0.45, 8, order)
+            vortex.evaluate(x, order)
+            extension.evaluate(y, order)
+            extension.evaluate(near, order)
+    finally:
+        Jet.__init__ = init
+    _assert_never_written(created)
+
+
+def test_a_scalar_shift_shares_its_operands_derivatives():
+    a = _random_jet(np.random.default_rng(0), 3, 50, 2)
+    for shifted in (a + 1.5, 1.5 + a, a - 1.5):
+        assert shifted.grad is a.grad and shifted.hess is a.hess
+        assert np.shares_memory(shifted.grad, a.grad) and np.shares_memory(shifted.hess, a.hess)
+    assert not np.shares_memory((1.5 - a).grad, a.grad)  # c - a negates its derivatives
 
 
 def _left_to_right(spec, *ops):
