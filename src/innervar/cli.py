@@ -563,7 +563,11 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file on the path, or no permission
+        print(f"config error: --out: {exc}", file=sys.stderr)
+        return 2
     experiments = config["experiments"]
 
     results: list[ExperimentResult]

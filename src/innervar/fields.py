@@ -151,12 +151,11 @@ class _Field:
 
     _symmetrize_second = False  # average analytic second derivatives over their last two axes
 
-    def __init__(self, dim, comps, evaluator, exact, label):
+    def __init__(self, dim, comps, evaluator, exact):
         self.dim = int(dim)
         self._comps = int(comps)
         self._evaluator = evaluator
         self._exact = int(exact)
-        self.label = label
 
     @classmethod
     def from_evaluator(cls, dim, evaluator, exact, **kwargs):
@@ -164,7 +163,7 @@ class _Field:
 
         The evaluator returns contiguous component-major parts, as ``evaluate``
         hands them out; ``kwargs`` are the class constructor's keywords
-        (``label``, ...).
+        (``state_dim`` of a scalar field).
         """
         field = cls(dim, None, **kwargs)  # no callables: the evaluator replaces them
         field._evaluator, field._exact = evaluator, int(exact)
@@ -217,8 +216,8 @@ class ScalarField(_Field):
     evaluator (:meth:`from_evaluator`).
     """
 
-    def __init__(self, dim, fn, grad=None, hess=None, state_dim=1, label=""):
-        super().__init__(dim, state_dim, *_callable_evaluator(state_dim, fn, grad, hess), label)
+    def __init__(self, dim, fn, grad=None, hess=None, state_dim=1):
+        super().__init__(dim, state_dim, *_callable_evaluator(state_dim, fn, grad, hess))
 
     @property
     def state_dim(self) -> int:
@@ -259,10 +258,10 @@ class ScalarField(_Field):
         return hh[0] if single else hh
 
     @staticmethod
-    def from_jet(dim, jet_fn, state_dim=1, label=""):
+    def from_jet(dim, jet_fn, state_dim=1):
         """Build a field from a function (batch, order) -> Jet or list of Jets."""
         return ScalarField.from_evaluator(dim, _jet_evaluator(jet_fn, state_dim != 1), 2,
-                                          state_dim=state_dim, label=label)
+                                          state_dim=state_dim)
 
 
 class VectorField(_Field):
@@ -270,8 +269,8 @@ class VectorField(_Field):
 
     _symmetrize_second = True
 
-    def __init__(self, dim, fn, jacobian=None, second=None, label=""):
-        super().__init__(dim, dim, *_callable_evaluator(dim, fn, jacobian, second), label)
+    def __init__(self, dim, fn, jacobian=None, second=None):
+        super().__init__(dim, dim, *_callable_evaluator(dim, fn, jacobian, second))
 
     def _values(self, xb):
         return _points_first(self.evaluate(xb, 0)[0])
@@ -302,24 +301,19 @@ class VectorField(_Field):
             self.dim,
             lambda xb, order: [x + y for x, y in zip(a.evaluate(xb, order), b.evaluate(xb, order))],
             2,
-            label=f"({a.label}+{b.label})",
         )
 
     def __mul__(self, c: float) -> "VectorField":
         c = float(c)
         return VectorField.from_evaluator(
-            self.dim,
-            lambda xb, order: [c * x for x in self.evaluate(xb, order)],
-            2,
-            label=f"{c}*{self.label}",
-        )
+            self.dim, lambda xb, order: [c * x for x in self.evaluate(xb, order)], 2)
 
     __rmul__ = __mul__
 
     @staticmethod
-    def from_jets(dim, jets_fn, label=""):
+    def from_jets(dim, jets_fn):
         """Build from (batch, order) -> list of N component Jets."""
-        return VectorField.from_evaluator(dim, _jet_evaluator(jets_fn, True), 2, label=label)
+        return VectorField.from_evaluator(dim, _jet_evaluator(jets_fn, True), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +332,6 @@ def linear_field(matrix, offset=None) -> VectorField:
         lambda xb: xb @ a.T + b,
         lambda xb: np.broadcast_to(a, (xb.shape[0], n, n)).copy(),
         lambda xb: np.zeros((xb.shape[0], n, n, n)),
-        label="linear",
     )
 
 
@@ -354,7 +347,6 @@ def constant_field(vector) -> VectorField:
         lambda xb: np.broadcast_to(v, (xb.shape[0], n)).copy(),
         lambda xb: np.zeros((xb.shape[0], n, n)),
         lambda xb: np.zeros((xb.shape[0], n, n, n)),
-        label="constant",
     )
 
 
@@ -383,24 +375,22 @@ def rotation_exp(mat) -> np.ndarray:
     return np.eye(3) + (np.sin(theta) / theta) * k + (2.0 * half * half) * (k @ k)
 
 
-def polynomial_scalar_field(dim, terms, label="poly") -> ScalarField:
+def polynomial_scalar_field(dim, terms) -> ScalarField:
     """Scalar field sum_k c_k prod x_i^e_i from a coefficient table."""
     terms = [(float(c), tuple(int(e) for e in p)) for c, p in terms]
-    return ScalarField.from_jet(dim, lambda xb, order: jet_polynomial(xb, terms, order),
-                                label=label)
+    return ScalarField.from_jet(dim, lambda xb, order: jet_polynomial(xb, terms, order))
 
 
-def polynomial_vector_field(dim, components, label="poly") -> VectorField:
+def polynomial_vector_field(dim, components) -> VectorField:
     """Vector field whose components are monomial sums (coefficient tables)."""
     comps = [[(float(c), tuple(int(e) for e in p)) for c, p in comp] for comp in components]
     if len(comps) != dim:
         raise DimensionMismatch("need one component table per coordinate")
     return VectorField.from_jets(
-        dim, lambda xb, order: [jet_polynomial(xb, comp, order) for comp in comps], label=label
-    )
+        dim, lambda xb, order: [jet_polynomial(xb, comp, order) for comp in comps])
 
 
-def trig_scalar_field(dim, terms, label="trig") -> ScalarField:
+def trig_scalar_field(dim, terms) -> ScalarField:
     """Scalar field sum_k a_k * sin/cos(k . x + phase), analytic derivatives."""
     parsed = [(float(a), np.asarray(k, dtype=float), float(ph), kind) for a, k, ph, kind in terms]
 
@@ -416,7 +406,7 @@ def trig_scalar_field(dim, terms, label="trig") -> ScalarField:
             total = total + wave * amp
         return total
 
-    return ScalarField.from_jet(dim, build, label=label)
+    return ScalarField.from_jet(dim, build)
 
 
 def _bump_jet(xb: np.ndarray, center: np.ndarray, radius: float, order: int = 8,
@@ -453,12 +443,10 @@ def bump_scalar_field(center, radius, amplitude=1.0, order=8) -> ScalarField:
     return ScalarField.from_jet(
         c.shape[0],
         lambda xb, jet_order: _bump_jet(xb, c, float(radius), order, jet_order) * float(amplitude),
-        label="radial_bump",
     )
 
 
-def bump_polynomial_field(dim, components, center, radius, order=8,
-                          label="bump_poly") -> VectorField:
+def bump_polynomial_field(dim, components, center, radius, order=8) -> VectorField:
     """Compactly supported field: polynomial components times a radial bump."""
     c = np.asarray(center, dtype=float)
     comps = [[(float(cc), tuple(int(e) for e in p)) for cc, p in comp] for comp in components]
@@ -467,7 +455,7 @@ def bump_polynomial_field(dim, components, center, radius, order=8,
         bump = _bump_jet(xb, c, float(radius), order, jet_order)
         return [jet_polynomial(xb, comp, jet_order) * bump for comp in comps]
 
-    return VectorField.from_jets(dim, build, label=label)
+    return VectorField.from_jets(dim, build)
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +491,7 @@ def zeta_eta(eta: VectorField) -> VectorField:
         jac = -np.einsum("km,im->ikm", ddiv, v) - div * j + s_v + np.einsum("ijm,jkm->ikm", j, j)
         return [val, jac]
 
-    return VectorField.from_evaluator(
-        eta.dim,
-        evaluator,
-        1,
-        label=f"zeta[{eta.label}]",
-    )
+    return VectorField.from_evaluator(eta.dim, evaluator, 1)
 
 
 def x0_field(u: ScalarField, eta: VectorField, zeta: VectorField) -> ScalarField:
@@ -528,7 +511,7 @@ def x0_field(u: ScalarField, eta: VectorField, zeta: VectorField) -> ScalarField
         val = np.einsum("dijm,im,jm->dm", hu, ev, ev) + np.einsum("dim,im->dm", gu, drift)
         return [val]
 
-    return ScalarField.from_evaluator(u.dim, evaluator, 0, state_dim=u.state_dim, label="X0")
+    return ScalarField.from_evaluator(u.dim, evaluator, 0, state_dim=u.state_dim)
 
 
 def det_expansion(eta: VectorField, zeta: VectorField, x):
@@ -596,14 +579,14 @@ class DeformationMap:
         d = np.linalg.det(self.jacobian(xb))
         return float(d[0]) if single else d
 
-    def invert(self, y, tol: float = 1e-13, max_iter: int = 50):
-        """Newton inversion of Phi_t with exact Jacobian and 1/2 damping."""
+    def invert(self, y):
+        """Newton inversion of Phi_t to 1e-13 in 50 steps, with exact Jacobian and 1/2 damping."""
         yb, single = _as_batch(y, self.dim)
         x = yb - self.t * self.velocity._values(yb)
         res = self.apply(x) - yb
         rnorm = np.linalg.norm(res, axis=1)
-        for _ in range(max_iter):
-            if np.all(rnorm <= tol):
+        for _ in range(50):
+            if np.all(rnorm <= 1e-13):
                 break
             jac = self.jacobian(x)
             try:
@@ -623,7 +606,7 @@ class DeformationMap:
             x, res, rnorm = x_new, res_new, rnorm_new
         else:
             raise NonInvertible(
-                f"Newton did not reach {tol:g} in {max_iter} iterations (t={self.t:g} too large?)"
+                f"Newton did not reach 1e-13 in 50 iterations (t={self.t:g} too large?)"
             )
         return x[0] if single else x
 
@@ -653,18 +636,18 @@ def _monomials(dim, degree):
 
 def random_polynomial_vector_field(rng, dim, degree=3, scale=1.0) -> VectorField:
     comps = [_random_terms(rng, dim, degree, scale) for _ in range(dim)]
-    return polynomial_vector_field(dim, comps, label="random_poly")
+    return polynomial_vector_field(dim, comps)
 
 
 def random_compact_vector_field(rng, dim, degree=2, scale=1.0, center=None, radius=0.8,
                                 order=8) -> VectorField:
     c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
     comps = [_random_terms(rng, dim, degree, scale) for _ in range(dim)]
-    return bump_polynomial_field(dim, comps, c, radius, order=order, label="random_bump_poly")
+    return bump_polynomial_field(dim, comps, c, radius, order=order)
 
 
 def random_polynomial_scalar_field(rng, dim, degree=3, scale=1.0) -> ScalarField:
-    return polynomial_scalar_field(dim, _random_terms(rng, dim, degree, scale), label="random_poly")
+    return polynomial_scalar_field(dim, _random_terms(rng, dim, degree, scale))
 
 
 def _cylindrical_bump_jet(xb, radius, order, jet_order):
@@ -707,7 +690,7 @@ def filament_test_field(preset: str, amplitude: float = 1.0, frequency: int = 1,
         return [zero, Jet.coordinate(xb, 1, jet_order) * chi * amp,
                 Jet.coordinate(xb, 2, jet_order) * chi * sign]
 
-    return VectorField.from_jets(3, build, label=f"filament_{preset}")
+    return VectorField.from_jets(3, build)
 
 
 def _seeded_compact_field(dim, degree, scale, center, radius, seed) -> VectorField:

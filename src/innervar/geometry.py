@@ -535,7 +535,7 @@ def normal_extension(g: Hypersurface, xi: ScalarField, cutoff_width: float) -> V
         amp = amp * _smooth_step_jet(d * d, s0, s1)
         return [amp * n for n in normal]
 
-    return VectorField.from_jets(g.dim, jets_fn, label=f"normal_ext[{getattr(xi, 'label', '')}]")
+    return VectorField.from_jets(g.dim, jets_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -549,10 +549,10 @@ def require_enclosed_region(g: Hypersurface) -> None:
         raise DimensionMismatch(f"no enclosed region rule for shape {g.config['type']!r}")
 
 
-def enclosed_region_quadrature(g: Hypersurface, n_radial: int = 48):
-    """Nodes/weights over the region enclosed by a circle or a sphere."""
+def enclosed_region_quadrature(g: Hypersurface):
+    """Nodes/weights over the region enclosed by a circle or a sphere, 48 Gauss radii."""
     require_enclosed_region(g)
-    r, wr = gauss_rule(0.0, g.radius, n_radial)
+    r, wr = gauss_rule(0.0, g.radius, 48)
     if g.dim == 2:
         chart, ww = product_rule(
             [(r, wr * r), uniform_rule(0.0, 2.0 * np.pi, max(64, g.n_nodes // 2))])

@@ -100,11 +100,11 @@ def extrapolate(epsilons, values, model: str = "linear_eps", fit_points: int = 4
     return float(coef[0]), float(coef[1])
 
 
-def fitted_rate(epsilons, values, noise_floor: float = 1e-12):
+def fitted_rate(epsilons, values):
     """Median rate r from successive differences of a geometric sweep.
 
-    Returns None when the differences sit at the noise floor (the sequence is
-    already converged; any power-law bound holds vacuously).
+    Returns None when the differences sit at the noise floor, 1e-12 relative
+    (the sequence is already converged; any power-law bound holds vacuously).
     """
     eps = np.asarray(epsilons, dtype=float)
     val = np.asarray(values, dtype=float)
@@ -113,7 +113,7 @@ def fitted_rate(epsilons, values, noise_floor: float = 1e-12):
     for k in range(len(val) - 2):
         d1 = abs(val[k] - val[k + 1])
         d2 = abs(val[k + 1] - val[k + 2])
-        if d1 < noise_floor * scale or d2 < noise_floor * scale:
+        if d1 < 1e-12 * scale or d2 < 1e-12 * scale:
             continue
         rates.append(np.log(d1 / d2) / np.log(eps[k] / eps[k + 1]))
     if not rates:
@@ -138,7 +138,7 @@ class ConvergenceRecord:
     csv_residuals: tuple[str, ...] = ()  # the extras written as residual_1 and residual_2
 
     def __post_init__(self):
-        self.extrapolated, self.fit_slope = self.extrapolate(self.values)
+        self.extrapolated = self.extrapolate(self.values)[0]
         self.rate = fitted_rate(self.epsilons, self.values)
 
     @property
@@ -153,10 +153,10 @@ class ConvergenceRecord:
     def gap(self) -> float:
         return abs(self.extrapolated - self.target) / (1.0 + abs(self.target))
 
-    def rate_binds(self, floor: float = 1e-9) -> bool:
-        """Whether a rate bound binds: a rate was fitted and the sweep sits above the floor."""
+    def rate_binds(self) -> bool:
+        """Whether a rate bound binds: a rate was fitted and the sweep sits above 1e-9 relative."""
         spread = max(abs(v - self.extrapolated) for v in self.values)
-        return self.rate is not None and not spread <= floor * (1.0 + abs(self.target))
+        return self.rate is not None and not spread <= 1e-9 * (1.0 + abs(self.target))
 
     def rows(self) -> list[dict]:
         out = []
@@ -193,12 +193,11 @@ class ConvergenceRecord:
 # ---------------------------------------------------------------------------
 
 
-def _ac_tube(g, prof: ProfileTable, eps: float, half_width: float | None) -> BulkQuadrature:
-    """The profile-resolved tube at one width; its meta records where the rule stops, in d/eps."""
+def _ac_tube(g, prof: ProfileTable, eps: float,
+             half_width: float | None) -> tuple[BulkQuadrature, float]:
+    """The profile-resolved tube at one width, and where its rule stops, in d/eps."""
     cap = g.default_half_width if half_width is None else min(g.tube_limit, float(half_width))
-    quad = tube_rule(g, *transverse_rule(prof, eps, cap))
-    quad.meta["s_end"] = prof.rule_end(eps, cap)
-    return quad
+    return tube_rule(g, *transverse_rule(prof, eps, cap)), prof.rule_end(eps, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +221,7 @@ def ac_limit_experiment(g, eta: VectorField, zeta: VectorField, p: float,
     values, energies = [], []
     for eps in sched.epsilons:
         u = ansatz_field(g, eps, prof)
-        quad = _ac_tube(g, prof, eps, half_width)
+        quad, _ = _ac_tube(g, prof, eps, half_width)
         u = pinned(u, quad.nodes, 1)
         f = integrand_p_allen_cahn(eps, p)
         values.append(second_inner_variation(f, u, eta, zeta, quad))
@@ -267,7 +266,7 @@ def equipartition_residuals(g, p: float, sched: EpsilonSchedule, profile=None,
     res_ab, res_phi, e_gap, predicted = [], [], [], []
     for eps in sched.epsilons:
         u = ansatz_field(g, eps, prof) if profile is None else profile(g, eps)
-        quad = _ac_tube(g, prof, eps, half_width)
+        quad, s_end = _ac_tube(g, prof, eps, half_width)
         zs, grads = u.evaluate(quad.nodes, 1)
         z = zs[0]
         gnorm = np.sqrt(np.einsum("im,im->m", grads[0], grads[0]))
@@ -278,7 +277,6 @@ def equipartition_residuals(g, p: float, sched: EpsilonSchedule, profile=None,
         res_phi.append(pairwise_dot(quad.weights, np.abs(a_p - phi_grad)))
         f = integrand_p_allen_cahn(eps, p)
         e_gap.append(abs(pairwise_dot(quad.weights, f.f(zs, grads)) - cp * g.measure))
-        s_end = quad.meta["s_end"]
         predicted.append(eps**2 * sigma2 * prof.second_moment(s_end)
                          - 2.0 * g.measure * prof.tail_energy(s_end))
     return ConvergenceRecord(
@@ -312,7 +310,7 @@ def tensor_pairing_experiment(g, p: float, phi: ScalarField, indices,
     values = []
     for eps in sched.epsilons:
         u = ansatz_field(g, eps, prof)
-        quad = _ac_tube(g, prof, eps, half_width)
+        quad, _ = _ac_tube(g, prof, eps, half_width)
         grad = u.evaluate(quad.nodes, 1)[1][0]
         gnorm2 = np.einsum("im,im->m", grad, grad) + 1e-300
         dens = eps ** (p - 1.0) * gnorm2 ** ((p - len(idx)) / 2.0)
@@ -380,8 +378,8 @@ def gl_limit_experiment(g, eta: VectorField, zeta: VectorField, sched: EpsilonSc
 # ---------------------------------------------------------------------------
 
 
-def volume_admissibility(g, eta: VectorField, zeta: VectorField | None = None,
-                         n_radial: int = 48) -> tuple[float, float]:
+def volume_admissibility(g, eta: VectorField,
+                         zeta: VectorField | None = None) -> tuple[float, float]:
     """First and second t-derivatives of the enclosed volume along the deformation.
 
     c1 = int_E div eta; c2 = int_E [div zeta + (div eta)^2 - trace((grad eta)^2)].
@@ -390,7 +388,7 @@ def volume_admissibility(g, eta: VectorField, zeta: VectorField | None = None,
     ``zeta=None`` selects that acceleration, built on one order-2 evaluation
     of eta.
     """
-    nodes, weights = geo.enclosed_region_quadrature(g, n_radial)
+    nodes, weights = geo.enclosed_region_quadrature(g)
     if zeta is None:
         eta = pinned(eta, nodes, 2)
         zeta = zeta_eta(eta)
@@ -469,7 +467,7 @@ def _forms_at_width(g, v_ext: VectorField, eps: float, prof: ProfileTable,
     and nothing else is held while they are built.
     """
     u = ansatz_field(g, eps, prof)
-    quad = _ac_tube(g, prof, eps, half_width)
+    quad, _ = _ac_tube(g, prof, eps, half_width)
     v = pinned(v_ext, quad.nodes, 2)
     u = pinned(u, quad.nodes, 2)
     f = integrand_p_allen_cahn(eps, 2.0)

@@ -235,10 +235,10 @@ def ansatz_field(g: Hypersurface, eps: float, prof: ProfileTable) -> ScalarField
             f"eps={eps:g} puts the transition zone (s={s_trans:.3g}) outside the "
             f"tube of width {g.focal_width:g}; need eps <= {g.tube_limit / s_trans:.3g}"
         )
-    return profile_field(g, eps, prof.derivatives, f"ansatz[p={prof.p:g},eps={eps:g}]")
+    return profile_field(g, eps, prof.derivatives)
 
 
-def profile_field(g: Hypersurface, eps: float, derivatives, label: str) -> ScalarField:
+def profile_field(g: Hypersurface, eps: float, derivatives) -> ScalarField:
     """u(x) = q(d(x)/eps) for the 1-D profile whose ``derivatives(s, order)`` gives (q, q', q'')."""
     eps = float(eps)
 
@@ -246,7 +246,7 @@ def profile_field(g: Hypersurface, eps: float, derivatives, label: str) -> Scala
         s = g.distance_jet(xb, order) * (1.0 / eps)
         return s.compose(derivatives)
 
-    return ScalarField.from_jet(g.dim, jet_fn, label=label)
+    return ScalarField.from_jet(g.dim, jet_fn)
 
 
 def tanh_profile_field(g: Hypersurface, eps: float, slope: float = 2.0) -> ScalarField:
@@ -257,7 +257,7 @@ def tanh_profile_field(g: Hypersurface, eps: float, slope: float = 2.0) -> Scala
         t, c2 = np.tanh(a * s), np.cosh(a * s) ** 2
         return t, a / c2, -2.0 * a * a * t / c2 if order == 2 else None
 
-    return profile_field(g, eps, derivatives, f"tanh{a:g}[eps={float(eps):g}]")
+    return profile_field(g, eps, derivatives)
 
 
 # ---------------------------------------------------------------------------
@@ -410,5 +410,4 @@ def gl_vortex_field(g: Filament, eps: float, prof: GLRadialProfile) -> ScalarFie
         del rho
         return [gfac * a, gfac * b]
 
-    return ScalarField.from_jet(g.dim, jets_fn, state_dim=2,
-                                label=f"vortex[eps={eps:g}]")
+    return ScalarField.from_jet(g.dim, jets_fn, state_dim=2)

@@ -26,7 +26,7 @@ stencils at t = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +39,11 @@ from .sums import pairwise_dot
 class Integrand:
     """Radial bulk density F(z, P) = G(|P|^2) + H(|z|^2) and all its partials.
 
-    ``g(m2, k)`` returns G, 2G' or 4G'' at m2 = |P|^2 for k = 0, 1, 2, and
-    ``h(z2, k)`` the same factors of H at z2 = |z|^2; a factor that is
-    identically zero is None.  Each partial asks only for the factors it reads:
+    ``g`` is the factor tuple (G, 2G', 4G'') and ``h`` the tuple (H, 2H', 4H'');
+    each factor is a function of the squared norm, m2 = |P|^2 or z2 = |z|^2, a
+    number where it is constant, or None where it is identically zero.  Each
+    partial forms a squared norm at most once, and only when a factor it reads
+    is a function:
 
         F_z = 2H' z,  F_P = 2G' P,  F_zz = 2H' I + 4H'' z (x) z,
         F_PP . Q = 2G' Q + 4G'' (P . Q) P,
@@ -51,7 +53,7 @@ class Integrand:
     (d, N, M); any other layout raises DimensionMismatch.
     """
 
-    def __init__(self, state_dim, g, h, label=""):
+    def __init__(self, state_dim, g, h, label):
         self.state_dim, self.g, self.h, self.label = int(state_dim), g, h, label
 
     def _layout(self, z, *ps):
@@ -62,21 +64,21 @@ class Integrand:
 
     def f(self, z, p):
         self._layout(z, p)
-        terms = [t for t in (self.g(_squares(p), 0), self.h(_squares(z), 0)) if t is not None]
+        terms = [t for t in _factors(self.g, p, 0) + _factors(self.h, z, 0) if t is not None]
         return sum(terms[1:], terms[0])
 
     def f_z(self, z, p):
         self._layout(z, p)
-        return _scaled(self.h(_squares(z), 1), z)
+        return _scaled(*_factors(self.h, z, 1), z)
 
     def f_p(self, z, p):
         self._layout(z, p)
-        return _scaled(self.g(_squares(p), 1), p)
+        return _scaled(*_factors(self.g, p, 1), p)
 
     def f_zz(self, z, p):
         self._layout(z, p)
-        z2, d = _squares(z), self.state_dim
-        h1, h2 = self.h(z2, 1), self.h(z2, 2)
+        h1, h2 = _factors(self.h, z, 1, 2)
+        d = self.state_dim
         out = np.zeros((d, d, z.shape[1])) if h2 is None else h2 * z[:, None] * z[None, :]
         if h1 is not None:
             out[range(d), range(d)] += h1
@@ -84,8 +86,8 @@ class Integrand:
 
     def f_pp_dot(self, z, p, q):
         self._layout(z, p, q)
-        m2 = _squares(p)
-        out, g2 = _scaled(self.g(m2, 1), q), self.g(m2, 2)
+        g1, g2 = _factors(self.g, p, 1, 2)
+        out = _scaled(g1, q)
         return out if g2 is None else out + g2 * np.einsum("dim,dim->m", p, q) * p
 
     def pp_bilinear(self, z, p, q1, q2):
@@ -93,9 +95,13 @@ class Integrand:
         return np.einsum("dim,dim->m", q1, self.f_pp_dot(z, p, q2))
 
 
-def _squares(a):
-    """|a|^2 at each point of a component-major batch, z (d, M) or P (d, N, M)."""
-    return np.einsum("dm,dm->m", a, a) if a.ndim == 2 else np.einsum("dim,dim->m", a, a)
+def _factors(factors, a, *ks):
+    """The factors ``ks`` of a tuple at the squared norm of ``a``, formed only if one reads it."""
+    picked = [factors[k] for k in ks]
+    if not any(callable(c) for c in picked):
+        return picked
+    a2 = np.einsum("dm,dm->m", a, a) if a.ndim == 2 else np.einsum("dim,dim->m", a, a)
+    return [c(a2) if callable(c) else c for c in picked]
 
 
 def _scaled(factor, a):
@@ -104,12 +110,10 @@ def _scaled(factor, a):
 
 @dataclass
 class BulkQuadrature:
-    """Nodes/weights for bulk integrals, tensor-grid or tube mode."""
+    """Nodes/weights for bulk integrals: a tensor grid or a tube around a shape."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    mode: str = "tensor_grid"
-    meta: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -124,9 +128,8 @@ class BulkQuadrature:
 
 def tensor_grid(box, n_per_axis: int) -> BulkQuadrature:
     """Product Gauss-Legendre rule over a box [[lo, hi], ...]."""
-    box = [tuple(map(float, b)) for b in box]
-    nodes, w = product_rule([gauss_rule(lo, hi, n_per_axis) for lo, hi in box])
-    return BulkQuadrature(nodes, w, "tensor_grid", {"box": box, "n": n_per_axis})
+    nodes, w = product_rule([gauss_rule(float(lo), float(hi), n_per_axis) for lo, hi in box])
+    return BulkQuadrature(nodes, w)
 
 
 def tube_rule(surface, d_nodes, d_weights) -> BulkQuadrature:
@@ -146,7 +149,7 @@ def tube_rule(surface, d_nodes, d_weights) -> BulkQuadrature:
     nodes = (y[None, :, :] + d[:, None, None] * n[None, :, :]).reshape(-1, surface.dim)
     jac = np.prod(1.0 + d[:, None, None] * kap[None, :, :], axis=2)  # (nd, M)
     w = (wd[:, None] * surface.weights[None, :] * jac).reshape(-1)
-    return BulkQuadrature(nodes, w, "tube", {"shape": surface.config})
+    return BulkQuadrature(nodes, w)
 
 
 def filament_tube_rule(filament, rho_nodes, rho_weights, n_theta: int = 32) -> BulkQuadrature:
@@ -175,12 +178,12 @@ def filament_tube_rule(filament, rho_nodes, rho_weights, n_theta: int = 32) -> B
         * filament.weights[None, None, :]
         * jac
     ).reshape(-1)
-    return BulkQuadrature(nodes, w, "filament_tube", {"shape": filament.config})
+    return BulkQuadrature(nodes, w)
 
 
-def vortex_radial_rule(eps: float, rho_max: float, nodes_per_panel: int = 10):
-    """Radial rule resolving an eps-core: panels double from 2*eps to rho_max."""
-    return doubling_rule(min(2.0 * eps, rho_max), rho_max, nodes_per_panel)
+def vortex_radial_rule(eps: float, rho_max: float):
+    """Radial rule resolving an eps-core: 10-node panels double from 2*eps to rho_max."""
+    return doubling_rule(min(2.0 * eps, rho_max), rho_max, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +193,7 @@ def vortex_radial_rule(eps: float, rho_max: float, nodes_per_panel: int = 10):
 
 def integrand_dirichlet(state_dim: int = 1) -> Integrand:
     """F = |P|^2 / 2."""
-
-    def g(m2, k):
-        if k == 0:
-            return 0.5 * m2
-        return 1.0 if k == 1 else None
-
-    return Integrand(state_dim, g, lambda z2, k: None, "dirichlet")
+    return Integrand(state_dim, (lambda m2: 0.5 * m2, 1.0, None), (None, None, None), "dirichlet")
 
 
 def integrand_p_allen_cahn(eps: float, p: float, reg: float = 1e-12) -> Integrand:
@@ -211,23 +208,17 @@ def integrand_p_allen_cahn(eps: float, p: float, reg: float = 1e-12) -> Integran
     pw = float(p)
     ee = eps ** (pw - 1.0)
     cw = (pw - 1.0) / (pw * eps)
+    r2 = reg * reg
 
-    def g(m2, k):
-        x = m2 + reg * reg
-        if k == 0:
-            return ee * x ** (pw / 2.0) / pw
-        if k == 1:
-            return ee * x ** ((pw - 2.0) / 2.0)
-        if pw == 2.0:
-            return None
+    def g4(m2):
+        x = m2 + r2
         fac4 = ee * (pw - 2.0) * x ** ((pw - 4.0) / 2.0)
         return np.where(x > 1e-18, fac4, 0.0)  # skip degenerate-gradient nodes
 
-    def h(z2, k):
-        if k == 0:
-            return cw * (1.0 - z2) ** 2
-        return -4.0 * cw * (1.0 - z2) if k == 1 else 8.0 * cw
-
+    g = (lambda m2: ee * (m2 + r2) ** (pw / 2.0) / pw,
+         ee if pw == 2.0 else lambda m2: ee * (m2 + r2) ** ((pw - 2.0) / 2.0),
+         None if pw == 2.0 else g4)
+    h = (lambda z2: cw * (1.0 - z2) ** 2, lambda z2: -4.0 * cw * (1.0 - z2), 8.0 * cw)
     return Integrand(1, g, h, f"p_allen_cahn[p={pw:g},eps={eps:g}]")
 
 
@@ -239,18 +230,9 @@ def integrand_ginzburg_landau(eps: float) -> Integrand:
                               f"below 1, got {eps:g}")
     el = abs(np.log(eps))
     c = 1.0 / (eps * eps * el)
-
-    def g(m2, k):
-        if k == 0:
-            return 0.5 * m2 / el
-        return 1.0 / el if k == 1 else None
-
-    def h(z2, k):
-        if k == 0:
-            return 0.25 * c * (1.0 - z2) ** 2
-        return -c * (1.0 - z2) if k == 1 else 2.0 * c
-
-    return Integrand(2, g, h, f"ginzburg_landau[eps={eps:g}]")
+    return Integrand(2, (lambda m2: 0.5 * m2 / el, 1.0 / el, None),
+                     (lambda z2: 0.25 * c * (1.0 - z2) ** 2, lambda z2: -c * (1.0 - z2), 2.0 * c),
+                     f"ginzburg_landau[eps={eps:g}]")
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +259,7 @@ def composite_test_function(u: ScalarField, eta: VectorField) -> ScalarField:
         hu_eta = np.einsum("djim,jm->dim", hu.pop(), ev)  # u's Hessian dies here
         return [val, -(hu_eta + np.einsum("djm,jim->dim", gu, je[0]))]
 
-    return ScalarField.from_evaluator(u.dim, evaluator, 1, state_dim=u.state_dim,
-                                      label=f"-grad({u.label}).({eta.label})")
+    return ScalarField.from_evaluator(u.dim, evaluator, 1, state_dim=u.state_dim)
 
 
 def energy(f: Integrand, u: ScalarField, quad: BulkQuadrature) -> float:
@@ -345,22 +326,19 @@ def second_inner_variation(f: Integrand, u: ScalarField, eta: VectorField,
 
 
 def inner_variation_oracle(f: Integrand, u: ScalarField, eta: VectorField,
-                           zeta: VectorField, quad: BulkQuadrature,
-                           h: float | None = None) -> tuple[float, float]:
+                           zeta: VectorField, quad: BulkQuadrature) -> tuple[float, float]:
     """5-point finite differences of t -> A(u o Phi_t^{-1}) at t = 0.
 
     Uses the change-of-variables form: the integrand at the original nodes is
     F(u, grad u . [grad Phi_t]^{-1}) |det grad Phi_t|, so no map inversion is
-    needed.  Step defaults to 1e-3 / (1 + max |grad eta|).
+    needed.  The step is 1e-3 / (1 + max(|grad eta|, |grad zeta|)).
     """
     _check_state(f.state_dim, u)
     xb = quad.nodes
     z, p = u.evaluate(xb, 1)
     _, je = eta.evaluate(xb, 1)
     _, jz = zeta.evaluate(xb, 1)
-    if h is None:
-        scale = max(float(np.max(np.abs(je))), float(np.max(np.abs(jz))))
-        h = 1e-3 / (1.0 + scale)
+    h = 1e-3 / (1.0 + max(float(np.max(np.abs(je))), float(np.max(np.abs(jz)))))
     eye = np.eye(quad.dim)[:, :, None]
 
     def a_of_t(t: float) -> float:

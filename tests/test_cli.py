@@ -446,6 +446,19 @@ def test_malformed_top_level_exits_2(tmp_path, capsys, monkeypatch, top, argv, e
     assert not (tmp_path / "out").exists()  # rejected before any experiment or pool starts
 
 
+@pytest.mark.parametrize("below", ["", "sub"], ids=["out_is_a_file", "out_below_a_file"])
+def test_unusable_out_exits_2(tmp_path, capsys, below):
+    # a file where --out, or a directory above it, should go cannot become a directory
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    rc = main(["run", "profile_tables", "--out", str(blocker / below)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("config error: --out: ") and "Traceback" not in captured.err
+    assert captured.out == ""  # rejected before any experiment runs
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "keep\n"
+
+
 _FLAT32 = {"type": "flat_patch", "dim": 2, "n_per_axis": 32}
 _EQUI_FLAT = {"name": "x", "kind": "equipartition", "geometry": _FLAT32,
               "schedule": {"eps0": 0.1, "count": 6}}

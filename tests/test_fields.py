@@ -791,8 +791,9 @@ def _recording_tubes(monkeypatch):
     tubes, build = [], L._ac_tube
 
     def recorded(*args, **kwargs):
-        tubes.append(build(*args, **kwargs))
-        return tubes[-1]
+        quad, s_end = build(*args, **kwargs)
+        tubes.append(quad)
+        return quad, s_end
 
     monkeypatch.setattr(L, "_ac_tube", recorded)
     return tubes

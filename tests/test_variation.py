@@ -515,6 +515,149 @@ def test_radial_partials_match_the_written_out_densities(pw, eps, m, n, seed):
     assert f.f_pp_dot(z, p, q).tobytes() == ((1.0 / el) * q).tobytes()
 
 
+def _squared(a):
+    return np.einsum("dm,dm->m", a, a) if a.ndim == 2 else np.einsum("dim,dim->m", a, a)
+
+
+def _times(factor, a):
+    return np.zeros(a.shape) if factor is None else factor * a
+
+
+class _KSwitchIntegrand:
+    """The reference density: callbacks ``g(m2, k)`` and ``h(z2, k)`` return G, 2G' and 4G''
+    (and the same factors of H) for k = 0, 1, 2, or None, and every partial forms the squared
+    norms it might read whether or not the factor depends on them."""
+
+    def __init__(self, state_dim, g, h):
+        self.state_dim, self.g, self.h = state_dim, g, h
+
+    def f(self, z, p):
+        terms = [t for t in (self.g(_squared(p), 0), self.h(_squared(z), 0)) if t is not None]
+        return sum(terms[1:], terms[0])
+
+    def f_z(self, z, p):
+        return _times(self.h(_squared(z), 1), z)
+
+    def f_p(self, z, p):
+        return _times(self.g(_squared(p), 1), p)
+
+    def f_zz(self, z, p):
+        z2, d = _squared(z), self.state_dim
+        h1, h2 = self.h(z2, 1), self.h(z2, 2)
+        out = np.zeros((d, d, z.shape[1])) if h2 is None else h2 * z[:, None] * z[None, :]
+        if h1 is not None:
+            out[range(d), range(d)] += h1
+        return out
+
+    def f_pp_dot(self, z, p, q):
+        m2 = _squared(p)
+        out, g2 = _times(self.g(m2, 1), q), self.g(m2, 2)
+        return out if g2 is None else out + g2 * np.einsum("dim,dim->m", p, q) * p
+
+    def pp_bilinear(self, z, p, q1, q2):
+        return np.einsum("dim,dim->m", q1, self.f_pp_dot(z, p, q2))
+
+
+def _reference_dirichlet(state_dim):
+    def g(m2, k):
+        if k == 0:
+            return 0.5 * m2
+        return 1.0 if k == 1 else None
+
+    return _KSwitchIntegrand(state_dim, g, lambda z2, k: None)
+
+
+def _reference_p_allen_cahn(eps, pw, reg=1e-12):
+    ee = eps ** (pw - 1.0)
+    cw = (pw - 1.0) / (pw * eps)
+
+    def g(m2, k):
+        x = m2 + reg * reg
+        if k == 0:
+            return ee * x ** (pw / 2.0) / pw
+        if k == 1:
+            return ee * x ** ((pw - 2.0) / 2.0)
+        if pw == 2.0:
+            return None
+        fac4 = ee * (pw - 2.0) * x ** ((pw - 4.0) / 2.0)
+        return np.where(x > 1e-18, fac4, 0.0)
+
+    def h(z2, k):
+        if k == 0:
+            return cw * (1.0 - z2) ** 2
+        return -4.0 * cw * (1.0 - z2) if k == 1 else 8.0 * cw
+
+    return _KSwitchIntegrand(1, g, h)
+
+
+def _reference_ginzburg_landau(eps):
+    el = abs(np.log(eps))
+    c = 1.0 / (eps * eps * el)
+
+    def g(m2, k):
+        if k == 0:
+            return 0.5 * m2 / el
+        return 1.0 / el if k == 1 else None
+
+    def h(z2, k):
+        if k == 0:
+            return 0.25 * c * (1.0 - z2) ** 2
+        return -c * (1.0 - z2) if k == 1 else 2.0 * c
+
+    return _KSwitchIntegrand(2, g, h)
+
+
+_DENSITIES = {
+    "p_allen_cahn_p1.5": (lambda: V.integrand_p_allen_cahn(0.3, 1.5),
+                          lambda: _reference_p_allen_cahn(0.3, 1.5)),
+    "p_allen_cahn_p2": (lambda: V.integrand_p_allen_cahn(0.3, 2.0),
+                        lambda: _reference_p_allen_cahn(0.3, 2.0)),
+    "p_allen_cahn_p3": (lambda: V.integrand_p_allen_cahn(0.3, 3.0),
+                        lambda: _reference_p_allen_cahn(0.3, 3.0)),
+    "ginzburg_landau": (lambda: V.integrand_ginzburg_landau(0.05),
+                        lambda: _reference_ginzburg_landau(0.05)),
+    "dirichlet_d1": (lambda: V.integrand_dirichlet(1), lambda: _reference_dirichlet(1)),
+    "dirichlet_d2": (lambda: V.integrand_dirichlet(2), lambda: _reference_dirichlet(2)),
+}
+
+
+def _density_batch(d, n, m, seed):
+    """z (d, M), P, Q1, Q2 (d, N, M) with signed zeros, and |P| below 1e-9 at a fifth of the
+    points (exactly zero at one), so the regularized power and the rank-four mask both run."""
+    rng = np.random.default_rng(seed)
+    z, p, q1, q2 = _batch(rng, (d, m)), *(_batch(rng, (d, n, m)) for _ in range(3))
+    p[..., : m // 5] *= 1e-10
+    p[..., 0] = -0.0
+    return z, p, q1, q2
+
+
+@pytest.mark.parametrize("case", list(_DENSITIES))
+@pytest.mark.parametrize("n,m", [(1, 2), (2, 37), (3, 500)])
+def test_factor_tuples_reproduce_the_k_switch_callbacks(case, n, m):
+    # every partial, byte for byte, against the callback form of the same density
+    build, reference = _DENSITIES[case]
+    f, ref = build(), reference()
+    z, p, q1, q2 = _density_batch(f.state_dim, n, m, seed=n * m)
+    for got, want in ((f.f(z, p), ref.f(z, p)), (f.f_z(z, p), ref.f_z(z, p)),
+                      (f.f_p(z, p), ref.f_p(z, p)), (f.f_zz(z, p), ref.f_zz(z, p)),
+                      (f.f_pp_dot(z, p, q1), ref.f_pp_dot(z, p, q1)),
+                      (f.pp_bilinear(z, p, q1, q2), ref.pp_bilinear(z, p, q1, q2))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", ["p_allen_cahn_p2", "ginzburg_landau", "dirichlet_d2"])
+def test_a_constant_first_factor_forms_no_squared_norm(monkeypatch, case):
+    # 2G' is a number at p = 2, for Ginzburg-Landau and for Dirichlet, and 4G'' is absent,
+    # so F_P and F_PP.Q are scalings of their argument with no |P|^2 over the batch
+    f = _DENSITIES[case][0]()
+    z, p, q1, _ = _density_batch(f.state_dim, 3, 40, seed=5)
+    calls, einsum = [], np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or einsum(*a, **k))
+    f.f_p(z, p)
+    f.f_pp_dot(z, p, q1)
+    assert calls == []
+
+
 def test_gl_reductions():
     f = V.integrand_ginzburg_landau(0.2)
     z = np.array([[0.6], [0.8]])  # |z| = 1 at one point
