@@ -409,6 +409,30 @@ def trig_scalar_field(dim, terms) -> ScalarField:
     return ScalarField.from_jet(dim, build)
 
 
+def _squared_radius_jet(xb: np.ndarray, center: np.ndarray, radius: float,
+                        jet_order: int) -> Jet:
+    """Jet of s^2 = sum_i (x_i - c_i)^2 / r^2, assembled in closed form.
+
+    With d_i = x_i - c_i and k = 1/r^2 it performs the operations that
+    ``Jet.constant(0) + sum_i d_i * d_i * k`` over coordinate jets performs, so
+    it is that sum bit for bit, signed zeros included: the value is
+    ((0 + (d_0 d_0) k) + (d_1 d_1) k) + ..., gradient row i is
+    (d_i + d_i) k + 0.0, and the Hessian is 2k I with +0.0 elsewhere.
+    """
+    m, n = xb.shape
+    k = 1.0 / radius**2
+    val, grad = np.zeros(m), np.empty((n, m))
+    for i in range(n):
+        d = xb[:, i] - center[i]
+        val += d * d * k
+        grad[i] = (d + d) * k + 0.0
+    hess = None
+    if jet_order == 2:
+        hess = np.zeros((n, n, m))
+        hess[range(n), range(n)] = 2.0 * k
+    return Jet(val, grad, hess)
+
+
 def _bump_jet(xb: np.ndarray, center: np.ndarray, radius: float, order: int = 8,
               jet_order: int = 2) -> Jet:
     """Radial bump (1 - s^2)^order, s = |x-c|/r, zero outside; as a jet of ``jet_order``.
@@ -417,14 +441,11 @@ def _bump_jet(xb: np.ndarray, center: np.ndarray, radius: float, order: int = 8,
     of bump-weighted integrands accurate to ~n^{-order+1}, which the identity
     suites need; an exp-type mollifier would slow convergence to
     sub-geometric.  ``order=None`` selects the classical C-infinity shape
-    exp(1 - 1/(1 - s^2)) instead.
+    exp(1 - 1/(1 - s^2)) instead.  The jet of s^2 comes in closed form from
+    :func:`_squared_radius_jet`, bit for bit the generic jet sum, so the bump
+    is bit for bit the one built from coordinate jets.
     """
-    n = xb.shape[1]
-    coords = Jet.variables(xb, jet_order)
-    s2 = Jet.constant(0.0, xb, jet_order)
-    for i in range(n):
-        d = coords[i] - center[i]
-        s2 = s2 + d * d * (1.0 / radius**2)
+    s2 = _squared_radius_jet(xb, center, radius, jet_order)
     if order is None:
         s2_cut = 1.0 - 1.0 / 700.0  # exp(1 - 1/(1-t)) underflows past this
         inside = s2.val < s2_cut

@@ -433,6 +433,47 @@ def test_jet_norm_matches_the_sum_of_squared_coordinate_jets_bit_for_bit(dim):
             assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
 
 
+# The bump as it was built from coordinate jets: the reference for the closed-form s^2.
+def _generic_bump(xb, center, radius, order, jet_order):
+    coords = Jet.variables(xb, jet_order)
+    s2 = Jet.constant(0.0, xb, jet_order)
+    for i in range(xb.shape[1]):
+        d = coords[i] - center[i]
+        s2 = s2 + d * d * (1.0 / radius**2)
+    cut = 1.0 if order is not None else 1.0 - 1.0 / 700.0
+    inside = s2.val < cut
+    if not np.any(inside):
+        return s2, Jet.constant(0.0, xb, jet_order)
+    base = 1.0 - s2.masked(inside)
+    shape = base ** int(order) if order is not None else jet_exp(1.0 - base.reciprocal())
+    return s2, Jet.where(inside, shape, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3]), jet_order=st.sampled_from([1, 2]),
+       m=st.integers(1, 3000), centred=st.booleans(), zeros=st.sampled_from([0, 3, 7]),
+       seed=st.integers(0, 2**16))
+@example(dim=3, jet_order=2, m=1, centred=True, zeros=0, seed=0)
+@example(dim=2, jet_order=1, m=1, centred=False, zeros=3, seed=1)
+def test_closed_form_squared_radius_is_the_generic_jet_sum_bit_for_bit(dim, jet_order, m,
+                                                                       centred, zeros, seed):
+    rng = np.random.default_rng(seed)
+    radius = float(rng.uniform(0.3, 1.2))
+    center = np.zeros(dim) if centred else rng.uniform(-0.5, 0.5, size=dim)
+    x = center + rng.uniform(-1.3, 1.3, size=(m, dim)) * radius
+    if zeros:
+        x[::zeros, 0] = center[0]  # x - c exactly zero
+        if centred:
+            x[1::zeros, -1] = -0.0  # and a signed zero
+    for order in (8, None):
+        want_s2, want = _generic_bump(x, center, radius, order, jet_order)
+        got_s2 = F._squared_radius_jet(x, center, radius, jet_order)
+        got = F._bump_jet(x, center, radius, order, jet_order)
+        for part in ("val", "grad", "hess")[:jet_order + 1]:
+            assert getattr(got_s2, part).tobytes() == getattr(want_s2, part).tobytes()
+            assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+
 # The broadcast formulas jets used before they were summed row by row: the reference the
 # row-wise products must reproduce bit for bit (the same terms, added in the same order).
 def _broadcast_mul(a, b):

@@ -1,5 +1,7 @@
 """Bulk variations, inner variations, the FD oracle, and the bridge identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +11,7 @@ from innervar import fields as F
 from innervar import geometry as G
 from innervar import profiles as P
 from innervar import variation as V
-from innervar.errors import DimensionMismatch, EpsilonTooLarge
+from innervar.errors import DimensionMismatch, EpsilonTooLarge, NonInvertible
 
 
 def state2_field(px, py):
@@ -690,3 +692,111 @@ def test_variation_report_roundtrip(box2):
     assert abs(rep.fv_bridge_residual) <= 1e-8
     assert abs(rep.sv_relation_residual) <= 1e-6 * (1 + abs(rep.delta2_a))
     assert abs(rep.delta_a - rep.oracle_delta) <= max(1e-8, 1e-4 * abs(rep.delta_a))
+
+
+# ---------------------------------------------------------------------------
+# the oracle's stencil solve
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2])
+def test_stencil_elimination_matches_linalg(n, d):
+    # near-identity stacks, as the oracle's steps make them; np.linalg is the reference here only
+    rng = np.random.default_rng(10 * n + d)
+    m = 500
+    mat = np.eye(n)[:, :, None] + rng.uniform(-2e-3, 2e-3, size=(n, n, m))
+    p = rng.standard_normal((d, n, m))
+    want_det = np.linalg.det(np.moveaxis(mat, -1, 0))
+    want = np.einsum("djm,jim->dim", p, np.moveaxis(np.linalg.inv(np.moveaxis(mat, -1, 0)), 0, -1))
+    p_bytes = p.tobytes()
+    det, got = V._det_and_solve(mat.copy(), p)
+    assert p.tobytes() == p_bytes
+    ulp = np.finfo(float).eps
+    assert np.all(np.abs(det - want_det) <= 4 * n * ulp * np.abs(want_det))
+    scale = np.linalg.norm(p, axis=1, keepdims=True)  # a row of p . M^{-1} has about |p| length
+    assert np.all(np.abs(got - want) <= 4 * n * ulp * scale)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stencil_elimination_is_exact_at_t0(n):
+    # the t = 0 stencil I + 0 grad eta + 0 grad zeta: det exactly 1 and p . I exactly p
+    rng = np.random.default_rng(n)
+    je, jz = rng.standard_normal((2, n, n, 64))
+    mat = 0.0 * je
+    mat += np.eye(n)[:, :, None]
+    mat += 0.5 * 0.0 * 0.0 * jz
+    p = rng.standard_normal((2, n, 64))
+    det, got = V._det_and_solve(mat, p)
+    assert np.all(det == 1.0)
+    np.testing.assert_array_equal(got, p)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 0 * inf at h = 0
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_oracle_rejects_a_non_finite_jacobian(box2, bad):
+    # one node's Jacobian is non-finite: its stencil matrices are NaN, and NaN det <= 0 is False
+    u = F.polynomial_scalar_field(2, [(0.3, (2, 1))])
+    smooth = F.dilation_field(2, 0.5)
+
+    def jacobian(xb):
+        jac = smooth.jacobian(xb)
+        jac[len(xb) // 2, 0, 1] = bad
+        return jac
+
+    eta = F.VectorField(2, smooth.eval, jacobian)
+    zero = F.constant_field([0.0, 0.0])
+    with pytest.raises(NonInvertible):
+        V.inner_variation_oracle(V.integrand_dirichlet(), u, eta, zero, box2)
+
+
+def _recording(field, nodes, held):
+    """``field`` whose evaluations at ``nodes`` keep their parts, with their bytes, in ``held``."""
+    evaluate = field.evaluate
+
+    def recording(xb, order):
+        parts = evaluate(xb, order)
+        if xb is nodes:
+            held.extend((part, part.tobytes()) for part in parts)
+        return parts
+
+    field.evaluate = recording
+    return field
+
+
+@pytest.mark.parametrize("state_dim", [1, 2])
+def test_variation_report_never_writes_into_held_parts(box2, state_dim):
+    rng = np.random.default_rng(30 + state_dim)
+    held = []
+    if state_dim == 1:
+        f = V.integrand_dirichlet()
+        u = F.random_polynomial_scalar_field(rng, 2, degree=3)
+    else:
+        f = V.integrand_ginzburg_landau(0.6)
+        u = state2_field([(0.5, (1, 0)), (0.3, (1, 1))], [(0.4, (0, 1)), (-0.2, (2, 0))])
+    u = _recording(u, box2.nodes, held)
+    eta, zeta = (_recording(F.random_compact_vector_field(rng, 2, degree=2, radius=0.8),
+                            box2.nodes, held) for _ in range(2))
+    V.variation_report(f, u, eta, zeta, box2)
+    assert len(held) == 3 + 2 + 2  # u at order 2, eta and zeta at order 1, each pinned once
+    for part, born in held:
+        assert part.tobytes() == born
+
+
+def test_oracle_peak_memory_stays_within_the_linalg_solve():
+    # N = 3, M = 13824 with pinned fields: the LAPACK inv/det path peaked at 3.10 MB, the
+    # elimination at 1.99 MB
+    quad = V.tensor_grid([[-1.0, 1.0]] * 3, 24)
+    rng = np.random.default_rng(7)
+    u, eta, zeta = (F.pinned(field, quad.nodes, 1) for field in (
+        F.random_polynomial_scalar_field(rng, 3, degree=3),
+        F.random_compact_vector_field(rng, 3, degree=2, radius=0.85),
+        F.random_compact_vector_field(rng, 3, degree=2, radius=0.85)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        V.inner_variation_oracle(V.integrand_dirichlet(), u, eta, zeta, quad)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.10e6
