@@ -23,8 +23,8 @@ from innervar import (
     random_polynomial_scalar_field,
     second_inner_variation,
     second_variation,
-    sv_relation_residual,
     tensor_grid,
+    variation_report,
     x0_field,
 )
 
@@ -47,7 +47,8 @@ d2_outer = second_variation(f, u, composite_test_function(u, eta), quad)
 da_x0 = first_variation(f, u, x0_field(u, eta, zeta), quad)
 print(f"  delta2 A                    = {d2_inner:+.10f}")
 print(f"  d2A(-grad u.eta) + dA(X0)   = {d2_outer + da_x0:+.10f}")
-print(f"  residual                    = {sv_relation_residual(f, u, eta, zeta, quad):+.1e}")
+report = variation_report(f, u, eta, zeta, quad)
+print(f"  residual                    = {report.sv_relation_residual:+.1e}")
 print(f"  (the dA(X0) part alone      = {da_x0:+.6f}; it vanishes only at critical points)")
 
 print("\n== harmonic (critical) state ==")

@@ -28,7 +28,6 @@ from .fields import (
     constant_field,
     det_expansion,
     dilation_field,
-    divergence,
     filament_test_field,
     good_identity_residual,
     linear_field,
@@ -109,7 +108,6 @@ from .variation import (
     integrand_p_allen_cahn,
     second_inner_variation,
     second_variation,
-    sv_relation_residual,
     tensor_grid,
     tube_rule,
     variation_report,

@@ -125,25 +125,33 @@ def load_config(path) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return validate_config(raw)
 
 
 def validate_config(raw: dict) -> dict:
-    """The config with its top-level keys converted; each experiment is built once to check it."""
+    """The config with its top-level keys converted; each experiment is built once to check it.
+
+    No two outputs of one run may share a file name, or one would overwrite the other.
+    """
     config = parse(raw, _CONFIG_KEYS, "config")
-    names = set()
+    written = {"summary.json"}
     for exp in config["experiments"]:
         if not isinstance(exp, dict):
             raise ConfigError("each experiment must be a JSON object")
         kind = exp.get("kind")
         if not isinstance(kind, str) or kind not in _KINDS:
             raise ConfigError(f"unknown experiment kind {kind!r}; known: {sorted(_KINDS)}")
-        name = _build(exp, _KINDS[kind])["name"]
-        if name in names:
-            raise ConfigError(f"duplicate experiment name {name!r}")
-        names.add(name)
+        opts = _build(exp, _KINDS[kind])
+        name = opts["name"]
+        files = {f"{name}.csv", f"{name}.json"}
+        if opts.get("export_table"):  # a profile's exported table
+            files.add(f"{name}_table.csv")
+        if written & files:
+            raise ConfigError(f"experiment {name!r} would overwrite the run's "
+                              f"{min(written & files)}")
+        written |= files
     return config
 
 
@@ -160,7 +168,7 @@ def _build(exp: dict, kind: _Kind) -> dict:
         g = opts.get("geometry")
         if kind.codim is not None and g.codim != kind.codim:
             raise ConfigError(f"{opts['kind']} needs a geometry of codimension {kind.codim}, "
-                              f"{g.config['type']} has codimension {g.codim}")
+                              f"{g.type_name} has codimension {g.codim}")
         if opts.get("zeta") == "zero":
             opts["zeta"] = fields.constant_field(np.zeros(g.dim))
         elif opts.get("zeta") == "zeta_eta":

@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import REQUIRED, as_is, build, count, integer, natural, positive
 from .errors import DimensionMismatch, NonInvertible
-from .jets import Jet, jet_cos, jet_exp, jet_polynomial, jet_sin
+from .jets import Jet, jet_cos, jet_exp, jet_polynomial, jet_sin, jet_squared_norm
 
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -445,16 +445,15 @@ def _bump_jet(xb: np.ndarray, center: np.ndarray, radius: float, order: int = 8,
     :func:`_squared_radius_jet`, bit for bit the generic jet sum, so the bump
     is bit for bit the one built from coordinate jets.
     """
-    s2 = _squared_radius_jet(xb, center, radius, jet_order)
+    return _bump_shape(_squared_radius_jet(xb, center, radius, jet_order), order)
+
+
+def _bump_shape(s2: Jet, order) -> Jet:
+    """(1 - s^2)^order where s^2 < 1, zero elsewhere; ``order=None``: exp(1 - 1/(1 - s^2))."""
     if order is None:
-        s2_cut = 1.0 - 1.0 / 700.0  # exp(1 - 1/(1-t)) underflows past this
-        inside = s2.val < s2_cut
-        if not np.any(inside):
-            return Jet.constant(0.0, xb, jet_order)
+        inside = s2.val < 1.0 - 1.0 / 700.0  # exp(1 - 1/(1-t)) underflows past this
         return Jet.where(inside, jet_exp(1.0 - (1.0 - s2.masked(inside)).reciprocal()), 0.0)
     inside = s2.val < 1.0
-    if not np.any(inside):
-        return Jet.constant(0.0, xb, jet_order)
     return Jet.where(inside, (1.0 - s2.masked(inside)) ** int(order), 0.0)
 
 
@@ -482,13 +481,6 @@ def bump_polynomial_field(dim, components, center, radius, order=8) -> VectorFie
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def divergence(v: VectorField, x):
-    """trace of the Jacobian of v at x."""
-    xb, single = _as_batch(x, v.dim)
-    d = np.trace(v._jacobians(xb), axis1=1, axis2=2)
-    return float(d[0]) if single else d
 
 
 def zeta_eta(eta: VectorField) -> VectorField:
@@ -673,16 +665,7 @@ def random_polynomial_scalar_field(rng, dim, degree=3, scale=1.0) -> ScalarField
 
 def _cylindrical_bump_jet(xb, radius, order, jet_order):
     """Bump (1 - rho^2/r^2)^order in the transverse radius rho = |(x2, x3)|."""
-    x2 = Jet.coordinate(xb, 1, jet_order)
-    x3 = Jet.coordinate(xb, 2, jet_order)
-    s2 = (x2 * x2 + x3 * x3) * (1.0 / radius**2)
-    del x2, x3
-    inside = s2.val < 1.0
-    if not np.any(inside):
-        return Jet.constant(0.0, xb, jet_order)
-    base = 1.0 - s2.masked(inside)
-    del s2
-    return Jet.where(inside, base ** int(order), 0.0)
+    return _bump_shape(jet_squared_norm(xb, jet_order, axes=(1, 2)) * (1.0 / radius**2), order)
 
 
 def filament_test_field(preset: str, amplitude: float = 1.0, frequency: int = 1,

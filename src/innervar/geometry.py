@@ -76,8 +76,9 @@ class _Interface:
 
     codim = 1
 
-    def __init__(self, dim, nodes, weights, tangents, curvatures, closed, measure,
-                 focal_width, config):
+    type_name: str  # the shape's "type" in a config descriptor
+
+    def __init__(self, dim, nodes, weights, tangents, curvatures, closed, measure, focal_width):
         self.dim = int(dim)
         self.nodes = nodes
         self.weights = weights
@@ -86,7 +87,6 @@ class _Interface:
         self.closed = bool(closed)
         self.measure = float(measure)  # closed-form H^{dim-codim}(Gamma)
         self.focal_width = float(focal_width)
-        self.config = dict(config)
 
     @property
     def n_nodes(self) -> int:
@@ -114,22 +114,26 @@ class Hypersurface(_Interface):
     codim = 1
 
     def __init__(self, dim, nodes, weights, normals, tangents, curvatures, closed,
-                 measure, focal_width, config):
-        super().__init__(dim, nodes, weights, tangents, curvatures, closed, measure,
-                         focal_width, config)
+                 measure, focal_width):
+        super().__init__(dim, nodes, weights, tangents, curvatures, closed, measure, focal_width)
         self.normals = normals
 
 
 class RoundSurface(Hypersurface):
-    """Circle in R^2 or sphere in R^3 around ``center``."""
+    """Circle in R^2 or sphere in R^3 around ``center``.
 
-    def __init__(self, center, radius, nodes, weights, normals, tangents, measure, config):
+    A sphere keeps its ``grid`` (n_polar, n_azimuth) for the enclosed ball's rule.
+    """
+
+    def __init__(self, center, radius, nodes, weights, normals, tangents, measure, grid=None):
         dim = center.shape[0]
         super().__init__(dim, nodes, weights, normals, tangents,
                          np.full((nodes.shape[0], dim - 1), 1.0 / radius), True, measure,
-                         radius, config)
+                         radius)
+        self.type_name = "circle" if dim == 2 else "sphere"
         self.center = center
         self.radius = radius
+        self.grid = grid
 
     def distance_jet(self, xb, order=2) -> Jet:
         return jet_norm(xb - self.center, order) - self.radius
@@ -145,6 +149,8 @@ class RoundSurface(Hypersurface):
 
 class FlatPatch(Hypersurface):
     """Flat interface {x_axis = offset}."""
+
+    type_name = "flat_patch"
 
     def __init__(self, *args, axis, offset):
         super().__init__(*args)
@@ -172,15 +178,16 @@ class Filament(_Interface):
     codim = 2
 
     def __init__(self, dim, nodes, weights, frame_p, frame_q, tangents, curvatures,
-                 closed, measure, focal_width, config):
-        super().__init__(dim, nodes, weights, tangents, curvatures, closed, measure,
-                         focal_width, config)
+                 closed, measure, focal_width):
+        super().__init__(dim, nodes, weights, tangents, curvatures, closed, measure, focal_width)
         self.frame_p = frame_p
         self.frame_q = frame_q
 
 
 class StraightFilament(Filament):
     """Straight filament along e1, with normal frame (e2, e3)."""
+
+    type_name = "straight_filament"
 
     def transverse_jets(self, xb, order=2) -> tuple[Jet, Jet]:
         return Jet.coordinate(xb, 1, order), Jet.coordinate(xb, 2, order)
@@ -192,21 +199,14 @@ class StraightFilament(Filament):
 class CircularFilament(Filament):
     """Circle of ``radius`` in the x1-x2 plane, with normal frame (radial, e3)."""
 
+    type_name = "circular_filament"
+
     def __init__(self, *args, radius):
         super().__init__(*args)
         self.radius = radius
 
     def transverse_jets(self, xb, order=2) -> tuple[Jet, Jet]:
-        r_xy = jet_norm(xb[:, :2], order)
-        # embed the 2-d jet into ambient R^3 derivatives
-        m = xb.shape[0]
-        grad = np.zeros((3, m))
-        grad[:2] = r_xy.grad
-        hess = None
-        if order == 2:
-            hess = np.zeros((3, 3, m))
-            hess[:2, :2] = r_xy.hess
-        return Jet(r_xy.val - self.radius, grad, hess), Jet.coordinate(xb, 2, order)
+        return jet_norm(xb, order, axes=(0, 1)) - self.radius, Jet.coordinate(xb, 2, order)
 
     def tube_jacobian(self, a, b):
         return 1.0 + a / self.radius
@@ -225,8 +225,7 @@ def circle(radius: float, center=(0.0, 0.0), n_nodes: int = 256) -> Hypersurface
     nodes = c + r * np.stack([ct, st], axis=1)
     normals = np.stack([ct, st], axis=1)
     tangents = np.stack([-st, ct], axis=1)[:, None, :]
-    return RoundSurface(c, r, nodes, r * w, normals, tangents, 2.0 * np.pi * r,
-                        {"type": "circle", "radius": r, "center": list(c), "nodes": n_nodes})
+    return RoundSurface(c, r, nodes, r * w, normals, tangents, 2.0 * np.pi * r)
 
 
 def sphere(radius: float, center=(0.0, 0.0, 0.0), n_polar: int = 32,
@@ -246,8 +245,7 @@ def sphere(radius: float, center=(0.0, 0.0, 0.0), n_polar: int = 32,
     tau_theta = np.stack([mu_f * np.cos(phi_f), mu_f * np.sin(phi_f), -sin_t], axis=1)
     tangents = np.stack([tau_theta, tau_phi], axis=1)
     return RoundSurface(c, r, nodes, r * r * w_g, normals, tangents, 4.0 * np.pi * r * r,
-                        {"type": "sphere", "radius": r, "center": list(c),
-                         "n_polar": n_polar, "n_azimuth": n_azimuth})
+                        (n_polar, n_azimuth))
 
 
 def flat_patch(dim: int, axis: int = 0, offset: float = 0.0, extents=None,
@@ -283,10 +281,7 @@ def flat_patch(dim: int, axis: int = 0, offset: float = 0.0, extents=None,
     curvatures = np.zeros((m, dim - 1))
     measure = float(np.prod([hi - lo for lo, hi in extents]))
     return FlatPatch(dim, nodes, w, normals, tangents, curvatures, bool(periodic), measure,
-                     np.inf,
-                     {"type": "flat_patch", "dim": dim, "axis": axis, "offset": offset,
-                      "extents": [list(e) for e in extents], "n_per_axis": n_per_axis},
-                     axis=axis, offset=offset)
+                     np.inf, axis=axis, offset=offset)
 
 
 def straight_filament(length: float = 1.0, n_nodes: int = 24) -> Filament:
@@ -305,8 +300,7 @@ def straight_filament(length: float = 1.0, n_nodes: int = 24) -> Filament:
     q = np.zeros((n_nodes, 3))
     q[:, 2] = 1.0
     curvatures = np.zeros((n_nodes, 1))
-    return StraightFilament(3, nodes, w, p, q, tangents, curvatures, True, ell, np.inf,
-                            {"type": "straight_filament", "length": ell, "nodes": n_nodes})
+    return StraightFilament(3, nodes, w, p, q, tangents, curvatures, True, ell, np.inf)
 
 
 def circular_filament(radius: float, n_nodes: int = 128) -> Filament:
@@ -325,9 +319,7 @@ def circular_filament(radius: float, n_nodes: int = 128) -> Filament:
     q[:, 2] = 1.0
     curvatures = np.full((n_nodes, 1), 1.0 / r)
     return CircularFilament(3, nodes, r * w, p, q, tangents, curvatures, True,
-                            2.0 * np.pi * r, r,
-                            {"type": "circular_filament", "radius": r, "nodes": n_nodes},
-                            radius=r)
+                            2.0 * np.pi * r, r, radius=r)
 
 
 _SHAPES = {
@@ -546,7 +538,7 @@ def normal_extension(g: Hypersurface, xi: ScalarField, cutoff_width: float) -> V
 def require_enclosed_region(g: Hypersurface) -> None:
     """Raise unless :func:`enclosed_region_quadrature` has a rule for the region ``g`` bounds."""
     if not isinstance(g, RoundSurface):
-        raise DimensionMismatch(f"no enclosed region rule for shape {g.config['type']!r}")
+        raise DimensionMismatch(f"no enclosed region rule for shape {g.type_name!r}")
 
 
 def enclosed_region_quadrature(g: Hypersurface):
@@ -558,8 +550,9 @@ def enclosed_region_quadrature(g: Hypersurface):
             [(r, wr * r), uniform_rule(0.0, 2.0 * np.pi, max(64, g.n_nodes // 2))])
         rr, tt = chart.T
         return g.center + np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=1), ww
-    chart, ww = product_rule([(r, wr * r * r), _leggauss(g.config["n_polar"]),
-                              uniform_rule(0.0, 2.0 * np.pi, g.config["n_azimuth"])])
+    n_polar, n_azimuth = g.grid
+    chart, ww = product_rule([(r, wr * r * r), _leggauss(n_polar),
+                              uniform_rule(0.0, 2.0 * np.pi, n_azimuth)])
     rr, mm, pp = chart.T
     sin_t = np.sqrt(1.0 - mm**2)
     return g.center + np.stack([rr * sin_t * np.cos(pp), rr * sin_t * np.sin(pp), rr * mm],

@@ -203,32 +203,34 @@ def jet_cos(a: Jet) -> Jet:
     return a.lift(c, -s, -c)
 
 
-def jet_norm(x: np.ndarray, order: int = 2) -> Jet:
-    """Jet of |x| on a batch (M, N); points at the origin are the caller's problem.
+def jet_squared_norm(x: np.ndarray, order: int = 2, axes=None) -> Jet:
+    """Jet of sum_{i in axes} x_i^2 (all axes by default) on a batch (M, N), in all N rows.
 
-    The jet of |x|^2 is assembled from the columns x_i with the operations
-    that summing the squares of coordinate jets performs, so for finite x it
-    is bit for bit that sum: gradient row k adds up x_k + x_k and the signed
-    zeros x_i * 0.0 + x_i * 0.0 of the other squares, and the Hessian is
-    exactly 2 I.
+    Assembled from the columns x_i with the operations that summing the
+    squares of coordinate jets performs, so for finite x it is bit for bit
+    that sum: gradient row k adds up x_k + x_k and the signed zeros
+    x_i * 0.0 + x_i * 0.0 of the other squares, and the Hessian is exactly 2
+    on the diagonal of ``axes`` and +0.0 elsewhere.
     """
     m, n = x.shape
-    cols = [x[:, i] for i in range(n)]
-    val = cols[0] * cols[0]
-    for c in cols[1:]:
-        val = val + c * c
+    axes = range(n) if axes is None else axes
+    cols = [x[:, i] for i in axes]
+    val = sum((c * c for c in cols[1:]), cols[0] * cols[0])
     zeros = [c * 0.0 + c * 0.0 for c in cols]
     grad = np.empty((n, m))
     for k in range(n):
-        row = cols[0] + cols[0] if k == 0 else zeros[0]
-        for i in range(1, n):
-            row = row + (cols[i] + cols[i] if i == k else zeros[i])
-        grad[k] = row
+        terms = [c + c if i == k else z for i, c, z in zip(axes, cols, zeros)]
+        grad[k] = sum(terms[1:], terms[0])
     hess = None
     if order == 2:
         hess = np.zeros((n, n, m))
-        hess[range(n), range(n)] = 2.0
-    return jet_sqrt(Jet(val, grad, hess))
+        hess[axes, axes] = 2.0
+    return Jet(val, grad, hess)
+
+
+def jet_norm(x: np.ndarray, order: int = 2, axes=None) -> Jet:
+    """Jet of the root of :func:`jet_squared_norm`; a zero norm is the caller's problem."""
+    return jet_sqrt(jet_squared_norm(x, order, axes))
 
 
 def jet_polynomial(x: np.ndarray, terms: list[tuple[float, tuple[int, ...]]],

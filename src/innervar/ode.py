@@ -288,15 +288,17 @@ def _segment(fun, K_ext, t_old, y_old, y, f, h):
     return t_old, h, F, y_old
 
 
+def _horner(x, F, shape, idx=slice(None)):
+    """scipy's DOP853 interpolant loop: add each row ``F[k][idx]``, last first, times x or 1 - x."""
+    y = np.zeros(shape)
+    for i in range(len(F)):
+        y += F[-1 - i][idx]
+        y *= x if i % 2 == 0 else 1 - x
+    return y
+
+
 def _interpolate(t_old, h, F, y_old, t):
-    x = (t - t_old) / h
-    y = np.zeros_like(y_old)
-    for i, f in enumerate(reversed(F)):
-        y += f
-        if i % 2 == 0:
-            y *= x
-        else:
-            y *= 1 - x
+    y = _horner((t - t_old) / h, F, y_old.shape)
     y += y_old
     return y
 
@@ -307,8 +309,8 @@ class DenseOutput:
     scipy's ``OdeSolution.__call__`` argsorts its input, calls one interpolant
     per segment and stacks the pieces.  Here the interpolants come stacked;
     each point picks its segment with the same ``searchsorted`` and clamp, and
-    :func:`_interpolate`'s Horner loop runs on the gathered coefficients with
-    the same elementwise operations in the same order, so the values are bit
+    :func:`_horner` runs on the gathered coefficients with the same
+    elementwise operations in the same order, so the values are bit
     for bit those of scipy's ``sol(t)[j]``.  Components never mix, so only
     component ``j`` is computed, and each coefficient row is gathered as the
     loop reaches it (gathering all seven at once is slower on large inputs).
@@ -325,13 +327,7 @@ class DenseOutput:
         t = np.asarray(t, dtype=float)
         seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.h) - 1)
         x = (t - self.t_old[seg]) / self.h[seg]
-        y = np.zeros(x.shape)
-        for i, f in enumerate(self.F[j][::-1]):
-            y += f[seg]
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
+        y = _horner(x, self.F[j], x.shape, seg)
         y += self.y_old[j][seg]
         return y
 

@@ -390,17 +390,6 @@ def _det_and_solve(mat: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return det, x
 
 
-def sv_relation_residual(f: Integrand, u: ScalarField, eta: VectorField,
-                         zeta: VectorField, quad: BulkQuadrature) -> float:
-    """delta2 A - d2A(u, -grad u . eta) - dA(u, X0); an identity in u, ~0 always."""
-    phi = composite_test_function(u, eta)
-    x0 = x0_field(u, eta, zeta)
-    d2a = second_variation(f, u, phi, quad)
-    da_x0 = first_variation(f, u, x0, quad)
-    d2inner = second_inner_variation(f, u, eta, zeta, quad)
-    return d2inner - d2a - da_x0
-
-
 @dataclass
 class VariationReport:
     """All variations of one (F, u, eta, zeta, phi) configuration plus residuals."""

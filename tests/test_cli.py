@@ -459,6 +459,46 @@ def test_unusable_out_exits_2(tmp_path, capsys, below):
     assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize("text", [
+    b'{"schema_version": 1, "name": "caf\xe9", "experiments": []}',
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["not_utf8", "nested_too_deep"])
+def test_undecodable_config_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    rc = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+_PROFILE_P2 = {"kind": "profile", "p": 2.0}
+
+
+@pytest.mark.parametrize("names,clash", [
+    (["summary"], "summary.json"),
+    (["a", "a_table"], "a_table.csv"),
+    (["a_table", "a"], "a_table.csv"),
+], ids=["summary", "profile_table", "profile_table_listed_second"])
+def test_outputs_sharing_a_file_name_exit_2(tmp_path, capsys, names, clash):
+    # each would overwrite one output of the run with another and still exit 0
+    cfg = _write(tmp_path, {"schema_version": 1,
+                            "experiments": [{"name": n, **_PROFILE_P2} for n in names]})
+    rc = main(["run", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and clash in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_profile_without_its_table_may_take_the_table_name(tmp_path):
+    cfg = {"schema_version": 1,
+           "experiments": [{"name": "a", **_PROFILE_P2, "export_table": False},
+                           {"name": "a_table", **_PROFILE_P2}]}
+    assert validate_config(cfg)["experiments"] == cfg["experiments"]
+
+
 _FLAT32 = {"type": "flat_patch", "dim": 2, "n_per_axis": 32}
 _EQUI_FLAT = {"name": "x", "kind": "equipartition", "geometry": _FLAT32,
               "schedule": {"eps0": 0.1, "count": 6}}
