@@ -14,12 +14,14 @@ points ``xb`` (M, N), computing nothing beyond that order, component-major
 as jets are: (C, M), (C, N, M) and (C, N, N, M) for C components.  Fields
 built through the constructors in this module evaluate a jet function once
 per call (assembled with :mod:`innervar.jets`, truncated to the order asked
-for); fields built from bare point-major callables fall back to central
-finite differences with step ``eps_machine**(1/3) * max(1, |x|)``, which
-keeps every operation total.  ``eval``, ``gradient``, ``hessian`` and
-``jacobian`` hand out point-major arrays (M, C, ...).  Fields hold no
-evaluated state between calls; :func:`pinned` returns a copy of a field that
-holds one evaluation, for a sweep that reads it many times.
+for) that returns one jet, its parts already in this layout (a vector or
+complex jet has the component axis); fields built from bare point-major
+callables fall back to central finite differences with step
+``eps_machine**(1/3) * max(1, |x|)``, which keeps every operation total.
+``eval``, ``gradient``, ``hessian`` and ``jacobian`` hand out point-major
+arrays (M, C, ...).  Fields hold no evaluated state between calls;
+:func:`pinned` returns a copy of a field that holds one evaluation, for a
+sweep that reads it many times.
 """
 
 from __future__ import annotations
@@ -97,25 +99,6 @@ def _fd_derivatives(xb: np.ndarray, values, order: int = 1, first=None) -> np.nd
     return 0.5 * (out + np.swapaxes(out, -2, -3))
 
 
-def _jet_evaluator(jet_fn, stacked: bool):
-    """Evaluator over a jet function ``jet_fn(xb, order)``, called once per evaluation.
-
-    With ``stacked`` the function returns a list of component jets, whose
-    parts are stacked; otherwise it returns a single jet, whose parts are
-    handed out as views.  A values-only request (order 0) builds first-order
-    jets.
-    """
-
-    def evaluate(xb, order):
-        jets = jet_fn(xb, max(order, 1))
-        parts = ("val", "grad", "hess")[: order + 1]
-        if not stacked:
-            return [getattr(jets, part)[None] for part in parts]
-        return [np.stack([getattr(jet, part) for jet in jets]) for part in parts]
-
-    return evaluate
-
-
 def _points_first(part: np.ndarray) -> np.ndarray:
     """A component-major part (..., M) as a C-contiguous point-major array (M, ...)."""
     return np.ascontiguousarray(np.moveaxis(part, -1, 0))
@@ -151,23 +134,38 @@ class _Field:
 
     _symmetrize_second = False  # average analytic second derivatives over their last two axes
 
-    def __init__(self, dim, comps, evaluator, exact):
+    def __init__(self, dim, evaluator, exact):
         self.dim = int(dim)
-        self._comps = int(comps)
         self._evaluator = evaluator
         self._exact = int(exact)
 
     @classmethod
-    def from_evaluator(cls, dim, evaluator, exact, **kwargs):
+    def from_evaluator(cls, dim, evaluator, exact, **attrs):
         """Build a field from ``evaluator(xb, order)``, exact up to order ``exact``.
 
         The evaluator returns contiguous component-major parts, as ``evaluate``
-        hands them out; ``kwargs`` are the class constructor's keywords
+        hands them out; ``attrs`` are the class's other attributes
         (``state_dim`` of a scalar field).
         """
-        field = cls(dim, None, **kwargs)  # no callables: the evaluator replaces them
-        field._evaluator, field._exact = evaluator, int(exact)
+        field = cls.__new__(cls)
+        _Field.__init__(field, dim, evaluator, exact)
+        vars(field).update(attrs)
         return field
+
+    @classmethod
+    def from_jet(cls, dim, jet_fn, **attrs):
+        """Build a field from a jet function ``jet_fn(xb, order)``, called once per evaluation.
+
+        Its parts are handed out as views, with a component axis of length 1
+        added to a jet that has none; order 0 builds a first-order jet.
+        """
+
+        def evaluate(xb, order):
+            jet = jet_fn(xb, max(order, 1))
+            parts = (jet.val, jet.grad, jet.hess)[: order + 1]
+            return list(parts) if jet.val.ndim == 2 else [part[None] for part in parts]
+
+        return cls.from_evaluator(dim, evaluate, 2, **attrs)
 
     def evaluate(self, xb: np.ndarray, order: int) -> tuple:
         """Values, then first (order >= 1) and second (order 2) derivatives at ``xb`` (M, N).
@@ -216,12 +214,11 @@ class ScalarField(_Field):
     evaluator (:meth:`from_evaluator`).
     """
 
-    def __init__(self, dim, fn, grad=None, hess=None, state_dim=1):
-        super().__init__(dim, state_dim, *_callable_evaluator(state_dim, fn, grad, hess))
+    state_dim = 1  # unless the constructor's or from_evaluator's state_dim says otherwise
 
-    @property
-    def state_dim(self) -> int:
-        return self._comps
+    def __init__(self, dim, fn, grad=None, hess=None, state_dim=1):
+        super().__init__(dim, *_callable_evaluator(state_dim, fn, grad, hess))
+        self.state_dim = int(state_dim)
 
     # point-major views: values (M, d), gradients (M, d, N), hessians (M, d, N, N)
 
@@ -257,12 +254,6 @@ class ScalarField(_Field):
             hh = hh[:, 0, :, :]
         return hh[0] if single else hh
 
-    @staticmethod
-    def from_jet(dim, jet_fn, state_dim=1):
-        """Build a field from a function (batch, order) -> Jet or list of Jets."""
-        return ScalarField.from_evaluator(dim, _jet_evaluator(jet_fn, state_dim != 1), 2,
-                                          state_dim=state_dim)
-
 
 class VectorField(_Field):
     """Smooth map R^N -> R^N with Jacobian and second derivatives."""
@@ -270,7 +261,7 @@ class VectorField(_Field):
     _symmetrize_second = True
 
     def __init__(self, dim, fn, jacobian=None, second=None):
-        super().__init__(dim, dim, *_callable_evaluator(dim, fn, jacobian, second))
+        super().__init__(dim, *_callable_evaluator(dim, fn, jacobian, second))
 
     def _values(self, xb):
         return _points_first(self.evaluate(xb, 0)[0])
@@ -310,22 +301,35 @@ class VectorField(_Field):
 
     __rmul__ = __mul__
 
-    @staticmethod
-    def from_jets(dim, jets_fn):
-        """Build from (batch, order) -> list of N component Jets."""
-        return VectorField.from_evaluator(dim, _jet_evaluator(jets_fn, True), 2)
-
 
 # ---------------------------------------------------------------------------
 # built-in constructors
 # ---------------------------------------------------------------------------
 
 
+def _vector(value, dim=None) -> np.ndarray:
+    """``value`` as a vector of floats: of ``dim`` entries, or of at least one when None."""
+    v = np.asarray(value, dtype=float)
+    if v.ndim != 1 or v.size == 0 or dim not in (None, v.size):
+        raise ValueError(f"{value!r} is not a vector of {dim or 'at least 1'} numbers")
+    return v
+
+
+def _table(terms, dim) -> list[tuple[float, tuple[int, ...]]]:
+    """A coefficient table: (coefficient, exponents) terms with ``dim`` non-negative exponents."""
+    table = [(float(c), tuple(natural(e) for e in p)) for c, p in terms]
+    if any(len(p) != dim for _c, p in table):
+        raise ValueError(f"each monomial needs {dim} exponents, got {terms!r}")
+    return table
+
+
 def linear_field(matrix, offset=None) -> VectorField:
     """V(x) = A x + b."""
     a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"the matrix of a linear field must be square, got {matrix!r}")
     n = a.shape[0]
-    b = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
+    b = np.zeros(n) if offset is None else _vector(offset, n)
 
     return VectorField(
         n,
@@ -340,7 +344,7 @@ def dilation_field(dim: int, rate: float = 1.0) -> VectorField:
 
 
 def constant_field(vector) -> VectorField:
-    v = np.asarray(vector, dtype=float)
+    v = _vector(vector)
     n = v.shape[0]
     return VectorField(
         n,
@@ -356,7 +360,7 @@ def rotation_field(omega) -> VectorField:
         a = float(omega)
         mat = np.array([[0.0, a], [-a, 0.0]])
         return linear_field(mat)
-    w = np.asarray(omega, dtype=float)
+    w = _vector(omega, 3)
     mat = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
     return linear_field(mat)
 
@@ -377,22 +381,29 @@ def rotation_exp(mat) -> np.ndarray:
 
 def polynomial_scalar_field(dim, terms) -> ScalarField:
     """Scalar field sum_k c_k prod x_i^e_i from a coefficient table."""
-    terms = [(float(c), tuple(int(e) for e in p)) for c, p in terms]
-    return ScalarField.from_jet(dim, lambda xb, order: jet_polynomial(xb, terms, order))
+    tables = [_table(terms, dim)]
+    return ScalarField.from_jet(dim, lambda xb, order: jet_polynomial(xb, tables, order))
+
+
+def _tables(dim, components) -> list:
+    """One coefficient table per coordinate of R^dim."""
+    tables = [_table(comp, dim) for comp in components]
+    if len(tables) != dim:
+        raise DimensionMismatch("need one component table per coordinate")
+    return tables
 
 
 def polynomial_vector_field(dim, components) -> VectorField:
     """Vector field whose components are monomial sums (coefficient tables)."""
-    comps = [[(float(c), tuple(int(e) for e in p)) for c, p in comp] for comp in components]
-    if len(comps) != dim:
-        raise DimensionMismatch("need one component table per coordinate")
-    return VectorField.from_jets(
-        dim, lambda xb, order: [jet_polynomial(xb, comp, order) for comp in comps])
+    tables = _tables(dim, components)
+    return VectorField.from_jet(dim, lambda xb, order: jet_polynomial(xb, tables, order))
 
 
 def trig_scalar_field(dim, terms) -> ScalarField:
     """Scalar field sum_k a_k * sin/cos(k . x + phase), analytic derivatives."""
-    parsed = [(float(a), np.asarray(k, dtype=float), float(ph), kind) for a, k, ph, kind in terms]
+    parsed = [(float(a), _vector(k, dim), float(ph), kind) for a, k, ph, kind in terms]
+    if any(kind not in ("sin", "cos") for *_rest, kind in parsed):
+        raise ValueError(f"each trig term is a 'sin' or a 'cos', got {terms!r}")
 
     def build(xb, order):
         coords = Jet.variables(xb, order)
@@ -459,7 +470,7 @@ def _bump_shape(s2: Jet, order) -> Jet:
 
 def bump_scalar_field(center, radius, amplitude=1.0, order=8) -> ScalarField:
     """Radial bump supported on |x - center| < radius (polynomial by default)."""
-    c = np.asarray(center, dtype=float)
+    c = _vector(center)
     return ScalarField.from_jet(
         c.shape[0],
         lambda xb, jet_order: _bump_jet(xb, c, float(radius), order, jet_order) * float(amplitude),
@@ -468,14 +479,14 @@ def bump_scalar_field(center, radius, amplitude=1.0, order=8) -> ScalarField:
 
 def bump_polynomial_field(dim, components, center, radius, order=8) -> VectorField:
     """Compactly supported field: polynomial components times a radial bump."""
-    c = np.asarray(center, dtype=float)
-    comps = [[(float(cc), tuple(int(e) for e in p)) for cc, p in comp] for comp in components]
+    c = _vector(center, dim)
+    tables = _tables(dim, components)
 
     def build(xb, jet_order):
-        bump = _bump_jet(xb, c, float(radius), order, jet_order)
-        return [jet_polynomial(xb, comp, jet_order) * bump for comp in comps]
+        return jet_polynomial(xb, tables, jet_order) * _bump_jet(xb, c, float(radius), order,
+                                                                 jet_order)
 
-    return VectorField.from_jets(dim, build)
+    return VectorField.from_jet(dim, build)
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +665,7 @@ def random_polynomial_vector_field(rng, dim, degree=3, scale=1.0) -> VectorField
 
 def random_compact_vector_field(rng, dim, degree=2, scale=1.0, center=None, radius=0.8,
                                 order=8) -> VectorField:
-    c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
+    c = np.zeros(dim) if center is None else _vector(center, dim)
     comps = [_random_terms(rng, dim, degree, scale) for _ in range(dim)]
     return bump_polynomial_field(dim, comps, c, radius, order=order)
 
@@ -686,15 +697,16 @@ def filament_test_field(preset: str, amplitude: float = 1.0, frequency: int = 1,
 
     def build(xb, jet_order):
         chi = _cylindrical_bump_jet(xb, float(radius), order, jet_order)
-        zero = Jet.constant(0.0, xb, jet_order)
         if preset == "bend":
             wave = jet_sin(Jet.coordinate(xb, 0, jet_order) * (2.0 * np.pi * int(frequency))) * amp
-            return [zero, wave * chi, zero]
-        sign = -amp if preset == "antiholomorphic" else amp
-        return [zero, Jet.coordinate(xb, 1, jet_order) * chi * amp,
-                Jet.coordinate(xb, 2, jet_order) * chi * sign]
+            rows = (None, wave * chi, None)
+        else:
+            sign = -amp if preset == "antiholomorphic" else amp
+            rows = (None, *(Jet.coordinate(xb, (1, 2), jet_order) * chi * np.array([amp, sign])))
+        del chi  # the bump's jet dies before the field's is built from its rows
+        return Jet.coordinate(xb, rows, jet_order)
 
-    return VectorField.from_jets(3, build)
+    return VectorField.from_jet(3, build)
 
 
 def _seeded_compact_field(dim, degree, scale, center, radius, seed) -> VectorField:

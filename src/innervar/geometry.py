@@ -138,13 +138,13 @@ class RoundSurface(Hypersurface):
     def distance_jet(self, xb, order=2) -> Jet:
         return jet_norm(xb - self.center, order) - self.radius
 
-    def normal_coordinates(self, xb, order=2) -> tuple[Jet, list[Jet], list[Jet]]:
+    def normal_coordinates(self, xb, order=2) -> tuple[Jet, Jet, Jet]:
         r = jet_norm(xb - self.center, order)
         d, inv_r = r - self.radius, r.reciprocal()
         del r
-        hats = [(Jet.coordinate(xb, i, order) - c) * inv_r for i, c in enumerate(self.center)]
+        hat = (Jet.variables(xb, order) - self.center[:, None]) * inv_r
         del inv_r
-        return d, [h * self.radius + c for h, c in zip(hats, self.center)], hats
+        return d, hat * self.radius + self.center[:, None], hat
 
 
 class FlatPatch(Hypersurface):
@@ -160,18 +160,19 @@ class FlatPatch(Hypersurface):
     def distance_jet(self, xb, order=2) -> Jet:
         return Jet.coordinate(xb, self.axis, order) - self.offset
 
-    def normal_coordinates(self, xb, order=2) -> tuple[Jet, list[Jet], list[Jet]]:
-        foot = [Jet.constant(self.offset, xb, order) if i == self.axis
-                else Jet.coordinate(xb, i, order) for i in range(self.dim)]
-        normal = [Jet.constant(float(i == self.axis), xb, order) for i in range(self.dim)]
-        return self.distance_jet(xb, order), foot, normal
+    def normal_coordinates(self, xb, order=2) -> tuple[Jet, Jet, Jet]:
+        a = self.axis
+        foot = [Jet.constant(self.offset, xb, order) if i == a else i for i in range(self.dim)]
+        normal = [Jet.constant(1.0, xb, order) if i == a else None for i in range(self.dim)]
+        return (self.distance_jet(xb, order), Jet.coordinate(xb, foot, order),
+                Jet.coordinate(xb, normal, order))
 
 
 class Filament(_Interface):
     """Codimension-two interface (curve in R^3) with orthonormal normal pair.
 
-    Subclasses provide ``transverse_jets(xb, order)``, the jets of the two
-    signed transverse coordinates in the (p, q) frame, and ``tube_jacobian(a, b)``,
+    Subclasses provide ``transverse_jets(xb, order)``, the two-component jet of
+    the signed transverse coordinates in the (p, q) frame, and ``tube_jacobian(a, b)``,
     the volume element of the normal exponential map at offsets (a, b).
     """
 
@@ -189,8 +190,8 @@ class StraightFilament(Filament):
 
     type_name = "straight_filament"
 
-    def transverse_jets(self, xb, order=2) -> tuple[Jet, Jet]:
-        return Jet.coordinate(xb, 1, order), Jet.coordinate(xb, 2, order)
+    def transverse_jets(self, xb, order=2) -> Jet:
+        return Jet.coordinate(xb, (1, 2), order)
 
     def tube_jacobian(self, a, b):
         return np.ones_like(a)
@@ -205,8 +206,8 @@ class CircularFilament(Filament):
         super().__init__(*args)
         self.radius = radius
 
-    def transverse_jets(self, xb, order=2) -> tuple[Jet, Jet]:
-        return jet_norm(xb, order, axes=(0, 1)) - self.radius, Jet.coordinate(xb, 2, order)
+    def transverse_jets(self, xb, order=2) -> Jet:
+        return Jet.coordinate(xb, (jet_norm(xb, order, axes=(0, 1)) - self.radius, 2), order)
 
     def tube_jacobian(self, a, b):
         return 1.0 + a / self.radius
@@ -504,30 +505,29 @@ def normal_extension(g: Hypersurface, xi: ScalarField, cutoff_width: float) -> V
     ambient = _real(xi)
     s0, s1 = (0.5 * w) ** 2, w * w
 
-    def compose_ambient(pj: list[Jet], order: int) -> Jet:
-        """xi at the projection with components ``pj``, by the chain rule on its jets."""
+    def compose_ambient(pj: Jet, order: int) -> Jet:
+        """xi at the projection ``pj`` (a jet with a component axis), by the chain rule."""
         # xi at the projected points, once
-        parts = ambient.evaluate(np.stack([j.val for j in pj], axis=1), order)
+        parts = ambient.evaluate(pj.val.T, order)
         v, gr = parts[0][0], parts[1][0]
-        pg = np.stack([j.grad for j in pj])
-        grad = np.einsum("km,knm->nm", gr, pg)
+        grad = np.einsum("km,knm->nm", gr, pj.grad)
         if order == 1:
             return Jet(v, grad, None)
         hs = parts[2][0]
         del parts
-        curv = np.einsum("klm,knm,lom->nom", hs, pg, pg)
-        del hs, pg
-        curv += sum(gr[k] * jk.hess for k, jk in enumerate(pj))
+        curv = np.einsum("klm,knm,lom->nom", hs, pj.grad, pj.grad)
+        del hs
+        curv += sum(gr[k] * hk for k, hk in enumerate(pj.hess))
         return Jet(v, grad, curv)
 
-    def jets_fn(xb, order):
+    def jet_fn(xb, order):
         d, foot, normal = g.normal_coordinates(xb, order)
         amp = compose_ambient(foot, order)
-        del foot  # the foot point's jets die before the cutoff's are built
+        del foot  # the foot point's jet dies before the cutoff's is built
         amp = amp * _smooth_step_jet(d * d, s0, s1)
-        return [amp * n for n in normal]
+        return amp * normal
 
-    return VectorField.from_jets(g.dim, jets_fn)
+    return VectorField.from_jet(g.dim, jet_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ obtain analytic first and second derivatives without symbolic algebra.
 Jets are stored component-major: ``val`` is (M,), ``grad`` is (N, M) and
 ``hess`` is (N, N, M), so every product and chain rule works on contiguous
 length-M rows, and a per-point factor of shape (M,) broadcasts against them
-directly.  Field evaluations stack C component jets into the same layout,
-(C, M), (C, N, M) and (C, N, N, M), and the kernels contract those parts
-over the trailing point axis.
+directly.  A vector or complex quantity is one jet with a leading axis of C
+components, (C, M), (C, N, M) and (C, N, N, M), the layout fields hand to the
+kernels.  Operations insert the derivative axes explicitly, so a scalar jet
+broadcasts over C, each component bit for bit the scalar result; ``jet[k]``
+is component k, and ``jet * c`` takes a number or one per component.
 
 A jet with ``hess=None`` is a first-order jet: every operation then skips its
 Hessian work, and computes values and gradients exactly as at second order,
@@ -19,8 +21,8 @@ so truncation never changes a value or gradient bit.  An operation on jets
 of different orders returns a jet of the lower order.
 
 Every operation allocates only the arrays it returns, plus at most one
-(N, M) scratch row: a Hessian product is added row by row into its output,
-never through (N, N, M) temporaries, so large batches do not fault in fresh
+(C, N, M) scratch row: a Hessian product is added row by row into its output,
+never through (C, N, N, M) temporaries, so large batches do not fault in fresh
 pages for each intermediate.  Jets are never written after construction
 (:meth:`Jet.where` builds a piecewise jet), so a scalar shift ``jet + c``
 shares its operand's ``grad`` and ``hess`` arrays instead of copying them.
@@ -36,6 +38,7 @@ import numpy as np
 
 class Jet:
     __slots__ = ("val", "grad", "hess")
+    __array_ufunc__ = None  # ``array * jet`` is ``jet.__rmul__(array)``, not an array of jets
 
     def __init__(self, val: np.ndarray, grad: np.ndarray, hess: np.ndarray | None):
         self.val = val
@@ -46,15 +49,35 @@ class Jet:
     def order(self) -> int:
         return 1 if self.hess is None else 2
 
+    def __getitem__(self, k) -> "Jet":
+        """Component k (or the components a slice selects) of a jet with a component axis."""
+        return Jet(self.val[k], self.grad[k], None if self.hess is None else self.hess[k])
+
     # ---- constructors -------------------------------------------------
 
     @staticmethod
-    def coordinate(x: np.ndarray, i: int, order: int = 2) -> "Jet":
-        """Jet of the coordinate function x_i on a batch x of shape (M, N)."""
+    def coordinate(x: np.ndarray, i, order: int = 2) -> "Jet":
+        """Jet of the coordinate function x_i on a batch x of shape (M, N).
+
+        A sequence ``i`` gives one jet with a component axis: component k is
+        x_{i[k]}, the jet ``i[k]`` (one without a component axis), or zero for None.
+        """
+        if not isinstance(i, (list, tuple, range)):
+            return Jet.coordinate(x, [i], order)[0]
         m, n = x.shape
-        grad = np.zeros((n, m))
-        grad[i] = 1.0
-        return Jet(x[:, i].copy(), grad, np.zeros((n, n, m)) if order == 2 else None)
+        val, grad, hess = np.zeros((len(i), m)), np.zeros((len(i), n, m)), None
+        if order == 2:  # a zero Hessian is a read-only view of one zero, unless jets fill rows
+            shape = (len(i), n, n, m)
+            jets = any(isinstance(row, Jet) for row in i)
+            hess = np.zeros(shape) if jets else np.broadcast_to(0.0, shape)
+        for k, row in enumerate(i):
+            if isinstance(row, Jet):
+                val[k], grad[k] = row.val, row.grad
+                if hess is not None:
+                    hess[k] = row.hess
+            elif row is not None:
+                val[k], grad[k, row] = x[:, row], 1.0
+        return Jet(val, grad, hess)
 
     @staticmethod
     def constant(c: float, x: np.ndarray, order: int = 2) -> "Jet":
@@ -63,13 +86,13 @@ class Jet:
                    np.zeros((n, n, m)) if order == 2 else None)
 
     @staticmethod
-    def variables(x: np.ndarray, order: int = 2) -> list["Jet"]:
-        return [Jet.coordinate(x, i, order) for i in range(x.shape[1])]
+    def variables(x: np.ndarray, order: int = 2) -> "Jet":
+        return Jet.coordinate(x, range(x.shape[1]), order)
 
     def masked(self, mask: np.ndarray) -> "Jet":
         """The jet restricted to the points selected by ``mask``."""
-        return Jet(self.val[mask], self.grad[:, mask],
-                   None if self.hess is None else self.hess[:, :, mask])
+        return Jet(self.val[..., mask], self.grad[..., mask],
+                   None if self.hess is None else self.hess[..., mask])
 
     @staticmethod
     def where(mask: np.ndarray, inside: "Jet", outside) -> "Jet":
@@ -83,13 +106,13 @@ class Jet:
             val, grad = outside.val.copy(), outside.grad.copy()
             hess = None if inside.hess is None else outside.hess.copy()
         else:
-            n, m = inside.grad.shape[0], mask.shape[0]
-            val, grad = np.full(m, outside, dtype=float), np.zeros((n, m))
-            hess = None if inside.hess is None else np.zeros((n, n, m))
-        val[mask] = inside.val
-        grad[:, mask] = inside.grad
+            val = np.full(inside.val.shape[:-1] + mask.shape, outside, dtype=float)
+            grad = np.zeros(inside.grad.shape[:-1] + mask.shape)
+            hess = None if inside.hess is None else np.zeros(inside.hess.shape[:-1] + mask.shape)
+        val[..., mask] = inside.val
+        grad[..., mask] = inside.grad
         if hess is not None:
-            hess[:, :, mask] = inside.hess
+            hess[..., mask] = inside.hess
         return Jet(val, grad, hess)
 
     # ---- arithmetic ----------------------------------------------------
@@ -118,23 +141,24 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             val = self.val * other.val
-            grad = self.val * other.grad
-            row = other.val * self.grad  # the one scratch row
+            grad = self.val[..., None, :] * other.grad
+            row = other.val[..., None, :] * self.grad  # the one scratch row
             grad += row
             if self.hess is None or other.hess is None:
                 return Jet(val, grad, None)
             # (a h_b + b h_a + g_a g_b^T + g_b g_a^T), summed in that order, one row at a time
-            hess = self.val * other.hess
-            for i, out in enumerate(hess):
-                np.multiply(other.val, self.hess[i], out=row)
+            hess = self.val[..., None, None, :] * other.hess
+            for i, out in enumerate(np.moveaxis(hess, -3, 0)):
+                np.multiply(other.val[..., None, :], self.hess[..., i, :, :], out=row)
                 out += row
-                np.multiply(self.grad[i], other.grad, out=row)
+                np.multiply(self.grad[..., i, None, :], other.grad, out=row)
                 out += row
-                np.multiply(other.grad[i], self.grad, out=row)
+                np.multiply(other.grad[..., i, None, :], self.grad, out=row)
                 out += row
             return Jet(val, grad, hess)
-        c = float(other)
-        return Jet(self.val * c, self.grad * c, None if self.hess is None else self.hess * c)
+        c = np.asarray(other, dtype=float)[..., None]
+        return Jet(self.val * c, self.grad * c[..., None],
+                   None if self.hess is None else self.hess * c[..., None, None])
 
     __rmul__ = __mul__
 
@@ -163,15 +187,15 @@ class Jet:
 
         ``g2`` is read only for a second-order jet and may be None otherwise.
         """
-        grad = g1 * self.grad
+        grad = g1[..., None, :] * self.grad
         if self.hess is None:
             return Jet(np.asarray(g0, dtype=float), grad, None)
         # g1 h + g2 g g^T, one row at a time
-        hess = g1 * self.hess
+        hess = g1[..., None, None, :] * self.hess
         row = np.empty_like(grad)
-        for i, out in enumerate(hess):
-            np.multiply(self.grad[i], self.grad, out=row)
-            row *= g2
+        for i, out in enumerate(np.moveaxis(hess, -3, 0)):
+            np.multiply(self.grad[..., i, None, :], self.grad, out=row)
+            row *= g2[..., None, :]
             out += row
         return Jet(np.asarray(g0, dtype=float), grad, hess)
 
@@ -233,20 +257,20 @@ def jet_norm(x: np.ndarray, order: int = 2, axes=None) -> Jet:
     return jet_sqrt(jet_squared_norm(x, order, axes))
 
 
-def jet_polynomial(x: np.ndarray, terms: list[tuple[float, tuple[int, ...]]],
-                   order: int = 2) -> Jet:
-    """Jet of sum_k c_k * prod_i x_i^(e_ki) with analytic derivatives.
+def jet_polynomial(x: np.ndarray, tables, order: int = 2) -> Jet:
+    """Jet with one component per coefficient table: component k is sum_j c_j prod_i x_i^(e_ji)
+    over the terms (c_j, e_j) of ``tables[k]``, with analytic derivatives.
 
     Derivatives are assembled directly from the monomial exponents instead of
     chained jet products, so high-degree terms stay exact.  Each power
-    ``x_i ** e`` is computed once per call and shared by every monomial,
-    derivative and factor that uses it; factors ``x_i ** 0`` are skipped,
-    since multiplying by exactly 1.0 changes no bit.
+    ``x_i ** e`` is computed once per call and shared by every component,
+    monomial, derivative and factor that uses it; factors ``x_i ** 0`` are
+    skipped, since multiplying by exactly 1.0 changes no bit.
     """
     m, n = x.shape
-    val = np.zeros(m)
-    grad = np.zeros((n, m))
-    hess = np.zeros((n, n, m)) if order == 2 else None
+    val = np.zeros((len(tables), m))
+    grad = np.zeros((len(tables), n, m))
+    hess = np.zeros((len(tables), n, n, m)) if order == 2 else None
     powers_of: dict[tuple[int, int], np.ndarray] = {}
 
     def _pow(i: int, e: int) -> np.ndarray:
@@ -261,27 +285,17 @@ def jet_polynomial(x: np.ndarray, terms: list[tuple[float, tuple[int, ...]]],
                 out = c * _pow(i, e) if out is None else out * _pow(i, e)
         return np.full(m, float(c)) if out is None else out
 
-    for coef, powers in terms:
-        if len(powers) != n:
-            raise ValueError("monomial exponent tuple does not match dimension")
-        val += _product(coef, powers)
-        for i, ei in enumerate(powers):
-            if ei == 0:
-                continue
-            grad[i] += _product(coef * ei, [e - (k == i) for k, e in enumerate(powers)])
-        if hess is None:
-            continue
-        for i, ei in enumerate(powers):
-            for j, ej in enumerate(powers):
-                if i == j:
-                    if ei < 2:
-                        continue
-                    hterm = _product(coef * ei * (ei - 1),
-                                     [e - 2 * (k == i) for k, e in enumerate(powers)])
-                else:
-                    if ei == 0 or ej == 0:
-                        continue
-                    hterm = _product(coef * ei * ej,
-                                     [e - (k == i) - (k == j) for k, e in enumerate(powers)])
-                hess[i, j] += hterm
+    for k, terms in enumerate(tables):
+        for coef, powers in terms:
+            if len(powers) != n:
+                raise ValueError("monomial exponent tuple does not match dimension")
+            val[k] += _product(coef, powers)
+            for i, ei in enumerate(powers):
+                if ei == 0:
+                    continue
+                grad[k, i] += _product(coef * ei, [e - (q == i) for q, e in enumerate(powers)])
+                for j, ej in enumerate(powers if hess is not None else ()):
+                    if ej - (i == j):  # d_j d_i x^e = e_i (e_j - [i = j]) x^(e - 1_i - 1_j)
+                        hess[k, i, j] += _product(coef * ei * (ej - (i == j)), [
+                            e - (q == i) - (q == j) for q, e in enumerate(powers)])
     return Jet(val, grad, hess)

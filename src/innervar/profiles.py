@@ -390,24 +390,20 @@ def gl_vortex_field(g: Filament, eps: float, prof: GLRadialProfile) -> ScalarFie
             f"{g.focal_width:g}"
         )
 
-    def jets_fn(xb, order):
-        a, b = g.transverse_jets(xb, order)
-        rho2 = a * a + b * b
-        on_axis = rho2.val < 1e-24
-        if np.any(on_axis):
-            # u ~ slope0 (a + ib)/eps near the core; value 0, curvature 0 there
-            off = ~on_axis
-            rho = jet_sqrt(rho2.masked(off))
-            f_at = (rho * (1.0 / eps)).compose(prof.derivatives)
-            gfac = f_at * rho.reciprocal()
-            zeros = np.zeros(xb.shape[0])
-            core = [Jet(zeros, c.grad * (prof.slope0 / eps),
-                        None if c.hess is None else np.zeros(c.hess.shape)) for c in (a, b)]
-            return [Jet.where(off, gfac * c.masked(off), k) for c, k in zip((a, b), core)]
-        rho = jet_sqrt(rho2)
+    def jet_fn(xb, order):
+        ab = g.transverse_jets(xb, order)
+        rho2 = sum(ab * ab)  # a^2 + b^2, over the component axis
+        off = ~(rho2.val < 1e-24)
+        on_axis = not np.all(off)
+        rho = jet_sqrt(rho2.masked(off) if on_axis else rho2)
         del rho2
         gfac = (rho * (1.0 / eps)).compose(prof.derivatives) * rho.reciprocal()
         del rho
-        return [gfac * a, gfac * b]
+        if not on_axis:
+            return gfac * ab
+        # u ~ slope0 (a + ib)/eps near the core; value 0, curvature 0 there
+        core = Jet(np.zeros(ab.val.shape), ab.grad * (prof.slope0 / eps),
+                   None if ab.hess is None else np.zeros(ab.hess.shape))
+        return Jet.where(off, gfac * ab.masked(off), core)
 
-    return ScalarField.from_jet(g.dim, jets_fn, state_dim=2)
+    return ScalarField.from_jet(g.dim, jet_fn, state_dim=2)

@@ -385,6 +385,32 @@ _MALFORMED = [
     ("volume_random_count_fraction", {
         "name": "x", "kind": "volume", "geometry": _SPHERE, "fields": {"random": 2.5},
     }),
+    # field descriptors are checked where they are built: each of these used to pass
+    # validation and then crash with a traceback, or run another field than the one described
+    ("linear_matrix_not_square", {**_AC, "geometry": {"type": "circle", "radius": 1.0},
+                                  "eta": {"type": "linear", "matrix": [[1, 0, 0], [0, 1, 0]]}}),
+    ("linear_offset_too_short", {**_AC, "eta": {"type": "linear", "matrix": [[1, 0], [0, 1]],
+                                                "offset": [1.0]}}),
+    ("constant_vector_a_number", {**_AC, "eta": {"type": "constant", "vector": 1.0}}),
+    ("rotation_omega_of_two_entries", {**_AC, "geometry": _SPHERE,
+                                       "eta": {"type": "rotation", "omega": [1, 2]}}),
+    ("radial_bump_center_a_number", _variant(phi={"type": "radial_bump", "center": 0.0,
+                                                  "radius": 1.8})),
+    ("bump_polynomial_one_table_in_two_dimensions",
+     {**_AC, "eta": {**_AC["eta"], "components": [[[1.0, [0, 0]]]]}}),
+    ("bump_polynomial_center_too_long", {**_AC, "eta": {**_AC["eta"], "center": [0.0, 0.0, 0.0]}}),
+    ("forms_xi_exponents_too_short", {
+        "name": "x", "kind": "forms", "geometry": _SPHERE, "schedule": {"eps0": 0.04, "count": 4},
+        "xi": {"type": "polynomial", "dim": 3, "terms": [[1.0, [0, 1]]]},
+    }),
+    ("polynomial_exponent_fraction", _variant(phi={"type": "polynomial", "dim": 3,
+                                                   "terms": [[1.0, [0, 1.5, 0]]]})),
+    ("polynomial_exponent_negative", _variant(phi={"type": "polynomial", "dim": 3,
+                                                   "terms": [[1.0, [0, -1, 0]]]})),
+    ("trig_wave_vector_too_short", _variant(phi={"type": "trig", "dim": 3,
+                                                 "terms": [[1.0, [1.0, 0.0], 0.0, "sin"]]})),
+    ("trig_kind_unknown", _variant(phi={"type": "trig", "dim": 3,
+                                        "terms": [[1.0, [1.0, 0.0, 0.0], 0.0, "tan"]]})),
 ]
 
 

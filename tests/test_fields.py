@@ -413,9 +413,16 @@ def test_jet_polynomial_matches_the_factor_by_factor_reference_bit_for_bit(dim, 
     terms = F._random_terms(rng, dim, degree, 1.0) + [(2, (0,) * dim)]
     x = rng.uniform(-1.5, 1.5, size=(50, dim))
     x[0] = 0.0
-    parts = _jet_parts(lambda xb, order: jet_polynomial(xb, terms, order))(x, 2)
+    parts = _jet_parts(lambda xb, order: jet_polynomial(xb, [terms], order)[0])(x, 2)
     for got, want in zip(parts, _monomial_reference(x, terms)):
         assert got.tobytes() == np.moveaxis(want, 0, -1).tobytes()
+    # several tables in one call share the powers: each component is its own table's jet
+    other = F._random_terms(rng, dim, degree, 1.0)
+    both = jet_polynomial(x, [other, terms, []], 2)
+    for k, table in enumerate([other, terms, []]):
+        alone = jet_polynomial(x, [table], 2)
+        for part in ("val", "grad", "hess"):
+            assert getattr(both, part)[k].tobytes() == getattr(alone, part)[0].tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -563,12 +570,47 @@ def _random_jet(rng, n, m, order):
     return Jet(rng.uniform(0.5, 2.0, m), grad, hess)
 
 
+def _stacked(jets):
+    """The parts of per-component jets, stacked on a leading component axis."""
+    return tuple(None if getattr(jets[0], part) is None
+                 else np.stack([getattr(jet, part) for jet in jets])
+                 for part in ("val", "grad", "hess"))
+
+
+def _component_cases(rng, comps, a, b, c):
+    """Operations on a jet with ``comps`` components (a's order) and the scalar jet ``b``,
+    each with the same operation per component, stacked: the reference they must equal."""
+    rows = [_random_jet(rng, a.grad.shape[0], a.val.shape[0], a.order) for _ in range(comps)]
+    vec = Jet(*_stacked(rows))
+    outside = [_random_jet(rng, a.grad.shape[0], a.val.shape[0], 2) for _ in range(comps)]
+    mask = rng.random(a.val.shape[0]) < 0.5
+    ops = {
+        "V*b": lambda v: v * b, "b*V": lambda v: b * v, "V+b": lambda v: v + b,
+        "b+V": lambda v: b + v, "V-b": lambda v: v - b, "b-V": lambda v: b - v,
+        "V*c": lambda v: v * c, "-V": lambda v: -v, "V.masked": lambda v: v.masked(mask),
+        "where(V, c)": lambda v: Jet.where(mask, v.masked(mask), c),
+    }
+    ops.update({f"{name}(V)": fn for name, (fn, _) in _LIFTED.items()})
+    cases = {name: (op(vec), _stacked([op(row) for row in rows])) for name, op in ops.items()}
+    cases["where(V, W)"] = (Jet.where(mask, vec.masked(mask), Jet(*_stacked(outside))),
+                            _stacked([Jet.where(mask, row.masked(mask), out)
+                                      for row, out in zip(rows, outside)]))
+    factors = rng.uniform(-2.0, 2.0, comps)  # one per component, on either side
+    by_row = _stacked([row * f for row, f in zip(rows, factors)])
+    cases.update({"V*f": (vec * factors, by_row), "f*V": (factors * vec, by_row)})
+    return cases
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.sampled_from([1, 2, 3]), m=st.integers(1, 5000), orders=st.sampled_from(
-    [(1, 1), (2, 2), (1, 2), (2, 1)]), c=st.floats(-3.0, 3.0), seed=st.integers(0, 2**16))
-@example(n=3, m=1, orders=(2, 2), c=0.0, seed=0)
-@example(n=1, m=1, orders=(1, 2), c=-0.0, seed=1)
-def test_jet_arithmetic_matches_the_broadcast_formulas_bit_for_bit(n, m, orders, c, seed):
+    [(1, 1), (2, 2), (1, 2), (2, 1)]), c=st.floats(-3.0, 3.0), seed=st.integers(0, 2**16),
+    comps=st.sampled_from([None, 1, 2, 3]))
+@example(n=3, m=1, orders=(2, 2), c=0.0, seed=0, comps=None)
+@example(n=1, m=1, orders=(1, 2), c=-0.0, seed=1, comps=None)
+@example(n=3, m=12288, orders=(2, 2), c=0.5, seed=2, comps=3)
+def test_jet_arithmetic_matches_the_broadcast_formulas_bit_for_bit(n, m, orders, c, seed, comps):
+    # with ``comps``, a jet with a leading component axis is combined with a scalar jet on
+    # either side, and must give each component's scalar result bit for bit
     rng = np.random.default_rng(seed)
     a, b = (_random_jet(rng, n, m, order) for order in orders)
     cases = {
@@ -589,6 +631,8 @@ def test_jet_arithmetic_matches_the_broadcast_formulas_bit_for_bit(n, m, orders,
         cases[name] = (fn(a), _broadcast_lift(a, *derivatives(a.val)))
     g = [rng.standard_normal(m) for _ in range(3)]
     cases["lift"] = (a.lift(*g), _broadcast_lift(a, *g))
+    if comps is not None:
+        cases.update(_component_cases(rng, comps, a, b, c))
     for name, (got, want) in cases.items():
         assert (got.hess is None) == (want[2] is None), name
         for part, ref in zip((got.val, got.grad, got.hess), want):
@@ -665,6 +709,87 @@ def test_a_scalar_shift_shares_its_operands_derivatives():
         assert shifted.grad is a.grad and shifted.hess is a.hess
         assert np.shares_memory(shifted.grad, a.grad) and np.shares_memory(shifted.hess, a.hess)
     assert not np.shares_memory((1.5 - a).grad, a.grad)  # c - a negates its derivatives
+
+
+# The fields as they were built before jets had a component axis: a list of component jets,
+# stacked on every evaluation.  The reference the one-jet builders must equal bit for bit.
+def _listed_normal_extension(g, xi, width, xb, order):
+    r = jet_norm(xb - g.center, order)
+    d, inv_r = r - g.radius, r.reciprocal()
+    hats = [(Jet.coordinate(xb, i, order) - c) * inv_r for i, c in enumerate(g.center)]
+    foot = [h * g.radius + c for h, c in zip(hats, g.center)]
+    parts = xi.evaluate(np.stack([j.val for j in foot], axis=1), order)
+    gr, pg = parts[1][0], np.stack([j.grad for j in foot])
+    curv = np.einsum("klm,knm,lom->nom", parts[2][0], pg, pg)
+    curv += sum(gr[k] * jk.hess for k, jk in enumerate(foot))
+    amp = Jet(parts[0][0], np.einsum("km,knm->nm", gr, pg), curv)
+    amp = amp * G._smooth_step_jet(d * d, (0.5 * width) ** 2, width * width)
+    return [amp * n for n in hats]
+
+
+def _listed_bump_polynomial(tables, center, radius, xb, order):
+    bump = F._bump_jet(xb, center, radius, 8, order)
+    return [jet_polynomial(xb, [table], order)[0] * bump for table in tables]
+
+
+def _listed_filament(preset, amp, xb, order):
+    chi = F._cylindrical_bump_jet(xb, 0.45, 8, order)
+    zero = Jet.constant(0.0, xb, order)
+    if preset == "bend":
+        wave = jet_sin(Jet.coordinate(xb, 0, order) * (2.0 * np.pi)) * amp
+        return [zero, wave * chi, zero]
+    return [zero, Jet.coordinate(xb, 1, order) * chi * amp,
+            Jet.coordinate(xb, 2, order) * chi * -amp]
+
+
+def _listed_vortex(eps, prof, xb, order):
+    a, b = Jet.coordinate(xb, 1, order), Jet.coordinate(xb, 2, order)
+    rho2 = a * a + b * b
+    off = rho2.val >= 1e-24
+    rho = jet_sqrt(rho2.masked(off))
+    gfac = (rho * (1.0 / eps)).compose(prof.derivatives) * rho.reciprocal()
+    core = [Jet(np.zeros(len(xb)), c.grad * (prof.slope0 / eps), np.zeros(c.hess.shape))
+            for c in (a, b)]
+    return [Jet.where(off, gfac * c.masked(off), k) for c, k in zip((a, b), core)]
+
+
+def test_vector_fields_are_one_jet_and_never_stacked(monkeypatch):
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-1.0, 1.0, size=(600, 3))
+    x[:3, 1:] = 0.0  # on the filament's axis: the vortex core
+    sph = G.sphere(1.0, n_polar=4, n_azimuth=8)
+    xi = F.polynomial_scalar_field(3, [(1.0, (2, 0, 0)), (-1.0, (0, 1, 1)), (0.5, (0, 0, 1))])
+    tables = [F._random_terms(rng, 3, 2, 1.0) for _ in range(3)]
+    center = np.array([0.1, 0.0, -0.2])
+    prof = L._profile("gl")
+    cases = [
+        (G.normal_extension(sph, xi, 0.9), 1.0 + 0.2 * x,
+         lambda y: _listed_normal_extension(sph, xi, 0.9, y, 2)),
+        (F.bump_polynomial_field(3, tables, center, 1.4), x,
+         lambda y: _listed_bump_polynomial(tables, center, 1.4, y, 2)),
+        (F.filament_test_field("bend", 0.6), x, lambda y: _listed_filament("bend", 0.6, y, 2)),
+        (F.filament_test_field("antiholomorphic", 1.3), x,
+         lambda y: _listed_filament("antiholomorphic", 1.3, y, 2)),
+        (P.gl_vortex_field(G.straight_filament(1.0, 4), 0.05, prof), x,
+         lambda y: _listed_vortex(0.05, prof, y, 2)),
+    ]
+    stacks, stack = [], np.stack
+
+    def counted_stack(*args, **kwargs):
+        stacks.append(args)
+        return stack(*args, **kwargs)
+
+    monkeypatch.setattr(np, "stack", counted_stack)
+    evaluated = [field.evaluate(y, 2) for field, y, _listed in cases]
+    assert stacks == []
+    monkeypatch.undo()
+    for parts, (field, y, listed) in zip(evaluated, cases):
+        want = list(_stacked(listed(y)))
+        if isinstance(field, F.VectorField):  # a vector field's evaluate symmetrizes S
+            want[2] = 0.5 * (want[2] + np.swapaxes(want[2], 1, 2))
+        assert len(parts) == 3
+        for got, ref in zip(parts, want):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 def _left_to_right(spec, *ops):
@@ -809,15 +934,15 @@ def _counted_fields(calls, dim=2, nodes=None):
     rng = np.random.default_rng(8)
     terms = F._random_terms(rng, dim, 3, 1.0)
     u = F.ScalarField.from_jet(dim, _counting(
-        calls, "u", lambda xb, order: jet_polynomial(xb, terms, order), nodes))
+        calls, "u", lambda xb, order: jet_polynomial(xb, [terms], order), nodes))
     phi = F.ScalarField.from_jet(dim, _counting(
         calls, "phi", lambda xb, order: F._bump_jet(xb, np.zeros(dim), 0.9, 8, order), nodes))
 
-    def bumped(comps):
-        return lambda xb, order: [jet_polynomial(xb, c, order)
-                                  * F._bump_jet(xb, np.zeros(dim), 0.9, 8, order) for c in comps]
+    def bumped(tables):
+        return lambda xb, order: (jet_polynomial(xb, tables, order)
+                                  * F._bump_jet(xb, np.zeros(dim), 0.9, 8, order))
 
-    eta, zeta = (F.VectorField.from_jets(dim, _counting(
+    eta, zeta = (F.VectorField.from_jet(dim, _counting(
         calls, name, bumped([F._random_terms(rng, dim, 2, 1.0) for _ in range(dim)]), nodes))
         for name in ("eta", "zeta"))
     return u, phi, eta, zeta
@@ -944,7 +1069,7 @@ def test_normal_extension_evaluates_xi_once_at_the_jet_order():
     g = G.sphere(1.0, n_polar=6, n_azimuth=12)
     terms = F._random_terms(np.random.default_rng(2), 3, 2, 1.0)
     xi = F.ScalarField.from_jet(3, _counting(
-        calls, "xi", lambda xb, order: jet_polynomial(xb, terms, order)))
+        calls, "xi", lambda xb, order: jet_polynomial(xb, [terms], order)))
     ext = G.normal_extension(g, xi, 0.5)
     x = 1.1 * g.nodes[:5]
     for order in (1, 2):

@@ -339,24 +339,27 @@ def test_normal_coordinates_are_distance_foot_and_normal(g):
          + rng.uniform(-0.3, 0.3, 12)[:, None] * g.normals[0])
     x += rng.normal(scale=0.05, size=x.shape)
 
-    def values(xb):
+    def components(xb):
+        """The distance's jet, then the foot point's and the normal's component by component."""
         d, foot, normal = g.normal_coordinates(xb, 2)
-        return d, np.stack([j.val for j in foot], axis=1), np.stack([j.val for j in normal], 1)
+        for jet in (foot, normal):  # one jet each, with a component axis
+            assert jet.val.shape == (g.dim, len(xb)) and jet.grad.shape == (g.dim, g.dim, len(xb))
+            assert jet.hess.shape == (g.dim, g.dim, g.dim, len(xb))
+        return [d] + [foot[i] for i in range(g.dim)] + [normal[i] for i in range(g.dim)]
 
-    d, foot, normal = values(x)
+    d, foot, normal = g.normal_coordinates(x, 2)
+    foot, normal = foot.val.T, normal.val.T
     np.testing.assert_allclose(d.val, g.distance_jet(x, 2).val, atol=1e-14)
     np.testing.assert_allclose(np.linalg.norm(normal, axis=1), 1.0, atol=1e-14)
     np.testing.assert_allclose(foot + d.val[:, None] * normal, x, atol=1e-14)
     np.testing.assert_allclose(g.distance_jet(foot, 2).val, 0.0, atol=1e-14)
     # first and second derivatives of each jet against central differences of the one before
-    jets = g.normal_coordinates(x, 2)
-    flat = [jets[0]] + jets[1] + jets[2]
+    flat = components(x)
     h = 1e-5
     for k in range(g.dim):
         step = np.zeros(g.dim)
         step[k] = h
-        up, dn = g.normal_coordinates(x + step, 2), g.normal_coordinates(x - step, 2)
-        for j, ju, jd in zip(flat, [up[0]] + up[1] + up[2], [dn[0]] + dn[1] + dn[2]):
+        for j, ju, jd in zip(flat, components(x + step), components(x - step)):
             np.testing.assert_allclose(j.grad[k], (ju.val - jd.val) / (2 * h), atol=1e-8)
             np.testing.assert_allclose(j.hess[k], (ju.grad - jd.grad) / (2 * h), atol=1e-6)
 
@@ -479,9 +482,11 @@ def test_transverse_jets_and_tube_jacobian_match_fd_oracle(g, chart):
     sab = np.stack([rng.uniform(0.0, 1.0, 40), rng.uniform(-0.3, 0.3, 40),
                     rng.uniform(-0.3, 0.3, 40)], axis=1)
     x = chart(*sab.T)
-    a_jet, b_jet = g.transverse_jets(x)
-    np.testing.assert_allclose(a_jet.val, sab[:, 1], atol=1e-14)
-    np.testing.assert_allclose(b_jet.val, sab[:, 2], atol=1e-14)
+    ab = g.transverse_jets(x)  # one jet, its two components (a, b) on a component axis
+    assert ab.val.shape == (2, 40) and ab.grad.shape == (2, 3, 40)
+    assert ab.hess.shape == (2, 3, 3, 40) and g.transverse_jets(x, 1).hess is None
+    np.testing.assert_allclose(ab.val[0], sab[:, 1], atol=1e-14)
+    np.testing.assert_allclose(ab.val[1], sab[:, 2], atol=1e-14)
     _check_jet_against_fd(lambda y: g.transverse_jets(y)[0], x)
     _check_jet_against_fd(lambda y: g.transverse_jets(y)[1], x)
     # volume element of the chart, by finite differences of the chart itself
