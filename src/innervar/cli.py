@@ -40,8 +40,8 @@ import numpy as np
 from numpy.random import default_rng  # numpy loads numpy.random lazily; load it at import
 
 from . import fields, geometry, limits, profiles, variation
-from .config import (REQUIRED, as_is, boolean, checked, count, finite, integer, natural,
-                     one_of, parse, positive)
+from .config import (REQUIRED, as_is, boolean, bump_radius, checked, count, finite, integer,
+                     natural, one_of, parse, positive)
 from .errors import ConfigError, EpsilonTooLarge, InnervarError
 
 SCHEMA_VERSION = 1
@@ -119,13 +119,21 @@ _CONFIG_KEYS = {"schema_version": (one_of(SCHEMA_VERSION), SCHEMA_VERSION),
                                         "a non-empty list"), REQUIRED)}
 
 
+def _finite_float(text: str) -> float:
+    """A JSON number as a float, refusing what is not finite: ``NaN``, ``Infinity``, ``1e999``."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, NaN or inf, too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return validate_config(raw)
 
@@ -211,7 +219,8 @@ def _equipartition_profile(spec) -> Callable | None:
     return lambda g, eps: profiles.tanh_profile_field(g, eps, slope)
 
 
-_RANDOM_FIELDS = {"random": (count, REQUIRED), "degree": (natural, 2), "radius": (positive, None)}
+_RANDOM_FIELDS = {"random": (count, REQUIRED), "degree": (natural, 2),
+                  "radius": (bump_radius, None)}
 
 
 def _volume_fields(spec) -> list | dict:

@@ -11,6 +11,7 @@ with the keys in the builder's parameter order.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import ConfigError, InnervarError
 
@@ -86,6 +87,9 @@ count = checked(integer, lambda n: n >= 1, "a count of at least 1")
 natural = checked(integer, lambda n: n >= 0, "a non-negative integer")
 finite = checked(float, math.isfinite, "a finite number")
 positive = checked(float, lambda x: 0.0 < x < math.inf, "positive and finite")
+# a bump divides by r^2, which must be a normal float: r from about 1.5e-154 to 1.3e154
+bump_radius = checked(float, lambda r: r > 0.0 and sys.float_info.min <= r * r < math.inf,
+                      "a positive radius whose square is a normal float")
 boolean = checked(as_is, lambda v: isinstance(v, bool), "true or false")
 
 

@@ -22,15 +22,20 @@ callables fall back to central finite differences with step
 arrays (M, C, ...).  Fields hold no evaluated state between calls;
 :func:`pinned` returns a copy of a field that holds one evaluation, for a
 sweep that reads it many times.
+
+One class, ``_Field``, implements all of this; ``ScalarField`` and
+``VectorField`` remain as names because the benchmark's tracer wraps their
+point-major views by class and name (see ``_Field``).
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 
 import numpy as np
 
-from .config import REQUIRED, as_is, build, count, integer, natural, positive
+from .config import REQUIRED, as_is, build, bump_radius, count, integer, natural
 from .errors import DimensionMismatch, NonInvertible
 from .jets import Jet, jet_cos, jet_exp, jet_polynomial, jet_sin, jet_squared_norm
 
@@ -99,61 +104,62 @@ def _fd_derivatives(xb: np.ndarray, values, order: int = 1, first=None) -> np.nd
     return 0.5 * (out + np.swapaxes(out, -2, -3))
 
 
-def _points_first(part: np.ndarray) -> np.ndarray:
-    """A component-major part (..., M) as a C-contiguous point-major array (M, ...)."""
-    return np.ascontiguousarray(np.moveaxis(part, -1, 0))
-
-
-def _callable_evaluator(comps, fn, first, second):
-    """Evaluator over plain callables of a batch; exact to the order returned with it.
-
-    The callables return point-major (M, C, ...) arrays, C absent for one
-    component; each becomes a contiguous component-major part.
-    """
-    if second is not None and first is None:
-        raise ValueError("a second-derivative callback needs a first-derivative callback")
-    parts = [c for c in (fn, first, second) if c is not None]
-
-    def evaluate(xb, order):
-        m, n = xb.shape
-        return [np.ascontiguousarray(np.moveaxis(
-            np.asarray(c(xb), dtype=float).reshape((m, comps) + (n,) * k), 0, -1))
-            for k, c in enumerate(parts[: order + 1])]
-
-    return evaluate, len(parts) - 1
-
-
 class _Field:
-    """The one evaluation path shared by scalar and vector fields.
+    """The one field implementation: an evaluator, its exactness and its component count.
 
     A field is an evaluator ``(xb, order) -> [values, first, second][:order + 1]``
     that is exact up to order ``exact``; central differences of the exact parts
     supply any higher derivative that is asked for.  Nothing evaluated is kept
     on the field: each ``evaluate`` call builds its arrays and hands them over.
+
+    ``ScalarField`` and ``VectorField`` only name this class: the benchmark's
+    span tracer (``perfbench/tracer.py``) wraps their point-major views
+    (``_values``, ``_gradients``, ``_hessians``; ``_values``, ``_jacobians``,
+    ``_seconds``) by class and name.  Once the tracer wraps ``evaluate``
+    instead, the two names fold into this class (ROADMAP items 1 and 5).
     """
 
-    _symmetrize_second = False  # average analytic second derivatives over their last two axes
+    _vector_field = False  # a vector field: dim components, symmetrized second derivatives
 
-    def __init__(self, dim, evaluator, exact):
+    def __init__(self, dim, fn, first=None, second=None, state_dim=1):
+        """A field from plain callables of a batch, exact to the order of the last one given.
+
+        The callables return point-major (M, C, ...) arrays, C absent for one
+        component; each becomes a contiguous component-major part.
+        """
+        if second is not None and first is None:
+            raise ValueError("a second-derivative callback needs a first-derivative callback")
+        parts = [c for c in (fn, first, second) if c is not None]
+
+        def evaluate(xb, order):
+            m, n = xb.shape
+            return [np.ascontiguousarray(np.moveaxis(
+                np.asarray(c(xb), dtype=float).reshape((m, comps) + (n,) * k), 0, -1))
+                for k, c in enumerate(parts[: order + 1])]
+
+        self._init(dim, evaluate, len(parts) - 1, state_dim)
+        comps = self.state_dim  # read by evaluate when it is called
+
+    def _init(self, dim, evaluator, exact, state_dim):
+        """The one place that fixes C: ``state_dim``, or ``dim`` for a vector field."""
         self.dim = int(dim)
+        self.state_dim = self.dim if self._vector_field else int(state_dim)
         self._evaluator = evaluator
         self._exact = int(exact)
 
     @classmethod
-    def from_evaluator(cls, dim, evaluator, exact, **attrs):
+    def from_evaluator(cls, dim, evaluator, exact, state_dim=1):
         """Build a field from ``evaluator(xb, order)``, exact up to order ``exact``.
 
         The evaluator returns contiguous component-major parts, as ``evaluate``
-        hands them out; ``attrs`` are the class's other attributes
-        (``state_dim`` of a scalar field).
+        hands them out; ``state_dim`` is a scalar field's component count.
         """
         field = cls.__new__(cls)
-        _Field.__init__(field, dim, evaluator, exact)
-        vars(field).update(attrs)
+        field._init(dim, evaluator, exact, state_dim)
         return field
 
     @classmethod
-    def from_jet(cls, dim, jet_fn, **attrs):
+    def from_jet(cls, dim, jet_fn, state_dim=1):
         """Build a field from a jet function ``jet_fn(xb, order)``, called once per evaluation.
 
         Its parts are handed out as views, with a component axis of length 1
@@ -165,7 +171,7 @@ class _Field:
             parts = (jet.val, jet.grad, jet.hess)[: order + 1]
             return list(parts) if jet.val.ndim == 2 else [part[None] for part in parts]
 
-        return cls.from_evaluator(dim, evaluate, 2, **attrs)
+        return cls.from_evaluator(dim, evaluate, 2, state_dim)
 
     def evaluate(self, xb: np.ndarray, order: int) -> tuple:
         """Values, then first (order >= 1) and second (order 2) derivatives at ``xb`` (M, N).
@@ -186,9 +192,31 @@ class _Field:
 
     def _exact_parts(self, xb, order):
         parts = list(self._evaluator(xb, order)[: order + 1])
-        if order == 2 and self._symmetrize_second:
+        if order == 2 and self._vector_field:
             parts[2] = 0.5 * (parts[2] + np.swapaxes(parts[2], 1, 2))
         return parts
+
+
+def _view(k):
+    """A view: the order-``k`` part at a batch ``xb``, as a contiguous point-major (M, C, ...)."""
+    return lambda self, xb: np.ascontiguousarray(np.moveaxis(self.evaluate(xb, k)[k], -1, 0))
+
+
+def _point_major(view):
+    """A public method: the view named ``view`` at one point (N,) or a batch (M, N).
+
+    The view is looked up by name at each call, so a wrapped view sees every
+    call; a scalar field of one component drops the component axis.
+    """
+
+    def method(self, x):
+        xb, single = _as_batch(x, self.dim)
+        out = getattr(self, view)(xb)
+        if self.state_dim == 1 and not self._vector_field:
+            out = out[:, 0]
+        return out[0] if single else out
+
+    return method
 
 
 def pinned(field: _Field, xb: np.ndarray, order: int) -> _Field:
@@ -214,73 +242,30 @@ class ScalarField(_Field):
     evaluator (:meth:`from_evaluator`).
     """
 
-    state_dim = 1  # unless the constructor's or from_evaluator's state_dim says otherwise
-
     def __init__(self, dim, fn, grad=None, hess=None, state_dim=1):
-        super().__init__(dim, *_callable_evaluator(state_dim, fn, grad, hess))
-        self.state_dim = int(state_dim)
+        super().__init__(dim, fn, grad, hess, state_dim)
 
     # point-major views: values (M, d), gradients (M, d, N), hessians (M, d, N, N)
-
-    def _values(self, xb: np.ndarray) -> np.ndarray:
-        return _points_first(self.evaluate(xb, 0)[0])
-
-    def _gradients(self, xb: np.ndarray) -> np.ndarray:
-        return _points_first(self.evaluate(xb, 1)[1])
-
-    def _hessians(self, xb: np.ndarray) -> np.ndarray:
-        return _points_first(self.evaluate(xb, 2)[2])
+    _values, _gradients, _hessians = _view(0), _view(1), _view(2)
 
     # public API accepts single points or batches
-
-    def eval(self, x):
-        xb, single = _as_batch(x, self.dim)
-        v = self._values(xb)
-        if self.state_dim == 1:
-            v = v[:, 0]
-        return v[0] if single else v
-
-    def gradient(self, x):
-        xb, single = _as_batch(x, self.dim)
-        g = self._gradients(xb)
-        if self.state_dim == 1:
-            g = g[:, 0, :]
-        return g[0] if single else g
-
-    def hessian(self, x):
-        xb, single = _as_batch(x, self.dim)
-        hh = self._hessians(xb)
-        if self.state_dim == 1:
-            hh = hh[:, 0, :, :]
-        return hh[0] if single else hh
+    eval = _point_major("_values")
+    gradient = _point_major("_gradients")
+    hessian = _point_major("_hessians")
 
 
 class VectorField(_Field):
     """Smooth map R^N -> R^N with Jacobian and second derivatives."""
 
-    _symmetrize_second = True
+    _vector_field = True
 
     def __init__(self, dim, fn, jacobian=None, second=None):
-        super().__init__(dim, *_callable_evaluator(dim, fn, jacobian, second))
+        super().__init__(dim, fn, jacobian, second)
 
-    def _values(self, xb):
-        return _points_first(self.evaluate(xb, 0)[0])
+    _values, _jacobians, _seconds = _view(0), _view(1), _view(2)
 
-    def _jacobians(self, xb):
-        return _points_first(self.evaluate(xb, 1)[1])
-
-    def _seconds(self, xb):
-        return _points_first(self.evaluate(xb, 2)[2])
-
-    def eval(self, x):
-        xb, single = _as_batch(x, self.dim)
-        v = self._values(xb)
-        return v[0] if single else v
-
-    def jacobian(self, x):
-        xb, single = _as_batch(x, self.dim)
-        j = self._jacobians(xb)
-        return j[0] if single else j
+    eval = _point_major("_values")
+    jacobian = _point_major("_jacobians")
 
     # small field algebra, enough for eta + h*phi style combinations
 
@@ -345,13 +330,7 @@ def dilation_field(dim: int, rate: float = 1.0) -> VectorField:
 
 def constant_field(vector) -> VectorField:
     v = _vector(vector)
-    n = v.shape[0]
-    return VectorField(
-        n,
-        lambda xb: np.broadcast_to(v, (xb.shape[0], n)).copy(),
-        lambda xb: np.zeros((xb.shape[0], n, n)),
-        lambda xb: np.zeros((xb.shape[0], n, n, n)),
-    )
+    return linear_field(np.zeros((v.size, v.size)), v)
 
 
 def rotation_field(omega) -> VectorField:
@@ -641,21 +620,9 @@ class DeformationMap:
 
 
 def _random_terms(rng, dim, degree, scale):
-    terms = []
-    for powers in _monomials(dim, degree):
-        coef = scale * rng.uniform(-1.0, 1.0) / (1.0 + sum(powers))
-        terms.append((coef, powers))
-    return terms
-
-
-def _monomials(dim, degree):
-    if dim == 1:
-        return [(e,) for e in range(degree + 1)]
-    out = []
-    for e in range(degree + 1):
-        for rest in _monomials(dim - 1, degree - e):
-            out.append((e,) + rest)
-    return out
+    """One random coefficient per monomial of degree at most ``degree``, in lexicographic order."""
+    return [(scale * rng.uniform(-1.0, 1.0) / (1.0 + sum(p)), p)
+            for p in itertools.product(range(degree + 1), repeat=dim) if sum(p) <= degree]
 
 
 def random_polynomial_vector_field(rng, dim, degree=3, scale=1.0) -> VectorField:
@@ -723,13 +690,13 @@ _VECTOR_FIELDS = {
                                              "components": (as_is, REQUIRED)}),
     "bump_polynomial": (bump_polynomial_field, {
         "dim": (count, REQUIRED), "components": (as_is, REQUIRED), "center": (as_is, REQUIRED),
-        "radius": (positive, REQUIRED), "order": (count, 8)}),
+        "radius": (bump_radius, REQUIRED), "order": (count, 8)}),
     "random_bump_polynomial": (_seeded_compact_field, {
         "dim": (count, REQUIRED), "degree": (natural, 2), "scale": (float, 1.0),
-        "center": (as_is, None), "radius": (positive, 0.8), "seed": (natural, 0)}),
+        "center": (as_is, None), "radius": (bump_radius, 0.8), "seed": (natural, 0)}),
     "filament_preset": (filament_test_field, {
         "preset": (str, REQUIRED), "amplitude": (float, 1.0), "frequency": (integer, 1),
-        "radius": (positive, 0.45), "order": (count, 8)}),
+        "radius": (bump_radius, 0.45), "order": (count, 8)}),
 }
 
 
@@ -741,7 +708,7 @@ def vector_field_from_config(spec: dict) -> VectorField:
 _SCALAR_FIELDS = {
     "polynomial": (polynomial_scalar_field, {"dim": (count, REQUIRED), "terms": (as_is, REQUIRED)}),
     "radial_bump": (bump_scalar_field, {
-        "center": (as_is, REQUIRED), "radius": (positive, REQUIRED), "amplitude": (float, 1.0),
+        "center": (as_is, REQUIRED), "radius": (bump_radius, REQUIRED), "amplitude": (float, 1.0),
         "order": (lambda order: None if order is None else count(order), 8)}),  # None: C-infinity
     "trig": (trig_scalar_field, {"dim": (count, REQUIRED), "terms": (as_is, REQUIRED)}),
 }

@@ -270,6 +270,8 @@ def flat_patch(dim: int, axis: int = 0, offset: float = 0.0, extents=None,
     if dim not in (2, 3) or len(extents) != dim - 1:
         raise DimensionMismatch("flat_patch supports ambient dimension 2 or 3, with one extent "
                                 "per chart axis")
+    if not all(-np.inf < lo < hi < np.inf for lo, hi in extents):
+        raise ValueError(f"flat_patch extents must be finite [lo, hi] with lo < hi, got {extents}")
     chart, w = product_rule([gauss_rule(lo, hi, n_per_axis) for lo, hi in extents])
     m = chart.shape[0]
     nodes = np.empty((m, dim))
@@ -475,13 +477,9 @@ def _smooth_step_jet(s: Jet, s0: float, s1: float) -> Jet:
     The masks are placed where exp(-1/t) already underflows, so the clipped
     pieces are exactly the double-precision values of the smooth function.
     """
-    n, m = s.grad.shape
     margin = (s1 - s0) / 700.0
     ones = s.val <= s0 + margin
     mid = (s.val > s0 + margin) & (s.val < s1 - margin)
-    if not np.any(mid):  # only the flat pieces, 1 and 0
-        return Jet(ones.astype(float), np.zeros((n, m)),
-                   None if s.hess is None else np.zeros((n, n, m)))
     sub = s.masked(mid)
     g1 = jet_exp(-((s1 - sub).reciprocal()))
     g2 = jet_exp(-((sub - s0).reciprocal()))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 
 import numpy as np
 
@@ -164,11 +165,14 @@ class ProfileTable:
         return hi
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        """Write s, q, dq via a ``.tmp`` file: an interrupted write leaves no partial table."""
+        tmp = f"{os.fspath(path)}.tmp"
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["s", "q", "dq"])
             for s, qv, dqv in zip(self.s_grid, self.q_grid, self.dq_grid):
                 writer.writerow([format(v, ".17g") for v in (s, qv, dqv)])
+        os.replace(tmp, path)
 
 
 # The least p whose table builds: below p of about 1.028 the profile is still

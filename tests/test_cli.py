@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from innervar import cli, fields, geometry, limits, profiles
+from innervar import cli, config, fields, geometry, limits, profiles
 from innervar.cli import CSV_COLUMNS, Check, builtin_configs, main, validate_config
-from innervar.errors import DegenerateReference, StiffTail
+from innervar.errors import ConfigError, DegenerateReference, StiffTail
 
 
 def _write(tmp_path, obj, name="cfg.json"):
@@ -411,6 +411,21 @@ _MALFORMED = [
                                                  "terms": [[1.0, [1.0, 0.0], 0.0, "sin"]]})),
     ("trig_kind_unknown", _variant(phi={"type": "trig", "dim": 3,
                                         "terms": [[1.0, [1.0, 0.0, 0.0], 0.0, "tan"]]})),
+    # json.load reads NaN and Infinity as numbers; a NaN bump centre used to run as the
+    # zero field and pass
+    ("bump_polynomial_center_nan", {**_AC, "eta": {**_AC["eta"], "center": [math.nan, 0.0]}}),
+    # a bump divides by radius**2, which underflowed to 0 and crashed with a ZeroDivisionError
+    ("radial_bump_radius_squared_underflows", _variant(phi={**_TENSORS["phi"], "radius": 1e-200})),
+    ("filament_radius_squared_underflows",
+     {**_GL, "eta": {"type": "filament_preset", "preset": "bend", "radius": 1e-170}}),
+    ("bump_polynomial_radius_squared_underflows",
+     {**_AC, "eta": {**_AC["eta"], "radius": 1e-160}}),
+    ("volume_random_radius_squared_underflows", {  # drawn at run time, refused at load
+        "name": "x", "kind": "volume", "geometry": _SPHERE,
+        "fields": {"random": 2, "radius": 1e-300},
+    }),
+    ("flat_patch_extents_reversed",
+     {**_AC, "geometry": {"type": "flat_patch", "dim": 2, "extents": [[1, -1]]}}),
 ]
 
 
@@ -426,6 +441,42 @@ def test_malformed_config_exits_2(tmp_path, capsys, exp):
     strays = [p for p in tmp_path.rglob("*")
               if p.is_file() and str(p) != cfg and out not in p.parents]
     assert strays == []
+
+
+@pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e999"])
+def test_non_finite_json_number_exits_2(tmp_path, capsys, literal):
+    # the JSON parser's own reading of NaN, Infinity and an overflowing literal is refused
+    cfg = _write(tmp_path, {"schema_version": 1, "experiments": [
+        {**_AC, "eta": {**_AC["eta"], "center": ["VALUE", 0.0]}}]})
+    path = Path(cfg)
+    path.write_text(path.read_text().replace('"VALUE"', literal), encoding="utf-8")
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"{literal} is not a finite number" in capsys.readouterr().err
+
+
+def _non_finite(obj) -> bool:
+    if isinstance(obj, float):
+        return not math.isfinite(obj)
+    values = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ()
+    return any(_non_finite(v) for v in values)
+
+
+# The CLI's parser refuses every non-finite number before validation.  A Python caller of
+# validate_config still has each key's converter refuse one where it reads a number; a
+# structured value (a centre, a matrix, a term table) is taken as it is.
+@pytest.mark.parametrize("case", [case for case, exp in _MALFORMED
+                                  if _non_finite(exp) and case != "bump_polynomial_center_nan"])
+def test_non_finite_values_are_refused_by_validate_config_too(case):
+    with pytest.raises(ConfigError):
+        validate_config({"schema_version": 1, "experiments": [dict(_MALFORMED)[case]]})
+
+
+def test_bump_radius_is_refused_where_its_square_is_not_a_normal_float():
+    assert config.bump_radius(2e-154) == 2e-154
+    assert config.bump_radius(1e154) == 1e154
+    for radius in (0.0, -1.0, 1e-154, 1e-170, 2e154, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            config.bump_radius(radius)
 
 
 def test_p_below_the_profile_table_floor_names_the_floor(tmp_path, capsys):

@@ -148,6 +148,31 @@ def test_profile_table_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "s,q,dq"
     assert len(lines) == len(prof.s_grid) + 1
+    assert [p.name for p in tmp_path.iterdir()] == ["profile.csv"]
+
+
+def test_profile_table_export_interrupted_keeps_the_old_file(tmp_path, monkeypatch):
+    # the table goes through a .tmp file, as every other output does: a write that stops
+    # half way leaves the previous table whole instead of a truncated one
+    prof = P.optimal_profile(2.0)
+    path = tmp_path / "profile.csv"
+    path.write_text("old\n")
+
+    class Interrupted(Exception):
+        pass
+
+    class HalfWriter:
+        def __init__(self, fh, **_kw):
+            self.fh = fh
+
+        def writerow(self, _row):
+            self.fh.write("partial\n")
+            raise Interrupted
+
+    monkeypatch.setattr(P.csv, "writer", HalfWriter)
+    with pytest.raises(Interrupted):
+        prof.to_csv(path)
+    assert path.read_text() == "old\n"
 
 
 def test_ansatz_values_on_and_off_interface():
