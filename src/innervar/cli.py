@@ -40,8 +40,8 @@ import numpy as np
 from numpy.random import default_rng  # numpy loads numpy.random lazily; load it at import
 
 from . import fields, geometry, limits, profiles, variation
-from .config import (REQUIRED, as_is, boolean, bump_radius, checked, count, finite, integer,
-                     natural, one_of, parse, positive)
+from .config import (REQUIRED, as_is, bump_radius, checked, count, finite, integer, natural,
+                     one_of, parse, positive)
 from .errors import ConfigError, EpsilonTooLarge, InnervarError
 
 SCHEMA_VERSION = 1
@@ -88,7 +88,7 @@ class ExperimentResult:
 class _Kind:
     keys: dict  # key -> (convert, default), see innervar.config
     codim: int | None  # codimension of the geometry, for kinds that take one
-    check: Callable | None  # (opts) -> None; raises on a bad combination
+    check: Callable | None  # (opts) -> None; raises on a bad combination, may fill defaults
     run: Callable  # (opts, rng, outdir) -> (checks, rows, summary)
 
 
@@ -111,8 +111,6 @@ def _kind(name: str, keys: dict, codim=None, check=None):
 # ---------------------------------------------------------------------------
 
 _SEED = (natural, 0)
-_JOBS = (count, 1)
-_ENVIRONMENT_KEYS = {"INNERVAR_JOBS": _JOBS}  # the fallback for --jobs
 _CONFIG_KEYS = {"schema_version": (one_of(SCHEMA_VERSION), SCHEMA_VERSION),
                 "name": (as_is, None), "description": (as_is, None), "seed": _SEED,
                 "experiments": (checked(as_is, lambda e: isinstance(e, list) and len(e) > 0,
@@ -154,7 +152,7 @@ def validate_config(raw: dict) -> dict:
         opts = _build(exp, _KINDS[kind])
         name = opts["name"]
         files = {f"{name}.csv", f"{name}.json"}
-        if opts.get("export_table"):  # a profile's exported table
+        if opts["kind"] == "profile":  # a profile also writes its table
             files.add(f"{name}_table.csv")
         if written & files:
             raise ConfigError(f"experiment {name!r} would overwrite the run's "
@@ -194,21 +192,18 @@ def _build(exp: dict, kind: _Kind) -> dict:
     return opts
 
 
-_SCHEDULE_KEYS = {"eps0": (positive, None), "count": (count, None), "ratio": (positive, 0.5),
-                  "epsilons": (lambda eps: [positive(e) for e in eps], None),
-                  "model": (str, None), "fit_points": (integer, None)}
+_SCHEDULE_KEYS = {"eps0": (positive, None), "count": (count, None),
+                  "epsilons": (lambda eps: [positive(e) for e in eps], None)}
 
 
-def _schedule(spec: dict, default_model: str = "linear_eps") -> limits.EpsilonSchedule:
-    """The widths ``epsilons``, or ``count`` widths ``eps0 * ratio**k``."""
+def _schedule(spec: dict, model: str) -> limits.EpsilonSchedule:
+    """The widths ``epsilons``, or ``count`` widths ``eps0 / 2**k``, extrapolated by ``model``."""
     opts = parse(spec, _SCHEDULE_KEYS, "schedule")
-    model = opts["model"] or default_model
     if opts["epsilons"] is not None:
-        return limits.EpsilonSchedule(opts["epsilons"], model, opts["fit_points"])
+        return limits.EpsilonSchedule(opts["epsilons"], model)
     if opts["eps0"] is None or opts["count"] is None:
         raise ConfigError("schedule needs 'epsilons', or 'eps0' and 'count'")
-    return limits.EpsilonSchedule.geometric(opts["eps0"], opts["count"], opts["ratio"], model,
-                                            opts["fit_points"])
+    return limits.EpsilonSchedule.geometric(opts["eps0"], opts["count"], model=model)
 
 
 def _equipartition_profile(spec) -> Callable | None:
@@ -233,6 +228,18 @@ def _volume_fields(spec) -> list | dict:
     return [fields.vector_field_from_config(s) for s in spec]
 
 
+def _check_volume(opts: dict) -> None:
+    """An enclosed region, and random fields of a radius a bump can divide by (1.4 R if none)."""
+    g, spec = opts["geometry"], opts["fields"]
+    geometry.require_enclosed_region(g)
+    if isinstance(spec, dict) and spec["radius"] is None:
+        try:
+            spec["radius"] = bump_radius(1.4 * g.radius)
+        except ValueError as exc:
+            raise ValueError(f"volume fields: the default radius, 1.4 times the shape's: "
+                             f"{exc}") from exc
+
+
 def _check_indices(opts: dict) -> None:
     idx, dim = opts["indices"], opts["geometry"].dim
     if len(idx) not in (2, 4) or not all(0 <= i < dim for i in idx):
@@ -249,8 +256,7 @@ _SCALAR = (lambda spec: fields.scalar_field_from_config(spec), REQUIRED)
 _P = (checked(float, lambda p: profiles.P_MIN <= p < math.inf,
               f"a finite p of at least {profiles.P_MIN:g}, the least p whose profile table "
               "builds"), REQUIRED)
-_SCHEDULE = (lambda spec: _schedule(spec), REQUIRED)
-_WIDTH = (positive, None)  # None: the experiment's automatic width
+_SCHEDULE = (lambda spec: _schedule(spec, "linear_eps"), REQUIRED)
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +270,16 @@ def _check_rows(checks: list[Check]) -> list[dict]:
              "residual_1": c.bound, "residual_2": 0.0} for i, c in enumerate(checks)]
 
 
-@_kind("identities", {"dim": (count, 2), "samples": (count, 300), "cases": (count, 4),
-                      "tolerance": (positive, 1e-9), "fd_tolerance": (positive, 1e-7)})
+@_kind("identities", {"dim": (count, 2), "samples": (count, 300), "cases": (count, 4)})
 def _run_identities(opts: dict, rng: np.random.Generator, _outdir):
-    dim, tol, tol_fd = opts["dim"], opts["tolerance"], opts["fd_tolerance"]
+    dim = opts["dim"]
     checks: list[Check] = []
     pts = rng.uniform(-1.0, 1.0, size=(opts["samples"], dim))
 
     for k in range(opts["cases"]):
         eta = fields.random_polynomial_vector_field(rng, dim, degree=3)
         res = float(np.max(np.abs(fields.good_identity_residual(eta, pts))))
-        checks.append(Check(f"divergence_identity_poly_{k}", res, tol))
+        checks.append(Check(f"divergence_identity_poly_{k}", res, 1e-9))
 
     freqs = rng.uniform(0.5, 1.5, size=(dim, dim))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=dim)
@@ -284,7 +289,7 @@ def _run_identities(opts: dict, rng: np.random.Generator, _outdir):
 
     eta_trig = fields.VectorField(dim, trig_fn)  # FD derivative fallback on purpose
     res = float(np.max(np.abs(fields.good_identity_residual(eta_trig, pts[:50]))))
-    checks.append(Check("divergence_identity_trig_fd", res, tol_fd))
+    checks.append(Check("divergence_identity_trig_fd", res, 1e-7))
 
     eta_r = fields.random_polynomial_vector_field(rng, dim, degree=3)
     zeta_r = fields.random_polynomial_vector_field(rng, dim, degree=2)
@@ -337,83 +342,68 @@ def _run_identities(opts: dict, rng: np.random.Generator, _outdir):
 
 
 @_kind("ac-converge", {"geometry": _GEOMETRY, "p": _P, "eta": _ETA, "zeta": _ZETA,
-                       "schedule": _SCHEDULE, "half_width": _WIDTH,
-                       "tolerance_gap": (positive, 0.01), "min_rate": (finite, 0.9)}, codim=1)
+                       "schedule": _SCHEDULE}, codim=1)
 def _run_ac(opts: dict, _rng, _outdir):
-    rec = limits.ac_limit_experiment(
-        opts["geometry"], opts["eta"], opts["zeta"], opts["p"], opts["schedule"],
-        half_width=opts["half_width"], name=opts["name"],
-    )
-    checks = [Check("gap", rec.gap, opts["tolerance_gap"])]
+    rec = limits.ac_limit_experiment(opts["geometry"], opts["eta"], opts["zeta"], opts["p"],
+                                     opts["schedule"], name=opts["name"])
+    checks = [Check("gap", rec.gap, 0.01)]
     if rec.rate_binds():
-        checks.append(Check("rate", rec.rate, opts["min_rate"], at_least=True))
+        checks.append(Check("rate", rec.rate, 0.9, at_least=True))
     return checks, rec.rows(), rec.summary()
 
 
-@_kind("gl-converge", {"geometry": _GEOMETRY, "eta": _ETA, "zeta": _ZETA,
+@_kind("gl-converge", {"geometry": _GEOMETRY, "eta": _ETA,
                        "schedule": (lambda spec: _schedule(spec, "log_inverse"), REQUIRED),
-                       "rho_max": (positive, 0.5), "n_theta": (count, 48),
-                       "tolerance_gap": (positive, 0.1), "energy_tolerance": (positive, 0.05)},
-       codim=2)
+                       "n_theta": (count, 48)}, codim=2)
 def _run_gl(opts: dict, _rng, _outdir):
-    rec = limits.gl_limit_experiment(
-        opts["geometry"], opts["eta"], opts["zeta"], opts["schedule"], rho_max=opts["rho_max"],
-        n_theta=opts["n_theta"], name=opts["name"],
-    )
+    g = opts["geometry"]
+    rec = limits.gl_limit_experiment(g, opts["eta"], fields.constant_field(np.zeros(g.dim)),
+                                     opts["schedule"], n_theta=opts["n_theta"], name=opts["name"])
     e_extr, _ = rec.extrapolate(rec.extras["energy"])
     e_target = rec.meta["energy_target"]
     e_gap = abs(e_extr - e_target) / (1.0 + abs(e_target))
-    checks = [Check("gap", rec.gap, opts["tolerance_gap"]),
-              Check("energy_gap", e_gap, opts["energy_tolerance"])]
+    checks = [Check("gap", rec.gap, 0.1), Check("energy_gap", e_gap, 0.05)]
     return checks, rec.rows(), {**rec.summary(), "energy_extrapolated": e_extr,
                                 "energy_gap": e_gap}
 
 
 @_kind("tensors", {"geometry": _GEOMETRY, "p": _P,
                    "indices": (lambda idx: [integer(i) for i in idx], REQUIRED), "phi": _SCALAR,
-                   "schedule": _SCHEDULE, "half_width": _WIDTH,
-                   "tolerance_gap": (positive, 0.02), "zero_tolerance": (positive, 1e-6)},
+                   "schedule": _SCHEDULE, "tolerance_gap": (positive, 0.02)},
        codim=1, check=_check_indices)
 def _run_tensors(opts: dict, _rng, _outdir):
-    rec = limits.tensor_pairing_experiment(
-        opts["geometry"], opts["p"], opts["phi"], opts["indices"], opts["schedule"],
-        half_width=opts["half_width"], name=opts["name"],
-    )
+    rec = limits.tensor_pairing_experiment(opts["geometry"], opts["p"], opts["phi"],
+                                           opts["indices"], opts["schedule"], name=opts["name"])
     if abs(rec.target) < 1e-12:
-        check = Check("max_abs_value", float(np.max(np.abs(rec.values))), opts["zero_tolerance"])
+        check = Check("max_abs_value", float(np.max(np.abs(rec.values))), 1e-6)
     else:
         check = Check("gap", rec.gap, opts["tolerance_gap"])
     return [check], rec.rows(), rec.summary()
 
 
 @_kind("equipartition", {"geometry": _GEOMETRY, "p": _P, "schedule": _SCHEDULE,
-                         "profile": (_equipartition_profile, "optimal"), "half_width": _WIDTH,
-                         "floor": (positive, 1e-7), "lower_bound": (finite, None)}, codim=1)
+                         "profile": (_equipartition_profile, "optimal"),
+                         "lower_bound": (finite, None)}, codim=1)
 def _run_equipartition(opts: dict, _rng, _outdir):
-    rec = limits.equipartition_residuals(
-        opts["geometry"], opts["p"], opts["schedule"], profile=opts["profile"],
-        half_width=opts["half_width"], name=opts["name"],
-    )
+    rec = limits.equipartition_residuals(opts["geometry"], opts["p"], opts["schedule"],
+                                         profile=opts["profile"], name=opts["name"])
     if opts["lower_bound"] is not None:  # negative control: the defect must persist
         checks = [Check("min_residual", float(np.min(rec.values)), opts["lower_bound"], True)]
     else:  # both residuals vanish, and the energy gap is the one predicted in closed form
         extras = rec.extras
         misses = np.abs(np.subtract(extras["energy_gap"], np.abs(extras["predicted_gap"])))
-        checks = [Check("max_residual", float(np.max(rec.values + extras["residual_phi"])),
-                        opts["floor"]),
-                  Check("max_energy_miss", float(np.max(misses)), opts["floor"])]
+        checks = [Check("max_residual", float(np.max(rec.values + extras["residual_phi"])), 1e-7),
+                  Check("max_energy_miss", float(np.max(misses)), 1e-7)]
     return checks, rec.rows(), rec.summary()
 
 
-@_kind("volume", {"geometry": _GEOMETRY, "fields": (_volume_fields, {"random": 10}),
-                  "tolerance_c2": (positive, 1e-10), "tolerance_flux": (positive, 1e-8)},
-       codim=1, check=lambda opts: geometry.require_enclosed_region(opts["geometry"]))
+@_kind("volume", {"geometry": _GEOMETRY, "fields": (_volume_fields, {"random": 10})},
+       codim=1, check=_check_volume)
 def _run_volume(opts: dict, rng: np.random.Generator, _outdir):
     g, etas = opts["geometry"], opts["fields"]
     if isinstance(etas, dict):  # drawn here, from the experiment's own seed
-        radius = 1.4 * g.radius if etas["radius"] is None else etas["radius"]
         etas = [fields.random_compact_vector_field(rng, g.dim, degree=etas["degree"],
-                                                   radius=radius)
+                                                   radius=etas["radius"])
                 for _ in range(etas["random"])]
     rows, details = [], []
     for i, eta in enumerate(etas):
@@ -423,55 +413,46 @@ def _run_volume(opts: dict, rng: np.random.Generator, _outdir):
                      "gap": abs(c2), "residual_1": abs(c1 - flux),
                      "residual_2": c1})
         details.append({"field": i, "c1": c1, "c2": c2, "flux": flux})
-    checks = [Check("max_abs_c2", float(np.max([r["gap"] for r in rows])), opts["tolerance_c2"]),
-              Check("max_flux_mismatch", float(np.max([r["residual_1"] for r in rows])),
-                    opts["tolerance_flux"])]
+    checks = [Check("max_abs_c2", float(np.max([r["gap"] for r in rows])), 1e-10),
+              Check("max_flux_mismatch", float(np.max([r["residual_1"] for r in rows])), 1e-8)]
     return checks, rows, {"fields": details}
 
 
-@_kind("poincare", {"geometry": _GEOMETRY, "xi": _SCALAR, "cutoff_width": _WIDTH,
-                    "tolerance": (positive, 1e-6)},
+@_kind("poincare", {"geometry": _GEOMETRY, "xi": _SCALAR},
        codim=1, check=lambda opts: limits.require_zero_mean(opts["geometry"], opts["xi"]))
 def _run_poincare(opts: dict, _rng, _outdir):
-    lhs, rhs = limits.constrained_poincare_check(opts["geometry"], opts["xi"],
-                                                 opts["cutoff_width"])
-    tol = opts["tolerance"]
+    lhs, rhs = limits.constrained_poincare_check(opts["geometry"], opts["xi"])
     gap = abs(lhs - rhs) / (1.0 + abs(rhs))
+    check = Check("gap", gap, 1e-6)
     rows = [{"epsilon": 0.0, "value": lhs, "target": rhs, "gap": gap,
-             "residual_1": tol, "residual_2": 0.0}]
-    return [Check("gap", gap, tol)], rows, {"lhs": lhs, "rhs": rhs, "gap": gap}
+             "residual_1": check.bound, "residual_2": 0.0}]
+    return [check], rows, {"lhs": lhs, "rhs": rhs, "gap": gap}
 
 
-@_kind("forms", {"geometry": _GEOMETRY, "xi": _SCALAR, "schedule": _SCHEDULE,
-                 "cutoff_width": _WIDTH, "half_width": _WIDTH, "tolerance_gap": (positive, 0.02)},
-       codim=1)
+@_kind("forms", {"geometry": _GEOMETRY, "xi": _SCALAR, "schedule": _SCHEDULE}, codim=1)
 def _run_forms(opts: dict, _rng, _outdir):
-    rec = limits.quadratic_forms(
-        opts["geometry"], opts["xi"], opts["schedule"], cutoff_width=opts["cutoff_width"],
-        half_width=opts["half_width"], name=opts["name"],
-    )
-    return [Check("gap", rec.gap, opts["tolerance_gap"])], rec.rows(), rec.summary()
+    rec = limits.quadratic_forms(opts["geometry"], opts["xi"], opts["schedule"],
+                                 name=opts["name"])
+    return [Check("gap", rec.gap, 0.02)], rec.rows(), rec.summary()
 
 
-@_kind("profile", {"p": _P, "tolerance_constant": (positive, 1e-12),
-                   "tolerance_equipartition": (positive, 1e-8), "tolerance_tanh": (positive, 1e-9),
-                   "export_table": (boolean, True)})
+@_kind("profile", {"p": _P})
 def _run_profile(opts: dict, _rng, outdir: Path | None):
     p = opts["p"]
     prof = limits._profile(p)
     cp_gap = abs(profiles.c_p(p) - profiles.c_p_beta_oracle(p))
-    checks = [Check("constant_vs_gamma_oracle", cp_gap, opts["tolerance_constant"])]
+    checks = [Check("constant_vs_gamma_oracle", cp_gap, 1e-12)]
     ss = np.linspace(0.0, min(prof.s_max * 0.98, 40.0), 400)
     h = 1e-6
     dq_fd = (prof.q(ss + h) - prof.q(ss - h)) / (2 * h)
     equi = float(np.max(np.abs(np.abs(dq_fd) ** p - (1 - prof.q(ss) ** 2) ** 2)))
-    checks.append(Check("pointwise_equipartition_fd", equi, opts["tolerance_equipartition"]))
+    checks.append(Check("pointwise_equipartition_fd", equi, 1e-8))
     checks.append(Check("origin_values", abs(prof.q(0.0)) + abs(prof.dq(0.0) - 1.0), 1e-12))
     if p == 2.0:
         sg = np.linspace(-8.0, 8.0, 801)
         dev = float(np.max(np.abs(prof.q(sg) - np.tanh(sg))))
-        checks.append(Check("closed_form_deviation", dev, opts["tolerance_tanh"]))
-    if outdir is not None and opts["export_table"]:
+        checks.append(Check("closed_form_deviation", dev, 1e-9))
+    if outdir is not None:
         prof.to_csv(outdir / f"{opts['name']}_table.csv")
     return checks, _check_rows(checks), {"s_max": prof.s_max, "s_core": prof.s_core}
 
@@ -571,11 +552,7 @@ def cmd_run(args) -> int:
         config = _resolve_config(args.config)
         seed = config["seed"] if args.seed is None else parse(
             {"seed": args.seed}, {"seed": _SEED}, "--seed")["seed"]
-        if args.jobs is None:
-            env = {key: os.environ[key] for key in _ENVIRONMENT_KEYS if key in os.environ}
-            jobs = parse(env, _ENVIRONMENT_KEYS, "environment")["INNERVAR_JOBS"]
-        else:
-            jobs = parse({"jobs": args.jobs}, {"jobs": _JOBS}, "--jobs")["jobs"]
+        jobs = parse({"jobs": args.jobs}, {"jobs": (count, 1)}, "--jobs")["jobs"]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -646,8 +623,7 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run a config (path or built-in name)")
     run_p.add_argument("config")
     run_p.add_argument("--out", default="innervar-out", help="output directory")
-    run_p.add_argument("--jobs", type=int, default=None,
-                       help="concurrent experiments (default: INNERVAR_JOBS or 1)")
+    run_p.add_argument("--jobs", type=int, default=1, help="concurrent experiments")
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
     run_p.set_defaults(func=cmd_run)

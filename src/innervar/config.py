@@ -74,8 +74,8 @@ def checked(convert, holds, rule: str):
 
 
 def integer(value) -> int:
-    """A whole number, or a decimal string of one (as the environment gives it); a fraction
-    or a boolean raises instead of being truncated."""
+    """A whole number, or a decimal string of one; a fraction or a boolean raises instead of
+    being truncated."""
     if isinstance(value, str):
         return int(value)
     if isinstance(value, bool) or not float(value).is_integer():
@@ -90,7 +90,6 @@ positive = checked(float, lambda x: 0.0 < x < math.inf, "positive and finite")
 # a bump divides by r^2, which must be a normal float: r from about 1.5e-154 to 1.3e154
 bump_radius = checked(float, lambda r: r > 0.0 and sys.float_info.min <= r * r < math.inf,
                       "a positive radius whose square is a normal float")
-boolean = checked(as_is, lambda v: isinstance(v, bool), "true or false")
 
 
 def one_of(*choices):

@@ -35,7 +35,7 @@ import itertools
 
 import numpy as np
 
-from .config import REQUIRED, as_is, build, bump_radius, count, integer, natural
+from .config import REQUIRED, as_is, build, bump_radius, count, finite, integer, natural
 from .errors import DimensionMismatch, NonInvertible
 from .jets import Jet, jet_cos, jet_exp, jet_polynomial, jet_sin, jet_squared_norm
 
@@ -293,16 +293,16 @@ class VectorField(_Field):
 
 
 def _vector(value, dim=None) -> np.ndarray:
-    """``value`` as a vector of floats: of ``dim`` entries, or of at least one when None."""
+    """``value`` as a vector of finite floats: of ``dim`` entries, or of at least one when None."""
     v = np.asarray(value, dtype=float)
-    if v.ndim != 1 or v.size == 0 or dim not in (None, v.size):
-        raise ValueError(f"{value!r} is not a vector of {dim or 'at least 1'} numbers")
+    if v.ndim != 1 or v.size == 0 or dim not in (None, v.size) or not np.all(np.isfinite(v)):
+        raise ValueError(f"{value!r} is not a vector of {dim or 'at least 1'} finite numbers")
     return v
 
 
 def _table(terms, dim) -> list[tuple[float, tuple[int, ...]]]:
-    """A coefficient table: (coefficient, exponents) terms with ``dim`` non-negative exponents."""
-    table = [(float(c), tuple(natural(e) for e in p)) for c, p in terms]
+    """A coefficient table: terms (finite coefficient, ``dim`` non-negative exponents)."""
+    table = [(finite(c), tuple(natural(e) for e in p)) for c, p in terms]
     if any(len(p) != dim for _c, p in table):
         raise ValueError(f"each monomial needs {dim} exponents, got {terms!r}")
     return table
@@ -311,8 +311,8 @@ def _table(terms, dim) -> list[tuple[float, tuple[int, ...]]]:
 def linear_field(matrix, offset=None) -> VectorField:
     """V(x) = A x + b."""
     a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
-        raise ValueError(f"the matrix of a linear field must be square, got {matrix!r}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0 or not np.all(np.isfinite(a)):
+        raise ValueError(f"the matrix of a linear field must be square and finite, got {matrix!r}")
     n = a.shape[0]
     b = np.zeros(n) if offset is None else _vector(offset, n)
 
@@ -380,7 +380,7 @@ def polynomial_vector_field(dim, components) -> VectorField:
 
 def trig_scalar_field(dim, terms) -> ScalarField:
     """Scalar field sum_k a_k * sin/cos(k . x + phase), analytic derivatives."""
-    parsed = [(float(a), _vector(k, dim), float(ph), kind) for a, k, ph, kind in terms]
+    parsed = [(finite(a), _vector(k, dim), finite(ph), kind) for a, k, ph, kind in terms]
     if any(kind not in ("sin", "cos") for *_rest, kind in parsed):
         raise ValueError(f"each trig term is a 'sin' or a 'cos', got {terms!r}")
 

@@ -193,10 +193,9 @@ class ConvergenceRecord:
 # ---------------------------------------------------------------------------
 
 
-def _ac_tube(g, prof: ProfileTable, eps: float,
-             half_width: float | None) -> tuple[BulkQuadrature, float]:
-    """The profile-resolved tube at one width, and where its rule stops, in d/eps."""
-    cap = g.default_half_width if half_width is None else min(g.tube_limit, float(half_width))
+def _ac_tube(g, prof: ProfileTable, eps: float) -> tuple[BulkQuadrature, float]:
+    """The tube at one width, out to the shape's default half width, and its rule's end in d/eps."""
+    cap = g.default_half_width
     return tube_rule(g, *transverse_rule(prof, eps, cap)), prof.rule_end(eps, cap)
 
 
@@ -206,8 +205,7 @@ def _ac_tube(g, prof: ProfileTable, eps: float,
 
 
 def ac_limit_experiment(g, eta: VectorField, zeta: VectorField, p: float,
-                        sched: EpsilonSchedule, half_width: float | None = None,
-                        name: str | None = None) -> ConvergenceRecord:
+                        sched: EpsilonSchedule, name: str | None = None) -> ConvergenceRecord:
     """Sweep of the second inner variation of the p-phase-field energy.
 
     Target: c_p * (second inner variation of the surface measure plus (p-1)
@@ -221,7 +219,7 @@ def ac_limit_experiment(g, eta: VectorField, zeta: VectorField, p: float,
     values, energies = [], []
     for eps in sched.epsilons:
         u = ansatz_field(g, eps, prof)
-        quad, _ = _ac_tube(g, prof, eps, half_width)
+        quad, _ = _ac_tube(g, prof, eps)
         u = pinned(u, quad.nodes, 1)
         f = integrand_p_allen_cahn(eps, p)
         values.append(second_inner_variation(f, u, eta, zeta, quad))
@@ -245,7 +243,6 @@ def ac_limit_experiment(g, eta: VectorField, zeta: VectorField, p: float,
 
 
 def equipartition_residuals(g, p: float, sched: EpsilonSchedule, profile=None,
-                            half_width: float | None = None,
                             name: str | None = None) -> ConvergenceRecord:
     """L1 equi-partition defects of the ansatz energy split, per width.
 
@@ -266,7 +263,7 @@ def equipartition_residuals(g, p: float, sched: EpsilonSchedule, profile=None,
     res_ab, res_phi, e_gap, predicted = [], [], [], []
     for eps in sched.epsilons:
         u = ansatz_field(g, eps, prof) if profile is None else profile(g, eps)
-        quad, s_end = _ac_tube(g, prof, eps, half_width)
+        quad, s_end = _ac_tube(g, prof, eps)
         zs, grads = u.evaluate(quad.nodes, 1)
         z = zs[0]
         gnorm = np.sqrt(np.einsum("im,im->m", grads[0], grads[0]))
@@ -291,8 +288,7 @@ def equipartition_residuals(g, p: float, sched: EpsilonSchedule, profile=None,
 
 
 def tensor_pairing_experiment(g, p: float, phi: ScalarField, indices,
-                              sched: EpsilonSchedule, half_width: float | None = None,
-                              name: str | None = None) -> ConvergenceRecord:
+                              sched: EpsilonSchedule, name: str | None = None) -> ConvergenceRecord:
     """Pairing of the weighted gradient 2- or 4-tensor against phi.
 
     Bulk: int eps^(p-1) prod_k (grad u)_{i_k} |grad u|^(p-#idx) phi;
@@ -310,7 +306,7 @@ def tensor_pairing_experiment(g, p: float, phi: ScalarField, indices,
     values = []
     for eps in sched.epsilons:
         u = ansatz_field(g, eps, prof)
-        quad, _ = _ac_tube(g, prof, eps, half_width)
+        quad, _ = _ac_tube(g, prof, eps)
         grad = u.evaluate(quad.nodes, 1)[1][0]
         gnorm2 = np.einsum("im,im->m", grad, grad) + 1e-300
         dens = eps ** (p - 1.0) * gnorm2 ** ((p - len(idx)) / 2.0)
@@ -416,16 +412,16 @@ def require_zero_mean(g, xi: ScalarField) -> None:
         raise ValueError(f"xi must have zero interface mean (got {mean:g})")
 
 
-def constrained_poincare_check(g, xi, cutoff_width: float | None = None) -> tuple[float, float]:
+def constrained_poincare_check(g, xi) -> tuple[float, float]:
     """Volume-preserving second variation vs the stability form of xi.
 
     lhs: second inner variation of the surface measure along the normal
     extension of xi with the volume-compensating acceleration; rhs: the
-    stability form J(xi).  Requires mean-zero xi on a closed interface.
+    stability form J(xi).  Requires mean-zero xi on a closed interface.  The extension is cut
+    off at the shape's default half width.
     """
     require_zero_mean(g, xi)
-    w = g.default_half_width if cutoff_width is None else float(cutoff_width)
-    eta = geo.normal_extension(g, xi, w)
+    eta = geo.normal_extension(g, xi, g.default_half_width)
     lhs = geo.area_second_inner_variation(g, eta, zeta_eta(eta))
     rhs = geo.jacobi_form(g, xi)
     return lhs, rhs
@@ -457,8 +453,8 @@ def perturbed_field(u_eps: ScalarField, eta: VectorField, phi_ref: VectorField,
     return eta + h * phi_ref, h
 
 
-def _forms_at_width(g, v_ext: VectorField, eps: float, prof: ProfileTable,
-                    half_width: float | None) -> tuple[float, float]:
+def _forms_at_width(g, v_ext: VectorField, eps: float,
+                    prof: ProfileTable) -> tuple[float, float]:
     """Q_eps(-grad u . V) and the second inner variation along (V, zeta^V) at one width.
 
     u and V are evaluated once each, at order 2, on the tube nodes; zeta^V,
@@ -467,7 +463,7 @@ def _forms_at_width(g, v_ext: VectorField, eps: float, prof: ProfileTable,
     and nothing else is held while they are built.
     """
     u = ansatz_field(g, eps, prof)
-    quad, _ = _ac_tube(g, prof, eps, half_width)
+    quad, _ = _ac_tube(g, prof, eps)
     v = pinned(v_ext, quad.nodes, 2)
     u = pinned(u, quad.nodes, 2)
     f = integrand_p_allen_cahn(eps, 2.0)
@@ -475,8 +471,7 @@ def _forms_at_width(g, v_ext: VectorField, eps: float, prof: ProfileTable,
     return q_raw, second_inner_variation(f, u, v, zeta_eta(v), quad)
 
 
-def quadratic_forms(g, xi, sched: EpsilonSchedule, cutoff_width: float | None = None,
-                    half_width: float | None = None,
+def quadratic_forms(g, xi, sched: EpsilonSchedule,
                     name: str | None = None) -> ConvergenceRecord:
     """Phase-field Hessian form on transported normal modes vs its surface limit.
 
@@ -487,16 +482,15 @@ def quadratic_forms(g, xi, sched: EpsilonSchedule, cutoff_width: float | None = 
     for ansatz fields.  values = the corrected sum (= the second inner
     variation, which converges to c_2 * J(xi)); extras keep the raw form and
     the correction so the non-minimality defect stays visible rather than
-    suppressed.
+    suppressed.  V's cutoff and the tube stop at the shape's default half width.
     """
     p = 2.0
     prof = _profile(p)
-    w = g.default_half_width if cutoff_width is None else float(cutoff_width)
-    v_ext = geo.normal_extension(g, xi, w)
+    v_ext = geo.normal_extension(g, xi, g.default_half_width)
     target = c_p(2.0) * geo.quadratic_form_limit(g, xi)
     raw, lagrange, corrected = [], [], []
     for eps in sched.epsilons:
-        q_raw, d2_inner = _forms_at_width(g, v_ext, eps, prof, half_width)
+        q_raw, d2_inner = _forms_at_width(g, v_ext, eps, prof)
         raw.append(q_raw)
         lagrange.append(d2_inner - q_raw)
         corrected.append(d2_inner)

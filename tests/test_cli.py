@@ -1,5 +1,6 @@
 """CLI surface: configs, exit codes, catalog, determinism, file formats."""
 
+import importlib.util
 import json
 import math
 import os
@@ -128,13 +129,8 @@ def test_run_eps_too_large_is_config_error(tmp_path, capsys):
 
 def test_run_numeric_failure_exit_code(tmp_path, capsys):
     # impossible tolerance forces a numeric failure; exit code 1, named
-    cfg = {
-        "schema_version": 1,
-        "experiments": [
-            {"name": "impossible", "kind": "profile", "p": 2.0,
-             "tolerance_constant": 1e-30}
-        ],
-    }
+    cfg = {"schema_version": 1,
+           "experiments": [{**_TENSORS, "name": "impossible", "tolerance_gap": 1e-30}]}
     rc = main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert rc == 1
     captured = capsys.readouterr()
@@ -202,19 +198,6 @@ def test_each_descriptor_is_parsed_once_per_run(monkeypatch):
         assert sorted(parsed) == sorted(descriptors), name
 
 
-def test_jobs_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("INNERVAR_JOBS", "2")
-    cfg = {
-        "schema_version": 1,
-        "experiments": [
-            {"name": "p2", "kind": "profile", "p": 2.0},
-            {"name": "p15", "kind": "profile", "p": 1.5},
-        ],
-    }
-    rc = main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "env")])
-    assert rc == 0
-
-
 def test_seed_recorded_in_summary(tmp_path):
     assert main(["run", "identities_plane", "--out", str(tmp_path), "--seed", "99"]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
@@ -266,12 +249,8 @@ _MALFORMED = [
     ("sphere_without_radius", _variant(geometry={"type": "sphere"})),
     ("flat_patch_without_dim", _variant(geometry={"type": "flat_patch"})),
     ("increasing_epsilons", _variant(schedule={"epsilons": [0.1, 0.2]})),
-    ("unknown_model", _variant(schedule={"eps0": 0.04, "count": 4, "model": "cubic"})),
     ("p_not_above_one", _variant(p=1.0)),
     ("p_below_the_profile_table_floor", {"name": "x", "kind": "profile", "p": 1.01}),
-    ("one_fit_point", _variant(schedule={"eps0": 0.04, "count": 4, "fit_points": 1})),
-    ("more_fit_points_than_widths",
-     _variant(schedule={"eps0": 0.04, "count": 3, "fit_points": 4})),
     ("single_width", _variant(schedule={"epsilons": [0.04]})),
     ("name_with_path", _variant(name="../escape")),
     ("eta_of_wrong_dimension", {
@@ -312,48 +291,26 @@ _MALFORMED = [
         "name": "x", "kind": "equipartition", "geometry": _SPHERE, "p": 2.0,
         "schedule": {"eps0": 0.04, "count": 4}, "profile": {"tanh_slope": "x"},
     }),
-    ("export_table_not_a_boolean", {"name": "x", "kind": "profile", "p": 2.0,
-                                    "export_table": "no"}),
-    # range rules: counts are at least 1, widths, radii, eps and cutoffs positive and finite,
+    # range rules: counts are at least 1, radii and eps positive and finite,
     # p finite, and a filament preset one of the known ones
     ("identities_samples_zero", {"name": "x", "kind": "identities", "samples": 0}),
     ("identities_samples_negative", {"name": "x", "kind": "identities", "samples": -1}),
     ("identities_dim_zero", {"name": "x", "kind": "identities", "dim": 0}),
     ("gl_n_theta_zero", {**_GL, "n_theta": 0}),
-    ("gl_rho_max_zero", {**_GL, "rho_max": 0.0}),
-    ("gl_rho_max_negative", {**_GL, "rho_max": -1.0}),
     ("filament_preset_unknown", {**_GL, "eta": {"type": "filament_preset", "preset": "bogus"}}),
     # the GL energy divides by |log eps|, which is 0 at eps = 1
     ("gl_log_inverse_width_one", {**_GL, "schedule": {"epsilons": [1.0, 0.5, 0.25]}}),
-    ("gl_linear_width_one", {**_GL, "schedule": {"epsilons": [1.0, 0.5, 0.25],
-                                                 "model": "linear_eps"}}),
     ("epsilons_with_nan", _variant(schedule={"epsilons": [0.04, float("nan")]})),
     ("p_infinite", _variant(p=float("inf"))),
     ("radial_bump_order_not_a_number", _variant(phi={**_TENSORS["phi"], "order": "eight"})),
-    ("ac_half_width_zero", {**_AC, "half_width": 0.0}),
-    ("ac_half_width_negative", {**_AC, "half_width": -0.5}),
-    ("poincare_cutoff_width_zero", {**_POINCARE, "cutoff_width": 0.0}),
-    ("poincare_cutoff_width_negative", {**_POINCARE, "cutoff_width": -1.0}),
     ("flat_patch_axis_beyond_dimension",
      {**_AC, "geometry": {"type": "flat_patch", "dim": 2, "axis": 2}}),
     ("volume_sphere_negative_radius", {
         "name": "x", "kind": "volume", "geometry": {**_SPHERE, "radius": -1.0},
         "fields": {"random": 2},
     }),
-    # tolerances are positive and finite, rate bounds finite: an infinite tolerance or a
-    # rate bound of -inf would pass every run, and a negative or NaN one fail every run
-    ("ac_tolerance_gap_infinite", {**_AC, "tolerance_gap": float("inf")}),
-    ("ac_min_rate_minus_infinity", {**_AC, "min_rate": float("-inf")}),
-    ("identities_tolerance_negative", {"name": "x", "kind": "identities", "tolerance": -1.0}),
-    ("identities_fd_tolerance_nan", {"name": "x", "kind": "identities",
-                                     "fd_tolerance": float("nan")}),
-    ("gl_energy_tolerance_zero", {**_GL, "energy_tolerance": 0.0}),
-    ("tensors_zero_tolerance_negative", _variant(zero_tolerance=-1e-6)),
-    ("equipartition_floor_nan", {
-        "name": "x", "kind": "equipartition", "geometry": _SPHERE, "p": 2.0,
-        "schedule": {"eps0": 0.04, "count": 4}, "floor": float("nan"),
-    }),
-    # the equipartition criterion has no rate escape, so it takes no rate bound
+    # the equipartition criterion has no rate escape, so it takes no rate bound; a lower
+    # bound of -inf would pass every run
     ("equipartition_min_rate", {
         "name": "x", "kind": "equipartition", "geometry": _SPHERE, "p": 2.0,
         "schedule": {"eps0": 0.04, "count": 4}, "min_rate": 0.9,
@@ -362,17 +319,8 @@ _MALFORMED = [
         "name": "x", "kind": "equipartition", "geometry": _SPHERE, "p": 2.0,
         "schedule": {"eps0": 0.04, "count": 4}, "lower_bound": float("-inf"),
     }),
-    ("volume_tolerance_c2_infinite", {
-        "name": "x", "kind": "volume", "geometry": _SPHERE, "fields": {"random": 2},
-        "tolerance_c2": float("inf"),
-    }),
-    ("poincare_tolerance_negative", {**_POINCARE, "tolerance": -1e-6}),
-    ("profile_tolerance_tanh_nan", {"name": "x", "kind": "profile", "p": 2.0,
-                                    "tolerance_tanh": float("nan")}),
     # integer keys take whole numbers: a fraction or a boolean is not silently truncated
     ("schedule_count_fraction", _variant(schedule={"eps0": 0.04, "count": 3.7})),
-    ("schedule_fit_points_fraction", _variant(schedule={"eps0": 0.04, "count": 4,
-                                                        "fit_points": 2.5})),
     ("identities_samples_boolean", {"name": "x", "kind": "identities", "samples": True}),
     ("indices_fraction", _variant(indices=[0, 0.5])),
     ("filament_frequency_fraction", {**_GL, "eta": {"type": "filament_preset", "preset": "bend",
@@ -426,6 +374,60 @@ _MALFORMED = [
     }),
     ("flat_patch_extents_reversed",
      {**_AC, "geometry": {"type": "flat_patch", "dim": 2, "extents": [[1, -1]]}}),
+    # a random volume field's default radius is 1.4 times the sphere's; on a sphere this small
+    # every drawn field was NaN and the run passed, or the bump divided by zero
+    ("volume_default_radius_squared_subnormal", {
+        "name": "x", "kind": "volume", "geometry": {**_SPHERE, "radius": 1e-160},
+        "fields": {"random": 2},
+    }),
+    ("volume_default_radius_squared_underflows", {
+        "name": "x", "kind": "volume", "geometry": {**_SPHERE, "radius": 1e-200},
+        "fields": {"random": 2},
+    }),
+    # a non-finite entry of a structured value, which a Python caller can pass: each built a
+    # field of non-finite values
+    ("linear_matrix_entry_nan", {**_AC, "eta": {"type": "linear",
+                                                "matrix": [[1.0, math.nan], [0.0, 1.0]]}}),
+    ("polynomial_coefficient_infinite", _variant(phi={"type": "polynomial", "dim": 3,
+                                                      "terms": [[math.inf, [0, 0, 1]]]})),
+    ("trig_wave_vector_nan", _variant(phi={"type": "trig", "dim": 3,
+                                           "terms": [[1.0, [math.nan, 0.0, 0.0], 0.0, "sin"]]})),
+    # keys that are now constants: a config that still sets one exits 2 with unknown keys,
+    # whatever the value (these rows once checked each key's range)
+    ("unknown_model", _variant(schedule={"eps0": 0.04, "count": 4, "model": "cubic"})),
+    ("one_fit_point", _variant(schedule={"eps0": 0.04, "count": 4, "fit_points": 1})),
+    ("more_fit_points_than_widths",
+     _variant(schedule={"eps0": 0.04, "count": 3, "fit_points": 4})),
+    ("export_table_not_a_boolean", {"name": "x", "kind": "profile", "p": 2.0,
+                                    "export_table": "no"}),
+    ("gl_rho_max_zero", {**_GL, "rho_max": 0.0}),
+    ("gl_rho_max_negative", {**_GL, "rho_max": -1.0}),
+    ("gl_linear_width_one", {**_GL, "schedule": {"epsilons": [1.0, 0.5, 0.25],
+                                                 "model": "linear_eps"}}),
+    ("ac_half_width_zero", {**_AC, "half_width": 0.0}),
+    ("ac_half_width_negative", {**_AC, "half_width": -0.5}),
+    ("poincare_cutoff_width_zero", {**_POINCARE, "cutoff_width": 0.0}),
+    ("poincare_cutoff_width_negative", {**_POINCARE, "cutoff_width": -1.0}),
+    ("ac_tolerance_gap_infinite", {**_AC, "tolerance_gap": float("inf")}),
+    ("ac_min_rate_minus_infinity", {**_AC, "min_rate": float("-inf")}),
+    ("identities_tolerance_negative", {"name": "x", "kind": "identities", "tolerance": -1.0}),
+    ("identities_fd_tolerance_nan", {"name": "x", "kind": "identities",
+                                     "fd_tolerance": float("nan")}),
+    ("gl_energy_tolerance_zero", {**_GL, "energy_tolerance": 0.0}),
+    ("tensors_zero_tolerance_negative", _variant(zero_tolerance=-1e-6)),
+    ("equipartition_floor_nan", {
+        "name": "x", "kind": "equipartition", "geometry": _SPHERE, "p": 2.0,
+        "schedule": {"eps0": 0.04, "count": 4}, "floor": float("nan"),
+    }),
+    ("volume_tolerance_c2_infinite", {
+        "name": "x", "kind": "volume", "geometry": _SPHERE, "fields": {"random": 2},
+        "tolerance_c2": float("inf"),
+    }),
+    ("poincare_tolerance_negative", {**_POINCARE, "tolerance": -1e-6}),
+    ("profile_tolerance_tanh_nan", {"name": "x", "kind": "profile", "p": 2.0,
+                                    "tolerance_tanh": float("nan")}),
+    ("schedule_fit_points_fraction", _variant(schedule={"eps0": 0.04, "count": 4,
+                                                        "fit_points": 2.5})),
 ]
 
 
@@ -462,10 +464,9 @@ def _non_finite(obj) -> bool:
 
 
 # The CLI's parser refuses every non-finite number before validation.  A Python caller of
-# validate_config still has each key's converter refuse one where it reads a number; a
-# structured value (a centre, a matrix, a term table) is taken as it is.
-@pytest.mark.parametrize("case", [case for case, exp in _MALFORMED
-                                  if _non_finite(exp) and case != "bump_polynomial_center_nan"])
+# validate_config still has each key's converter refuse one where it reads a number, and the
+# field builders refuse one inside a structured value (a centre, a matrix, a term table).
+@pytest.mark.parametrize("case", [case for case, exp in _MALFORMED if _non_finite(exp)])
 def test_non_finite_values_are_refused_by_validate_config_too(case):
     with pytest.raises(ConfigError):
         validate_config({"schema_version": 1, "experiments": [dict(_MALFORMED)[case]]})
@@ -492,35 +493,98 @@ def test_p_below_the_profile_table_floor_names_the_floor(tmp_path, capsys):
 
 
 _TOP_LEVEL_MALFORMED = [
-    ("seed_not_a_number", {"seed": "abc"}, [], {}),
-    ("seed_negative", {"seed": -1}, [], {}),
-    ("schema_version_not_a_number", {"schema_version": "one"}, [], {}),
-    ("seed_negative_on_the_command_line", {}, ["--seed", "-1"], {}),
-    ("jobs_environment_not_a_number", {}, [], {"INNERVAR_JOBS": "abc"}),
-    ("jobs_environment_fraction", {}, [], {"INNERVAR_JOBS": "1.5"}),
-    ("jobs_environment_empty", {}, [], {"INNERVAR_JOBS": ""}),
-    ("jobs_zero_on_the_command_line", {}, ["--jobs", "0"], {}),
-    ("jobs_negative_on_the_command_line", {}, ["--jobs", "-3"], {}),
-    ("jobs_environment_negative", {}, [], {"INNERVAR_JOBS": "-3"}),
-    ("seed_fraction", {"seed": 1.5}, [], {}),
-    ("seed_boolean", {"seed": True}, [], {}),
+    ("seed_not_a_number", {"seed": "abc"}, []),
+    ("seed_negative", {"seed": -1}, []),
+    ("schema_version_not_a_number", {"schema_version": "one"}, []),
+    ("seed_negative_on_the_command_line", {}, ["--seed", "-1"]),
+    ("jobs_zero_on_the_command_line", {}, ["--jobs", "0"]),
+    ("jobs_negative_on_the_command_line", {}, ["--jobs", "-3"]),
+    ("seed_fraction", {"seed": 1.5}, []),
+    ("seed_boolean", {"seed": True}, []),
 ]
 
 
-@pytest.mark.parametrize("top,argv,env",
-                         [(top, argv, env) for _, top, argv, env in _TOP_LEVEL_MALFORMED],
+@pytest.mark.parametrize("top,argv", [(top, argv) for _, top, argv in _TOP_LEVEL_MALFORMED],
                          ids=[case for case, *_ in _TOP_LEVEL_MALFORMED])
-def test_malformed_top_level_exits_2(tmp_path, capsys, monkeypatch, top, argv, env):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+def test_malformed_top_level_exits_2(tmp_path, capsys, top, argv):
     cfg = _write(tmp_path, {"schema_version": 1, **top,
                             "experiments": [{"name": "x", "kind": "profile", "p": 2.0}]})
     rc = main(["run", cfg, "--out", str(tmp_path / "out"), *argv])
     err = capsys.readouterr().err
     assert rc == 2
     assert "config error" in err and "Traceback" not in err
-    assert all(f"{key}: " in err for key in env)
     assert not (tmp_path / "out").exists()  # rejected before any experiment or pool starts
+
+
+# The settings that no shipped or workload config set to anything but its default, each at
+# the value it keeps as a constant.
+_CONSTANTS = [
+    ({"name": "x", "kind": "identities"}, {"tolerance": 1e-9, "fd_tolerance": 1e-7}),
+    (_AC, {"half_width": 1.0, "tolerance_gap": 0.01, "min_rate": 0.9}),
+    (_GL, {"zeta": "zero", "rho_max": 0.5, "tolerance_gap": 0.1, "energy_tolerance": 0.05}),
+    (_TENSORS, {"half_width": 1.0, "zero_tolerance": 1e-6}),
+    ({"name": "x", "kind": "equipartition", "geometry": _SPHERE, "p": 2.0,
+      "schedule": {"eps0": 0.04, "count": 4}}, {"half_width": 1.0, "floor": 1e-7}),
+    ({"name": "x", "kind": "volume", "geometry": _SPHERE, "fields": {"random": 2}},
+     {"tolerance_c2": 1e-10, "tolerance_flux": 1e-8}),
+    (_POINCARE, {"cutoff_width": 1.0, "tolerance": 1e-6}),
+    ({**_POINCARE, "kind": "forms", "schedule": {"eps0": 0.08, "count": 3}},
+     {"cutoff_width": 1.0, "half_width": 1.0, "tolerance_gap": 0.02}),
+    ({"name": "x", "kind": "profile", "p": 2.0},
+     {"tolerance_constant": 1e-12, "tolerance_equipartition": 1e-8, "tolerance_tanh": 1e-9,
+      "export_table": True}),
+]
+_SCHEDULE_CONSTANTS = {"ratio": 0.5, "fit_points": 4, "model": "linear_eps"}
+_CONSTANT_CASES = [(f"{exp['kind']}.{key}", {**exp, key: value})
+                   for exp, keys in _CONSTANTS for key, value in keys.items()]
+_CONSTANT_CASES += [(f"schedule.{key}", _variant(schedule={**_TENSORS["schedule"], key: value}))
+                    for key, value in _SCHEDULE_CONSTANTS.items()]
+
+
+@pytest.mark.parametrize("exp", [exp for _, exp in _CONSTANT_CASES],
+                         ids=[case for case, _ in _CONSTANT_CASES])
+def test_a_setting_made_a_constant_is_an_unknown_key(tmp_path, capsys, exp):
+    cfg = _write(tmp_path, {"schema_version": 1, "experiments": [exp]})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown keys" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "", "-3", "2"],
+                         ids=["not_a_number", "fraction", "empty", "negative", "two"])
+def test_innervar_jobs_is_ignored(tmp_path, monkeypatch, value):
+    # --jobs alone sets the pool; the environment variable that once stood in for it is not read
+    monkeypatch.setenv("INNERVAR_JOBS", value)
+    cfg = _write(tmp_path, {"schema_version": 1,
+                            "experiments": [{"name": "x", "kind": "profile", "p": 2.0}]})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+def _workload_experiments(seed: int) -> list[dict]:
+    """Every experiment of every benchmark workload config at ``seed``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads_guard", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    catalog = dict(builtin_configs())
+    return [exp for workload in module.WORKLOADS
+            for _stem, cfg in module.workload_configs(workload, seed, catalog)
+            for exp in cfg["experiments"]]
+
+
+def test_every_optional_key_is_varied_by_a_shipped_or_workload_config():
+    # an optional key that every config leaves at its default is a constant that takes a key
+    exps = [exp for _, cfg in builtin_configs() for exp in cfg["experiments"]]
+    exps += _workload_experiments(1234)
+    tables = [(name, kind.keys, [e for e in exps if e["kind"] == name])
+              for name, kind in cli._KINDS.items()]
+    tables.append(("schedule", cli._SCHEDULE_KEYS,
+                   [e["schedule"] for e in exps if "schedule" in e]))
+    unvaried = [f"{name}.{key}" for name, keys, specs in tables
+                for key, (_convert, default) in keys.items()
+                if default is not config.REQUIRED
+                and not any(key in spec and spec[key] != default for spec in specs)]
+    assert unvaried == []
 
 
 @pytest.mark.parametrize("below", ["", "sub"], ids=["out_is_a_file", "out_below_a_file"])
@@ -567,13 +631,6 @@ def test_outputs_sharing_a_file_name_exit_2(tmp_path, capsys, names, clash):
     assert rc == 2
     assert err.startswith("config error: ") and clash in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
-
-
-def test_a_profile_without_its_table_may_take_the_table_name(tmp_path):
-    cfg = {"schema_version": 1,
-           "experiments": [{"name": "a", **_PROFILE_P2, "export_table": False},
-                           {"name": "a_table", **_PROFILE_P2}]}
-    assert validate_config(cfg)["experiments"] == cfg["experiments"]
 
 
 _FLAT32 = {"type": "flat_patch", "dim": 2, "n_per_axis": 32}

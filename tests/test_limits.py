@@ -482,7 +482,7 @@ def test_normal_extension_frees_each_jet_at_its_last_use():
     g = G.sphere(1.0, n_polar=8, n_azimuth=16)
     xi = F.polynomial_scalar_field(3, [(1.0, (2, 0, 0)), (-1.0, (0, 2, 0))])
     v_ext = G.normal_extension(g, xi, 0.9 * g.focal_width)
-    nodes = L._ac_tube(g, L._profile(2.0), 0.0025, None)[0].nodes
+    nodes = L._ac_tube(g, L._profile(2.0), 0.0025)[0].nodes
     assert _peak_bytes_per_node(lambda: v_ext.evaluate(nodes, 2), nodes) < 1100
 
 
