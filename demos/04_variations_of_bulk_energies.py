@@ -6,7 +6,9 @@ the first inner variation equals the first variation in the direction
 -grad u . eta, and the second inner variation equals the second variation in
 that direction plus a first-variation term in the second-order expansion
 coefficient X0.  Both hold for every u, critical or not, provided the fields
-are compactly supported.
+are compactly supported.  Then dA(u, X0) can also be taken by parts, as
+int (F_z - div F_P) . X0, which needs X0's values and u's Hessian only; that
+is how variation_report computes it.
 """
 
 import numpy as np
@@ -50,6 +52,15 @@ print(f"  d2A(-grad u.eta) + dA(X0)   = {d2_outer + da_x0:+.10f}")
 report = variation_report(f, u, eta, zeta, quad)
 print(f"  residual                    = {report.sv_relation_residual:+.1e}")
 print(f"  (the dA(X0) part alone      = {da_x0:+.6f}; it vanishes only at critical points)")
+
+print("\n== dA(u, X0) two ways ==")
+z, p, hu = u.evaluate(quad.nodes, 2)
+(x0v,) = x0_field(u, eta, zeta).evaluate(quad.nodes, 0)
+div_fp = sum(f.f_pp_dot(z, p, hu[:, :, k])[:, k] for k in range(quad.dim))  # F_Pz = 0
+da_x0_parts = quad.weights @ np.einsum("dm,dm->m", f.f_z(z, p) - div_fp, x0v)
+print(f"  int F_z X0 + F_P : grad X0    = {da_x0:+.12f}  (grad X0 by central differences)")
+print(f"  int (F_z - div F_P) X0        = {da_x0_parts:+.12f}  (by parts, X0 = 0 near the box)")
+print(f"  difference                    = {abs(da_x0 - da_x0_parts):.1e}")
 
 print("\n== harmonic (critical) state ==")
 uh = polynomial_scalar_field(2, [(1.0, (1, 1))])

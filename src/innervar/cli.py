@@ -210,7 +210,7 @@ def _equipartition_profile(spec) -> Callable | None:
     """None for the optimal profile, else a (surface, eps) -> field builder for a tanh control."""
     if spec == "optimal":
         return None
-    slope = parse(spec, {"tanh_slope": (float, REQUIRED)}, "profile")["tanh_slope"]
+    slope = parse(spec, {"tanh_slope": (finite, REQUIRED)}, "profile")["tanh_slope"]
     return lambda g, eps: profiles.tanh_profile_field(g, eps, slope)
 
 

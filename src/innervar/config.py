@@ -74,11 +74,8 @@ def checked(convert, holds, rule: str):
 
 
 def integer(value) -> int:
-    """A whole number, or a decimal string of one; a fraction or a boolean raises instead of
-    being truncated."""
-    if isinstance(value, str):
-        return int(value)
-    if isinstance(value, bool) or not float(value).is_integer():
+    """A whole number; a fraction, a boolean or a string raises instead of being converted."""
+    if isinstance(value, (bool, str)) or not float(value).is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 

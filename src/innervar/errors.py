@@ -14,7 +14,12 @@ class NonInvertible(InnervarError):
 
 
 class UnsupportedBoundary(InnervarError):
-    """Operation requires a closed interface but the surface has boundary."""
+    """A boundary where the operation allows none.
+
+    The surface has boundary where a closed interface is required, or X0 does
+    not vanish on the outermost quadrature nodes where dA(u, X0) is taken by
+    parts.
+    """
 
 
 class TubeTooNarrow(InnervarError):

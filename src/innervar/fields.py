@@ -500,8 +500,9 @@ def zeta_eta(eta: VectorField) -> VectorField:
 def x0_field(u: ScalarField, eta: VectorField, zeta: VectorField) -> ScalarField:
     """Second-order term of u(Phi_t^{-1}(y)): (D^2u eta, eta) + (grad u, 2(grad eta)eta - zeta).
 
-    The value is analytic in the supplied derivatives; the gradient falls back
-    to finite differences (it would need third derivatives of u).
+    The value is analytic in the supplied derivatives, and it is all that
+    ``variation_report`` reads: it takes dA(u, X0) by parts.  The gradient
+    would need third derivatives of u, so it falls back to finite differences.
     """
     if u.dim != eta.dim or u.dim != zeta.dim:
         raise DimensionMismatch("field dimensions disagree")
@@ -695,7 +696,7 @@ _VECTOR_FIELDS = {
         "dim": (count, REQUIRED), "degree": (natural, 2), "scale": (float, 1.0),
         "center": (as_is, None), "radius": (bump_radius, 0.8), "seed": (natural, 0)}),
     "filament_preset": (filament_test_field, {
-        "preset": (str, REQUIRED), "amplitude": (float, 1.0), "frequency": (integer, 1),
+        "preset": (str, REQUIRED), "amplitude": (finite, 1.0), "frequency": (integer, 1),
         "radius": (bump_radius, 0.45), "order": (count, 8)}),
 }
 
@@ -708,7 +709,7 @@ def vector_field_from_config(spec: dict) -> VectorField:
 _SCALAR_FIELDS = {
     "polynomial": (polynomial_scalar_field, {"dim": (count, REQUIRED), "terms": (as_is, REQUIRED)}),
     "radial_bump": (bump_scalar_field, {
-        "center": (as_is, REQUIRED), "radius": (bump_radius, REQUIRED), "amplitude": (float, 1.0),
+        "center": (as_is, REQUIRED), "radius": (bump_radius, REQUIRED), "amplitude": (finite, 1.0),
         "order": (lambda order: None if order is None else count(order), 8)}),  # None: C-infinity
     "trig": (trig_scalar_field, {"dim": (count, REQUIRED), "terms": (as_is, REQUIRED)}),
 }

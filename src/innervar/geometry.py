@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .config import REQUIRED, as_is, build, count, integer, positive
+from .config import REQUIRED, as_is, build, count, finite, integer, positive
 from .errors import DimensionMismatch, TubeTooNarrow, UnsupportedBoundary
 from .fields import ScalarField, VectorField
 from .jets import Jet, jet_exp, jet_norm
@@ -331,7 +331,7 @@ _SHAPES = {
     "sphere": (sphere, {"radius": (positive, REQUIRED), "center": (as_is, (0.0, 0.0, 0.0)),
                         "n_polar": (count, 32), "n_azimuth": (count, 64)}),
     "flat_patch": (flat_patch, {"dim": (integer, REQUIRED), "axis": (integer, 0),
-                                "offset": (float, 0.0), "extents": (as_is, None),
+                                "offset": (finite, 0.0), "extents": (as_is, None),
                                 "n_per_axis": (count, 48)}),
     "straight_filament": (straight_filament, {"length": (positive, 1.0), "nodes": (count, 24)}),
     "circular_filament": (circular_filament, {"radius": (positive, REQUIRED),

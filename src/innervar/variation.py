@@ -15,6 +15,16 @@ parameters stored componentwise, with the real inner product):
        Y = 1/2 grad u . grad zeta - grad u . (grad eta)^2,
   where (grad u . M)_ai = sum_j u^a_j M_ji.
 
+They meet in the bridge delta2A = d2A(u, -grad u . eta) + dA(u, X0), with X0
+from :func:`innervar.fields.x0_field`.  ``variation_report`` takes its last
+term by parts, dA(u, X0) = int (F_z - div F_P) . X0 with
+(div F_P)_d = sum_k (F_PP . d_k grad u)_dk (F_Pz = 0), from u's Hessian and
+X0's values alone.  That holds only where X0 vanishes on the boundary of the
+domain, so the report checks that X0 is exactly 0.0 on the outermost nodes and
+raises UnsupportedBoundary otherwise.  Where 4G'' reads |P|^(p-4) (p > 2) and
+grad u vanishes inside X0's support, div F_P has a kink and the by-parts
+quadrature converges more slowly than the direct form.
+
 The kernels read the fields' component-major parts (:mod:`innervar.fields`)
 and contract them with ``np.einsum`` over the trailing point axis, so every
 sum over a component or derivative index adds its terms into zeros in index
@@ -30,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EpsilonTooLarge, NonInvertible
+from .errors import DimensionMismatch, EpsilonTooLarge, NonInvertible, UnsupportedBoundary
 from .fields import ScalarField, VectorField, pinned, x0_field
 from .geometry import doubling_rule, gauss_rule, product_rule
 from .sums import pairwise_dot
@@ -410,14 +420,15 @@ def variation_report(f: Integrand, u: ScalarField, eta: VectorField,
                      zeta: VectorField, quad: BulkQuadrature, label="") -> VariationReport:
     """Every variation on ``quad``, each field evaluated once on its nodes.
 
-    u is held at order 2 (phi and X0 read its Hessian), eta, zeta and
-    phi = -grad u . eta at order 1.
+    u is held at order 2 (phi, X0 and div F_P read its Hessian), eta, zeta and
+    phi = -grad u . eta at order 1.  dA(u, X0) is taken by parts
+    (:func:`_x0_variation`), so X0 must vanish on the outermost nodes.
     """
     xb = quad.nodes
     u = pinned(u, xb, 2)
     eta, zeta = pinned(eta, xb, 1), pinned(zeta, xb, 1)
     phi = pinned(composite_test_function(u, eta), xb, 1)
-    x0 = x0_field(u, eta, zeta)
+    da_x0 = _x0_variation(f, u, x0_field(u, eta, zeta), quad)
     val = energy(f, u, quad)
     da = first_variation(f, u, phi, quad)
     d2a = second_variation(f, u, phi, quad)
@@ -434,5 +445,24 @@ def variation_report(f: Integrand, u: ScalarField, eta: VectorField,
         oracle_delta=od1,
         oracle_delta2=od2,
         fv_bridge_residual=delta - da,
-        sv_relation_residual=delta2 - d2a - first_variation(f, u, x0, quad),
+        sv_relation_residual=delta2 - d2a - da_x0,
     )
+
+
+def _x0_variation(f: Integrand, u: ScalarField, x0: ScalarField, quad: BulkQuadrature) -> float:
+    """dA(u, X0) by parts, int (F_z - div F_P) . X0, reading X0's values only.
+
+    F_Pz = 0 for every :class:`Integrand`, so (div F_P)_d = sum_k (F_PP . d_k grad u)_dk
+    needs u's Hessian.  The boundary term vanishes only if X0 does on the boundary
+    of the domain: X0 must be exactly 0.0 at every node where a coordinate takes
+    its least or greatest value over the nodes, or UnsupportedBoundary is raised.
+    """
+    xb = quad.nodes
+    (x0v,) = x0.evaluate(xb, 0)
+    outer = np.any((xb == xb.min(axis=0)) | (xb == xb.max(axis=0)), axis=1)
+    if np.any(x0v[:, outer] != 0.0):
+        raise UnsupportedBoundary("dA(u, X0) is taken by parts, so X0 must vanish on the "
+                                  "outermost nodes; the velocity or acceleration reaches them")
+    z, p, hu = u.evaluate(xb, 2)
+    div_fp = sum(f.f_pp_dot(z, p, hu[:, :, k])[:, k] for k in range(quad.dim))
+    return pairwise_dot(quad.weights, np.einsum("dm,dm->m", f.f_z(z, p) - div_fp, x0v))

@@ -319,9 +319,11 @@ _MALFORMED = [
         "name": "x", "kind": "equipartition", "geometry": _SPHERE, "p": 2.0,
         "schedule": {"eps0": 0.04, "count": 4}, "lower_bound": float("-inf"),
     }),
-    # integer keys take whole numbers: a fraction or a boolean is not silently truncated
+    # integer keys take whole numbers: a fraction, a boolean or a string is not converted
     ("schedule_count_fraction", _variant(schedule={"eps0": 0.04, "count": 3.7})),
     ("identities_samples_boolean", {"name": "x", "kind": "identities", "samples": True}),
+    ("identities_samples_string", {"name": "x", "kind": "identities", "samples": "30"}),
+    ("identities_cases_string", {"name": "x", "kind": "identities", "cases": "1"}),
     ("indices_fraction", _variant(indices=[0, 0.5])),
     ("filament_frequency_fraction", {**_GL, "eta": {"type": "filament_preset", "preset": "bend",
                                                     "frequency": 1.5}}),
@@ -392,6 +394,16 @@ _MALFORMED = [
                                                       "terms": [[math.inf, [0, 0, 1]]]})),
     ("trig_wave_vector_nan", _variant(phi={"type": "trig", "dim": 3,
                                            "terms": [[1.0, [math.nan, 0.0, 0.0], 0.0, "sin"]]})),
+    # numeric descriptor keys: each NaN once ran and failed its checks (exit 1)
+    ("flat_patch_offset_nan", {**_AC, "geometry": {"type": "flat_patch", "dim": 2,
+                                                   "offset": math.nan}}),
+    ("radial_bump_amplitude_nan", _variant(phi={**_TENSORS["phi"], "amplitude": math.nan})),
+    ("filament_amplitude_nan", {**_GL, "eta": {"type": "filament_preset", "preset": "bend",
+                                               "amplitude": math.nan}}),
+    ("tanh_slope_nan", {
+        "name": "x", "kind": "equipartition", "geometry": _SPHERE, "p": 2.0,
+        "schedule": {"eps0": 0.04, "count": 4}, "profile": {"tanh_slope": math.nan},
+    }),
     # keys that are now constants: a config that still sets one exits 2 with unknown keys,
     # whatever the value (these rows once checked each key's range)
     ("unknown_model", _variant(schedule={"eps0": 0.04, "count": 4, "model": "cubic"})),

@@ -13,7 +13,7 @@ from innervar import geometry as G
 from innervar import limits as L
 from innervar import profiles as P
 from innervar import variation as V
-from innervar.errors import ConfigError, DimensionMismatch, NonInvertible
+from innervar.errors import ConfigError, DimensionMismatch, NonInvertible, UnsupportedBoundary
 from innervar.jets import (Jet, jet_cos, jet_exp, jet_norm, jet_polynomial, jet_sin, jet_sqrt,
                            jet_squared_norm)
 
@@ -1051,8 +1051,31 @@ def test_variation_report_evaluates_each_field_once_on_the_quadrature_nodes():
     u, _phi, eta, zeta = _counted_fields(calls, nodes=nodes)
     quad = V.tensor_grid([[-1.0, 1.0]] * 2, 8)
     V.variation_report(V.integrand_p_allen_cahn(0.7, 2.0), u, eta, zeta, quad)
-    on_nodes = [call for call, x in zip(calls, nodes) if x is quad.nodes]
-    assert sorted(on_nodes) == [("eta", 1), ("u", 2), ("zeta", 1)]  # X0's FD stencils aside
+    assert all(x is quad.nodes for x in nodes)
+    assert sorted(calls) == [("eta", 1), ("u", 2), ("zeta", 1)]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_variation_report_takes_no_finite_differences(monkeypatch, dim):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("finite differences on the report path")
+
+    monkeypatch.setattr(F, "_fd_derivatives", refuse)
+    u, _phi, eta, zeta = _counted_fields([], dim=dim)
+    quad = V.tensor_grid([[-1.0, 1.0]] * dim, 8)
+    rep = V.variation_report(V.integrand_p_allen_cahn(0.7, 3.0), u, eta, zeta, quad)
+    assert np.isfinite(rep.sv_relation_residual)
+
+
+@pytest.mark.parametrize("reaching", ["eta", "zeta"])
+def test_variation_report_refuses_fields_that_reach_the_box(reaching):
+    # dA(u, X0) is taken by parts, so X0 must vanish on the outermost nodes
+    u, _phi, eta, zeta = _counted_fields([])
+    wide = F.random_compact_vector_field(np.random.default_rng(5), 2, radius=1.5)
+    eta, zeta = (wide, zeta) if reaching == "eta" else (eta, wide)
+    quad = V.tensor_grid([[-1.0, 1.0]] * 2, 8)
+    with pytest.raises(UnsupportedBoundary):
+        V.variation_report(V.integrand_dirichlet(), u, eta, zeta, quad)
 
 
 def test_volume_admissibility_evaluates_eta_once_at_order_two():
@@ -1097,8 +1120,13 @@ def test_strided_callable_parts_give_the_contiguous_kernel_values():
 
     u_view = F.ScalarField(3, fn, lambda xb: grad_rows(xb).T, hess)
     u_flat = F.ScalarField(3, fn, lambda xb: np.ascontiguousarray(grad_rows(xb).T), hess)
+
+    def cutoff(x):  # eta vanishes beyond |x| = 2, so X0 does on the outermost of the nodes
+        s2 = np.einsum("mi,mi->m", x, x) / 4.0
+        return np.where(s2 < 1.0, (1.0 - s2) ** 3, 0.0)[:, None]
+
     eta = F.VectorField(3, lambda x: np.stack([np.sin(x[:, 1]), x[:, 0] * x[:, 2],
-                                               np.cos(x[:, 0])], axis=1))
+                                               np.cos(x[:, 0])], axis=1) * cutoff(x))
     zeta = F.zeta_eta(eta)
     xb = rng.normal(size=(900, 3))
     quad = V.BulkQuadrature(xb, np.full(len(xb), 1.0 / len(xb)))
