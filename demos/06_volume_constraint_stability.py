@@ -26,7 +26,6 @@ from innervar import (
     transverse_rule,
     tube_rule,
     volume_admissibility,
-    zeta_eta,
 )
 from innervar.profiles import ansatz_field, optimal_profile
 
@@ -36,7 +35,7 @@ sp = sphere(1.0, n_polar=24, n_azimuth=48)
 print("== volume admissibility ==")
 for k in range(3):
     eta = random_compact_vector_field(rng, 3, degree=2, radius=1.4)
-    c1, c2 = volume_admissibility(sp, eta, zeta_eta(eta))
+    c1, c2 = volume_admissibility(sp, eta)
     print(f"  random field {k}: first order {c1:+.3e} (= flux {boundary_flux(sp, eta):+.3e}), "
           f"second order {c2:+.1e}")
 

@@ -24,14 +24,14 @@ from innervar import (
 
 fil = straight_filament(1.0, 16)
 zero = constant_field([0.0, 0.0, 0.0])
-sched = EpsilonSchedule.geometric(0.05, 10, model="log_inverse")
+sched = EpsilonSchedule.geometric(0.05, 10)
 print("widths:", ", ".join(f"{e:.2e}" for e in sched.epsilons))
 
 for preset, amp in (("bend", 0.6), ("antiholomorphic", 1.0)):
     eta = filament_test_field(preset, amplitude=amp, radius=0.45)
     sv = area_second_inner_variation(fil, eta, zero)
     disc, _ = gl_discrepancy(fil, eta)
-    rec = gl_limit_experiment(fil, eta, zero, sched, rho_max=0.5, n_theta=48)
+    rec = gl_limit_experiment(fil, eta, zero, sched, n_theta=48)
     print(f"\n== {preset} mode ==")
     print(f"  filament-length second variation {sv:.6f}, transverse defect {disc:.6f}")
     print(f"  target pi (sv + defect) = {rec.target:.6f}")

@@ -196,14 +196,14 @@ _SCHEDULE_KEYS = {"eps0": (positive, None), "count": (count, None),
                   "epsilons": (lambda eps: [positive(e) for e in eps], None)}
 
 
-def _schedule(spec: dict, model: str) -> limits.EpsilonSchedule:
-    """The widths ``epsilons``, or ``count`` widths ``eps0 / 2**k``, extrapolated by ``model``."""
+def _schedule(spec: dict) -> limits.EpsilonSchedule:
+    """The widths ``epsilons``, or ``count`` widths ``eps0 / 2**k``."""
     opts = parse(spec, _SCHEDULE_KEYS, "schedule")
     if opts["epsilons"] is not None:
-        return limits.EpsilonSchedule(opts["epsilons"], model)
+        return limits.EpsilonSchedule(opts["epsilons"])
     if opts["eps0"] is None or opts["count"] is None:
         raise ConfigError("schedule needs 'epsilons', or 'eps0' and 'count'")
-    return limits.EpsilonSchedule.geometric(opts["eps0"], opts["count"], model=model)
+    return limits.EpsilonSchedule.geometric(opts["eps0"], opts["count"])
 
 
 def _equipartition_profile(spec) -> Callable | None:
@@ -214,8 +214,7 @@ def _equipartition_profile(spec) -> Callable | None:
     return lambda g, eps: profiles.tanh_profile_field(g, eps, slope)
 
 
-_RANDOM_FIELDS = {"random": (count, REQUIRED), "degree": (natural, 2),
-                  "radius": (bump_radius, None)}
+_RANDOM_FIELDS = {"random": (count, REQUIRED), "radius": (bump_radius, None)}
 
 
 def _volume_fields(spec) -> list | dict:
@@ -256,7 +255,7 @@ _SCALAR = (lambda spec: fields.scalar_field_from_config(spec), REQUIRED)
 _P = (checked(float, lambda p: profiles.P_MIN <= p < math.inf,
               f"a finite p of at least {profiles.P_MIN:g}, the least p whose profile table "
               "builds"), REQUIRED)
-_SCHEDULE = (lambda spec: _schedule(spec, "linear_eps"), REQUIRED)
+_SCHEDULE = (lambda spec: _schedule(spec), REQUIRED)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +269,9 @@ def _check_rows(checks: list[Check]) -> list[dict]:
              "residual_1": c.bound, "residual_2": 0.0} for i, c in enumerate(checks)]
 
 
-@_kind("identities", {"dim": (count, 2), "samples": (count, 300), "cases": (count, 4)})
+# the bulk grid has 40^2 nodes in 2-D and 24^dim above, written for dimensions up to 3
+@_kind("identities", {"dim": (checked(count, lambda d: d <= 3, "a dimension of 1, 2 or 3"), 2),
+                      "samples": (count, 300), "cases": (count, 4)})
 def _run_identities(opts: dict, rng: np.random.Generator, _outdir):
     dim = opts["dim"]
     checks: list[Check] = []
@@ -352,9 +353,14 @@ def _run_ac(opts: dict, _rng, _outdir):
     return checks, rec.rows(), rec.summary()
 
 
-@_kind("gl-converge", {"geometry": _GEOMETRY, "eta": _ETA,
-                       "schedule": (lambda spec: _schedule(spec, "log_inverse"), REQUIRED),
-                       "n_theta": (count, 48)}, codim=2)
+def _check_gl(opts: dict) -> None:
+    """Widths below 1: the sweep extrapolates in 1/|log eps|, infinite at 1 and growing past it."""
+    if (widest := opts["schedule"].epsilons[0]) >= 1.0:
+        raise ValueError(f"a gl-converge schedule needs widths below 1, got {widest:g}")
+
+
+@_kind("gl-converge", {"geometry": _GEOMETRY, "eta": _ETA, "schedule": _SCHEDULE,
+                       "n_theta": (count, 48)}, codim=2, check=_check_gl)
 def _run_gl(opts: dict, _rng, _outdir):
     g = opts["geometry"]
     rec = limits.gl_limit_experiment(g, opts["eta"], fields.constant_field(np.zeros(g.dim)),
@@ -402,8 +408,7 @@ def _run_equipartition(opts: dict, _rng, _outdir):
 def _run_volume(opts: dict, rng: np.random.Generator, _outdir):
     g, etas = opts["geometry"], opts["fields"]
     if isinstance(etas, dict):  # drawn here, from the experiment's own seed
-        etas = [fields.random_compact_vector_field(rng, g.dim, degree=etas["degree"],
-                                                   radius=etas["radius"])
+        etas = [fields.random_compact_vector_field(rng, g.dim, radius=etas["radius"])
                 for _ in range(etas["random"])]
     rows, details = [], []
     for i, eta in enumerate(etas):
@@ -471,6 +476,9 @@ def run_experiment(exp: dict, seed: int, index: int, outdir: Path | None = None)
         raise ConfigError(f"experiment {exp['name']!r}: {exc}") from exc
     except InnervarError as exc:
         error = str(exc)
+    except MemoryError as exc:  # numpy's message names the allocation that failed
+        error = f"out of memory: {exc}"
+    if error is not None:
         checks, rows, summary = [], [], {"error": error}
     entries = [{"label": c.label, "value": c.value, "bound": c.bound, "at_least": c.at_least,
                 "margin": c.margin, "pass": c.passed} for c in checks]

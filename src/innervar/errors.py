@@ -16,9 +16,8 @@ class NonInvertible(InnervarError):
 class UnsupportedBoundary(InnervarError):
     """A boundary where the operation allows none.
 
-    The surface has boundary where a closed interface is required, or X0 does
-    not vanish on the outermost quadrature nodes where dA(u, X0) is taken by
-    parts.
+    X0 does not vanish on the outermost quadrature nodes where dA(u, X0) is
+    taken by parts.
     """
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .config import REQUIRED, as_is, build, bump_radius, count, finite, integer, natural
 from .errors import DimensionMismatch, NonInvertible
-from .jets import Jet, jet_cos, jet_exp, jet_polynomial, jet_sin, jet_squared_norm
+from .jets import Jet, jet_cos, jet_polynomial, jet_sin, jet_squared_norm
 
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -423,47 +423,44 @@ def _squared_radius_jet(xb: np.ndarray, center: np.ndarray, radius: float,
     return Jet(val, grad, hess)
 
 
-def _bump_jet(xb: np.ndarray, center: np.ndarray, radius: float, order: int = 8,
-              jet_order: int = 2) -> Jet:
-    """Radial bump (1 - s^2)^order, s = |x-c|/r, zero outside; as a jet of ``jet_order``.
+_BUMP_EXPONENT = 8  # every bump is (1 - s^2)^8, C^7 at the edge of its support
 
-    A polynomial bump (C^{order-1} at the support edge) keeps Gauss quadrature
-    of bump-weighted integrands accurate to ~n^{-order+1}, which the identity
-    suites need; an exp-type mollifier would slow convergence to
-    sub-geometric.  ``order=None`` selects the classical C-infinity shape
-    exp(1 - 1/(1 - s^2)) instead.  The jet of s^2 comes in closed form from
-    :func:`_squared_radius_jet`, bit for bit the generic jet sum, so the bump
-    is bit for bit the one built from coordinate jets.
+
+def _bump_jet(xb: np.ndarray, center: np.ndarray, radius: float, jet_order: int = 2) -> Jet:
+    """Radial bump (1 - s^2)^8, s = |x-c|/r, zero outside; as a jet of ``jet_order``.
+
+    A polynomial bump (C^7 at the support edge) keeps Gauss quadrature of
+    bump-weighted integrands accurate to ~n^-7, which the identity suites
+    need; an exp-type mollifier would slow convergence to sub-geometric.  The
+    jet of s^2 comes in closed form from :func:`_squared_radius_jet`, bit for
+    bit the generic jet sum, so the bump is bit for bit the one built from
+    coordinate jets.
     """
-    return _bump_shape(_squared_radius_jet(xb, center, radius, jet_order), order)
+    return _bump_shape(_squared_radius_jet(xb, center, radius, jet_order))
 
 
-def _bump_shape(s2: Jet, order) -> Jet:
-    """(1 - s^2)^order where s^2 < 1, zero elsewhere; ``order=None``: exp(1 - 1/(1 - s^2))."""
-    if order is None:
-        inside = s2.val < 1.0 - 1.0 / 700.0  # exp(1 - 1/(1-t)) underflows past this
-        return Jet.where(inside, jet_exp(1.0 - (1.0 - s2.masked(inside)).reciprocal()), 0.0)
+def _bump_shape(s2: Jet) -> Jet:
+    """(1 - s^2)^8 where s^2 < 1, zero elsewhere."""
     inside = s2.val < 1.0
-    return Jet.where(inside, (1.0 - s2.masked(inside)) ** int(order), 0.0)
+    return Jet.where(inside, (1.0 - s2.masked(inside)) ** _BUMP_EXPONENT, 0.0)
 
 
-def bump_scalar_field(center, radius, amplitude=1.0, order=8) -> ScalarField:
-    """Radial bump supported on |x - center| < radius (polynomial by default)."""
+def bump_scalar_field(center, radius, amplitude=1.0) -> ScalarField:
+    """Radial bump supported on |x - center| < radius."""
     c = _vector(center)
     return ScalarField.from_jet(
         c.shape[0],
-        lambda xb, jet_order: _bump_jet(xb, c, float(radius), order, jet_order) * float(amplitude),
+        lambda xb, jet_order: _bump_jet(xb, c, float(radius), jet_order) * float(amplitude),
     )
 
 
-def bump_polynomial_field(dim, components, center, radius, order=8) -> VectorField:
+def bump_polynomial_field(dim, components, center, radius) -> VectorField:
     """Compactly supported field: polynomial components times a radial bump."""
     c = _vector(center, dim)
     tables = _tables(dim, components)
 
     def build(xb, jet_order):
-        return jet_polynomial(xb, tables, jet_order) * _bump_jet(xb, c, float(radius), order,
-                                                                 jet_order)
+        return jet_polynomial(xb, tables, jet_order) * _bump_jet(xb, c, float(radius), jet_order)
 
     return VectorField.from_jet(dim, build)
 
@@ -631,24 +628,24 @@ def random_polynomial_vector_field(rng, dim, degree=3, scale=1.0) -> VectorField
     return polynomial_vector_field(dim, comps)
 
 
-def random_compact_vector_field(rng, dim, degree=2, scale=1.0, center=None, radius=0.8,
-                                order=8) -> VectorField:
+def random_compact_vector_field(rng, dim, degree=2, scale=1.0, center=None,
+                                radius=0.8) -> VectorField:
     c = np.zeros(dim) if center is None else _vector(center, dim)
     comps = [_random_terms(rng, dim, degree, scale) for _ in range(dim)]
-    return bump_polynomial_field(dim, comps, c, radius, order=order)
+    return bump_polynomial_field(dim, comps, c, radius)
 
 
 def random_polynomial_scalar_field(rng, dim, degree=3, scale=1.0) -> ScalarField:
     return polynomial_scalar_field(dim, _random_terms(rng, dim, degree, scale))
 
 
-def _cylindrical_bump_jet(xb, radius, order, jet_order):
-    """Bump (1 - rho^2/r^2)^order in the transverse radius rho = |(x2, x3)|."""
-    return _bump_shape(jet_squared_norm(xb, jet_order, axes=(1, 2)) * (1.0 / radius**2), order)
+def _cylindrical_bump_jet(xb, radius, jet_order):
+    """Bump (1 - rho^2/r^2)^8 in the transverse radius rho = |(x2, x3)|."""
+    return _bump_shape(jet_squared_norm(xb, jet_order, axes=(1, 2)) * (1.0 / radius**2))
 
 
 def filament_test_field(preset: str, amplitude: float = 1.0, frequency: int = 1,
-                        radius: float = 0.45, order: int = 8) -> VectorField:
+                        radius: float = 0.45) -> VectorField:
     """Deformation fields adapted to a periodic filament along e1 in R^3.
 
     Presets (all cut off smoothly at transverse radius ``radius``):
@@ -664,7 +661,7 @@ def filament_test_field(preset: str, amplitude: float = 1.0, frequency: int = 1,
     amp = float(amplitude)
 
     def build(xb, jet_order):
-        chi = _cylindrical_bump_jet(xb, float(radius), order, jet_order)
+        chi = _cylindrical_bump_jet(xb, float(radius), jet_order)
         if preset == "bend":
             wave = jet_sin(Jet.coordinate(xb, 0, jet_order) * (2.0 * np.pi * int(frequency))) * amp
             rows = (None, wave * chi, None)
@@ -691,13 +688,13 @@ _VECTOR_FIELDS = {
                                              "components": (as_is, REQUIRED)}),
     "bump_polynomial": (bump_polynomial_field, {
         "dim": (count, REQUIRED), "components": (as_is, REQUIRED), "center": (as_is, REQUIRED),
-        "radius": (bump_radius, REQUIRED), "order": (count, 8)}),
+        "radius": (bump_radius, REQUIRED)}),
     "random_bump_polynomial": (_seeded_compact_field, {
         "dim": (count, REQUIRED), "degree": (natural, 2), "scale": (float, 1.0),
         "center": (as_is, None), "radius": (bump_radius, 0.8), "seed": (natural, 0)}),
     "filament_preset": (filament_test_field, {
         "preset": (str, REQUIRED), "amplitude": (finite, 1.0), "frequency": (integer, 1),
-        "radius": (bump_radius, 0.45), "order": (count, 8)}),
+        "radius": (bump_radius, 0.45)}),
 }
 
 
@@ -709,8 +706,8 @@ def vector_field_from_config(spec: dict) -> VectorField:
 _SCALAR_FIELDS = {
     "polynomial": (polynomial_scalar_field, {"dim": (count, REQUIRED), "terms": (as_is, REQUIRED)}),
     "radial_bump": (bump_scalar_field, {
-        "center": (as_is, REQUIRED), "radius": (bump_radius, REQUIRED), "amplitude": (finite, 1.0),
-        "order": (lambda order: None if order is None else count(order), 8)}),  # None: C-infinity
+        "center": (as_is, REQUIRED), "radius": (bump_radius, REQUIRED),
+        "amplitude": (finite, 1.0)}),
     "trig": (trig_scalar_field, {"dim": (count, REQUIRED), "terms": (as_is, REQUIRED)}),
 }
 

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .config import REQUIRED, as_is, build, count, finite, integer, positive
-from .errors import DimensionMismatch, TubeTooNarrow, UnsupportedBoundary
+from .errors import DimensionMismatch, TubeTooNarrow
 from .fields import ScalarField, VectorField
 from .jets import Jet, jet_exp, jet_norm
 from .sums import pairwise_dot
@@ -72,19 +72,18 @@ def product_rule(rules) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Interface:
-    """Shared storage for parametrized interfaces of any codimension."""
+    """Shared storage for parametrized interfaces of any codimension; every one is closed."""
 
     codim = 1
 
     type_name: str  # the shape's "type" in a config descriptor
 
-    def __init__(self, dim, nodes, weights, tangents, curvatures, closed, measure, focal_width):
+    def __init__(self, dim, nodes, weights, tangents, curvatures, measure, focal_width):
         self.dim = int(dim)
         self.nodes = nodes
         self.weights = weights
         self.tangents = tangents  # (M, dim - codim, dim)
         self.curvatures = curvatures  # (M, dim - codim)
-        self.closed = bool(closed)
         self.measure = float(measure)  # closed-form H^{dim-codim}(Gamma)
         self.focal_width = float(focal_width)
 
@@ -113,9 +112,8 @@ class Hypersurface(_Interface):
 
     codim = 1
 
-    def __init__(self, dim, nodes, weights, normals, tangents, curvatures, closed,
-                 measure, focal_width):
-        super().__init__(dim, nodes, weights, tangents, curvatures, closed, measure, focal_width)
+    def __init__(self, dim, nodes, weights, normals, tangents, curvatures, measure, focal_width):
+        super().__init__(dim, nodes, weights, tangents, curvatures, measure, focal_width)
         self.normals = normals
 
 
@@ -128,8 +126,7 @@ class RoundSurface(Hypersurface):
     def __init__(self, center, radius, nodes, weights, normals, tangents, measure, grid=None):
         dim = center.shape[0]
         super().__init__(dim, nodes, weights, normals, tangents,
-                         np.full((nodes.shape[0], dim - 1), 1.0 / radius), True, measure,
-                         radius)
+                         np.full((nodes.shape[0], dim - 1), 1.0 / radius), measure, radius)
         self.type_name = "circle" if dim == 2 else "sphere"
         self.center = center
         self.radius = radius
@@ -178,9 +175,9 @@ class Filament(_Interface):
 
     codim = 2
 
-    def __init__(self, dim, nodes, weights, frame_p, frame_q, tangents, curvatures,
-                 closed, measure, focal_width):
-        super().__init__(dim, nodes, weights, tangents, curvatures, closed, measure, focal_width)
+    def __init__(self, dim, nodes, weights, frame_p, frame_q, tangents, curvatures, measure,
+                 focal_width):
+        super().__init__(dim, nodes, weights, tangents, curvatures, measure, focal_width)
         self.frame_p = frame_p
         self.frame_q = frame_q
 
@@ -250,14 +247,11 @@ def sphere(radius: float, center=(0.0, 0.0, 0.0), n_polar: int = 32,
 
 
 def flat_patch(dim: int, axis: int = 0, offset: float = 0.0, extents=None,
-               n_per_axis: int = 48, periodic: bool = True) -> Hypersurface:
-    """Flat interface {x_axis = offset} over a rectangular patch.
+               n_per_axis: int = 48) -> Hypersurface:
+    """Flat interface {x_axis = offset} over a rectangular patch, periodically identified.
 
-    With ``periodic=True`` (default) the patch is treated as periodically
-    identified (no boundary), which is the regime every shipped experiment
-    uses: test fields either vanish near the patch edges or are periodic
-    across them.  ``periodic=False`` marks the patch as having a boundary,
-    which closed-interface functionals must refuse.
+    The patch has no boundary: test fields either vanish near its edges or
+    are periodic across them.
     """
     dim = int(dim)
     axis = int(axis)
@@ -283,8 +277,8 @@ def flat_patch(dim: int, axis: int = 0, offset: float = 0.0, extents=None,
     tangents[:, range(dim - 1), chart_axes] = 1.0
     curvatures = np.zeros((m, dim - 1))
     measure = float(np.prod([hi - lo for lo, hi in extents]))
-    return FlatPatch(dim, nodes, w, normals, tangents, curvatures, bool(periodic), measure,
-                     np.inf, axis=axis, offset=offset)
+    return FlatPatch(dim, nodes, w, normals, tangents, curvatures, measure, np.inf, axis=axis,
+                     offset=offset)
 
 
 def straight_filament(length: float = 1.0, n_nodes: int = 24) -> Filament:
@@ -303,7 +297,7 @@ def straight_filament(length: float = 1.0, n_nodes: int = 24) -> Filament:
     q = np.zeros((n_nodes, 3))
     q[:, 2] = 1.0
     curvatures = np.zeros((n_nodes, 1))
-    return StraightFilament(3, nodes, w, p, q, tangents, curvatures, True, ell, np.inf)
+    return StraightFilament(3, nodes, w, p, q, tangents, curvatures, ell, np.inf)
 
 
 def circular_filament(radius: float, n_nodes: int = 128) -> Filament:
@@ -321,8 +315,8 @@ def circular_filament(radius: float, n_nodes: int = 128) -> Filament:
     q = np.zeros((n_nodes, 3))
     q[:, 2] = 1.0
     curvatures = np.full((n_nodes, 1), 1.0 / r)
-    return CircularFilament(3, nodes, r * w, p, q, tangents, curvatures, True,
-                            2.0 * np.pi * r, r, radius=r)
+    return CircularFilament(3, nodes, r * w, p, q, tangents, curvatures, 2.0 * np.pi * r, r,
+                            radius=r)
 
 
 _SHAPES = {
@@ -449,14 +443,12 @@ def _real(xi: ScalarField) -> ScalarField:
 def jacobi_form(g: Hypersurface, xi: ScalarField) -> float:
     """Stability form J(xi) = int_G (|grad_G xi|^2 - |A_G|^2 xi^2).
 
-    grad_G xi is xi's ambient gradient projected onto the tangent plane.  Only
-    closed interfaces are supported; the boundary contribution that would
-    appear for interfaces meeting the container wall is out of scope.
+    grad_G xi is xi's ambient gradient projected onto the tangent plane.  Every
+    shape is closed; the boundary contribution that would appear for
+    interfaces meeting the container wall is out of scope.
     """
     if g.codim != 1:
         raise DimensionMismatch("jacobi_form is defined on hypersurfaces")
-    if not g.closed:
-        raise UnsupportedBoundary("jacobi_form requires a closed interface")
     vals = _real(xi).eval(g.nodes)
     grad = xi.gradient(g.nodes)
     grad = grad - np.einsum("mi,mi->m", grad, g.normals)[:, None] * g.normals

@@ -61,39 +61,28 @@ def _profile(p: float | str) -> ProfileTable | GLRadialProfile:
 
 @dataclass
 class EpsilonSchedule:
-    """Decreasing interface widths plus the extrapolation model for the sweep."""
+    """Strictly decreasing interface widths, at least two: every fit takes the last min(4, n)."""
 
     epsilons: list[float]
-    model: str = "linear_eps"  # or "log_inverse"
-    fit_points: int | None = None  # None: the last min(4, len(epsilons)) widths
 
     def __post_init__(self):
         eps = [float(e) for e in self.epsilons]
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("schedule must be strictly decreasing")
-        if self.model not in ("linear_eps", "log_inverse"):
-            raise ValueError(f"unknown extrapolation model {self.model!r}")
-        if self.model == "log_inverse" and any(e >= 1.0 for e in eps):
-            # 1/|log eps| is infinite at eps = 1 and no longer shrinks with eps above it
-            raise ValueError(f"a log_inverse schedule needs widths below 1, got {max(eps):g}")
-        if self.fit_points is None:
-            self.fit_points = min(4, len(eps))
-        if not 2 <= self.fit_points <= len(eps):
-            # the extrapolation fits two parameters, so fewer points would be underdetermined
-            raise ValueError(f"fit_points must be between 2 and the number of widths "
-                             f"({len(eps)}), got {self.fit_points}")
+        if len(eps) < 2:
+            # the extrapolation fits two parameters, so one width would leave it underdetermined
+            raise ValueError(f"a schedule needs at least two widths, got {len(eps)}")
         self.epsilons = eps
 
     @staticmethod
-    def geometric(eps0: float, count: int, ratio: float = 0.5, model: str = "linear_eps",
-                  fit_points: int | None = None) -> "EpsilonSchedule":
-        return EpsilonSchedule([eps0 * ratio**k for k in range(count)], model, fit_points)
+    def geometric(eps0: float, count: int) -> "EpsilonSchedule":
+        return EpsilonSchedule([eps0 * 0.5**k for k in range(count)])
 
 
-def extrapolate(epsilons, values, model: str = "linear_eps", fit_points: int = 4):
-    """Least-squares fit of value = a + b*x on the last fit_points, x model-dependent."""
-    eps = np.asarray(epsilons, dtype=float)[-fit_points:]
-    val = np.asarray(values, dtype=float)[-fit_points:]
+def extrapolate(epsilons, values, model: str):
+    """Least-squares fit of value = a + b*x on the last min(4, n) widths, x = eps or 1/|log eps|."""
+    eps = np.asarray(epsilons, dtype=float)[-4:]
+    val = np.asarray(values, dtype=float)[-4:]
     x = eps if model == "linear_eps" else 1.0 / np.abs(np.log(eps))
     design = np.stack([np.ones_like(x), x], axis=1)
     coef, *_ = np.linalg.lstsq(design, val, rcond=None)
@@ -136,6 +125,7 @@ class ConvergenceRecord:
     extras: dict[str, list[float]] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
     csv_residuals: tuple[str, ...] = ()  # the extras written as residual_1 and residual_2
+    model: str = "linear_eps"  # the sweep's extrapolation: in eps, or "log_inverse" in 1/|log eps|
 
     def __post_init__(self):
         self.extrapolated = self.extrapolate(self.values)[0]
@@ -146,8 +136,8 @@ class ConvergenceRecord:
         return self.schedule.epsilons
 
     def extrapolate(self, values) -> tuple[float, float]:
-        """(limit, slope) of ``values`` per width, fitted as the schedule's model prescribes."""
-        return extrapolate(self.epsilons, values, self.schedule.model, self.schedule.fit_points)
+        """(limit, slope) of ``values`` per width, fitted in the sweep's model."""
+        return extrapolate(self.epsilons, values, self.model)
 
     @property
     def gap(self) -> float:
@@ -176,7 +166,7 @@ class ConvergenceRecord:
     def summary(self) -> dict:
         return {
             "name": self.name,
-            "model": self.schedule.model,
+            "model": self.model,
             "epsilons": list(self.epsilons),
             "values": list(self.values),
             "extras": {k: list(v) for k, v in self.extras.items()},
@@ -326,16 +316,18 @@ def tensor_pairing_experiment(g, p: float, phi: ScalarField, indices,
 # vortex (complex order parameter) experiments
 # ---------------------------------------------------------------------------
 
+_RHO_MAX = 0.5  # outer transverse radius of the vortex tube rule
+
 
 def gl_limit_experiment(g, eta: VectorField, zeta: VectorField, sched: EpsilonSchedule,
-                        rho_max: float = 0.5, n_theta: int = 48,
-                        name: str | None = None) -> ConvergenceRecord:
+                        n_theta: int = 48, name: str | None = None) -> ConvergenceRecord:
     """Sweep of the second inner variation of the vortex energy on a filament.
 
     Target: pi * (second inner variation of the filament length plus the
     transverse discrepancy); extras carry the normalized energy, whose target
     is pi times the filament length.  Convergence is logarithmic, so the
-    schedule should use the 1/|log eps| model.
+    record extrapolates in 1/|log eps| ("log_inverse"), which needs every
+    width below 1.  The tube reaches out to transverse radius 0.5.
     """
     if g.codim != 2:
         raise DimensionMismatch("gl_limit_experiment needs a filament")
@@ -346,7 +338,7 @@ def gl_limit_experiment(g, eta: VectorField, zeta: VectorField, sched: EpsilonSc
     values, energies = [], []
     for eps in sched.epsilons:
         u = gl_vortex_field(g, eps, prof)
-        rho, wr = vortex_radial_rule(eps, rho_max)
+        rho, wr = vortex_radial_rule(eps, _RHO_MAX)
         quad = filament_tube_rule(g, rho, wr, n_theta)
         u = pinned(u, quad.nodes, 1)
         f = integrand_ginzburg_landau(eps)
@@ -364,8 +356,9 @@ def gl_limit_experiment(g, eta: VectorField, zeta: VectorField, sched: EpsilonSc
             "discrepancy_real": disc_real,
             "discrepancy_dbar": disc_dbar,
             "energy_target": np.pi * g.measure,
-            "rho_max": rho_max,
+            "rho_max": _RHO_MAX,
         },
+        model="log_inverse",
     )
 
 
@@ -374,20 +367,17 @@ def gl_limit_experiment(g, eta: VectorField, zeta: VectorField, sched: EpsilonSc
 # ---------------------------------------------------------------------------
 
 
-def volume_admissibility(g, eta: VectorField,
-                         zeta: VectorField | None = None) -> tuple[float, float]:
-    """First and second t-derivatives of the enclosed volume along the deformation.
+def volume_admissibility(g, eta: VectorField) -> tuple[float, float]:
+    """First and second t-derivatives of the enclosed volume along (eta, zeta^eta).
 
-    c1 = int_E div eta; c2 = int_E [div zeta + (div eta)^2 - trace((grad eta)^2)].
-    With zeta = zeta_eta(eta) the integrand of c2 cancels pointwise, so the
-    family preserves volume to second order for any velocity field.
-    ``zeta=None`` selects that acceleration, built on one order-2 evaluation
-    of eta.
+    c1 = int_E div eta; c2 = int_E [div zeta + (div eta)^2 - trace((grad eta)^2)]
+    with zeta = zeta_eta(eta), whose integrand cancels pointwise, so the family
+    preserves volume to second order for any velocity field.  zeta^eta is built
+    on one order-2 evaluation of eta.
     """
     nodes, weights = geo.enclosed_region_quadrature(g)
-    if zeta is None:
-        eta = pinned(eta, nodes, 2)
-        zeta = zeta_eta(eta)
+    eta = pinned(eta, nodes, 2)
+    zeta = zeta_eta(eta)
     _, je = eta.evaluate(nodes, 1)
     _, jz = zeta.evaluate(nodes, 1)
     div_e = np.einsum("iim->m", je)

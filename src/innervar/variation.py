@@ -201,15 +201,15 @@ def vortex_radial_rule(eps: float, rho_max: float):
 # ---------------------------------------------------------------------------
 
 
-def integrand_dirichlet(state_dim: int = 1) -> Integrand:
-    """F = |P|^2 / 2."""
-    return Integrand(state_dim, (lambda m2: 0.5 * m2, 1.0, None), (None, None, None), "dirichlet")
+def integrand_dirichlet() -> Integrand:
+    """F = |P|^2 / 2, of a real field."""
+    return Integrand(1, (lambda m2: 0.5 * m2, 1.0, None), (None, None, None), "dirichlet")
 
 
-def integrand_p_allen_cahn(eps: float, p: float, reg: float = 1e-12) -> Integrand:
+def integrand_p_allen_cahn(eps: float, p: float) -> Integrand:
     """F = eps^(p-1)|P|^p / p + (p-1)(1-z^2)^2 / (p eps).
 
-    For p < 2 the |P|^(p-2) factor is regularized as (|P|^2 + reg^2)^((p-2)/2)
+    For p < 2 the |P|^(p-2) factor is regularized as (|P|^2 + 1e-24)^((p-2)/2)
     and the rank-four term is switched off where |P| < 1e-9; ansatz profiles
     keep |grad u| bounded below on the tube so this only touches nodes that
     contribute nothing.
@@ -218,7 +218,7 @@ def integrand_p_allen_cahn(eps: float, p: float, reg: float = 1e-12) -> Integran
     pw = float(p)
     ee = eps ** (pw - 1.0)
     cw = (pw - 1.0) / (pw * eps)
-    r2 = reg * reg
+    r2 = 1e-12 * 1e-12
 
     def g4(m2):
         x = m2 + r2
@@ -417,7 +417,7 @@ class VariationReport:
 
 
 def variation_report(f: Integrand, u: ScalarField, eta: VectorField,
-                     zeta: VectorField, quad: BulkQuadrature, label="") -> VariationReport:
+                     zeta: VectorField, quad: BulkQuadrature) -> VariationReport:
     """Every variation on ``quad``, each field evaluated once on its nodes.
 
     u is held at order 2 (phi, X0 and div F_P read its Hessian), eta, zeta and
@@ -436,7 +436,7 @@ def variation_report(f: Integrand, u: ScalarField, eta: VectorField,
     delta2 = second_inner_variation(f, u, eta, zeta, quad)
     od1, od2 = inner_variation_oracle(f, u, eta, zeta, quad)
     return VariationReport(
-        label=label or f.label,
+        label=f.label,
         value=val,
         d_a=da,
         d2_a=d2a,

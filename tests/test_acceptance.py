@@ -293,7 +293,7 @@ def test_criterion_08_volume_constraint_machinery():
     worst_c2 = 0.0
     for _ in range(10):
         eta = F.random_compact_vector_field(rng, 3, degree=2, radius=1.4)
-        _, c2 = L.volume_admissibility(sphere, eta, F.zeta_eta(eta))
+        _, c2 = L.volume_admissibility(sphere, eta)
         worst_c2 = max(worst_c2, abs(c2))
     c2_ok = worst_c2 <= 1e-10
 
@@ -340,16 +340,16 @@ def test_criterion_09_vortex_limits():
     t0 = time.perf_counter()
     fil = G.straight_filament(1.0, 16)
     zero = F.constant_field([0.0, 0.0, 0.0])
-    sched = L.EpsilonSchedule.geometric(0.05, 10, model="log_inverse")
+    sched = L.EpsilonSchedule.geometric(0.05, 10)
 
     eta_b = F.filament_test_field("bend", amplitude=0.6, frequency=1, radius=0.45)
-    rec_b = L.gl_limit_experiment(fil, eta_b, zero, sched, rho_max=0.5, n_theta=48)
+    rec_b = L.gl_limit_experiment(fil, eta_b, zero, sched, n_theta=48)
     e_extr, _ = L.extrapolate(sched.epsilons, rec_b.extras["energy"], "log_inverse")
     energy_gap = abs(e_extr - np.pi) / np.pi
     disc_b = rec_b.meta["discrepancy_real"]
 
     eta_z = F.filament_test_field("antiholomorphic", amplitude=1.0, radius=0.45)
-    rec_z = L.gl_limit_experiment(fil, eta_z, zero, sched, rho_max=0.5, n_theta=48)
+    rec_z = L.gl_limit_experiment(fil, eta_z, zero, sched, n_theta=48)
     disc_z = rec_z.meta["discrepancy_real"]
 
     dt = time.perf_counter() - t0

@@ -296,6 +296,8 @@ _MALFORMED = [
     ("identities_samples_zero", {"name": "x", "kind": "identities", "samples": 0}),
     ("identities_samples_negative", {"name": "x", "kind": "identities", "samples": -1}),
     ("identities_dim_zero", {"name": "x", "kind": "identities", "dim": 0}),
+    # the runner's bulk grid has 24^dim nodes: dimension 5 asked for gigabytes and crashed
+    ("identities_dim_four", {"name": "x", "kind": "identities", "dim": 4}),
     ("gl_n_theta_zero", {**_GL, "n_theta": 0}),
     ("filament_preset_unknown", {**_GL, "eta": {"type": "filament_preset", "preset": "bogus"}}),
     # the GL energy divides by |log eps|, which is 0 at eps = 1
@@ -551,6 +553,14 @@ _CONSTANT_CASES = [(f"{exp['kind']}.{key}", {**exp, key: value})
                    for exp, keys in _CONSTANTS for key, value in keys.items()]
 _CONSTANT_CASES += [(f"schedule.{key}", _variant(schedule={**_TENSORS["schedule"], key: value}))
                     for key, value in _SCHEDULE_CONSTANTS.items()]
+# every bump is (1 - s^2)^8, and random volume fields are of degree 2
+_CONSTANT_CASES += [
+    ("bump_polynomial.order", {**_AC, "eta": {**_AC["eta"], "order": 8}}),
+    ("radial_bump.order", _variant(phi={**_TENSORS["phi"], "order": 8})),
+    ("filament_preset.order", {**_GL, "eta": {**_GL["eta"], "order": 8}}),
+    ("volume_fields.degree", {"name": "x", "kind": "volume", "geometry": _SPHERE,
+                              "fields": {"random": 2, "degree": 2}}),
+]
 
 
 @pytest.mark.parametrize("exp", [exp for _, exp in _CONSTANT_CASES],
@@ -592,6 +602,8 @@ def test_every_optional_key_is_varied_by_a_shipped_or_workload_config():
               for name, kind in cli._KINDS.items()]
     tables.append(("schedule", cli._SCHEDULE_KEYS,
                    [e["schedule"] for e in exps if "schedule" in e]))
+    tables.append(("volume fields", cli._RANDOM_FIELDS,
+                   [e["fields"] for e in exps if isinstance(e.get("fields"), dict)]))
     unvaried = [f"{name}.{key}" for name, keys, specs in tables
                 for key, (_convert, default) in keys.items()
                 if default is not config.REQUIRED
@@ -754,6 +766,26 @@ def test_summaries_are_strict_json(tmp_path, monkeypatch):
     assert json.loads((out / "nan.json").read_text(), parse_constant=reject)["lhs"] is None
 
 
+def test_an_experiment_out_of_memory_fails_alone(tmp_path, capsys, monkeypatch):
+    # numpy raises MemoryError where an allocation fails; that ended the whole run with a
+    # traceback and no summary.json.  It is the experiment's error, and the run goes on.
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError("Unable to allocate 14.9 GiB for an array with shape (1000000000, 2)")
+
+    monkeypatch.setattr(limits, "ac_limit_experiment", exhausted)
+    cfg = {"experiments": [_AC, {"name": "prof", **_PROFILE_P2}]}
+    out = tmp_path / "o"
+    assert main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "numerical failure in: x" in captured.err
+    assert "x: FAIL (no checks" in captured.out and "prof: PASS" in captured.out
+    errored, passed = json.loads((out / "summary.json").read_text())["experiments"]
+    assert errored["error"].startswith("out of memory: Unable to allocate 14.9 GiB")
+    assert errored["pass"] is False and errored["worst_check"] is None
+    assert json.loads((out / "x.json").read_text())["error"] == errored["error"]
+    assert passed["pass"] is True and passed["error"] is None
+
+
 def test_flat_patch_normal_extensions_default_to_a_unit_cutoff(tmp_path):
     # with no cutoff_width the cutoff is the patch's default half width 1; an infinite one
     # would extend xi by the zero field, so lhs and every form would read 0
@@ -768,13 +800,6 @@ def test_flat_patch_normal_extensions_default_to_a_unit_cutoff(tmp_path):
     assert poin["lhs"] == pytest.approx(np.pi**2, rel=1e-12)  # J(xi) = int pi^2 cos^2(pi y)
     forms = json.loads((tmp_path / "o" / "forms.json").read_text())
     assert forms["gap"] < 1e-8
-
-
-def test_radial_bump_order_null_is_the_smooth_bump():
-    validate_config({"experiments": [_variant(phi={**_TENSORS["phi"], "order": None})]})
-    spec = {"type": "radial_bump", "center": [0.0, 0.0], "radius": 1.0, "order": None}
-    x = np.array([[0.3, 0.4]])
-    assert fields.scalar_field_from_config(spec).eval(x) == np.exp(1.0 - 1.0 / (1.0 - 0.25))
 
 
 def test_a_run_imports_neither_scipy_integrate_nor_optimize(tmp_path):

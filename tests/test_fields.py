@@ -332,7 +332,7 @@ _OPS = {
     "exp": lambda a, xs, xb, k: jet_exp(-(a * a)),
     "sin": lambda a, xs, xb, k: jet_sin(a * 1.5),
     "lift": lambda a, xs, xb, k: a.compose(_tanh_derivatives),
-    "bump": lambda a, xs, xb, k: a * F._bump_jet(xb, np.full(xb.shape[1], 0.1), 1.6, 8, a.order),
+    "bump": lambda a, xs, xb, k: a * F._bump_jet(xb, np.full(xb.shape[1], 0.1), 1.6, a.order),
 }
 
 
@@ -447,29 +447,26 @@ def test_jet_norm_matches_the_sum_of_squared_coordinate_jets_bit_for_bit(dim):
 
 
 # The bump as it was built from coordinate jets: the reference for the closed-form s^2.
-def _generic_bump(xb, center, radius, order, jet_order):
+def _generic_bump(xb, center, radius, jet_order):
     coords = Jet.variables(xb, jet_order)
     s2 = Jet.constant(0.0, xb, jet_order)
     for i in range(xb.shape[1]):
         d = coords[i] - center[i]
         s2 = s2 + d * d * (1.0 / radius**2)
-    return s2, _generic_shape(xb, s2, order, jet_order)
+    return s2, _generic_shape(xb, s2, jet_order)
 
 
 # The cylindrical bump's s^2 as it was built from coordinate jets, scaled after the sum.
-def _generic_cylindrical_bump(xb, radius, order, jet_order):
+def _generic_cylindrical_bump(xb, radius, jet_order):
     x2, x3 = Jet.coordinate(xb, 1, jet_order), Jet.coordinate(xb, 2, jet_order)
-    return _generic_shape(xb, (x2 * x2 + x3 * x3) * (1.0 / radius**2), order, jet_order)
+    return _generic_shape(xb, (x2 * x2 + x3 * x3) * (1.0 / radius**2), jet_order)
 
 
-def _generic_shape(xb, s2, order, jet_order):
-    cut = 1.0 if order is not None else 1.0 - 1.0 / 700.0
-    inside = s2.val < cut
+def _generic_shape(xb, s2, jet_order):
+    inside = s2.val < 1.0
     if not np.any(inside):
         return Jet.constant(0.0, xb, jet_order)
-    base = 1.0 - s2.masked(inside)
-    shape = base ** int(order) if order is not None else jet_exp(1.0 - base.reciprocal())
-    return Jet.where(inside, shape, 0.0)
+    return Jet.where(inside, (1.0 - s2.masked(inside)) ** 8, 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -488,13 +485,12 @@ def test_closed_form_squared_radius_is_the_generic_jet_sum_bit_for_bit(dim, jet_
         x[::zeros, 0] = center[0]  # x - c exactly zero
         if centred:
             x[1::zeros, -1] = -0.0  # and a signed zero
-    for order in (8, None):
-        want_s2, want = _generic_bump(x, center, radius, order, jet_order)
-        got_s2 = F._squared_radius_jet(x, center, radius, jet_order)
-        got = F._bump_jet(x, center, radius, order, jet_order)
-        for part in ("val", "grad", "hess")[:jet_order + 1]:
-            assert getattr(got_s2, part).tobytes() == getattr(want_s2, part).tobytes()
-            assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+    want_s2, want = _generic_bump(x, center, radius, jet_order)
+    got_s2 = F._squared_radius_jet(x, center, radius, jet_order)
+    got = F._bump_jet(x, center, radius, jet_order)
+    for part in ("val", "grad", "hess")[:jet_order + 1]:
+        assert getattr(got_s2, part).tobytes() == getattr(want_s2, part).tobytes()
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
 
 
 @pytest.mark.parametrize("jet_order", [1, 2])
@@ -512,11 +508,10 @@ def test_cylindrical_bump_is_the_generic_jet_sum_bit_for_bit(jet_order, m, outsi
         x[9] = -0.0  # all three at once, on the axis
     rho = np.hypot(x[:, 1], x[:, 2])
     assert np.all(rho > radius) if outside else np.any(rho < radius)
-    for order in (8, 1, None):
-        got = F._cylindrical_bump_jet(x, radius, order, jet_order)
-        want = _generic_cylindrical_bump(x, radius, order, jet_order)
-        for part in ("val", "grad", "hess")[:jet_order + 1]:
-            assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+    got = F._cylindrical_bump_jet(x, radius, jet_order)
+    want = _generic_cylindrical_bump(x, radius, jet_order)
+    for part in ("val", "grad", "hess")[:jet_order + 1]:
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
 
 
 # The broadcast formulas jets used before they were summed row by row: the reference the
@@ -692,9 +687,8 @@ def test_piecewise_jets_are_built_not_written():
     init, Jet.__init__ = _recording_constructor(created)
     try:
         for order in (1, 2):
-            F._bump_jet(x, np.zeros(3), 0.9, 8, order)
-            F._bump_jet(x, np.zeros(3), 0.9, None, order)
-            F._cylindrical_bump_jet(x, 0.45, 8, order)
+            F._bump_jet(x, np.zeros(3), 0.9, order)
+            F._cylindrical_bump_jet(x, 0.45, order)
             vortex.evaluate(x, order)
             extension.evaluate(y, order)
             extension.evaluate(near, order)
@@ -728,12 +722,12 @@ def _listed_normal_extension(g, xi, width, xb, order):
 
 
 def _listed_bump_polynomial(tables, center, radius, xb, order):
-    bump = F._bump_jet(xb, center, radius, 8, order)
+    bump = F._bump_jet(xb, center, radius, order)
     return [jet_polynomial(xb, [table], order)[0] * bump for table in tables]
 
 
 def _listed_filament(preset, amp, xb, order):
-    chi = F._cylindrical_bump_jet(xb, 0.45, 8, order)
+    chi = F._cylindrical_bump_jet(xb, 0.45, order)
     zero = Jet.constant(0.0, xb, order)
     if preset == "bend":
         wave = jet_sin(Jet.coordinate(xb, 0, order) * (2.0 * np.pi)) * amp
@@ -881,7 +875,6 @@ _BUILTIN_FIELDS = {
     "trig": lambda rng: F.trig_scalar_field(2, [(0.7, [1.0, 2.0], 0.3, "sin"),
                                                 (0.2, [0.0, 1.5], 0.0, "cos")]),
     "radial_bump": lambda rng: F.bump_scalar_field([0.1, 0.0], 1.2),
-    "exp_bump": lambda rng: F.bump_scalar_field([0.1, 0.0], 1.2, order=None),
     "bump_polynomial": lambda rng: F.random_compact_vector_field(rng, 3, radius=1.6),
     "filament_bend": lambda rng: F.filament_test_field("bend", radius=1.5),
     "ansatz_sphere": lambda rng: P.ansatz_field(G.sphere(1.0, n_polar=6, n_azimuth=12), 0.05,
@@ -936,11 +929,11 @@ def _counted_fields(calls, dim=2, nodes=None):
     u = F.ScalarField.from_jet(dim, _counting(
         calls, "u", lambda xb, order: jet_polynomial(xb, [terms], order), nodes))
     phi = F.ScalarField.from_jet(dim, _counting(
-        calls, "phi", lambda xb, order: F._bump_jet(xb, np.zeros(dim), 0.9, 8, order), nodes))
+        calls, "phi", lambda xb, order: F._bump_jet(xb, np.zeros(dim), 0.9, order), nodes))
 
     def bumped(tables):
         return lambda xb, order: (jet_polynomial(xb, tables, order)
-                                  * F._bump_jet(xb, np.zeros(dim), 0.9, 8, order))
+                                  * F._bump_jet(xb, np.zeros(dim), 0.9, order))
 
     eta, zeta = (F.VectorField.from_jet(dim, _counting(
         calls, name, bumped([F._random_terms(rng, dim, 2, 1.0) for _ in range(dim)]), nodes))
@@ -1042,7 +1035,7 @@ def test_sweeps_evaluate_the_ansatz_once_per_width_at_order_one(monkeypatch):
     fil.transverse_jets = _counting(calls, "u", fil.transverse_jets)
     bend = F.filament_test_field("bend")
     L.gl_limit_experiment(fil, bend, F.zeta_eta(bend), L.EpsilonSchedule([0.04, 0.03]),
-                          rho_max=0.4, n_theta=8)
+                          n_theta=8)
     assert calls == [("u", 1)] * 2
 
 
@@ -1082,9 +1075,8 @@ def test_volume_admissibility_evaluates_eta_once_at_order_two():
     calls = []
     _u, _phi, eta, _zeta = _counted_fields(calls)
     disk = G.circle(0.8, n_nodes=32)
-    c1, c2 = L.volume_admissibility(disk, eta)
+    L.volume_admissibility(disk, eta)
     assert calls == [("eta", 2)]
-    assert (c1, c2) == L.volume_admissibility(disk, eta, F.zeta_eta(eta))  # bit for bit
 
 
 def test_normal_extension_evaluates_xi_once_at_the_jet_order():
@@ -1130,7 +1122,7 @@ def test_strided_callable_parts_give_the_contiguous_kernel_values():
     zeta = F.zeta_eta(eta)
     xb = rng.normal(size=(900, 3))
     quad = V.BulkQuadrature(xb, np.full(len(xb), 1.0 / len(xb)))
-    f = V.integrand_dirichlet(1)
+    f = V.integrand_dirichlet()
     assert np.array_equal(F.x0_field(u_view, eta, zeta).evaluate(xb, 0)[0],
                           F.x0_field(u_flat, eta, zeta).evaluate(xb, 0)[0])
     assert V.variation_report(f, u_view, eta, zeta, quad) == \

@@ -5,7 +5,7 @@ import pytest
 
 from innervar import fields as F
 from innervar import geometry as G
-from innervar.errors import TubeTooNarrow, UnsupportedBoundary
+from innervar.errors import TubeTooNarrow
 
 
 def zero_field(dim):
@@ -250,13 +250,6 @@ def test_jacobi_form_flat_periodic_sine():
     grad_sq = G.surface_integral(g, lambda x: np.pi**2 * np.cos(np.pi * x[:, 1]) ** 2)
     assert val > 0
     assert val == pytest.approx(grad_sq, rel=1e-12)
-
-
-def test_jacobi_form_rejects_boundary():
-    g = G.flat_patch(2, periodic=False)
-    xi = F.polynomial_scalar_field(2, [(1.0, (0, 1))])
-    with pytest.raises(UnsupportedBoundary):
-        G.jacobi_form(g, xi)
 
 
 def test_quadratic_form_limit_alias():

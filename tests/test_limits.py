@@ -48,7 +48,7 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         L.EpsilonSchedule([0.1, 0.2])
     with pytest.raises(ValueError):
-        L.EpsilonSchedule([0.1, 0.05], model="bogus")
+        L.EpsilonSchedule([0.1])  # a two-parameter fit needs two widths
     s = L.EpsilonSchedule.geometric(0.1, 4)
     assert s.epsilons == [0.1, 0.05, 0.025, 0.0125]
 
@@ -213,8 +213,8 @@ def test_tensor_pairing_index_validation(unit_sphere):
 def test_gl_zero_fields_give_zero():
     fil = G.straight_filament(1.0, 8)
     zero = F.constant_field([0.0, 0.0, 0.0])
-    sched = L.EpsilonSchedule([0.05, 0.025], model="log_inverse", fit_points=2)
-    rec = L.gl_limit_experiment(fil, zero, zero, sched, rho_max=0.4, n_theta=24)
+    sched = L.EpsilonSchedule([0.05, 0.025])
+    rec = L.gl_limit_experiment(fil, zero, zero, sched, n_theta=24)
     assert max(abs(v) for v in rec.values) <= 1e-12
     assert rec.target == 0.0
 
@@ -227,8 +227,9 @@ def test_gl_bend_mode_quick():
     assert sv == pytest.approx((0.6 * 2 * np.pi) ** 2 / 2.0, rel=1e-9)
     real, dbar = G.gl_discrepancy(fil, eta)
     assert abs(real) <= 1e-14 and abs(dbar) <= 1e-14
-    sched = L.EpsilonSchedule.geometric(0.05, 7, model="log_inverse")
-    rec = L.gl_limit_experiment(fil, eta, zero, sched, rho_max=0.5, n_theta=40)
+    sched = L.EpsilonSchedule.geometric(0.05, 7)
+    rec = L.gl_limit_experiment(fil, eta, zero, sched, n_theta=40)
+    assert rec.model == "log_inverse"
     assert rec.target == pytest.approx(np.pi * sv, rel=1e-9)
     assert rec.gap <= 0.1
     e_extr, _ = L.extrapolate(sched.epsilons, rec.extras["energy"], "log_inverse")
@@ -243,8 +244,8 @@ def test_gl_antiholomorphic_mode_quick():
     zero = F.constant_field([0.0, 0.0, 0.0])
     real, _ = G.gl_discrepancy(fil, eta)
     assert real == pytest.approx(4.0, rel=1e-12)
-    sched = L.EpsilonSchedule.geometric(0.05, 7, model="log_inverse")
-    rec = L.gl_limit_experiment(fil, eta, zero, sched, rho_max=0.5, n_theta=40)
+    sched = L.EpsilonSchedule.geometric(0.05, 7)
+    rec = L.gl_limit_experiment(fil, eta, zero, sched, n_theta=40)
     assert rec.target == pytest.approx(4.0 * np.pi, rel=1e-9)
     assert rec.gap <= 0.1
 
@@ -256,14 +257,13 @@ def test_gl_antiholomorphic_mode_quick():
 
 def test_volume_admissibility_dilation(unit_sphere):
     a = 0.5
-    c1, _ = L.volume_admissibility(unit_sphere, F.dilation_field(3, a),
-                                   F.constant_field([0.0] * 3))
+    c1, _ = L.volume_admissibility(unit_sphere, F.dilation_field(3, a))
     assert c1 == pytest.approx(3 * a * (4.0 / 3.0) * np.pi, rel=1e-10)
 
 
 def test_volume_admissibility_rotation(unit_sphere):
     rot = F.rotation_field([0.3, -0.2, 0.7])
-    c1, c2 = L.volume_admissibility(unit_sphere, rot, F.zeta_eta(rot))
+    c1, c2 = L.volume_admissibility(unit_sphere, rot)
     assert abs(c1) <= 1e-12 and abs(c2) <= 1e-12
 
 
@@ -271,7 +271,7 @@ def test_volume_admissibility_random_fields(unit_sphere):
     rng = np.random.default_rng(11)
     for _ in range(10):
         eta = F.random_compact_vector_field(rng, 3, degree=2, radius=1.4)
-        c1, c2 = L.volume_admissibility(unit_sphere, eta, F.zeta_eta(eta))
+        c1, c2 = L.volume_admissibility(unit_sphere, eta)
         assert abs(c2) <= 1e-10
         assert abs(c1 - L.boundary_flux(unit_sphere, eta)) <= 1e-8
 
@@ -280,7 +280,7 @@ def test_volume_admissibility_disk():
     disk = G.circle(0.8, n_nodes=128)
     rng = np.random.default_rng(12)
     eta = F.random_compact_vector_field(rng, 2, degree=2, radius=1.2)
-    c1, c2 = L.volume_admissibility(disk, eta, F.zeta_eta(eta))
+    c1, c2 = L.volume_admissibility(disk, eta)
     assert abs(c2) <= 1e-10
     assert abs(c1 - L.boundary_flux(disk, eta)) <= 1e-8
 
@@ -395,7 +395,7 @@ def test_quadratic_forms_degree_one_and_two():
 
 def test_quadratic_forms_zero_mode():
     g = G.sphere(1.0, n_polar=12, n_azimuth=24)
-    sched = L.EpsilonSchedule([0.08, 0.04], fit_points=2)
+    sched = L.EpsilonSchedule([0.08, 0.04])
     xi0 = F.polynomial_scalar_field(3, [(0.0, (0, 0, 1))])
     rec = L.quadratic_forms(g, xi0, sched)
     assert rec.target == 0.0

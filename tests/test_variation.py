@@ -518,7 +518,7 @@ def test_radial_partials_match_the_written_out_densities(pw, eps, m, n, seed):
     reg = 1e-12
     # p-Allen-Cahn, d = 1: F, F_P and F_PP.Q byte for byte against the closed forms written here
     z, p, q = _batch(rng, (1, m)), _batch(rng, (1, n, m)), _batch(rng, (1, n, m))
-    f = V.integrand_p_allen_cahn(eps, pw, reg)
+    f = V.integrand_p_allen_cahn(eps, pw)
     ee, cw = eps ** (pw - 1.0), (pw - 1.0) / (pw * eps)
     m2 = np.einsum("dim,dim->m", p, p) + reg * reg
     want_f = ee * m2 ** (pw / 2.0) / pw + cw * (1.0 - z[0] ** 2) ** 2
@@ -535,15 +535,16 @@ def test_radial_partials_match_the_written_out_densities(pw, eps, m, n, seed):
     _within(f.f_z(z, p), (cw * (-4.0) * z[0] * w)[None], np.abs(4.0 * cw * z * w))
     _within(f.f_zz(z, p), (cw * (12.0 * z[0] ** 2 - 4.0))[None, None],
             cw * (12.0 * z[None] ** 2 + 4.0))
-    # the Dirichlet density and Ginzburg-Landau, d = 2
+    # the Dirichlet density, d = 1, and Ginzburg-Landau, d = 2
     z, p, q = _batch(rng, (2, m)), _batch(rng, (2, n, m)), _batch(rng, (2, n, m))
+    z1, p1, q1 = z[:1], p[:1], q[:1]
+    f = V.integrand_dirichlet()
+    assert f.f(z1, p1).tobytes() == (0.5 * np.einsum("dim,dim->m", p1, p1)).tobytes()
+    assert not np.any(f.f_z(z1, p1)) and f.f_z(z1, p1).shape == z1.shape
+    assert not np.any(f.f_zz(z1, p1)) and f.f_zz(z1, p1).shape == (1, 1, m)
+    assert f.f_p(z1, p1).tobytes() == p1.tobytes()
+    assert f.f_pp_dot(z1, p1, q1).tobytes() == q1.tobytes()
     m2 = np.einsum("dim,dim->m", p, p)
-    f = V.integrand_dirichlet(2)
-    assert f.f(z, p).tobytes() == (0.5 * m2).tobytes()
-    assert not np.any(f.f_z(z, p)) and f.f_z(z, p).shape == z.shape
-    assert not np.any(f.f_zz(z, p)) and f.f_zz(z, p).shape == (2, 2, m)
-    assert f.f_p(z, p).tobytes() == p.tobytes()
-    assert f.f_pp_dot(z, p, q).tobytes() == q.tobytes()
     if eps == 1.0:  # |log eps| = 0: the GL energy is undefined there
         with pytest.raises(EpsilonTooLarge):
             V.integrand_ginzburg_landau(eps)
@@ -663,8 +664,10 @@ _DENSITIES = {
                         lambda: _reference_p_allen_cahn(0.3, 3.0)),
     "ginzburg_landau": (lambda: V.integrand_ginzburg_landau(0.05),
                         lambda: _reference_ginzburg_landau(0.05)),
-    "dirichlet_d1": (lambda: V.integrand_dirichlet(1), lambda: _reference_dirichlet(1)),
-    "dirichlet_d2": (lambda: V.integrand_dirichlet(2), lambda: _reference_dirichlet(2)),
+    "dirichlet_d1": (lambda: V.integrand_dirichlet(), lambda: _reference_dirichlet(1)),
+    # the Dirichlet factors on a two-component state, built as the class takes them
+    "dirichlet_d2": (lambda: V.Integrand(2, (lambda m2: 0.5 * m2, 1.0, None), (None, None, None),
+                                         "dirichlet"), lambda: _reference_dirichlet(2)),
 }
 
 
@@ -733,8 +736,8 @@ def test_variation_report_roundtrip(box2):
     u = F.random_polynomial_scalar_field(rng, 2, degree=3)
     eta = F.random_compact_vector_field(rng, 2, degree=2, radius=0.8)
     zeta = F.random_compact_vector_field(rng, 2, degree=2, radius=0.8)
-    rep = V.variation_report(V.integrand_dirichlet(), u, eta, zeta, box2, label="case")
-    assert rep.label == "case"
+    rep = V.variation_report(V.integrand_dirichlet(), u, eta, zeta, box2)
+    assert rep.label == "dirichlet"
     assert abs(rep.fv_bridge_residual) <= 1e-8
     assert abs(rep.sv_relation_residual) <= 1e-6 * (1 + abs(rep.delta2_a))
     assert abs(rep.delta_a - rep.oracle_delta) <= max(1e-8, 1e-4 * abs(rep.delta_a))
