@@ -17,17 +17,22 @@ with its converter and default, see :mod:`innervar.config`), the codimension
 of the geometry it runs on, and any check that needs the built objects.
 ``_build`` is the only code that reads an experiment's config: validation
 calls it, and each run calls it once more and hands the converted options,
-geometry, fields and schedule included, to the runner.
+geometry, fields and schedule included, to the runner.  ``innervar run`` also
+sets two glibc malloc thresholds, so that a sweep's temporaries stop faulting in
+fresh pages (:func:`_keep_heap_pages`), and records the run's minor faults and
+peak RSS in ``summary.json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import math
 import os
 import re
+import resource
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -555,7 +560,47 @@ def _resolve_config(arg: str) -> dict:
     raise ConfigError(f"no such config file or built-in name: {arg!r}")
 
 
+# glibc's mallopt parameters (malloc.h) and the values `innervar run` gives them
+_MALLOPT = {"M_MMAP_THRESHOLD": (-3, 32 << 20), "M_TRIM_THRESHOLD": (-1, 256 << 20)}
+
+
+def _keep_heap_pages() -> dict | None:
+    """Have glibc's malloc keep the pages of freed temporaries: ``{parameter: accepted}``, or None.
+
+    Every width of a sweep builds jet and kernel temporaries of shapes (C, N, M) and
+    (C, N, N, M) and frees them before the next width builds the same shapes again.  By
+    default glibc sizes two thresholds as it goes: a block above the mmap threshold (128 KiB
+    at first, then the size of the largest mmapped block freed, up to 32 MiB) gets a fresh
+    ``mmap`` and is unmapped when freed, and free memory above the trim threshold (twice
+    the mmap threshold) at the top of the heap goes back to the kernel.  Either way the
+    next temporary faults the same pages in again.  ``M_MMAP_THRESHOLD`` = 32 MiB, the
+    ceiling of the dynamic threshold on 64-bit, serves every smaller block from the heap,
+    and ``M_TRIM_THRESHOLD`` = 256 MiB keeps the freed top of the heap mapped.  Setting
+    either parameter turns the dynamic sizing off, so the two go together: the trim
+    threshold alone pins the mmap threshold at 128 KiB, and the mmap threshold alone still
+    trims the heap top.  No ``M_TOP_PAD`` is set: a pad helps only while it covers the
+    whole working set.  The arenas of worker threads obey the same two parameters.
+
+    The settings change no number a run computes.  They are process-wide, and are made
+    only under glibc, told by ``os.confstr("CS_GNU_LIBC_VERSION")``; under any other C
+    library nothing is called and the result is None.  A call that glibc refuses
+    (``mallopt`` returns 0) is recorded as False, not raised.
+    """
+    try:
+        glibc = (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (ValueError, OSError):  # a C library that does not know the name
+        glibc = False
+    if not glibc:
+        return None
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return {name: mallopt(param, value) == 1 for name, (param, value) in _MALLOPT.items()}
+
+
 def cmd_run(args) -> int:
+    faults_at_start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    mallopt = _keep_heap_pages()
     try:
         config = _resolve_config(args.config)
         seed = config["seed"] if args.seed is None else parse(
@@ -605,6 +650,9 @@ def cmd_run(args) -> int:
                                        "worst_check": worst, "runtime_s": round(res.runtime, 3),
                                        "error": res.error})
     summary["all_pass"] = all_pass
+    usage = resource.getrusage(resource.RUSAGE_SELF)  # every thread of the process
+    summary["memory"] = {"minor_faults": usage.ru_minflt - faults_at_start,
+                         "peak_rss_mb": usage.ru_maxrss / 1024.0, "mallopt": mallopt}
     _write_json(outdir / "summary.json", summary)
     if not all_pass:
         failing = ", ".join(r.name for r in results if not r.passed)

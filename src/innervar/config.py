@@ -16,7 +16,8 @@ import sys
 from .errors import ConfigError, InnervarError
 
 REQUIRED = object()  # the default of a key that must be given
-_BAD_VALUE = (TypeError, ValueError, ArithmeticError, InnervarError)
+# MemoryError: a builder sized by the config (a node count) asks for more than there is
+_BAD_VALUE = (TypeError, ValueError, ArithmeticError, MemoryError, InnervarError)
 
 
 def parse(spec, keys: dict, what: str) -> dict:

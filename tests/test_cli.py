@@ -56,6 +56,13 @@ def test_run_profile_config(tmp_path, capsys):
     assert {e["name"] for e in summary["experiments"]} == {
         "profile_p2", "profile_p125", "profile_p3"
     }
+    memory = summary["memory"]  # the run's minor faults, peak RSS and allocator settings
+    assert set(memory) == {"minor_faults", "peak_rss_mb", "mallopt"}
+    assert type(memory["minor_faults"]) is int and memory["minor_faults"] >= 0
+    assert type(memory["peak_rss_mb"]) is float and memory["peak_rss_mb"] > 0.0
+    mallopt = memory["mallopt"]
+    assert mallopt is None or (set(mallopt) == {"M_MMAP_THRESHOLD", "M_TRIM_THRESHOLD"}
+                               and all(type(v) is bool for v in mallopt.values()))
     per_exp = json.loads((tmp_path / "profile_p2.json").read_text())
     assert per_exp["pass"] is True
     # profile tables exported alongside
@@ -784,6 +791,64 @@ def test_an_experiment_out_of_memory_fails_alone(tmp_path, capsys, monkeypatch):
     assert errored["pass"] is False and errored["worst_check"] is None
     assert json.loads((out / "x.json").read_text())["error"] == errored["error"]
     assert passed["pass"] is True and passed["error"] is None
+
+
+def test_a_grid_that_does_not_fit_in_memory_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # "n_per_axis": 100000 asks leggauss for a 74.5 GiB matrix while the config is validated;
+    # that ended the run with a raw traceback and exit 1
+    def exhausted(*_args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+    keys = geometry._SHAPES["flat_patch"][1]
+    monkeypatch.setitem(geometry._SHAPES, "flat_patch", (exhausted, keys))
+    rc = main(["run", _write(tmp_path, {"experiments": [_AC]}), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2 and "Traceback" not in err
+    assert err.startswith("config error: experiment 'x': geometry: shape 'flat_patch': Unable")
+    assert not (tmp_path / "out").exists()
+
+
+class _FakeLibc:
+    """Stands in for ``ctypes.CDLL(None)``: records each ``mallopt`` call, returns ``answer``."""
+
+    def __init__(self, answer):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return answer
+
+        self.mallopt = mallopt
+
+
+@pytest.mark.parametrize("answer", [1, 0], ids=["accepted", "refused"])
+def test_on_glibc_a_run_sets_the_two_malloc_thresholds(monkeypatch, answer):
+    libc = _FakeLibc(answer)
+    monkeypatch.setattr(cli.os, "confstr", {"CS_GNU_LIBC_VERSION": "glibc 2.36"}.__getitem__)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc if name is None else None)
+    # a refusal is recorded, not raised
+    assert cli._keep_heap_pages() == {"M_MMAP_THRESHOLD": answer == 1,
+                                      "M_TRIM_THRESHOLD": answer == 1}
+    assert libc.calls == [(-3, 32 * 2**20), (-1, 256 * 2**20)]
+    assert libc.mallopt.argtypes == (cli.ctypes.c_int, cli.ctypes.c_int)
+
+
+def _no_confstr_name(_name):
+    raise ValueError("unrecognized configuration name")
+
+
+@pytest.mark.parametrize("confstr", [lambda _name: None, lambda _name: "musl 1.2",
+                                     _no_confstr_name], ids=["unset", "other_libc", "unknown_name"])
+def test_off_glibc_a_run_calls_no_allocator_function(tmp_path, monkeypatch, confstr):
+    def no_libc(_name):
+        raise AssertionError("a C library was loaded off glibc")
+
+    monkeypatch.setattr(cli.os, "confstr", confstr)
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
+    assert cli._keep_heap_pages() is None
+    cfg = _write(tmp_path, {"experiments": [{"name": "prof", **_PROFILE_P2}]})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["memory"]["mallopt"] is None
 
 
 def test_flat_patch_normal_extensions_default_to_a_unit_cutoff(tmp_path):
