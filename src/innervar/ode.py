@@ -227,8 +227,8 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
-    """scipy's ``select_initial_step`` with no cap on the step."""
+def _initial_step(fun, t0, y0, t_bound, max_step, f0, direction, rtol, atol):
+    """scipy's ``select_initial_step``."""
     interval_length = abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
@@ -245,7 +245,7 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / (_ERROR_ORDER + 1))
-    return min(100 * h0, h1, interval_length)
+    return min(100 * h0, h1, interval_length, max_step)
 
 
 def _rk_step(fun, t, y, f, h, K):
@@ -332,12 +332,13 @@ class DenseOutput:
         return y
 
 
-def dop853(fun, t_span, y0, rtol, atol, event=None, direction=0.0, dense_output=False):
+def dop853(fun, t_span, y0, rtol, atol, event=None, direction=0.0, dense_output=False,
+           max_step=np.inf):
     """Integrate y' = fun(t, y) over ``t_span`` as ``solve_ivp(method="DOP853")`` does.
 
     ``event(t, y)``, if given, is terminal: the solve stops at its first zero
     crossed in ``direction`` (0: either way), as a scipy event with
-    ``terminal = True`` would.
+    ``terminal = True`` would.  ``max_step`` caps every step, as scipy's does.
     """
     t0, t_bound = map(float, t_span)
     y = np.asarray(y0).astype(float, copy=False)
@@ -350,7 +351,7 @@ def dop853(fun, t_span, y0, rtol, atol, event=None, direction=0.0, dense_output=
 
     sign = np.sign(t_bound - t0) if t_bound != t0 else 1
     t, f = t0, f_eval(t0, y)
-    h_abs = _initial_step(f_eval, t0, y, t_bound, f, sign, rtol, atol)
+    h_abs = _initial_step(f_eval, t0, y, t_bound, max_step, f, sign, rtol, atol)
     K_ext = np.empty((N_STAGES_EXTENDED, y.size))
     K = K_ext[:N_STAGES + 1]
 
@@ -359,7 +360,9 @@ def dop853(fun, t_span, y0, rtol, atol, event=None, direction=0.0, dense_output=
     status, message = None, None
     while status is None:
         min_step = 10 * np.abs(np.nextafter(t, sign * np.inf) - t)
-        if h_abs < min_step:
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
             h_abs = min_step
         accepted = rejected = False
         while not accepted:
@@ -425,6 +428,15 @@ def dop853(fun, t_span, y0, rtol, atol, event=None, direction=0.0, dense_output=
         dense = (None,) * 4
     return Solution(np.array(ts), np.vstack(ys).T, np.asarray(t_events), status, message, nfev,
                     *dense)
+
+
+def joined(head: Solution, tail: Solution) -> Solution:
+    """One dense solve from ``head`` and ``tail``, a solve started where ``head`` ends."""
+    return Solution(np.concatenate([head.t, tail.t[1:]]), np.hstack([head.y, tail.y[:, 1:]]),
+                    tail.t_events, tail.status, tail.message, head.nfev + tail.nfev,
+                    np.concatenate([head.t_old, tail.t_old]), np.concatenate([head.h, tail.h]),
+                    np.concatenate([head.F, tail.F], axis=2),
+                    np.concatenate([head.y_old, tail.y_old], axis=1))
 
 
 def _signbit(x):

@@ -75,9 +75,9 @@ def test_brentq_rejects_a_bracket_without_a_sign_change():
        y0=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
        t_end=st.floats(0.5, 20.0), backward=st.booleans(), level=st.floats(-1.0, 1.0),
        direction=st.sampled_from([-1.0, 0.0, 1.0]), dense=st.booleans(),
-       rtol=st.sampled_from([1e-6, 1e-11]))
+       rtol=st.sampled_from([1e-6, 1e-11]), max_step=st.sampled_from([np.inf, 0.05, 0.7]))
 def test_dop853_matches_solve_ivp_on_random_linear_systems(entries, y0, t_end, backward, level,
-                                                           direction, dense, rtol):
+                                                           direction, dense, rtol, max_step):
     matrix = np.array(entries).reshape(2, 2)
     t_span = (t_end, 0.0) if backward else (0.0, t_end)
 
@@ -93,9 +93,11 @@ def test_dop853_matches_solve_ivp_on_random_linear_systems(entries, y0, t_end, b
     events.terminal = True
     events.direction = direction
     ref = solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=1e-3 * rtol,
-                    dense_output=dense, events=events)
+                    dense_output=dense, events=events, max_step=max_step)
     ours = ode.dop853(fun, t_span, y0, rtol, 1e-3 * rtol, event=event, direction=direction,
-                      dense_output=dense)
+                      dense_output=dense, max_step=max_step)
+    steps = np.abs(np.diff(ours.t))
+    assert np.max(steps, initial=0.0) <= max_step * (1.0 + 1e-12)  # t + h - t rounds
     assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
     assert np.array_equal(ours.t_events, ref.t_events[0])
     assert (ours.status, ours.message, ours.nfev) == (ref.status, ref.message, ref.nfev)
@@ -105,3 +107,19 @@ def test_dop853_matches_solve_ivp_on_random_linear_systems(entries, y0, t_end, b
         assert np.array_equal(ours.h, [f.h for f in parts])
         assert np.array_equal(ours.F, np.stack([f.F.T for f in parts], axis=2))
         assert np.array_equal(ours.y_old, np.stack([f.y_old for f in parts], axis=1))
+
+
+def test_joined_solve_is_one_table():
+    def fun(_t, y):
+        return -y
+
+    head = ode.dop853(fun, (0.0, 1.0), [1.0], 1e-12, 1e-14, dense_output=True)
+    tail = ode.dop853(fun, (1.0, 3.0), head.y[:, -1], 1e-12, 1e-14, dense_output=True)
+    both = ode.joined(head, tail)
+    assert np.array_equal(both.t, np.concatenate([head.t, tail.t[1:]]))
+    assert both.y.shape == (1, both.t.size) and both.h.size == both.F.shape[2] == both.t.size - 1
+    t = np.linspace(0.0, 3.0, 61)
+    table = ode.DenseOutput(both)
+    assert np.array_equal(table(t[t <= 1.0], 0), ode.DenseOutput(head)(t[t <= 1.0], 0))
+    assert np.array_equal(table(t[t > 1.0], 0), ode.DenseOutput(tail)(t[t > 1.0], 0))
+    assert np.max(np.abs(table(t, 0) - np.exp(-t))) < 1e-12

@@ -306,7 +306,8 @@ def test_custom_profile_field():
 # ---------------------------------------------------------------------------
 
 
-def _scipy_solve(fun, t_span, y0, rtol, atol, event=None, direction=0.0, dense_output=False):
+def _scipy_solve(fun, t_span, y0, rtol, atol, event=None, direction=0.0, dense_output=False,
+                 max_step=np.inf):
     """scipy's ``solve_ivp`` on the arguments of an ``ode.dop853`` call."""
     events = None
     if event is not None:
@@ -316,7 +317,7 @@ def _scipy_solve(fun, t_span, y0, rtol, atol, event=None, direction=0.0, dense_o
         events.terminal = True
         events.direction = direction
     return solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
-                     dense_output=dense_output, events=events)
+                     dense_output=dense_output, events=events, max_step=max_step)
 
 
 @pytest.fixture(scope="module")
@@ -497,11 +498,37 @@ def test_profile_inverts_the_hypergeometric_series_for_any_p(p):
         return
     qs = np.linspace(-0.9, 0.9, 37)
     s = np.array([_s_of_q(float(q), p) for q in qs])
-    assert np.max(np.abs(prof.q(s) - qs)) <= 1e-10  # 5.1e-11 at worst over 400 p in [1.03, 8]
+    assert np.max(np.abs(prof.q(s) - qs)) <= 1e-10  # 2.3e-11 at worst over 2000 p in [1.03, 8]
     if p > 2.0:  # the profile reaches 1 at s* = B(1/2, 1 - 2/p)/2, beyond the table's end
         a = 1.0 - 2.0 / p
         s_star = 0.5 * math.exp(math.lgamma(0.5) + math.lgamma(a) - math.lgamma(0.5 + a))
         assert prof.s_max <= s_star
+
+
+@pytest.mark.parametrize("p", [4.1886887, 4.1953125, 4.2109375])
+def test_profile_redoes_the_steps_dop853_misjudges(p, monkeypatch):
+    # near p = 4.2 DOP853's error estimate accepts steps that miss q by up to 2.3e-8
+    calls = []
+
+    def recording(*args, **kwargs):
+        sol = ode.dop853(*args, **kwargs)
+        calls.append((args, kwargs, sol))
+        return sol
+
+    monkeypatch.setattr(P, "dop853", recording)
+    prof = P.optimal_profile(p)
+    _args, kwargs, first = calls[0]
+    assert kwargs["max_step"] == np.inf
+    assert np.max(P._table_misses(ode.DenseOutput(first), 2.0 / p)[1]) > P._TABLE_TOL
+    assert any(kwargs["max_step"] < np.inf for _args, kwargs, _sol in calls[1:])
+    for args, kwargs, sol in calls:  # the capped solves are scipy's too
+        ref = _scipy_solve(*args, **kwargs)
+        assert np.array_equal(sol.t, ref.t) and np.array_equal(sol.y, ref.y)
+    assert np.max(P._table_misses(prof._table, 2.0 / p)[1]) <= P._TABLE_TOL
+    assert prof.q(prof.s_max * (1.0 - 1e-12)) > 1.0 - 1e-8
+    qs = np.linspace(-0.9, 0.9, 37)
+    s = np.array([_s_of_q(float(q), p) for q in qs])
+    assert np.max(np.abs(prof.q(s) - qs)) <= 3e-11
 
 
 # ---------------------------------------------------------------------------
