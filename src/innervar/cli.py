@@ -332,11 +332,13 @@ def _run_identities(opts: dict, rng: np.random.Generator, _outdir):
                         float(np.max(np.linalg.norm(dmap.apply(xinv) - y, axis=1))), 1e-12))
 
     quad = variation.tensor_grid([[-1.0, 1.0]] * dim, 40 if dim == 2 else 24)
+    # every compact field below is polynomials times this one bump, evaluated once on quad
+    bump = fields.pinned(fields.bump_scalar_field(np.zeros(dim), 0.85), quad.nodes, 1)
     for k, f in enumerate((variation.integrand_dirichlet(),
                            variation.integrand_p_allen_cahn(0.7, 2.0))):
         u = fields.random_polynomial_scalar_field(rng, dim, degree=3)
-        eta_c = fields.random_compact_vector_field(rng, dim, degree=2, radius=0.85)
-        zeta_c = fields.random_compact_vector_field(rng, dim, degree=2, radius=0.85)
+        eta_c = fields.random_compact_vector_field(rng, dim, degree=2, bump=bump)
+        zeta_c = fields.random_compact_vector_field(rng, dim, degree=2, bump=bump)
         rep = variation.variation_report(f, u, eta_c, zeta_c, quad)
         checks.append(Check(f"first_variation_bridge_{k}", abs(rep.fv_bridge_residual), 1e-8))
         checks.append(Check(f"variation_bridge_{k}", abs(rep.sv_relation_residual),
@@ -412,8 +414,10 @@ def _run_equipartition(opts: dict, _rng, _outdir):
        codim=1, check=_check_volume)
 def _run_volume(opts: dict, rng: np.random.Generator, _outdir):
     g, etas = opts["geometry"], opts["fields"]
-    if isinstance(etas, dict):  # drawn here, from the experiment's own seed
-        etas = [fields.random_compact_vector_field(rng, g.dim, radius=etas["radius"])
+    if isinstance(etas, dict):  # drawn here, from the experiment's own seed, on one bump
+        nodes, _ = geometry.enclosed_region_quadrature(g)  # the nodes every eta is pinned on
+        bump = fields.pinned(fields.bump_scalar_field(np.zeros(g.dim), etas["radius"]), nodes, 2)
+        etas = [fields.random_compact_vector_field(rng, g.dim, bump=bump)
                 for _ in range(etas["random"])]
     rows, details = [], []
     for i, eta in enumerate(etas):

@@ -133,9 +133,9 @@ class _Field:
 
         def evaluate(xb, order):
             m, n = xb.shape
-            return [np.ascontiguousarray(np.moveaxis(
+            return _symmetrized([np.ascontiguousarray(np.moveaxis(
                 np.asarray(c(xb), dtype=float).reshape((m, comps) + (n,) * k), 0, -1))
-                for k, c in enumerate(parts[: order + 1])]
+                for k, c in enumerate(parts[: order + 1])], self._vector_field)
 
         self._init(dim, evaluate, len(parts) - 1, state_dim)
         comps = self.state_dim  # read by evaluate when it is called
@@ -151,8 +151,9 @@ class _Field:
     def from_evaluator(cls, dim, evaluator, exact, state_dim=1):
         """Build a field from ``evaluator(xb, order)``, exact up to order ``exact``.
 
-        The evaluator returns contiguous component-major parts, as ``evaluate``
-        hands them out; ``state_dim`` is a scalar field's component count.
+        The evaluator returns component-major parts, as ``evaluate`` hands
+        them out (a vector field's second derivatives already symmetric);
+        ``state_dim`` is a scalar field's component count.
         """
         field = cls.__new__(cls)
         field._init(dim, evaluator, exact, state_dim)
@@ -163,13 +164,15 @@ class _Field:
         """Build a field from a jet function ``jet_fn(xb, order)``, called once per evaluation.
 
         Its parts are handed out as views, with a component axis of length 1
-        added to a jet that has none; order 0 builds a first-order jet.
+        added to a jet that has none; order 0 builds a first-order jet.  A
+        vector field symmetrizes its second derivatives.
         """
 
         def evaluate(xb, order):
             jet = jet_fn(xb, max(order, 1))
             parts = (jet.val, jet.grad, jet.hess)[: order + 1]
-            return list(parts) if jet.val.ndim == 2 else [part[None] for part in parts]
+            parts = list(parts) if jet.val.ndim == 2 else [part[None] for part in parts]
+            return _symmetrized(parts, cls._vector_field)
 
         return cls.from_evaluator(dim, evaluate, 2, state_dim)
 
@@ -180,21 +183,22 @@ class _Field:
         components; the tuple holds ``order + 1`` arrays.
         """
         exact = min(order, self._exact)
-        parts = self._exact_parts(xb, exact)
+        parts = list(self._evaluator(xb, exact)[: exact + 1])
         if order > exact:
-            values = lambda y: self._exact_parts(y, 0)[0]
+            values = lambda y: self._evaluator(y, 0)[0]
             if exact == 0:
                 parts.append(_fd_derivatives(xb, values))
             if order == 2:
-                first = (lambda y: self._exact_parts(y, 1)[1]) if self._exact >= 1 else None
+                first = (lambda y: self._evaluator(y, 1)[1]) if self._exact >= 1 else None
                 parts.append(_fd_derivatives(xb, values, 2, first))
         return tuple(parts)
 
-    def _exact_parts(self, xb, order):
-        parts = list(self._evaluator(xb, order)[: order + 1])
-        if order == 2 and self._vector_field:
-            parts[2] = 0.5 * (parts[2] + np.swapaxes(parts[2], 1, 2))
-        return parts
+
+def _symmetrized(parts: list, vector: bool) -> list:
+    """``parts``, with a vector field's second derivatives symmetrized in their last two indices."""
+    if vector and len(parts) == 3:
+        parts[2] = 0.5 * (parts[2] + np.swapaxes(parts[2], 1, 2))
+    return parts
 
 
 def _view(k):
@@ -316,12 +320,14 @@ def linear_field(matrix, offset=None) -> VectorField:
     n = a.shape[0]
     b = np.zeros(n) if offset is None else _vector(offset, n)
 
-    return VectorField(
-        n,
-        lambda xb: xb @ a.T + b,
-        lambda xb: np.broadcast_to(a, (xb.shape[0], n, n)).copy(),
-        lambda xb: np.zeros((xb.shape[0], n, n, n)),
-    )
+    def evaluator(xb, order):
+        """Component-major parts; the derivatives are read-only views of A and of one zero."""
+        m = xb.shape[0]
+        return [np.ascontiguousarray((xb @ a.T + b).T),
+                np.broadcast_to(a[:, :, None], (n, n, m)),
+                np.broadcast_to(0.0, (n, n, n, m))][: order + 1]
+
+    return VectorField.from_evaluator(n, evaluator, 2)
 
 
 def dilation_field(dim: int, rate: float = 1.0) -> VectorField:
@@ -441,26 +447,43 @@ def _bump_jet(xb: np.ndarray, center: np.ndarray, radius: float, jet_order: int 
 
 def _bump_shape(s2: Jet) -> Jet:
     """(1 - s^2)^8 where s^2 < 1, zero elsewhere."""
-    inside = s2.val < 1.0
-    return Jet.where(inside, (1.0 - s2.masked(inside)) ** _BUMP_EXPONENT, 0.0)
+    return s2.piecewise(s2.val < 1.0, lambda s2: (1.0 - s2) ** _BUMP_EXPONENT, 0.0)
 
 
 def bump_scalar_field(center, radius, amplitude=1.0) -> ScalarField:
-    """Radial bump supported on |x - center| < radius."""
-    c = _vector(center)
-    return ScalarField.from_jet(
-        c.shape[0],
-        lambda xb, jet_order: _bump_jet(xb, c, float(radius), jet_order) * float(amplitude),
-    )
+    """Radial bump ``amplitude * (1 - s^2)^8``, s = |x - center|/radius, supported on s < 1.
 
-
-def bump_polynomial_field(dim, components, center, radius) -> VectorField:
-    """Compactly supported field: polynomial components times a radial bump."""
-    c = _vector(center, dim)
-    tables = _tables(dim, components)
+    Fields built on the bump (:func:`bump_polynomial_field`) evaluate it
+    through this field, so a caller that pins it on a node set
+    (:func:`pinned`) and builds several fields on the pinned copy evaluates
+    the bump once for them all.
+    """
+    c, r, a = _vector(center), float(radius), float(amplitude)
 
     def build(xb, jet_order):
-        return jet_polynomial(xb, tables, jet_order) * _bump_jet(xb, c, float(radius), jet_order)
+        bump = _bump_jet(xb, c, r, jet_order)
+        return bump if a == 1.0 else bump * a  # times 1.0 would change no bit
+
+    return ScalarField.from_jet(c.shape[0], build)
+
+
+def bump_polynomial_field(dim, components, center, radius, bump=None) -> VectorField:
+    """Compactly supported field: polynomial components times a radial bump.
+
+    The bump is the field ``bump``, or ``bump_scalar_field(center, radius)``
+    when None.  A caller that builds many fields on one bump and one node set
+    passes it pinned there (:func:`pinned`): the fields then share one bump
+    evaluation, and each one's parts are bit for bit those it would build
+    with its own bump.
+    """
+    c = _vector(center, dim)
+    tables = _tables(dim, components)
+    bump = bump_scalar_field(c, radius) if bump is None else bump
+
+    def build(xb, jet_order):
+        chi = [part[0] for part in bump.evaluate(xb, jet_order)]  # views of its one component
+        return jet_polynomial(xb, tables, jet_order) * Jet(chi[0], chi[1],
+                                                           chi[2] if jet_order == 2 else None)
 
     return VectorField.from_jet(dim, build)
 
@@ -629,10 +652,12 @@ def random_polynomial_vector_field(rng, dim, degree=3, scale=1.0) -> VectorField
 
 
 def random_compact_vector_field(rng, dim, degree=2, scale=1.0, center=None,
-                                radius=0.8) -> VectorField:
+                                radius=0.8, bump=None) -> VectorField:
+    """Random polynomial components times the bump of (center, radius), or times ``bump``,
+    as in :func:`bump_polynomial_field`."""
     c = np.zeros(dim) if center is None else _vector(center, dim)
     comps = [_random_terms(rng, dim, degree, scale) for _ in range(dim)]
-    return bump_polynomial_field(dim, comps, c, radius)
+    return bump_polynomial_field(dim, comps, c, radius, bump)
 
 
 def random_polynomial_scalar_field(rng, dim, degree=3, scale=1.0) -> ScalarField:

@@ -20,7 +20,7 @@ summation.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -131,6 +131,26 @@ class RoundSurface(Hypersurface):
         self.center = center
         self.radius = radius
         self.grid = grid
+
+    @cached_property
+    def enclosed_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rule :func:`enclosed_region_quadrature` hands out, built on first use."""
+        r, wr = gauss_rule(0.0, self.radius, 48)
+        if self.dim == 2:
+            chart, weights = product_rule(
+                [(r, wr * r), uniform_rule(0.0, 2.0 * np.pi, max(64, self.n_nodes // 2))])
+            rr, tt = chart.T
+            nodes = self.center + np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=1)
+        else:
+            n_polar, n_azimuth = self.grid
+            chart, weights = product_rule([(r, wr * r * r), _leggauss(n_polar),
+                                           uniform_rule(0.0, 2.0 * np.pi, n_azimuth)])
+            rr, mm, pp = chart.T
+            sin_t = np.sqrt(1.0 - mm**2)
+            nodes = self.center + np.stack(
+                [rr * sin_t * np.cos(pp), rr * sin_t * np.sin(pp), rr * mm], axis=1)
+        nodes.flags.writeable = weights.flags.writeable = False
+        return nodes, weights
 
     def distance_jet(self, xb, order=2) -> Jet:
         return jet_norm(xb - self.center, order) - self.radius
@@ -472,10 +492,13 @@ def _smooth_step_jet(s: Jet, s0: float, s1: float) -> Jet:
     margin = (s1 - s0) / 700.0
     ones = s.val <= s0 + margin
     mid = (s.val > s0 + margin) & (s.val < s1 - margin)
-    sub = s.masked(mid)
-    g1 = jet_exp(-((s1 - sub).reciprocal()))
-    g2 = jet_exp(-((sub - s0).reciprocal()))
-    return Jet.where(mid, g1 * (g1 + g2).reciprocal(), ones)
+
+    def step(sub: Jet) -> Jet:
+        g1 = jet_exp(-((s1 - sub).reciprocal()))
+        g2 = jet_exp(-((sub - s0).reciprocal()))
+        return g1 * (g1 + g2).reciprocal()
+
+    return s.piecewise(mid, step, ones)
 
 
 def normal_extension(g: Hypersurface, xi: ScalarField, cutoff_width: float) -> VectorField:
@@ -532,18 +555,11 @@ def require_enclosed_region(g: Hypersurface) -> None:
 
 
 def enclosed_region_quadrature(g: Hypersurface):
-    """Nodes/weights over the region enclosed by a circle or a sphere, 48 Gauss radii."""
+    """Nodes/weights over the region enclosed by a circle or a sphere, 48 Gauss radii.
+
+    The rule is built once per shape: every call returns the same read-only
+    arrays, so a field pinned on the nodes (:func:`~innervar.fields.pinned`)
+    serves every experiment step that integrates over the region.
+    """
     require_enclosed_region(g)
-    r, wr = gauss_rule(0.0, g.radius, 48)
-    if g.dim == 2:
-        chart, ww = product_rule(
-            [(r, wr * r), uniform_rule(0.0, 2.0 * np.pi, max(64, g.n_nodes // 2))])
-        rr, tt = chart.T
-        return g.center + np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=1), ww
-    n_polar, n_azimuth = g.grid
-    chart, ww = product_rule([(r, wr * r * r), _leggauss(n_polar),
-                              uniform_rule(0.0, 2.0 * np.pi, n_azimuth)])
-    rr, mm, pp = chart.T
-    sin_t = np.sqrt(1.0 - mm**2)
-    return g.center + np.stack([rr * sin_t * np.cos(pp), rr * sin_t * np.sin(pp), rr * mm],
-                               axis=1), ww
+    return g.enclosed_rule

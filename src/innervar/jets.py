@@ -23,9 +23,15 @@ of different orders returns a jet of the lower order.
 Every operation allocates only the arrays it returns, plus at most one
 (C, N, M) scratch row: a Hessian product is added row by row into its output,
 never through (C, N, N, M) temporaries, so large batches do not fault in fresh
-pages for each intermediate.  Jets are never written after construction
-(:meth:`Jet.where` builds a piecewise jet), so a scalar shift ``jet + c``
-shares its operand's ``grad`` and ``hess`` arrays instead of copying them.
+pages for each intermediate.  A product with a component axis assembles its
+Hessian one component at a time, with one (N, M) scratch row (the first
+component of that scratch), so each step streams rows that stay in cache.
+Jets are never written after construction (:meth:`Jet.where` and
+:meth:`Jet.piecewise` build piecewise jets), so arrays are shared wherever the
+bytes are already there: a scalar shift ``jet + c`` shares its operand's
+``grad`` and ``hess``, a mask that selects every point shares the operand
+(``masked`` returns it, ``where`` returns the inside), and a piecewise rule
+whose mask selects no point is never evaluated.
 
 This is an internal utility for the package's fixed expression set, not a
 general autodiff facility.
@@ -90,7 +96,9 @@ class Jet:
         return Jet.coordinate(x, range(x.shape[1]), order)
 
     def masked(self, mask: np.ndarray) -> "Jet":
-        """The jet restricted to the points selected by ``mask``."""
+        """The jet restricted to the points ``mask`` selects; itself when it selects all."""
+        if mask.all():
+            return self
         return Jet(self.val[..., mask], self.grad[..., mask],
                    None if self.hess is None else self.hess[..., mask])
 
@@ -98,10 +106,14 @@ class Jet:
     def where(mask: np.ndarray, inside: "Jet", outside) -> "Jet":
         """The jet equal to ``inside`` at the points ``mask`` selects and to ``outside`` elsewhere.
 
-        ``inside`` holds the selected points only.  ``outside`` is a jet on
-        all points, or a value per point (a scalar or an (M,) array) with zero
-        derivatives.  The result has the order of ``inside``.
+        ``inside`` holds the selected points only, with the components of the
+        result; it is the result itself when ``mask`` selects every point.
+        ``outside`` is a jet on all points, or a value per point (a scalar or
+        an (M,) array) with zero derivatives.  The result has the order of
+        ``inside``.
         """
+        if mask.all():
+            return inside
         if isinstance(outside, Jet):
             val, grad = outside.val.copy(), outside.grad.copy()
             hess = None if inside.hess is None else outside.hess.copy()
@@ -114,6 +126,18 @@ class Jet:
         if hess is not None:
             hess[..., mask] = inside.hess
         return Jet(val, grad, hess)
+
+    def piecewise(self, mask: np.ndarray, inside, outside) -> "Jet":
+        """The jet equal to ``inside(self)`` where ``mask`` holds and to ``outside`` elsewhere.
+
+        ``inside`` maps a jet pointwise to one of the same components and
+        order.  It sees the selected points only (all of them, unmasked, when
+        ``mask`` selects every point), and it is not called when ``mask``
+        selects none: the selected empty jet then stands in for its result.
+        ``outside`` is as for :meth:`where`.
+        """
+        sub = self.masked(mask)
+        return Jet.where(mask, inside(sub) if mask.any() else sub, outside)
 
     # ---- arithmetic ----------------------------------------------------
 
@@ -146,15 +170,11 @@ class Jet:
             grad += row
             if self.hess is None or other.hess is None:
                 return Jet(val, grad, None)
-            # (a h_b + b h_a + g_a g_b^T + g_b g_a^T), summed in that order, one row at a time
-            hess = self.val[..., None, None, :] * other.hess
-            for i, out in enumerate(np.moveaxis(hess, -3, 0)):
-                np.multiply(other.val[..., None, :], self.hess[..., i, :, :], out=row)
-                out += row
-                np.multiply(self.grad[..., i, None, :], other.grad, out=row)
-                out += row
-                np.multiply(other.grad[..., i, None, :], self.grad, out=row)
-                out += row
+            hess = np.empty(grad.shape[:-1] + grad.shape[-2:])
+            # one component at a time, so each step streams (N, M) rows, not (C, N, M) ones
+            blocks = [(hess, row)] if hess.ndim == 3 else [(out, row[0]) for out in hess]
+            for c, (out, scratch) in enumerate(blocks):
+                _hessian_product(_component(self, c), _component(other, c), out, scratch)
             return Jet(val, grad, hess)
         c = np.asarray(other, dtype=float)[..., None]
         return Jet(self.val * c, self.grad * c[..., None],
@@ -205,6 +225,31 @@ class Jet:
         g0, g1, g2 = derivatives(self.val, self.order)
         return self.lift(np.asarray(g0, dtype=float), np.asarray(g1, dtype=float),
                          None if g2 is None else np.asarray(g2, dtype=float))
+
+
+def _component(jet: Jet, c: int) -> tuple:
+    """(val, grad, hess) of component ``c``, or of the whole jet if it has no component axis."""
+    if jet.val.ndim == 1:
+        return jet.val, jet.grad, jet.hess
+    c = min(c, len(jet.val) - 1)  # a component axis of length 1 broadcasts
+    return jet.val[c], jet.grad[c], jet.hess[c]
+
+
+def _hessian_product(a, b, out: np.ndarray, row: np.ndarray) -> None:
+    """a h_b + b h_a + g_a g_b^T + g_b g_a^T into ``out``, summed in that order, one row at a time.
+
+    ``a`` and ``b`` are one component's (val, grad, hess), (M,), (N, M) and
+    (N, N, M); ``row`` is (N, M) scratch.
+    """
+    (av, ag, ah), (bv, bg, bh) = a, b
+    np.multiply(av, bh, out=out)
+    for i, o in enumerate(out):
+        np.multiply(bv, ah[i], out=row)
+        o += row
+        np.multiply(ag[i], bg, out=row)
+        o += row
+        np.multiply(bg[i], ag, out=row)
+        o += row
 
 
 def jet_sqrt(a: Jet) -> Jet:

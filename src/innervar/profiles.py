@@ -453,12 +453,11 @@ def gl_vortex_field(g: Filament, eps: float, prof: GLRadialProfile) -> ScalarFie
         ab = g.transverse_jets(xb, order)
         rho2 = sum(ab * ab)  # a^2 + b^2, over the component axis
         off = ~(rho2.val < 1e-24)
-        on_axis = not np.all(off)
-        rho = jet_sqrt(rho2.masked(off) if on_axis else rho2)
+        rho = jet_sqrt(rho2.masked(off))
         del rho2
         gfac = (rho * (1.0 / eps)).compose(prof.derivatives) * rho.reciprocal()
         del rho
-        if not on_axis:
+        if off.all():
             return gfac * ab
         # u ~ slope0 (a + ib)/eps near the core; value 0, curvature 0 there
         core = Jet(np.zeros(ab.val.shape), ab.grad * (prof.slope0 / eps),

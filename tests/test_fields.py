@@ -1127,3 +1127,150 @@ def test_strided_callable_parts_give_the_contiguous_kernel_values():
                           F.x0_field(u_flat, eta, zeta).evaluate(xb, 0)[0])
     assert V.variation_report(f, u_view, eta, zeta, quad) == \
         V.variation_report(f, u_flat, eta, zeta, quad)  # sv_relation_residual included
+
+
+# ---- jets and fields that share what they already hold -----------------------------
+
+
+def _shape(jet):
+    """The bumps' rule inside their support."""
+    return (1.0 - jet) ** 8
+
+
+def _gathered(jet, mask):
+    """The points ``mask`` selects, gathered into new arrays."""
+    return Jet(jet.val[..., mask], jet.grad[..., mask],
+               None if jet.hess is None else jet.hess[..., mask])
+
+
+def _scattered(mask, inside, outside):
+    """The gather/scatter piecewise jet: ``outside`` everywhere, ``inside`` written where
+    ``mask`` holds.  The reference the all-inside and no-inside masks must equal."""
+    lead = inside.val.shape[:-1]
+    val = np.full(lead + mask.shape, outside, dtype=float)
+    grad = np.zeros(inside.grad.shape[:-1] + mask.shape)
+    hess = None if inside.hess is None else np.zeros(inside.hess.shape[:-1] + mask.shape)
+    val[..., mask], grad[..., mask] = inside.val, inside.grad
+    if hess is not None:
+        hess[..., mask] = inside.hess
+    return val, grad, hess
+
+
+def _same_bytes(got, want):
+    assert (got.hess is None) == (want[2] is None)
+    for part, ref in zip((got.val, got.grad, got.hess), want):
+        if ref is not None:
+            assert part.shape == ref.shape and part.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("comps", [None, 3])
+def test_all_and_no_inside_masks_match_the_gather_scatter_jet(order, comps):
+    rng = np.random.default_rng(order + (comps or 0))
+    rows = [_random_jet(rng, 3, 40, order) for _ in range(comps or 1)]
+    a = rows[0] if comps is None else Jet(*_stacked(rows))
+    every, none = np.ones(40, dtype=bool), np.zeros(40, dtype=bool)
+
+    assert a.masked(every) is a  # an all-inside mask shares its operand
+    inside = _shape(a)
+    assert Jet.where(every, inside, 0.0) is inside
+    _same_bytes(inside, _scattered(every, _shape(_gathered(a, every)), 0.0))
+    seen = []
+    _same_bytes(a.piecewise(every, lambda s: seen.append(s) or _shape(s), 0.0),
+                _scattered(every, inside, 0.0))
+    assert len(seen) == 1 and seen[0] is a  # the rule sees the operand itself, unmasked
+
+    # no point inside: the rule is never called, and the result is the outside value
+    empty = _gathered(a, none)
+    for outside in (0.0, rng.random(40) < 0.5):
+        got = a.piecewise(none, lambda s: pytest.fail("called on no points"), outside)
+        _same_bytes(got, _scattered(none, _shape(empty), outside))
+        _same_bytes(Jet.where(none, a.masked(none), outside), _scattered(none, empty, outside))
+
+    # a mask with points on both sides still gathers and scatters
+    some = rng.random(40) < 0.5
+    _same_bytes(a.piecewise(some, _shape, 0.0), _scattered(some, _shape(_gathered(a, some)), 0.0))
+
+
+def _rowwise_broadcast_mul(a, b):
+    """The order-2 product as it was assembled before it went component by component: each
+    Hessian row of every component at once, through a (C, N, M) scratch row."""
+    grad = a.val[..., None, :] * b.grad
+    row = b.val[..., None, :] * a.grad
+    grad += row
+    hess = a.val[..., None, None, :] * b.hess
+    for i, out in enumerate(np.moveaxis(hess, -3, 0)):
+        np.multiply(b.val[..., None, :], a.hess[..., i, :, :], out=row)
+        out += row
+        np.multiply(a.grad[..., i, None, :], b.grad, out=row)
+        out += row
+        np.multiply(b.grad[..., i, None, :], a.grad, out=row)
+        out += row
+    return a.val * b.val, grad, hess
+
+
+@pytest.mark.parametrize("comps", [2, 3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_component_products_match_the_broadcast_product_bit_for_bit(comps, n):
+    rng = np.random.default_rng(10 * comps + n)
+    vec = Jet(*_stacked([_random_jet(rng, n, 777, 2) for _ in range(comps)]))
+    scalar, other = _random_jet(rng, n, 777, 2), Jet(*_stacked(
+        [_random_jet(rng, n, 777, 2) for _ in range(comps)]))
+    one = Jet(*_stacked([scalar]))  # a component axis of length 1 broadcasts over C
+    for a, b in ((vec, scalar), (scalar, vec), (vec, other), (one, vec), (vec, one)):
+        _same_bytes(a * b, _rowwise_broadcast_mul(a, b))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_shared_pinned_bump_gives_each_fields_own_bump(dim):
+    rng = np.random.default_rng(dim)
+    x = rng.uniform(-1.2, 1.2, size=(500, dim))  # points on both sides of the support edge
+    center = np.full(dim, 0.1)
+    for order in (0, 1, 2):
+        bump = F.pinned(F.bump_scalar_field(center, 1.1), x, order)
+        for _ in range(2):
+            tables = [F._random_terms(rng, dim, 2, 1.0) for _ in range(dim)]
+            shared = F.bump_polynomial_field(dim, tables, center, 1.1, bump).evaluate(x, order)
+            own = F.bump_polynomial_field(dim, tables, center, 1.1).evaluate(x, order)
+            jet_order = max(order, 1)  # the product of the field's own bump jet
+            ref = jet_polynomial(x, tables, jet_order) * F._bump_jet(x, center, 1.1, jet_order)
+            ref = F._symmetrized([ref.val, ref.grad, ref.hess][: order + 1], True)
+            for got, mine, want in zip(shared, own, ref):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert mine.tobytes() == want.tobytes()
+
+
+def test_linear_fields_hand_out_views_of_their_matrix_and_one_zero():
+    a, b = np.array([[0.2, -0.3, 0.0], [0.1, 0.4, 0.7], [-1.0, 0.0, 0.5]]), [0.3, 0.0, -2.0]
+    v = F.linear_field(a, b)
+    x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(50, 3))
+    val, jac, second = v.evaluate(x, 2)
+    assert val.tobytes() == np.ascontiguousarray((x @ a.T + np.asarray(b)).T).tobytes()
+    assert val.flags.c_contiguous and val.flags.writeable
+    for part in (jac, second):  # read-only broadcasts: nothing per point is allocated
+        assert not part.flags.writeable and 0 in part.strides
+    assert np.array_equal(jac, np.broadcast_to(a[:, :, None], (3, 3, 50)))
+    assert not second.any() and second.shape == (3, 3, 3, 50)
+    assert v.jacobian(x).tobytes() == np.broadcast_to(a, (50, 3, 3)).tobytes()
+
+
+def test_a_volume_experiment_evaluates_its_bump_once_on_the_enclosed_nodes(monkeypatch):
+    from innervar import cli
+
+    calls, rules = [], []
+    bump_jet, rule = F._bump_jet, G.enclosed_region_quadrature
+
+    def counted(xb, *args):
+        calls.append(xb)
+        return bump_jet(xb, *args)
+
+    monkeypatch.setattr(F, "_bump_jet", counted)
+    monkeypatch.setattr(G, "enclosed_region_quadrature",
+                        lambda g: rules.append(rule(g)) or rules[-1])
+    exp = {"name": "v", "kind": "volume", "fields": {"random": 4, "radius": 1.4},
+           "geometry": {"type": "sphere", "radius": 1.0, "n_polar": 6, "n_azimuth": 12}}
+    assert cli.run_experiment(exp, 1234, 0).passed
+    nodes = rules[0][0]
+    assert len(rules) == 1 + 4 and all(r[0] is nodes for r in rules)  # one rule, every field
+    assert sum(x is nodes for x in calls) == 1
+    assert len(calls) == 1 + 4  # and once per field on the surface, for the boundary flux

@@ -486,3 +486,16 @@ def test_transverse_jets_and_tube_jacobian_match_fd_oracle(g, chart):
     jac_fd = np.linalg.det(_fd_jacobian(lambda t: chart(*t.T), sab))
     np.testing.assert_allclose(g.tube_jacobian(sab[:, 1], sab[:, 2]), np.abs(jac_fd),
                                atol=1e-9)
+
+
+@pytest.mark.parametrize("shape", [lambda: G.circle(0.8, n_nodes=32),
+                                   lambda: G.sphere(1.0, n_polar=6, n_azimuth=12)])
+def test_the_enclosed_rule_is_built_once_and_read_only(shape):
+    g = shape()
+    nodes, weights = G.enclosed_region_quadrature(g)
+    again = G.enclosed_region_quadrature(g)
+    assert again[0] is nodes and again[1] is weights
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    fresh = G.enclosed_region_quadrature(shape())  # another shape builds its own, equal rule
+    assert fresh[0] is not nodes and fresh[0].tobytes() == nodes.tobytes()
+    assert fresh[1].tobytes() == weights.tobytes()
