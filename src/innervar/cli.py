@@ -17,10 +17,14 @@ with its converter and default, see :mod:`innervar.config`), the codimension
 of the geometry it runs on, and any check that needs the built objects.
 ``_build`` is the only code that reads an experiment's config: validation
 calls it, and each run calls it once more and hands the converted options,
-geometry, fields and schedule included, to the runner.  ``innervar run`` also
-sets two glibc malloc thresholds, so that a sweep's temporaries stop faulting in
-fresh pages (:func:`_keep_heap_pages`), and records the run's minor faults and
-peak RSS in ``summary.json``.
+geometry, fields and schedule included, to the runner.  A config takes only
+what configs use: an optional key of any table, a kind's, the schedule's or a
+shape's or field's descriptor, that no shipped or benchmark workload config
+sets to another value than its default is a constant instead, and each key
+has one input form.  ``innervar run`` also sets two glibc malloc thresholds,
+so that a sweep's temporaries stop faulting in fresh pages
+(:func:`_keep_heap_pages`), and records the run's minor faults and peak RSS in
+``summary.json``.
 """
 
 from __future__ import annotations
@@ -180,15 +184,8 @@ def _build(exp: dict, kind: _Kind) -> dict:
         if kind.codim is not None and g.codim != kind.codim:
             raise ConfigError(f"{opts['kind']} needs a geometry of codimension {kind.codim}, "
                               f"{g.type_name} has codimension {g.codim}")
-        if opts.get("zeta") == "zero":
-            opts["zeta"] = fields.constant_field(np.zeros(g.dim))
-        elif opts.get("zeta") == "zeta_eta":
-            opts["zeta"] = fields.zeta_eta(opts["eta"])
-        built = [(key, opts[key]) for key in ("eta", "zeta", "phi", "xi") if key in opts]
-        if isinstance(opts.get("fields"), list):  # listed volume fields; random ones come later
-            built += [("fields", eta) for eta in opts["fields"]]
-        for key, field in built:
-            if field.dim != g.dim:
+        for key in ("eta", "zeta", "phi", "xi"):
+            if (field := opts.get(key)) is not None and field.dim != g.dim:
                 raise ConfigError(f"{key} has dimension {field.dim} but the geometry has {g.dim}")
         if kind.check is not None:
             kind.check(opts)
@@ -219,24 +216,15 @@ def _equipartition_profile(spec) -> Callable | None:
     return lambda g, eps: profiles.tanh_profile_field(g, eps, slope)
 
 
+# the random fields a volume experiment draws when it runs
 _RANDOM_FIELDS = {"random": (count, REQUIRED), "radius": (bump_radius, None)}
-
-
-def _volume_fields(spec) -> list | dict:
-    """The listed fields, or the options of the random fields drawn when the experiment runs."""
-    if isinstance(spec, dict):
-        return parse(spec, _RANDOM_FIELDS, "volume fields")
-    if not isinstance(spec, list) or not spec:
-        raise ConfigError(f"fields must be {{'random': count}} or a non-empty list of field "
-                          f"descriptors, got {spec!r}")
-    return [fields.vector_field_from_config(s) for s in spec]
 
 
 def _check_volume(opts: dict) -> None:
     """An enclosed region, and random fields of a radius a bump can divide by (1.4 R if none)."""
     g, spec = opts["geometry"], opts["fields"]
     geometry.require_enclosed_region(g)
-    if isinstance(spec, dict) and spec["radius"] is None:
+    if spec["radius"] is None:
         try:
             spec["radius"] = bump_radius(1.4 * g.radius)
         except ValueError as exc:
@@ -254,8 +242,7 @@ def _check_indices(opts: dict) -> None:
 # looked up at each call, so a wrapped parser sees every call.
 _GEOMETRY = (lambda spec: geometry.shape_from_config(spec), REQUIRED)
 _ETA = (lambda spec: fields.vector_field_from_config(spec), REQUIRED)
-_ZETA = (lambda spec: spec if spec in ("zero", "zeta_eta") else
-         fields.vector_field_from_config(spec), "zero")
+_ZETA = (lambda spec: fields.vector_field_from_config(spec), None)  # None: the zero field
 _SCALAR = (lambda spec: fields.scalar_field_from_config(spec), REQUIRED)
 _P = (checked(float, lambda p: profiles.P_MIN <= p < math.inf,
               f"a finite p of at least {profiles.P_MIN:g}, the least p whose profile table "
@@ -352,8 +339,10 @@ def _run_identities(opts: dict, rng: np.random.Generator, _outdir):
 @_kind("ac-converge", {"geometry": _GEOMETRY, "p": _P, "eta": _ETA, "zeta": _ZETA,
                        "schedule": _SCHEDULE}, codim=1)
 def _run_ac(opts: dict, _rng, _outdir):
-    rec = limits.ac_limit_experiment(opts["geometry"], opts["eta"], opts["zeta"], opts["p"],
-                                     opts["schedule"], name=opts["name"])
+    g, zeta = opts["geometry"], opts["zeta"]
+    zeta = fields.constant_field(np.zeros(g.dim)) if zeta is None else zeta
+    rec = limits.ac_limit_experiment(g, opts["eta"], zeta, opts["p"], opts["schedule"],
+                                     name=opts["name"])
     checks = [Check("gap", rec.gap, 0.01)]
     if rec.rate_binds():
         checks.append(Check("rate", rec.rate, 0.9, at_least=True))
@@ -410,15 +399,17 @@ def _run_equipartition(opts: dict, _rng, _outdir):
     return checks, rec.rows(), rec.summary()
 
 
-@_kind("volume", {"geometry": _GEOMETRY, "fields": (_volume_fields, {"random": 10})},
+@_kind("volume", {"geometry": _GEOMETRY,
+                  "fields": (lambda spec: parse(spec, _RANDOM_FIELDS, "volume fields"),
+                             {"random": 10})},
        codim=1, check=_check_volume)
 def _run_volume(opts: dict, rng: np.random.Generator, _outdir):
-    g, etas = opts["geometry"], opts["fields"]
-    if isinstance(etas, dict):  # drawn here, from the experiment's own seed, on one bump
-        nodes, _ = geometry.enclosed_region_quadrature(g)  # the nodes every eta is pinned on
-        bump = fields.pinned(fields.bump_scalar_field(np.zeros(g.dim), etas["radius"]), nodes, 2)
-        etas = [fields.random_compact_vector_field(rng, g.dim, bump=bump)
-                for _ in range(etas["random"])]
+    g, spec = opts["geometry"], opts["fields"]
+    # drawn here, from the experiment's own seed, on one bump pinned on the region's nodes
+    nodes, _ = geometry.enclosed_region_quadrature(g)
+    bump = fields.pinned(fields.bump_scalar_field(np.zeros(g.dim), spec["radius"]), nodes, 2)
+    etas = [fields.random_compact_vector_field(rng, g.dim, bump=bump)
+            for _ in range(spec["random"])]
     rows, details = [], []
     for i, eta in enumerate(etas):
         c1, c2 = limits.volume_admissibility(g, eta)

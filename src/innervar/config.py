@@ -5,7 +5,7 @@ included, and raises ``ValueError`` or ``TypeError`` on a bad one.  The
 default is the JSON value an absent key stands for, converted like a given
 one; ``REQUIRED`` marks a key that must be given, and ``None`` stands for
 "not given".  Shapes and fields are tables of ``type -> (builder, keys)``,
-with the keys in the builder's parameter order.
+each key named as the builder's parameter it is passed to.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def build(spec, builders: dict, what: str):
     what = f"{what} {spec['type']!r}"
     opts = parse({k: v for k, v in spec.items() if k != "type"}, keys, what)
     try:
-        return builder(*opts.values())
+        return builder(**opts)
     except _BAD_VALUE as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 

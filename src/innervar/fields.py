@@ -23,6 +23,10 @@ arrays (M, C, ...).  Fields hold no evaluated state between calls;
 :func:`pinned` returns a copy of a field that holds one evaluation, for a
 sweep that reads it many times.
 
+Configs build fields from ``{"type": ..., key: value}`` descriptors through
+``_VECTOR_FIELDS`` and ``_SCALAR_FIELDS``, which offer only the keys some
+config varies; the constructors keep every parameter for Python callers.
+
 One class, ``_Field``, implements all of this; ``ScalarField`` and
 ``VectorField`` remain as names because the benchmark's tracer wraps their
 point-major views by class and name (see ``_Field``).
@@ -35,7 +39,7 @@ import itertools
 
 import numpy as np
 
-from .config import REQUIRED, as_is, build, bump_radius, count, finite, integer, natural
+from .config import REQUIRED, as_is, build, bump_radius, count, finite, natural
 from .errors import DimensionMismatch, NonInvertible
 from .jets import Jet, jet_cos, jet_polynomial, jet_sin, jet_squared_norm
 
@@ -699,11 +703,6 @@ def filament_test_field(preset: str, amplitude: float = 1.0, frequency: int = 1,
     return VectorField.from_jet(3, build)
 
 
-def _seeded_compact_field(dim, degree, scale, center, radius, seed) -> VectorField:
-    return random_compact_vector_field(np.random.default_rng(seed), dim, degree, scale, center,
-                                       radius)
-
-
 _VECTOR_FIELDS = {
     "linear": (linear_field, {"matrix": (as_is, REQUIRED), "offset": (as_is, None)}),
     "rotation": (lambda omega, rate: rotation_field(rate if omega is None else omega),
@@ -714,12 +713,8 @@ _VECTOR_FIELDS = {
     "bump_polynomial": (bump_polynomial_field, {
         "dim": (count, REQUIRED), "components": (as_is, REQUIRED), "center": (as_is, REQUIRED),
         "radius": (bump_radius, REQUIRED)}),
-    "random_bump_polynomial": (_seeded_compact_field, {
-        "dim": (count, REQUIRED), "degree": (natural, 2), "scale": (float, 1.0),
-        "center": (as_is, None), "radius": (bump_radius, 0.8), "seed": (natural, 0)}),
-    "filament_preset": (filament_test_field, {
-        "preset": (str, REQUIRED), "amplitude": (finite, 1.0), "frequency": (integer, 1),
-        "radius": (bump_radius, 0.45)}),
+    "filament_preset": (filament_test_field, {"preset": (str, REQUIRED),
+                                              "amplitude": (finite, 1.0)}),
 }
 
 
@@ -730,9 +725,8 @@ def vector_field_from_config(spec: dict) -> VectorField:
 
 _SCALAR_FIELDS = {
     "polynomial": (polynomial_scalar_field, {"dim": (count, REQUIRED), "terms": (as_is, REQUIRED)}),
-    "radial_bump": (bump_scalar_field, {
-        "center": (as_is, REQUIRED), "radius": (bump_radius, REQUIRED),
-        "amplitude": (finite, 1.0)}),
+    "radial_bump": (bump_scalar_field, {"center": (as_is, REQUIRED),
+                                        "radius": (bump_radius, REQUIRED)}),
     "trig": (trig_scalar_field, {"dim": (count, REQUIRED), "terms": (as_is, REQUIRED)}),
 }
 

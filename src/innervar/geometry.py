@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .config import REQUIRED, as_is, build, count, finite, integer, positive
+from .config import REQUIRED, as_is, build, count, integer, positive
 from .errors import DimensionMismatch, TubeTooNarrow
 from .fields import ScalarField, VectorField
 from .jets import Jet, jet_exp, jet_norm
@@ -339,17 +339,18 @@ def circular_filament(radius: float, n_nodes: int = 128) -> Filament:
                             radius=r)
 
 
+# a config's "nodes" is the builder's n_nodes
 _SHAPES = {
-    "circle": (circle, {"radius": (positive, REQUIRED), "center": (as_is, (0.0, 0.0)),
-                        "nodes": (count, 256)}),
-    "sphere": (sphere, {"radius": (positive, REQUIRED), "center": (as_is, (0.0, 0.0, 0.0)),
-                        "n_polar": (count, 32), "n_azimuth": (count, 64)}),
-    "flat_patch": (flat_patch, {"dim": (integer, REQUIRED), "axis": (integer, 0),
-                                "offset": (finite, 0.0), "extents": (as_is, None),
-                                "n_per_axis": (count, 48)}),
-    "straight_filament": (straight_filament, {"length": (positive, 1.0), "nodes": (count, 24)}),
-    "circular_filament": (circular_filament, {"radius": (positive, REQUIRED),
-                                              "nodes": (count, 128)}),
+    "circle": (lambda radius, center, nodes: circle(radius, center, nodes),
+               {"radius": (positive, REQUIRED), "center": (as_is, (0.0, 0.0)),
+                "nodes": (count, 256)}),
+    "sphere": (sphere, {"radius": (positive, REQUIRED), "n_polar": (count, 32),
+                        "n_azimuth": (count, 64)}),
+    "flat_patch": (flat_patch, {"dim": (integer, REQUIRED), "n_per_axis": (count, 48)}),
+    "straight_filament": (lambda nodes: straight_filament(n_nodes=nodes),
+                          {"nodes": (count, 24)}),
+    "circular_filament": (lambda radius, nodes: circular_filament(radius, nodes),
+                          {"radius": (positive, REQUIRED), "nodes": (count, 128)}),
 }
 
 
@@ -363,20 +364,10 @@ def shape_from_config(spec: dict):
 # ---------------------------------------------------------------------------
 
 
-def _node_values(g, f) -> np.ndarray:
-    if isinstance(f, ScalarField):
-        return f.eval(g.nodes)
-    if callable(f):
-        return np.asarray(f(g.nodes), dtype=float)
-    vals = np.asarray(f, dtype=float)
-    if vals.shape != (g.n_nodes,):
-        raise DimensionMismatch("node value array has wrong length")
-    return vals
-
-
 def surface_integral(g, f) -> float:
-    """Quadrature of f over the interface."""
-    return pairwise_dot(g.weights, _node_values(g, f))
+    """Quadrature over the interface of f, a ScalarField or a callable of the nodes."""
+    values = f.eval(g.nodes) if isinstance(f, ScalarField) else np.asarray(f(g.nodes), dtype=float)
+    return pairwise_dot(g.weights, values)
 
 
 def area_second_inner_variation(g, eta: VectorField, zeta: VectorField) -> float:

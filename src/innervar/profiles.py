@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import EpsilonTooLarge, InnervarError, StiffTail
 from .fields import ScalarField
-from .geometry import Filament, Hypersurface, doubling_rule
+from .geometry import Filament, Hypersurface, _leggauss, doubling_rule
 from .jets import Jet, jet_sqrt
 from .ode import DenseOutput, dop853, joined
 
@@ -188,7 +188,7 @@ P_MIN = 1.03
 # below p = 3.96 misses by more than 2e-11.
 _CHECKED_Q = 0.95
 _TABLE_TOL = 2e-11
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_GAUSS_NODES, _GAUSS_WEIGHTS = _leggauss(20)
 
 
 def _flow_time(q0, q1, a):

@@ -311,18 +311,9 @@ _MALFORMED = [
     ("gl_log_inverse_width_one", {**_GL, "schedule": {"epsilons": [1.0, 0.5, 0.25]}}),
     ("epsilons_with_nan", _variant(schedule={"epsilons": [0.04, float("nan")]})),
     ("p_infinite", _variant(p=float("inf"))),
-    ("radial_bump_order_not_a_number", _variant(phi={**_TENSORS["phi"], "order": "eight"})),
-    ("flat_patch_axis_beyond_dimension",
-     {**_AC, "geometry": {"type": "flat_patch", "dim": 2, "axis": 2}}),
     ("volume_sphere_negative_radius", {
         "name": "x", "kind": "volume", "geometry": {**_SPHERE, "radius": -1.0},
         "fields": {"random": 2},
-    }),
-    # the equipartition criterion has no rate escape, so it takes no rate bound; a lower
-    # bound of -inf would pass every run
-    ("equipartition_min_rate", {
-        "name": "x", "kind": "equipartition", "geometry": _SPHERE, "p": 2.0,
-        "schedule": {"eps0": 0.04, "count": 4}, "min_rate": 0.9,
     }),
     ("equipartition_lower_bound_infinite", {
         "name": "x", "kind": "equipartition", "geometry": _SPHERE, "p": 2.0,
@@ -334,13 +325,9 @@ _MALFORMED = [
     ("identities_samples_string", {"name": "x", "kind": "identities", "samples": "30"}),
     ("identities_cases_string", {"name": "x", "kind": "identities", "cases": "1"}),
     ("indices_fraction", _variant(indices=[0, 0.5])),
-    ("filament_frequency_fraction", {**_GL, "eta": {"type": "filament_preset", "preset": "bend",
-                                                    "frequency": 1.5}}),
     ("flat_patch_n_per_axis_fraction",
      {**_AC, "geometry": {"type": "flat_patch", "dim": 2, "n_per_axis": 16.9}}),
     ("flat_patch_dim_fraction", {**_AC, "geometry": {"type": "flat_patch", "dim": 2.5}}),
-    ("flat_patch_axis_boolean", {**_AC, "geometry": {"type": "flat_patch", "dim": 2,
-                                                     "axis": True}}),
     ("volume_random_count_fraction", {
         "name": "x", "kind": "volume", "geometry": _SPHERE, "fields": {"random": 2.5},
     }),
@@ -375,16 +362,12 @@ _MALFORMED = [
     ("bump_polynomial_center_nan", {**_AC, "eta": {**_AC["eta"], "center": [math.nan, 0.0]}}),
     # a bump divides by radius**2, which underflowed to 0 and crashed with a ZeroDivisionError
     ("radial_bump_radius_squared_underflows", _variant(phi={**_TENSORS["phi"], "radius": 1e-200})),
-    ("filament_radius_squared_underflows",
-     {**_GL, "eta": {"type": "filament_preset", "preset": "bend", "radius": 1e-170}}),
     ("bump_polynomial_radius_squared_underflows",
      {**_AC, "eta": {**_AC["eta"], "radius": 1e-160}}),
     ("volume_random_radius_squared_underflows", {  # drawn at run time, refused at load
         "name": "x", "kind": "volume", "geometry": _SPHERE,
         "fields": {"random": 2, "radius": 1e-300},
     }),
-    ("flat_patch_extents_reversed",
-     {**_AC, "geometry": {"type": "flat_patch", "dim": 2, "extents": [[1, -1]]}}),
     # a random volume field's default radius is 1.4 times the sphere's; on a sphere this small
     # every drawn field was NaN and the run passed, or the bump divided by zero
     ("volume_default_radius_squared_subnormal", {
@@ -404,17 +387,35 @@ _MALFORMED = [
     ("trig_wave_vector_nan", _variant(phi={"type": "trig", "dim": 3,
                                            "terms": [[1.0, [math.nan, 0.0, 0.0], 0.0, "sin"]]})),
     # numeric descriptor keys: each NaN once ran and failed its checks (exit 1)
-    ("flat_patch_offset_nan", {**_AC, "geometry": {"type": "flat_patch", "dim": 2,
-                                                   "offset": math.nan}}),
-    ("radial_bump_amplitude_nan", _variant(phi={**_TENSORS["phi"], "amplitude": math.nan})),
     ("filament_amplitude_nan", {**_GL, "eta": {"type": "filament_preset", "preset": "bend",
                                                "amplitude": math.nan}}),
     ("tanh_slope_nan", {
         "name": "x", "kind": "equipartition", "geometry": _SPHERE, "p": 2.0,
         "schedule": {"eps0": 0.04, "count": 4}, "profile": {"tanh_slope": math.nan},
     }),
-    # keys that are now constants: a config that still sets one exits 2 with unknown keys,
-    # whatever the value (these rows once checked each key's range)
+]
+
+# Rows whose key is now a constant, under the names they had when each checked the key's
+# range: a config that sets the key exits 2 with unknown keys, whatever the value.
+_CONSTANT_KEY_ROWS = [
+    ("radial_bump_order_not_a_number", _variant(phi={**_TENSORS["phi"], "order": "eight"})),
+    ("flat_patch_axis_beyond_dimension",
+     {**_AC, "geometry": {"type": "flat_patch", "dim": 2, "axis": 2}}),
+    ("equipartition_min_rate", {
+        "name": "x", "kind": "equipartition", "geometry": _SPHERE, "p": 2.0,
+        "schedule": {"eps0": 0.04, "count": 4}, "min_rate": 0.9,
+    }),
+    ("filament_frequency_fraction", {**_GL, "eta": {"type": "filament_preset", "preset": "bend",
+                                                    "frequency": 1.5}}),
+    ("flat_patch_axis_boolean", {**_AC, "geometry": {"type": "flat_patch", "dim": 2,
+                                                     "axis": True}}),
+    ("filament_radius_squared_underflows",
+     {**_GL, "eta": {"type": "filament_preset", "preset": "bend", "radius": 1e-170}}),
+    ("flat_patch_extents_reversed",
+     {**_AC, "geometry": {"type": "flat_patch", "dim": 2, "extents": [[1, -1]]}}),
+    ("flat_patch_offset_nan", {**_AC, "geometry": {"type": "flat_patch", "dim": 2,
+                                                   "offset": math.nan}}),
+    ("radial_bump_amplitude_nan", _variant(phi={**_TENSORS["phi"], "amplitude": math.nan})),
     ("unknown_model", _variant(schedule={"eps0": 0.04, "count": 4, "model": "cubic"})),
     ("one_fit_point", _variant(schedule={"eps0": 0.04, "count": 4, "fit_points": 1})),
     ("more_fit_points_than_widths",
@@ -452,8 +453,8 @@ _MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("exp", [exp for _, exp in _MALFORMED],
-                         ids=[case for case, _ in _MALFORMED])
+@pytest.mark.parametrize("exp", [exp for _, exp in _MALFORMED + _CONSTANT_KEY_ROWS],
+                         ids=[case for case, _ in _MALFORMED + _CONSTANT_KEY_ROWS])
 def test_malformed_config_exits_2(tmp_path, capsys, exp):
     cfg = _write(tmp_path, {"schema_version": 1, "experiments": [exp]})
     out = tmp_path / "work" / "out"
@@ -464,6 +465,20 @@ def test_malformed_config_exits_2(tmp_path, capsys, exp):
     strays = [p for p in tmp_path.rglob("*")
               if p.is_file() and str(p) != cfg and out not in p.parents]
     assert strays == []
+
+
+def _refusal(exp) -> str:
+    with pytest.raises(ConfigError) as refused:
+        validate_config({"schema_version": 1, "experiments": [exp]})
+    return str(refused.value)
+
+
+def test_each_malformed_row_reaches_its_own_rule():
+    # a row whose key became a constant reaches only the unknown-key refusal and no longer
+    # checks the rule it names; it belongs with the constant-key rows.  Read through
+    # validate_config, since the CLI's JSON parser refuses a non-finite row first.
+    assert [case for case, exp in _MALFORMED if "unknown keys" in _refusal(exp)] == []
+    assert [case for case, exp in _CONSTANT_KEY_ROWS if "unknown keys" not in _refusal(exp)] == []
 
 
 @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e999"])
@@ -487,10 +502,12 @@ def _non_finite(obj) -> bool:
 # The CLI's parser refuses every non-finite number before validation.  A Python caller of
 # validate_config still has each key's converter refuse one where it reads a number, and the
 # field builders refuse one inside a structured value (a centre, a matrix, a term table).
-@pytest.mark.parametrize("case", [case for case, exp in _MALFORMED if _non_finite(exp)])
+@pytest.mark.parametrize("case", [case for case, exp in _MALFORMED + _CONSTANT_KEY_ROWS
+                                  if _non_finite(exp)])
 def test_non_finite_values_are_refused_by_validate_config_too(case):
     with pytest.raises(ConfigError):
-        validate_config({"schema_version": 1, "experiments": [dict(_MALFORMED)[case]]})
+        validate_config({"schema_version": 1,
+                         "experiments": [dict(_MALFORMED + _CONSTANT_KEY_ROWS)[case]]})
 
 
 def test_bump_radius_is_refused_where_its_square_is_not_a_normal_float():
@@ -568,15 +585,40 @@ _CONSTANT_CASES += [
     ("volume_fields.degree", {"name": "x", "kind": "volume", "geometry": _SPHERE,
                               "fields": {"random": 2, "degree": 2}}),
 ]
+# descriptor keys: a sphere is centred at the origin, a flat patch is x_0 = 0 over [-1, 1],
+# a straight filament has length 1, a preset bends at frequency 1 and is cut off at 0.45,
+# and a radial bump has amplitude 1
+_FLAT2 = {"type": "flat_patch", "dim": 2}
+_CONSTANT_CASES += [
+    ("sphere.center", _variant(geometry={**_SPHERE, "center": [0.0, 0.0, 0.0]})),
+    ("flat_patch.axis", {**_AC, "geometry": {**_FLAT2, "axis": 0}}),
+    ("flat_patch.offset", {**_AC, "geometry": {**_FLAT2, "offset": 0.0}}),
+    ("flat_patch.extents", {**_AC, "geometry": {**_FLAT2, "extents": [[-1.0, 1.0]]}}),
+    ("straight_filament.length", {**_GL, "geometry": {**_GL["geometry"], "length": 1.0}}),
+    ("filament_preset.frequency", {**_GL, "eta": {**_GL["eta"], "frequency": 1}}),
+    ("filament_preset.radius", {**_GL, "eta": {**_GL["eta"], "radius": 0.45}}),
+    ("radial_bump.amplitude", _variant(phi={**_TENSORS["phi"], "amplitude": 1.0})),
+]
+# input forms that no config reached, with the refusal each now meets
+_GONE_FORMS = {
+    "random_bump_polynomial": ({**_AC, "eta": {"type": "random_bump_polynomial", "dim": 2}},
+                               "vector field descriptor needs a 'type' in"),
+    "ac-converge.zeta_eta": ({**_AC, "zeta": "zeta_eta"},
+                             "vector field descriptor needs a 'type' in"),
+    "volume.fields_list": ({"name": "x", "kind": "volume", "geometry": _SPHERE,
+                            "fields": [{"type": "constant", "vector": [1.0, 0.0, 0.0]}]},
+                           "volume fields must be a JSON object"),
+}
+_CONSTANT_CASES += [(case, exp) for case, (exp, _refused) in _GONE_FORMS.items()]
 
 
-@pytest.mark.parametrize("exp", [exp for _, exp in _CONSTANT_CASES],
-                         ids=[case for case, _ in _CONSTANT_CASES])
-def test_a_setting_made_a_constant_is_an_unknown_key(tmp_path, capsys, exp):
+@pytest.mark.parametrize("case,exp", _CONSTANT_CASES, ids=[case for case, _ in _CONSTANT_CASES])
+def test_a_setting_made_a_constant_is_an_unknown_key(tmp_path, capsys, case, exp):
     cfg = _write(tmp_path, {"schema_version": 1, "experiments": [exp]})
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "unknown keys" in err and "Traceback" not in err
+    refused = _GONE_FORMS[case][1] if case in _GONE_FORMS else "unknown keys"
+    assert refused in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["abc", "1.5", "", "-3", "2"],
@@ -601,6 +643,12 @@ def _workload_experiments(seed: int) -> list[dict]:
             for exp in cfg["experiments"]]
 
 
+# where a descriptor sits in an experiment names the table its type is looked up in
+_DESCRIPTOR_TABLES = {"geometry": geometry._SHAPES, "eta": fields._VECTOR_FIELDS,
+                      "zeta": fields._VECTOR_FIELDS, "phi": fields._SCALAR_FIELDS,
+                      "xi": fields._SCALAR_FIELDS}
+
+
 def test_every_optional_key_is_varied_by_a_shipped_or_workload_config():
     # an optional key that every config leaves at its default is a constant that takes a key
     exps = [exp for _, cfg in builtin_configs() for exp in cfg["experiments"]]
@@ -611,10 +659,18 @@ def test_every_optional_key_is_varied_by_a_shipped_or_workload_config():
                    [e["schedule"] for e in exps if "schedule" in e]))
     tables.append(("volume fields", cli._RANDOM_FIELDS,
                    [e["fields"] for e in exps if isinstance(e.get("fields"), dict)]))
+    # every descriptor type some config uses; a type none uses has no traffic to count
+    for table in (geometry._SHAPES, fields._VECTOR_FIELDS, fields._SCALAR_FIELDS):
+        specs = [e[key] for e in exps for key, t in _DESCRIPTOR_TABLES.items()
+                 if t is table and isinstance(e.get(key), dict)]
+        tables += [(name, keys, [s for s in specs if s["type"] == name])
+                   for name, (_builder, keys) in table.items()
+                   if any(s["type"] == name for s in specs)]
     unvaried = [f"{name}.{key}" for name, keys, specs in tables
                 for key, (_convert, default) in keys.items()
-                if default is not config.REQUIRED
-                and not any(key in spec and spec[key] != default for spec in specs)]
+                if default is not config.REQUIRED  # a tuple default reads as its JSON list
+                and not any(key in spec and spec[key] != json.loads(json.dumps(default))
+                            for spec in specs)]
     assert unvaried == []
 
 
@@ -642,6 +698,25 @@ def test_undecodable_config_exits_2(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("config error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cfg,refused", [
+    (None, "cannot read config"),
+    ({"schema_version": 1, "experiments": [5]}, "each experiment must be a JSON object"),
+    ({"schema_version": 1, "experiments": [{"name": "x", "kind": "bogus"}]},
+     "unknown experiment kind 'bogus'"),
+], ids=["config_a_directory", "experiment_not_an_object", "unknown_kind"])
+def test_an_unreadable_config_or_experiment_exits_2(tmp_path, capsys, cfg, refused):
+    path = tmp_path / "cfg.json"
+    if cfg is None:  # the path exists but open() cannot read it
+        path.mkdir()
+    else:
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+    rc = main(["run", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and refused in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -796,7 +871,7 @@ def test_an_experiment_out_of_memory_fails_alone(tmp_path, capsys, monkeypatch):
 def test_a_grid_that_does_not_fit_in_memory_is_a_config_error(tmp_path, capsys, monkeypatch):
     # "n_per_axis": 100000 asks leggauss for a 74.5 GiB matrix while the config is validated;
     # that ended the run with a raw traceback and exit 1
-    def exhausted(*_args):
+    def exhausted(**_opts):  # the builder takes its keys by name
         raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
 
     keys = geometry._SHAPES["flat_patch"][1]

@@ -1192,6 +1192,19 @@ def test_all_and_no_inside_masks_match_the_gather_scatter_jet(order, comps):
     _same_bytes(a.piecewise(some, _shape, 0.0), _scattered(some, _shape(_gathered(a, some)), 0.0))
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("comps", [None, 3])
+def test_division_by_a_number_is_the_product_with_its_reciprocal(order, comps):
+    # Jet / c and c / Jet keep their names for the benchmark's tracer; no package code calls them
+    rng = np.random.default_rng(10 * order + (comps or 0))
+    rows = [_random_jet(rng, 3, 40, order) for _ in range(comps or 1)]
+    a = rows[0] if comps is None else Jet(*_stacked(rows))
+    c = 1.7
+    quotient, ratio = a * (1.0 / c), a.reciprocal() * c
+    _same_bytes(a / c, (quotient.val, quotient.grad, quotient.hess))
+    _same_bytes(c / a, (ratio.val, ratio.grad, ratio.hess))
+
+
 def _rowwise_broadcast_mul(a, b):
     """The order-2 product as it was assembled before it went component by component: each
     Hessian row of every component at once, through a (C, N, M) scratch row."""

@@ -113,6 +113,14 @@ def test_profile_origin_and_monotone():
         assert 1.0 - prof.q(prof.s_max * (1 - 1e-12)) <= 1e-8
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_ddq_is_the_second_derivative_of_one_lookup(p):
+    # ddq keeps its name for the benchmark's tracer; the package reads derivatives() instead
+    prof = P.optimal_profile(p)
+    s = np.linspace(-1.2 * prof.s_max, 1.2 * prof.s_max, 241)
+    assert prof.ddq(s).tobytes() == prof.derivatives(s)[2].tobytes()
+
+
 def test_profile_pointwise_equipartition_independent_route():
     # |q'|^p = W(q) checked with a finite-difference derivative of the table
     for p in (1.5, 2.0, 3.0):
