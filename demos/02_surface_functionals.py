@@ -13,12 +13,13 @@ import numpy as np
 from innervar import (
     ac_discrepancy,
     area_second_inner_variation,
+    bump_scalar_field,
     circle,
     constant_field,
-    dilation_field,
     filament_test_field,
     gl_discrepancy,
     jacobi_form,
+    linear_field,
     polynomial_scalar_field,
     pushforward_area,
     random_compact_vector_field,
@@ -34,16 +35,16 @@ zero3 = constant_field([0.0, 0.0, 0.0])
 print("== closed forms on spheres and circles ==")
 s = sphere(1.0)
 a = 0.37
-print(f"  sphere, dilation a x: d2 Area = {area_second_inner_variation(s, dilation_field(3, a), zero3):.10f}")
+print(f"  sphere, dilation a x: d2 Area = {area_second_inner_variation(s, linear_field(a * np.eye(3)), zero3):.10f}")
 print(f"                        8 pi a^2 = {8*np.pi*a*a:.10f}")
 c = circle(1.2)
-print(f"  circle, dilation: d2 Length = {area_second_inner_variation(c, dilation_field(2, a), constant_field([0.0,0.0])):.2e}  (length is linear in t)")
+print(f"  circle, dilation: d2 Length = {area_second_inner_variation(c, linear_field(a * np.eye(2)), constant_field([0.0,0.0])):.2e}  (length is linear in t)")
 rot = rotation_field([0.2, -0.5, 0.7])
 print(f"  sphere, rotation with volume-compensating acceleration: {area_second_inner_variation(s, rot, zeta_eta(rot)):.2e}")
 
 print("\n== formula vs pushforward oracle ==")
-eta = random_compact_vector_field(rng, 3, degree=2, radius=1.6)
-zeta = random_compact_vector_field(rng, 3, degree=2, radius=1.6)
+eta = random_compact_vector_field(rng, 3, bump_scalar_field(np.zeros(3), 1.6))
+zeta = random_compact_vector_field(rng, 3, bump_scalar_field(np.zeros(3), 1.6))
 closed_form = area_second_inner_variation(s, eta, zeta)
 h = 1e-3
 vals = [pushforward_area(s, eta, zeta, t) for t in (-2 * h, -h, 0, h, 2 * h)]
@@ -51,14 +52,14 @@ fd = (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (12 * h
 print(f"  closed form {closed_form:+.8f}   5-point FD {fd:+.8f}   diff {abs(closed_form-fd):.1e}")
 
 print("\n== scalar defect integral ==")
-print(f"  sphere, dilation: (n, n.grad eta)^2 integrates to a^2 4 pi = {ac_discrepancy(s, dilation_field(3, a)):.8f}")
+print(f"  sphere, dilation: (n, n.grad eta)^2 integrates to a^2 4 pi = {ac_discrepancy(s, linear_field(a * np.eye(3))):.8f}")
 
 print("\n== filament defect: two routes to the same density ==")
-fil = straight_filament(1.0, 24)
+fil = straight_filament(24)
 for preset, label in (("dilation", "holomorphic transverse dilation"),
                       ("antiholomorphic", "conjugate-coordinate mode"),
                       ("bend", "bending mode")):
-    eta_f = filament_test_field(preset, amplitude=1.0, radius=0.45)
+    eta_f = filament_test_field(preset, amplitude=1.0)
     real, dbar = gl_discrepancy(fil, eta_f)
     print(f"  {label:<34} |D_perp|^2 - 2 Jac form: {real:.6f}   4|dbar|^2 form: {dbar:.6f}")
 

@@ -14,6 +14,7 @@ is how variation_report computes it.
 import numpy as np
 
 from innervar import (
+    bump_scalar_field,
     composite_test_function,
     first_inner_variation,
     first_variation,
@@ -33,9 +34,9 @@ from innervar import (
 rng = np.random.default_rng(3)
 quad = tensor_grid([[-1.0, 1.0], [-1.0, 1.0]], 40)
 f = integrand_dirichlet()
-u = random_polynomial_scalar_field(rng, 2, degree=3)
-eta = random_compact_vector_field(rng, 2, degree=2, radius=0.85)
-zeta = random_compact_vector_field(rng, 2, degree=2, radius=0.85)
+u = random_polynomial_scalar_field(rng, 2)
+eta = random_compact_vector_field(rng, 2, bump_scalar_field(np.zeros(2), 0.85))
+zeta = random_compact_vector_field(rng, 2, bump_scalar_field(np.zeros(2), 0.85))
 
 print("== first-order bridge ==")
 lhs = first_inner_variation(f, u, eta, quad)

@@ -16,6 +16,7 @@ from innervar import (
     ac_limit_experiment,
     area_second_inner_variation,
     bump_polynomial_field,
+    bump_scalar_field,
     c_p,
     equipartition_residuals,
     flat_patch,
@@ -24,14 +25,10 @@ from innervar import (
 )
 
 flat = flat_patch(2, n_per_axis=32)
+bump = bump_scalar_field([0.0, 0.0], 0.85)
 eta = bump_polynomial_field(
-    2,
-    [[(0.4, (0, 0)), (0.8, (1, 0)), (-0.3, (0, 2))], [(0.2, (0, 0)), (0.5, (0, 1))]],
-    [0.0, 0.0], 0.85,
-)
-zeta = bump_polynomial_field(
-    2, [[(0.3, (0, 1))], [(0.25, (1, 0)), (0.1, (0, 0))]], [0.0, 0.0], 0.85
-)
+    2, [[(0.4, (0, 0)), (0.8, (1, 0)), (-0.3, (0, 2))], [(0.2, (0, 0)), (0.5, (0, 1))]], bump)
+zeta = bump_polynomial_field(2, [[(0.3, (0, 1))], [(0.25, (1, 0)), (0.1, (0, 0))]], bump)
 sched = EpsilonSchedule.geometric(0.1, 6)
 sv = area_second_inner_variation(flat, eta, zeta)
 disc = ac_discrepancy(flat, eta)

@@ -16,6 +16,7 @@ from innervar import (
     EpsilonSchedule,
     boundary_flux,
     bump_polynomial_field,
+    bump_scalar_field,
     constrained_poincare_check,
     normal_extension,
     perturbed_field,
@@ -34,7 +35,7 @@ sp = sphere(1.0, n_polar=24, n_azimuth=48)
 
 print("== volume admissibility ==")
 for k in range(3):
-    eta = random_compact_vector_field(rng, 3, degree=2, radius=1.4)
+    eta = random_compact_vector_field(rng, 3, bump_scalar_field(np.zeros(3), 1.4))
     c1, c2 = volume_admissibility(sp, eta)
     print(f"  random field {k}: first order {c1:+.3e} (= flux {boundary_flux(sp, eta):+.3e}), "
           f"second order {c2:+.1e}")
@@ -51,7 +52,8 @@ prof = optimal_profile(2.0)
 xi = polynomial_scalar_field(3, [(1.0, (0, 0, 1))])
 eta = normal_extension(sp, xi, 0.9)
 phi_ref = bump_polynomial_field(
-    3, [[(1.0, (1, 0, 0))], [(1.0, (0, 1, 0))], [(1.0, (0, 0, 1))]], [0, 0, 0], 1.8
+    3, [[(1.0, (1, 0, 0))], [(1.0, (0, 1, 0))], [(1.0, (0, 0, 1))]],
+    bump_scalar_field([0, 0, 0], 1.8)
 )
 for eps in (0.08, 0.04, 0.02):
     u = ansatz_field(sp, eps, prof)

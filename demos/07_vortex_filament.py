@@ -22,13 +22,13 @@ from innervar import (
     straight_filament,
 )
 
-fil = straight_filament(1.0, 16)
+fil = straight_filament(16)
 zero = constant_field([0.0, 0.0, 0.0])
 sched = EpsilonSchedule.geometric(0.05, 10)
 print("widths:", ", ".join(f"{e:.2e}" for e in sched.epsilons))
 
 for preset, amp in (("bend", 0.6), ("antiholomorphic", 1.0)):
-    eta = filament_test_field(preset, amplitude=amp, radius=0.45)
+    eta = filament_test_field(preset, amplitude=amp)
     sv = area_second_inner_variation(fil, eta, zero)
     disc, _ = gl_discrepancy(fil, eta)
     rec = gl_limit_experiment(fil, eta, zero, sched, n_theta=48)

@@ -27,7 +27,6 @@ from .fields import (
     bump_scalar_field,
     constant_field,
     det_expansion,
-    dilation_field,
     filament_test_field,
     good_identity_residual,
     linear_field,
@@ -39,7 +38,6 @@ from .fields import (
     rotation_exp,
     rotation_field,
     scalar_field_from_config,
-    trig_scalar_field,
     vector_field_from_config,
     x0_field,
     zeta_eta,

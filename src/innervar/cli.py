@@ -18,10 +18,11 @@ of the geometry it runs on, and any check that needs the built objects.
 ``_build`` is the only code that reads an experiment's config: validation
 calls it, and each run calls it once more and hands the converted options,
 geometry, fields and schedule included, to the runner.  A config takes only
-what configs use: an optional key of any table, a kind's, the schedule's or a
-shape's or field's descriptor, that no shipped or benchmark workload config
-sets to another value than its default is a constant instead, and each key
-has one input form.  ``innervar run`` also sets two glibc malloc thresholds,
+what configs use: a shape or field descriptor type that no shipped or
+benchmark workload config uses is not offered, an optional key of any table,
+a kind's, the schedule's or a descriptor's, that none of them sets to
+another value than its default is a constant instead, and each key has one
+input form.  ``innervar run`` also sets two glibc malloc thresholds,
 so that a sweep's temporaries stop faulting in fresh pages
 (:func:`_keep_heap_pages`), and records the run's minor faults and peak RSS in
 ``summary.json``.
@@ -307,7 +308,7 @@ def _run_identities(opts: dict, rng: np.random.Generator, _outdir):
             worst = max(worst, err / t**3)
         checks.append(Check("rotation_group_third_order", worst * 0.05**3, 1e-4))
 
-        fil = geometry.straight_filament(1.0, 16)
+        fil = geometry.straight_filament(16)
         eta_f = fields.random_polynomial_vector_field(rng, 3, degree=3)
         dr, db = geometry.gl_discrepancy_densities(fil, eta_f)
         checks.append(Check("transverse_dbar_identity", float(np.max(np.abs(dr - db))), 1e-10))
@@ -323,9 +324,9 @@ def _run_identities(opts: dict, rng: np.random.Generator, _outdir):
     bump = fields.pinned(fields.bump_scalar_field(np.zeros(dim), 0.85), quad.nodes, 1)
     for k, f in enumerate((variation.integrand_dirichlet(),
                            variation.integrand_p_allen_cahn(0.7, 2.0))):
-        u = fields.random_polynomial_scalar_field(rng, dim, degree=3)
-        eta_c = fields.random_compact_vector_field(rng, dim, degree=2, bump=bump)
-        zeta_c = fields.random_compact_vector_field(rng, dim, degree=2, bump=bump)
+        u = fields.random_polynomial_scalar_field(rng, dim)
+        eta_c = fields.random_compact_vector_field(rng, dim, bump)
+        zeta_c = fields.random_compact_vector_field(rng, dim, bump)
         rep = variation.variation_report(f, u, eta_c, zeta_c, quad)
         checks.append(Check(f"first_variation_bridge_{k}", abs(rep.fv_bridge_residual), 1e-8))
         checks.append(Check(f"variation_bridge_{k}", abs(rep.sv_relation_residual),
@@ -408,7 +409,7 @@ def _run_volume(opts: dict, rng: np.random.Generator, _outdir):
     # drawn here, from the experiment's own seed, on one bump pinned on the region's nodes
     nodes, _ = geometry.enclosed_region_quadrature(g)
     bump = fields.pinned(fields.bump_scalar_field(np.zeros(g.dim), spec["radius"]), nodes, 2)
-    etas = [fields.random_compact_vector_field(rng, g.dim, bump=bump)
+    etas = [fields.random_compact_vector_field(rng, g.dim, bump)
             for _ in range(spec["random"])]
     rows, details = [], []
     for i, eta in enumerate(etas):

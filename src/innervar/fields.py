@@ -24,8 +24,10 @@ arrays (M, C, ...).  Fields hold no evaluated state between calls;
 sweep that reads it many times.
 
 Configs build fields from ``{"type": ..., key: value}`` descriptors through
-``_VECTOR_FIELDS`` and ``_SCALAR_FIELDS``, which offer only the keys some
-config varies; the constructors keep every parameter for Python callers.
+``_VECTOR_FIELDS`` and ``_SCALAR_FIELDS``, which offer only the types some
+config uses and the keys some config varies.  The constructors take only
+what the package passes them: every bump is given as a bump field, and the
+seeded random fields hand the tables they draw to the jet unchecked.
 
 One class, ``_Field``, implements all of this; ``ScalarField`` and
 ``VectorField`` remain as names because the benchmark's tracer wraps their
@@ -41,7 +43,7 @@ import numpy as np
 
 from .config import REQUIRED, as_is, build, bump_radius, count, finite, natural
 from .errors import DimensionMismatch, NonInvertible
-from .jets import Jet, jet_cos, jet_polynomial, jet_sin, jet_squared_norm
+from .jets import Jet, jet_polynomial, jet_sin, jet_squared_norm
 
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -334,21 +336,13 @@ def linear_field(matrix, offset=None) -> VectorField:
     return VectorField.from_evaluator(n, evaluator, 2)
 
 
-def dilation_field(dim: int, rate: float = 1.0) -> VectorField:
-    return linear_field(rate * np.eye(dim))
-
-
 def constant_field(vector) -> VectorField:
     v = _vector(vector)
     return linear_field(np.zeros((v.size, v.size)), v)
 
 
 def rotation_field(omega) -> VectorField:
-    """V(x) = omega x x in R^3, or rate * (x2, -x1) in R^2 for scalar input."""
-    if np.ndim(omega) == 0:
-        a = float(omega)
-        mat = np.array([[0.0, a], [-a, 0.0]])
-        return linear_field(mat)
+    """V(x) = omega x x in R^3."""
     w = _vector(omega, 3)
     mat = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
     return linear_field(mat)
@@ -368,10 +362,14 @@ def rotation_exp(mat) -> np.ndarray:
     return np.eye(3) + (np.sin(theta) / theta) * k + (2.0 * half * half) * (k @ k)
 
 
+def _polynomial_field(cls, dim, tables):
+    """A field whose component k is the monomial sum of ``tables[k]``, taken as given."""
+    return cls.from_jet(dim, lambda xb, order: jet_polynomial(xb, tables, order))
+
+
 def polynomial_scalar_field(dim, terms) -> ScalarField:
     """Scalar field sum_k c_k prod x_i^e_i from a coefficient table."""
-    tables = [_table(terms, dim)]
-    return ScalarField.from_jet(dim, lambda xb, order: jet_polynomial(xb, tables, order))
+    return _polynomial_field(ScalarField, dim, [_table(terms, dim)])
 
 
 def _tables(dim, components) -> list:
@@ -384,29 +382,7 @@ def _tables(dim, components) -> list:
 
 def polynomial_vector_field(dim, components) -> VectorField:
     """Vector field whose components are monomial sums (coefficient tables)."""
-    tables = _tables(dim, components)
-    return VectorField.from_jet(dim, lambda xb, order: jet_polynomial(xb, tables, order))
-
-
-def trig_scalar_field(dim, terms) -> ScalarField:
-    """Scalar field sum_k a_k * sin/cos(k . x + phase), analytic derivatives."""
-    parsed = [(finite(a), _vector(k, dim), finite(ph), kind) for a, k, ph, kind in terms]
-    if any(kind not in ("sin", "cos") for *_rest, kind in parsed):
-        raise ValueError(f"each trig term is a 'sin' or a 'cos', got {terms!r}")
-
-    def build(xb, order):
-        coords = Jet.variables(xb, order)
-        total = Jet.constant(0.0, xb, order)
-        for amp, kvec, phase, kind in parsed:
-            arg = Jet.constant(phase, xb, order)
-            for i, ki in enumerate(kvec):
-                if ki != 0.0:
-                    arg = arg + coords[i] * ki
-            wave = jet_sin(arg) if kind == "sin" else jet_cos(arg)
-            total = total + wave * amp
-        return total
-
-    return ScalarField.from_jet(dim, build)
+    return _polynomial_field(VectorField, dim, _tables(dim, components))
 
 
 def _squared_radius_jet(xb: np.ndarray, center: np.ndarray, radius: float,
@@ -454,35 +430,20 @@ def _bump_shape(s2: Jet) -> Jet:
     return s2.piecewise(s2.val < 1.0, lambda s2: (1.0 - s2) ** _BUMP_EXPONENT, 0.0)
 
 
-def bump_scalar_field(center, radius, amplitude=1.0) -> ScalarField:
-    """Radial bump ``amplitude * (1 - s^2)^8``, s = |x - center|/radius, supported on s < 1.
+def bump_scalar_field(center, radius) -> ScalarField:
+    """Radial bump (1 - s^2)^8, s = |x - center|/radius, supported on s < 1.
 
     Fields built on the bump (:func:`bump_polynomial_field`) evaluate it
     through this field, so a caller that pins it on a node set
     (:func:`pinned`) and builds several fields on the pinned copy evaluates
     the bump once for them all.
     """
-    c, r, a = _vector(center), float(radius), float(amplitude)
-
-    def build(xb, jet_order):
-        bump = _bump_jet(xb, c, r, jet_order)
-        return bump if a == 1.0 else bump * a  # times 1.0 would change no bit
-
-    return ScalarField.from_jet(c.shape[0], build)
+    c, r = _vector(center), float(radius)
+    return ScalarField.from_jet(c.shape[0], lambda xb, jet_order: _bump_jet(xb, c, r, jet_order))
 
 
-def bump_polynomial_field(dim, components, center, radius, bump=None) -> VectorField:
-    """Compactly supported field: polynomial components times a radial bump.
-
-    The bump is the field ``bump``, or ``bump_scalar_field(center, radius)``
-    when None.  A caller that builds many fields on one bump and one node set
-    passes it pinned there (:func:`pinned`): the fields then share one bump
-    evaluation, and each one's parts are bit for bit those it would build
-    with its own bump.
-    """
-    c = _vector(center, dim)
-    tables = _tables(dim, components)
-    bump = bump_scalar_field(c, radius) if bump is None else bump
+def _bump_polynomial(dim, tables, bump) -> VectorField:
+    """Components the monomial sums of ``tables``, taken as given, times the field ``bump``."""
 
     def build(xb, jet_order):
         chi = [part[0] for part in bump.evaluate(xb, jet_order)]  # views of its one component
@@ -490,6 +451,16 @@ def bump_polynomial_field(dim, components, center, radius, bump=None) -> VectorF
                                                            chi[2] if jet_order == 2 else None)
 
     return VectorField.from_jet(dim, build)
+
+
+def bump_polynomial_field(dim, components, bump) -> VectorField:
+    """Compactly supported field: polynomial components times the bump field ``bump``.
+
+    A caller that builds many fields on one bump and one node set passes it
+    pinned there (:func:`pinned`): the fields then share one bump evaluation,
+    and each one's parts are bit for bit those it would build with its own bump.
+    """
+    return _bump_polynomial(dim, _tables(dim, components), bump)
 
 
 # ---------------------------------------------------------------------------
@@ -644,41 +615,45 @@ class DeformationMap:
 # ---------------------------------------------------------------------------
 
 
-def _random_terms(rng, dim, degree, scale):
-    """One random coefficient per monomial of degree at most ``degree``, in lexicographic order."""
-    return [(scale * rng.uniform(-1.0, 1.0) / (1.0 + sum(p)), p)
+def _random_terms(rng, dim, degree):
+    """One random coefficient per monomial of degree at most ``degree``, in lexicographic order.
+
+    The table is drawn well formed, so the random fields below hand it to the
+    jet as it is, past the checks of :func:`_table`.
+    """
+    return [(rng.uniform(-1.0, 1.0) / (1.0 + sum(p)), p)
             for p in itertools.product(range(degree + 1), repeat=dim) if sum(p) <= degree]
 
 
-def random_polynomial_vector_field(rng, dim, degree=3, scale=1.0) -> VectorField:
-    comps = [_random_terms(rng, dim, degree, scale) for _ in range(dim)]
-    return polynomial_vector_field(dim, comps)
+def random_polynomial_vector_field(rng, dim, degree=3) -> VectorField:
+    return _polynomial_field(VectorField, dim, [_random_terms(rng, dim, degree)
+                                                for _ in range(dim)])
 
 
-def random_compact_vector_field(rng, dim, degree=2, scale=1.0, center=None,
-                                radius=0.8, bump=None) -> VectorField:
-    """Random polynomial components times the bump of (center, radius), or times ``bump``,
-    as in :func:`bump_polynomial_field`."""
-    c = np.zeros(dim) if center is None else _vector(center, dim)
-    comps = [_random_terms(rng, dim, degree, scale) for _ in range(dim)]
-    return bump_polynomial_field(dim, comps, c, radius, bump)
+def random_compact_vector_field(rng, dim, bump) -> VectorField:
+    """Random polynomial components of degree 2 times the field ``bump``, as in
+    :func:`bump_polynomial_field`."""
+    return _bump_polynomial(dim, [_random_terms(rng, dim, 2) for _ in range(dim)], bump)
 
 
-def random_polynomial_scalar_field(rng, dim, degree=3, scale=1.0) -> ScalarField:
-    return polynomial_scalar_field(dim, _random_terms(rng, dim, degree, scale))
+def random_polynomial_scalar_field(rng, dim) -> ScalarField:
+    """A random polynomial of degree 3."""
+    return _polynomial_field(ScalarField, dim, [_random_terms(rng, dim, 3)])
 
 
-def _cylindrical_bump_jet(xb, radius, jet_order):
-    """Bump (1 - rho^2/r^2)^8 in the transverse radius rho = |(x2, x3)|."""
-    return _bump_shape(jet_squared_norm(xb, jet_order, axes=(1, 2)) * (1.0 / radius**2))
+_FILAMENT_CUTOFF = 0.45  # the transverse radius where every filament test field is cut off
 
 
-def filament_test_field(preset: str, amplitude: float = 1.0, frequency: int = 1,
-                        radius: float = 0.45) -> VectorField:
+def _cylindrical_bump_jet(xb, jet_order):
+    """Bump (1 - rho^2/r^2)^8 in the transverse radius rho = |(x2, x3)|, r the cutoff radius."""
+    return _bump_shape(jet_squared_norm(xb, jet_order, axes=(1, 2)) * (1.0 / _FILAMENT_CUTOFF**2))
+
+
+def filament_test_field(preset: str, amplitude: float = 1.0) -> VectorField:
     """Deformation fields adapted to a periodic filament along e1 in R^3.
 
-    Presets (all cut off smoothly at transverse radius ``radius``):
-      * ``bend``            (0, A sin(2 pi k x1), 0): bends the filament, zero
+    Presets (all cut off smoothly at transverse radius 0.45):
+      * ``bend``            (0, A sin(2 pi x1), 0): bends the filament, zero
                             transverse discrepancy (constant in the normal plane);
       * ``antiholomorphic`` A (0, x2, -x3): the conjugate-coordinate mode with
                             discrepancy density 4 A^2 on the filament;
@@ -690,9 +665,9 @@ def filament_test_field(preset: str, amplitude: float = 1.0, frequency: int = 1,
     amp = float(amplitude)
 
     def build(xb, jet_order):
-        chi = _cylindrical_bump_jet(xb, float(radius), jet_order)
+        chi = _cylindrical_bump_jet(xb, jet_order)
         if preset == "bend":
-            wave = jet_sin(Jet.coordinate(xb, 0, jet_order) * (2.0 * np.pi * int(frequency))) * amp
+            wave = jet_sin(Jet.coordinate(xb, 0, jet_order) * (2.0 * np.pi)) * amp
             rows = (None, wave * chi, None)
         else:
             sign = -amp if preset == "antiholomorphic" else amp
@@ -704,15 +679,11 @@ def filament_test_field(preset: str, amplitude: float = 1.0, frequency: int = 1,
 
 
 _VECTOR_FIELDS = {
-    "linear": (linear_field, {"matrix": (as_is, REQUIRED), "offset": (as_is, None)}),
-    "rotation": (lambda omega, rate: rotation_field(rate if omega is None else omega),
-                 {"omega": (as_is, None), "rate": (float, 1.0)}),
-    "constant": (constant_field, {"vector": (as_is, REQUIRED)}),
-    "polynomial": (polynomial_vector_field, {"dim": (count, REQUIRED),
-                                             "components": (as_is, REQUIRED)}),
-    "bump_polynomial": (bump_polynomial_field, {
-        "dim": (count, REQUIRED), "components": (as_is, REQUIRED), "center": (as_is, REQUIRED),
-        "radius": (bump_radius, REQUIRED)}),
+    "bump_polynomial": (
+        lambda dim, components, center, radius: bump_polynomial_field(
+            dim, components, bump_scalar_field(_vector(center, dim), radius)),
+        {"dim": (count, REQUIRED), "components": (as_is, REQUIRED), "center": (as_is, REQUIRED),
+         "radius": (bump_radius, REQUIRED)}),
     "filament_preset": (filament_test_field, {"preset": (str, REQUIRED),
                                               "amplitude": (finite, 1.0)}),
 }
@@ -727,7 +698,6 @@ _SCALAR_FIELDS = {
     "polynomial": (polynomial_scalar_field, {"dim": (count, REQUIRED), "terms": (as_is, REQUIRED)}),
     "radial_bump": (bump_scalar_field, {"center": (as_is, REQUIRED),
                                         "radius": (bump_radius, REQUIRED)}),
-    "trig": (trig_scalar_field, {"dim": (count, REQUIRED), "terms": (as_is, REQUIRED)}),
 }
 
 

@@ -1,15 +1,18 @@
 """Parametrized interfaces, surface quadrature, and surface functionals.
 
 Supported shapes (all with analytic frames, curvatures and distance jets):
-flat periodic patch in R^2/R^3, circle in R^2, sphere in R^3, straight
-filament segment in R^3 (periodic), circular filament in R^3.  Each shape is
-a small subclass of ``Hypersurface`` or ``Filament``; the functions
+the flat periodic patch {x_0 = 0} over [-1, 1]^(dim-1) in R^2/R^3, a circle
+in R^2 and a sphere in R^3 around the origin, the straight filament segment
+along e1 of length 1 in R^3 (periodic), and a circular filament in R^3.  Each
+shape is a small subclass of ``Hypersurface`` or ``Filament``; the functions
 ``circle``, ``sphere``, ``flat_patch``, ``straight_filament`` and
-``circular_filament`` build them.  A shape owns the geometric decisions about
-itself: its tube widths (``tube_limit``, 0.9 focal widths, and
-``default_half_width``, the tube limit or 1 on flat shapes), its distance
-jets and, on a hypersurface, ``normal_coordinates``, the jets of (signed
-distance, foot point, unit normal) that normal extensions are built from.
+``circular_filament`` build them, and configs reach the sphere, the flat
+patch and the straight filament through ``_SHAPES``.  A shape owns the
+geometric decisions about itself: its tube widths (``tube_limit``, 0.9 focal
+widths, and ``default_half_width``, the tube limit or 1 on flat shapes), its
+distance jets and, on a hypersurface, ``normal_coordinates``, the jets of
+(signed distance, foot point, unit normal) that normal extensions are built
+from.
 
 Quadrature is product Gauss-Legendre in non-periodic chart directions and
 uniform (trapezoidal) in periodic ones; the sphere uses a latitude-longitude
@@ -25,7 +28,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .config import REQUIRED, as_is, build, count, integer, positive
+from .config import REQUIRED, build, count, integer, positive
 from .errors import DimensionMismatch, TubeTooNarrow
 from .fields import ScalarField, VectorField
 from .jets import Jet, jet_exp, jet_norm
@@ -118,17 +121,16 @@ class Hypersurface(_Interface):
 
 
 class RoundSurface(Hypersurface):
-    """Circle in R^2 or sphere in R^3 around ``center``.
+    """Circle in R^2 or sphere in R^3 around the origin.
 
     A sphere keeps its ``grid`` (n_polar, n_azimuth) for the enclosed ball's rule.
     """
 
-    def __init__(self, center, radius, nodes, weights, normals, tangents, measure, grid=None):
-        dim = center.shape[0]
+    def __init__(self, radius, nodes, weights, normals, tangents, measure, grid=None):
+        dim = nodes.shape[1]
         super().__init__(dim, nodes, weights, normals, tangents,
                          np.full((nodes.shape[0], dim - 1), 1.0 / radius), measure, radius)
         self.type_name = "circle" if dim == 2 else "sphere"
-        self.center = center
         self.radius = radius
         self.grid = grid
 
@@ -140,47 +142,40 @@ class RoundSurface(Hypersurface):
             chart, weights = product_rule(
                 [(r, wr * r), uniform_rule(0.0, 2.0 * np.pi, max(64, self.n_nodes // 2))])
             rr, tt = chart.T
-            nodes = self.center + np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=1)
+            nodes = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=1)
         else:
             n_polar, n_azimuth = self.grid
             chart, weights = product_rule([(r, wr * r * r), _leggauss(n_polar),
                                            uniform_rule(0.0, 2.0 * np.pi, n_azimuth)])
             rr, mm, pp = chart.T
             sin_t = np.sqrt(1.0 - mm**2)
-            nodes = self.center + np.stack(
-                [rr * sin_t * np.cos(pp), rr * sin_t * np.sin(pp), rr * mm], axis=1)
+            nodes = np.stack([rr * sin_t * np.cos(pp), rr * sin_t * np.sin(pp), rr * mm], axis=1)
         nodes.flags.writeable = weights.flags.writeable = False
         return nodes, weights
 
     def distance_jet(self, xb, order=2) -> Jet:
-        return jet_norm(xb - self.center, order) - self.radius
+        return jet_norm(xb, order) - self.radius
 
     def normal_coordinates(self, xb, order=2) -> tuple[Jet, Jet, Jet]:
-        r = jet_norm(xb - self.center, order)
+        r = jet_norm(xb, order)
         d, inv_r = r - self.radius, r.reciprocal()
         del r
-        hat = (Jet.variables(xb, order) - self.center[:, None]) * inv_r
+        hat = Jet.variables(xb, order) * inv_r
         del inv_r
-        return d, hat * self.radius + self.center[:, None], hat
+        return d, hat * self.radius, hat
 
 
 class FlatPatch(Hypersurface):
-    """Flat interface {x_axis = offset}."""
+    """Flat interface {x_0 = 0}."""
 
     type_name = "flat_patch"
 
-    def __init__(self, *args, axis, offset):
-        super().__init__(*args)
-        self.axis = axis
-        self.offset = offset
-
     def distance_jet(self, xb, order=2) -> Jet:
-        return Jet.coordinate(xb, self.axis, order) - self.offset
+        return Jet.coordinate(xb, 0, order)
 
     def normal_coordinates(self, xb, order=2) -> tuple[Jet, Jet, Jet]:
-        a = self.axis
-        foot = [Jet.constant(self.offset, xb, order) if i == a else i for i in range(self.dim)]
-        normal = [Jet.constant(1.0, xb, order) if i == a else None for i in range(self.dim)]
+        foot = [Jet.constant(0.0, xb, order), *range(1, self.dim)]
+        normal = [Jet.constant(1.0, xb, order)] + [None] * (self.dim - 1)
         return (self.distance_jet(xb, order), Jet.coordinate(xb, foot, order),
                 Jet.coordinate(xb, normal, order))
 
@@ -235,21 +230,17 @@ class CircularFilament(Filament):
 # ---------------------------------------------------------------------------
 
 
-def circle(radius: float, center=(0.0, 0.0), n_nodes: int = 256) -> Hypersurface:
+def circle(radius: float, n_nodes: int = 256) -> Hypersurface:
     r = float(radius)
-    c = np.asarray(center, dtype=float)
     theta, w = uniform_rule(0.0, 2.0 * np.pi, n_nodes)
     ct, st = np.cos(theta), np.sin(theta)
-    nodes = c + r * np.stack([ct, st], axis=1)
     normals = np.stack([ct, st], axis=1)
     tangents = np.stack([-st, ct], axis=1)[:, None, :]
-    return RoundSurface(c, r, nodes, r * w, normals, tangents, 2.0 * np.pi * r)
+    return RoundSurface(r, r * normals, r * w, normals, tangents, 2.0 * np.pi * r)
 
 
-def sphere(radius: float, center=(0.0, 0.0, 0.0), n_polar: int = 32,
-           n_azimuth: int = 64) -> Hypersurface:
+def sphere(radius: float, n_polar: int = 32, n_azimuth: int = 64) -> Hypersurface:
     r = float(radius)
-    c = np.asarray(center, dtype=float)
     # mu = cos(polar angle): Gauss nodes, which avoid the poles
     chart, w_g = product_rule([_leggauss(n_polar), uniform_rule(0.0, 2.0 * np.pi, n_azimuth)])
     mu_f, phi_f = chart.T
@@ -258,57 +249,41 @@ def sphere(radius: float, center=(0.0, 0.0, 0.0), n_polar: int = 32,
     ny = sin_t * np.sin(phi_f)
     nz = mu_f
     normals = np.stack([nx, ny, nz], axis=1)
-    nodes = c + r * normals
     tau_phi = np.stack([-np.sin(phi_f), np.cos(phi_f), np.zeros_like(phi_f)], axis=1)
     tau_theta = np.stack([mu_f * np.cos(phi_f), mu_f * np.sin(phi_f), -sin_t], axis=1)
     tangents = np.stack([tau_theta, tau_phi], axis=1)
-    return RoundSurface(c, r, nodes, r * r * w_g, normals, tangents, 4.0 * np.pi * r * r,
+    return RoundSurface(r, r * normals, r * r * w_g, normals, tangents, 4.0 * np.pi * r * r,
                         (n_polar, n_azimuth))
 
 
-def flat_patch(dim: int, axis: int = 0, offset: float = 0.0, extents=None,
-               n_per_axis: int = 48) -> Hypersurface:
-    """Flat interface {x_axis = offset} over a rectangular patch, periodically identified.
+def flat_patch(dim: int, n_per_axis: int = 48) -> Hypersurface:
+    """Flat interface {x_0 = 0} over the patch [-1, 1]^(dim-1), periodically identified.
 
     The patch has no boundary: test fields either vanish near its edges or
     are periodic across them.
     """
     dim = int(dim)
-    axis = int(axis)
-    if not 0 <= axis < dim:
-        raise DimensionMismatch(f"flat_patch axis {axis} is not an axis of R^{dim}")
-    chart_axes = [i for i in range(dim) if i != axis]
-    if extents is None:
-        extents = [[-1.0, 1.0] for _ in chart_axes]
-    extents = [tuple(map(float, e)) for e in extents]
-    if dim not in (2, 3) or len(extents) != dim - 1:
-        raise DimensionMismatch("flat_patch supports ambient dimension 2 or 3, with one extent "
-                                "per chart axis")
-    if not all(-np.inf < lo < hi < np.inf for lo, hi in extents):
-        raise ValueError(f"flat_patch extents must be finite [lo, hi] with lo < hi, got {extents}")
-    chart, w = product_rule([gauss_rule(lo, hi, n_per_axis) for lo, hi in extents])
+    if dim not in (2, 3):
+        raise DimensionMismatch("flat_patch supports ambient dimension 2 or 3")
+    chart, w = product_rule([gauss_rule(-1.0, 1.0, n_per_axis)] * (dim - 1))
     m = chart.shape[0]
-    nodes = np.empty((m, dim))
-    nodes[:, axis] = offset
-    nodes[:, chart_axes] = chart
+    nodes = np.zeros((m, dim))
+    nodes[:, 1:] = chart
     normals = np.zeros((m, dim))
-    normals[:, axis] = 1.0
+    normals[:, 0] = 1.0
     tangents = np.zeros((m, dim - 1, dim))
-    tangents[:, range(dim - 1), chart_axes] = 1.0
+    tangents[:, range(dim - 1), range(1, dim)] = 1.0
     curvatures = np.zeros((m, dim - 1))
-    measure = float(np.prod([hi - lo for lo, hi in extents]))
-    return FlatPatch(dim, nodes, w, normals, tangents, curvatures, measure, np.inf, axis=axis,
-                     offset=offset)
+    return FlatPatch(dim, nodes, w, normals, tangents, curvatures, 2.0 ** (dim - 1), np.inf)
 
 
-def straight_filament(length: float = 1.0, n_nodes: int = 24) -> Filament:
-    """Periodic straight filament along e1 through the origin in R^3.
+def straight_filament(n_nodes: int = 24) -> Filament:
+    """Periodic straight filament along e1 from the origin, of length 1, in R^3.
 
     Longitudinal quadrature is Gauss-Legendre: exact for polynomial densities
     and spectral for the periodic ones the vortex experiments use.
     """
-    ell = float(length)
-    s, w = gauss_rule(0.0, ell, n_nodes)
+    s, w = gauss_rule(0.0, 1.0, n_nodes)
     nodes = np.stack([s, np.zeros_like(s), np.zeros_like(s)], axis=1)
     tangents = np.zeros((n_nodes, 1, 3))
     tangents[:, 0, 0] = 1.0
@@ -317,7 +292,7 @@ def straight_filament(length: float = 1.0, n_nodes: int = 24) -> Filament:
     q = np.zeros((n_nodes, 3))
     q[:, 2] = 1.0
     curvatures = np.zeros((n_nodes, 1))
-    return StraightFilament(3, nodes, w, p, q, tangents, curvatures, ell, np.inf)
+    return StraightFilament(3, nodes, w, p, q, tangents, curvatures, 1.0, np.inf)
 
 
 def circular_filament(radius: float, n_nodes: int = 128) -> Filament:
@@ -341,16 +316,10 @@ def circular_filament(radius: float, n_nodes: int = 128) -> Filament:
 
 # a config's "nodes" is the builder's n_nodes
 _SHAPES = {
-    "circle": (lambda radius, center, nodes: circle(radius, center, nodes),
-               {"radius": (positive, REQUIRED), "center": (as_is, (0.0, 0.0)),
-                "nodes": (count, 256)}),
     "sphere": (sphere, {"radius": (positive, REQUIRED), "n_polar": (count, 32),
                         "n_azimuth": (count, 64)}),
     "flat_patch": (flat_patch, {"dim": (integer, REQUIRED), "n_per_axis": (count, 48)}),
-    "straight_filament": (lambda nodes: straight_filament(n_nodes=nodes),
-                          {"nodes": (count, 24)}),
-    "circular_filament": (lambda radius, nodes: circular_filament(radius, nodes),
-                          {"radius": (positive, REQUIRED), "nodes": (count, 128)}),
+    "straight_filament": (lambda nodes: straight_filament(nodes), {"nodes": (count, 24)}),
 }
 
 

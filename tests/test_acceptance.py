@@ -48,8 +48,8 @@ def test_criterion_01_constants():
 
 
 def _state2_field(rng):
-    fx = F.random_polynomial_scalar_field(rng, 2, degree=3)
-    fy = F.random_polynomial_scalar_field(rng, 2, degree=3)
+    fx = F.random_polynomial_scalar_field(rng, 2)
+    fy = F.random_polynomial_scalar_field(rng, 2)
     return F.ScalarField(
         2,
         lambda xb: np.stack([fx.eval(xb), fy.eval(xb)], axis=1),
@@ -60,7 +60,7 @@ def _state2_field(rng):
 
 
 def _state2_field_3d(rng):
-    fs = [F.random_polynomial_scalar_field(rng, 3, degree=2) for _ in range(2)]
+    fs = [F.polynomial_scalar_field(3, F._random_terms(rng, 3, 2)) for _ in range(2)]
     return F.ScalarField(
         3,
         lambda xb: np.stack([f.eval(xb) for f in fs], axis=1),
@@ -76,7 +76,7 @@ def _gradient_bounded_field(rng, dim):
     Fractional-p densities are smooth only away from critical points of u, so
     the 'smooth random case' for them carries a dominant linear part.
     """
-    pert = F.random_polynomial_scalar_field(rng, dim, degree=3, scale=0.25)
+    pert = F.polynomial_scalar_field(dim, [(0.25 * c, p) for c, p in F._random_terms(rng, dim, 3)])
     lin = F.polynomial_scalar_field(dim, [(1.0, tuple([1] + [0] * (dim - 1)))])
     return F.ScalarField(
         dim,
@@ -111,9 +111,9 @@ def test_criterion_02_variation_bridges():
         elif style == "graded":
             u = _gradient_bounded_field(rng, dim)
         else:
-            u = F.random_polynomial_scalar_field(rng, dim, degree=3)
-        eta = F.random_compact_vector_field(rng, dim, degree=2, radius=0.85)
-        zeta = F.random_compact_vector_field(rng, dim, degree=2, radius=0.85)
+            u = F.random_polynomial_scalar_field(rng, dim)
+        eta = F.random_compact_vector_field(rng, dim, F.bump_scalar_field(np.zeros(dim), 0.85))
+        zeta = F.random_compact_vector_field(rng, dim, F.bump_scalar_field(np.zeros(dim), 0.85))
         rep = V.variation_report(f, u, eta, zeta, quad)
         worst_fv = max(worst_fv, abs(rep.fv_bridge_residual))
         worst_sv = max(worst_sv,
@@ -146,7 +146,7 @@ def test_criterion_03_pointwise_identities():
             worst_div = max(worst_div, float(np.max(np.abs(
                 F.good_identity_residual(eta, pts)))))
     worst_dbar = 0.0
-    for fil in (G.straight_filament(1.0, 1000), G.circular_filament(0.8, 1000)):
+    for fil in (G.straight_filament(1000), G.circular_filament(0.8, 1000)):
         eta = F.random_polynomial_vector_field(rng, 3, degree=3)
         r1, r2 = G.gl_discrepancy_densities(fil, eta)
         worst_dbar = max(worst_dbar, float(np.max(np.abs(r1 - r2))))
@@ -170,13 +170,14 @@ def flat_sweep():
     eta_n = F.bump_polynomial_field(
         2,
         [[(0.4, (0, 0)), (0.8, (1, 0)), (-0.3, (0, 2))], [(0.2, (0, 0)), (0.5, (0, 1))]],
-        [0.0, 0.0], 0.85,
+        F.bump_scalar_field([0.0, 0.0], 0.85)
     )
     eta_t = F.bump_polynomial_field(
-        2, [[], [(0.5, (0, 0)), (0.4, (0, 1)), (-0.3, (1, 1))]], [0.0, 0.0], 0.85
+        2, [[], [(0.5, (0, 0)), (0.4, (0, 1)), (-0.3, (1, 1))]],
+        F.bump_scalar_field([0.0, 0.0], 0.85)
     )
     zeta = F.bump_polynomial_field(
-        2, [[(0.3, (0, 1))], [(0.25, (1, 0)), (0.1, (0, 0))]], [0.0, 0.0], 0.85
+        2, [[(0.3, (0, 1))], [(0.25, (1, 0)), (0.1, (0, 0))]], F.bump_scalar_field([0.0, 0.0], 0.85)
     )
     sched = L.EpsilonSchedule.geometric(0.1, 6)
     t0 = time.perf_counter()
@@ -232,10 +233,10 @@ def test_criterion_06_sphere_exact_values():
     r, a = 1.3, 0.37
     g = G.sphere(r)
     zero = F.constant_field([0.0, 0.0, 0.0])
-    sv = G.area_second_inner_variation(g, F.dilation_field(3, a), zero)
+    sv = G.area_second_inner_variation(g, F.linear_field(a * np.eye(3)), zero)
     sv_exact = 8 * np.pi * r * r * a * a
     e_sv = abs(sv - sv_exact) / sv_exact
-    disc = G.ac_discrepancy(g, F.dilation_field(3, a))
+    disc = G.ac_discrepancy(g, F.linear_field(a * np.eye(3)))
     disc_exact = 4 * np.pi * r * r * a * a
     e_disc = abs(disc - disc_exact) / disc_exact
     rot = F.rotation_field([0.2, -0.5, 0.7])
@@ -263,13 +264,13 @@ def test_criterion_07_equipartition_and_tensors():
     e_rate = L.fitted_rate(sched.epsilons, rec.extras["energy_gap"])
     energy_ok = e_rate is not None and e_rate >= 0.9
 
-    phi3 = F.bump_scalar_field([0.0, 0.0, 0.0], 1.8, 1.0)
+    phi3 = F.bump_scalar_field([0.0, 0.0, 0.0], 1.8)
     rec2 = L.tensor_pairing_experiment(sphere, 2.0, phi3, (0, 0),
                                        L.EpsilonSchedule.geometric(0.08, 6))
     rec4 = L.tensor_pairing_experiment(sphere, 3.0, phi3, (0, 0, 1, 1),
                                        L.EpsilonSchedule.geometric(0.04, 6))
     flat = G.flat_patch(2, n_per_axis=32)
-    phi2 = F.bump_scalar_field([0.0, 0.0], 0.8, 1.0)
+    phi2 = F.bump_scalar_field([0.0, 0.0], 0.8)
     rec_off = L.tensor_pairing_experiment(flat, 2.0, phi2, (0, 1),
                                           L.EpsilonSchedule.geometric(0.1, 6))
     off_max = max(abs(v) for v in rec_off.values)
@@ -292,7 +293,7 @@ def test_criterion_08_volume_constraint_machinery():
     rng = np.random.default_rng(20240716)
     worst_c2 = 0.0
     for _ in range(10):
-        eta = F.random_compact_vector_field(rng, 3, degree=2, radius=1.4)
+        eta = F.random_compact_vector_field(rng, 3, F.bump_scalar_field(np.zeros(3), 1.4))
         _, c2 = L.volume_admissibility(sphere, eta)
         worst_c2 = max(worst_c2, abs(c2))
     c2_ok = worst_c2 <= 1e-10
@@ -311,7 +312,8 @@ def test_criterion_08_volume_constraint_machinery():
     prof = P.optimal_profile(2.0)
     eta_ext = G.normal_extension(sphere, xi1, 0.9)
     phi_ref = F.bump_polynomial_field(
-        3, [[(1.0, (1, 0, 0))], [(1.0, (0, 1, 0))], [(1.0, (0, 0, 1))]], [0, 0, 0], 1.8
+        3, [[(1.0, (1, 0, 0))], [(1.0, (0, 1, 0))], [(1.0, (0, 0, 1))]],
+        F.bump_scalar_field([0, 0, 0], 1.8)
     )
     h_ok = True
     h_values = []
@@ -338,17 +340,17 @@ def test_criterion_09_vortex_limits():
     # full-rate reproduction is out of reach at desk scale: convergence is
     # 1/|log eps|, so extrapolation in that variable carries the verdict
     t0 = time.perf_counter()
-    fil = G.straight_filament(1.0, 16)
+    fil = G.straight_filament(16)
     zero = F.constant_field([0.0, 0.0, 0.0])
     sched = L.EpsilonSchedule.geometric(0.05, 10)
 
-    eta_b = F.filament_test_field("bend", amplitude=0.6, frequency=1, radius=0.45)
+    eta_b = F.filament_test_field("bend", amplitude=0.6)
     rec_b = L.gl_limit_experiment(fil, eta_b, zero, sched, n_theta=48)
     e_extr, _ = L.extrapolate(sched.epsilons, rec_b.extras["energy"], "log_inverse")
     energy_gap = abs(e_extr - np.pi) / np.pi
     disc_b = rec_b.meta["discrepancy_real"]
 
-    eta_z = F.filament_test_field("antiholomorphic", amplitude=1.0, radius=0.45)
+    eta_z = F.filament_test_field("antiholomorphic", amplitude=1.0)
     rec_z = L.gl_limit_experiment(fil, eta_z, zero, sched, n_theta=48)
     disc_z = rec_z.meta["discrepancy_real"]
 

@@ -260,10 +260,7 @@ _MALFORMED = [
     ("p_below_the_profile_table_floor", {"name": "x", "kind": "profile", "p": 1.01}),
     ("single_width", _variant(schedule={"epsilons": [0.04]})),
     ("name_with_path", _variant(name="../escape")),
-    ("eta_of_wrong_dimension", {
-        "name": "x", "kind": "ac-converge", "geometry": _SPHERE, "p": 2.0,
-        "eta": {"type": "rotation", "rate": 1.0}, "schedule": {"eps0": 0.04, "count": 4},
-    }),
+    ("eta_of_wrong_dimension", {**_AC, "geometry": _SPHERE}),  # a 2-D eta on the sphere
     ("three_indices", _variant(indices=[0, 0, 1])),
     ("index_beyond_dimension", _variant(indices=[0, 3])),
     ("xi_with_nonzero_mean", {
@@ -333,13 +330,6 @@ _MALFORMED = [
     }),
     # field descriptors are checked where they are built: each of these used to pass
     # validation and then crash with a traceback, or run another field than the one described
-    ("linear_matrix_not_square", {**_AC, "geometry": {"type": "circle", "radius": 1.0},
-                                  "eta": {"type": "linear", "matrix": [[1, 0, 0], [0, 1, 0]]}}),
-    ("linear_offset_too_short", {**_AC, "eta": {"type": "linear", "matrix": [[1, 0], [0, 1]],
-                                                "offset": [1.0]}}),
-    ("constant_vector_a_number", {**_AC, "eta": {"type": "constant", "vector": 1.0}}),
-    ("rotation_omega_of_two_entries", {**_AC, "geometry": _SPHERE,
-                                       "eta": {"type": "rotation", "omega": [1, 2]}}),
     ("radial_bump_center_a_number", _variant(phi={"type": "radial_bump", "center": 0.0,
                                                   "radius": 1.8})),
     ("bump_polynomial_one_table_in_two_dimensions",
@@ -353,10 +343,6 @@ _MALFORMED = [
                                                    "terms": [[1.0, [0, 1.5, 0]]]})),
     ("polynomial_exponent_negative", _variant(phi={"type": "polynomial", "dim": 3,
                                                    "terms": [[1.0, [0, -1, 0]]]})),
-    ("trig_wave_vector_too_short", _variant(phi={"type": "trig", "dim": 3,
-                                                 "terms": [[1.0, [1.0, 0.0], 0.0, "sin"]]})),
-    ("trig_kind_unknown", _variant(phi={"type": "trig", "dim": 3,
-                                        "terms": [[1.0, [1.0, 0.0, 0.0], 0.0, "tan"]]})),
     # json.load reads NaN and Infinity as numbers; a NaN bump centre used to run as the
     # zero field and pass
     ("bump_polynomial_center_nan", {**_AC, "eta": {**_AC["eta"], "center": [math.nan, 0.0]}}),
@@ -380,12 +366,8 @@ _MALFORMED = [
     }),
     # a non-finite entry of a structured value, which a Python caller can pass: each built a
     # field of non-finite values
-    ("linear_matrix_entry_nan", {**_AC, "eta": {"type": "linear",
-                                                "matrix": [[1.0, math.nan], [0.0, 1.0]]}}),
     ("polynomial_coefficient_infinite", _variant(phi={"type": "polynomial", "dim": 3,
                                                       "terms": [[math.inf, [0, 0, 1]]]})),
-    ("trig_wave_vector_nan", _variant(phi={"type": "trig", "dim": 3,
-                                           "terms": [[1.0, [math.nan, 0.0, 0.0], 0.0, "sin"]]})),
     # numeric descriptor keys: each NaN once ran and failed its checks (exit 1)
     ("filament_amplitude_nan", {**_GL, "eta": {"type": "filament_preset", "preset": "bend",
                                                "amplitude": math.nan}}),
@@ -395,27 +377,34 @@ _MALFORMED = [
     }),
 ]
 
+# Rows whose descriptor type is gone, under the names they had when each checked a rule of
+# the type: a config that names the type exits 2 as an unknown type, whatever the keys.
+_GONE_TYPE_ROWS = [
+    ("linear_matrix_not_square", {**_AC, "geometry": {"type": "circle", "radius": 1.0},
+                                  "eta": {"type": "linear", "matrix": [[1, 0, 0], [0, 1, 0]]}}),
+    ("linear_offset_too_short", {**_AC, "eta": {"type": "linear", "matrix": [[1, 0], [0, 1]],
+                                                "offset": [1.0]}}),
+    ("constant_vector_a_number", {**_AC, "eta": {"type": "constant", "vector": 1.0}}),
+    ("rotation_omega_of_two_entries", {**_AC, "geometry": _SPHERE,
+                                       "eta": {"type": "rotation", "omega": [1, 2]}}),
+    ("trig_wave_vector_too_short", _variant(phi={"type": "trig", "dim": 3,
+                                                 "terms": [[1.0, [1.0, 0.0], 0.0, "sin"]]})),
+    ("trig_kind_unknown", _variant(phi={"type": "trig", "dim": 3,
+                                        "terms": [[1.0, [1.0, 0.0, 0.0], 0.0, "tan"]]})),
+    ("linear_matrix_entry_nan", {**_AC, "eta": {"type": "linear",
+                                                "matrix": [[1.0, math.nan], [0.0, 1.0]]}}),
+    ("trig_wave_vector_nan", _variant(phi={"type": "trig", "dim": 3,
+                                           "terms": [[1.0, [math.nan, 0.0, 0.0], 0.0, "sin"]]})),
+]
+
 # Rows whose key is now a constant, under the names they had when each checked the key's
 # range: a config that sets the key exits 2 with unknown keys, whatever the value.
 _CONSTANT_KEY_ROWS = [
     ("radial_bump_order_not_a_number", _variant(phi={**_TENSORS["phi"], "order": "eight"})),
-    ("flat_patch_axis_beyond_dimension",
-     {**_AC, "geometry": {"type": "flat_patch", "dim": 2, "axis": 2}}),
     ("equipartition_min_rate", {
         "name": "x", "kind": "equipartition", "geometry": _SPHERE, "p": 2.0,
         "schedule": {"eps0": 0.04, "count": 4}, "min_rate": 0.9,
     }),
-    ("filament_frequency_fraction", {**_GL, "eta": {"type": "filament_preset", "preset": "bend",
-                                                    "frequency": 1.5}}),
-    ("flat_patch_axis_boolean", {**_AC, "geometry": {"type": "flat_patch", "dim": 2,
-                                                     "axis": True}}),
-    ("filament_radius_squared_underflows",
-     {**_GL, "eta": {"type": "filament_preset", "preset": "bend", "radius": 1e-170}}),
-    ("flat_patch_extents_reversed",
-     {**_AC, "geometry": {"type": "flat_patch", "dim": 2, "extents": [[1, -1]]}}),
-    ("flat_patch_offset_nan", {**_AC, "geometry": {"type": "flat_patch", "dim": 2,
-                                                   "offset": math.nan}}),
-    ("radial_bump_amplitude_nan", _variant(phi={**_TENSORS["phi"], "amplitude": math.nan})),
     ("unknown_model", _variant(schedule={"eps0": 0.04, "count": 4, "model": "cubic"})),
     ("one_fit_point", _variant(schedule={"eps0": 0.04, "count": 4, "fit_points": 1})),
     ("more_fit_points_than_widths",
@@ -453,8 +442,11 @@ _CONSTANT_KEY_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("exp", [exp for _, exp in _MALFORMED + _CONSTANT_KEY_ROWS],
-                         ids=[case for case, _ in _MALFORMED + _CONSTANT_KEY_ROWS])
+_REFUSED_ROWS = _MALFORMED + _GONE_TYPE_ROWS + _CONSTANT_KEY_ROWS
+
+
+@pytest.mark.parametrize("exp", [exp for _, exp in _REFUSED_ROWS],
+                         ids=[case for case, _ in _REFUSED_ROWS])
 def test_malformed_config_exits_2(tmp_path, capsys, exp):
     cfg = _write(tmp_path, {"schema_version": 1, "experiments": [exp]})
     out = tmp_path / "work" / "out"
@@ -475,10 +467,14 @@ def _refusal(exp) -> str:
 
 def test_each_malformed_row_reaches_its_own_rule():
     # a row whose key became a constant reaches only the unknown-key refusal and no longer
-    # checks the rule it names; it belongs with the constant-key rows.  Read through
-    # validate_config, since the CLI's JSON parser refuses a non-finite row first.
-    assert [case for case, exp in _MALFORMED if "unknown keys" in _refusal(exp)] == []
+    # checks the rule it names; it belongs with the constant-key rows, and a row whose type
+    # is gone with the gone-type rows.  Read through validate_config, since the CLI's JSON
+    # parser refuses a non-finite row first.
+    gone = ("unknown keys", "descriptor needs a 'type' in")
+    assert [case for case, exp in _MALFORMED if any(g in _refusal(exp) for g in gone)] == []
     assert [case for case, exp in _CONSTANT_KEY_ROWS if "unknown keys" not in _refusal(exp)] == []
+    assert [case for case, exp in _GONE_TYPE_ROWS
+            if "descriptor needs a 'type' in" not in _refusal(exp)] == []
 
 
 @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e999"])
@@ -502,12 +498,10 @@ def _non_finite(obj) -> bool:
 # The CLI's parser refuses every non-finite number before validation.  A Python caller of
 # validate_config still has each key's converter refuse one where it reads a number, and the
 # field builders refuse one inside a structured value (a centre, a matrix, a term table).
-@pytest.mark.parametrize("case", [case for case, exp in _MALFORMED + _CONSTANT_KEY_ROWS
-                                  if _non_finite(exp)])
+@pytest.mark.parametrize("case", [case for case, exp in _REFUSED_ROWS if _non_finite(exp)])
 def test_non_finite_values_are_refused_by_validate_config_too(case):
     with pytest.raises(ConfigError):
-        validate_config({"schema_version": 1,
-                         "experiments": [dict(_MALFORMED + _CONSTANT_KEY_ROWS)[case]]})
+        validate_config({"schema_version": 1, "experiments": [dict(_REFUSED_ROWS)[case]]})
 
 
 def test_bump_radius_is_refused_where_its_square_is_not_a_normal_float():
@@ -608,6 +602,24 @@ _GONE_FORMS = {
     "volume.fields_list": ({"name": "x", "kind": "volume", "geometry": _SPHERE,
                             "fields": [{"type": "constant", "vector": [1.0, 0.0, 0.0]}]},
                            "volume fields must be a JSON object"),
+    # descriptor types that no config used
+    "shape.circle": ({**_AC, "geometry": {"type": "circle", "radius": 1.0}},
+                     "shape descriptor needs a 'type' in"),
+    "shape.circular_filament": ({**_GL, "geometry": {"type": "circular_filament", "radius": 1.0}},
+                                "shape descriptor needs a 'type' in"),
+    "vector_field.linear": ({**_AC, "eta": {"type": "linear", "matrix": [[1, 0], [0, 1]]}},
+                            "vector field descriptor needs a 'type' in"),
+    "vector_field.rotation": ({**_AC, "geometry": _SPHERE,
+                               "eta": {"type": "rotation", "omega": [1, 2, 3]}},
+                              "vector field descriptor needs a 'type' in"),
+    "vector_field.constant": ({**_AC, "eta": {"type": "constant", "vector": [1.0, 0.0]}},
+                              "vector field descriptor needs a 'type' in"),
+    "vector_field.polynomial": ({**_AC, "eta": {"type": "polynomial", "dim": 2,
+                                                "components": [[[1.0, [0, 0]]], []]}},
+                                "vector field descriptor needs a 'type' in"),
+    "scalar_field.trig": (_variant(phi={"type": "trig", "dim": 3,
+                                        "terms": [[1.0, [1.0, 0.0, 0.0], 0.0, "sin"]]}),
+                          "scalar field descriptor needs a 'type' in"),
 }
 _CONSTANT_CASES += [(case, exp) for case, (exp, _refused) in _GONE_FORMS.items()]
 
@@ -659,13 +671,16 @@ def test_every_optional_key_is_varied_by_a_shipped_or_workload_config():
                    [e["schedule"] for e in exps if "schedule" in e]))
     tables.append(("volume fields", cli._RANDOM_FIELDS,
                    [e["fields"] for e in exps if isinstance(e.get("fields"), dict)]))
-    # every descriptor type some config uses; a type none uses has no traffic to count
+    # and every descriptor type is one that some config uses
+    unused = []
     for table in (geometry._SHAPES, fields._VECTOR_FIELDS, fields._SCALAR_FIELDS):
         specs = [e[key] for e in exps for key, t in _DESCRIPTOR_TABLES.items()
                  if t is table and isinstance(e.get(key), dict)]
+        used = {spec["type"] for spec in specs}
+        unused += [name for name in table if name not in used]
         tables += [(name, keys, [s for s in specs if s["type"] == name])
-                   for name, (_builder, keys) in table.items()
-                   if any(s["type"] == name for s in specs)]
+                   for name, (_builder, keys) in table.items() if name in used]
+    assert unused == []
     unvaried = [f"{name}.{key}" for name, keys, specs in tables
                 for key, (_convert, default) in keys.items()
                 if default is not config.REQUIRED  # a tuple default reads as its JSON list
@@ -770,16 +785,18 @@ def test_mistuned_profiles_fail_the_equipartition_checks():
     assert control.passed and min(control.summary["values"]) >= 1.0
 
 
-def test_circle_equipartition_passes_the_optimal_profile(tmp_path):
+def test_circle_equipartition_passes_the_optimal_profile():
     # the eps = 0.08 rule stops at s = 11.25, inside the p = 1.708 core, and the later widths
-    # sit on a plateau of 1.8e-9 that no rate fits; the closed-form prediction is the gap
-    exp = {"name": "circle", "kind": "equipartition", "p": 1.708,
-           "geometry": {"type": "circle", "radius": 1.0, "nodes": 256},
-           "schedule": {"eps0": 0.08, "count": 6}}
-    out = tmp_path / "o"
-    assert main(["run", _write(tmp_path, {"experiments": [exp]}), "--out", str(out)]) == 0
-    gaps = json.loads((out / "circle.json").read_text())["extras"]["energy_gap"]
-    assert gaps[0] > 1e-7  # above the floor, so a small-gap test alone would fail it
+    # sit on a plateau of 1.8e-9 that no rate fits; the closed-form prediction is the gap.
+    # No config builds a circle, so the runner gets one from Python.
+    opts = {"name": "circle", "p": 1.708, "geometry": geometry.circle(1.0, n_nodes=256),
+            "schedule": cli._schedule({"eps0": 0.08, "count": 6}), "profile": None,
+            "lower_bound": None}
+    checks, _rows, summary = cli._KINDS["equipartition"].run(opts, None, None)
+    assert [c.label for c in checks] == ["max_residual", "max_energy_miss"]
+    assert all(c.passed for c in checks)
+    assert summary["extras"]["energy_gap"][0] > 1e-7  # above the floor, so a small-gap test
+    # alone would fail it
 
 
 def test_mistuned_sphere_profile_fails_without_its_lower_bound(tmp_path):
@@ -926,20 +943,31 @@ def test_off_glibc_a_run_calls_no_allocator_function(tmp_path, monkeypatch, conf
     assert json.loads((tmp_path / "out" / "summary.json").read_text())["memory"]["mallopt"] is None
 
 
-def test_flat_patch_normal_extensions_default_to_a_unit_cutoff(tmp_path):
+def _sine():
+    """xi = sin(pi x_1) on R^2, from callables with analytic derivatives."""
+
+    def hess(x):
+        out = np.zeros((len(x), 2, 2))
+        out[:, 1, 1] = -np.pi**2 * np.sin(np.pi * x[:, 1])
+        return out
+
+    return fields.ScalarField(
+        2, lambda x: np.sin(np.pi * x[:, 1]),
+        lambda x: np.stack([0.0 * x[:, 0], np.pi * np.cos(np.pi * x[:, 1])], axis=1), hess)
+
+
+def test_flat_patch_normal_extensions_default_to_a_unit_cutoff():
     # with no cutoff_width the cutoff is the patch's default half width 1; an infinite one
-    # would extend xi by the zero field, so lhs and every form would read 0
-    sine = {"type": "trig", "dim": 2, "terms": [[1.0, [0.0, np.pi], 0.0, "sin"]]}
-    cfg = {"schema_version": 1, "experiments": [
-        {"name": "poin", "kind": "poincare", "geometry": _FLAT32, "xi": sine},
-        {"name": "forms", "kind": "forms", "geometry": _FLAT32, "xi": sine,
-         "schedule": {"eps0": 0.04, "count": 3}},
-    ]}
-    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
-    poin = json.loads((tmp_path / "o" / "poin.json").read_text())
-    assert poin["lhs"] == pytest.approx(np.pi**2, rel=1e-12)  # J(xi) = int pi^2 cos^2(pi y)
-    forms = json.loads((tmp_path / "o" / "forms.json").read_text())
-    assert forms["gap"] < 1e-8
+    # would extend xi by the zero field, so lhs and every form would read 0.  No descriptor
+    # builds a sine, so the runners get xi from Python.
+    poin = {"name": "poin", "geometry": geometry.shape_from_config(_FLAT32), "xi": _sine()}
+    checks, _rows, summary = cli._KINDS["poincare"].run(poin, None, None)
+    assert all(c.passed for c in checks)
+    assert summary["lhs"] == pytest.approx(np.pi**2, rel=1e-12)  # J(xi) = int pi^2 cos^2(pi y)
+    forms = {**poin, "name": "forms", "schedule": cli._schedule({"eps0": 0.04, "count": 3})}
+    checks, _rows, summary = cli._KINDS["forms"].run(forms, None, None)
+    assert all(c.passed for c in checks)
+    assert summary["gap"] < 1e-8
 
 
 def test_a_run_imports_neither_scipy_integrate_nor_optimize(tmp_path):

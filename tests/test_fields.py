@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from innervar import config
 from innervar import fields as F
 from innervar import geometry as G
 from innervar import limits as L
@@ -38,12 +39,12 @@ def fd_jacobian(v, x, h=1e-5):
 
 
 def test_divergence_dilation():
-    v = F.dilation_field(2, 0.7)
+    v = F.linear_field(0.7 * np.eye(2))
     assert np.trace(v.jacobian(np.array([0.3, -0.2]))) == pytest.approx(1.4, abs=1e-14)
 
 
 def test_divergence_rotation_free():
-    v = F.rotation_field(1.0)
+    v = F.linear_field([[0.0, 1.0], [-1.0, 0.0]])
     assert np.trace(v.jacobian(np.array([1.0, 2.0]))) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -58,7 +59,7 @@ def test_divergence_matches_fd_on_random_cubic():
 def test_zeta_eta_dilation():
     # -(div eta) eta + (eta.grad) eta for eta = a x is a^2 (1 - N) x
     a = 0.5
-    z = F.zeta_eta(F.dilation_field(3, a))
+    z = F.zeta_eta(F.linear_field(a * np.eye(3)))
     x = np.array([1.0, -2.0, 0.5])
     np.testing.assert_allclose(z.eval(x), a * a * (1 - 3) * x, atol=1e-14)
 
@@ -123,7 +124,7 @@ def test_x0_field_matches_t_expansion():
 
 def test_det_expansion_dilation_exact():
     c0, c1, c2 = F.det_expansion(
-        F.dilation_field(2, 0.3), F.constant_field([0.0, 0.0]), np.array([0.1, 0.2])
+        F.linear_field(0.3 * np.eye(2)), F.constant_field([0.0, 0.0]), np.array([0.1, 0.2])
     )
     # det(I + t a I) = (1 + a t)^2 = 1 + 2 a t + a^2 t^2
     assert (c0, c1) == (1.0, pytest.approx(0.6, abs=1e-14))
@@ -132,7 +133,8 @@ def test_det_expansion_dilation_exact():
 
 def test_det_expansion_rotation():
     c0, c1, c2 = F.det_expansion(
-        F.rotation_field(1.0), F.constant_field([0.0, 0.0]), np.array([0.5, -0.1])
+        F.linear_field([[0.0, 1.0], [-1.0, 0.0]]), F.constant_field([0.0, 0.0]),
+        np.array([0.5, -0.1]),
     )
     # det(I + t A) = 1 + t^2 for the planar rotation generator
     assert (c0, c1, c2) == (1.0, pytest.approx(0.0, abs=1e-14), pytest.approx(2.0, abs=1e-14))
@@ -193,7 +195,7 @@ def test_deformation_identity_at_t0():
 
 def test_deformation_dilation_closed_form():
     a, t = 0.4, 0.1
-    dm = F.DeformationMap(F.dilation_field(2, a), F.constant_field([0.0, 0.0]), t)
+    dm = F.DeformationMap(F.linear_field(a * np.eye(2)), F.constant_field([0.0, 0.0]), t)
     x = np.array([0.5, -0.2])
     np.testing.assert_allclose(dm.apply(x), (1 + a * t) * x, atol=1e-15)
     y = np.array([0.33, 0.71])
@@ -254,7 +256,7 @@ def test_scalar_field_fd_fallback_accuracy():
 
 def test_analytic_hessian_symmetry():
     rng = np.random.default_rng(17)
-    u = F.random_polynomial_scalar_field(rng, 3, degree=4)
+    u = F.polynomial_scalar_field(3, F._random_terms(rng, 3, 4))
     pts = rng.uniform(-1, 1, size=(40, 3))
     h = u.hessian(pts)
     assert np.max(np.abs(h - np.swapaxes(h, 1, 2))) <= 1e-10
@@ -263,7 +265,7 @@ def test_analytic_hessian_symmetry():
 def test_compact_support_vanishes_outside_hint():
     rng = np.random.default_rng(19)
     center, radius = np.array([0.2, -0.1]), 0.6
-    eta = F.random_compact_vector_field(rng, 2, center=center, radius=radius)
+    eta = F.random_compact_vector_field(rng, 2, F.bump_scalar_field(center, radius))
     angles = rng.uniform(0.0, 2.0 * np.pi, size=40)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     outside = center + dirs * radius * rng.uniform(1.001, 3.0, size=(40, 1))
@@ -275,7 +277,7 @@ def test_compact_support_vanishes_outside_hint():
 
 def test_vector_field_algebra():
     a = F.constant_field([1.0, 0.0])
-    b = F.dilation_field(2, 2.0)
+    b = F.linear_field(2.0 * np.eye(2))
     combo = a + 0.5 * b
     np.testing.assert_allclose(combo.eval(np.array([1.0, 1.0])), [2.0, 1.0], atol=1e-15)
 
@@ -300,7 +302,7 @@ def test_field_config_round_trip():
 
     # missing radius surfaces as KeyError-> ConfigError? ensure strictness via unknown key
     with pytest.raises(ConfigError):
-        F.scalar_field_from_config({"type": "trig", "dim": 2, "terms": [], "w": 1})
+        F.scalar_field_from_config({"type": "polynomial", "dim": 2, "terms": [], "w": 1})
 
 
 def test_dimension_mismatch_raises():
@@ -410,14 +412,14 @@ def _monomial_reference(x, terms):
 @pytest.mark.parametrize("dim, degree", [(1, 5), (2, 3), (3, 3)])
 def test_jet_polynomial_matches_the_factor_by_factor_reference_bit_for_bit(dim, degree):
     rng = np.random.default_rng(dim + degree)
-    terms = F._random_terms(rng, dim, degree, 1.0) + [(2, (0,) * dim)]
+    terms = F._random_terms(rng, dim, degree) + [(2, (0,) * dim)]
     x = rng.uniform(-1.5, 1.5, size=(50, dim))
     x[0] = 0.0
     parts = _jet_parts(lambda xb, order: jet_polynomial(xb, [terms], order)[0])(x, 2)
     for got, want in zip(parts, _monomial_reference(x, terms)):
         assert got.tobytes() == np.moveaxis(want, 0, -1).tobytes()
     # several tables in one call share the powers: each component is its own table's jet
-    other = F._random_terms(rng, dim, degree, 1.0)
+    other = F._random_terms(rng, dim, degree)
     both = jet_polynomial(x, [other, terms, []], 2)
     for k, table in enumerate([other, terms, []]):
         alone = jet_polynomial(x, [table], 2)
@@ -508,7 +510,7 @@ def test_cylindrical_bump_is_the_generic_jet_sum_bit_for_bit(jet_order, m, outsi
         x[9] = -0.0  # all three at once, on the axis
     rho = np.hypot(x[:, 1], x[:, 2])
     assert np.all(rho > radius) if outside else np.any(rho < radius)
-    got = F._cylindrical_bump_jet(x, radius, jet_order)
+    got = F._cylindrical_bump_jet(x, jet_order)
     want = _generic_cylindrical_bump(x, radius, jet_order)
     for part in ("val", "grad", "hess")[:jet_order + 1]:
         assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
@@ -675,7 +677,7 @@ def test_jets_are_never_written_after_construction(program, dim, order, seed):
 def test_piecewise_jets_are_built_not_written():
     # the bumps, the cutoff's smooth step and the vortex core are piecewise jets: each is
     # built by Jet.where, and no jet they pass through is written after construction
-    g = G.straight_filament(1.0, 4)
+    g = G.straight_filament(4)
     x = np.random.default_rng(3).uniform(-1.0, 1.0, size=(40, 3))
     x[:3, 1:] = 0.0  # on the filament's axis: the vortex core branch
     vortex = P.gl_vortex_field(g, 0.05, L._profile("gl"))
@@ -688,7 +690,7 @@ def test_piecewise_jets_are_built_not_written():
     try:
         for order in (1, 2):
             F._bump_jet(x, np.zeros(3), 0.9, order)
-            F._cylindrical_bump_jet(x, 0.45, order)
+            F._cylindrical_bump_jet(x, order)
             vortex.evaluate(x, order)
             extension.evaluate(y, order)
             extension.evaluate(near, order)
@@ -708,10 +710,10 @@ def test_a_scalar_shift_shares_its_operands_derivatives():
 # The fields as they were built before jets had a component axis: a list of component jets,
 # stacked on every evaluation.  The reference the one-jet builders must equal bit for bit.
 def _listed_normal_extension(g, xi, width, xb, order):
-    r = jet_norm(xb - g.center, order)
+    r = jet_norm(xb, order)
     d, inv_r = r - g.radius, r.reciprocal()
-    hats = [(Jet.coordinate(xb, i, order) - c) * inv_r for i, c in enumerate(g.center)]
-    foot = [h * g.radius + c for h, c in zip(hats, g.center)]
+    hats = [Jet.coordinate(xb, i, order) * inv_r for i in range(g.dim)]
+    foot = [h * g.radius for h in hats]
     parts = xi.evaluate(np.stack([j.val for j in foot], axis=1), order)
     gr, pg = parts[1][0], np.stack([j.grad for j in foot])
     curv = np.einsum("klm,knm,lom->nom", parts[2][0], pg, pg)
@@ -727,7 +729,7 @@ def _listed_bump_polynomial(tables, center, radius, xb, order):
 
 
 def _listed_filament(preset, amp, xb, order):
-    chi = F._cylindrical_bump_jet(xb, 0.45, order)
+    chi = F._cylindrical_bump_jet(xb, order)
     zero = Jet.constant(0.0, xb, order)
     if preset == "bend":
         wave = jet_sin(Jet.coordinate(xb, 0, order) * (2.0 * np.pi)) * amp
@@ -753,18 +755,18 @@ def test_vector_fields_are_one_jet_and_never_stacked(monkeypatch):
     x[:3, 1:] = 0.0  # on the filament's axis: the vortex core
     sph = G.sphere(1.0, n_polar=4, n_azimuth=8)
     xi = F.polynomial_scalar_field(3, [(1.0, (2, 0, 0)), (-1.0, (0, 1, 1)), (0.5, (0, 0, 1))])
-    tables = [F._random_terms(rng, 3, 2, 1.0) for _ in range(3)]
+    tables = [F._random_terms(rng, 3, 2) for _ in range(3)]
     center = np.array([0.1, 0.0, -0.2])
     prof = L._profile("gl")
     cases = [
         (G.normal_extension(sph, xi, 0.9), 1.0 + 0.2 * x,
          lambda y: _listed_normal_extension(sph, xi, 0.9, y, 2)),
-        (F.bump_polynomial_field(3, tables, center, 1.4), x,
+        (F.bump_polynomial_field(3, tables, F.bump_scalar_field(center, 1.4)), x,
          lambda y: _listed_bump_polynomial(tables, center, 1.4, y, 2)),
         (F.filament_test_field("bend", 0.6), x, lambda y: _listed_filament("bend", 0.6, y, 2)),
         (F.filament_test_field("antiholomorphic", 1.3), x,
          lambda y: _listed_filament("antiholomorphic", 1.3, y, 2)),
-        (P.gl_vortex_field(G.straight_filament(1.0, 4), 0.05, prof), x,
+        (P.gl_vortex_field(G.straight_filament(4), 0.05, prof), x,
          lambda y: _listed_vortex(0.05, prof, y, 2)),
     ]
     stacks, stack = [], np.stack
@@ -864,19 +866,30 @@ def test_normal_extension_truncates_exactly_and_matches_fd(shape, seed):
         x = rng.normal(size=(7, 3))
         x *= rng.uniform(0.7, 1.3, size=(7, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
     else:
-        g = G.flat_patch(2, axis=0, n_per_axis=8)
+        g = G.flat_patch(2, n_per_axis=8)
         x = np.stack([rng.uniform(-0.4, 0.4, 7), rng.uniform(-1.0, 1.0, 7)], axis=1)
-    xi = F.random_polynomial_scalar_field(rng, g.dim, degree=2)
+    xi = F.polynomial_scalar_field(g.dim, F._random_terms(rng, g.dim, 2))
     _check_orders(G.normal_extension(g, xi, 0.5).evaluate, x, h=1e-6)
 
 
+def _trig_field():
+    """0.7 sin(x1 + 2 x2 + 0.3) + 0.2 cos(1.5 x2), from callables with analytic derivatives."""
+    k1, k2 = np.array([1.0, 2.0]), np.array([0.0, 1.5])
+    return F.ScalarField(
+        2, lambda xb: 0.7 * np.sin(xb @ k1 + 0.3) + 0.2 * np.cos(xb @ k2),
+        lambda xb: (0.7 * np.cos(xb @ k1 + 0.3)[:, None] * k1
+                    - 0.2 * np.sin(xb @ k2)[:, None] * k2),
+        lambda xb: (-0.7 * np.sin(xb @ k1 + 0.3)[:, None, None] * np.outer(k1, k1)
+                    - 0.2 * np.cos(xb @ k2)[:, None, None] * np.outer(k2, k2)))
+
+
+_BUMP3 = F.bump_scalar_field(np.zeros(3), 1.6)
 _BUILTIN_FIELDS = {
     "polynomial": lambda rng: F.random_polynomial_scalar_field(rng, 3),
-    "trig": lambda rng: F.trig_scalar_field(2, [(0.7, [1.0, 2.0], 0.3, "sin"),
-                                                (0.2, [0.0, 1.5], 0.0, "cos")]),
+    "trig": lambda rng: _trig_field(),
     "radial_bump": lambda rng: F.bump_scalar_field([0.1, 0.0], 1.2),
-    "bump_polynomial": lambda rng: F.random_compact_vector_field(rng, 3, radius=1.6),
-    "filament_bend": lambda rng: F.filament_test_field("bend", radius=1.5),
+    "bump_polynomial": lambda rng: F.random_compact_vector_field(rng, 3, _BUMP3),
+    "filament_bend": lambda rng: F.filament_test_field("bend"),
     "ansatz_sphere": lambda rng: P.ansatz_field(G.sphere(1.0, n_polar=6, n_azimuth=12), 0.05,
                                                 P.optimal_profile(1.5)),
     "ansatz_flat": lambda rng: P.ansatz_field(G.flat_patch(2), 0.1, P.optimal_profile(2.0)),
@@ -887,11 +900,12 @@ _BUILTIN_FIELDS = {
                                                      P.gl_radial_profile()),
     "normal_extension": lambda rng: G.normal_extension(
         G.sphere(1.0, n_polar=6, n_azimuth=12), F.random_polynomial_scalar_field(rng, 3), 0.5),
-    "zeta_eta": lambda rng: F.zeta_eta(F.random_compact_vector_field(rng, 3, radius=1.6)),
+    "zeta_eta": lambda rng: F.zeta_eta(F.random_compact_vector_field(rng, 3, _BUMP3)),
     "composite": lambda rng: V.composite_test_function(
         P.ansatz_field(G.sphere(1.0, n_polar=6, n_azimuth=12), 0.05, P.optimal_profile(2.0)),
-        F.random_compact_vector_field(rng, 3, radius=1.6)),
-    "sum": lambda rng: F.random_compact_vector_field(rng, 3) + 0.5 * F.dilation_field(3, 0.2),
+        F.random_compact_vector_field(rng, 3, _BUMP3)),
+    "sum": lambda rng: (F.random_compact_vector_field(rng, 3, F.bump_scalar_field(np.zeros(3), 0.8))
+                        + 0.5 * F.linear_field(0.2 * np.eye(3))),
 }
 
 
@@ -925,7 +939,7 @@ def _counting(calls, name, jet_fn, nodes=None):
 def _counted_fields(calls, dim=2, nodes=None):
     """u, phi, eta, zeta whose jet functions record (name, order) on each call."""
     rng = np.random.default_rng(8)
-    terms = F._random_terms(rng, dim, 3, 1.0)
+    terms = F._random_terms(rng, dim, 3)
     u = F.ScalarField.from_jet(dim, _counting(
         calls, "u", lambda xb, order: jet_polynomial(xb, [terms], order), nodes))
     phi = F.ScalarField.from_jet(dim, _counting(
@@ -936,7 +950,7 @@ def _counted_fields(calls, dim=2, nodes=None):
                                   * F._bump_jet(xb, np.zeros(dim), 0.9, order))
 
     eta, zeta = (F.VectorField.from_jet(dim, _counting(
-        calls, name, bumped([F._random_terms(rng, dim, 2, 1.0) for _ in range(dim)]), nodes))
+        calls, name, bumped([F._random_terms(rng, dim, 2) for _ in range(dim)]), nodes))
         for name in ("eta", "zeta"))
     return u, phi, eta, zeta
 
@@ -956,7 +970,7 @@ def test_each_kernel_evaluates_each_field_once_at_order_one():
         (lambda: V.inner_variation_oracle(f, u, eta, zeta, quad), ["u", "eta", "zeta"]),
         (lambda: F.det_expansion(eta, zeta, quad.nodes), ["eta", "zeta"]),
         (lambda: (eta + 0.5 * zeta).evaluate(quad.nodes, 1), ["eta", "zeta"]),
-        (lambda: L.perturbed_field(u, eta, F.dilation_field(2, 1.0), G.circle(0.5, n_nodes=32),
+        (lambda: L.perturbed_field(u, eta, F.linear_field(np.eye(2)), G.circle(0.5, n_nodes=32),
                                    quad), ["u", "eta"]),
     ]
     for run, names in kernels:
@@ -1022,7 +1036,8 @@ def test_sweeps_evaluate_the_ansatz_once_per_width_at_order_one(monkeypatch):
     tubes = _recording_tubes(monkeypatch)
     sched = L.EpsilonSchedule([0.1, 0.08])
     phi = F.bump_scalar_field([0.0, 0.0, 0.0], 1.8)
-    eta = F.random_compact_vector_field(np.random.default_rng(3), 3, radius=1.4)
+    eta = F.random_compact_vector_field(np.random.default_rng(3), 3,
+                                        F.bump_scalar_field(np.zeros(3), 1.4))
     for sweep in (lambda: L.equipartition_residuals(g, 2.0, sched),
                   lambda: L.tensor_pairing_experiment(g, 2.0, phi, [0, 0], sched),
                   lambda: L.ac_limit_experiment(g, eta, F.zeta_eta(eta), 2.0, sched)):
@@ -1031,7 +1046,7 @@ def test_sweeps_evaluate_the_ansatz_once_per_width_at_order_one(monkeypatch):
         assert calls == [("u", 1)] * 2
         assert all(x is quad.nodes for x, quad in zip(nodes, tubes))
     calls.clear()
-    fil = G.straight_filament(1.0, 8)
+    fil = G.straight_filament(8)
     fil.transverse_jets = _counting(calls, "u", fil.transverse_jets)
     bend = F.filament_test_field("bend")
     L.gl_limit_experiment(fil, bend, F.zeta_eta(bend), L.EpsilonSchedule([0.04, 0.03]),
@@ -1064,7 +1079,8 @@ def test_variation_report_takes_no_finite_differences(monkeypatch, dim):
 def test_variation_report_refuses_fields_that_reach_the_box(reaching):
     # dA(u, X0) is taken by parts, so X0 must vanish on the outermost nodes
     u, _phi, eta, zeta = _counted_fields([])
-    wide = F.random_compact_vector_field(np.random.default_rng(5), 2, radius=1.5)
+    wide = F.random_compact_vector_field(np.random.default_rng(5), 2,
+                                         F.bump_scalar_field(np.zeros(2), 1.5))
     eta, zeta = (wide, zeta) if reaching == "eta" else (eta, wide)
     quad = V.tensor_grid([[-1.0, 1.0]] * 2, 8)
     with pytest.raises(UnsupportedBoundary):
@@ -1082,7 +1098,7 @@ def test_volume_admissibility_evaluates_eta_once_at_order_two():
 def test_normal_extension_evaluates_xi_once_at_the_jet_order():
     calls = []
     g = G.sphere(1.0, n_polar=6, n_azimuth=12)
-    terms = F._random_terms(np.random.default_rng(2), 3, 2, 1.0)
+    terms = F._random_terms(np.random.default_rng(2), 3, 2)
     xi = F.ScalarField.from_jet(3, _counting(
         calls, "xi", lambda xb, order: jet_polynomial(xb, [terms], order)))
     ext = G.normal_extension(g, xi, 0.5)
@@ -1242,15 +1258,54 @@ def test_a_shared_pinned_bump_gives_each_fields_own_bump(dim):
     for order in (0, 1, 2):
         bump = F.pinned(F.bump_scalar_field(center, 1.1), x, order)
         for _ in range(2):
-            tables = [F._random_terms(rng, dim, 2, 1.0) for _ in range(dim)]
-            shared = F.bump_polynomial_field(dim, tables, center, 1.1, bump).evaluate(x, order)
-            own = F.bump_polynomial_field(dim, tables, center, 1.1).evaluate(x, order)
+            tables = [F._random_terms(rng, dim, 2) for _ in range(dim)]
+            shared = F.bump_polynomial_field(dim, tables, bump).evaluate(x, order)
+            own = F.bump_polynomial_field(dim, tables, F.bump_scalar_field(center, 1.1)).evaluate(
+                x, order)
             jet_order = max(order, 1)  # the product of the field's own bump jet
             ref = jet_polynomial(x, tables, jet_order) * F._bump_jet(x, center, 1.1, jet_order)
             ref = F._symmetrized([ref.val, ref.grad, ref.hess][: order + 1], True)
             for got, mine, want in zip(shared, own, ref):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
                 assert mine.tobytes() == want.tobytes()
+
+
+def _refuse(value):
+    raise AssertionError(f"a drawn table ran a converter on {value!r}")
+
+
+# each random field, and the field built from the same draws through a descriptor (or, with no
+# descriptor for polynomial vector fields, through the checked constructor)
+_DRAWN = {
+    "vector": (lambda rng, bump: F.random_polynomial_vector_field(rng, 3, degree=2),
+               lambda rng, bump: F.polynomial_vector_field(
+                   3, [F._random_terms(rng, 3, 2) for _ in range(3)])),
+    "scalar": (lambda rng, bump: F.random_polynomial_scalar_field(rng, 3),
+               lambda rng, bump: F.scalar_field_from_config(
+                   {"type": "polynomial", "dim": 3, "terms": F._random_terms(rng, 3, 3)})),
+    "compact": (lambda rng, bump: F.random_compact_vector_field(rng, 3, bump),
+                lambda rng, bump: F.vector_field_from_config(
+                    {"type": "bump_polynomial", "dim": 3, "center": [0.0, 0.0, 0.0],
+                     "radius": 0.9, "components": [F._random_terms(rng, 3, 2) for _ in range(3)]})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DRAWN))
+def test_a_drawn_field_calls_no_converter_and_is_the_described_field_bit_for_bit(monkeypatch,
+                                                                                 name):
+    drawn, described = _DRAWN[name]
+    x = np.random.default_rng(1).uniform(-1.0, 1.0, size=(60, 3))
+    bump = F.bump_scalar_field(np.zeros(3), 0.9)
+    monkeypatch.setattr(F, "finite", _refuse)
+    monkeypatch.setattr(F, "natural", _refuse)
+    got = drawn(np.random.default_rng(4), bump).evaluate(x, 2)
+    monkeypatch.undo()
+    converted = []
+    monkeypatch.setattr(F, "finite", lambda c: converted.append(c) or config.finite(c))
+    want = described(np.random.default_rng(4), None).evaluate(x, 2)
+    assert converted  # the described field's table did pass through the converters
+    for a, b in zip(got, want, strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_linear_fields_hand_out_views_of_their_matrix_and_one_zero():

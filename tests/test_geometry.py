@@ -24,8 +24,8 @@ def test_quadrature_weights_sum_to_measure():
     assert G.surface_integral(G.circle(0.7), lambda x: np.ones(len(x))) == pytest.approx(
         2 * np.pi * 0.7, abs=1e-10
     )
-    patch = G.flat_patch(3, extents=[[-0.5, 0.5], [-1.0, 2.0]])
-    assert G.surface_integral(patch, lambda x: np.ones(len(x))) == pytest.approx(3.0, abs=1e-10)
+    patch = G.flat_patch(3)
+    assert G.surface_integral(patch, lambda x: np.ones(len(x))) == pytest.approx(4.0, abs=1e-10)
 
 
 def test_frame_orthonormality():
@@ -38,7 +38,7 @@ def test_frame_orthonormality():
 
 
 def test_filament_frames():
-    for g in (G.straight_filament(1.0, 16), G.circular_filament(0.8, 64)):
+    for g in (G.straight_filament(16), G.circular_filament(0.8, 64)):
         assert np.max(np.abs(np.einsum("mi,mi->m", g.frame_p, g.frame_q))) <= 1e-12
         assert np.max(np.abs(np.einsum("mi,mi->m", g.frame_p, g.frame_p) - 1)) <= 1e-12
         assert np.max(np.abs(np.einsum("mki,mi->mk", g.tangents, g.frame_p))) <= 1e-12
@@ -71,7 +71,7 @@ def test_surface_integral_monomial_on_sphere():
 def test_circle_dilation_has_zero_second_variation():
     # length 2 pi R (1 + a t) is linear in t
     g = G.circle(1.2)
-    v = G.area_second_inner_variation(g, F.dilation_field(2, 0.4), zero_field(2))
+    v = G.area_second_inner_variation(g, F.linear_field(0.4 * np.eye(2)), zero_field(2))
     assert v == pytest.approx(0.0, abs=1e-12)
 
 
@@ -79,7 +79,7 @@ def test_sphere_dilation_second_variation():
     # area 4 pi R^2 (1 + a t)^2 gives 8 pi R^2 a^2
     r, a = 1.0, 0.37
     g = G.sphere(r)
-    v = G.area_second_inner_variation(g, F.dilation_field(3, a), zero_field(3))
+    v = G.area_second_inner_variation(g, F.linear_field(a * np.eye(3)), zero_field(3))
     assert v == pytest.approx(8 * np.pi * r * r * a * a, rel=1e-12)
 
 
@@ -100,8 +100,8 @@ def test_rigid_motion_invariance_constant_field():
 def test_second_variation_matches_pushforward_fd():
     rng = np.random.default_rng(3)
     g = G.sphere(1.0)
-    eta = F.random_compact_vector_field(rng, 3, degree=2, radius=1.6)
-    zeta = F.random_compact_vector_field(rng, 3, degree=2, radius=1.6)
+    eta = F.random_compact_vector_field(rng, 3, F.bump_scalar_field(np.zeros(3), 1.6))
+    zeta = F.random_compact_vector_field(rng, 3, F.bump_scalar_field(np.zeros(3), 1.6))
     h = 1e-3
     vals = [G.pushforward_area(g, eta, zeta, t) for t in (-2 * h, -h, 0.0, h, 2 * h)]
     d2 = (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (12 * h * h)
@@ -116,15 +116,16 @@ def test_second_variation_matches_pushforward_fd():
         lambda: G.sphere(1.0, n_polar=20, n_azimuth=40),
         lambda: G.flat_patch(2, n_per_axis=32),
         lambda: G.flat_patch(3, n_per_axis=16),
-        lambda: G.straight_filament(1.0, 16),
+        lambda: G.straight_filament(16),
         lambda: G.circular_filament(0.8, 96),
     ],
 )
 def test_second_variation_oracle_all_shapes(shape):
     g = shape()
     rng = np.random.default_rng(g.dim + g.n_nodes)
-    eta = F.random_compact_vector_field(rng, g.dim, degree=2, radius=1.8)
-    zeta = F.random_compact_vector_field(rng, g.dim, degree=2, radius=1.8)
+    bump = F.bump_scalar_field(np.zeros(g.dim), 1.8)
+    eta = F.random_compact_vector_field(rng, g.dim, bump)
+    zeta = F.random_compact_vector_field(rng, g.dim, bump)
     h = 1e-3
     vals = [G.pushforward_area(g, eta, zeta, t) for t in (-2 * h, -h, 0.0, h, 2 * h)]
     fd = (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3] - vals[4]) / (12 * h * h)
@@ -134,7 +135,7 @@ def test_second_variation_oracle_all_shapes(shape):
 
 def test_pushforward_area_basics():
     g = G.sphere(1.4)
-    eta = F.dilation_field(3, 0.25)
+    eta = F.linear_field(0.25 * np.eye(3))
     assert G.pushforward_area(g, eta, zero_field(3), 0.0) == pytest.approx(g.measure, rel=1e-12)
     t = 0.05
     assert G.pushforward_area(g, eta, zero_field(3), t) == pytest.approx(
@@ -144,8 +145,8 @@ def test_pushforward_area_basics():
 
 def test_pushforward_doubled_resolution():
     rng = np.random.default_rng(8)
-    eta = F.random_compact_vector_field(rng, 3, degree=2, radius=1.6)
-    zeta = F.random_compact_vector_field(rng, 3, degree=2, radius=1.6)
+    eta = F.random_compact_vector_field(rng, 3, F.bump_scalar_field(np.zeros(3), 1.6))
+    zeta = F.random_compact_vector_field(rng, 3, F.bump_scalar_field(np.zeros(3), 1.6))
     a = G.pushforward_area(G.sphere(1.0, n_polar=24, n_azimuth=48), eta, zeta, 1e-2)
     b = G.pushforward_area(G.sphere(1.0, n_polar=48, n_azimuth=96), eta, zeta, 1e-2)
     assert abs(a - b) <= 1e-8 * abs(b)
@@ -159,7 +160,7 @@ def test_pushforward_doubled_resolution():
 def test_ac_discrepancy_sphere_dilation():
     r, a = 1.1, 0.6
     g = G.sphere(r)
-    assert G.ac_discrepancy(g, F.dilation_field(3, a)) == pytest.approx(
+    assert G.ac_discrepancy(g, F.linear_field(a * np.eye(3))) == pytest.approx(
         a * a * 4 * np.pi * r * r, rel=1e-12
     )
 
@@ -181,7 +182,7 @@ def test_ac_discrepancy_polynomial_doubled_resolution():
 
 
 def test_gl_discrepancy_antiholomorphic_mode():
-    g = G.straight_filament(1.0, 24)
+    g = G.straight_filament(24)
     eta = F.polynomial_vector_field(3, [[], [(1.0, (0, 1, 0))], [(-1.0, (0, 0, 1))]])
     real, dbar = G.gl_discrepancy(g, eta)
     assert real == pytest.approx(4.0 * g.measure, rel=1e-12)
@@ -191,7 +192,7 @@ def test_gl_discrepancy_antiholomorphic_mode():
 def test_gl_discrepancy_vanishes_for_conjugate_square():
     # transverse components (Re z^2, -Im z^2): the dbar derivative vanishes on
     # the filament itself, where the integral lives
-    g = G.straight_filament(1.0, 24)
+    g = G.straight_filament(24)
     eta = F.polynomial_vector_field(
         3, [[], [(1.0, (0, 2, 0)), (-1.0, (0, 0, 2))], [(-2.0, (0, 1, 1))]]
     )
@@ -202,12 +203,12 @@ def test_gl_discrepancy_vanishes_for_conjugate_square():
 
 def test_gl_discrepancy_two_routes_agree_pointwise():
     rng = np.random.default_rng(31)
-    g = G.straight_filament(1.0, 64)
+    g = G.straight_filament(64)
     eta = F.random_polynomial_vector_field(rng, 3, degree=3)
     r1, r2 = G.gl_discrepancy_densities(g, eta)
     assert np.max(np.abs(r1 - r2)) <= 1e-10
     coarse = G.gl_discrepancy(g, eta)[0]
-    fine = G.gl_discrepancy(G.straight_filament(1.0, 128), eta)[0]
+    fine = G.gl_discrepancy(G.straight_filament(128), eta)[0]
     assert abs(coarse - fine) <= 1e-9 * max(1.0, abs(fine))
 
 
@@ -244,8 +245,9 @@ def test_jacobi_form_constant():
 
 
 def test_jacobi_form_flat_periodic_sine():
-    g = G.flat_patch(2, extents=[[-1.0, 1.0]])
-    xi = F.trig_scalar_field(2, [(1.0, (0.0, np.pi), 0.0, "sin")])
+    g = G.flat_patch(2)
+    xi = F.ScalarField(2, lambda x: np.sin(np.pi * x[:, 1]),
+                       lambda x: np.stack([0.0 * x[:, 0], np.pi * np.cos(np.pi * x[:, 1])], axis=1))
     val = G.jacobi_form(g, xi)
     grad_sq = G.surface_integral(g, lambda x: np.pi**2 * np.cos(np.pi * x[:, 1]) ** 2)
     assert val > 0
@@ -301,12 +303,12 @@ def test_product_rule_puts_the_first_axis_slowest():
     assert w.tolist() == [1, 10, 100, 2, 20, 200]
 
 
-def test_flat_patch_needs_one_extent_per_chart_axis():
+def test_flat_patch_needs_dimension_two_or_three():
     from innervar.errors import DimensionMismatch
 
-    for dim, extents in ((2, [[-1.0, 1.0]] * 2), (3, [[-1.0, 1.0]]), (4, None)):
+    for dim in (1, 4):
         with pytest.raises(DimensionMismatch):
-            G.flat_patch(dim, extents=extents)
+            G.flat_patch(dim)
 
 
 def test_tube_widths_belong_to_the_shape():
@@ -321,10 +323,10 @@ def test_tube_widths_belong_to_the_shape():
 
 
 @pytest.mark.parametrize("g", [
-    G.circle(1.3, center=(0.2, -0.1), n_nodes=8),
-    G.sphere(0.8, center=(0.1, 0.0, -0.2), n_polar=4, n_azimuth=8),
-    G.flat_patch(2, axis=1, offset=0.3, n_per_axis=4),
-    G.flat_patch(3, axis=2, offset=-0.2, n_per_axis=4),
+    G.circle(1.3, n_nodes=8),
+    G.sphere(0.8, n_polar=4, n_azimuth=8),
+    G.flat_patch(2, n_per_axis=4),
+    G.flat_patch(3, n_per_axis=4),
 ], ids=["circle", "sphere", "flat2", "flat3"])
 def test_normal_coordinates_are_distance_foot_and_normal(g):
     rng = np.random.default_rng(5)
@@ -446,11 +448,9 @@ def _check_jet_against_fd(jet_fn, x):
 
 
 @pytest.mark.parametrize("g, distance", [
-    (G.circle(0.7, center=(0.2, -0.1), n_nodes=32),
-     lambda x: np.linalg.norm(x - [0.2, -0.1], axis=1) - 0.7),
-    (G.sphere(1.3, center=(0.1, 0.0, -0.2), n_polar=6, n_azimuth=12),
-     lambda x: np.linalg.norm(x - [0.1, 0.0, -0.2], axis=1) - 1.3),
-    (G.flat_patch(3, axis=1, offset=0.25, n_per_axis=4), lambda x: x[:, 1] - 0.25),
+    (G.circle(0.7, n_nodes=32), lambda x: np.linalg.norm(x, axis=1) - 0.7),
+    (G.sphere(1.3, n_polar=6, n_azimuth=12), lambda x: np.linalg.norm(x, axis=1) - 1.3),
+    (G.flat_patch(3, n_per_axis=4), lambda x: x[:, 0]),
 ], ids=["circle", "sphere", "flat_patch"])
 def test_distance_jet_matches_fd_oracle(g, distance):
     rng = np.random.default_rng(5)
@@ -465,7 +465,7 @@ def test_distance_jet_matches_fd_oracle(g, distance):
 
 @pytest.mark.parametrize("g, chart", [
     # chart: (s, a, b) -> point at arc length s and transverse offsets (a, b)
-    (G.straight_filament(1.0, 8), lambda s, a, b: np.stack([s, a, b], axis=1)),
+    (G.straight_filament(8), lambda s, a, b: np.stack([s, a, b], axis=1)),
     (G.circular_filament(0.8, 16),
      lambda s, a, b: np.stack([(0.8 + a) * np.cos(s / 0.8), (0.8 + a) * np.sin(s / 0.8), b],
                               axis=1)),

@@ -32,15 +32,14 @@ def eta_normal():
     return F.bump_polynomial_field(
         2,
         [[(0.4, (0, 0)), (0.8, (1, 0)), (-0.3, (0, 2))], [(0.2, (0, 0)), (0.5, (0, 1))]],
-        [0.0, 0.0],
-        0.85,
+        F.bump_scalar_field([0.0, 0.0], 0.85)
     )
 
 
 @pytest.fixture(scope="module")
 def zeta_flat():
     return F.bump_polynomial_field(
-        2, [[(0.3, (0, 1))], [(0.25, (1, 0)), (0.1, (0, 0))]], [0.0, 0.0], 0.85
+        2, [[(0.3, (0, 1))], [(0.25, (1, 0)), (0.1, (0, 0))]], F.bump_scalar_field([0.0, 0.0], 0.85)
     )
 
 
@@ -108,7 +107,8 @@ def test_ac_limit_flat_p2(flat, eta_normal, zeta_flat):
 
 def test_ac_limit_tangential_pair(flat, zeta_flat):
     eta_t = F.bump_polynomial_field(
-        2, [[], [(0.5, (0, 0)), (0.4, (0, 1)), (-0.3, (1, 1))]], [0.0, 0.0], 0.85
+        2, [[], [(0.5, (0, 0)), (0.4, (0, 1)), (-0.3, (1, 1))]],
+        F.bump_scalar_field([0.0, 0.0], 0.85)
     )
     assert G.ac_discrepancy(flat, eta_t) == pytest.approx(0.0, abs=1e-14)
     sched = L.EpsilonSchedule.geometric(0.1, 6)
@@ -120,8 +120,9 @@ def test_ac_limit_tangential_pair(flat, zeta_flat):
 
 def test_ac_limit_curved_interface(unit_sphere):
     rng = np.random.default_rng(4)
-    eta = F.random_compact_vector_field(rng, 3, degree=2, radius=1.5)
-    zeta = F.random_compact_vector_field(rng, 3, degree=1, radius=1.5)
+    eta = F.random_compact_vector_field(rng, 3, F.bump_scalar_field(np.zeros(3), 1.5))
+    zeta = F.bump_polynomial_field(3, [F._random_terms(rng, 3, 1) for _ in range(3)],
+                                   F.bump_scalar_field(np.zeros(3), 1.5))
     sched = L.EpsilonSchedule.geometric(0.08, 5)
     rec = L.ac_limit_experiment(unit_sphere, eta, zeta, 2.0, sched)
     assert rec.gap <= 0.01
@@ -175,7 +176,7 @@ def test_equipartition_negative_control(unit_sphere):
 
 
 def test_tensor_pairing_flat(flat):
-    phi = F.bump_scalar_field([0.0, 0.0], 0.8, 1.0)
+    phi = F.bump_scalar_field([0.0, 0.0], 0.8)
     sched = L.EpsilonSchedule.geometric(0.1, 6)
     rec = L.tensor_pairing_experiment(flat, 2.0, phi, (0, 0), sched)
     target = (4.0 / 3.0) * G.surface_integral(flat, phi)
@@ -187,7 +188,7 @@ def test_tensor_pairing_flat(flat):
 
 
 def test_tensor_pairing_sphere_rank_four(unit_sphere):
-    phi = F.bump_scalar_field([0.0, 0.0, 0.0], 1.8, 1.0)
+    phi = F.bump_scalar_field([0.0, 0.0, 0.0], 1.8)
     sched = L.EpsilonSchedule.geometric(0.04, 5)
     rec = L.tensor_pairing_experiment(unit_sphere, 3.0, phi, (0, 0, 1, 1), sched)
     assert rec.gap <= 0.02
@@ -197,7 +198,7 @@ def test_tensor_pairing_sphere_rank_four(unit_sphere):
 
 
 def test_tensor_pairing_index_validation(unit_sphere):
-    phi = F.bump_scalar_field([0.0, 0.0, 0.0], 1.8, 1.0)
+    phi = F.bump_scalar_field([0.0, 0.0, 0.0], 1.8)
     sched = L.EpsilonSchedule.geometric(0.04, 4)
     from innervar.errors import DimensionMismatch
 
@@ -211,7 +212,7 @@ def test_tensor_pairing_index_validation(unit_sphere):
 
 
 def test_gl_zero_fields_give_zero():
-    fil = G.straight_filament(1.0, 8)
+    fil = G.straight_filament(8)
     zero = F.constant_field([0.0, 0.0, 0.0])
     sched = L.EpsilonSchedule([0.05, 0.025])
     rec = L.gl_limit_experiment(fil, zero, zero, sched, n_theta=24)
@@ -220,8 +221,8 @@ def test_gl_zero_fields_give_zero():
 
 
 def test_gl_bend_mode_quick():
-    fil = G.straight_filament(1.0, 12)
-    eta = F.filament_test_field("bend", amplitude=0.6, frequency=1, radius=0.45)
+    fil = G.straight_filament(12)
+    eta = F.filament_test_field("bend", amplitude=0.6)
     zero = F.constant_field([0.0, 0.0, 0.0])
     sv = G.area_second_inner_variation(fil, eta, zero)
     assert sv == pytest.approx((0.6 * 2 * np.pi) ** 2 / 2.0, rel=1e-9)
@@ -239,8 +240,8 @@ def test_gl_bend_mode_quick():
 
 
 def test_gl_antiholomorphic_mode_quick():
-    fil = G.straight_filament(1.0, 12)
-    eta = F.filament_test_field("antiholomorphic", amplitude=1.0, radius=0.45)
+    fil = G.straight_filament(12)
+    eta = F.filament_test_field("antiholomorphic", amplitude=1.0)
     zero = F.constant_field([0.0, 0.0, 0.0])
     real, _ = G.gl_discrepancy(fil, eta)
     assert real == pytest.approx(4.0, rel=1e-12)
@@ -257,7 +258,7 @@ def test_gl_antiholomorphic_mode_quick():
 
 def test_volume_admissibility_dilation(unit_sphere):
     a = 0.5
-    c1, _ = L.volume_admissibility(unit_sphere, F.dilation_field(3, a))
+    c1, _ = L.volume_admissibility(unit_sphere, F.linear_field(a * np.eye(3)))
     assert c1 == pytest.approx(3 * a * (4.0 / 3.0) * np.pi, rel=1e-10)
 
 
@@ -270,7 +271,7 @@ def test_volume_admissibility_rotation(unit_sphere):
 def test_volume_admissibility_random_fields(unit_sphere):
     rng = np.random.default_rng(11)
     for _ in range(10):
-        eta = F.random_compact_vector_field(rng, 3, degree=2, radius=1.4)
+        eta = F.random_compact_vector_field(rng, 3, F.bump_scalar_field(np.zeros(3), 1.4))
         c1, c2 = L.volume_admissibility(unit_sphere, eta)
         assert abs(c2) <= 1e-10
         assert abs(c1 - L.boundary_flux(unit_sphere, eta)) <= 1e-8
@@ -279,7 +280,7 @@ def test_volume_admissibility_random_fields(unit_sphere):
 def test_volume_admissibility_disk():
     disk = G.circle(0.8, n_nodes=128)
     rng = np.random.default_rng(12)
-    eta = F.random_compact_vector_field(rng, 2, degree=2, radius=1.2)
+    eta = F.random_compact_vector_field(rng, 2, F.bump_scalar_field(np.zeros(2), 1.2))
     c1, c2 = L.volume_admissibility(disk, eta)
     assert abs(c2) <= 1e-10
     assert abs(c1 - L.boundary_flux(disk, eta)) <= 1e-8
@@ -319,7 +320,8 @@ def test_perturbed_field_balanced_is_untouched(unit_sphere):
     xi = F.polynomial_scalar_field(3, [(1.0, (0, 0, 1))])
     eta = G.normal_extension(unit_sphere, xi, 0.9)  # mean-zero flux
     phi_ref = F.bump_polynomial_field(
-        3, [[(1.0, (1, 0, 0))], [(1.0, (0, 1, 0))], [(1.0, (0, 0, 1))]], [0, 0, 0], 1.8
+        3, [[(1.0, (1, 0, 0))], [(1.0, (0, 1, 0))], [(1.0, (0, 0, 1))]],
+        F.bump_scalar_field([0, 0, 0], 1.8)
     )
     eta_eps, h = L.perturbed_field(u, eta, phi_ref, unit_sphere, quad)
     assert abs(h) <= 1e-12
@@ -333,7 +335,8 @@ def test_perturbed_field_h_is_order_eps(unit_sphere):
     xi = F.polynomial_scalar_field(3, [(1.0, (0, 0, 1))])
     eta = G.normal_extension(unit_sphere, xi, 0.9)
     phi_ref = F.bump_polynomial_field(
-        3, [[(1.0, (1, 0, 0))], [(1.0, (0, 1, 0))], [(1.0, (0, 0, 1))]], [0, 0, 0], 1.8
+        3, [[(1.0, (1, 0, 0))], [(1.0, (0, 1, 0))], [(1.0, (0, 0, 1))]],
+        F.bump_scalar_field([0, 0, 0], 1.8)
     )
     for eps in (0.08, 0.04, 0.02):
         u = P.ansatz_field(unit_sphere, eps, prof)
@@ -349,11 +352,13 @@ def test_perturbed_field_corrects_unbalanced(unit_sphere):
     u = P.ansatz_field(unit_sphere, eps, prof)
     quad = _tube_quad(unit_sphere, prof, eps)
     eta = F.bump_polynomial_field(
-        3, [[(0.5, (1, 0, 0))], [(0.5, (0, 1, 0))], [(0.5, (0, 0, 1))]], [0, 0, 0], 1.5
+        3, [[(0.5, (1, 0, 0))], [(0.5, (0, 1, 0))], [(0.5, (0, 0, 1))]],
+        F.bump_scalar_field([0, 0, 0], 1.5)
     )
     assert abs(L.boundary_flux(unit_sphere, eta)) > 1e-3
     phi_ref = F.bump_polynomial_field(
-        3, [[(1.0, (1, 0, 0))], [(1.0, (0, 1, 0))], [(1.0, (0, 0, 1))]], [0, 0, 0], 1.8
+        3, [[(1.0, (1, 0, 0))], [(1.0, (0, 1, 0))], [(1.0, (0, 0, 1))]],
+        F.bump_scalar_field([0, 0, 0], 1.8)
     )
     eta_eps, h = L.perturbed_field(u, eta, phi_ref, unit_sphere, quad)
     assert abs(h) > 1e-6
@@ -490,7 +495,7 @@ def test_second_inner_variation_frees_each_part_at_its_last_use():
     # one gl-converge width with eta unpinned, so zeta evaluates eta at order 2 inside the
     # kernel: evaluating zeta first and dropping each Jacobian after its products keeps the
     # peak below 720 B per node (867 B when every part lived to the end of the kernel)
-    g = G.straight_filament(1.0, 8)
+    g = G.straight_filament(8)
     eta = F.filament_test_field("antiholomorphic")
     eps = 0.05 * 0.5**9
     rho, wr = V.vortex_radial_rule(eps, 0.5)

@@ -272,7 +272,7 @@ def test_gl_profile_is_its_near_field_on_the_axis():
 
 
 def test_vortex_field_values_and_gradient():
-    fil = G.straight_filament(1.0, 8)
+    fil = G.straight_filament(8)
     prof = P.gl_radial_profile()
     eps = 0.1
     u = P.gl_vortex_field(fil, eps, prof)

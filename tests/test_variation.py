@@ -14,6 +14,8 @@ from innervar import variation as V
 from innervar.errors import DimensionMismatch, EpsilonTooLarge, NonInvertible, UnsupportedBoundary
 from innervar.jets import jet_polynomial
 
+_BUMP = F.bump_scalar_field(np.zeros(2), 0.8)  # the support of the random 2-D fields
+
 
 def state2_field(px, py):
     """Two-component field from two polynomial component tables."""
@@ -56,7 +58,7 @@ def test_tube_volume_matches_shell():
 
 
 def test_filament_tube_volume():
-    fil = G.straight_filament(1.0, 8)
+    fil = G.straight_filament(8)
     rho, wr = G.gauss_rule(0.0, 0.2, 10)
     quad = V.filament_tube_rule(fil, rho, wr, 16)
     assert quad.volume() == pytest.approx(np.pi * 0.04, abs=1e-12)
@@ -124,7 +126,7 @@ def test_energy_state_mismatch():
 
 def test_first_variation_vanishes_at_harmonic(box2):
     u = F.polynomial_scalar_field(2, [(1.0, (1, 1))])
-    phi = F.bump_scalar_field([0.1, -0.2], 0.6, 1.3)
+    phi = F.bump_scalar_field([0.1, -0.2], 0.6)
     assert abs(V.first_variation(V.integrand_dirichlet(), u, phi, box2)) <= 1e-8
 
 
@@ -140,7 +142,7 @@ def test_first_variation_matches_fd(box2):
     g = G.flat_patch(2, n_per_axis=32)
     prof = P.optimal_profile(2.0)
     u = P.ansatz_field(g, 0.1, prof)
-    phi = F.bump_scalar_field([0.0, 0.0], 0.7, 0.8)
+    phi = F.bump_scalar_field([0.0, 0.0], 0.7)
     quad = V.tensor_grid([[-1.0, 1.0], [-1.0, 1.0]], 60)
     h = 1e-4
 
@@ -158,7 +160,7 @@ def test_first_variation_matches_fd(box2):
 
 def test_second_variation_dirichlet_is_gradient_energy(box2):
     u = F.polynomial_scalar_field(2, [(1.0, (1, 1))])
-    phi = F.bump_scalar_field([0.1, -0.2], 0.6, 1.3)
+    phi = F.bump_scalar_field([0.1, -0.2], 0.6)
     d2 = V.second_variation(V.integrand_dirichlet(), u, phi, box2)
     grad_sq = box2.integrate(lambda x: np.einsum("mi,mi->m", phi.gradient(x), phi.gradient(x)))
     assert d2 == pytest.approx(grad_sq, rel=1e-12)
@@ -170,7 +172,7 @@ def test_second_variation_phase_field_closed_form():
     f = V.integrand_p_allen_cahn(eps, 2.0)
     g = G.flat_patch(2, n_per_axis=24)
     u = P.ansatz_field(g, eps, P.optimal_profile(2.0))
-    phi = F.bump_scalar_field([0.0, 0.0], 0.7, 1.1)
+    phi = F.bump_scalar_field([0.0, 0.0], 0.7)
     quad = V.tensor_grid([[-1.0, 1.0], [-1.0, 1.0]], 48)
     d2 = V.second_variation(f, u, phi, quad)
 
@@ -188,7 +190,7 @@ def test_second_variation_matches_fd():
     f = V.integrand_p_allen_cahn(eps, 2.0)
     g = G.flat_patch(2, n_per_axis=24)
     u = P.ansatz_field(g, eps, P.optimal_profile(2.0))
-    phi = F.bump_scalar_field([0.0, 0.0], 0.7, 0.9)
+    phi = F.bump_scalar_field([0.0, 0.0], 0.7)
     quad = V.tensor_grid([[-1.0, 1.0], [-1.0, 1.0]], 48)
     h = 1e-3
     vals = []
@@ -212,7 +214,7 @@ def test_second_variation_matches_fd():
 def test_first_inner_variation_bridge(box2):
     rng = np.random.default_rng(5)
     u = F.polynomial_scalar_field(2, [(0.3, (2, 0)), (0.5, (1, 1)), (-0.2, (0, 3)), (0.4, (1, 0))])
-    eta = F.random_compact_vector_field(rng, 2, degree=2, radius=0.8)
+    eta = F.random_compact_vector_field(rng, 2, _BUMP)
     fv_inner = V.first_inner_variation(V.integrand_dirichlet(), u, eta, box2)
     fv_outer = V.first_variation(
         V.integrand_dirichlet(), u, V.composite_test_function(u, eta), box2
@@ -223,7 +225,7 @@ def test_first_inner_variation_bridge(box2):
 def test_first_inner_variation_constant_u(box2):
     rng = np.random.default_rng(6)
     u = F.polynomial_scalar_field(2, [(0.7, (0, 0))])
-    eta = F.random_compact_vector_field(rng, 2, degree=2, radius=0.8)
+    eta = F.random_compact_vector_field(rng, 2, _BUMP)
     # F(const, 0) = const density; int F div eta = 0 for compactly supported eta
     v = V.first_inner_variation(V.integrand_p_allen_cahn(0.5, 2.0), u, eta, box2)
     assert abs(v) <= 1e-10
@@ -231,10 +233,10 @@ def test_first_inner_variation_constant_u(box2):
 
 def test_first_inner_variation_independent_of_zeta(box2):
     rng = np.random.default_rng(7)
-    u = F.random_polynomial_scalar_field(rng, 2, degree=3)
-    eta = F.random_compact_vector_field(rng, 2, degree=2, radius=0.8)
+    u = F.random_polynomial_scalar_field(rng, 2)
+    eta = F.random_compact_vector_field(rng, 2, _BUMP)
     # signature has no zeta at all; cross-check against the oracle's first output
-    zeta = F.random_compact_vector_field(rng, 2, degree=2, radius=0.8)
+    zeta = F.random_compact_vector_field(rng, 2, _BUMP)
     d1a, _ = V.inner_variation_oracle(V.integrand_dirichlet(), u, eta, zeta, box2)
     d1b, _ = V.inner_variation_oracle(
         V.integrand_dirichlet(), u, eta, F.constant_field([0.0, 0.0]), box2
@@ -249,7 +251,7 @@ def test_second_inner_variation_zero_velocity(box2):
     # the direction-dependent term survives (it only integrates away by parts)
     rng = np.random.default_rng(8)
     u = F.polynomial_scalar_field(2, [(0.3, (2, 0)), (0.5, (1, 1)), (-0.2, (0, 3)), (0.4, (1, 0))])
-    zeta = F.random_compact_vector_field(rng, 2, degree=2, radius=0.8)
+    zeta = F.random_compact_vector_field(rng, 2, _BUMP)
     zero = F.constant_field([0.0, 0.0])
     f = V.integrand_dirichlet()
     d2 = V.second_inner_variation(f, u, zero, zeta, box2)
@@ -269,8 +271,8 @@ def test_second_inner_variation_zero_velocity(box2):
 def test_second_inner_variation_dirichlet_oracle(box2):
     rng = np.random.default_rng(9)
     u = F.polynomial_scalar_field(2, [(1.0, (1, 1))])
-    eta = F.random_compact_vector_field(rng, 2, degree=2, radius=0.8)
-    zeta = F.random_compact_vector_field(rng, 2, degree=2, radius=0.8)
+    eta = F.random_compact_vector_field(rng, 2, _BUMP)
+    zeta = F.random_compact_vector_field(rng, 2, _BUMP)
     f = V.integrand_dirichlet()
     d2 = V.second_inner_variation(f, u, eta, zeta, box2)
     _, d2_fd = V.inner_variation_oracle(f, u, eta, zeta, box2)
@@ -284,8 +286,8 @@ def test_second_inner_variation_rank_four_term_matters():
     prof = P.optimal_profile(3.0)
     eps = 0.1
     u = P.ansatz_field(g, eps, prof)
-    eta = F.random_compact_vector_field(rng, 2, degree=2, radius=0.8)
-    zeta = F.random_compact_vector_field(rng, 2, degree=2, radius=0.8)
+    eta = F.random_compact_vector_field(rng, 2, _BUMP)
+    zeta = F.random_compact_vector_field(rng, 2, _BUMP)
     quad = V.tube_rule(g, *P.transverse_rule(prof, eps, 1.0))
     f3 = V.integrand_p_allen_cahn(eps, 3.0)
     d2 = V.second_inner_variation(f3, u, eta, zeta, quad)
@@ -311,7 +313,8 @@ def test_sv_relation_identity_generic(box2):
     # report, which takes dA(u, X0) by parts, refuses it
     u = F.polynomial_scalar_field(2, [(0.7, (2, 0)), (-0.4, (1, 1)), (0.3, (0, 2))])
     eta = F.bump_polynomial_field(
-        2, [[(0.2, (1, 0)), (-0.3, (0, 1))], [(0.1, (1, 0)), (0.4, (0, 1))]], [0, 0], 0.9
+        2, [[(0.2, (1, 0)), (-0.3, (0, 1))], [(0.1, (1, 0)), (0.4, (0, 1))]],
+        F.bump_scalar_field([0, 0], 0.9)
     )
     zero = F.constant_field([0.0, 0.0])
     f = V.integrand_dirichlet()
@@ -346,12 +349,12 @@ def test_x0_variation_by_parts_matches_the_fd_gradient_form(dim, n, bound, name)
     rng = np.random.default_rng(0)
     quad = V.tensor_grid([[-1.0, 1.0]] * dim, n)
     if f.state_dim == 1:
-        u = F.random_polynomial_scalar_field(rng, dim, degree=3)
+        u = F.random_polynomial_scalar_field(rng, dim)
     else:
-        tables = [F._random_terms(rng, dim, 3, 1.0) for _ in range(2)]
+        tables = [F._random_terms(rng, dim, 3) for _ in range(2)]
         u = F.ScalarField.from_jet(dim, lambda xb, order: jet_polynomial(xb, tables, order),
                                    state_dim=2)
-    eta, zeta = (F.random_compact_vector_field(rng, dim, degree=2, radius=0.85)
+    eta, zeta = (F.random_compact_vector_field(rng, dim, F.bump_scalar_field(np.zeros(dim), 0.85))
                  for _ in range(2))
     u = F.pinned(u, quad.nodes, 2)
     x0 = F.x0_field(u, eta, zeta)
@@ -368,8 +371,8 @@ def test_sv_relation_critical_point(box2):
     # at a harmonic u the first-variation term itself vanishes
     rng = np.random.default_rng(12)
     u = F.polynomial_scalar_field(2, [(1.0, (1, 1))])
-    eta = F.random_compact_vector_field(rng, 2, degree=2, radius=0.8)
-    zeta = F.random_compact_vector_field(rng, 2, degree=2, radius=0.8)
+    eta = F.random_compact_vector_field(rng, 2, _BUMP)
+    zeta = F.random_compact_vector_field(rng, 2, _BUMP)
     f = V.integrand_dirichlet()
     x0 = F.x0_field(u, eta, zeta)
     assert abs(V.first_variation(f, u, x0, box2)) <= 1e-8
@@ -380,8 +383,8 @@ def test_sv_relation_critical_point(box2):
 
 def test_sv_relation_zero_velocity_instance(box2):
     rng = np.random.default_rng(13)
-    u = F.random_polynomial_scalar_field(rng, 2, degree=3)
-    zeta = F.random_compact_vector_field(rng, 2, degree=2, radius=0.8)
+    u = F.random_polynomial_scalar_field(rng, 2)
+    zeta = F.random_compact_vector_field(rng, 2, _BUMP)
     res = V.variation_report(V.integrand_dirichlet(), u, F.constant_field([0.0, 0.0]), zeta,
                              box2).sv_relation_residual
     assert abs(res) <= 1e-8
@@ -391,7 +394,7 @@ def test_oracle_dilation_closed_form():
     # Dirichlet energy under dilation: A(t) = (1+t)^(N-2) A(0); flat in 2-D
     u = F.polynomial_scalar_field(2, [(1.0, (1, 1)), (0.5, (1, 0))])
     quad = V.tensor_grid([[-1.0, 1.0], [-1.0, 1.0]], 24)
-    eta = F.dilation_field(2, 1.0)
+    eta = F.linear_field(np.eye(2))
     zero = F.constant_field([0.0, 0.0])
     d1, d2 = V.inner_variation_oracle(V.integrand_dirichlet(), u, eta, zero, quad)
     assert abs(d1) <= 1e-9 and abs(d2) <= 1e-6
@@ -400,7 +403,7 @@ def test_oracle_dilation_closed_form():
     quad3 = V.tensor_grid([[-1.0, 1.0]] * 3, 12)
     a0 = V.energy(V.integrand_dirichlet(), u3, quad3)
     d1, d2 = V.inner_variation_oracle(
-        V.integrand_dirichlet(), u3, F.dilation_field(3, 1.0), F.constant_field([0.0] * 3), quad3
+        V.integrand_dirichlet(), u3, F.linear_field(np.eye(3)), F.constant_field([0.0] * 3), quad3
     )
     assert d1 == pytest.approx(a0, rel=1e-9)
     assert abs(d2) <= 1e-5
@@ -719,8 +722,8 @@ def test_gl_reductions():
 def test_state2_inner_variation_oracle(box2):
     rng = np.random.default_rng(23)
     u = state2_field([(0.5, (1, 0)), (0.3, (1, 1))], [(0.4, (0, 1)), (-0.2, (2, 0))])
-    eta = F.random_compact_vector_field(rng, 2, degree=2, radius=0.8)
-    zeta = F.random_compact_vector_field(rng, 2, degree=2, radius=0.8)
+    eta = F.random_compact_vector_field(rng, 2, _BUMP)
+    zeta = F.random_compact_vector_field(rng, 2, _BUMP)
     f = V.integrand_ginzburg_landau(0.6)
     d1 = V.first_inner_variation(f, u, eta, box2)
     d2 = V.second_inner_variation(f, u, eta, zeta, box2)
@@ -733,9 +736,9 @@ def test_state2_inner_variation_oracle(box2):
 
 def test_variation_report_roundtrip(box2):
     rng = np.random.default_rng(24)
-    u = F.random_polynomial_scalar_field(rng, 2, degree=3)
-    eta = F.random_compact_vector_field(rng, 2, degree=2, radius=0.8)
-    zeta = F.random_compact_vector_field(rng, 2, degree=2, radius=0.8)
+    u = F.random_polynomial_scalar_field(rng, 2)
+    eta = F.random_compact_vector_field(rng, 2, _BUMP)
+    zeta = F.random_compact_vector_field(rng, 2, _BUMP)
     rep = V.variation_report(V.integrand_dirichlet(), u, eta, zeta, box2)
     assert rep.label == "dirichlet"
     assert abs(rep.fv_bridge_residual) <= 1e-8
@@ -786,7 +789,7 @@ def test_stencil_elimination_is_exact_at_t0(n):
 def test_oracle_rejects_a_non_finite_jacobian(box2, bad):
     # one node's Jacobian is non-finite: its stencil matrices are NaN, and NaN det <= 0 is False
     u = F.polynomial_scalar_field(2, [(0.3, (2, 1))])
-    smooth = F.dilation_field(2, 0.5)
+    smooth = F.linear_field(0.5 * np.eye(2))
 
     def jacobian(xb):
         jac = smooth.jacobian(xb)
@@ -819,12 +822,12 @@ def test_variation_report_never_writes_into_held_parts(box2, state_dim):
     held = []
     if state_dim == 1:
         f = V.integrand_dirichlet()
-        u = F.random_polynomial_scalar_field(rng, 2, degree=3)
+        u = F.random_polynomial_scalar_field(rng, 2)
     else:
         f = V.integrand_ginzburg_landau(0.6)
         u = state2_field([(0.5, (1, 0)), (0.3, (1, 1))], [(0.4, (0, 1)), (-0.2, (2, 0))])
     u = _recording(u, box2.nodes, held)
-    eta, zeta = (_recording(F.random_compact_vector_field(rng, 2, degree=2, radius=0.8),
+    eta, zeta = (_recording(F.random_compact_vector_field(rng, 2, _BUMP),
                             box2.nodes, held) for _ in range(2))
     V.variation_report(f, u, eta, zeta, box2)
     assert len(held) == 3 + 2 + 2  # u at order 2, eta and zeta at order 1, each pinned once
@@ -838,9 +841,9 @@ def test_oracle_peak_memory_stays_within_the_linalg_solve():
     quad = V.tensor_grid([[-1.0, 1.0]] * 3, 24)
     rng = np.random.default_rng(7)
     u, eta, zeta = (F.pinned(field, quad.nodes, 1) for field in (
-        F.random_polynomial_scalar_field(rng, 3, degree=3),
-        F.random_compact_vector_field(rng, 3, degree=2, radius=0.85),
-        F.random_compact_vector_field(rng, 3, degree=2, radius=0.85)))
+        F.random_polynomial_scalar_field(rng, 3),
+        F.random_compact_vector_field(rng, 3, F.bump_scalar_field(np.zeros(3), 0.85)),
+        F.random_compact_vector_field(rng, 3, F.bump_scalar_field(np.zeros(3), 0.85))))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
